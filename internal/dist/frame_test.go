@@ -1,0 +1,212 @@
+package dist
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"io"
+	"net/http"
+	"testing"
+	"time"
+
+	"repro/internal/chaos"
+	"repro/internal/cluster"
+	"repro/internal/geom"
+	"repro/internal/meshio"
+	"repro/internal/serve"
+)
+
+// directFrame is the reference every response body is held to: a direct
+// Engine.Extract, per-node meshes encoded in node order by the copying codec.
+func directFrame(t *testing.T, iso float32) []byte {
+	t.Helper()
+	direct, err := engine(t).Extract(context.Background(), iso, cluster.Options{KeepMeshes: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if direct.Triangles == 0 {
+		t.Fatalf("iso %v: test surface is empty; pick another isovalue", iso)
+	}
+	meshes := make([]*geom.Mesh, len(direct.PerNode))
+	for i := range direct.PerNode {
+		meshes[i] = direct.PerNode[i].Mesh
+	}
+	return meshio.EncodeBinaryChecksum(iso, meshes...)
+}
+
+// gatedBackend holds every extraction at a gate so a test can pile joiners
+// onto one in flight.
+type gatedBackend struct {
+	inner   serve.Backend
+	started chan struct{}
+	release chan struct{}
+}
+
+func (b gatedBackend) ExtractStep(ctx context.Context, step int, iso float32, opts cluster.Options) (*cluster.Result, error) {
+	b.started <- struct{}{}
+	select {
+	case <-b.release:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	return b.inner.ExtractStep(ctx, step, iso, opts)
+}
+
+// TestReplicaBodyByteIdenticalForEverySource: the replica no longer encodes
+// a response, it writes the surface's sealed frame — and what arrives is
+// still EncodeBinaryChecksum of a direct extraction, byte for byte, whether
+// the request led the extraction, joined it, or hit the cache afterwards.
+func TestReplicaBodyByteIdenticalForEverySource(t *testing.T) {
+	const iso = 128
+	want := directFrame(t, iso)
+
+	gate := gatedBackend{
+		inner:   serve.AsBackend(engine(t)),
+		started: make(chan struct{}, 1),
+		release: make(chan struct{}),
+	}
+	srv := serve.New(gate, serve.Config{})
+	rep := NewReplicaServer(srv, ReplicaConfig{})
+	if err := rep.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rep.Close() })
+
+	type reply struct {
+		source string
+		length int64
+		body   []byte
+		err    error
+	}
+	get := func() reply {
+		resp, err := http.Get(fmt.Sprintf("http://%s/mesh?step=0&iso=%d", rep.Addr(), iso))
+		if err != nil {
+			return reply{err: err}
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err == nil && resp.StatusCode != http.StatusOK {
+			err = fmt.Errorf("%s: %s", resp.Status, body)
+		}
+		return reply{source: resp.Header.Get("X-Iso-Source"), length: resp.ContentLength, body: body, err: err}
+	}
+
+	replies := make(chan reply, 2)
+	go func() { replies <- get() }()
+	<-gate.started // the leader's extraction is pinned in flight
+	go func() { replies <- get() }()
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Stats().Coalesced == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("second request never joined the in-flight extraction")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(gate.release)
+
+	seen := map[string]bool{}
+	for _, r := range []reply{<-replies, <-replies, get()} {
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		seen[r.source] = true
+		if r.length != int64(len(want)) {
+			t.Errorf("%s response declares Content-Length %d, frame is %d bytes", r.source, r.length, len(want))
+		}
+		if !bytes.Equal(r.body, want) {
+			t.Errorf("%s response body (%d bytes) differs from the direct extraction's frame (%d bytes)",
+				r.source, len(r.body), len(want))
+		}
+	}
+	for _, src := range []string{"extracted", "coalesced", "cache"} {
+		if !seen[src] {
+			t.Errorf("no response was served as %q (saw %v)", src, seen)
+		}
+	}
+	if st := srv.Stats(); st.Extractions != 1 {
+		t.Errorf("%d extractions for one key", st.Extractions)
+	}
+	if got := srv.Metrics().Counter("replica_tx_bytes_total", "").Value(); got != int64(3*len(want)) {
+		t.Errorf("replica_tx_bytes_total = %d, want 3 frames of %d", got, len(want))
+	}
+}
+
+// TestRoutedMeshBelongsToTheCaller: Router.Query's mesh is a view of the
+// frame that request read off the socket — scribbling over it, or growing it,
+// changes nothing anyone else will ever see: not the next response for the
+// key, not the replica's cached surface.
+func TestRoutedMeshBelongsToTheCaller(t *testing.T) {
+	ctx := context.Background()
+	const iso = 128
+	want := directFrame(t, iso)
+	c := startCluster(t, 2, ReplicaConfig{}, RouterConfig{})
+
+	for round := 0; round < 3; round++ {
+		resp, err := c.Router.Query(ctx, 0, iso)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Iso != iso {
+			t.Fatalf("round %d: iso %v", round, resp.Iso)
+		}
+		if got := meshio.EncodeBinaryChecksum(resp.Iso, resp.Mesh); !bytes.Equal(got, want) {
+			t.Fatalf("round %d (%s): routed mesh differs from the direct extraction", round, resp.Route.Source)
+		}
+		for i := range resp.Mesh.Tris {
+			resp.Mesh.Tris[i] = geom.Triangle{A: geom.V(-1, -2, -3)}
+		}
+		resp.Mesh.Append(geom.Triangle{})
+	}
+	frame, route, err := c.Router.QueryBytes(ctx, 0, iso)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if route.Source != "cache" || !bytes.Equal(frame, want) {
+		t.Fatalf("after scribbling over three routed meshes the %s frame differs from the reference", route.Source)
+	}
+}
+
+// TestRouterQueryChecksumsOncePerFrame pins who verifies when. A verifying
+// router checks the frame in fetch (that is what makes corruption
+// retryable) and Query decodes without a second pass; a router told not to
+// verify leaves the only check to Query's decode, so its Query — unlike its
+// QueryBytes — still refuses corrupt bytes.
+func TestRouterQueryChecksumsOncePerFrame(t *testing.T) {
+	ctx := context.Background()
+	const iso = 128
+	want := directFrame(t, iso)
+	client, in := chaosClient(23)
+	c := startCluster(t, 2, ReplicaConfig{}, RouterConfig{ProbeInterval: -1, Client: client})
+	home := c.Router.HomeReplica(0, iso)
+	in.SetFault(c.Replicas[home].Addr(), chaos.Fault{CorruptProb: 1})
+
+	resp, err := c.Router.Query(ctx, 0, iso)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Route.Replica == home || !bytes.Equal(meshio.EncodeBinaryChecksum(resp.Iso, resp.Mesh), want) {
+		t.Fatalf("verifying router: served by %d (corrupted home %d), mesh intact = %v", resp.Route.Replica, home,
+			bytes.Equal(meshio.EncodeBinaryChecksum(resp.Iso, resp.Mesh), want))
+	}
+	if n := c.Router.Stats().CorruptFrames; n != 1 {
+		t.Errorf("verifying router counted %d corrupt frames, want 1", n)
+	}
+
+	fragile, err := NewRouter(RouterConfig{
+		Replicas:      []string{c.Replicas[home].Addr()},
+		ProbeInterval: -1,
+		DisableVerify: true,
+		Client:        client,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fragile.Close)
+	if _, err := fragile.Query(ctx, 0, iso); !errors.Is(err, meshio.ErrBinaryFormat) {
+		t.Fatalf("unverified router's Query decoded a corrupt frame: err = %v, want ErrBinaryFormat", err)
+	}
+	if n := fragile.Stats().CorruptFrames; n != 0 {
+		t.Errorf("unverified router counted %d corrupt frames in fetch", n)
+	}
+}

@@ -11,8 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/geom"
-	"repro/internal/meshio"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
@@ -82,8 +80,6 @@ type Replica struct {
 	requests *obs.Counter
 	sheds    *obs.Counter
 	txBytes  *obs.Counter
-
-	bufs sync.Pool // *[]byte frame scratch, reused across requests
 }
 
 // NewReplicaServer mounts srv behind the replica HTTP surface. The replica
@@ -99,7 +95,6 @@ func NewReplicaServer(srv *serve.Server, cfg ReplicaConfig) *Replica {
 		sheds:    reg.Counter("replica_sheds_total", "requests shed with 503 (overload or draining)"),
 		txBytes:  reg.Counter("replica_tx_bytes_total", "mesh frame bytes transmitted"),
 	}
-	r.bufs.New = func() any { b := make([]byte, 0, 1<<16); return &b }
 	return r
 }
 
@@ -211,22 +206,21 @@ func (r *Replica) handleMesh(w http.ResponseWriter, req *http.Request) {
 
 	// One frame per response, per-node meshes concatenated in node order —
 	// the same soup a direct Extract + merge produces (the E2E byte-identity
-	// test holds the tier to that).
-	bufp := r.bufs.Get().(*[]byte)
-	frame := meshio.AppendBinaryChecksum((*bufp)[:0], resp.Iso, perNodeMeshes(resp)...)
+	// test holds the tier to that). The frame is the surface's sealed one:
+	// header and CRC were computed when the first response for it went out,
+	// and the payload written below is the cached triangles' own memory.
+	frame := resp.Frame()
 
 	w.Header().Set("Content-Type", MeshContentType)
-	w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
+	w.Header().Set("Content-Length", strconv.Itoa(frame.Len()))
 	w.Header().Set("X-Iso-Source", resp.Source.String())
 	w.Header().Set("X-Iso-Step", strconv.Itoa(step))
 	w.Header().Set("X-Iso-Quantized", strconv.FormatFloat(float64(resp.Iso), 'g', -1, 32))
-	if r.transmit(req.Context(), len(frame)) {
-		if _, err := w.Write(frame); err == nil {
-			r.txBytes.Add(int64(len(frame)))
+	if r.transmit(req.Context(), frame.Len()) {
+		if n, err := frame.WriteTo(w); err == nil {
+			r.txBytes.Add(n)
 		}
 	}
-	*bufp = frame
-	r.bufs.Put(bufp)
 }
 
 // transmit charges the frame to the modeled NIC: the link sends one frame
@@ -246,14 +240,6 @@ func (r *Replica) transmit(ctx context.Context, frameBytes int) bool {
 	case <-ctx.Done():
 		return false
 	}
-}
-
-func perNodeMeshes(resp *serve.Response) []*geom.Mesh {
-	meshes := make([]*geom.Mesh, 0, len(resp.Result.PerNode))
-	for i := range resp.Result.PerNode {
-		meshes = append(meshes, resp.Result.PerNode[i].Mesh)
-	}
-	return meshes
 }
 
 func parseMeshQuery(req *http.Request) (step int, iso float32, err error) {

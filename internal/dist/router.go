@@ -170,7 +170,7 @@ type RouterStats struct {
 
 // Route reports how one request was served.
 type Route struct {
-	Replica  int    // index into RouterConfig.Replicas
+	Replica  int // index into RouterConfig.Replicas
 	Addr     string
 	Source   string // the replica's X-Iso-Source: cache, coalesced, extracted
 	Attempts int    // 1 = served by its home shard
@@ -373,7 +373,7 @@ func (rt *Router) candidates(step int, iso float32) []int {
 func (rt *Router) QueryBytes(ctx context.Context, step int, iso float32) ([]byte, Route, error) {
 	start := time.Now()
 	var (
-		attempts int           // replica round trips across all rounds
+		attempts int // replica round trips across all rounds
 		backoff  = rt.cfg.BackoffBase
 		waited   time.Duration // total saturation backoff slept
 	)
@@ -584,20 +584,25 @@ func (rt *Router) hedgedFetch(ctx context.Context, a, b, step int, iso float32) 
 	return nil, failed
 }
 
-// Response is a routed query result, decoded.
+// Response is a routed query result, decoded. Mesh.Tris are a view of the
+// frame this request read off the socket (no second copy of the triangles):
+// the mesh belongs to the caller alone — nothing else references that frame,
+// and the replica's cached surface is on the far side of a TCP connection.
 type Response struct {
 	Mesh  *geom.Mesh
 	Iso   float32 // the quantized isovalue the shard extracted
 	Route Route
 }
 
-// Query routes one query and decodes the returned frame.
+// Query routes one query and decodes the returned frame in place. fetch has
+// already checksummed the frame unless DisableVerify is set, so the CRC runs
+// exactly once per routed frame either way: there, or here.
 func (rt *Router) Query(ctx context.Context, step int, iso float32) (*Response, error) {
 	frame, route, err := rt.QueryBytes(ctx, step, iso)
 	if err != nil {
 		return nil, err
 	}
-	mesh, qiso, err := meshio.DecodeBinary(frame)
+	mesh, qiso, err := meshio.DecodeBinaryView(frame, !rt.cfg.DisableVerify)
 	if err != nil {
 		return nil, fmt.Errorf("dist: replica %s returned a bad frame: %w", route.Addr, err)
 	}

@@ -3,9 +3,11 @@ package harness
 import (
 	"bytes"
 	"context"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/composite"
@@ -213,29 +215,87 @@ func TestTable8(t *testing.T) {
 	}
 }
 
+// TestScalingSeries holds Figures 5/6 to what is deterministic about them:
+// the modeled disk time and the block, seek and triangle counts behind it.
+// The paper's speedup itself adds measured triangulation wall time, which on
+// a host with fewer cores than nodes is time-sliced, not parallel (1.2× at
+// p=4 on two cores) — that floor is checked only under SCALING_WALL_GATE=1,
+// which CI sets (its runners have four cores).
 func TestScalingSeries(t *testing.T) {
+	ctx := context.Background()
 	procs := []int{1, 2, 4}
-	pts, err := ScalingSeries(context.Background(), Small(), procs, PerfOptions{SkipRender: true})
+	pts, err := ScalingSeries(ctx, Small(), procs, PerfOptions{SkipRender: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pts) != len(procs)*len(Sweep()) {
 		t.Fatalf("%d points", len(pts))
 	}
-	// Speedups must be positive and parallel configurations should beat the
-	// serial one on every isovalue (modeled time: I/O and triangulation both
-	// shrink with striping).
+	wallGate := os.Getenv("SCALING_WALL_GATE") != ""
 	for _, p := range pts {
-		if p.Procs == 1 && (p.Speedup < 0.99 || p.Speedup > 1.01) {
-			t.Errorf("p=1 speedup = %.2f", p.Speedup)
+		if p.Overall <= 0 || p.Speedup <= 0 {
+			t.Errorf("iso %v p=%d: overall %v, speedup %.2f", p.Iso, p.Procs, p.Overall, p.Speedup)
 		}
-		// At the Small test scale, fixed per-node seek costs cap the modeled
-		// speedup well below the paper-scale benches; just require a clear
-		// parallel win.
-		if p.Procs == 4 && p.Speedup < 1.3 {
+		if p.Procs == 1 && p.Speedup != 1 {
+			t.Errorf("iso %v p=1 speedup = %.2f, want 1", p.Iso, p.Speedup)
+		}
+		if wallGate && p.Procs == 4 && p.Speedup < 1.3 {
 			t.Errorf("iso %v p=4 speedup = %.2f, want > 1.3", p.Iso, p.Speedup)
 		}
 	}
+
+	// The modeled part of the figure: striping hands every node its share of
+	// the blocks (and of the triangles) at an unchanged handful of seeks, so
+	// the slowest node's modeled disk time shrinks with the node count.
+	type modeled struct {
+		io     time.Duration
+		blocks int64
+	}
+	serial := map[float32]modeled{} // p=1
+	prev := map[float32]modeled{}   // the next smaller node count
+	for _, p := range procs {
+		eng, err := Engine(Small(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, iso := range Sweep() {
+			res, err := eng.Extract(ctx, iso, cluster.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var m modeled
+			var maxSeeks int64
+			maxTris := 0
+			for _, n := range res.PerNode {
+				m.io = max(m.io, n.IOModelTime)
+				m.blocks = max(m.blocks, n.IOStats.BlocksRead)
+				maxSeeks = max(maxSeeks, n.IOStats.Seeks)
+				maxTris = max(maxTris, n.Triangles)
+			}
+			if p == 1 {
+				serial[iso] = m
+			} else if m.io >= prev[iso].io {
+				t.Errorf("iso %v p=%d: modeled I/O %v, not below %v on fewer nodes", iso, p, m.io, prev[iso].io)
+			}
+			prev[iso] = m
+			// At the Small test scale the per-node seek cost caps the modeled
+			// speedup well below the paper-scale benches (1.31–1.78 at p=4);
+			// require a clear parallel win.
+			if sp := float64(serial[iso].io) / float64(m.io); p == 4 && sp < 1.25 {
+				t.Errorf("iso %v p=4 modeled I/O speedup = %.2f, want ≥ 1.25", iso, sp)
+			}
+			if limit := serial[iso].blocks/int64(p) + 2; m.blocks > limit {
+				t.Errorf("iso %v p=%d: busiest node read %d blocks, want ≤ %d (1/%d of the serial %d)", iso, p, m.blocks, limit, p, serial[iso].blocks)
+			}
+			if maxSeeks > 2 {
+				t.Errorf("iso %v p=%d: busiest node seeks %d times, want ≤ 2", iso, p, maxSeeks)
+			}
+			if bal := float64(maxTris*p) / float64(res.Triangles); bal > 1.10 {
+				t.Errorf("iso %v p=%d: busiest node holds %.3f× its share of the triangles", iso, p, bal)
+			}
+		}
+	}
+
 	var buf bytes.Buffer
 	PrintFigure5(&buf, procs, pts)
 	PrintFigure6(&buf, procs, pts)

@@ -20,7 +20,9 @@ package meshio
 //	20     36·T payload: per triangle, vertices A,B,C × components X,Y,Z
 //	            as float32 bits — the same bytes geom.Mesh holds in memory,
 //	            so encode(decode(f)) == f and decode(encode(m)) == m
-//	            bit for bit.
+//	            bit for bit, and on a little-endian host the codec moves
+//	            the payload as memory (view.go): one copy per mesh, or
+//	            none (Seal, DecodeBinaryView).
 //	        4   CRC32-C (Castagnoli, little-endian) over magic..payload,
 //	            only when FlagChecksum is set. The distributed tier always
 //	            sets it, so a frame corrupted on the wire is detected and
@@ -58,10 +60,10 @@ const FlagChecksum uint16 = 1 << 0
 var binMagic = [4]byte{'I', 'S', 'O', 'M'}
 
 const (
-	binPrefixSize = 4                 // the length prefix itself
-	binHeaderSize = 16                // magic..count, after the prefix
-	binTriSize    = 36                // 9 float32 per triangle
-	binCRCSize    = 4                 // CRC32-C trailer, when FlagChecksum is set
+	binPrefixSize = 4  // the length prefix itself
+	binHeaderSize = 16 // magic..count, after the prefix
+	binTriSize    = 36 // 9 float32 per triangle
+	binCRCSize    = 4  // CRC32-C trailer, when FlagChecksum is set
 	binMinFrame   = binPrefixSize + binHeaderSize
 
 	// MaxBinaryFrameBytes is the largest frame ReadBinary accepts by
@@ -95,7 +97,7 @@ func BinarySize(meshes ...*geom.Mesh) int {
 	for _, m := range meshes {
 		tris += len(m.Tris)
 	}
-	return binMinFrame + binTriSize*tris
+	return frameSize(0, tris)
 }
 
 // AppendBinary appends one encoded frame holding the concatenation of the
@@ -118,31 +120,20 @@ func appendBinary(dst []byte, iso float32, flags uint16, meshes ...*geom.Mesh) [
 	for _, m := range meshes {
 		tris += len(m.Tris)
 	}
-	need := binMinFrame + binTriSize*tris
-	if flags&FlagChecksum != 0 {
-		need += binCRCSize
-	}
+	need := frameSize(flags, tris)
 	if cap(dst)-len(dst) < need {
 		grown := make([]byte, len(dst), len(dst)+need)
 		copy(grown, dst)
 		dst = grown
 	}
 	start := len(dst)
-	var hdr [binMinFrame]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(need-binPrefixSize))
-	copy(hdr[4:8], binMagic[:])
-	binary.LittleEndian.PutUint16(hdr[8:], BinaryVersion)
-	binary.LittleEndian.PutUint16(hdr[10:], flags)
-	binary.LittleEndian.PutUint32(hdr[12:], math.Float32bits(iso))
-	binary.LittleEndian.PutUint32(hdr[16:], uint32(tris))
+	hdr := frameHeader(iso, flags, tris)
 	dst = append(dst, hdr[:]...)
-	var rec [binTriSize]byte
 	for _, m := range meshes {
-		for _, t := range m.Tris {
-			putVec(rec[0:], t.A)
-			putVec(rec[12:], t.B)
-			putVec(rec[24:], t.C)
-			dst = append(dst, rec[:]...)
+		if b, ok := triBytes(m.Tris); ok {
+			dst = append(dst, b...)
+		} else {
+			dst = putTris(dst, m.Tris)
 		}
 	}
 	if flags&FlagChecksum != 0 {
@@ -161,6 +152,41 @@ func EncodeBinary(iso float32, meshes ...*geom.Mesh) []byte {
 // EncodeBinaryChecksum encodes one frame with the CRC32-C trailer.
 func EncodeBinaryChecksum(iso float32, meshes ...*geom.Mesh) []byte {
 	return AppendBinaryChecksum(nil, iso, meshes...)
+}
+
+// frameSize is the whole frame's length, prefix included.
+func frameSize(flags uint16, tris int) int {
+	n := binMinFrame + binTriSize*tris
+	if flags&FlagChecksum != 0 {
+		n += binCRCSize
+	}
+	return n
+}
+
+// frameHeader builds the length prefix and fixed header of a frame carrying
+// tris triangles.
+func frameHeader(iso float32, flags uint16, tris int) (hdr [binMinFrame]byte) {
+	binary.LittleEndian.PutUint32(hdr[0:], uint32(frameSize(flags, tris)-binPrefixSize))
+	copy(hdr[4:8], binMagic[:])
+	binary.LittleEndian.PutUint16(hdr[8:], BinaryVersion)
+	binary.LittleEndian.PutUint16(hdr[10:], flags)
+	binary.LittleEndian.PutUint32(hdr[12:], math.Float32bits(iso))
+	binary.LittleEndian.PutUint32(hdr[16:], uint32(tris))
+	return hdr
+}
+
+// putTris appends tris' payload one component at a time: the portable
+// encoder, taken when the host's triangle layout is not the wire layout
+// (see view.go), and the oracle the bulk path is tested against.
+func putTris(dst []byte, tris []geom.Triangle) []byte {
+	var rec [binTriSize]byte
+	for _, t := range tris {
+		putVec(rec[0:], t.A)
+		putVec(rec[12:], t.B)
+		putVec(rec[24:], t.C)
+		dst = append(dst, rec[:]...)
+	}
+	return dst
 }
 
 func putVec(b []byte, v geom.Vec3) {
@@ -234,32 +260,80 @@ func VerifyBinary(data []byte) error {
 	return nil
 }
 
-// DecodeBinary decodes exactly one frame from data. Truncated, oversized,
-// or corrupt frames error with ErrBinaryFormat (checksum mismatches also
-// with ErrChecksum); a successful decode allocates only the triangle slice,
-// whose size is bounded by len(data).
+// DecodeBinary decodes exactly one frame from data into a mesh of its own.
+// Truncated, oversized, or corrupt frames error with ErrBinaryFormat
+// (checksum mismatches also with ErrChecksum); a successful decode allocates
+// only the triangle slice, whose size is bounded by len(data).
 func DecodeBinary(data []byte) (*geom.Mesh, float32, error) {
-	if err := VerifyBinary(data); err != nil {
+	payload, iso, err := verifiedPayload(data, false)
+	if err != nil {
 		return nil, 0, err
+	}
+	return &geom.Mesh{Tris: ownTris(payload)}, iso, nil
+}
+
+// ownTris decodes payload into a fresh triangle slice: one bulk copy where
+// the host layout allows (the destination is always aligned, whatever the
+// source's offset), per triangle otherwise.
+func ownTris(payload []byte) []geom.Triangle {
+	if len(payload) == 0 {
+		return nil
+	}
+	tris := make([]geom.Triangle, len(payload)/binTriSize)
+	if b, ok := triBytes(tris); ok {
+		copy(b, payload)
+	} else {
+		getTris(tris, payload)
+	}
+	return tris
+}
+
+// DecodeBinaryView is DecodeBinary without the copy: the returned mesh's
+// Tris are data's own payload bytes, so the mesh is valid only while data is
+// left alone and a write to either shows in the other. Pass verified=true
+// only for a frame VerifyBinary has already accepted — the CRC pass is then
+// skipped, so a frame that crosses one trust boundary is checksummed exactly
+// once; the structural checks that bound every access run regardless. Where
+// the payload cannot be viewed in place (foreign byte order, or data whose
+// payload is not 4-byte aligned) the result is DecodeBinary's private copy.
+func DecodeBinaryView(data []byte, verified bool) (*geom.Mesh, float32, error) {
+	payload, iso, err := verifiedPayload(data, verified)
+	if err != nil {
+		return nil, 0, err
+	}
+	tris, ok := bytesTris(payload)
+	if !ok {
+		tris = ownTris(payload)
+	}
+	return &geom.Mesh{Tris: tris}, iso, nil
+}
+
+// verifiedPayload checks a frame (structure always, CRC unless the caller
+// vouches for it) and returns its triangle payload and isovalue.
+func verifiedPayload(data []byte, verified bool) ([]byte, float32, error) {
+	if !verified {
+		if err := VerifyBinary(data); err != nil {
+			return nil, 0, err
+		}
 	}
 	iso, tris, _, err := decodeHeader(data)
 	if err != nil {
 		return nil, 0, err
 	}
-	m := &geom.Mesh{}
-	if tris > 0 {
-		m.Tris = make([]geom.Triangle, tris)
-		payload := data[binMinFrame:]
-		for i := range m.Tris {
-			rec := payload[i*binTriSize:]
-			m.Tris[i] = geom.Triangle{
-				A: getVec(rec[0:]),
-				B: getVec(rec[12:]),
-				C: getVec(rec[24:]),
-			}
+	return data[binMinFrame : binMinFrame+tris*binTriSize], iso, nil
+}
+
+// getTris fills tris from payload one component at a time: the portable
+// decoder and test oracle, counterpart of putTris.
+func getTris(tris []geom.Triangle, payload []byte) {
+	for i := range tris {
+		rec := payload[i*binTriSize:]
+		tris[i] = geom.Triangle{
+			A: getVec(rec[0:]),
+			B: getVec(rec[12:]),
+			C: getVec(rec[24:]),
 		}
 	}
-	return m, iso, nil
 }
 
 func getVec(b []byte) geom.Vec3 {
@@ -298,11 +372,12 @@ func ReadBinaryFrame(r io.Reader, maxBytes int) ([]byte, error) {
 }
 
 // ReadBinary reads and decodes one frame from r under the same size limit
-// as ReadBinaryFrame.
+// as ReadBinaryFrame. The frame buffer is this call's own, so the mesh is a
+// view of it rather than a second copy.
 func ReadBinary(r io.Reader, maxBytes int) (*geom.Mesh, float32, error) {
 	frame, err := ReadBinaryFrame(r, maxBytes)
 	if err != nil {
 		return nil, 0, err
 	}
-	return DecodeBinary(frame)
+	return DecodeBinaryView(frame, false)
 }

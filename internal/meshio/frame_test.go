@@ -1,0 +1,261 @@
+package meshio
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"io"
+	"math"
+	"testing"
+
+	"repro/internal/geom"
+)
+
+// nanMesh holds float bit patterns that compare unequal to themselves or
+// equal across different bits (NaNs, ±0, a denormal): a codec that moves
+// values instead of bits would mangle them.
+func nanMesh() *geom.Mesh {
+	f := math.Float32frombits
+	return &geom.Mesh{Tris: []geom.Triangle{{
+		A: geom.Vec3{X: f(0x7fc00001), Y: f(0xffc00000), Z: f(0x7f800001)},
+		B: geom.Vec3{X: f(0x80000000), Y: 0, Z: f(0x00000001)},
+		C: geom.Vec3{X: float32(math.Inf(1)), Y: float32(math.Inf(-1)), Z: math.MaxFloat32},
+	}}}
+}
+
+// portableFrame encodes the way the codec did before it learned to move
+// payload as memory: header, then every component through putVec, then the
+// CRC of it all. The bulk and sealed paths are held to these bytes.
+func portableFrame(iso float32, flags uint16, meshes ...*geom.Mesh) []byte {
+	tris := 0
+	for _, m := range meshes {
+		tris += len(m.Tris)
+	}
+	hdr := frameHeader(iso, flags, tris)
+	out := append([]byte(nil), hdr[:]...)
+	for _, m := range meshes {
+		out = putTris(out, m.Tris)
+	}
+	if flags&FlagChecksum != 0 {
+		out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(out[binPrefixSize:], crcTable))
+	}
+	return out
+}
+
+var frameCases = []struct {
+	name   string
+	meshes []*geom.Mesh
+}{
+	{"no meshes", nil},
+	{"one empty mesh", []*geom.Mesh{{}}},
+	{"one mesh", []*geom.Mesh{testMesh(7, 1.5)}},
+	{"several meshes", []*geom.Mesh{testMesh(3, 1), testMesh(5, 100), testMesh(1, -4)}},
+	{"empties interleaved", []*geom.Mesh{{}, testMesh(4, 2), {}, {}, testMesh(9, 30), {}}},
+	{"NaN and signed-zero bits", []*geom.Mesh{nanMesh(), {}, nanMesh()}},
+	{"large", []*geom.Mesh{testMesh(4099, 0.5), testMesh(513, 9)}},
+}
+
+// TestBulkEncodeMatchesPerTriangleOracle pins the bulk-copy encoder to the
+// per-triangle one, plain and checksummed.
+func TestBulkEncodeMatchesPerTriangleOracle(t *testing.T) {
+	for _, tc := range frameCases {
+		if got, want := EncodeBinary(-3.25, tc.meshes...), portableFrame(-3.25, 0, tc.meshes...); !bytes.Equal(got, want) {
+			t.Errorf("%s: EncodeBinary differs from the per-triangle encoding", tc.name)
+		}
+		if got, want := EncodeBinaryChecksum(-3.25, tc.meshes...), portableFrame(-3.25, FlagChecksum, tc.meshes...); !bytes.Equal(got, want) {
+			t.Errorf("%s: EncodeBinaryChecksum differs from the per-triangle encoding", tc.name)
+		}
+	}
+}
+
+// TestSealedFrameBytesEqualEncodeBinaryChecksum: what a sealed frame writes
+// is EncodeBinaryChecksum's output, byte for byte, for zero, one and several
+// meshes with empty ones in between — the replica's response body is held to
+// the format by this table and the tier's byte-identity tests.
+func TestSealedFrameBytesEqualEncodeBinaryChecksum(t *testing.T) {
+	for _, tc := range frameCases {
+		want := EncodeBinaryChecksum(110.5, tc.meshes...)
+		f := Seal(110.5, tc.meshes...)
+		if f.Len() != len(want) {
+			t.Errorf("%s: Len() = %d, encoded frame is %d bytes", tc.name, f.Len(), len(want))
+		}
+		var buf bytes.Buffer
+		n, err := f.WriteTo(&buf)
+		if err != nil || n != int64(len(want)) {
+			t.Errorf("%s: WriteTo = (%d, %v), want (%d, nil)", tc.name, n, err, len(want))
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Errorf("%s: sealed frame's bytes differ from EncodeBinaryChecksum", tc.name)
+		}
+		if err := VerifyBinary(buf.Bytes()); err != nil {
+			t.Errorf("%s: sealed frame fails verification: %v", tc.name, err)
+		}
+		// Writing is repeatable: the frame is immutable.
+		buf.Reset()
+		if _, err := f.WriteTo(&buf); err != nil || !bytes.Equal(buf.Bytes(), want) {
+			t.Errorf("%s: second write differs from the first (err %v)", tc.name, err)
+		}
+	}
+}
+
+// TestSealedFrameViewsTheMeshes: sealing copies no triangle — the frame
+// writes whatever the mesh memory holds at write time (which is why served
+// results are immutable) — where the host layout is the wire layout.
+func TestSealedFrameViewsTheMeshes(t *testing.T) {
+	if !hostIsWire {
+		t.Skip("host triangle layout is not the wire layout; Seal transcodes")
+	}
+	m := testMesh(5, 2)
+	f := Seal(1, m)
+	m.Tris[2].B.Y = 12345
+	var buf bytes.Buffer
+	f.WriteTo(&buf) //nolint:errcheck // bytes.Buffer
+	got, _, err := DecodeBinaryView(buf.Bytes(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Tris[2].B.Y != 12345 {
+		t.Fatal("sealed frame holds a copy of the triangles, not a view")
+	}
+	if err := VerifyBinary(buf.Bytes()); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("mutated mesh under a sealed CRC: err = %v, want ErrChecksum", err)
+	}
+}
+
+// failAfter errors once n bytes have been accepted.
+type failAfter struct{ n int }
+
+var errSink = errors.New("sink full")
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	if len(p) > w.n {
+		n := w.n
+		w.n = 0
+		return n, errSink
+	}
+	w.n -= len(p)
+	return len(p), nil
+}
+
+func TestSealedFrameWriteStopsAtFirstError(t *testing.T) {
+	f := Seal(7, testMesh(10, 1), testMesh(10, 2))
+	for _, limit := range []int{0, 5, binMinFrame, binMinFrame + 100, binMinFrame + 10*binTriSize + 1, f.Len() - 1} {
+		n, err := f.WriteTo(&failAfter{n: limit})
+		if !errors.Is(err, errSink) || n != int64(limit) {
+			t.Errorf("sink of %d bytes: WriteTo = (%d, %v), want (%d, errSink)", limit, n, err, limit)
+		}
+	}
+}
+
+// TestSealedFrameWriteZeroAllocSteadyState is the allocation gate behind
+// "a cache hit is a write of immutable bytes": writing a sealed frame
+// allocates nothing, however large the mesh.
+func TestSealedFrameWriteZeroAllocSteadyState(t *testing.T) {
+	f := Seal(110, testMesh(20000, 1), &geom.Mesh{}, testMesh(30000, 2))
+	if allocs := testing.AllocsPerRun(50, func() {
+		if _, err := f.WriteTo(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("writing a sealed %d-byte frame allocates %.0f times, want 0", f.Len(), allocs)
+	}
+}
+
+// TestDecodeBinaryViewAliasesItsFrame pins both halves of the aliasing
+// contract on an aligned frame: no copy (a write to the mesh lands in the
+// frame) and clipped capacity (an append cannot run into the trailer).
+func TestDecodeBinaryViewAliasesItsFrame(t *testing.T) {
+	if !hostIsWire {
+		t.Skip("host triangle layout is not the wire layout; the view copies")
+	}
+	src := testMesh(6, 3)
+	frame := EncodeBinaryChecksum(9, src)
+	pristine := append([]byte(nil), frame...)
+	m, iso, err := DecodeBinaryView(frame, false)
+	if err != nil || iso != 9 || len(m.Tris) != 6 {
+		t.Fatalf("view decode: (%d tris, iso %v, %v)", len(m.Tris), iso, err)
+	}
+	if cap(m.Tris) != len(m.Tris) {
+		t.Fatalf("view has capacity %d beyond its %d triangles", cap(m.Tris), len(m.Tris))
+	}
+	m.Append(geom.Triangle{}) // must reallocate, not overwrite the CRC trailer
+	if !bytes.Equal(frame, pristine) {
+		t.Fatal("appending to the viewed mesh wrote into the frame")
+	}
+	m, _, _ = DecodeBinaryView(frame, true)
+	m.Tris[1].C.Z = -1
+	if bytes.Equal(frame, pristine) {
+		t.Fatal("DecodeBinaryView returned a copy of an aligned frame")
+	}
+	// DecodeBinary, by contrast, always owns its triangles.
+	copy(frame, pristine)
+	own, _, err := DecodeBinary(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	own.Tris[1].C.Z = -1
+	if !bytes.Equal(frame, pristine) {
+		t.Fatal("DecodeBinary's mesh aliases its input")
+	}
+}
+
+// TestDecodeBinaryViewVerifiesUnlessVouchedFor: verified=false is
+// DecodeBinary's full check; verified=true skips the CRC and nothing else.
+func TestDecodeBinaryViewVerifiesUnlessVouchedFor(t *testing.T) {
+	frame := EncodeBinaryChecksum(7, testMesh(6, 4))
+	frame[binMinFrame+3] ^= 0x01
+	if _, _, err := DecodeBinaryView(frame, false); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("unverified view of a corrupt frame: err = %v, want ErrChecksum", err)
+	}
+	if _, _, err := DecodeBinaryView(frame, true); err != nil {
+		t.Fatalf("pre-verified view re-ran the CRC: %v", err)
+	}
+	for name, bad := range map[string][]byte{
+		"truncated": frame[:len(frame)-5],
+		"short":     frame[:12],
+		"empty":     nil,
+	} {
+		if _, _, err := DecodeBinaryView(bad, true); !errors.Is(err, ErrBinaryFormat) {
+			t.Errorf("%s frame, caller vouching: err = %v, want ErrBinaryFormat", name, err)
+		}
+	}
+}
+
+// TestForeignHostPathsProduceTheSameBytes runs the codec the way a host
+// whose triangle layout is not the wire layout would — every view refused,
+// every path per-triangle — and holds it to the same bytes and the same
+// triangles. Not parallel: it flips the package's layout verdict.
+func TestForeignHostPathsProduceTheSameBytes(t *testing.T) {
+	defer func(was bool) { hostIsWire = was }(hostIsWire)
+	for _, tc := range frameCases {
+		hostIsWire = true
+		want := EncodeBinaryChecksum(42, tc.meshes...)
+		wantMesh, _, err := DecodeBinary(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		hostIsWire = false
+		if got := EncodeBinaryChecksum(42, tc.meshes...); !bytes.Equal(got, want) {
+			t.Errorf("%s: per-triangle AppendBinaryChecksum differs", tc.name)
+		}
+		var buf bytes.Buffer
+		if f := Seal(42, tc.meshes...); f.Len() != len(want) {
+			t.Errorf("%s: transcoding Seal: Len() = %d, want %d", tc.name, f.Len(), len(want))
+		} else if _, err := f.WriteTo(&buf); err != nil || !bytes.Equal(buf.Bytes(), want) {
+			t.Errorf("%s: transcoding Seal writes different bytes (err %v)", tc.name, err)
+		}
+		for name, decode := range map[string]func() (*geom.Mesh, float32, error){
+			"DecodeBinary":     func() (*geom.Mesh, float32, error) { return DecodeBinary(want) },
+			"DecodeBinaryView": func() (*geom.Mesh, float32, error) { return DecodeBinaryView(want, false) },
+		} {
+			m, iso, err := decode()
+			if err != nil || iso != 42 {
+				t.Errorf("%s: per-triangle %s: iso %v, err %v", tc.name, name, iso, err)
+			} else if !bytes.Equal(putTris(nil, m.Tris), putTris(nil, wantMesh.Tris)) {
+				t.Errorf("%s: per-triangle %s decodes different triangles", tc.name, name)
+			}
+		}
+	}
+}

@@ -10,8 +10,10 @@ import (
 
 // meshCache is the byte-budgeted LRU of completed extraction results, keyed
 // like coalescing: (time step, quantized isovalue). Entries are charged their
-// triangle payload (the dominant cost by orders of magnitude); inserting past
-// the budget evicts from the least recently used end. A result larger than
+// triangle payload (the dominant cost by orders of magnitude — a surface's
+// sealed frame adds 24 bytes and views of that same payload, so it is not
+// charged separately); inserting past the budget evicts from the least
+// recently used end, dropping result and frame together. A result larger than
 // the whole budget is served but never cached. Callers synchronize access —
 // the Server uses it under its own mutex.
 type meshCache struct {
@@ -23,7 +25,7 @@ type meshCache struct {
 
 type cacheEntry struct {
 	key   Key
-	res   *cluster.Result
+	surf  *surface
 	bytes int64
 }
 
@@ -45,20 +47,20 @@ func resultBytes(res *cluster.Result) int64 {
 	return b
 }
 
-// get returns the cached result for k, refreshing its recency.
-func (c *meshCache) get(k Key) (*cluster.Result, bool) {
+// get returns the cached surface for k, refreshing its recency.
+func (c *meshCache) get(k Key) (*surface, bool) {
 	el, ok := c.byKey[k]
 	if !ok {
 		return nil, false
 	}
 	c.lru.MoveToFront(el)
-	return el.Value.(*cacheEntry).res, true
+	return el.Value.(*cacheEntry).surf, true
 }
 
-// put inserts (or refreshes) a result and evicts past the budget, returning
+// put inserts (or refreshes) a surface and evicts past the budget, returning
 // how many entries were evicted.
-func (c *meshCache) put(k Key, res *cluster.Result) (evicted int64) {
-	bytes := resultBytes(res)
+func (c *meshCache) put(k Key, surf *surface) (evicted int64) {
+	bytes := resultBytes(surf.res)
 	if c.budget <= 0 || bytes > c.budget {
 		return 0
 	}
@@ -66,10 +68,10 @@ func (c *meshCache) put(k Key, res *cluster.Result) (evicted int64) {
 		// Refresh: identical key means identical surface; keep accounting
 		// consistent with the (possibly re-extracted) result.
 		c.used += bytes - el.Value.(*cacheEntry).bytes
-		el.Value = &cacheEntry{key: k, res: res, bytes: bytes}
+		el.Value = &cacheEntry{key: k, surf: surf, bytes: bytes}
 		c.lru.MoveToFront(el)
 	} else {
-		c.byKey[k] = c.lru.PushFront(&cacheEntry{key: k, res: res, bytes: bytes})
+		c.byKey[k] = c.lru.PushFront(&cacheEntry{key: k, surf: surf, bytes: bytes})
 		c.used += bytes
 	}
 	for c.used > c.budget {

@@ -1,0 +1,190 @@
+package serve
+
+import (
+	"bytes"
+	"context"
+	"io"
+	"sync"
+	"testing"
+
+	"repro/internal/geom"
+	"repro/internal/meshio"
+)
+
+// frameBytes is what a replica would put on the wire for r.
+func frameBytes(t *testing.T, r *Response) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := r.Frame().WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func encodeDirect(r *Response) []byte {
+	meshes := make([]*geom.Mesh, len(r.Result.PerNode))
+	for i := range r.Result.PerNode {
+		meshes[i] = r.Result.PerNode[i].Mesh
+	}
+	return meshio.EncodeBinaryChecksum(r.Iso, meshes...)
+}
+
+// TestFrameBuiltOncePerSurface pins one extraction in flight, piles
+// coalesced joiners onto it, then adds cache hits: every response — leader,
+// joiners, hits — asking for its frame concurrently gets the same sealed
+// frame object, its bytes are the checksummed encoding of the shared result,
+// and none of it is built before someone asks.
+func TestFrameBuiltOncePerSurface(t *testing.T) {
+	fb := &fakeBackend{tris: 500, started: make(chan float32, 1), release: make(chan struct{})}
+	s := New(fb, Config{MaxInFlight: 4})
+
+	const joiners, hits = 6, 6
+	resps := make([]*Response, 1+joiners+hits)
+	errs := make([]error, len(resps))
+	var wg sync.WaitGroup
+	query := func(k int) {
+		defer wg.Done()
+		resps[k], errs[k] = s.Query(context.Background(), 0, 110)
+	}
+	wg.Add(1)
+	go query(0)
+	<-fb.started
+	for k := 1; k <= joiners; k++ {
+		wg.Add(1)
+		go query(k)
+	}
+	waitFor(t, func() bool { return s.Stats().Coalesced == joiners })
+	close(fb.release)
+	wg.Wait()
+	for k := 1 + joiners; k < len(resps); k++ {
+		wg.Add(1)
+		go query(k)
+	}
+	wg.Wait()
+
+	var sources [3]int
+	for k, r := range resps {
+		if errs[k] != nil {
+			t.Fatalf("request %d: %v", k, errs[k])
+		}
+		sources[r.Source]++
+		if r.surf != resps[0].surf {
+			t.Fatalf("request %d (%v) holds its own surface", k, r.Source)
+		}
+	}
+	if sources != [3]int{SourceExtracted: 1, SourceCache: hits, SourceCoalesced: joiners} {
+		t.Fatalf("sources (extracted, cache, coalesced) = %v", sources)
+	}
+	// Nobody has asked yet: a Query-only caller paid for no header, no CRC.
+	if resps[0].surf.frame != nil {
+		t.Fatal("frame was sealed before any caller asked for it")
+	}
+
+	frames := make([]*meshio.Frame, len(resps))
+	start := make(chan struct{})
+	for k := range resps {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			<-start
+			frames[k] = resps[k].Frame()
+		}(k)
+	}
+	close(start)
+	wg.Wait()
+	for k, f := range frames {
+		if f == nil || f != frames[0] {
+			t.Fatalf("request %d (%v) got frame %p, the leader got %p", k, resps[k].Source, f, frames[0])
+		}
+	}
+	if got, want := frameBytes(t, resps[3]), encodeDirect(resps[0]); !bytes.Equal(got, want) {
+		t.Fatalf("sealed frame (%d bytes) differs from EncodeBinaryChecksum of the result (%d bytes)", len(got), len(want))
+	}
+	if resps[0].Iso != 110 {
+		t.Fatalf("served iso %v, want 110", resps[0].Iso)
+	}
+}
+
+// TestFrameLeavesCacheAccountingAlone runs one request sequence against two
+// identical servers, asking for every response's frame on one of them only:
+// CachedBytes, CachedMeshes and Evictions agree at every step (the frame
+// references the mesh, it does not copy it), and an evicted surface takes its
+// frame with it — the re-extraction seals a fresh one with the same bytes.
+func TestFrameLeavesCacheAccountingAlone(t *testing.T) {
+	const tris = 100
+	entryBytes := int64(tris) * triangleBytes
+	cfg := Config{CacheBytes: 2*entryBytes + entryBytes/2}
+	plain := New(&fakeBackend{tris: tris}, cfg)
+	framed := New(&fakeBackend{tris: tris}, cfg)
+
+	var first *meshio.Frame
+	var firstBytes []byte
+	for step, iso := range []float32{10, 20, 10, 30, 20, 10, 40, 10} { // 30 evicts 20, 20 evicts 10, …
+		p, err := plain.Query(context.Background(), 0, iso)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := framed.Query(context.Background(), 0, iso)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := framed.Stats()
+		got := frameBytes(t, f)
+		if after := framed.Stats(); after != before {
+			t.Fatalf("step %d: sealing moved the stats: %+v → %+v", step, before, after)
+		}
+		if p.Source != f.Source {
+			t.Fatalf("step %d iso %v: %v without frames, %v with", step, iso, p.Source, f.Source)
+		}
+		ps, fs := plain.Stats(), framed.Stats()
+		if ps != fs {
+			t.Fatalf("step %d: stats diverge\nwithout frames %+v\nwith frames    %+v", step, ps, fs)
+		}
+		if fs.CachedBytes != int64(fs.CachedMeshes)*entryBytes {
+			t.Fatalf("step %d: %d cached bytes for %d meshes of %d", step, fs.CachedBytes, fs.CachedMeshes, entryBytes)
+		}
+		if iso != 10 {
+			continue
+		}
+		switch step {
+		case 0:
+			first, firstBytes = f.Frame(), got
+		case 2: // still resident: the hit writes the frame sealed at step 0
+			if f.Source != SourceCache || f.Frame() != first {
+				t.Fatalf("resident surface: source %v, frame %p, want cache hit of %p", f.Source, f.Frame(), first)
+			}
+		case 5: // evicted at step 4: new extraction, new surface, new frame
+			if f.Source != SourceExtracted || f.Frame() == first {
+				t.Fatalf("evicted surface: source %v, frame reused = %v", f.Source, f.Frame() == first)
+			}
+			if !bytes.Equal(got, firstBytes) {
+				t.Fatal("re-extracted surface seals to different bytes")
+			}
+		}
+	}
+	if ev := framed.Stats().Evictions; ev == 0 {
+		t.Fatal("sequence evicted nothing; the test budget is wrong")
+	}
+}
+
+// TestWarmHitFrameWriteZeroAllocSteadyState is the replica's hot path minus
+// the socket: on a warmed surface, fetching the frame and writing it out
+// allocates nothing — no frame-sized buffer, no scratch, no pool.
+func TestWarmHitFrameWriteZeroAllocSteadyState(t *testing.T) {
+	s := New(&fakeBackend{tris: 50000}, Config{})
+	if _, err := s.Query(context.Background(), 0, 110); err != nil {
+		t.Fatal(err)
+	}
+	hit, err := s.Query(context.Background(), 0, 110)
+	if err != nil || hit.Source != SourceCache {
+		t.Fatalf("warm query: source %v, err %v", hit.Source, err)
+	}
+	hit.Frame() // the first response for the surface seals it
+	if allocs := testing.AllocsPerRun(50, func() {
+		if _, err := hit.Frame().WriteTo(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("writing a warmed hit's %d-byte frame allocates %.0f times, want 0", hit.Frame().Len(), allocs)
+	}
+}

@@ -29,6 +29,8 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/geom"
+	"repro/internal/meshio"
 	"repro/internal/obs"
 )
 
@@ -144,6 +146,42 @@ type Response struct {
 	// join span — the extraction they shared belongs to the leader's
 	// timeline, which started before theirs.
 	Trace *obs.Trace
+
+	surf *surface
+}
+
+// Frame returns the response's mesh as a sealed wire frame: the bytes
+// meshio.EncodeBinaryChecksum(Iso, per-node meshes in node order...) would
+// produce, without copying a triangle. The frame is built — one CRC pass
+// over the payload — the first time anyone asks for this surface and then
+// shared by every response for it: later cache hits, the extraction's leader
+// and its coalesced joiners all write the same immutable bytes. A caller that
+// never asks never pays for it.
+func (r *Response) Frame() *meshio.Frame {
+	return r.surf.sealed(r.Iso)
+}
+
+// surface is one servable result as the server holds it — in the cache, in
+// a finished call, in every Response handed out for it: the extraction's
+// Result plus, once someone has asked, its sealed frame. The frame only
+// references the Result's triangle memory, so it lives and dies with the
+// surface (an evicted entry takes its frame along) and adds nothing to the
+// cache's byte accounting.
+type surface struct {
+	res   *cluster.Result
+	once  sync.Once
+	frame *meshio.Frame
+}
+
+func (sf *surface) sealed(iso float32) *meshio.Frame {
+	sf.once.Do(func() {
+		meshes := make([]*geom.Mesh, len(sf.res.PerNode))
+		for i := range sf.res.PerNode {
+			meshes[i] = sf.res.PerNode[i].Mesh
+		}
+		sf.frame = meshio.Seal(iso, meshes...)
+	})
+	return sf.frame
 }
 
 // Stats is a snapshot of the server's counters.
@@ -173,14 +211,14 @@ func (s Stats) HitRate() float64 {
 
 // call is one in-flight extraction that any number of requests may be
 // waiting on. waiters is guarded by the server mutex; done is closed exactly
-// once, after res/err are set.
+// once, after surf/err are set.
 type call struct {
 	key     Key
 	ctx     context.Context
 	cancel  context.CancelFunc
 	waiters int
 	done    chan struct{}
-	res     *cluster.Result
+	surf    *surface // nil iff err != nil
 	err     error
 
 	// Stage timings for metrics and traces, written by the run goroutine
@@ -287,14 +325,14 @@ func (s *Server) Query(ctx context.Context, step int, iso float32) (*Response, e
 	s.mu.Lock()
 	s.stats.Requests++
 	s.met.requests.Inc()
-	if res, ok := s.cache.get(key); ok {
+	if surf, ok := s.cache.get(key); ok {
 		s.stats.CacheHits++
 		s.mu.Unlock()
 		s.met.cacheHits.Inc()
 		wall := time.Since(start)
 		s.met.requestLatency.Observe(wall)
 		return &Response{Key: key, Iso: s.IsoOf(key), Source: SourceCache, Wall: wall,
-			Result: res, Trace: traceCacheHit(s.cfg.Trace, wall)}, nil
+			Result: surf.res, Trace: traceCacheHit(s.cfg.Trace, wall), surf: surf}, nil
 	}
 	// Join an in-flight extraction — unless its last waiter already
 	// abandoned it (its context is cancelled and it is only draining); a
@@ -338,7 +376,7 @@ func (s *Server) wait(ctx context.Context, c *call, src Source, start time.Time)
 		wall := time.Since(start)
 		s.met.requestLatency.Observe(wall)
 		return &Response{Key: c.key, Iso: s.IsoOf(c.key), Source: src, Wall: wall,
-			Result: c.res, Trace: s.traceOf(c, src, wall)}, nil
+			Result: c.surf.res, Trace: s.traceOf(c, src, wall), surf: c.surf}, nil
 	case <-ctx.Done():
 		s.mu.Lock()
 		s.stats.Canceled++
@@ -367,8 +405,8 @@ func (s *Server) traceOf(c *call, src Source, wall time.Duration) *obs.Trace {
 	}
 	tr.Add("serve", "queue-wait", 0, c.queueWait)
 	tr.Add("serve", "extract", c.queueWait, c.extractDur)
-	if c.res != nil && c.res.Trace != nil {
-		tr.Append(c.res.Trace.Spans, c.queueWait)
+	if bt := c.surf.res.Trace; bt != nil {
+		tr.Append(bt.Spans, c.queueWait)
 	}
 	return tr
 }
@@ -409,11 +447,12 @@ func (s *Server) run(c *call) {
 	if err == nil {
 		s.stats.Extractions++
 		s.met.extractions.Inc()
-		ev := s.cache.put(c.key, res)
+		c.surf = &surface{res: res}
+		ev := s.cache.put(c.key, c.surf)
 		s.stats.Evictions += ev
 		s.met.evictions.Add(ev)
 	}
-	c.res, c.err = res, err
+	c.err = err
 	s.unregister(c)
 	close(c.done)
 	s.mu.Unlock()
