@@ -1,6 +1,6 @@
 // Command isobench regenerates the paper's evaluation tables and figures
-// from the command line (the same drivers back the go-test benchmarks in
-// bench_test.go).
+// from the command line: flag parsing plus a loop over the harness experiment
+// registry (the root BenchmarkExperiments is the same loop under go test).
 //
 // Examples:
 //
@@ -13,22 +13,18 @@ package main
 import (
 	"context"
 	"flag"
-	"fmt"
 	"log"
 	"os"
 	"os/signal"
-	"strings"
 
-	"repro/internal/dist"
 	"repro/internal/harness"
-	"repro/internal/serve"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("isobench: ")
 	var (
-		exp   = flag.String("experiment", "all", "table1|table2|table3|table4|table5|table6|table7|table8|fig4|fig5|fig6|ablations|schedule|serving|scaling|chaos|tune|all")
+		exp   = flag.String("experiment", "all", harness.ExperimentUsage())
 		size  = flag.String("size", "full", "full (256×256×240, the paper's down-sampled size) or small (96×96×90)")
 		out   = flag.String("out", "figure4.ppm", "output image path for fig4")
 		cache = flag.Int("cache", 0, "LRU cache blocks per node disk (0 = cold-cache paper model); warms isovalue sweeps")
@@ -48,168 +44,17 @@ func main() {
 	}
 	cfg.CacheBlocks = *cache
 
-	want := func(name string) bool { return *exp == "all" || *exp == name }
-	ran := false
-
-	if want("table1") {
-		ran = true
-		rows, err := harness.Table1(96, 7)
-		check(err)
-		section("Table 1: indexing structure sizes")
-		harness.PrintTable1(os.Stdout, rows)
-	}
-	for procs, name := range map[int]string{1: "table2", 2: "table3", 4: "table4", 8: "table5"} {
-		if !want(name) {
-			continue
-		}
-		ran = true
-		rows, err := harness.PerfTable(ctx, cfg, procs, harness.PerfOptions{})
-		check(err)
-		section(fmt.Sprintf("%s: performance on %d node(s)", strings.ToUpper(name[:1])+name[1:], procs))
-		harness.PrintPerfTable(os.Stdout, procs, rows)
-	}
-	if want("table6") {
-		ran = true
-		rows, err := harness.BalanceTable(ctx, cfg, 4, "metacells")
-		check(err)
-		section("Table 6: active metacell distribution (4 nodes)")
-		harness.PrintBalanceTable(os.Stdout, "metacells", rows)
-	}
-	if want("table7") {
-		ran = true
-		rows, err := harness.BalanceTable(ctx, cfg, 4, "triangles")
-		check(err)
-		section("Table 7: triangle distribution (4 nodes)")
-		harness.PrintBalanceTable(os.Stdout, "triangles", rows)
-	}
-	if want("table8") {
-		ran = true
-		t8 := cfg
-		t8.NX, t8.NY, t8.NZ = cfg.NX/2, cfg.NY/2, cfg.NZ/2
-		var steps []int
-		for s := 180; s <= 195; s++ {
-			steps = append(steps, s)
-		}
-		rows, idx, err := harness.Table8(ctx, t8, steps, 70, 4)
-		check(err)
-		section("Table 8: time-varying browsing (iso 70, 4 nodes)")
-		harness.PrintTable8(os.Stdout, 70, 4, rows, idx)
-	}
-	if want("fig5") || want("fig6") {
-		ran = true
-		pts, err := harness.ScalingSeries(ctx, cfg, []int{1, 2, 4, 8}, harness.PerfOptions{})
-		check(err)
-		if want("fig5") {
-			section("Figure 5: overall time vs isovalue")
-			harness.PrintFigure5(os.Stdout, []int{1, 2, 4, 8}, pts)
-		}
-		if want("fig6") {
-			section("Figure 6: speedup vs isovalue")
-			harness.PrintFigure6(os.Stdout, []int{1, 2, 4, 8}, pts)
-		}
-	}
-	if want("fig4") {
-		ran = true
-		res, err := harness.Figure4(ctx, cfg, 190, 4, 1024, 768, *out)
-		check(err)
-		section("Figure 4: isosurface render (iso 190)")
-		fmt.Printf("triangles: %d, covered pixels: %d, image: %s\n", res.Triangles, res.CoveredPixels, *out)
-	}
-	if want("ablations") {
-		ran = true
-		ir, err := harness.AblationIndexStructures(cfg)
-		check(err)
-		section("Ablation: index structures")
-		harness.PrintIndexAblation(os.Stdout, ir)
-
-		dr, err := harness.AblationDistribution(ctx, cfg, 4)
-		check(err)
-		section("Ablation: data distribution (4 nodes)")
-		harness.PrintDistributionAblation(os.Stdout, 4, dr)
-
-		br, err := harness.AblationBulkRead(cfg)
-		check(err)
-		section("Ablation: bulk brick reads vs scattered reads")
-		harness.PrintBulkReadAblation(os.Stdout, br)
-
-		mr, err := harness.AblationMetacellSize(cfg, 110, []int{5, 9, 17})
-		check(err)
-		section("Ablation: metacell size")
-		harness.PrintMetacellSizeAblation(os.Stdout, 110, mr)
-
-		hr, err := harness.AblationHostDispatch(ctx, cfg, 110, []int{2, 4, 8})
-		check(err)
-		section("Ablation: host dispatch vs independent nodes")
-		harness.PrintDispatchAblation(os.Stdout, 110, hr)
-
-		qr, err := harness.AblationQueryStructures(cfg, 110)
-		check(err)
-		section("Ablation: query acceleration structures")
-		harness.PrintQueryStructuresAblation(os.Stdout, 110, qr)
-	}
-	if want("ablations") || *exp == "schedule" {
-		ran = true
-		sr, err := harness.AblationSchedule(ctx, cfg, 4)
-		check(err)
-		section("Ablation: two-phase vs streaming extraction (4 nodes)")
-		harness.PrintScheduleAblation(os.Stdout, 4, sr)
-	}
-	if want("serving") {
-		ran = true
-		w := harness.ServingWorkload{}
-		rows, err := harness.ServingTable(ctx, cfg, 4, []int{1, 8, 32}, w, serve.Config{})
-		check(err)
-		section("Serving layer: throughput vs clients (4 nodes)")
-		harness.PrintServingTable(os.Stdout, 4, w, rows)
-	}
-	if want("scaling") {
-		ran = true
-		w := harness.ServingWorkload{ReqPerClient: 16}
-		// ~200 Mbit per replica, era-plausible cluster networking (DESIGN §2
-		// models the era's disks the same way): slow enough that four
-		// replicated links still fit under one test host's CPU.
-		rep := dist.ReplicaConfig{LinkBytesPerSec: 25e6}
-		rows, err := harness.ScalingTable(ctx, cfg, 4, []int{1, 2, 4}, 32, w, rep)
-		check(err)
-		section("Scaling: sharded serving tier, throughput vs replicas (4 nodes each)")
-		harness.PrintScalingTable(os.Stdout, 32, w, rep, rows)
-	}
-	if want("chaos") {
-		ran = true
-		w := harness.ServingWorkload{ReqPerClient: 16, Levels: 16}
-		ccfg := harness.ChaosConfig{Replicas: 3, Clients: 8, Seed: 42}
-		scenarios := harness.DefaultChaosScenarios()
-		rows, err := harness.ChaosTable(ctx, cfg, 2, ccfg, w, scenarios)
-		check(err)
-		section("Chaos: availability and tail latency under injected faults (resilient vs fragile router)")
-		harness.PrintChaosTable(os.Stdout, ccfg, w, scenarios, rows)
-		if *chaosStrict {
-			for _, r := range rows {
-				if r.Resilient && (r.Failed > 0 || r.Mismatched > 0) {
-					log.Fatalf("chaos-strict: resilient router failed %d and mis-served %d of %d requests under %q",
-						r.Failed, r.Mismatched, r.Requests, r.Scenario)
-				}
-			}
-		}
-	}
-	if want("ablations") || *exp == "tune" {
-		ran = true
-		tr, tp, err := harness.AblationTune(ctx, cfg, 4, 110, 3)
-		check(err)
-		section("Ablation: pipeline auto-tuner (4 nodes)")
-		harness.PrintTuneAblation(os.Stdout, 110, 4, tr, tp)
-	}
-	if !ran {
+	exps := harness.SelectExperiments(harness.Experiments(*out), *exp)
+	if len(exps) == 0 {
 		log.Fatalf("unknown experiment %q", *exp)
 	}
-}
-
-func section(title string) {
-	fmt.Printf("\n=== %s ===\n", title)
-}
-
-func check(err error) {
-	if err != nil {
-		log.Fatal(err)
+	for _, e := range exps {
+		v, err := e.Report(ctx, cfg, os.Stdout)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if *chaosStrict && e.Name == "chaos" && v > 0 {
+			log.Fatalf("chaos-strict: resilient router failed or mis-served %.0f requests (rows above)", v)
+		}
 	}
 }

@@ -37,7 +37,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math/rand"
 	"net"
 	"net/http"
 	"os"
@@ -227,7 +226,7 @@ func main() {
 			firstTrace.CompareAndSwap(nil, tr)
 		}
 	}
-	var query func(ctx context.Context, iso float32) error
+	var query func(ctx context.Context, client int, iso float32) error
 	var label string
 	switch {
 	case *connect != "":
@@ -299,7 +298,7 @@ func main() {
 
 	case *direct:
 		label = "direct (no server)"
-		query = func(ctx context.Context, iso float32) error {
+		query = func(ctx context.Context, _ int, iso float32) error {
 			res, err := eng.Extract(ctx, iso, cluster.Options{KeepMeshes: true, Trace: *trace})
 			if err == nil {
 				keepTrace(res.Trace)
@@ -311,7 +310,7 @@ func main() {
 		label = "served"
 		srv := serve.NewServer(eng, scfg)
 		defer func() { printStats(srv.Stats()) }()
-		query = func(ctx context.Context, iso float32) error {
+		query = func(ctx context.Context, _ int, iso float32) error {
 			resp, err := srv.Query(ctx, 0, iso)
 			if err == nil && resp.Source == serve.SourceExtracted {
 				keepTrace(resp.Trace)
@@ -320,17 +319,21 @@ func main() {
 		}
 	}
 
-	var res runResult
+	load := harness.Load{Clients: *clients}
 	if *qps > 0 {
+		load.QPS, load.Duration = *qps, *duration
 		log.Printf("open loop: %d clients, %.0f q/s target, %v, Zipf(%.2g) over %d levels [%s]",
 			*clients, *qps, *duration, *zipfS, *levels, label)
-		res = openLoop(ctx, *clients, *qps, *duration, w, query)
 	} else {
 		log.Printf("closed loop: %d clients × %d requests, Zipf(%.2g) over %d levels [%s]",
 			*clients, *requests, *zipfS, *levels, label)
-		res = closedLoop(ctx, *clients, w, query)
 	}
-	res.print()
+	var rec recorder
+	wall, dropped := w.Drive(ctx, load, query, rec.record)
+	if dropped > 0 {
+		log.Printf("load generator saturated: dropped %d dispatch ticks", dropped)
+	}
+	rec.print(wall)
 	if tr := firstTrace.Load(); tr != nil {
 		fmt.Printf("\nfirst extraction, stage waterfall (wall %v):\n%s", tr.Wall.Round(time.Microsecond), tr)
 	}
@@ -344,19 +347,13 @@ func main() {
 	}
 }
 
-// runResult aggregates one load run. Served-request latencies go into an
-// obs histogram — constant memory for any run length, and the same quantile
-// math the service exports on /metrics.
-type runResult struct {
-	wall                       time.Duration
-	served, rejected, canceled int64
-	failed                     int64
-	lats                       *obs.Histogram // served requests only
-}
-
+// recorder aggregates one load run's outcomes. Served-request latencies go
+// into an obs histogram — constant memory for any run length, and the same
+// quantile math the service exports on /metrics.
 type recorder struct {
-	mu  sync.Mutex
-	res runResult
+	mu                                 sync.Mutex
+	served, rejected, canceled, failed int64
+	lats                               obs.Histogram // served requests only
 }
 
 func (r *recorder) record(lat time.Duration, err error) {
@@ -364,113 +361,23 @@ func (r *recorder) record(lat time.Duration, err error) {
 	defer r.mu.Unlock()
 	switch {
 	case err == nil:
-		r.res.served++
-		if r.res.lats == nil {
-			r.res.lats = obs.NewHistogram()
-		}
-		r.res.lats.Observe(lat)
+		r.served++
+		r.lats.Observe(lat)
 	case errors.Is(err, serve.ErrSaturated):
-		r.res.rejected++
+		r.rejected++
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		r.res.canceled++
+		r.canceled++
 	default:
-		r.res.failed++
+		r.failed++
 	}
 }
 
-// closedLoop runs every client flat out: issue, wait, issue again.
-func closedLoop(ctx context.Context, clients int, w harness.ServingWorkload, query func(context.Context, float32) error) runResult {
-	rec := &recorder{}
-	perm := rand.New(rand.NewSource(w.Seed)).Perm(w.Levels)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for k := 0; k < clients; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			rnd := rand.New(rand.NewSource(w.Seed + int64(k)))
-			zipf := rand.NewZipf(rnd, w.ZipfS, 1, uint64(w.Levels-1))
-			for i := 0; i < w.ReqPerClient; i++ {
-				if ctx.Err() != nil {
-					return
-				}
-				iso := w.IsoOfLevel(perm, zipf.Uint64())
-				t0 := time.Now()
-				err := query(ctx, iso)
-				rec.record(time.Since(t0), err)
-			}
-		}(k)
-	}
-	wg.Wait()
-	rec.res.wall = time.Since(start)
-	return rec.res
-}
-
-// openLoop dispatches requests at a fixed rate regardless of completion —
-// the arrival process of independent clients. Latency is measured from the
-// intended dispatch time, so queueing delay is included; if every client is
-// busy when a tick arrives, the tick is dropped and counted (the generator
-// itself saturated).
-func openLoop(ctx context.Context, clients int, qps float64, d time.Duration, w harness.ServingWorkload, query func(context.Context, float32) error) runResult {
-	ticks := make(chan time.Time, 4*clients)
-	var droppedTicks atomic.Int64
-	go func() {
-		defer close(ticks)
-		interval := time.Duration(float64(time.Second) / qps)
-		tk := time.NewTicker(interval)
-		defer tk.Stop()
-		deadline := time.Now().Add(d)
-		for {
-			select {
-			case now := <-tk.C:
-				if now.After(deadline) {
-					return
-				}
-				select {
-				case ticks <- now:
-				default:
-					droppedTicks.Add(1)
-				}
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-
-	rec := &recorder{}
-	perm := rand.New(rand.NewSource(w.Seed)).Perm(w.Levels)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for k := 0; k < clients; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			rnd := rand.New(rand.NewSource(w.Seed + int64(k)))
-			zipf := rand.NewZipf(rnd, w.ZipfS, 1, uint64(w.Levels-1))
-			for dispatched := range ticks {
-				iso := w.IsoOfLevel(perm, zipf.Uint64())
-				err := query(ctx, iso)
-				rec.record(time.Since(dispatched), err)
-				if ctx.Err() != nil {
-					return
-				}
-			}
-		}(k)
-	}
-	wg.Wait()
-	rec.res.wall = time.Since(start)
-	if n := droppedTicks.Load(); n > 0 {
-		log.Printf("load generator saturated: dropped %d dispatch ticks", n)
-	}
-	return rec.res
-}
-
-func (r runResult) print() {
+func (r *recorder) print(wall time.Duration) {
 	total := r.served + r.rejected + r.canceled + r.failed
 	fmt.Printf("\n%d requests in %v: %d served (%.1f q/s), %d shed, %d canceled, %d failed\n",
-		total, r.wall.Round(time.Millisecond), r.served,
-		float64(r.served)/r.wall.Seconds(), r.rejected, r.canceled, r.failed)
-	if r.lats == nil || r.lats.Count() == 0 {
+		total, wall.Round(time.Millisecond), r.served,
+		float64(r.served)/wall.Seconds(), r.rejected, r.canceled, r.failed)
+	if r.lats.Count() == 0 {
 		return
 	}
 	fmt.Printf("latency p50 %v · p90 %v · p99 %v · max %v\n",
@@ -478,11 +385,11 @@ func (r runResult) print() {
 		r.lats.Quantile(0.99).Round(time.Microsecond), r.lats.Max().Round(time.Microsecond))
 }
 
-// routedQuery adapts a dist.Router to the load generators' query signature:
+// routedQuery adapts a dist.Router to the load driver's query signature:
 // fetch the frame over the wire and validate its header, skipping the full
 // decode — the load generator only needs the bytes moved.
-func routedQuery(rt *dist.Router) func(context.Context, float32) error {
-	return func(ctx context.Context, iso float32) error {
+func routedQuery(rt *dist.Router) func(context.Context, int, float32) error {
+	return func(ctx context.Context, _ int, iso float32) error {
 		frame, _, err := rt.QueryBytes(ctx, 0, iso)
 		if err != nil {
 			return err
@@ -512,7 +419,7 @@ func printDistStats(cl *dist.Cluster) {
 	for i, st := range cl.Stats() {
 		fmt.Printf("replica %d: %d requests · hit rate %.0f%% · %d coalesced · %d extractions · %d shed · cache %d meshes / %s\n",
 			i, st.Requests, 100*st.HitRate(), st.Coalesced, st.Extractions, st.Rejected,
-			st.CachedMeshes, fmtBytes(st.CachedBytes))
+			st.CachedMeshes, obs.FormatBytes(st.CachedBytes))
 	}
 }
 
@@ -520,18 +427,5 @@ func printStats(st serve.Stats) {
 	fmt.Printf("\nserver: %d requests · %d cache hits · %d coalesced · %d extractions · %d shed · %d canceled\n",
 		st.Requests, st.CacheHits, st.Coalesced, st.Extractions, st.Rejected, st.Canceled)
 	fmt.Printf("        hit rate %.0f%% · cache %d meshes / %s · %d evictions\n",
-		100*st.HitRate(), st.CachedMeshes, fmtBytes(st.CachedBytes), st.Evictions)
-}
-
-func fmtBytes(n int64) string {
-	switch {
-	case n >= 1<<30:
-		return fmt.Sprintf("%.2f GB", float64(n)/(1<<30))
-	case n >= 1<<20:
-		return fmt.Sprintf("%.2f MB", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.2f KB", float64(n)/(1<<10))
-	default:
-		return fmt.Sprintf("%d B", n)
-	}
+		100*st.HitRate(), st.CachedMeshes, obs.FormatBytes(st.CachedBytes), st.Evictions)
 }

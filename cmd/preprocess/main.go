@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/obs"
 	"repro/internal/volume"
 )
 
@@ -58,7 +59,7 @@ func main() {
 		eng, err = cluster.BuildFromVolumeFile(*in, cfg)
 	} else {
 		g := volume.RichtmyerMeshkov(*nx, *ny, *nz, *step, *seed)
-		log.Printf("generated RM step %d: %d×%d×%d (%s) in %v", *step, g.Nx, g.Ny, g.Nz, fmtBytes(g.SizeBytes()), time.Since(t0).Round(time.Millisecond))
+		log.Printf("generated RM step %d: %d×%d×%d (%s) in %v", *step, g.Nx, g.Ny, g.Nz, obs.FormatBytes(g.SizeBytes()), time.Since(t0).Round(time.Millisecond))
 		t1 = time.Now()
 		eng, err = cluster.Build(g, cfg)
 	}
@@ -74,24 +75,11 @@ func main() {
 	fmt.Printf("preprocessed in %v\n", time.Since(t1).Round(time.Millisecond))
 	fmt.Printf("  metacells: %d kept, %d constant dropped (%.0f%% saved)\n",
 		kept, dropped, 100*float64(dropped)/float64(kept+dropped))
-	fmt.Printf("  brick data: %s across %d node disks\n", fmtBytes(eng.DataBytes), *procs)
+	fmt.Printf("  brick data: %s across %d node disks\n", obs.FormatBytes(eng.DataBytes), *procs)
 	var idx int64
 	for i := 0; i < *procs; i++ {
 		idx += eng.Tree(i).IndexSizeBytes()
 	}
-	fmt.Printf("  index: %s total (resident in memory at query time)\n", fmtBytes(idx))
+	fmt.Printf("  index: %s total (resident in memory at query time)\n", obs.FormatBytes(idx))
 	fmt.Printf("  dataset saved to %s\n", *out)
-}
-
-func fmtBytes(n int64) string {
-	switch {
-	case n >= 1<<30:
-		return fmt.Sprintf("%.2f GB", float64(n)/(1<<30))
-	case n >= 1<<20:
-		return fmt.Sprintf("%.2f MB", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.2f KB", float64(n)/(1<<10))
-	default:
-		return fmt.Sprintf("%d B", n)
-	}
 }

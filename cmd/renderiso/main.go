@@ -24,7 +24,6 @@ import (
 	"repro/internal/blockio"
 	"repro/internal/cluster"
 	"repro/internal/composite"
-	"repro/internal/geom"
 	"repro/internal/render"
 	"repro/internal/volume"
 )
@@ -71,21 +70,12 @@ func main() {
 	}
 	fmt.Printf("extracted %d triangles on %d nodes in %v\n", res.Triangles, eng.Procs, res.Wall.Round(time.Millisecond))
 
-	bounds := geom.EmptyAABB()
-	for _, n := range res.PerNode {
-		bounds = bounds.Union(n.Mesh.Bounds())
+	meshes, err := res.Meshes()
+	if err != nil {
+		log.Fatal(err)
 	}
-	cam := render.FitMesh(bounds, 45, *w, *h)
-	fbs := make([]*render.Framebuffer, len(res.PerNode))
 	t1 := time.Now()
-	for i, n := range res.PerNode {
-		fbs[i] = render.NewFramebuffer(*w, *h)
-		sh := render.DefaultShading()
-		if *byNod {
-			sh.Base = render.NodeColor(i)
-		}
-		render.DrawMesh(fbs[i], cam, n.Mesh, sh)
-	}
+	fbs, _ := render.DrawNodes(meshes, *w, *h, *byNod)
 	tls, st, err := composite.SortLast(fbs, 2, 2)
 	if err != nil {
 		log.Fatal(err)

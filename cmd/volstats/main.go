@@ -22,6 +22,7 @@ import (
 	"repro/internal/blockio"
 	"repro/internal/core"
 	"repro/internal/metacell"
+	"repro/internal/obs"
 	"repro/internal/spanspace"
 	"repro/internal/volume"
 )
@@ -50,7 +51,7 @@ func main() {
 
 	lo, hi := g.MinMax()
 	fmt.Printf("volume: %d×%d×%d %s, %d samples (%s)\n",
-		g.Nx, g.Ny, g.Nz, g.Fmt, g.Samples(), fmtBytes(g.SizeBytes()))
+		g.Nx, g.Ny, g.Nz, g.Fmt, g.Samples(), obs.FormatBytes(g.SizeBytes()))
 	fmt.Printf("values: range [%g, %g], %d distinct\n", lo, hi, g.DistinctValues())
 
 	// Value histogram (16 buckets, ASCII bars).
@@ -113,8 +114,8 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\ncompact interval tree: %d nodes, %d bricks, height %d, %s index for %s of bricks\n",
-		len(cit.Nodes), cit.NumEntries(), cit.Height(), fmtBytes(cit.IndexSizeBytes()),
-		fmtBytes(int64(len(cells))*int64(l.RecordSize())))
+		len(cit.Nodes), cit.NumEntries(), cit.Height(), obs.FormatBytes(cit.IndexSizeBytes()),
+		obs.FormatBytes(int64(len(cells))*int64(l.RecordSize())))
 }
 
 func loadVolume(in, raw, rawDims, rawFmt string, nx, ny, nz, step int, seed uint64) (*volume.Grid, error) {
@@ -140,19 +141,6 @@ func loadVolume(in, raw, rawDims, rawFmt string, nx, ny, nz, step int, seed uint
 		return volume.ReadRaw(raw, dx, dy, dz, f)
 	default:
 		return volume.RichtmyerMeshkov(nx, ny, nz, step, seed), nil
-	}
-}
-
-func fmtBytes(n int64) string {
-	switch {
-	case n >= 1<<30:
-		return fmt.Sprintf("%.2f GB", float64(n)/(1<<30))
-	case n >= 1<<20:
-		return fmt.Sprintf("%.2f MB", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.2f KB", float64(n)/(1<<10))
-	default:
-		return fmt.Sprintf("%d B", n)
 	}
 }
 

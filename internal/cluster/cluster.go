@@ -24,7 +24,6 @@ import (
 	"repro/internal/blockio"
 	"repro/internal/core"
 	"repro/internal/geom"
-	"repro/internal/march"
 	"repro/internal/metacell"
 	"repro/internal/obs"
 	"repro/internal/volume"
@@ -302,6 +301,19 @@ func (r *Result) MaxNodeTime() time.Duration {
 	return max
 }
 
+// Meshes returns the per-node meshes of an extraction run with
+// Options.KeepMeshes, in node order.
+func (r *Result) Meshes() ([]*geom.Mesh, error) {
+	meshes := make([]*geom.Mesh, len(r.PerNode))
+	for i, n := range r.PerNode {
+		if n.Mesh == nil {
+			return nil, fmt.Errorf("cluster: node %d has no mesh; extract with Options{KeepMeshes: true}", n.Node)
+		}
+		meshes[i] = n.Mesh
+	}
+	return meshes, nil
+}
+
 // Pipeline sizing defaults: with the paper's ~1 KB metacell records, four
 // buffered batches of 256 records bound each node's staging memory near
 // 1 MB regardless of how many metacells the isosurface touches.
@@ -323,10 +335,6 @@ type Options struct {
 	// peak staging memory at PipelineDepth×BatchRecords×recordSize bytes
 	// (0 = DefaultPipelineDepth).
 	PipelineDepth int
-	// TwoPhase selects the legacy buffer-everything extraction — stage every
-	// active metacell record in memory, then triangulate — whose peak memory
-	// grows with the isosurface. Kept as the ablation baseline.
-	TwoPhase bool
 	// Threads overrides the engine's per-node triangulation thread count for
 	// this extraction (0 = the engine's configured ThreadsPerNode).
 	Threads int
@@ -358,12 +366,10 @@ func (o Options) applyDefaults() Options {
 }
 
 // Extract runs the isosurface query on all nodes in parallel. Each node
-// works independently against its own disk with no inter-node communication:
-// by default a streaming pipeline in which a query producer feeds active
-// metacell record batches through a bounded channel to the node's
-// marching-cubes workers, overlapping disk I/O with triangulation under a
-// fixed memory bound; with Options.TwoPhase, the paper's original
-// retrieve-everything-then-triangulate schedule.
+// works independently against its own disk with no inter-node communication,
+// as a streaming pipeline in which a query producer feeds active metacell
+// record batches through a bounded channel to the node's marching-cubes
+// workers, overlapping disk I/O with triangulation under a fixed memory bound.
 //
 // Cancelling ctx aborts the extraction mid-pipeline on every node — the
 // producers stop issuing disk reads, the workers drain, and Extract returns
@@ -379,9 +385,8 @@ func (e *Engine) Extract(ctx context.Context, iso float32, opts Options) (*Resul
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	opts = opts.applyDefaults()
-	res := &Result{Iso: iso, PerNode: make([]NodeResult, e.Procs)}
-	if opts.AutoTune && !opts.TwoPhase {
+	var tuned *TunedParams
+	if opts.AutoTune {
 		tp, err := e.AutoTune(ctx, iso)
 		if err != nil {
 			return nil, err
@@ -389,8 +394,22 @@ func (e *Engine) Extract(ctx context.Context, iso float32, opts Options) (*Resul
 		opts.Threads = tp.Threads
 		opts.BatchRecords = tp.BatchRecords
 		opts.PipelineDepth = tp.PipelineDepth
-		res.Tuned = &tp
+		tuned = &tp
 	}
+	res, err := e.extract(ctx, iso, opts, e.extractNodeStreaming)
+	if err != nil {
+		return nil, err
+	}
+	res.Tuned = tuned
+	return res, nil
+}
+
+// extract fans one per-node schedule out across the nodes and gathers the
+// result; Extract and the ExtractTwoPhase reference differ only in nodeFn.
+func (e *Engine) extract(ctx context.Context, iso float32, opts Options,
+	nodeFn func(ctx context.Context, node int, iso float32, opts Options) (NodeResult, error)) (*Result, error) {
+	opts = opts.applyDefaults()
+	res := &Result{Iso: iso, PerNode: make([]NodeResult, e.Procs)}
 	errs := make([]error, e.Procs)
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -398,7 +417,7 @@ func (e *Engine) Extract(ctx context.Context, iso float32, opts Options) (*Resul
 		wg.Add(1)
 		go func(node int) {
 			defer wg.Done()
-			res.PerNode[node], errs[node] = e.extractNode(ctx, node, iso, opts)
+			res.PerNode[node], errs[node] = nodeFn(ctx, node, iso, opts)
 		}(i)
 	}
 	wg.Wait()
@@ -427,114 +446,6 @@ func (e *Engine) Extract(ctx context.Context, iso float32, opts Options) (*Resul
 	}
 	e.met.recordExtract(res)
 	return res, nil
-}
-
-// extractNode runs one node's share of an extraction with the schedule the
-// options select.
-func (e *Engine) extractNode(ctx context.Context, node int, iso float32, opts Options) (NodeResult, error) {
-	if opts.TwoPhase {
-		return e.extractNodeTwoPhase(ctx, node, iso, opts)
-	}
-	return e.extractNodeStreaming(ctx, node, iso, opts)
-}
-
-// extractNodeTwoPhase is the legacy per-node schedule: phase 1 retrieves all
-// active metacell records (I/O), phase 2 triangulates them (CPU). Its staging
-// buffer grows with the isosurface, which is what the streaming pipeline
-// exists to avoid; it is kept as the ablation baseline.
-func (e *Engine) extractNodeTwoPhase(ctx context.Context, node int, iso float32, opts Options) (NodeResult, error) {
-	nr := NodeResult{Node: node}
-	dev := e.devs[node]
-	ioBefore := dev.Stats()
-	recSize := e.Layout.RecordSize()
-
-	// Phase 1: AMC retrieval. Records are copied out of the query's reused
-	// buffer; the paper likewise stages active metacells in memory before
-	// triangulating. The visitor polls ctx so a cancelled extraction stops
-	// issuing disk reads within one record.
-	t0 := time.Now()
-	var records []byte
-	st, err := e.trees[node].Query(dev, iso, func(rec []byte) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		records = append(records, rec...)
-		return nil
-	})
-	if err != nil {
-		return nr, fmt.Errorf("cluster: node %d query: %w", node, err)
-	}
-	nr.AMCWall = time.Since(t0)
-	nr.ActiveMetacells = st.ActiveMetacells
-	nr.IOStats = dev.Stats().Sub(ioBefore)
-	nr.IOModelTime = e.Disk.Time(nr.IOStats)
-
-	// Phase 2: triangulation, split across the node's CPUs (the paper's
-	// nodes are 2-way SMPs; Threads controls the fan-out).
-	t1 := time.Now()
-	numRecs := len(records) / recSize
-	threads := e.Threads
-	if opts.Threads > 0 {
-		threads = opts.Threads
-	}
-	if threads <= 0 || threads > numRecs {
-		threads = 1
-	}
-	meshes := make([]*geom.Mesh, threads)
-	activeCounts := make([]int, threads)
-	errs := make([]error, threads)
-	var wg sync.WaitGroup
-	for t := 0; t < threads; t++ {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			mesh := &geom.Mesh{}
-			var m metacell.Meta
-			lo, hi := t*numRecs/threads, (t+1)*numRecs/threads
-			for r := lo; r < hi; r++ {
-				if r%64 == 0 && ctx.Err() != nil {
-					errs[t] = ctx.Err()
-					return
-				}
-				rec := records[r*recSize : (r+1)*recSize]
-				if err := metacell.DecodeRecordInto(e.Layout, rec, &m); err != nil {
-					errs[t] = fmt.Errorf("cluster: node %d decode: %w", node, err)
-					return
-				}
-				activeCounts[t] += march.Metacell(e.Layout, &m, iso, mesh)
-			}
-			meshes[t] = mesh
-		}(t)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nr, err
-		}
-	}
-	mesh := meshes[0]
-	nr.ActiveCells = activeCounts[0]
-	extra := 0
-	for t := 1; t < threads; t++ {
-		extra += meshes[t].Len()
-	}
-	mesh.Grow(extra)
-	for t := 1; t < threads; t++ {
-		mesh.Append(meshes[t].Tris...)
-		nr.ActiveCells += activeCounts[t]
-	}
-	nr.TriWall = time.Since(t1)
-	nr.Triangles = mesh.Len()
-	if opts.KeepMeshes {
-		nr.Mesh = mesh
-	}
-	if opts.Trace {
-		lane := fmt.Sprintf("n%d", node)
-		nr.spans = append(nr.spans,
-			obs.Span{Lane: lane, Name: "query+read", Start: 0, Dur: nr.AMCWall},
-			obs.Span{Lane: lane, Name: "march", Start: nr.AMCWall, Dur: nr.TriWall})
-	}
-	return nr, nil
 }
 
 // TimeVaryingEngine distributes m time steps (paper §5.2): per-step striped

@@ -14,6 +14,15 @@ import (
 	"repro/internal/blockio"
 )
 
+// schedules names the streaming schedule and its two-phase reference, for
+// tests that hold both to the same assertion.
+func schedules(e *Engine) map[string]func(context.Context, float32, Options) (*Result, error) {
+	return map[string]func(context.Context, float32, Options) (*Result, error){
+		"streaming": e.Extract,
+		"two-phase": e.ExtractTwoPhase,
+	}
+}
+
 // TestStreamingMatchesTwoPhaseProperty is the schedule-equivalence property
 // test: across random isovalues, node counts, thread counts and pipeline
 // shapes, the streaming pipeline must report exactly the two-phase
@@ -35,7 +44,7 @@ func TestStreamingMatchesTwoPhaseProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		two, err := e.Extract(context.Background(), iso, Options{KeepMeshes: true, TwoPhase: true})
+		two, err := e.ExtractTwoPhase(context.Background(), iso, Options{KeepMeshes: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -108,7 +108,7 @@ func TestTraceTwoPhaseProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Extract(context.Background(), 150, Options{Trace: true, TwoPhase: true})
+	res, err := e.ExtractTwoPhase(context.Background(), 150, Options{Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,17 +134,17 @@ func TestTraceDisabledRecordsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, twoPhase := range []bool{false, true} {
-		res, err := e.Extract(context.Background(), 150, Options{TwoPhase: twoPhase})
+	for name, extract := range schedules(e) {
+		res, err := extract(context.Background(), 150, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Trace != nil {
-			t.Errorf("TwoPhase=%v: tracing disabled but Result.Trace = %+v", twoPhase, res.Trace)
+			t.Errorf("%s: tracing disabled but Result.Trace = %+v", name, res.Trace)
 		}
 		for i := range res.PerNode {
 			if len(res.PerNode[i].spans) != 0 {
-				t.Errorf("TwoPhase=%v: node %d recorded %d spans with tracing disabled", twoPhase, i, len(res.PerNode[i].spans))
+				t.Errorf("%s: node %d recorded %d spans with tracing disabled", name, i, len(res.PerNode[i].spans))
 			}
 		}
 	}

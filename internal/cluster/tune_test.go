@@ -119,16 +119,13 @@ func TestOptionsThreadsOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, opts := range []Options{
-		{KeepMeshes: true, Threads: 3},
-		{KeepMeshes: true, Threads: 3, TwoPhase: true},
-	} {
-		got, err := e.Extract(ctx, iso, opts)
+	for name, extract := range schedules(e) {
+		got, err := extract(ctx, iso, Options{KeepMeshes: true, Threads: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !slices.Equal(got.PerNode[0].Mesh.Tris, ref.PerNode[0].Mesh.Tris) {
-			t.Errorf("Threads=3 TwoPhase=%v: mesh differs from single-thread reference", opts.TwoPhase)
+			t.Errorf("Threads=3 %s: mesh differs from single-thread reference", name)
 		}
 	}
 }

@@ -161,7 +161,6 @@ func TestBackoffRespectsDeadline(t *testing.T) {
 		Replicas:         []string{rep.Addr()},
 		ProbeInterval:    -1,
 		SaturationBudget: time.Minute,
-		BackoffBase:      10 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -6,7 +6,7 @@ import (
 )
 
 // ring is a consistent-hash ring over n replicas. Each replica owns
-// vnodes points on a uint64 circle; a key is served by the replica owning
+// virtualNodes points on a uint64 circle; a key is served by the replica owning
 // the first point at or after the key's hash, and fails over to the next
 // *distinct* replica in ring order. Because points depend only on
 // (replica index, vnode index), the mapping is stable: adding or removing
@@ -18,21 +18,19 @@ type ring struct {
 	owner  []int    // owner[i] is the replica owning hashes[i]
 }
 
-// defaultVirtualNodes spreads each replica across the circle finely enough
-// that a 64-level isovalue workload splits near-evenly over small clusters.
-const defaultVirtualNodes = 128
+// virtualNodes is the router's points per replica: it spreads each replica
+// across the circle finely enough that a 64-level isovalue workload splits
+// near-evenly over small clusters.
+const virtualNodes = 128
 
-func newRing(n, vnodes int) *ring {
-	if vnodes <= 0 {
-		vnodes = defaultVirtualNodes
-	}
+func newRing(n int) *ring {
 	type point struct {
 		h uint64
 		r int
 	}
-	pts := make([]point, 0, n*vnodes)
+	pts := make([]point, 0, n*virtualNodes)
 	for r := 0; r < n; r++ {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < virtualNodes; v++ {
 			pts = append(pts, point{pointHash(r, v), r})
 		}
 	}

@@ -3,7 +3,7 @@ package dist
 import "testing"
 
 func TestRingOrderCoversAllReplicasOnce(t *testing.T) {
-	rg := newRing(5, 0)
+	rg := newRing(5)
 	for step := 0; step < 3; step++ {
 		for bucket := int64(0); bucket < 200; bucket++ {
 			order := rg.order(keyHash(step, bucket), nil)
@@ -22,7 +22,7 @@ func TestRingOrderCoversAllReplicasOnce(t *testing.T) {
 }
 
 func TestRingSpreadsKeys(t *testing.T) {
-	rg := newRing(4, 0)
+	rg := newRing(4)
 	counts := make([]int, 4)
 	for bucket := int64(0); bucket < 1024; bucket++ {
 		counts[rg.order(keyHash(0, bucket), nil)[0]]++
@@ -37,7 +37,7 @@ func TestRingSpreadsKeys(t *testing.T) {
 }
 
 func TestRingIsDeterministic(t *testing.T) {
-	a, b := newRing(3, 64), newRing(3, 64)
+	a, b := newRing(3), newRing(3)
 	for bucket := int64(0); bucket < 100; bucket++ {
 		ao, bo := a.order(keyHash(1, bucket), nil), b.order(keyHash(1, bucket), nil)
 		for i := range ao {
@@ -51,7 +51,7 @@ func TestRingIsDeterministic(t *testing.T) {
 // Removing the last replica must move only the keys it owned: every other
 // shard keeps its key range (and therefore its warmed mesh cache).
 func TestRingStableUnderReplicaRemoval(t *testing.T) {
-	big, small := newRing(4, 0), newRing(3, 0)
+	big, small := newRing(4), newRing(3)
 	moved, kept := 0, 0
 	for bucket := int64(0); bucket < 2048; bucket++ {
 		h := keyHash(0, bucket)

@@ -36,9 +36,6 @@ type RouterConfig struct {
 	// coalesce or cache together lands on the same shard (0 = 1).
 	IsoQuantum float32
 
-	// VirtualNodes per replica on the hash ring (0 = 128).
-	VirtualNodes int
-
 	// Attempts bounds how many distinct replicas one request may try —
 	// the home shard plus failovers along the ring (0 = all replicas).
 	Attempts int
@@ -47,9 +44,6 @@ type RouterConfig struct {
 	// disables background probing — replicas are then marked down by
 	// transport errors and revived passively once DownCooldown elapses).
 	ProbeInterval time.Duration
-
-	// ProbeTimeout bounds one /healthz round trip (0 = 1s).
-	ProbeTimeout time.Duration
 
 	// AttemptTimeout bounds one replica round trip, so a blackholed
 	// connection costs one bounded attempt instead of the whole request
@@ -69,10 +63,6 @@ type RouterConfig struct {
 	// behavior).
 	SaturationBudget time.Duration
 
-	// BackoffBase is the first saturation-backoff wait when the replicas
-	// offer no Retry-After hint; it doubles each round (0 = 25ms).
-	BackoffBase time.Duration
-
 	// DownCooldown is how long a transport error keeps a replica out of
 	// rotation before requests passively retry it. This revives marked-down
 	// replicas even with probing disabled (0 = 1s; negative restores the
@@ -87,9 +77,6 @@ type RouterConfig struct {
 	// Seed seeds the backoff-jitter stream (the zero value is valid).
 	Seed uint64
 
-	// MaxFrameBytes caps an accepted mesh frame (0 = meshio's 1 GiB).
-	MaxFrameBytes int
-
 	// Client overrides the HTTP client (nil = pooled keep-alive transport).
 	Client *http.Client
 
@@ -97,6 +84,12 @@ type RouterConfig struct {
 	// reachable via Router.Metrics).
 	Metrics *obs.Registry
 }
+
+// Fixed sizing no caller has needed to vary.
+const (
+	probeTimeout = time.Second           // bound on one /healthz round trip
+	backoffBase  = 25 * time.Millisecond // first saturation-backoff wait absent a Retry-After hint; doubles each round
+)
 
 func (c RouterConfig) withDefaults() RouterConfig {
 	if c.IsoQuantum <= 0 {
@@ -108,14 +101,8 @@ func (c RouterConfig) withDefaults() RouterConfig {
 	if c.ProbeInterval == 0 {
 		c.ProbeInterval = 250 * time.Millisecond
 	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = time.Second
-	}
 	if c.AttemptTimeout == 0 {
 		c.AttemptTimeout = 30 * time.Second
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 25 * time.Millisecond
 	}
 	if c.DownCooldown == 0 {
 		c.DownCooldown = time.Second
@@ -159,7 +146,7 @@ type RouterStats struct {
 	Failovers       int64 // attempts moved to a ring successor (503 or transport error)
 	Saturated       int64 // requests that found every candidate saturated
 	Errors          int64 // requests that failed outright
-	Retries         int64 // saturation-backoff rounds slept
+	Retries         int64 // saturation-backoff rounds begun (counted before the sleep)
 	Hedges          int64 // hedged attempts launched
 	HedgeWins       int64 // hedged attempts that answered first
 	CorruptFrames   int64 // frames rejected by checksum or structure
@@ -227,7 +214,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	}
 	rt := &Router{
 		cfg:       cfg,
-		ring:      newRing(len(cfg.Replicas), cfg.VirtualNodes),
+		ring:      newRing(len(cfg.Replicas)),
 		down:      make([]atomic.Bool, len(cfg.Replicas)),
 		downAt:    make([]atomic.Int64, len(cfg.Replicas)),
 		jitter:    rng.New(cfg.Seed),
@@ -236,7 +223,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		failovers: reg.Counter("router_failovers_total", "attempts moved to a ring successor"),
 		saturated: reg.Counter("router_saturated_total", "requests that found every candidate saturated"),
 		errorsC:   reg.Counter("router_errors_total", "requests that failed outright"),
-		retries:   reg.Counter("router_retries_total", "saturation-backoff rounds slept"),
+		retries:   reg.Counter("router_retries_total", "saturation-backoff rounds begun (counted before the sleep)"),
 		hedges:    reg.Counter("router_hedges_total", "hedged attempts launched"),
 		hedgeWins: reg.Counter("router_hedge_wins_total", "hedged attempts that answered first"),
 		corrupt:   reg.Counter("router_corrupt_frames_total", "frames rejected by checksum or structure"),
@@ -374,7 +361,7 @@ func (rt *Router) QueryBytes(ctx context.Context, step int, iso float32) ([]byte
 	start := time.Now()
 	var (
 		attempts int // replica round trips across all rounds
-		backoff  = rt.cfg.BackoffBase
+		backoff  = backoffBase
 		waited   time.Duration // total saturation backoff slept
 	)
 	// A saturation budget of zero means one pass and give up; otherwise
@@ -416,6 +403,9 @@ func (rt *Router) QueryBytes(ctx context.Context, step int, iso float32) ([]byte
 		if wait > remaining {
 			wait = remaining
 		}
+		// Counted on committing to the sleep, not after it: a clamped wait
+		// ends at the caller's deadline, where the timer and ctx.Done race.
+		rt.retries.Inc()
 		timer := time.NewTimer(wait)
 		select {
 		case <-ctx.Done():
@@ -424,7 +414,6 @@ func (rt *Router) QueryBytes(ctx context.Context, step int, iso float32) ([]byte
 		case <-timer.C:
 		}
 		waited += wait
-		rt.retries.Inc()
 	}
 }
 
@@ -658,7 +647,7 @@ func (rt *Router) fetch(ctx context.Context, ri, step int, iso float32) fres {
 		out.err = fmt.Errorf("%w: %s from %s", errReplicaFailed, resp.Status, addr)
 		return out
 	}
-	frame, err := meshio.ReadBinaryFrame(resp.Body, rt.cfg.MaxFrameBytes)
+	frame, err := meshio.ReadBinaryFrame(resp.Body, meshio.MaxBinaryFrameBytes)
 	if err != nil {
 		out.err = timedOut(fmt.Errorf("reading frame from %s: %w", addr, err))
 		return out
@@ -701,7 +690,7 @@ func (rt *Router) probeLoop(ctx context.Context) {
 }
 
 func (rt *Router) probe(ctx context.Context, i int) bool {
-	pctx, cancel := context.WithTimeout(ctx, rt.cfg.ProbeTimeout)
+	pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(pctx, http.MethodGet, "http://"+rt.cfg.Replicas[i]+"/healthz", nil)
 	if err != nil {

@@ -15,6 +15,7 @@ import (
 	"repro/internal/intervaltree"
 	"repro/internal/march"
 	"repro/internal/metacell"
+	"repro/internal/obs"
 	"repro/internal/octree"
 	"repro/internal/spanspace"
 )
@@ -69,7 +70,7 @@ func PrintIndexAblation(w io.Writer, rows []IndexAblationRow) {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "structure\tentries\tsize\theight")
 	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%d\t%s\t%d\n", r.Structure, r.Entries, fmtBytes(r.SizeBytes), r.Height)
+		fmt.Fprintf(tw, "%s\t%d\t%s\t%d\n", r.Structure, r.Entries, obs.FormatBytes(r.SizeBytes), r.Height)
 	}
 	tw.Flush()
 }
@@ -307,7 +308,7 @@ func PrintMetacellSizeAblation(w io.Writer, iso float32, rows []MetacellSizeRow)
 	fmt.Fprintf(tw, "span\trecord\tmetacells\tdata\tindex\tactive MC\tblocks read\ttriangles\t[iso=%.0f]\n", iso)
 	for _, r := range rows {
 		fmt.Fprintf(tw, "%d³\t%d B\t%d\t%s\t%s\t%d\t%d\t%d\t\n",
-			r.Span, r.RecordBytes, r.Metacells, fmtBytes(r.DataBytes), fmtBytes(r.IndexBytes),
+			r.Span, r.RecordBytes, r.Metacells, obs.FormatBytes(r.DataBytes), obs.FormatBytes(r.IndexBytes),
 			r.Active, r.ReadBlocks, r.Triangles)
 	}
 	tw.Flush()
@@ -457,7 +458,7 @@ func PrintQueryStructuresAblation(w io.Writer, iso float32, rows []QueryStructur
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "structure\tindex size\tactive MC\telements visited\tquery time\t[iso=%.0f]\n", iso)
 	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%s\t\n", r.Structure, fmtBytes(r.SizeBytes), r.Active, r.Visited, fmtDur(r.QueryWall))
+		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%s\t\n", r.Structure, obs.FormatBytes(r.SizeBytes), r.Active, r.Visited, fmtDur(r.QueryWall))
 	}
 	tw.Flush()
 }

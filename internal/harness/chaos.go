@@ -3,12 +3,11 @@ package harness
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"text/tabwriter"
 	"time"
@@ -170,13 +169,8 @@ func referenceFrames(ctx context.Context, backend serve.Backend, w ServingWorklo
 		return nil, err
 	}
 	defer cl.Close()
-	perm := rand.New(rand.NewSource(w.Seed)).Perm(w.Levels)
 	refs := make(map[uint32][]byte, w.Levels)
-	for rank := 0; rank < w.Levels; rank++ {
-		iso := w.IsoOfLevel(perm, uint64(rank))
-		if _, ok := refs[math.Float32bits(iso)]; ok {
-			continue
-		}
+	for _, iso := range w.levels() {
 		frame, _, err := cl.Router.QueryBytes(ctx, 0, iso)
 		if err != nil {
 			return nil, fmt.Errorf("harness: reference frame for iso %v: %w", iso, err)
@@ -185,6 +179,9 @@ func referenceFrames(ctx context.Context, backend serve.Backend, w ServingWorklo
 	}
 	return refs, nil
 }
+
+// errMismatch marks a response that arrived but differs from its reference.
+var errMismatch = errors.New("harness: frame differs from the fault-free reference")
 
 func chaosRow(ctx context.Context, backend serve.Backend, ccfg ChaosConfig, w ServingWorkload, sc ChaosScenario, resilient bool, refs map[uint32][]byte) (ChaosRow, error) {
 	in := chaos.NewInjector(ccfg.Seed + 1)
@@ -214,39 +211,30 @@ func chaosRow(ctx context.Context, backend serve.Backend, ccfg ChaosConfig, w Se
 	// Fault the home shard of the workload's hottest key (Zipf rank 0), so
 	// the faulted replica actually sees the bulk of the traffic — faulting a
 	// fixed index can land on a shard the skewed workload barely touches.
-	perm := rand.New(rand.NewSource(w.Seed)).Perm(w.Levels)
-	victim := cl.Router.HomeReplica(0, w.IsoOfLevel(perm, 0))
+	victim := cl.Router.HomeReplica(0, w.levels()[0])
 	in.SetFault(cl.Replicas[victim].Addr(), sc.Fault)
 
 	var failed, mismatched atomic.Int64
 	lat := obs.NewHistogram()
-	var wg sync.WaitGroup
-	for k := 0; k < ccfg.Clients; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			rnd := rand.New(rand.NewSource(w.Seed + int64(k)))
-			zipf := rand.NewZipf(rnd, w.ZipfS, 1, uint64(w.Levels-1))
-			for i := 0; i < w.ReqPerClient; i++ {
-				if ctx.Err() != nil {
-					return
-				}
-				iso := w.IsoOfLevel(perm, zipf.Uint64())
-				qctx, cancel := context.WithTimeout(ctx, ccfg.RequestTimeout)
-				t0 := time.Now()
-				frame, _, err := cl.Router.QueryBytes(qctx, 0, iso)
-				lat.Observe(time.Since(t0))
-				cancel()
-				switch {
-				case err != nil:
-					failed.Add(1)
-				case !bytes.Equal(frame, refs[math.Float32bits(iso)]):
-					mismatched.Add(1)
-				}
+	w.Drive(ctx, Load{Clients: ccfg.Clients},
+		func(ctx context.Context, _ int, iso float32) error {
+			qctx, cancel := context.WithTimeout(ctx, ccfg.RequestTimeout)
+			defer cancel()
+			frame, _, err := cl.Router.QueryBytes(qctx, 0, iso)
+			if err == nil && !bytes.Equal(frame, refs[math.Float32bits(iso)]) {
+				return errMismatch
 			}
-		}(k)
-	}
-	wg.Wait()
+			return err
+		},
+		func(d time.Duration, err error) {
+			lat.Observe(d)
+			switch {
+			case errors.Is(err, errMismatch):
+				mismatched.Add(1)
+			case err != nil:
+				failed.Add(1)
+			}
+		})
 	if err := ctx.Err(); err != nil {
 		return ChaosRow{}, err
 	}

@@ -1,0 +1,267 @@
+package harness
+
+import (
+	"context"
+	"fmt"
+	"io"
+	"strings"
+
+	"repro/internal/dist"
+	"repro/internal/serve"
+)
+
+// ---------------------------------------------------------------------------
+// The experiment registry: every table, figure, ablation and serving-tier
+// experiment, each with its parameters and title written once. cmd/isobench
+// and the root BenchmarkExperiments are both a loop over it.
+
+// Experiment is one registry entry.
+type Experiment struct {
+	Name  string // isobench -experiment value and sub-benchmark name
+	Title string // section header
+
+	// Ablation puts the entry in the "ablations" group.
+	Ablation bool
+	// Load marks a serving-tier experiment that issues hundreds of requests
+	// per row: go test -bench runs it at Small(), not at the paper's size,
+	// and -short or -race test runs skip it.
+	Load bool
+	// Paced marks an experiment whose run time is set by modeled link pacing
+	// and fault timeouts — minutes at any size. go test -bench skips it.
+	Paced bool
+
+	// Metric names the headline number Run returns ("" = none, Run returns 0).
+	Metric string
+	Run    runFunc
+}
+
+// runFunc executes an experiment on cfg and prints its table to out.
+type runFunc = func(ctx context.Context, cfg RMConfig, out io.Writer) (float64, error)
+
+// printed ends an entry with no headline metric: print the rows unless the
+// driver failed.
+func printed(err error, print func()) (float64, error) {
+	if err == nil {
+		print()
+	}
+	return 0, err
+}
+
+// Report prints the section header, then runs the experiment.
+func (e Experiment) Report(ctx context.Context, cfg RMConfig, out io.Writer) (float64, error) {
+	fmt.Fprintf(out, "\n=== %s ===\n", e.Title)
+	return e.Run(ctx, cfg, out)
+}
+
+// SelectExperiments resolves an isobench -experiment value against the
+// registry: one experiment's name, "ablations", or "all". Unknown names
+// select nothing.
+func SelectExperiments(all []Experiment, name string) []Experiment {
+	var sel []Experiment
+	for _, e := range all {
+		if name == "all" || name == e.Name || (name == "ablations" && e.Ablation) {
+			sel = append(sel, e)
+		}
+	}
+	return sel
+}
+
+// ExperimentUsage lists every -experiment value: the names, then the groups.
+func ExperimentUsage() string {
+	var names []string
+	for _, e := range Experiments("") {
+		names = append(names, e.Name)
+	}
+	return strings.Join(append(names, "ablations", "all"), "|")
+}
+
+// Experiments returns the registry in report order. fig4 writes its image to
+// imagePath ("" = no file).
+func Experiments(imagePath string) []Experiment {
+	const midIso = 110 // the ablations' reference isovalue
+	exps := []Experiment{{
+		Name: "table1", Title: "Table 1: indexing structure sizes",
+		Run: func(_ context.Context, _ RMConfig, out io.Writer) (float64, error) {
+			rows, err := Table1(96, 7)
+			return printed(err, func() { PrintTable1(out, rows) })
+		},
+	}}
+	for i, procs := range []int{1, 2, 4, 8} {
+		exps = append(exps, Experiment{
+			Name:   fmt.Sprintf("table%d", i+2),
+			Title:  fmt.Sprintf("Table%d: performance on %d node(s)", i+2, procs),
+			Metric: "Mtri/s", // mean over the isovalue sweep
+			Run: func(ctx context.Context, cfg RMConfig, out io.Writer) (float64, error) {
+				rows, err := PerfTable(ctx, cfg, procs, PerfOptions{})
+				if err != nil {
+					return 0, err
+				}
+				PrintPerfTable(out, procs, rows)
+				var rate float64
+				for _, r := range rows {
+					rate += r.Rate
+				}
+				return rate / float64(len(rows)), nil
+			},
+		})
+	}
+	balance := func(metric string) runFunc {
+		return func(ctx context.Context, cfg RMConfig, out io.Writer) (float64, error) {
+			rows, err := BalanceTable(ctx, cfg, 4, metric)
+			if err != nil {
+				return 0, err
+			}
+			PrintBalanceTable(out, metric, rows)
+			worst := 0.0
+			for _, r := range rows {
+				worst = max(worst, r.MaxAvg)
+			}
+			return worst, nil
+		}
+	}
+	scalingProcs := []int{1, 2, 4, 8}
+	return append(exps, []Experiment{{
+		Name: "table6", Title: "Table 6: active metacell distribution (4 nodes)",
+		Metric: "worst-max/avg", Run: balance("metacells"),
+	}, {
+		Name: "table7", Title: "Table 7: triangle distribution (4 nodes)",
+		Metric: "worst-max/avg", Run: balance("triangles"),
+	}, {
+		Name: "table8", Title: "Table 8: time-varying browsing (iso 70, 4 nodes)",
+		Run: func(ctx context.Context, cfg RMConfig, out io.Writer) (float64, error) {
+			// Table 8 preprocesses 16 separate time steps; the half-size grid
+			// keeps it minutes-scale (the shape is size-independent).
+			cfg.NX, cfg.NY, cfg.NZ = cfg.NX/2, cfg.NY/2, cfg.NZ/2
+			var steps []int
+			for s := 180; s <= 195; s++ {
+				steps = append(steps, s)
+			}
+			rows, idx, err := Table8(ctx, cfg, steps, 70, 4)
+			return printed(err, func() { PrintTable8(out, 70, 4, rows, idx) })
+		},
+	}, {
+		Name: "fig5", Title: "Figure 5: overall time vs isovalue",
+		Run: func(ctx context.Context, cfg RMConfig, out io.Writer) (float64, error) {
+			pts, err := ScalingSeries(ctx, cfg, scalingProcs, PerfOptions{})
+			return printed(err, func() { PrintFigure5(out, scalingProcs, pts) })
+		},
+	}, {
+		Name: "fig6", Title: "Figure 6: speedup vs isovalue",
+		Metric: "speedup-p8", // mean over the isovalue sweep
+		Run: func(ctx context.Context, cfg RMConfig, out io.Writer) (float64, error) {
+			pts, err := ScalingSeries(ctx, cfg, scalingProcs, PerfOptions{})
+			if err != nil {
+				return 0, err
+			}
+			PrintFigure6(out, scalingProcs, pts)
+			var s8 float64
+			n := 0
+			for _, p := range pts {
+				if p.Procs == 8 {
+					s8 += p.Speedup
+					n++
+				}
+			}
+			return s8 / float64(n), nil
+		},
+	}, {
+		Name: "fig4", Title: "Figure 4: isosurface render (iso 190)",
+		Run: func(ctx context.Context, cfg RMConfig, out io.Writer) (float64, error) {
+			res, err := Figure4(ctx, cfg, 190, 4, 1024, 768, imagePath)
+			return printed(err, func() {
+				fmt.Fprintf(out, "triangles: %d, covered pixels: %d, image: %s\n", res.Triangles, res.CoveredPixels, imagePath)
+			})
+		},
+	}, {
+		Name: "ablation-index", Title: "Ablation: index structures", Ablation: true,
+		Run: func(_ context.Context, cfg RMConfig, out io.Writer) (float64, error) {
+			rows, err := AblationIndexStructures(cfg)
+			return printed(err, func() { PrintIndexAblation(out, rows) })
+		},
+	}, {
+		Name: "ablation-distribution", Title: "Ablation: data distribution (4 nodes)", Ablation: true,
+		Run: func(ctx context.Context, cfg RMConfig, out io.Writer) (float64, error) {
+			rows, err := AblationDistribution(ctx, cfg, 4)
+			return printed(err, func() { PrintDistributionAblation(out, 4, rows) })
+		},
+	}, {
+		Name: "ablation-bulkread", Title: "Ablation: bulk brick reads vs scattered reads", Ablation: true,
+		Run: func(_ context.Context, cfg RMConfig, out io.Writer) (float64, error) {
+			rows, err := AblationBulkRead(cfg)
+			return printed(err, func() { PrintBulkReadAblation(out, rows) })
+		},
+	}, {
+		Name: "ablation-metacell", Title: "Ablation: metacell size", Ablation: true,
+		Run: func(_ context.Context, cfg RMConfig, out io.Writer) (float64, error) {
+			rows, err := AblationMetacellSize(cfg, midIso, []int{5, 9, 17})
+			return printed(err, func() { PrintMetacellSizeAblation(out, midIso, rows) })
+		},
+	}, {
+		Name: "ablation-dispatch", Title: "Ablation: host dispatch vs independent nodes", Ablation: true,
+		Run: func(ctx context.Context, cfg RMConfig, out io.Writer) (float64, error) {
+			rows, err := AblationHostDispatch(ctx, cfg, midIso, []int{2, 4, 8})
+			return printed(err, func() { PrintDispatchAblation(out, midIso, rows) })
+		},
+	}, {
+		Name: "ablation-query", Title: "Ablation: query acceleration structures", Ablation: true,
+		Run: func(_ context.Context, cfg RMConfig, out io.Writer) (float64, error) {
+			rows, err := AblationQueryStructures(cfg, midIso)
+			return printed(err, func() { PrintQueryStructuresAblation(out, midIso, rows) })
+		},
+	}, {
+		Name: "schedule", Title: "Ablation: two-phase vs streaming extraction (4 nodes)", Ablation: true,
+		Run: func(ctx context.Context, cfg RMConfig, out io.Writer) (float64, error) {
+			rows, err := AblationSchedule(ctx, cfg, 4)
+			return printed(err, func() { PrintScheduleAblation(out, 4, rows) })
+		},
+	}, {
+		Name: "serving", Title: "Serving layer: throughput vs clients (4 nodes)", Load: true,
+		Metric: "speedup", // served vs direct throughput at the largest client count
+		Run: func(ctx context.Context, cfg RMConfig, out io.Writer) (float64, error) {
+			w := ServingWorkload{}
+			rows, err := ServingTable(ctx, cfg, 4, []int{1, 8, 32}, w, serve.Config{})
+			if err != nil {
+				return 0, err
+			}
+			PrintServingTable(out, 4, w, rows)
+			return rows[len(rows)-1].Speedup, nil
+		},
+	}, {
+		Name: "scaling", Title: "Scaling: sharded serving tier, throughput vs replicas (4 nodes each)", Load: true, Paced: true,
+		Run: func(ctx context.Context, cfg RMConfig, out io.Writer) (float64, error) {
+			w := ServingWorkload{ReqPerClient: 16}
+			// ~200 Mbit per replica, era-plausible cluster networking (DESIGN §2
+			// models the era's disks the same way): slow enough that four
+			// replicated links still fit under one test host's CPU.
+			rep := dist.ReplicaConfig{LinkBytesPerSec: 25e6}
+			rows, err := ScalingTable(ctx, cfg, 4, []int{1, 2, 4}, 32, w, rep)
+			return printed(err, func() { PrintScalingTable(out, 32, w, rep, rows) })
+		},
+	}, {
+		Name: "chaos", Title: "Chaos: availability and tail latency under injected faults (resilient vs fragile router)", Load: true, Paced: true,
+		Metric: "resilient-failures", // requests the resilient router failed or mis-served; isobench -chaos-strict gates on 0
+		Run: func(ctx context.Context, cfg RMConfig, out io.Writer) (float64, error) {
+			w := ServingWorkload{ReqPerClient: 16, Levels: 16}
+			ccfg := ChaosConfig{Replicas: 3, Clients: 8, Seed: 42}
+			scenarios := DefaultChaosScenarios()
+			rows, err := ChaosTable(ctx, cfg, 2, ccfg, w, scenarios)
+			if err != nil {
+				return 0, err
+			}
+			PrintChaosTable(out, ccfg, w, scenarios, rows)
+			bad := 0
+			for _, r := range rows {
+				if r.Resilient {
+					bad += r.Failed + r.Mismatched
+				}
+			}
+			return float64(bad), nil
+		},
+	}, {
+		Name: "tune", Title: "Ablation: pipeline auto-tuner (4 nodes)", Ablation: true,
+		Run: func(ctx context.Context, cfg RMConfig, out io.Writer) (float64, error) {
+			rows, tp, err := AblationTune(ctx, cfg, 4, midIso, 3)
+			return printed(err, func() { PrintTuneAblation(out, midIso, 4, rows, tp) })
+		},
+	}}...)
+}

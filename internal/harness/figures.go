@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/composite"
-	"repro/internal/geom"
 	"repro/internal/render"
 )
 
@@ -117,10 +116,12 @@ func Figure4(ctx context.Context, cfg RMConfig, iso float32, procs, w, h int, ou
 	if err != nil {
 		return nil, err
 	}
-	fbs, err := renderNodeBuffers(res, w, h)
+	meshes, err := res.Meshes()
 	if err != nil {
 		return nil, err
 	}
+	// Per-node colors visualize the striped distribution.
+	fbs, _ := render.DrawNodes(meshes, w, h, true)
 	tiles, _, err := composite.SortLast(fbs, 2, 2)
 	if err != nil {
 		return nil, err
@@ -140,32 +141,4 @@ func Figure4(ctx context.Context, cfg RMConfig, iso float32, procs, w, h int, ou
 		Tiles:         tiles,
 		Wall:          wall,
 	}, nil
-}
-
-// renderNodeBuffers renders every node's mesh into its own framebuffer with
-// a per-node color, visualizing the striped distribution.
-func renderNodeBuffers(res *cluster.Result, w, h int) ([]*render.Framebuffer, error) {
-	bounds := boundsOf(res)
-	cam := render.FitMesh(bounds, 45, w, h)
-	fbs := make([]*render.Framebuffer, len(res.PerNode))
-	for i, n := range res.PerNode {
-		if n.Mesh == nil {
-			return nil, fmt.Errorf("harness: node %d mesh missing", i)
-		}
-		fbs[i] = render.NewFramebuffer(w, h)
-		sh := render.DefaultShading()
-		sh.Base = render.NodeColor(i)
-		render.DrawMesh(fbs[i], cam, n.Mesh, sh)
-	}
-	return fbs, nil
-}
-
-func boundsOf(res *cluster.Result) geom.AABB {
-	b := geom.EmptyAABB()
-	for _, n := range res.PerNode {
-		if n.Mesh != nil {
-			b = b.Union(n.Mesh.Bounds())
-		}
-	}
-	return b
 }

@@ -1,9 +1,11 @@
 // Package harness drives the experiments that regenerate every table and
 // figure of the paper's evaluation (§7), plus the ablation studies listed in
 // DESIGN.md §5. Each driver returns structured rows and has a printer that
-// emits a text table shaped like the paper's; bench_test.go exposes one
-// benchmark per table/figure, and cmd/isobench runs them from the command
-// line.
+// emits a text table shaped like the paper's; Experiments (experiments.go)
+// registers every driver once with its parameters, and both the root
+// BenchmarkExperiments and cmd/isobench are loops over that registry. The
+// serving-tier experiments and cmd/isoserve share one Zipf load driver,
+// ServingWorkload.Drive (drive.go).
 //
 // All drivers are deterministic given an RMConfig (sizes, time step, seed).
 // Volumes and preprocessed engines are cached per configuration so a full

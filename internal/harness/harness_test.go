@@ -11,6 +11,8 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/composite"
+	"repro/internal/obs"
+	"repro/internal/render"
 	"repro/internal/serve"
 )
 
@@ -439,8 +441,8 @@ func TestFmtHelpers(t *testing.T) {
 		3 << 30: "3.00 GB",
 	}
 	for n, want := range cases {
-		if got := fmtBytes(n); got != want {
-			t.Errorf("fmtBytes(%d) = %q, want %q", n, got, want)
+		if got := obs.FormatBytes(n); got != want {
+			t.Errorf("obs.FormatBytes(%d) = %q, want %q", n, got, want)
 		}
 	}
 }
@@ -489,10 +491,11 @@ func TestCompositeTrafficOrdersOfMagnitudeBelowTriangles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fbs, err := renderNodeBuffers(res, 512, 512)
+	meshes, err := res.Meshes()
 	if err != nil {
 		t.Fatal(err)
 	}
+	fbs, _ := render.DrawNodes(meshes, 512, 512, true)
 	_, st, err := composite.SortLast(fbs, 2, 2)
 	if err != nil {
 		t.Fatal(err)

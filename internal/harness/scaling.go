@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -138,7 +137,7 @@ func ScalingTable(ctx context.Context, cfg RMConfig, procs int, replicaCounts []
 		preRouter := cl.Router.Stats()
 		retries.Store(0)
 
-		wall, lats, tris, err := w.runClients(ctx, clients, fetch)
+		wall, lats, tris, err := w.closedLoop(ctx, clients, fetch)
 		stats := cl.Stats()
 		rstats := cl.Router.Stats()
 		cl.Close()
@@ -190,27 +189,24 @@ func ScalingTable(ctx context.Context, cfg RMConfig, procs int, replicaCounts []
 // warmLevels requests every isovalue level once from every replica the
 // router may route it to — the home shard and the failover standby — so the
 // timed run starts with each key's mesh cached everywhere its overflow can
-// land (ranks 0..Levels-1 cover the level permutation bijectively). Eight at
-// a time: enough to overlap the paced links without tripping a replica's
-// in-flight bound.
+// land. Eight at a time: enough to overlap the paced links without tripping a
+// replica's in-flight bound.
 func warmLevels(ctx context.Context, w ServingWorkload, cl *dist.Cluster) error {
-	perm := rand.New(rand.NewSource(w.Seed)).Perm(w.Levels)
 	errs := make([]error, w.Levels)
 	sem := make(chan struct{}, 8)
 	var wg sync.WaitGroup
-	for rank := 0; rank < w.Levels; rank++ {
+	for rank, iso := range w.levels() {
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(rank int) {
+		go func() {
 			defer func() { <-sem; wg.Done() }()
-			iso := w.IsoOfLevel(perm, uint64(rank))
 			for _, ci := range cl.Router.Candidates(0, iso) {
 				if err := fetchReplicaMesh(ctx, cl.Replicas[ci].Addr(), 0, iso); err != nil {
 					errs[rank] = err
 					return
 				}
 			}
-		}(rank)
+		}()
 	}
 	wg.Wait()
 	for rank, err := range errs {

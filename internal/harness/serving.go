@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"text/tabwriter"
@@ -45,86 +44,39 @@ type ServingRow struct {
 	P50, P99 time.Duration // served per-request latency percentiles
 }
 
-// ServingWorkload fixes the synthetic client population of the serving
-// experiment: closed-loop clients drawing isovalues from a Zipf distribution
-// over a fixed set of levels — the "popular isosurface" traffic a public
-// query service sees.
-type ServingWorkload struct {
-	ReqPerClient int     // requests each client issues (0 = 32)
-	Levels       int     // distinct isovalue levels (0 = 64)
-	ZipfS        float64 // Zipf skew parameter (0 = 1.1)
-	IsoMin       float32 // level range (both 0 = the paper's 10..210)
-	IsoMax       float32
-	Seed         int64 // base RNG seed (client k uses Seed+k)
-}
-
-func (w ServingWorkload) withDefaults() ServingWorkload {
-	if w.ReqPerClient <= 0 {
-		w.ReqPerClient = 32
-	}
-	if w.Levels < 2 {
-		w.Levels = 64 // IsoOfLevel needs ≥ 2 levels to span a range
-	}
-	if w.ZipfS <= 1 {
-		w.ZipfS = 1.1 // rand.NewZipf requires s > 1 (returns nil otherwise)
-	}
-	if w.IsoMin == 0 && w.IsoMax == 0 {
-		w.IsoMin, w.IsoMax = 10, 210
-	}
-	return w
-}
-
-// IsoOfLevel maps a Zipf popularity rank to an isovalue. Ranks are scattered
-// across the level range with a fixed permutation (rand.Perm of Levels seeded
-// with Seed) so popularity is not correlated with surface size. Exported for
-// cmd/isoserve, whose open-loop generator draws the same workload.
-func (w ServingWorkload) IsoOfLevel(perm []int, rank uint64) float32 {
-	lv := perm[int(rank)%len(perm)]
-	return w.IsoMin + (w.IsoMax-w.IsoMin)*float32(lv)/float32(w.Levels-1)
-}
-
-// runClients drives n closed-loop clients issuing w.ReqPerClient requests
-// each through query (which reports the triangles its response carried),
-// returning the wall time, the request-latency histogram, and the total
-// triangles delivered across all requests. Latencies go into a shared
-// obs.Histogram — constant memory however long the run, and the same
-// quantile math the serving layer itself exports.
-func (w ServingWorkload) runClients(ctx context.Context, n int, query func(ctx context.Context, iso float32) (int, error)) (time.Duration, *obs.Histogram, int64, error) {
-	perm := rand.New(rand.NewSource(w.Seed)).Perm(w.Levels)
+// closedLoop drives n closed-loop clients through query (which reports the
+// triangles its response carried), returning the wall time, the latency
+// histogram of the served requests — constant memory however long the run,
+// and the same quantile math the serving layer itself exports — and the total
+// triangles delivered. The first failed request stops the run and is returned.
+func (w ServingWorkload) closedLoop(ctx context.Context, n int, query func(ctx context.Context, iso float32) (int, error)) (time.Duration, *obs.Histogram, int64, error) {
+	runCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	lat := obs.NewHistogram()
-	errs := make([]error, n)
 	var tris atomic.Int64
-	var wg sync.WaitGroup
-	start := time.Now()
-	for k := 0; k < n; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			rnd := rand.New(rand.NewSource(w.Seed + int64(k)))
-			zipf := rand.NewZipf(rnd, w.ZipfS, 1, uint64(w.Levels-1))
-			for i := 0; i < w.ReqPerClient; i++ {
-				if ctx.Err() != nil {
-					errs[k] = ctx.Err()
-					return
-				}
-				iso := w.IsoOfLevel(perm, zipf.Uint64())
-				t0 := time.Now()
-				nt, err := query(ctx, iso)
-				if err != nil {
-					errs[k] = fmt.Errorf("harness: client %d request %d (iso %v): %w", k, i, iso, err)
-					return
-				}
-				lat.Observe(time.Since(t0))
-				tris.Add(int64(nt))
+	var failed sync.Once
+	var first error
+	wall, _ := w.Drive(runCtx, Load{Clients: n},
+		func(ctx context.Context, k int, iso float32) error {
+			nt, err := query(ctx, iso)
+			if err != nil {
+				return fmt.Errorf("harness: client %d (iso %v): %w", k, iso, err)
 			}
-		}(k)
+			tris.Add(int64(nt))
+			return nil
+		},
+		func(d time.Duration, err error) {
+			if err != nil {
+				failed.Do(func() { first = err; cancel() })
+				return
+			}
+			lat.Observe(d)
+		})
+	if first == nil {
+		first = ctx.Err()
 	}
-	wg.Wait()
-	wall := time.Since(start)
-	for _, err := range errs {
-		if err != nil {
-			return 0, nil, 0, err
-		}
+	if first != nil {
+		return 0, nil, 0, first
 	}
 	return wall, lat, tris.Load(), nil
 }
@@ -150,7 +102,7 @@ func ServingTable(ctx context.Context, cfg RMConfig, procs int, clientCounts []i
 			c.QueueDepth = n // never shed the benchmark's own closed loop
 		}
 		srv := serve.NewServer(eng, c)
-		servedWall, lats, servedTris, err := w.runClients(ctx, n, func(ctx context.Context, iso float32) (int, error) {
+		servedWall, lats, servedTris, err := w.closedLoop(ctx, n, func(ctx context.Context, iso float32) (int, error) {
 			resp, err := srv.Query(ctx, 0, iso)
 			if err != nil {
 				return 0, err
@@ -160,7 +112,7 @@ func ServingTable(ctx context.Context, cfg RMConfig, procs int, clientCounts []i
 		if err != nil {
 			return nil, err
 		}
-		directWall, _, directTris, err := w.runClients(ctx, n, func(ctx context.Context, iso float32) (int, error) {
+		directWall, _, directTris, err := w.closedLoop(ctx, n, func(ctx context.Context, iso float32) (int, error) {
 			res, err := eng.Extract(ctx, iso, cluster.Options{KeepMeshes: true})
 			if err != nil {
 				return 0, err

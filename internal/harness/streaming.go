@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/obs"
 )
 
 // ---------------------------------------------------------------------------
@@ -45,7 +46,7 @@ func AblationSchedule(ctx context.Context, cfg RMConfig, procs int) ([]ScheduleR
 	recSize := int64(eng.Layout.RecordSize())
 	var rows []ScheduleRow
 	for _, iso := range Sweep() {
-		two, err := eng.Extract(ctx, iso, cluster.Options{TwoPhase: true})
+		two, err := eng.ExtractTwoPhase(ctx, iso, cluster.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -95,8 +96,8 @@ func PrintScheduleAblation(w io.Writer, procs int, rows []ScheduleRow) {
 	for _, r := range rows {
 		fmt.Fprintf(tw, "%.0f\t%d\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t\n",
 			r.Iso, r.Active,
-			fmtDur(r.TwoPhaseWall), fmtDur(r.TwoPhaseDisk), fmtBytes(r.TwoPhasePeak),
-			fmtDur(r.StreamWall), fmtDur(r.StreamDisk), fmtBytes(r.StreamPeak),
+			fmtDur(r.TwoPhaseWall), fmtDur(r.TwoPhaseDisk), obs.FormatBytes(r.TwoPhasePeak),
+			fmtDur(r.StreamWall), fmtDur(r.StreamDisk), obs.FormatBytes(r.StreamPeak),
 			fmtDur(r.ProducerStall), fmtDur(r.ConsumerStall))
 	}
 	tw.Flush()

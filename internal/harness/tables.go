@@ -4,16 +4,15 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sync"
 	"text/tabwriter"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/composite"
 	"repro/internal/core"
-	"repro/internal/geom"
 	"repro/internal/intervaltree"
 	"repro/internal/metacell"
+	"repro/internal/obs"
 	"repro/internal/render"
 	"repro/internal/volume"
 )
@@ -89,7 +88,7 @@ func PrintTable1(w io.Writer, rows []Table1Row) {
 	for _, r := range rows {
 		fmt.Fprintf(tw, "%s\t%s\t%s\t%d\t%d\t%s\t%s\t%.1f×\n",
 			r.Name, r.Dims, r.Format, r.Metacells, r.Endpoints,
-			fmtBytes(r.CITBytes), fmtBytes(r.StdBytes), r.Ratio)
+			obs.FormatBytes(r.CITBytes), obs.FormatBytes(r.StdBytes), r.Ratio)
 	}
 	tw.Flush()
 }
@@ -142,15 +141,22 @@ func PerfTable(ctx context.Context, cfg RMConfig, procs int, opt PerfOptions) ([
 			return nil, err
 		}
 		row := PerfRow{Iso: iso, Active: res.Active, Triangles: res.Triangles}
-		var rendWall []time.Duration
+		// Each node renders its own mesh (one goroutine per node, like the
+		// per-node GPUs); the framebuffers are then composited sort-last.
+		rendWall := make([]time.Duration, len(res.PerNode))
 		var compositeWall time.Duration
 		if !opt.SkipRender {
-			rendWall, compositeWall, err = renderNodes(res, opt.FrameW, opt.FrameH)
+			meshes, err := res.Meshes()
 			if err != nil {
 				return nil, err
 			}
-		} else {
-			rendWall = make([]time.Duration, len(res.PerNode))
+			var fbs []*render.Framebuffer
+			fbs, rendWall = render.DrawNodes(meshes, opt.FrameW, opt.FrameH, false)
+			t0 := time.Now()
+			if _, _, err := composite.ZComposite(fbs...); err != nil {
+				return nil, err
+			}
+			compositeWall = time.Since(t0)
 		}
 		for i, n := range res.PerNode {
 			if n.IOModelTime > row.AMCModel {
@@ -173,39 +179,6 @@ func PerfTable(ctx context.Context, cfg RMConfig, procs int, opt PerfOptions) ([
 		rows = append(rows, row)
 	}
 	return rows, nil
-}
-
-// renderNodes renders every node's mesh in parallel (one goroutine per node,
-// like the per-node GPUs) and composites sort-last. It returns the per-node
-// render wall times and the composite wall time.
-func renderNodes(res *cluster.Result, w, h int) ([]time.Duration, time.Duration, error) {
-	bounds := geom.EmptyAABB()
-	for _, n := range res.PerNode {
-		if n.Mesh == nil {
-			return nil, 0, fmt.Errorf("harness: extraction did not keep meshes")
-		}
-		bounds = bounds.Union(n.Mesh.Bounds())
-	}
-	cam := render.FitMesh(bounds, 45, w, h)
-	walls := make([]time.Duration, len(res.PerNode))
-	fbs := make([]*render.Framebuffer, len(res.PerNode))
-	var wg sync.WaitGroup
-	for i := range res.PerNode {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			t0 := time.Now()
-			fbs[i] = render.NewFramebuffer(w, h)
-			render.DrawMesh(fbs[i], cam, res.PerNode[i].Mesh, render.DefaultShading())
-			walls[i] = time.Since(t0)
-		}(i)
-	}
-	wg.Wait()
-	t0 := time.Now()
-	if _, _, err := composite.ZComposite(fbs...); err != nil {
-		return nil, 0, err
-	}
-	return walls, time.Since(t0), nil
 }
 
 // PrintPerfTable renders performance rows in the paper's Table 2–5 shape.
@@ -340,25 +313,12 @@ func PrintTable8(w io.Writer, iso float32, procs int, rows []Table8Row, idx *cor
 	tw.Flush()
 	if idx != nil {
 		fmt.Fprintf(w, "time-varying index: %d steps, %s total (resident in memory)\n",
-			idx.NumSteps(), fmtBytes(idx.IndexSizeBytes()))
+			idx.NumSteps(), obs.FormatBytes(idx.IndexSizeBytes()))
 	}
 }
 
 // ---------------------------------------------------------------------------
 // shared formatting helpers
-
-func fmtBytes(n int64) string {
-	switch {
-	case n >= 1<<30:
-		return fmt.Sprintf("%.2f GB", float64(n)/(1<<30))
-	case n >= 1<<20:
-		return fmt.Sprintf("%.2f MB", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.2f KB", float64(n)/(1<<10))
-	default:
-		return fmt.Sprintf("%d B", n)
-	}
-}
 
 func fmtDur(d time.Duration) string {
 	switch {

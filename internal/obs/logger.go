@@ -8,6 +8,21 @@ import (
 	"time"
 )
 
+// FormatBytes renders a byte count for reports and tables in binary units with
+// two decimals ("500 B", "2.00 KB", "5.00 MB", "3.00 GB").
+func FormatBytes(n int64) string {
+	switch {
+	case n >= 1<<30:
+		return fmt.Sprintf("%.2f GB", float64(n)/(1<<30))
+	case n >= 1<<20:
+		return fmt.Sprintf("%.2f MB", float64(n)/(1<<20))
+	case n >= 1<<10:
+		return fmt.Sprintf("%.2f KB", float64(n)/(1<<10))
+	default:
+		return fmt.Sprintf("%d B", n)
+	}
+}
+
 // LogLine renders a one-line snapshot of the registry — counters and gauges
 // as name=value, histograms as name=p50/p99/max — the headless-run heartbeat
 // format. Metrics that have recorded nothing are omitted to keep the line

@@ -14,8 +14,9 @@
 // block-aligned record batches through a bounded channel to the node's
 // marching-cubes workers, overlapping disk I/O with triangulation while
 // staging at most Options.PipelineDepth × Options.BatchRecords records in
-// memory (Options.TwoPhase selects the paper's original
-// retrieve-everything-then-triangulate schedule). Config.CacheBlocks adds an
+// memory (the paper's original retrieve-everything-then-triangulate schedule
+// survives as Engine.ExtractTwoPhase, the reference the pipeline is tested
+// against). Config.CacheBlocks adds an
 // LRU block cache over each node's disk for repeated sweeps such as
 // animation or isovalue scans. Extraction takes a context.Context; cancelling
 // it aborts the pipeline mid-stream on every node.
@@ -49,7 +50,6 @@
 package repro
 
 import (
-	"fmt"
 	"io"
 	"net/http"
 
@@ -286,10 +286,11 @@ func ReadMeshBinary(r io.Reader, maxBytes int) (*Mesh, float32, error) {
 // z-composites the framebuffers sort-last, returning the merged image. The
 // extraction must have been run with Options.KeepMeshes.
 func RenderComposite(res *Result, w, h int) (*Framebuffer, error) {
-	fbs, err := renderNodes(res, w, h)
+	meshes, err := res.Meshes()
 	if err != nil {
 		return nil, err
 	}
+	fbs, _ := render.DrawNodes(meshes, w, h, true)
 	merged, _, err := composite.ZComposite(fbs...)
 	return merged, err
 }
@@ -298,10 +299,11 @@ func RenderComposite(res *Result, w, h int) (*Framebuffer, error) {
 // wall, returning the per-display tiles (the paper's four-projector wall is
 // 2×2).
 func RenderWall(res *Result, w, h, tilesX, tilesY int) ([]Tile, error) {
-	fbs, err := renderNodes(res, w, h)
+	meshes, err := res.Meshes()
 	if err != nil {
 		return nil, err
 	}
+	fbs, _ := render.DrawNodes(meshes, w, h, true)
 	tiles, _, err := composite.SortLast(fbs, tilesX, tilesY)
 	return tiles, err
 }
@@ -314,12 +316,13 @@ func AssembleWall(tiles []Tile, tilesX, tilesY int) (*Framebuffer, error) {
 // MergeMeshes concatenates the per-node meshes of an extraction (run with
 // Options.KeepMeshes) into one triangle soup.
 func MergeMeshes(res *Result) (*Mesh, error) {
+	meshes, err := res.Meshes()
+	if err != nil {
+		return nil, err
+	}
 	var out Mesh
-	for _, n := range res.PerNode {
-		if n.Mesh == nil {
-			return nil, fmt.Errorf("repro: node %d has no mesh; extract with Options{KeepMeshes: true}", n.Node)
-		}
-		out.Append(n.Mesh.Tris...)
+	for _, m := range meshes {
+		out.Append(m.Tris...)
 	}
 	return &out, nil
 }
@@ -335,23 +338,4 @@ func TetMeshFromGrid(g *Grid) *TetMesh { return unstructured.FromGrid(g) }
 // NewTetIndex builds the cluster interval index over a tetrahedral mesh.
 func NewTetIndex(m *TetMesh, clusterSize int) (*TetIndex, error) {
 	return unstructured.NewIndex(m, clusterSize)
-}
-
-func renderNodes(res *Result, w, h int) ([]*render.Framebuffer, error) {
-	bounds := geom.EmptyAABB()
-	for _, n := range res.PerNode {
-		if n.Mesh == nil {
-			return nil, fmt.Errorf("repro: node %d has no mesh; extract with Options{KeepMeshes: true}", n.Node)
-		}
-		bounds = bounds.Union(n.Mesh.Bounds())
-	}
-	cam := render.FitMesh(bounds, 45, w, h)
-	fbs := make([]*render.Framebuffer, len(res.PerNode))
-	for i, n := range res.PerNode {
-		fbs[i] = render.NewFramebuffer(w, h)
-		sh := render.DefaultShading()
-		sh.Base = render.NodeColor(n.Node)
-		render.DrawMesh(fbs[i], cam, n.Mesh, sh)
-	}
-	return fbs, nil
 }
