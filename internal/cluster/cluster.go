@@ -89,13 +89,12 @@ type Engine struct {
 	trees []*core.Tree
 	devs  []blockio.Device
 
-	// meshPool recycles per-batch indexed meshes across extractions: a
-	// KeepMeshes extraction holds every batch mesh until its ordered merge,
-	// so they cannot live in per-worker scratch, but repeated extractions
-	// (the serving layer's steady state) reuse them here. Access through
-	// getBatchMesh — engines are built by several constructors (Build,
-	// Open, …) and the pool must work from any of them.
-	meshPool sync.Pool
+	// scratch holds the pipeline scratch (batch-mesh ring + staging soup) of
+	// node-extractions not running right now; see pipeScratch in stream.go.
+	// A plain free list rather than a sync.Pool: a collection must not empty
+	// it, or the next extraction re-grows every mesh on its critical path.
+	scratchMu sync.Mutex
+	scratch   []*pipeScratch
 
 	// Auto-tuner state: the calibrated parameters, computed once per engine
 	// on first AutoTune use (see tune.go).
@@ -264,11 +263,11 @@ type NodeResult struct {
 	TriWall time.Duration
 
 	// Streaming-pipeline statistics (zero in two-phase mode).
-	PipelineWall      time.Duration // elapsed time of the overlapped pipeline
-	Batches           int           // record batches that crossed the pipeline
+	PipelineWall      time.Duration // elapsed time of the overlapped pipeline, up to the merged soup's copy-out
+	Batches           int           // pipeline hand-offs: batches of up to BatchRecords records the producer sent the workers
 	PeakBufferedBytes int64         // max record bytes buffered at once, ≤ PipelineDepth×BatchRecords×recSize
 	ProducerStall     time.Duration // producer time blocked on a full pipeline
-	ConsumerStall     time.Duration // worker time blocked on an empty pipeline
+	ConsumerStall     time.Duration // worker time blocked on an empty pipeline, or on the merger for a batch mesh
 
 	Mesh *geom.Mesh // nil unless Options.KeepMeshes
 
@@ -327,12 +326,16 @@ type Options struct {
 	// KeepMeshes retains each node's triangle mesh in its NodeResult (needed
 	// for rendering; large for big isosurfaces).
 	KeepMeshes bool
-	// BatchRecords is the number of metacell records per streaming batch
-	// (0 = DefaultBatchRecords).
+	// BatchRecords is the number of metacell records per pipeline hand-off:
+	// the producer packs consecutive query emissions into one buffer and
+	// sends it when it holds this many, so only an extraction's last batch
+	// runs short (0 = DefaultBatchRecords).
 	BatchRecords int
 	// PipelineDepth is the number of batch buffers circulating between the
-	// query producer and the triangulation workers; it bounds each node's
-	// peak staging memory at PipelineDepth×BatchRecords×recordSize bytes
+	// query producer and the triangulation workers, and how many full
+	// batches the producer may run ahead of them; it bounds each node's peak
+	// record staging at PipelineDepth×BatchRecords×recordSize bytes, and the
+	// welded batches held for the ordered merge at Threads+PipelineDepth
 	// (0 = DefaultPipelineDepth).
 	PipelineDepth int
 	// Threads overrides the engine's per-node triangulation thread count for
@@ -344,15 +347,15 @@ type Options struct {
 	// cached on the engine so only the first extraction pays for calibration.
 	AutoTune bool
 	// Trace records a per-stage span trace of the extraction (index query +
-	// block read, stalls, decode, march/weld, merge — one lane per pipeline
-	// actor) into Result.Trace, renderable with Trace.Waterfall. Tracing
-	// costs two extra clock reads per record, so it is per-request opt-in,
-	// not an always-on metric.
+	// block read, stalls, decode, march/weld, merge expand and copy-out — one
+	// lane per pipeline actor) into Result.Trace, renderable with
+	// Trace.Waterfall. Tracing costs two extra clock reads per record, so it
+	// is per-request opt-in, not an always-on metric.
 	Trace bool
 
-	// probeBatches, when > 0, stops the streaming producer after that many
-	// batches — the auto-tuner's calibration hook.
-	probeBatches int
+	// probeRecords, when > 0, stops the streaming producer once it has
+	// delivered that many records — the auto-tuner's calibration hook.
+	probeRecords int
 }
 
 func (o Options) applyDefaults() Options {
@@ -369,7 +372,8 @@ func (o Options) applyDefaults() Options {
 // works independently against its own disk with no inter-node communication,
 // as a streaming pipeline in which a query producer feeds active metacell
 // record batches through a bounded channel to the node's marching-cubes
-// workers, overlapping disk I/O with triangulation under a fixed memory bound.
+// workers and an ordered merge collects what they weld, overlapping disk I/O,
+// triangulation and merging under a fixed memory bound.
 //
 // Cancelling ctx aborts the extraction mid-pipeline on every node — the
 // producers stop issuing disk reads, the workers drain, and Extract returns

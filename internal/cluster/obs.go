@@ -16,6 +16,7 @@ type engineMetrics struct {
 
 	extract       *obs.Histogram // whole-extraction wall time
 	batchWeld     *obs.Histogram // per-batch decode+triangulate latency
+	merge         *obs.Histogram // per node-extraction merger busy time
 	producerStall *obs.Histogram // per node-extraction producer stall total
 	consumerStall *obs.Histogram // per node-extraction consumer stall total
 	readLatency   *obs.Histogram // block device read latency
@@ -42,8 +43,9 @@ func (e *Engine) EnableMetrics(reg *obs.Registry) {
 		reg:           reg,
 		extract:       reg.Histogram("cluster_extract_seconds", "isosurface extraction wall time"),
 		batchWeld:     reg.Histogram("cluster_batch_weld_seconds", "per-batch decode+triangulate latency in the streaming pipeline"),
+		merge:         reg.Histogram("cluster_merge_seconds", "per node-extraction ordered-merge busy time: batch expansion plus the soup's copy-out"),
 		producerStall: reg.Histogram("cluster_producer_stall_seconds", "per node-extraction producer time blocked on a full pipeline"),
-		consumerStall: reg.Histogram("cluster_consumer_stall_seconds", "per node-extraction worker time blocked on an empty pipeline"),
+		consumerStall: reg.Histogram("cluster_consumer_stall_seconds", "per node-extraction worker time blocked on an empty pipeline or on the merger for a batch mesh"),
 		readLatency:   reg.Histogram("blockio_read_seconds", "node block device read latency"),
 		extractions:   reg.Counter("cluster_extractions_total", "completed extractions"),
 		triangles:     reg.Counter("cluster_triangles_total", "isosurface triangles produced"),

@@ -4,12 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/march"
 	"repro/internal/metacell"
@@ -20,35 +18,62 @@ import (
 // a worker has failed; the worker's error is the one reported.
 var errPipelineAborted = errors.New("cluster: pipeline aborted")
 
-// errProbeDone ends a calibration probe cleanly once it has pushed
-// Options.probeBatches batches through the pipeline (see tune.go).
+// errProbeDone ends a calibration probe cleanly once it has delivered
+// Options.probeRecords records to the workers (see tune.go).
 var errProbeDone = errors.New("cluster: calibration probe complete")
 
-// streamBatch is one pipeline message: nrec records back to back in buf,
+// streamBatch is one pipeline hand-off: whole records back to back in buf,
 // whose capacity is the full batch buffer being circulated.
 type streamBatch struct {
-	seq  int
-	buf  []byte
-	nrec int
+	seq int
+	buf []byte
 }
 
-// batchOutput is one worker's result for one batch. Outputs are reassembled
-// in seq order after the pipeline drains, so the merged mesh is byte-for-byte
-// the one the two-phase schedule produces.
+// batchOutput is one worker's result for one batch. The merger puts outputs
+// back in seq order as they arrive, so the merged mesh is byte-for-byte the
+// one the two-phase schedule produces.
 type batchOutput struct {
 	seq   int
 	cells int
 	tris  int
-	mesh  *geom.IndexedMesh // nil unless KeepMeshes; owned by Engine.meshPool
+	mesh  *geom.IndexedMesh // the ring mesh the batch was welded into
 }
 
-// getBatchMesh takes a per-batch indexed mesh from the engine pool (which
-// needs no New hook, so every Engine constructor gets pooling for free).
-func (e *Engine) getBatchMesh() *geom.IndexedMesh {
-	if m, ok := e.meshPool.Get().(*geom.IndexedMesh); ok {
-		return m
+// pipeScratch is what one node-extraction borrows from its engine for as long
+// as it runs: the ring of batch meshes circulating between workers and merger,
+// and the staging soup the merger expands them into. The engine keeps them
+// between extractions (warmed-up capacity is the point), so what it retains is
+// one pipeScratch per node-extraction that has ever run at once.
+type pipeScratch struct {
+	meshes []*geom.IndexedMesh
+	stage  geom.Mesh
+}
+
+// takeScratch lends out a scratch with at least ring batch meshes and an
+// empty staging soup.
+func (e *Engine) takeScratch(ring int) *pipeScratch {
+	var sc *pipeScratch
+	e.scratchMu.Lock()
+	if n := len(e.scratch); n > 0 {
+		sc, e.scratch = e.scratch[n-1], e.scratch[:n-1]
 	}
-	return new(geom.IndexedMesh)
+	e.scratchMu.Unlock()
+	if sc == nil {
+		sc = new(pipeScratch)
+	}
+	for len(sc.meshes) < ring {
+		sc.meshes = append(sc.meshes, new(geom.IndexedMesh))
+	}
+	sc.stage.Tris = sc.stage.Tris[:0]
+	return sc
+}
+
+// putScratch takes a scratch back once every goroutine that could touch it
+// has exited; whatever an aborted extraction left in it is reset on reuse.
+func (e *Engine) putScratch(sc *pipeScratch) {
+	e.scratchMu.Lock()
+	e.scratch = append(e.scratch, sc)
+	e.scratchMu.Unlock()
 }
 
 // weldBatch decodes one batch's records and triangulates them into out's
@@ -81,17 +106,23 @@ func weldBatch(l metacell.Layout, buf []byte, nrec, recSize int, iso float32, w 
 	return cells, nil
 }
 
-// extractNodeStreaming is the per-node streaming schedule: a producer
-// goroutine walks the compact interval tree emitting record batches into a
-// ring of PipelineDepth fixed-size buffers, and the node's Threads
-// marching-cubes workers consume them, so disk I/O overlaps triangulation.
-// Peak staging memory is PipelineDepth×BatchRecords×recordSize bytes — a
+// extractNodeStreaming is the per-node streaming schedule, a three-stage
+// pipeline. A producer goroutine walks the compact interval tree and packs
+// the active records into a ring of PipelineDepth buffers of BatchRecords
+// records, handing each over when it is full; the node's Threads
+// marching-cubes workers weld each batch into a mesh from a ring of
+// Threads+PipelineDepth; and this goroutine, the merger, puts the welded
+// batches back in record order and expands them into the staging soup while
+// later batches are still being read and welded. When the pipeline drains the
+// result is one exact-length copy of the staging soup.
+//
+// Peak record staging is PipelineDepth×BatchRecords×recordSize bytes — a
 // constant chosen up front — where the two-phase schedule stages all active
 // metacell bytes, which grow with the isosurface.
 //
 // Cancelling ctx reuses the pipeline's abort path: a watcher trips the same
 // done channel a worker failure does, the producer stops within one batch,
-// and the workers drain the in-flight batches and exit.
+// the workers exit, and the merger returns once the last of them has.
 func (e *Engine) extractNodeStreaming(ctx context.Context, node int, iso float32, opts Options) (NodeResult, error) {
 	nr := NodeResult{Node: node}
 	dev := e.devs[node]
@@ -106,11 +137,29 @@ func (e *Engine) extractNodeStreaming(ctx context.Context, node int, iso float32
 		threads = 1
 	}
 
-	work := make(chan streamBatch)
+	// PipelineDepth full batches may wait for a worker, which is what lets
+	// the producer run that far ahead.
+	work := make(chan streamBatch, depth)
 	free := make(chan []byte, depth)
 	for i := 0; i < depth; i++ {
-		free <- make([]byte, opts.BatchRecords*recSize)
+		free <- make([]byte, 0, opts.BatchRecords*recSize)
 	}
+
+	// The mesh ring. A worker takes its mesh before it takes a batch, and
+	// work is first in, first out, so whichever batch the merger is waiting
+	// for either owns a mesh already or will be taken by a worker that does:
+	// the ring cannot run dry with the merger starved. Every welded batch
+	// holds one ring mesh until the merger is done with it, so outs, sized to
+	// the ring, never blocks a worker.
+	ringSize := threads + depth
+	sc := e.takeScratch(ringSize)
+	defer e.putScratch(sc)
+	ring := make(chan *geom.IndexedMesh, ringSize)
+	for _, im := range sc.meshes[:ringSize] {
+		ring <- im
+	}
+	outs := make(chan batchOutput, ringSize)
+
 	done := make(chan struct{}) // closed on the first worker failure or ctx cancel
 	var closeDone sync.Once
 	abort := func() { closeDone.Do(func() { close(done) }) }
@@ -121,15 +170,18 @@ func (e *Engine) extractNodeStreaming(ctx context.Context, node int, iso float32
 
 	var buffered, peakBuffered atomic.Int64
 
-	// Producer: every emitted batch is copied into a free buffer and sent
-	// downstream. Blocking on an exhausted free list (all depth buffers in
-	// flight) is precisely the pipeline's memory bound; the time spent there
-	// is reported as ProducerStall.
+	// Producer: consecutive query emissions are packed, in record order, into
+	// the buffer being filled, which goes downstream when it holds
+	// BatchRecords records (the last one when the walk ends). Blocking on an
+	// exhausted free list (all depth buffers in flight) is precisely the
+	// pipeline's memory bound; the time spent there is reported as
+	// ProducerStall.
 	var (
-		qstats        core.QueryStats
 		qerr          error
 		producerStall time.Duration
 		amcWall       time.Duration
+		handoffs      int
+		records       int
 	)
 	start := time.Now()
 	var wgProd sync.WaitGroup
@@ -137,106 +189,171 @@ func (e *Engine) extractNodeStreaming(ctx context.Context, node int, iso float32
 	go func() {
 		defer wgProd.Done()
 		defer close(work)
-		seq := 0
-		qstats, qerr = e.trees[node].QueryBatches(dev, iso, opts.BatchRecords, func(batch []byte, nrec int) error {
-			if opts.probeBatches > 0 && seq >= opts.probeBatches {
-				return errProbeDone // calibration probe has seen enough
-			}
-			var buf []byte
+		var cur []byte // the buffer being filled; nil between hand-offs
+		send := func() error {
 			tw := time.Now()
 			select {
-			case buf = <-free:
+			case work <- streamBatch{seq: handoffs, buf: cur}:
 			case <-done:
 				return errPipelineAborted
 			}
-			producerStall += time.Since(tw)
-			buf = buf[:len(batch)]
-			copy(buf, batch)
-			if cur := buffered.Add(int64(len(batch))); cur > peakBuffered.Load() {
-				storeMax(&peakBuffered, cur)
+			producerStall += time.Since(tw) // every slot ahead of the workers is taken
+			handoffs++
+			records += len(cur) / recSize
+			cur = nil
+			return nil
+		}
+		_, qerr = e.trees[node].QueryBatches(dev, iso, opts.BatchRecords, func(batch []byte, nrec int) error {
+			probeDone := false
+			if opts.probeRecords > 0 {
+				if left := opts.probeRecords - records - len(cur)/recSize; nrec >= left {
+					batch, probeDone = batch[:left*recSize], true // calibration probe has seen enough
+				}
 			}
-			tw = time.Now()
-			select {
-			case work <- streamBatch{seq: seq, buf: buf, nrec: nrec}:
-			case <-done:
-				buffered.Add(-int64(len(batch)))
-				return errPipelineAborted
+			for len(batch) > 0 {
+				if cur == nil {
+					tw := time.Now()
+					select {
+					case cur = <-free:
+					case <-done:
+						return errPipelineAborted
+					}
+					producerStall += time.Since(tw)
+				}
+				n := copy(cur[len(cur):cap(cur)], batch)
+				cur, batch = cur[:len(cur)+n], batch[n:]
+				if now := buffered.Add(int64(n)); now > peakBuffered.Load() {
+					storeMax(&peakBuffered, now)
+				}
+				if len(cur) == cap(cur) {
+					if err := send(); err != nil {
+						return err
+					}
+				}
 			}
-			producerStall += time.Since(tw) // blocked on busy workers
-			seq++
+			if probeDone {
+				return errProbeDone
+			}
 			return nil
 		})
+		if len(cur) > 0 && (qerr == nil || errors.Is(qerr, errProbeDone)) {
+			if err := send(); err != nil {
+				qerr = err
+			}
+		}
 		amcWall = time.Since(start)
 	}()
 
-	// Workers: triangulate each batch, recycle its buffer, and keep the
-	// per-batch outputs for the ordered merge. A decode failure aborts the
-	// pipeline: done unblocks the producer, the producer closes work, and the
-	// remaining workers drain and exit — no goroutine outlives this call.
-	outs := make([][]batchOutput, threads)
+	// Workers: weld each batch into a ring mesh, recycle the record buffer,
+	// and hand the mesh to the merger. A decode failure aborts the pipeline:
+	// done unblocks the producer and every worker waiting for a mesh, the
+	// producer closes work, and the last worker out closes outs — no
+	// goroutine outlives this call.
 	werrs := make([]error, threads)
 	busy := make([]time.Duration, threads)  // per-worker triangulation time
-	stall := make([]time.Duration, threads) // per-worker time blocked on an empty pipeline
+	stall := make([]time.Duration, threads) // per-worker time blocked on the merger or an empty pipeline
 	var decode []int64                      // per-worker decode nanoseconds, traced runs only
 	if opts.Trace {
 		decode = make([]int64, threads)
 	}
-	var wgWork sync.WaitGroup
+	var live atomic.Int32
+	live.Store(int32(threads))
 	for t := 0; t < threads; t++ {
-		wgWork.Add(1)
 		go func(t int) {
-			defer wgWork.Done()
+			defer func() {
+				if live.Add(-1) == 0 {
+					close(outs)
+				}
+			}()
 			var m metacell.Meta
 			var w march.Welder
 			var decodeNS *int64
 			if opts.Trace {
 				decodeNS = &decode[t]
 			}
-			scratch := &geom.IndexedMesh{} // reused every batch when meshes are discarded
 			for {
 				tw := time.Now()
+				var im *geom.IndexedMesh
+				select {
+				case im = <-ring:
+				case <-done:
+					return
+				}
 				sb, ok := <-work
 				stall[t] += time.Since(tw)
 				if !ok {
 					return
 				}
 				tb := time.Now()
-				im := scratch
-				if opts.KeepMeshes {
-					// Batch meshes survive until the ordered merge, so they
-					// cannot be per-worker scratch; the engine-level pool
-					// amortizes them across extractions instead.
-					im = e.getBatchMesh()
-				}
 				im.Reset()
-				cells, err := weldBatch(e.Layout, sb.buf, sb.nrec, recSize, iso, &w, &m, im, decodeNS)
+				cells, err := weldBatch(e.Layout, sb.buf, len(sb.buf)/recSize, recSize, iso, &w, &m, im, decodeNS)
 				batchDur := time.Since(tb)
 				busy[t] += batchDur
 				if e.met != nil {
 					e.met.batchWeld.Observe(batchDur)
 				}
 				buffered.Add(-int64(len(sb.buf)))
-				free <- sb.buf[:cap(sb.buf)]
+				free <- sb.buf[:0]
 				if err != nil {
 					werrs[t] = fmt.Errorf("cluster: node %d decode: %w", node, err)
-					if opts.KeepMeshes {
-						e.meshPool.Put(im)
-					}
 					abort()
 					return
 				}
-				out := batchOutput{seq: sb.seq, cells: cells, tris: im.Len()}
-				if opts.KeepMeshes {
-					out.mesh = im
-				}
-				outs[t] = append(outs[t], out)
+				outs <- batchOutput{seq: sb.seq, cells: cells, tris: im.Len(), mesh: im}
 			}
 		}(t)
 	}
 
+	// Merger. Counts add up in any order; with KeepMeshes the batch meshes go
+	// through pending, which holds the ones that arrived ahead of their turn
+	// (only Threads > 1 ever reorders), and each is expanded into the staging
+	// soup and handed back to the ring the moment its predecessors have been.
+	// After an abort the awaited batch may never come: what is pending then
+	// stays put until the scratch is reused.
+	var mergeWait, mergeExpand, mergeCopy time.Duration
+	pending := make(map[int]*geom.IndexedMesh)
+	next := 0
+	for {
+		tw := time.Now()
+		o, ok := <-outs
+		tr := time.Now()
+		mergeWait += tr.Sub(tw)
+		if !ok {
+			break
+		}
+		nr.ActiveCells += o.cells
+		nr.Triangles += o.tris
+		if !opts.KeepMeshes {
+			ring <- o.mesh
+			continue
+		}
+		pending[o.seq] = o.mesh
+		for im := pending[next]; im != nil; im = pending[next] {
+			delete(pending, next)
+			im.ExpandInto(&sc.stage)
+			ring <- im
+			next++
+		}
+		mergeExpand += time.Since(tr)
+	}
 	wgProd.Wait()
-	wgWork.Wait()
-	wall := time.Since(start)
+
+	nr.PipelineWall = time.Since(start)
+	nr.ActiveMetacells = records
+	nr.Batches = handoffs
+	nr.AMCWall = amcWall - producerStall // producer busy time: query + batch copies
+	for _, b := range busy {
+		if b > nr.TriWall {
+			nr.TriWall = b // slowest worker's triangulation busy time
+		}
+	}
+	nr.IOStats = dev.Stats().Sub(ioBefore)
+	nr.IOModelTime = e.Disk.Time(nr.IOStats)
+	nr.PeakBufferedBytes = peakBuffered.Load()
+	nr.ProducerStall = producerStall
+	for _, s := range stall {
+		nr.ConsumerStall += s
+	}
 
 	if err := ctx.Err(); err != nil {
 		return nr, err
@@ -250,46 +367,15 @@ func (e *Engine) extractNodeStreaming(ctx context.Context, node int, iso float32
 		return nr, fmt.Errorf("cluster: node %d query: %w", node, qerr)
 	}
 
-	nr.ActiveMetacells = qstats.ActiveMetacells
-	nr.Batches = qstats.Batches
-	nr.AMCWall = amcWall - producerStall // producer busy time: query + batch copies
-	for _, b := range busy {
-		if b > nr.TriWall {
-			nr.TriWall = b // slowest worker's triangulation busy time
-		}
-	}
-	nr.PipelineWall = wall
-	nr.IOStats = dev.Stats().Sub(ioBefore)
-	nr.IOModelTime = e.Disk.Time(nr.IOStats)
-	nr.PeakBufferedBytes = peakBuffered.Load()
-	nr.ProducerStall = producerStall
-	for _, s := range stall {
-		nr.ConsumerStall += s
-	}
-
-	// Ordered merge: batch seq order is record order, so the concatenated
-	// mesh matches the two-phase schedule's exactly. Triangle counts are
-	// summed first and the output grown once, so each batch's welded mesh
-	// expands directly into its final position — a single copy.
-	mergeStart := time.Since(start)
-	var all []batchOutput
-	for _, o := range outs {
-		all = append(all, o...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].seq < all[j].seq })
-	for _, o := range all {
-		nr.ActiveCells += o.cells
-		nr.Triangles += o.tris
-	}
 	if opts.KeepMeshes {
-		mesh := &geom.Mesh{}
-		mesh.Grow(nr.Triangles)
-		for _, o := range all {
-			o.mesh.ExpandInto(mesh)
-			o.mesh.Reset()
-			e.meshPool.Put(o.mesh)
-		}
-		nr.Mesh = mesh
+		// Copy-out: allocation and copy in one pass, exactly the soup's
+		// length, so the staging buffer goes back to the engine.
+		tc := time.Now()
+		nr.Mesh = &geom.Mesh{Tris: append([]geom.Triangle(nil), sc.stage.Tris...)}
+		mergeCopy = time.Since(tc)
+	}
+	if e.met != nil {
+		e.met.merge.Observe(mergeExpand + mergeCopy)
 	}
 
 	if opts.Trace {
@@ -318,10 +404,11 @@ func (e *Engine) extractNodeStreaming(ctx context.Context, node int, iso float32
 				obs.Span{Lane: lane, Name: "decode", Start: stall[t], Dur: dec},
 				obs.Span{Lane: lane, Name: "march/weld", Start: stall[t] + dec, Dur: weld})
 		}
-		nr.spans = append(nr.spans, obs.Span{
-			Lane: fmt.Sprintf("n%d", node), Name: "merge",
-			Start: mergeStart, Dur: time.Since(start) - mergeStart,
-		})
+		merge := fmt.Sprintf("n%d/merge", node)
+		nr.spans = append(nr.spans,
+			obs.Span{Lane: merge, Name: "wait", Start: 0, Dur: mergeWait},
+			obs.Span{Lane: merge, Name: "expand", Start: mergeWait, Dur: mergeExpand},
+			obs.Span{Lane: merge, Name: "copy-out", Start: mergeWait + mergeExpand, Dur: mergeCopy})
 	}
 	return nr, nil
 }

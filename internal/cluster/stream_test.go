@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/blockio"
+	"repro/internal/geom"
 )
 
 // schedules names the streaming schedule and its two-phase reference, for
@@ -178,16 +179,7 @@ func TestStreamingFaultAbortsWithoutLeaks(t *testing.T) {
 			t.Fatalf("error should wrap the injected fault, got: %v", err)
 		}
 	}
-	// Pipeline goroutines exit before Extract returns; allow the runtime a
-	// moment to retire them before comparing.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Errorf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
+	waitGoroutines(t, before)
 }
 
 // TestExtractCancellation checks the context path end to end: an
@@ -224,27 +216,24 @@ func TestExtractCancellation(t *testing.T) {
 			t.Fatalf("trial %d: error %v does not wrap context.Canceled", trial, err)
 		}
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Errorf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
+	waitGoroutines(t, before)
 }
 
 // TestExtractConcurrentSameEngine runs many concurrent extractions against
 // one shared engine — the serving layer's access pattern — and checks results
-// stay correct and deterministic under -race.
+// stay correct and deterministic under -race. The extractions keep their
+// meshes and ask for different surfaces, so two of them sharing a staging
+// soup or a ring mesh would hand one the other's triangles.
 func TestExtractConcurrentSameEngine(t *testing.T) {
-	e, err := Build(rmGrid(), Config{Procs: 2, CacheBlocks: 512})
+	cfg := Config{Procs: 2, CacheBlocks: 512}
+	e, err := Build(rmGrid(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := e.Extract(context.Background(), 128, Options{})
-	if err != nil {
-		t.Fatal(err)
+	isos := []float32{100, 128, 150}
+	want := make([][]*geom.Mesh, len(isos))
+	for i, iso := range isos {
+		want[i] = meshesOf(t, rmGrid(), cfg, iso)
 	}
 	const workers = 8
 	var wg sync.WaitGroup
@@ -254,14 +243,14 @@ func TestExtractConcurrentSameEngine(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 4; i++ {
-				res, err := e.Extract(context.Background(), 128, Options{})
+				k := (w + i) % len(isos)
+				res, err := e.Extract(context.Background(), isos[k], Options{KeepMeshes: true, BatchRecords: 4})
 				if err != nil {
 					errs[w] = err
 					return
 				}
-				if res.Active != want.Active || res.Triangles != want.Triangles {
-					errs[w] = fmt.Errorf("worker %d: %d/%d active/triangles, want %d/%d",
-						w, res.Active, res.Triangles, want.Active, want.Triangles)
+				if err := sameMeshes(res, want[k]); err != nil {
+					errs[w] = fmt.Errorf("worker %d, iso %v: %w", w, isos[k], err)
 					return
 				}
 			}
@@ -272,5 +261,9 @@ func TestExtractConcurrentSameEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+	}
+	// One scratch per node-extraction that ever ran at once, and no more.
+	if n := len(e.scratch); n < e.Procs || n > workers*e.Procs {
+		t.Errorf("engine retains %d scratches after %d concurrent extractions on %d nodes", n, workers, e.Procs)
 	}
 }

@@ -14,11 +14,17 @@ import (
 const laneEps = 2 * time.Millisecond
 
 func TestTraceStreamingProperty(t *testing.T) {
+	for _, keep := range []bool{false, true} {
+		t.Run(fmt.Sprintf("KeepMeshes=%v", keep), func(t *testing.T) { traceStreamingProperty(t, keep) })
+	}
+}
+
+func traceStreamingProperty(t *testing.T, keep bool) {
 	e, err := Build(rmGrid(), Config{Procs: 2, ThreadsPerNode: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Extract(context.Background(), 150, Options{Trace: true})
+	res, err := e.Extract(context.Background(), 150, Options{Trace: true, KeepMeshes: keep})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,15 +36,15 @@ func TestTraceStreamingProperty(t *testing.T) {
 		t.Errorf("Trace.Wall = %v, want Result.Wall %v", tr.Wall, res.Wall)
 	}
 
-	// Every pipeline actor shows up: producer, each worker, and the merge
-	// lane, per node.
+	// Every pipeline actor shows up: producer, each worker, and the merger,
+	// per node.
 	lanes := tr.Lanes()
 	for node := 0; node < e.Procs; node++ {
 		for _, want := range []string{
 			fmt.Sprintf("n%d/prod", node),
 			fmt.Sprintf("n%d/w0", node),
 			fmt.Sprintf("n%d/w1", node),
-			fmt.Sprintf("n%d", node),
+			fmt.Sprintf("n%d/merge", node),
 		} {
 			found := false
 			for _, l := range lanes {
@@ -90,6 +96,21 @@ func TestTraceStreamingProperty(t *testing.T) {
 		}
 		if got := res.PerNode[node].AMCWall + res.PerNode[node].ProducerStall; sum != got {
 			t.Errorf("lane %q durations sum to %v, want AMCWall+ProducerStall = %v", lane, sum, got)
+		}
+	}
+
+	// The merger lane is wait, expand, copy-out, in that order; an extraction
+	// that keeps no mesh has nothing to expand or copy.
+	for node := 0; node < e.Procs; node++ {
+		var names []string
+		for _, sp := range tr.LaneSpans(fmt.Sprintf("n%d/merge", node)) {
+			names = append(names, sp.Name)
+			if sp.Name != "wait" && (sp.Dur != 0) != keep {
+				t.Errorf("node %d: merger span %q lasts %v with KeepMeshes=%v", node, sp.Name, sp.Dur, keep)
+			}
+		}
+		if got := strings.Join(names, ","); got != "wait,expand,copy-out" {
+			t.Errorf("node %d: merger lane is %q, want wait,expand,copy-out", node, got)
 		}
 	}
 

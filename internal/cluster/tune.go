@@ -16,10 +16,13 @@ type TunedParams struct {
 	Wall   time.Duration // total calibration time
 }
 
-// probeBatchCount bounds each calibration probe: the producer stops after
-// this many batches, so a probe costs a fixed slice of one node's work
-// regardless of isosurface size.
-const probeBatchCount = 24
+// probeRecordCount bounds each calibration probe: the producer stops once it
+// has delivered this many records to the workers, so a probe costs a fixed
+// slice of one node's work regardless of isosurface size and of the
+// BatchRecords candidate being scored. The bound is in records, not batches,
+// because hand-offs are full batches: 2048 records are two hand-offs at the
+// largest candidate and 32 at the smallest.
+const probeRecordCount = 2048
 
 // batchRecordCands and pipelineDepthCands are the tuner's search grid around
 // the defaults (spanning 16× in batch granularity and 4× in buffering).
@@ -29,10 +32,10 @@ var (
 )
 
 // AutoTune calibrates the streaming pipeline for this engine on this host:
-// short probe extractions on node 0 — each limited to probeBatchCount batches
-// — measure delivered records/sec while a staged hill-climb walks Threads
-// (bounded by this node's share of GOMAXPROCS), then BatchRecords, then
-// PipelineDepth. The result is cached on the engine, so concurrent and
+// short probe extractions on node 0 — each limited to probeRecordCount
+// records — measure delivered records/sec while a staged hill-climb walks
+// Threads (bounded by this node's share of GOMAXPROCS), then BatchRecords,
+// then PipelineDepth. The result is cached on the engine, so concurrent and
 // repeated extractions with Options.AutoTune pay for calibration once.
 //
 // The stall times the pipeline already reports drive the intuition here: a
@@ -66,7 +69,7 @@ func (e *Engine) AutoTune(ctx context.Context, iso float32) (TunedParams, error)
 			Threads:       threads,
 			BatchRecords:  batch,
 			PipelineDepth: depth,
-			probeBatches:  probeBatchCount,
+			probeRecords:  probeRecordCount,
 		}
 		nr, err := e.extractNodeStreaming(ctx, 0, iso, opts.applyDefaults())
 		if err != nil {

@@ -47,8 +47,8 @@ func TestWeldBatchZeroAllocSteadyState(t *testing.T) {
 }
 
 // TestAutoTuneExtract checks the calibrated extraction: valid parameters
-// within the host budget, results identical to an untuned run, and the
-// calibration pass cached after the first use.
+// within the host budget, results identical to an untuned run, probes bounded
+// in records, and the calibration pass cached and reported after the first use.
 func TestAutoTuneExtract(t *testing.T) {
 	e, err := Build(rmGrid(), Config{Procs: 2})
 	if err != nil {
@@ -93,6 +93,25 @@ func TestAutoTuneExtract(t *testing.T) {
 	for n := range ref.PerNode {
 		if !slices.Equal(tuned.PerNode[n].Mesh.Tris, ref.PerNode[n].Mesh.Tris) {
 			t.Errorf("node %d: tuned mesh differs from untuned", n)
+		}
+	}
+
+	// A probe is a fixed slice of one node's work: it delivers its record
+	// bound and not one more, in full batches, whichever BatchRecords
+	// candidate it scores (a bound in batches would let the 1024-record
+	// candidate run the whole extraction).
+	full := ref.PerNode[0].ActiveMetacells
+	for _, br := range batchRecordCands {
+		for _, bound := range []int{probeRecordCount, full - 1, 10, 1} {
+			nr, err := e.extractNodeStreaming(ctx, 0, iso, Options{BatchRecords: br, probeRecords: bound}.applyDefaults())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := min(bound, full)
+			if nr.ActiveMetacells != want || nr.Batches != (want+br-1)/br {
+				t.Errorf("probe of %d records at BatchRecords %d: delivered %d in %d batches, want %d in %d",
+					bound, br, nr.ActiveMetacells, nr.Batches, want, (want+br-1)/br)
+			}
 		}
 	}
 

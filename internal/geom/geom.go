@@ -7,7 +7,10 @@
 // both sufficient and half the memory traffic.
 package geom
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Vec3 is a 3-component single-precision vector.
 type Vec3 struct {
@@ -96,9 +99,9 @@ type Mesh struct {
 // Append adds triangles to the mesh.
 func (m *Mesh) Append(ts ...Triangle) { m.Tris = append(m.Tris, ts...) }
 
-// Grow ensures capacity for at least n more triangles, so a known-size bulk
-// append (the pipeline's ordered merge, a metacell's worth of cells) pays one
-// allocation instead of the doubling walk.
+// Grow ensures capacity for at least n more triangles, exactly, so a
+// known-size bulk append (the two-phase merge, a metacell's worth of cells)
+// pays one allocation of the final size instead of append's growth walk.
 func (m *Mesh) Grow(n int) {
 	if need := len(m.Tris) + n; need > cap(m.Tris) {
 		grown := make([]Triangle, len(m.Tris), need)
@@ -174,17 +177,18 @@ func (im *IndexedMesh) ExpandSoup() *Mesh {
 	return out
 }
 
-// ExpandInto appends the indexed mesh's triangles to dst, growing it once.
-// This is the single-copy path of the pipeline's ordered merge: per-batch
-// indexed meshes expand straight into the preallocated final soup.
+// ExpandInto appends the indexed mesh's triangles to dst. A dst with room
+// (Grow'n to a known total, or a warmed-up staging buffer) is written in
+// place; one without grows the way append does, so expanding batch after
+// batch into an unsized mesh copies a constant factor of the result, not its
+// square. The triangles are stored by index into the pre-sliced tail of dst.
 func (im *IndexedMesh) ExpandInto(dst *Mesh) {
-	dst.Grow(im.Len())
-	for i := 0; i+2 < len(im.Idx); i += 3 {
-		dst.Tris = append(dst.Tris, Triangle{
-			A: im.Verts[im.Idx[i]],
-			B: im.Verts[im.Idx[i+1]],
-			C: im.Verts[im.Idx[i+2]],
-		})
+	n := im.Len()
+	base := len(dst.Tris)
+	dst.Tris = slices.Grow(dst.Tris, n)[:base+n]
+	out, verts, idx := dst.Tris[base:], im.Verts, im.Idx[:3*n]
+	for i := range out {
+		out[i] = Triangle{A: verts[idx[3*i]], B: verts[idx[3*i+1]], C: verts[idx[3*i+2]]}
 	}
 }
 

@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -170,5 +171,68 @@ func TestNewellNormal(t *testing.T) {
 	}
 	if !almostEq(n.Len()/2, 1, 1e-6) {
 		t.Errorf("Newell magnitude/2 = %v, want polygon area 1", n.Len()/2)
+	}
+}
+
+// TestExpandIntoAmortized expands many small welded batches into one soup the
+// three ways the pipeline does: into an unsized mesh (a staging buffer's
+// first fill — growth must be amortized, not one exact reallocation per
+// batch), into a mesh grown to the known total, and in one shot.
+func TestExpandIntoAmortized(t *testing.T) {
+	const batches = 1000
+	batch := func(b int) *IndexedMesh {
+		f := float32(b)
+		return &IndexedMesh{
+			Verts: []Vec3{V(f, 0, 0), V(f, 1, 0), V(f, 0, 1), V(f, 1, 1)},
+			Idx:   []uint32{0, 1, 2, 2, 1, 3, 3, 0, 2},
+		}
+	}
+	var all []*IndexedMesh
+	whole := &IndexedMesh{} // every batch welded into one mesh, indices rebased
+	for b := 0; b < batches; b++ {
+		im := batch(b)
+		all = append(all, im)
+		base := uint32(whole.NumVerts())
+		whole.Verts = append(whole.Verts, im.Verts...)
+		for _, i := range im.Idx {
+			whole.Idx = append(whole.Idx, base+i)
+		}
+	}
+	want := whole.ExpandSoup()
+	if want.Len() != 3*batches {
+		t.Fatalf("one-shot expansion has %d triangles, want %d", want.Len(), 3*batches)
+	}
+	if got := testing.AllocsPerRun(5, func() { whole.ExpandSoup() }); got > 2 {
+		t.Errorf("ExpandSoup allocates %v times, want the mesh and its triangles", got)
+	}
+
+	var staged Mesh
+	allocs := testing.AllocsPerRun(5, func() {
+		staged = Mesh{}
+		for _, im := range all {
+			im.ExpandInto(&staged)
+		}
+	})
+	// append's growth is geometric, at least 1.25× a step: ~40 steps to 3000
+	// triangles, where exact growth pays one reallocation per batch.
+	if allocs > 50 {
+		t.Errorf("expanding %d batches into an unsized mesh allocates %v times, want O(log n)", batches, allocs)
+	}
+	if !slices.Equal(staged.Tris, want.Tris) {
+		t.Error("batch-by-batch expansion differs from the one-shot expansion")
+	}
+
+	var sized Mesh
+	sized.Grow(want.Len())
+	if got := testing.AllocsPerRun(5, func() {
+		sized.Tris = sized.Tris[:0]
+		for _, im := range all {
+			im.ExpandInto(&sized)
+		}
+	}); got != 0 {
+		t.Errorf("expanding into a mesh grown to the total allocates %v times, want 0", got)
+	}
+	if !slices.Equal(sized.Tris, want.Tris) {
+		t.Error("expansion into a pre-grown mesh differs from the one-shot expansion")
 	}
 }

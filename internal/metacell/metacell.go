@@ -189,15 +189,24 @@ func DecodeRecord(l Layout, rec []byte) (Meta, error) {
 // length. The sample loops are specialized per scalar format — the format is
 // fixed for a layout, so the hot path must not re-dispatch on it once per
 // sample.
+//
+// Records come from disk, so one that does not belong to the layout is an
+// error, never a guess: the wrong size, or an ID outside the metacell grid —
+// which the triangulator would place outside the volume and silently drop. m
+// is written in full or, on error, not at all.
 func DecodeRecordInto(l Layout, rec []byte, m *Meta) error {
 	if len(rec) != l.RecordSize() {
 		return fmt.Errorf("metacell: record size %d, layout wants %d", len(rec), l.RecordSize())
+	}
+	id := binary.LittleEndian.Uint32(rec)
+	if int64(id) >= int64(l.Count()) {
+		return fmt.Errorf("metacell: record names metacell %d, layout has %d", id, l.Count())
 	}
 	n := l.Span * l.Span * l.Span
 	if len(m.Samples) != n {
 		m.Samples = make([]float32, n)
 	}
-	m.ID = binary.LittleEndian.Uint32(rec)
+	m.ID = id
 	m.VMin = getScalar(rec[4:], l.Fmt)
 	w := l.Fmt.Bytes()
 	body := rec[4+w : 4+w+n*w]

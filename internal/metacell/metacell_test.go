@@ -1,6 +1,7 @@
 package metacell
 
 import (
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 
@@ -184,6 +185,14 @@ func TestDecodeRecordIntoReuse(t *testing.T) {
 	}
 	if err := DecodeRecordInto(l, []byte{1, 2, 3}, &m); err == nil {
 		t.Error("short record should fail")
+	}
+	// A record naming a metacell outside the grid is rejected, not decoded
+	// into a metacell the triangulator would silently drop.
+	stray := append([]byte(nil), cells[0].Record...)
+	binary.LittleEndian.PutUint32(stray, uint32(l.Count()))
+	before := m.ID
+	if err := DecodeRecordInto(l, stray, &m); err == nil || m.ID != before {
+		t.Errorf("record for metacell %d of %d: err = %v, Meta.ID %d -> %d", l.Count(), l.Count(), err, before, m.ID)
 	}
 }
 
