@@ -18,7 +18,6 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"repro/internal/blockio"
 	"repro/internal/cluster"
 	"repro/internal/geom"
 	"repro/internal/meshio"
@@ -40,7 +39,7 @@ func main() {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	eng, err := cluster.Open(*data, 0, blockio.DiskModel{})
+	eng, err := cluster.Open(*data)
 	if err != nil {
 		log.Fatal(err)
 	}

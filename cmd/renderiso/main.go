@@ -21,7 +21,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/blockio"
 	"repro/internal/cluster"
 	"repro/internal/composite"
 	"repro/internal/render"
@@ -54,7 +53,7 @@ func main() {
 	var eng *cluster.Engine
 	var err error
 	if *data != "" {
-		eng, err = cluster.Open(*data, 0, blockio.DiskModel{})
+		eng, err = cluster.Open(*data)
 	} else {
 		g := volume.RichtmyerMeshkov(*nx, *ny, *nz, *step, *seed)
 		eng, err = cluster.Build(g, cluster.Config{Procs: *procs})

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/blockio"
 	"repro/internal/cluster"
 	"repro/internal/march"
 )
@@ -42,7 +41,7 @@ func TestFullWorkflow(t *testing.T) {
 	}
 
 	// 3. Reopen (CRC-verified) and extract.
-	reopened, err := cluster.Open(dataDir, 0, blockio.DiskModel{})
+	reopened, err := cluster.Open(dataDir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,11 +35,6 @@ type Config struct {
 	Procs int
 	// Span is the metacell edge length in samples; 0 means the paper's 9.
 	Span int
-	// BlockSize is the simulated disk block size; 0 means 8 KB.
-	BlockSize int
-	// Disk is the cost model for reported I/O times; the zero value selects
-	// the paper's 50 MB/s disk.
-	Disk blockio.DiskModel
 	// Dir, when non-empty, stores each node's brick data in a real file
 	// under Dir (node-0.bricks, …) instead of memory.
 	Dir string
@@ -50,7 +45,7 @@ type Config struct {
 	// triangulation. The paper's nodes are 2-way SMPs; 0 means 1.
 	ThreadsPerNode int
 	// CacheBlocks, when > 0, wraps each node's disk (outside WrapDevice) in
-	// an LRU cache of that many BlockSize blocks, so repeated sweeps —
+	// an LRU cache of that many 8 KB blocks, so repeated sweeps —
 	// animation, time-varying browsing, isovalue scans — serve hot index and
 	// brick blocks from memory. Stats report the hits and misses.
 	CacheBlocks int
@@ -68,12 +63,6 @@ func (c *Config) applyDefaults() error {
 	if c.Span == 0 {
 		c.Span = metacell.DefaultSpan
 	}
-	if c.BlockSize == 0 {
-		c.BlockSize = blockio.DefaultBlockSize
-	}
-	if c.Disk == (blockio.DiskModel{}) {
-		c.Disk = blockio.DefaultDiskModel()
-	}
 	return nil
 }
 
@@ -83,8 +72,14 @@ func (c *Config) applyDefaults() error {
 type Engine struct {
 	Procs   int
 	Layout  metacell.Layout
-	Disk    blockio.DiskModel
-	Threads int // triangulation threads per node
+	Disk    blockio.DiskModel // the paper's 50 MB/s disk: the cost model behind every reported I/O time
+	Threads int               // triangulation threads per node
+
+	// batchRecords and pipelineDepth size every node's pipeline (see
+	// DefaultBatchRecords). They are engine state rather than constants read
+	// in place only so the in-package pipeline tests can run 1-record batches
+	// and odd depths on an engine of their own.
+	batchRecords, pipelineDepth int
 
 	trees []*core.Tree
 	devs  []blockio.Device
@@ -95,11 +90,6 @@ type Engine struct {
 	// it, or the next extraction re-grows every mesh on its critical path.
 	scratchMu sync.Mutex
 	scratch   []*pipeScratch
-
-	// Auto-tuner state: the calibrated parameters, computed once per engine
-	// on first AutoTune use (see tune.go).
-	tuneMu sync.Mutex
-	tuned  *TunedParams
 
 	// met holds the pre-resolved metric handles when the engine is
 	// instrumented (Config.Metrics or EnableMetrics); nil records nothing.
@@ -156,8 +146,10 @@ func buildFromCells(l metacell.Layout, cells []metacell.Cell, cfg Config) (*Engi
 	e := &Engine{
 		Procs:            cfg.Procs,
 		Layout:           l,
-		Disk:             cfg.Disk,
+		Disk:             blockio.DefaultDiskModel(),
 		Threads:          threads,
+		batchRecords:     DefaultBatchRecords,
+		pipelineDepth:    DefaultPipelineDepth,
 		TotalMetacells:   len(cells),
 		DroppedMetacells: l.Count() - len(cells),
 	}
@@ -187,12 +179,12 @@ func buildFromCells(l metacell.Layout, cells []metacell.Cell, cfg Config) (*Engi
 	for i, w := range ws {
 		e.DataBytes += w.Offset()
 		if cfg.Dir == "" {
-			e.devs[i] = blockio.NewStore(w.Bytes(), cfg.BlockSize)
+			e.devs[i] = blockio.NewStore(w.Bytes(), blockio.DefaultBlockSize)
 		} else {
 			if err := w.Close(); err != nil {
 				return nil, err
 			}
-			dev, err := blockio.OpenFile(nodePath(cfg.Dir, i), cfg.BlockSize)
+			dev, err := blockio.OpenFile(nodePath(cfg.Dir, i), blockio.DefaultBlockSize)
 			if err != nil {
 				return nil, err
 			}
@@ -202,7 +194,7 @@ func buildFromCells(l metacell.Layout, cells []metacell.Cell, cfg Config) (*Engi
 			e.devs[i] = cfg.WrapDevice(i, e.devs[i])
 		}
 		if cfg.CacheBlocks > 0 {
-			e.devs[i] = blockio.NewCache(e.devs[i], cfg.BlockSize, cfg.CacheBlocks)
+			e.devs[i] = blockio.NewCache(e.devs[i], blockio.DefaultBlockSize, cfg.CacheBlocks)
 		}
 	}
 	e.EnableMetrics(cfg.Metrics)
@@ -264,8 +256,8 @@ type NodeResult struct {
 
 	// Streaming-pipeline statistics (zero in two-phase mode).
 	PipelineWall      time.Duration // elapsed time of the overlapped pipeline, up to the merged soup's copy-out
-	Batches           int           // pipeline hand-offs: batches of up to BatchRecords records the producer sent the workers
-	PeakBufferedBytes int64         // max record bytes buffered at once, ≤ PipelineDepth×BatchRecords×recSize
+	Batches           int           // pipeline hand-offs: batches of up to DefaultBatchRecords records the producer sent the workers
+	PeakBufferedBytes int64         // max record bytes buffered at once, ≤ DefaultPipelineDepth×DefaultBatchRecords×recSize
 	ProducerStall     time.Duration // producer time blocked on a full pipeline
 	ConsumerStall     time.Duration // worker time blocked on an empty pipeline, or on the merger for a batch mesh
 
@@ -283,7 +275,6 @@ type Result struct {
 	Wall      time.Duration // measured wall time of the whole parallel phase
 	Active    int           // total active metacells
 	Triangles int           // total triangles
-	Tuned     *TunedParams  // the calibrated parameters used (nil unless Options.AutoTune)
 	Trace     *obs.Trace    // per-stage spans of every node (nil unless Options.Trace)
 }
 
@@ -313,9 +304,16 @@ func (r *Result) Meshes() ([]*geom.Mesh, error) {
 	return meshes, nil
 }
 
-// Pipeline sizing defaults: with the paper's ~1 KB metacell records, four
-// buffered batches of 256 records bound each node's staging memory near
-// 1 MB regardless of how many metacells the isosurface touches.
+// Pipeline sizing: the producer packs consecutive query emissions into one
+// buffer and hands it over when it holds DefaultBatchRecords records, so only
+// an extraction's last batch runs short; DefaultPipelineDepth such buffers
+// circulate between the producer and the triangulation workers, which is also
+// how many full batches the producer may run ahead. With the paper's ~1 KB
+// metacell records that bounds each node's record staging near 1 MB
+// (depth × batch × recordSize) however many metacells the isosurface touches,
+// and the welded batches held for the ordered merge at Threads + depth. These
+// are constants, not options: with full-batch hand-offs extraction time does
+// not measurably depend on them (DESIGN.md §3).
 const (
 	DefaultBatchRecords  = 256
 	DefaultPipelineDepth = 4
@@ -326,46 +324,12 @@ type Options struct {
 	// KeepMeshes retains each node's triangle mesh in its NodeResult (needed
 	// for rendering; large for big isosurfaces).
 	KeepMeshes bool
-	// BatchRecords is the number of metacell records per pipeline hand-off:
-	// the producer packs consecutive query emissions into one buffer and
-	// sends it when it holds this many, so only an extraction's last batch
-	// runs short (0 = DefaultBatchRecords).
-	BatchRecords int
-	// PipelineDepth is the number of batch buffers circulating between the
-	// query producer and the triangulation workers, and how many full
-	// batches the producer may run ahead of them; it bounds each node's peak
-	// record staging at PipelineDepth×BatchRecords×recordSize bytes, and the
-	// welded batches held for the ordered merge at Threads+PipelineDepth
-	// (0 = DefaultPipelineDepth).
-	PipelineDepth int
-	// Threads overrides the engine's per-node triangulation thread count for
-	// this extraction (0 = the engine's configured ThreadsPerNode).
-	Threads int
-	// AutoTune calibrates Threads, BatchRecords, and PipelineDepth with a
-	// short probe pass before extracting (see Engine.AutoTune). The chosen
-	// values override any set here, are reported in Result.Tuned, and are
-	// cached on the engine so only the first extraction pays for calibration.
-	AutoTune bool
 	// Trace records a per-stage span trace of the extraction (index query +
 	// block read, stalls, decode, march/weld, merge expand and copy-out — one
 	// lane per pipeline actor) into Result.Trace, renderable with
 	// Trace.Waterfall. Tracing costs two extra clock reads per record, so it
 	// is per-request opt-in, not an always-on metric.
 	Trace bool
-
-	// probeRecords, when > 0, stops the streaming producer once it has
-	// delivered that many records — the auto-tuner's calibration hook.
-	probeRecords int
-}
-
-func (o Options) applyDefaults() Options {
-	if o.BatchRecords <= 0 {
-		o.BatchRecords = DefaultBatchRecords
-	}
-	if o.PipelineDepth <= 0 {
-		o.PipelineDepth = DefaultPipelineDepth
-	}
-	return o
 }
 
 // Extract runs the isosurface query on all nodes in parallel. Each node
@@ -389,30 +353,13 @@ func (e *Engine) Extract(ctx context.Context, iso float32, opts Options) (*Resul
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	var tuned *TunedParams
-	if opts.AutoTune {
-		tp, err := e.AutoTune(ctx, iso)
-		if err != nil {
-			return nil, err
-		}
-		opts.Threads = tp.Threads
-		opts.BatchRecords = tp.BatchRecords
-		opts.PipelineDepth = tp.PipelineDepth
-		tuned = &tp
-	}
-	res, err := e.extract(ctx, iso, opts, e.extractNodeStreaming)
-	if err != nil {
-		return nil, err
-	}
-	res.Tuned = tuned
-	return res, nil
+	return e.extract(ctx, iso, opts, e.extractNodeStreaming)
 }
 
 // extract fans one per-node schedule out across the nodes and gathers the
 // result; Extract and the ExtractTwoPhase reference differ only in nodeFn.
 func (e *Engine) extract(ctx context.Context, iso float32, opts Options,
 	nodeFn func(ctx context.Context, node int, iso float32, opts Options) (NodeResult, error)) (*Result, error) {
-	opts = opts.applyDefaults()
 	res := &Result{Iso: iso, PerNode: make([]NodeResult, e.Procs)}
 	errs := make([]error, e.Procs)
 	start := time.Now()

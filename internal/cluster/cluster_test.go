@@ -258,7 +258,7 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := Open(dir, 0, blockio.DiskModel{})
+	re, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 }
 
 func TestOpenMissingDir(t *testing.T) {
-	if _, err := Open(t.TempDir(), 0, blockio.DiskModel{}); err == nil {
+	if _, err := Open(t.TempDir()); err == nil {
 		t.Error("missing manifest should fail")
 	}
 }
@@ -427,7 +427,7 @@ func TestOpenDetectsCorruption(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, 0, blockio.DiskModel{}); err == nil {
+	if _, err := Open(dir); err == nil {
 		t.Error("corrupted brick file should fail to open")
 	}
 }
@@ -451,7 +451,7 @@ func TestTimeVaryingSaveOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := OpenTimeVarying(dir, 0, blockio.DiskModel{})
+	re, err := OpenTimeVarying(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +469,7 @@ func TestTimeVaryingSaveOpen(t *testing.T) {
 	if re.Index.NumSteps() != 2 {
 		t.Errorf("index steps = %d", re.Index.NumSteps())
 	}
-	if _, err := OpenTimeVarying(t.TempDir(), 0, blockio.DiskModel{}); err == nil {
+	if _, err := OpenTimeVarying(t.TempDir()); err == nil {
 		t.Error("missing steps manifest should fail")
 	}
 }

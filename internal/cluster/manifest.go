@@ -79,9 +79,8 @@ func (e *Engine) Save(dir string) error {
 	return os.WriteFile(filepath.Join(dir, manifestName), data, 0o644)
 }
 
-// Open reopens a preprocessed dataset saved under dir. blockSize and disk
-// follow Config semantics (zero values select the defaults).
-func Open(dir string, blockSize int, disk blockio.DiskModel) (*Engine, error) {
+// Open reopens a preprocessed dataset saved under dir.
+func Open(dir string) (*Engine, error) {
 	data, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
 		return nil, fmt.Errorf("cluster: reading manifest: %w", err)
@@ -93,16 +92,12 @@ func Open(dir string, blockSize int, disk blockio.DiskModel) (*Engine, error) {
 	if m.Procs <= 0 {
 		return nil, fmt.Errorf("cluster: manifest has %d procs", m.Procs)
 	}
-	if blockSize <= 0 {
-		blockSize = blockio.DefaultBlockSize
-	}
-	if disk == (blockio.DiskModel{}) {
-		disk = blockio.DefaultDiskModel()
-	}
 	e := &Engine{
 		Procs:            m.Procs,
-		Disk:             disk,
+		Disk:             blockio.DefaultDiskModel(),
 		Threads:          1,
+		batchRecords:     DefaultBatchRecords,
+		pipelineDepth:    DefaultPipelineDepth,
 		TotalMetacells:   m.TotalMetacells,
 		DroppedMetacells: m.DroppedMetacells,
 		DataBytes:        m.DataBytes,
@@ -124,7 +119,7 @@ func Open(dir string, blockSize int, disk blockio.DiskModel) (*Engine, error) {
 				return nil, fmt.Errorf("cluster: node %d brick file corrupt (crc %08x, manifest %08x)", i, crc, m.BrickCRC32[i])
 			}
 		}
-		dev, err := blockio.OpenFile(nodePath(dir, i), blockSize)
+		dev, err := blockio.OpenFile(nodePath(dir, i), blockio.DefaultBlockSize)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: opening node %d bricks: %w", i, err)
 		}
@@ -177,7 +172,7 @@ func BuildTimeVaryingDirs(gen func(step int) *volume.Grid, steps []int, cfg Conf
 }
 
 // OpenTimeVarying reopens a time-varying dataset saved by Save.
-func OpenTimeVarying(dir string, blockSize int, disk blockio.DiskModel) (*TimeVaryingEngine, error) {
+func OpenTimeVarying(dir string) (*TimeVaryingEngine, error) {
 	data, err := os.ReadFile(filepath.Join(dir, "steps.json"))
 	if err != nil {
 		return nil, fmt.Errorf("cluster: reading steps manifest: %w", err)
@@ -188,7 +183,7 @@ func OpenTimeVarying(dir string, blockSize int, disk blockio.DiskModel) (*TimeVa
 	}
 	tv := &TimeVaryingEngine{Steps: map[int]*Engine{}}
 	for _, s := range steps {
-		eng, err := Open(stepDir(dir, s), blockSize, disk)
+		eng, err := Open(stepDir(dir, s))
 		if err != nil {
 			return nil, fmt.Errorf("cluster: opening step %d: %w", s, err)
 		}

@@ -81,9 +81,9 @@ func TestStreamingMatchesTwoPhaseGrid(t *testing.T) {
 	for _, threads := range []int{1, 2, 4} {
 		for _, depth := range []int{1, 2, 8} {
 			for _, batch := range []int{1, 7, 64, 1024} {
-				opts := Options{KeepMeshes: true, Threads: threads, PipelineDepth: depth, BatchRecords: batch}
+				sizing{threads: threads, depth: depth, batch: batch}.applyTo(e)
 				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-				res, err := e.Extract(ctx, iso, opts)
+				res, err := e.Extract(ctx, iso, Options{KeepMeshes: true})
 				cancel()
 				if err != nil {
 					t.Fatalf("threads=%d depth=%d batch=%d: %v", threads, depth, batch, err)
@@ -106,8 +106,8 @@ func TestStreamingMatchesTwoPhaseGrid(t *testing.T) {
 // TestPipelineMemoryBounds is the white-box half of the pipeline's memory
 // statement: however a node-extraction ends — drained, cancelled mid-stream,
 // or killed by a disk that fails for good — its record ring never held more
-// than PipelineDepth×BatchRecords×recordSize bytes, and the only batch meshes
-// it ever had are the Threads+PipelineDepth of the ring it borrowed and gave
+// than depth×batch×recordSize bytes, and the only batch meshes
+// it ever had are the threads+depth of the ring it borrowed and gave
 // back.
 func TestPipelineMemoryBounds(t *testing.T) {
 	g := pipeGrid()
@@ -136,15 +136,13 @@ func TestPipelineMemoryBounds(t *testing.T) {
 			}},
 	}
 	for _, end := range endings {
-		for _, shape := range []Options{
-			{Threads: 1, PipelineDepth: 1, BatchRecords: 1},
-			{Threads: 2, PipelineDepth: 2, BatchRecords: 7},
-			{Threads: 3, PipelineDepth: 4, BatchRecords: 64},
+		for _, shape := range []sizing{
+			{threads: 1, depth: 1, batch: 1},
+			{threads: 2, depth: 2, batch: 7},
+			{threads: 3, depth: 4, batch: 64},
 		} {
 			for _, keep := range []bool{false, true} {
-				opts := shape
-				opts.KeepMeshes = keep
-				name := fmt.Sprintf("%s/t%d-d%d-b%d-keep=%v", end.name, opts.Threads, opts.PipelineDepth, opts.BatchRecords, keep)
+				name := fmt.Sprintf("%s/t%d-d%d-b%d-keep=%v", end.name, shape.threads, shape.depth, shape.batch, keep)
 				e, err := Build(g, Config{Procs: 1, WrapDevice: func(_ int, d blockio.Device) blockio.Device {
 					if end.wrap != nil {
 						return end.wrap(d)
@@ -154,14 +152,15 @@ func TestPipelineMemoryBounds(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				shape.applyTo(e)
 				for run := 0; run < 3; run++ {
 					ctx, cancel := end.ctx()
-					nr, err := e.extractNodeStreaming(ctx, 0, 100, opts)
+					nr, err := e.extractNodeStreaming(ctx, 0, 100, Options{KeepMeshes: keep})
 					cancel()
 					if !errors.Is(err, end.want) {
 						t.Fatalf("%s: error %v, want %v", name, err, end.want)
 					}
-					bound := int64(opts.PipelineDepth * opts.BatchRecords * e.Layout.RecordSize())
+					bound := int64(shape.depth * shape.batch * e.Layout.RecordSize())
 					if nr.PeakBufferedBytes > bound {
 						t.Errorf("%s: %d record bytes buffered at once, bound %d", name, nr.PeakBufferedBytes, bound)
 					}
@@ -173,7 +172,7 @@ func TestPipelineMemoryBounds(t *testing.T) {
 				if len(e.scratch) != 1 {
 					t.Fatalf("%s: engine retains %d scratches after sequential runs, want 1", name, len(e.scratch))
 				}
-				if got, ring := len(e.scratch[0].meshes), opts.Threads+opts.PipelineDepth; got != ring {
+				if got, ring := len(e.scratch[0].meshes), shape.threads+shape.depth; got != ring {
 					t.Errorf("%s: %d batch meshes exist, want the ring's %d", name, got, ring)
 				}
 			}
@@ -226,7 +225,8 @@ func TestAbortedKeepMeshesLeavesEngineClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{KeepMeshes: true, BatchRecords: 4, PipelineDepth: 2}
+	sizing{threads: 2, batch: 4, depth: 2}.applyTo(e)
+	opts := Options{KeepMeshes: true}
 	check := func(after string) {
 		t.Helper()
 		for iso, ref := range want {

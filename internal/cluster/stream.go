@@ -18,10 +18,6 @@ import (
 // a worker has failed; the worker's error is the one reported.
 var errPipelineAborted = errors.New("cluster: pipeline aborted")
 
-// errProbeDone ends a calibration probe cleanly once it has delivered
-// Options.probeRecords records to the workers (see tune.go).
-var errProbeDone = errors.New("cluster: calibration probe complete")
-
 // streamBatch is one pipeline hand-off: whole records back to back in buf,
 // whose capacity is the full batch buffer being circulated.
 type streamBatch struct {
@@ -108,16 +104,16 @@ func weldBatch(l metacell.Layout, buf []byte, nrec, recSize int, iso float32, w 
 
 // extractNodeStreaming is the per-node streaming schedule, a three-stage
 // pipeline. A producer goroutine walks the compact interval tree and packs
-// the active records into a ring of PipelineDepth buffers of BatchRecords
+// the active records into a ring of pipelineDepth buffers of batchRecords
 // records, handing each over when it is full; the node's Threads
 // marching-cubes workers weld each batch into a mesh from a ring of
-// Threads+PipelineDepth; and this goroutine, the merger, puts the welded
+// Threads+pipelineDepth; and this goroutine, the merger, puts the welded
 // batches back in record order and expands them into the staging soup while
 // later batches are still being read and welded. When the pipeline drains the
 // result is one exact-length copy of the staging soup.
 //
-// Peak record staging is PipelineDepth×BatchRecords×recordSize bytes — a
-// constant chosen up front — where the two-phase schedule stages all active
+// Peak record staging is pipelineDepth×batchRecords×recordSize bytes — a
+// constant of the engine — where the two-phase schedule stages all active
 // metacell bytes, which grow with the isosurface.
 //
 // Cancelling ctx reuses the pipeline's abort path: a watcher trips the same
@@ -128,21 +124,15 @@ func (e *Engine) extractNodeStreaming(ctx context.Context, node int, iso float32
 	dev := e.devs[node]
 	ioBefore := dev.Stats()
 	recSize := e.Layout.RecordSize()
-	depth := opts.PipelineDepth
-	threads := e.Threads
-	if opts.Threads > 0 {
-		threads = opts.Threads
-	}
-	if threads < 1 {
-		threads = 1
-	}
+	batchRecs, depth := e.batchRecords, e.pipelineDepth
+	threads := max(e.Threads, 1)
 
-	// PipelineDepth full batches may wait for a worker, which is what lets
+	// depth full batches may wait for a worker, which is what lets
 	// the producer run that far ahead.
 	work := make(chan streamBatch, depth)
 	free := make(chan []byte, depth)
 	for i := 0; i < depth; i++ {
-		free <- make([]byte, 0, opts.BatchRecords*recSize)
+		free <- make([]byte, 0, batchRecs*recSize)
 	}
 
 	// The mesh ring. A worker takes its mesh before it takes a batch, and
@@ -172,7 +162,7 @@ func (e *Engine) extractNodeStreaming(ctx context.Context, node int, iso float32
 
 	// Producer: consecutive query emissions are packed, in record order, into
 	// the buffer being filled, which goes downstream when it holds
-	// BatchRecords records (the last one when the walk ends). Blocking on an
+	// batchRecs records (the last one when the walk ends). Blocking on an
 	// exhausted free list (all depth buffers in flight) is precisely the
 	// pipeline's memory bound; the time spent there is reported as
 	// ProducerStall.
@@ -203,13 +193,7 @@ func (e *Engine) extractNodeStreaming(ctx context.Context, node int, iso float32
 			cur = nil
 			return nil
 		}
-		_, qerr = e.trees[node].QueryBatches(dev, iso, opts.BatchRecords, func(batch []byte, nrec int) error {
-			probeDone := false
-			if opts.probeRecords > 0 {
-				if left := opts.probeRecords - records - len(cur)/recSize; nrec >= left {
-					batch, probeDone = batch[:left*recSize], true // calibration probe has seen enough
-				}
-			}
+		_, qerr = e.trees[node].QueryBatches(dev, iso, batchRecs, func(batch []byte, _ int) error {
 			for len(batch) > 0 {
 				if cur == nil {
 					tw := time.Now()
@@ -231,12 +215,9 @@ func (e *Engine) extractNodeStreaming(ctx context.Context, node int, iso float32
 					}
 				}
 			}
-			if probeDone {
-				return errProbeDone
-			}
 			return nil
 		})
-		if len(cur) > 0 && (qerr == nil || errors.Is(qerr, errProbeDone)) {
+		if len(cur) > 0 && qerr == nil {
 			if err := send(); err != nil {
 				qerr = err
 			}
@@ -363,7 +344,7 @@ func (e *Engine) extractNodeStreaming(ctx context.Context, node int, iso float32
 			return nr, err
 		}
 	}
-	if qerr != nil && !errors.Is(qerr, errPipelineAborted) && !errors.Is(qerr, errProbeDone) {
+	if qerr != nil && !errors.Is(qerr, errPipelineAborted) {
 		return nr, fmt.Errorf("cluster: node %d query: %w", node, qerr)
 	}
 

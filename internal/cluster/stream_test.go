@@ -13,7 +13,19 @@ import (
 
 	"repro/internal/blockio"
 	"repro/internal/geom"
+	"repro/internal/march"
+	"repro/internal/metacell"
+	"repro/internal/volume"
 )
+
+// sizing is a pipeline shape the public API cannot ask for: the in-package
+// tests apply one to an engine of their own to run 1-record batches, odd
+// depths and thread counts other than the one the engine was built with.
+type sizing struct{ threads, depth, batch int }
+
+func (s sizing) applyTo(e *Engine) {
+	e.Threads, e.pipelineDepth, e.batchRecords = s.threads, s.depth, s.batch
+}
 
 // schedules names the streaming schedule and its two-phase reference, for
 // tests that hold both to the same assertion.
@@ -36,26 +48,23 @@ func TestStreamingMatchesTwoPhaseProperty(t *testing.T) {
 		procs := 1 + rnd.Intn(3)
 		threads := 1 + rnd.Intn(3)
 		iso := float32(rnd.Intn(256))
-		opts := Options{
-			KeepMeshes:    true,
-			BatchRecords:  1 + rnd.Intn(64),
-			PipelineDepth: 1 + rnd.Intn(5),
-		}
+		shape := sizing{threads: threads, batch: 1 + rnd.Intn(64), depth: 1 + rnd.Intn(5)}
 		e, err := Build(g, Config{Procs: procs, ThreadsPerNode: threads})
 		if err != nil {
 			t.Fatal(err)
 		}
+		shape.applyTo(e)
 		two, err := e.ExtractTwoPhase(context.Background(), iso, Options{KeepMeshes: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		str, err := e.Extract(context.Background(), iso, opts)
+		str, err := e.Extract(context.Background(), iso, Options{KeepMeshes: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if str.Active != two.Active || str.Triangles != two.Triangles {
 			t.Errorf("trial %d (iso=%v p=%d t=%d %+v): streaming %d/%d, two-phase %d/%d (active/triangles)",
-				trial, iso, procs, threads, opts, str.Active, str.Triangles, two.Active, two.Triangles)
+				trial, iso, procs, threads, shape, str.Active, str.Triangles, two.Active, two.Triangles)
 			continue
 		}
 		for i := range str.PerNode {
@@ -67,27 +76,28 @@ func TestStreamingMatchesTwoPhaseProperty(t *testing.T) {
 			}
 			if !slices.Equal(s.Mesh.Tris, w.Mesh.Tris) {
 				t.Errorf("trial %d node %d (iso=%v p=%d t=%d %+v): meshes not byte-identical",
-					trial, i, iso, procs, threads, opts)
+					trial, i, iso, procs, threads, shape)
 			}
 		}
 	}
 }
 
 // TestStreamingPeakBounded checks the pipeline's memory guarantee: peak
-// buffered bytes never exceed PipelineDepth × BatchRecords × recordSize,
+// buffered bytes never exceed depth × batch records × recordSize,
 // even when the active set is much larger.
 func TestStreamingPeakBounded(t *testing.T) {
 	e, err := Build(rmGrid(), Config{Procs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{BatchRecords: 8, PipelineDepth: 2}
-	res, err := e.Extract(context.Background(), 128, opts)
+	shape := sizing{threads: 1, batch: 8, depth: 2}
+	shape.applyTo(e)
+	res, err := e.Extract(context.Background(), 128, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	recSize := e.Layout.RecordSize()
-	bound := int64(opts.PipelineDepth * opts.BatchRecords * recSize)
+	bound := int64(shape.depth * shape.batch * recSize)
 	n := &res.PerNode[0]
 	if n.PeakBufferedBytes <= 0 || n.PeakBufferedBytes > bound {
 		t.Errorf("peak buffered %d bytes outside (0, %d]", n.PeakBufferedBytes, bound)
@@ -170,8 +180,9 @@ func TestStreamingFaultAbortsWithoutLeaks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sizing{threads: 2, batch: 4, depth: 2}.applyTo(e)
 	for trial := 0; trial < 10; trial++ {
-		_, err := e.Extract(context.Background(), 128, Options{BatchRecords: 4, PipelineDepth: 2})
+		_, err := e.Extract(context.Background(), 128, Options{})
 		if err == nil {
 			t.Fatal("extraction with a failing disk should return an error")
 		}
@@ -197,15 +208,16 @@ func TestExtractCancellation(t *testing.T) {
 		t.Fatalf("pre-cancelled extract returned %v, want context.Canceled", err)
 	}
 
+	// Slow the producer's batches down so cancellation lands mid-stream.
+	sizing{threads: 2, batch: 4, depth: 2}.applyTo(e)
 	before := runtime.NumGoroutine()
 	for trial := 0; trial < 10; trial++ {
-		// Slow the producer's batches down so cancellation lands mid-stream.
 		ctx, cancel := context.WithCancel(context.Background())
 		go func() {
 			time.Sleep(time.Duration(trial) * 200 * time.Microsecond)
 			cancel()
 		}()
-		res, err := e.Extract(ctx, 128, Options{BatchRecords: 4, PipelineDepth: 2})
+		res, err := e.Extract(ctx, 128, Options{})
 		if err == nil {
 			if res == nil || res.Triangles == 0 {
 				t.Fatal("uncancelled extraction returned an empty result")
@@ -230,6 +242,7 @@ func TestExtractConcurrentSameEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sizing{threads: 1, batch: 4, depth: DefaultPipelineDepth}.applyTo(e)
 	isos := []float32{100, 128, 150}
 	want := make([][]*geom.Mesh, len(isos))
 	for i, iso := range isos {
@@ -244,7 +257,7 @@ func TestExtractConcurrentSameEngine(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 4; i++ {
 				k := (w + i) % len(isos)
-				res, err := e.Extract(context.Background(), isos[k], Options{KeepMeshes: true, BatchRecords: 4})
+				res, err := e.Extract(context.Background(), isos[k], Options{KeepMeshes: true})
 				if err != nil {
 					errs[w] = err
 					return
@@ -265,5 +278,67 @@ func TestExtractConcurrentSameEngine(t *testing.T) {
 	// One scratch per node-extraction that ever ran at once, and no more.
 	if n := len(e.scratch); n < e.Procs || n > workers*e.Procs {
 		t.Errorf("engine retains %d scratches after %d concurrent extractions on %d nodes", n, workers, e.Procs)
+	}
+}
+
+// TestWeldBatchZeroAllocSteadyState is the pipeline allocation gate: once a
+// worker's scratch (Welder, Meta, IndexedMesh) has warmed up, processing a
+// batch must not allocate. A regression here silently reintroduces per-batch
+// garbage across every extraction.
+func TestWeldBatchZeroAllocSteadyState(t *testing.T) {
+	g := rmGrid()
+	l, cells := metacell.Extract(g, metacell.DefaultSpan)
+	recSize := l.RecordSize()
+	nrec := len(cells)
+	if nrec == 0 {
+		t.Fatal("no metacells extracted")
+	}
+	buf := make([]byte, 0, nrec*recSize)
+	for _, c := range cells {
+		buf = append(buf, c.Record...)
+	}
+
+	var w march.Welder
+	var m metacell.Meta
+	im := &geom.IndexedMesh{}
+	const iso = 110
+	if _, err := weldBatch(l, buf, nrec, recSize, iso, &w, &m, im, nil); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		im.Reset()
+		if _, err := weldBatch(l, buf, nrec, recSize, iso, &w, &m, im, nil); err != nil {
+			t.Error(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state weldBatch allocates %v per batch, want 0", allocs)
+	}
+}
+
+// TestDefaultSizingOnThePublicPath pins what an extraction nobody sized
+// reports: full DefaultBatchRecords hand-offs, and record staging within
+// DefaultPipelineDepth of them, on a node with more records than that.
+func TestDefaultSizingOnThePublicPath(t *testing.T) {
+	e, err := Build(volume.RichtmyerMeshkov(129, 129, 113, 230, 7), Config{Procs: 1, ThreadsPerNode: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Extract(context.Background(), 100, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound := int64(DefaultPipelineDepth * DefaultBatchRecords * e.Layout.RecordSize())
+	for i := range res.PerNode {
+		n := &res.PerNode[i]
+		if n.ActiveMetacells <= DefaultPipelineDepth*DefaultBatchRecords {
+			t.Fatalf("node %d: %d active metacells cannot fill the pipeline", i, n.ActiveMetacells)
+		}
+		if want := (n.ActiveMetacells + DefaultBatchRecords - 1) / DefaultBatchRecords; n.Batches != want {
+			t.Errorf("node %d: %d hand-offs for %d records, want %d", i, n.Batches, n.ActiveMetacells, want)
+		}
+		if n.PeakBufferedBytes <= 0 || n.PeakBufferedBytes > bound {
+			t.Errorf("node %d: peak buffered %d bytes outside (0, %d]", i, n.PeakBufferedBytes, bound)
+		}
 	}
 }

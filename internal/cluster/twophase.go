@@ -16,8 +16,7 @@ import (
 // paper's original retrieve-everything-then-triangulate extraction, whose
 // staging memory grows with the isosurface. The streaming Extract must match
 // it triangle for triangle; only the equivalence tests, Ablation G and
-// BenchmarkExtractTwoPhase call it. Options.AutoTune, BatchRecords and
-// PipelineDepth size the streaming pipeline and are ignored here.
+// BenchmarkExtractTwoPhase call it.
 func (e *Engine) ExtractTwoPhase(ctx context.Context, iso float32, opts Options) (*Result, error) {
 	return e.extract(ctx, iso, opts, e.extractNodeTwoPhase)
 }
@@ -58,9 +57,6 @@ func (e *Engine) extractNodeTwoPhase(ctx context.Context, node int, iso float32,
 	t1 := time.Now()
 	numRecs := len(records) / recSize
 	threads := e.Threads
-	if opts.Threads > 0 {
-		threads = opts.Threads
-	}
 	if threads <= 0 || threads > numRecs {
 		threads = 1
 	}

@@ -483,6 +483,71 @@ func TestReadTreeBadInput(t *testing.T) {
 	}
 }
 
+// TestCorruptIndexLinks feeds both trees an index whose root or child links
+// leave the node table or loop: ReadTree and OpenExternal take links on trust,
+// so the walk has to fail with ErrCorruptIndex, not index out of range or
+// spin.
+func TestCorruptIndexLinks(t *testing.T) {
+	l := testLayout()
+	cells := synthCells(l, 300, 23)
+	good, dev := materialize(t, l, cells)
+	past := int32(len(good.Nodes) + 5)
+	corruptions := []struct {
+		name        string
+		root, child func(root int32) int32 // nil leaves the link alone
+	}{
+		{name: "root past the node table", root: func(int32) int32 { return past }},
+		{name: "root below -1", root: func(int32) int32 { return -2 }},
+		{name: "child past the node table", child: func(int32) int32 { return past }},
+		{name: "child links to itself", child: func(root int32) int32 { return root }},
+	}
+	for _, c := range corruptions {
+		t.Run("in-memory/"+c.name, func(t *testing.T) {
+			bad := *good
+			bad.Nodes = append([]Node(nil), good.Nodes...)
+			if c.child != nil {
+				n := &bad.Nodes[bad.Root]
+				n.Left, n.Right = c.child(bad.Root), c.child(bad.Root)
+			}
+			if c.root != nil {
+				bad.Root = c.root(bad.Root)
+			}
+			var file bytes.Buffer
+			if _, err := bad.WriteTo(&file); err != nil {
+				t.Fatal(err)
+			}
+			read, err := ReadTree(&file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := read.CountActive(dev, 128); !errors.Is(err, ErrCorruptIndex) {
+				t.Errorf("CountActive error = %v, want ErrCorruptIndex", err)
+			}
+		})
+		t.Run("external/"+c.name, func(t *testing.T) {
+			_, image, err := BuildExternal(good, blockio.DefaultBlockSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.child != nil { // the root is BFS rank 0, at the front of the image
+				binary.LittleEndian.PutUint32(image[4:], uint32(c.child(0)))
+				binary.LittleEndian.PutUint32(image[8:], uint32(c.child(0)))
+			}
+			et, err := OpenExternal(l, blockio.NewStore(image, blockio.DefaultBlockSize))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.root != nil {
+				et.Root = c.root(et.Root)
+			}
+			_, err = et.Query(dev, 128, func([]byte) error { return nil })
+			if !errors.Is(err, ErrCorruptIndex) {
+				t.Errorf("Query error = %v, want ErrCorruptIndex", err)
+			}
+		})
+	}
+}
+
 func TestQueryFaultPropagates(t *testing.T) {
 	l := testLayout()
 	cells := synthCells(l, 300, 17)

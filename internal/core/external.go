@@ -173,56 +173,13 @@ func (et *ExternalTree) NumNodes() int { return len(et.offsets) }
 // node from the index device, charging the block accounting of both the
 // index reads and the brick data reads.
 func (et *ExternalTree) Query(data blockio.Device, iso float32, visit func(rec []byte) error) (QueryStats, error) {
-	var st QueryStats
-	recSize := et.Layout.RecordSize()
-	chunkRecs := blockio.DefaultBlockSize / recSize
-	if chunkRecs < 1 {
-		chunkRecs = 1
-	}
-	buf := make([]byte, chunkRecs*recSize)
-
-	// A Tree shim reuses the Case-1/Case-2 batch readers; emit unpacks each
-	// batch into per-record visits.
-	shim := &Tree{Layout: et.Layout}
-	emit := func(batch []byte, nrec int) error {
-		for i := 0; i < nrec; i++ {
-			if err := visit(batch[i*recSize : (i+1)*recSize]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	n := et.Root
-	for n >= 0 {
+	fetch := func(n int32) (*Node, error) {
 		nodeRec := make([]byte, et.lengths[n])
 		if err := et.dev.ReadAt(nodeRec, et.offsets[n]); err != nil {
-			return st, fmt.Errorf("core: reading external node %d: %w", n, err)
+			return nil, fmt.Errorf("core: reading external node %d: %w", n, err)
 		}
 		node, err := decodeNode(nodeRec)
-		if err != nil {
-			return st, err
-		}
-		st.NodesVisited++
-		if iso >= node.VM {
-			if err := shim.bulkRead(data, &node, iso, recSize, buf, emit, &st); err != nil {
-				return st, err
-			}
-			n = node.Right
-		} else {
-			for ei := range node.Entries {
-				e := &node.Entries[ei]
-				if e.MinVMin > iso {
-					st.BricksSkipped++
-					continue
-				}
-				st.BrickScans++
-				if err := shim.scanBrick(data, e, iso, recSize, buf, emit, &st); err != nil {
-					return st, err
-				}
-			}
-			n = node.Left
-		}
+		return &node, err
 	}
-	return st, nil
+	return walk(et.Layout, et.Root, len(et.offsets), fetch, data, iso, 0, perRecord(et.Layout.RecordSize(), visit))
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/blockio"
@@ -17,6 +18,10 @@ type QueryStats struct {
 	Batches         int // record batches emitted (QueryBatches granularity)
 }
 
+// ErrCorruptIndex is what a query returns when the index it walks names a
+// node outside its node table or loops back on itself; test with errors.Is.
+var ErrCorruptIndex = errors.New("core: corrupt index")
+
 // QueryBatches streams the records of every metacell whose interval contains
 // iso (vmin ≤ iso ≤ vmax) from dev to emit in batches of at most batchRecs
 // records (0 selects one disk block's worth), performing the paper's
@@ -28,8 +33,18 @@ type QueryStats struct {
 // batch slice passed to emit holds nrec records back to back and is reused
 // across calls; the consumer must copy what it retains.
 func (t *Tree) QueryBatches(dev blockio.Device, iso float32, batchRecs int, emit func(batch []byte, nrec int) error) (QueryStats, error) {
+	fetch := func(n int32) (*Node, error) { return &t.Nodes[n], nil }
+	return walk(t.Layout, t.Root, len(t.Nodes), fetch, dev, iso, batchRecs, emit)
+}
+
+// walk is the root-to-leaf descent behind every query. The in-memory and the
+// external tree differ only in fetch, which is handed node indices already
+// checked against [0, nodes). The index may have come from a file, so a root
+// or child link outside [-1, nodes), or a path longer than the node table,
+// is reported as ErrCorruptIndex rather than followed.
+func walk(l metacell.Layout, root int32, nodes int, fetch func(n int32) (*Node, error), dev blockio.Device, iso float32, batchRecs int, emit func(batch []byte, nrec int) error) (QueryStats, error) {
 	var st QueryStats
-	recSize := t.Layout.RecordSize()
+	recSize := l.RecordSize()
 	if batchRecs <= 0 {
 		// One disk block's worth of records per batch: Case-2 scans then
 		// over-read past the stopping metacell by at most one block, matching
@@ -41,16 +56,24 @@ func (t *Tree) QueryBatches(dev blockio.Device, iso float32, batchRecs int, emit
 	}
 	buf := make([]byte, batchRecs*recSize)
 
-	n := t.Root
-	for n >= 0 {
-		node := &t.Nodes[n]
+	for n := root; n != -1; {
+		if n < -1 || int(n) >= nodes {
+			return st, fmt.Errorf("%w: link to node %d of %d", ErrCorruptIndex, n, nodes)
+		}
+		if st.NodesVisited == nodes {
+			return st, fmt.Errorf("%w: walk revisits a node (%d nodes)", ErrCorruptIndex, nodes)
+		}
+		node, err := fetch(n)
+		if err != nil {
+			return st, err
+		}
 		st.NodesVisited++
 		if iso >= node.VM {
 			// Case 1: every metacell in the prefix of bricks with
 			// vmax ≥ iso is active (their vmin ≤ vm ≤ iso). The bricks are
 			// contiguous on disk, so fetch them with one logical bulk read,
 			// issued as sequential batch-sized requests.
-			if err := t.bulkRead(dev, node, iso, recSize, buf, emit, &st); err != nil {
+			if err := bulkRead(dev, node, iso, recSize, buf, emit, &st); err != nil {
 				return st, err
 			}
 			n = node.Right
@@ -65,7 +88,7 @@ func (t *Tree) QueryBatches(dev blockio.Device, iso float32, batchRecs int, emit
 					continue
 				}
 				st.BrickScans++
-				if err := t.scanBrick(dev, e, iso, recSize, buf, emit, &st); err != nil {
+				if err := scanBrick(l, dev, e, iso, recSize, buf, emit, &st); err != nil {
 					return st, err
 				}
 			}
@@ -80,15 +103,19 @@ func (t *Tree) QueryBatches(dev blockio.Device, iso float32, batchRecs int, emit
 // size. The record slice passed to visit is reused; the visitor must not
 // retain it.
 func (t *Tree) Query(dev blockio.Device, iso float32, visit func(rec []byte) error) (QueryStats, error) {
-	recSize := t.Layout.RecordSize()
-	return t.QueryBatches(dev, iso, 0, func(batch []byte, nrec int) error {
+	return t.QueryBatches(dev, iso, 0, perRecord(t.Layout.RecordSize(), visit))
+}
+
+// perRecord unpacks each emitted batch into per-record visits.
+func perRecord(recSize int, visit func(rec []byte) error) func(batch []byte, nrec int) error {
+	return func(batch []byte, nrec int) error {
 		for i := 0; i < nrec; i++ {
 			if err := visit(batch[i*recSize : (i+1)*recSize]); err != nil {
 				return err
 			}
 		}
 		return nil
-	})
+	}
 }
 
 // bulkRead performs the Case-1 read: all bricks with vmax ≥ iso, which are in
@@ -96,7 +123,7 @@ func (t *Tree) Query(dev blockio.Device, iso float32, visit func(rec []byte) err
 // as sequential batch-sized requests into buf (no seek between them, so the
 // disk-model cost equals a single request), and each chunk is emitted as one
 // batch.
-func (t *Tree) bulkRead(dev blockio.Device, node *Node, iso float32, recSize int, buf []byte, emit func([]byte, int) error, st *QueryStats) error {
+func bulkRead(dev blockio.Device, node *Node, iso float32, recSize int, buf []byte, emit func([]byte, int) error, st *QueryStats) error {
 	last := -1
 	var total int64
 	for ei := range node.Entries {
@@ -138,7 +165,7 @@ func (t *Tree) bulkRead(dev blockio.Device, node *Node, iso float32, recSize int
 // request regardless of the batch size, so the over-read past the stopping
 // metacell is at most one block — the paper's cost model — and the schedule
 // comparison isn't skewed by read granularity.
-func (t *Tree) scanBrick(dev blockio.Device, e *IndexEntry, iso float32, recSize int, buf []byte, emit func([]byte, int) error, st *QueryStats) error {
+func scanBrick(l metacell.Layout, dev blockio.Device, e *IndexEntry, iso float32, recSize int, buf []byte, emit func([]byte, int) error, st *QueryStats) error {
 	blockRecs := blockio.DefaultBlockSize / recSize
 	if blockRecs < 1 {
 		blockRecs = 1
@@ -159,7 +186,7 @@ func (t *Tree) scanBrick(dev blockio.Device, e *IndexEntry, iso float32, recSize
 		}
 		active := n
 		for i := 0; i < n; i++ {
-			if metacell.VMinOfRecord(t.Layout, chunk[i*recSize:(i+1)*recSize]) > iso {
+			if metacell.VMinOfRecord(l, chunk[i*recSize:(i+1)*recSize]) > iso {
 				active = i // records are vmin-sorted: the prefix has ended
 				break
 			}

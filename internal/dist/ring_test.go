@@ -1,6 +1,9 @@
 package dist
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func TestRingOrderCoversAllReplicasOnce(t *testing.T) {
 	rg := newRing(5)
@@ -68,5 +71,53 @@ func TestRingStableUnderReplicaRemoval(t *testing.T) {
 	}
 	if moved == 0 || kept == 0 {
 		t.Fatalf("degenerate split: %d moved, %d kept", moved, kept)
+	}
+}
+
+// TestCandidatesOneHealthSnapshot hammers candidates while a replica's health
+// flips under it, as the probe loop and cooldown expiry do in production.
+// Every list must hold each of the request's Attempts replicas exactly once:
+// a replica read as down by one look and up by another would be listed twice
+// or — on a one-replica tier, failing the request with no attempt — not at all.
+func TestCandidatesOneHealthSnapshot(t *testing.T) {
+	for _, n := range []int{1, 3} {
+		addrs := make([]string, n)
+		for i := range addrs {
+			addrs[i] = fmt.Sprintf("replica-%d.invalid:1", i)
+		}
+		rt, err := NewRouter(RouterConfig{Replicas: addrs, ProbeInterval: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stop := make(chan struct{})
+		flipped := make(chan struct{})
+		go func() {
+			defer close(flipped)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					rt.markDown(n - 1)
+					rt.down[n-1].Store(false)
+				}
+			}
+		}()
+		for i := 0; i < 200000; i++ {
+			cands := rt.candidates(0, float32(i%64))
+			seen := make([]bool, n)
+			for _, ri := range cands {
+				if seen[ri] {
+					t.Fatalf("%d replicas: candidates %v lists replica %d twice", n, cands, ri)
+				}
+				seen[ri] = true
+			}
+			if len(cands) != n {
+				t.Fatalf("%d replicas: candidates %v, want all %d", n, cands, n)
+			}
+		}
+		close(stop)
+		<-flipped
+		rt.Close()
 	}
 }

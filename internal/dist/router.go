@@ -74,9 +74,6 @@ type RouterConfig struct {
 	// baselines; leave off in production).
 	DisableVerify bool
 
-	// Seed seeds the backoff-jitter stream (the zero value is valid).
-	Seed uint64
-
 	// Client overrides the HTTP client (nil = pooled keep-alive transport).
 	Client *http.Client
 
@@ -217,7 +214,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		ring:      newRing(len(cfg.Replicas)),
 		down:      make([]atomic.Bool, len(cfg.Replicas)),
 		downAt:    make([]atomic.Int64, len(cfg.Replicas)),
-		jitter:    rng.New(cfg.Seed),
+		jitter:    rng.New(0),
 		reg:       reg,
 		routed:    reg.Counter("router_routed_total", "requests answered with a mesh"),
 		failovers: reg.Counter("router_failovers_total", "attempts moved to a ring successor"),
@@ -334,7 +331,9 @@ func (rt *Router) Candidates(step int, iso float32) []int {
 
 // candidates orders this request's replicas: healthy first, in ring order;
 // known-down ones after, so a stale all-down health view degrades to
-// trying, not failing.
+// trying, not failing. Each replica's health is read once: isDown moves with
+// the clock and the probe loop, and a second look could list a replica twice
+// or not at all.
 func (rt *Router) candidates(step int, iso float32) []int {
 	key := rt.KeyFor(step, iso)
 	order := rt.ring.order(keyHash(key.Step, key.Bucket), make([]int, 0, rt.ring.n))
@@ -342,17 +341,15 @@ func (rt *Router) candidates(step int, iso float32) []int {
 		order = order[:rt.cfg.Attempts]
 	}
 	cands := make([]int, 0, len(order))
-	for _, ri := range order {
-		if !rt.isDown(ri) {
-			cands = append(cands, ri)
-		}
-	}
+	var down []int
 	for _, ri := range order {
 		if rt.isDown(ri) {
+			down = append(down, ri)
+		} else {
 			cands = append(cands, ri)
 		}
 	}
-	return cands
+	return append(cands, down...)
 }
 
 // QueryBytes routes one query and returns the raw mesh frame — the relay

@@ -67,8 +67,8 @@ type ChaosRow struct {
 type ChaosConfig struct {
 	Replicas       int           // tier size (0 = 3)
 	Clients        int           // closed-loop clients (0 = 4)
-	RequestTimeout time.Duration // per-request deadline (0 = 2s)
-	Seed           uint64        // injector + jitter seed base
+	RequestTimeout time.Duration // per-request deadline (0 = 8s)
+	Seed           uint64        // injector seed base
 }
 
 func (c ChaosConfig) withDefaults() ChaosConfig {
@@ -190,7 +190,6 @@ func chaosRow(ctx context.Context, backend serve.Backend, ccfg ChaosConfig, w Se
 	if resilient {
 		rcfg = resilientRouter(client)
 	}
-	rcfg.Seed = ccfg.Seed
 	cl, err := dist.StartCluster(backend, dist.ClusterConfig{
 		Replicas: ccfg.Replicas,
 		Replica:  dist.ReplicaConfig{Serve: serve.Config{QueueDepth: ccfg.Clients}},

@@ -257,11 +257,5 @@ func Experiments(imagePath string) []Experiment {
 			}
 			return float64(bad), nil
 		},
-	}, {
-		Name: "tune", Title: "Ablation: pipeline auto-tuner (4 nodes)", Ablation: true,
-		Run: func(ctx context.Context, cfg RMConfig, out io.Writer) (float64, error) {
-			rows, tp, err := AblationTune(ctx, cfg, 4, midIso, 3)
-			return printed(err, func() { PrintTuneAblation(out, midIso, 4, rows, tp) })
-		},
 	}}...)
 }

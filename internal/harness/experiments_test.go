@@ -31,7 +31,7 @@ func TestExperimentRegistryResolves(t *testing.T) {
 		seen[e.Name] = true
 	}
 
-	const oldFlag = "table1|table2|table3|table4|table5|table6|table7|table8|fig4|fig5|fig6|ablations|schedule|serving|scaling|chaos|tune|all"
+	const oldFlag = "table1|table2|table3|table4|table5|table6|table7|table8|fig4|fig5|fig6|ablations|schedule|serving|scaling|chaos|all"
 	for _, name := range strings.Split(oldFlag, "|") {
 		if len(SelectExperiments(all, name)) == 0 {
 			t.Errorf("-experiment %s no longer resolves", name)
@@ -55,7 +55,6 @@ func TestExperimentRegistryResolves(t *testing.T) {
 		"Ablation: host dispatch vs independent nodes",
 		"Ablation: query acceleration structures",
 		"Ablation: two-phase vs streaming extraction (4 nodes)",
-		"Ablation: pipeline auto-tuner (4 nodes)",
 	}
 	if got := titles(SelectExperiments(all, "ablations")); !slices.Equal(got, ablations) {
 		t.Errorf("ablations expands to\n%q, want\n%q", got, ablations)

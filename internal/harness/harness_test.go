@@ -566,26 +566,3 @@ func TestServingTableReportsTriangleRate(t *testing.T) {
 		t.Error("printed serving table lacks Mtri/s columns")
 	}
 }
-
-func TestAblationTune(t *testing.T) {
-	rows, tp, err := AblationTune(context.Background(), Small(), 2, 110, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("%d rows, want 3 (tuned/default/worst-case)", len(rows))
-	}
-	if tp == nil || tp.Probes <= 0 {
-		t.Fatalf("calibration parameters missing: %+v", tp)
-	}
-	for _, r := range rows {
-		if r.Wall <= 0 || r.MtriPerSec <= 0 {
-			t.Errorf("%s: missing timing (wall %v, %.2f Mtri/s)", r.Label, r.Wall, r.MtriPerSec)
-		}
-	}
-	var buf bytes.Buffer
-	PrintTuneAblation(&buf, 110, 2, rows, tp)
-	if !strings.Contains(buf.String(), "tuned") || !strings.Contains(buf.String(), "worst-case") {
-		t.Error("printed tune ablation malformed")
-	}
-}

@@ -35,8 +35,8 @@ type ScheduleRow struct {
 }
 
 // AblationSchedule sweeps the isovalues through both schedules on the same
-// preprocessed engine. The streaming peak is bounded by
-// PipelineDepth×BatchRecords×recordSize no matter how large the isosurface;
+// preprocessed engine. The streaming peak is bounded by the pipeline's
+// depth×batch×recordSize constant no matter how large the isosurface;
 // the two-phase peak is the active-metacell bytes themselves.
 func AblationSchedule(ctx context.Context, cfg RMConfig, procs int) ([]ScheduleRow, error) {
 	eng, err := Engine(cfg, procs)

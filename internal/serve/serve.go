@@ -63,10 +63,6 @@ type Config struct {
 	// matches the paper's integer isovalue sweeps; must be > 0 to coalesce
 	// anything).
 	IsoQuantum float32
-	// Options is the extraction configuration used for every backend call.
-	// KeepMeshes is forced on — a serving layer that drops its meshes would
-	// have nothing to return.
-	Options cluster.Options
 	// Metrics is the registry the server records into (counters, live
 	// gauges, latency and queue-wait histograms under serve_*). Nil creates
 	// a private registry, reachable via Server.Metrics — pass the engine's
@@ -95,7 +91,6 @@ func (c Config) withDefaults() Config {
 	if c.IsoQuantum <= 0 {
 		c.IsoQuantum = 1
 	}
-	c.Options.KeepMeshes = true
 	return c
 }
 
@@ -247,9 +242,6 @@ type Server struct {
 // New builds a Server over any Backend.
 func New(b Backend, cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	if cfg.Trace {
-		cfg.Options.Trace = true
-	}
 	s := &Server{
 		backend:  b,
 		cfg:      cfg,
@@ -285,9 +277,6 @@ func NewTimeVaryingServer(tv *cluster.TimeVaryingEngine, cfg Config) *Server {
 // queries must use step 0) — for callers like the distributed tier that
 // build Servers over any backend with New.
 func AsBackend(eng *cluster.Engine) Backend { return engineBackend{eng} }
-
-// AsTimeVaryingBackend adapts a time-varying engine to the Backend interface.
-func AsTimeVaryingBackend(tv *cluster.TimeVaryingEngine) Backend { return tvBackend{tv} }
 
 type engineBackend struct{ eng *cluster.Engine }
 
@@ -438,7 +427,8 @@ func (s *Server) run(c *call) {
 	s.mu.Unlock()
 
 	t0 := time.Now()
-	res, err := s.backend.ExtractStep(c.ctx, c.key.Step, s.IsoOf(c.key), s.cfg.Options)
+	// A serving layer that drops its meshes would have nothing to return.
+	res, err := s.backend.ExtractStep(c.ctx, c.key.Step, s.IsoOf(c.key), cluster.Options{KeepMeshes: true, Trace: s.cfg.Trace})
 	c.extractDur = time.Since(t0)
 	s.met.extractLatency.Observe(c.extractDur)
 

@@ -71,7 +71,7 @@ func TestInstrumentationOverheadGate(t *testing.T) {
 			}
 		}
 	}
-	// Warm both paths (page cache, pools, tuner) before timing anything.
+	// Warm both paths (page cache, pools) before timing anything.
 	testing.Benchmark(extract(plain))
 	testing.Benchmark(extract(instr))
 

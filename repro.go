@@ -13,7 +13,7 @@
 // Extraction runs each node as a streaming pipeline: a query producer feeds
 // block-aligned record batches through a bounded channel to the node's
 // marching-cubes workers, overlapping disk I/O with triangulation while
-// staging at most Options.PipelineDepth × Options.BatchRecords records in
+// staging at most four batches of DefaultBatchRecords records in
 // memory (the paper's original retrieve-everything-then-triangulate schedule
 // survives as Engine.ExtractTwoPhase, the reference the pipeline is tested
 // against). Config.CacheBlocks adds an
@@ -28,11 +28,9 @@
 // work, shedding excess load with ErrSaturated.
 //
 // To scale the service out, shard it: StartDistCluster spawns N replica
-// servers on loopback sockets behind a consistent-hashing Router, or compose
-// the pieces yourself — NewReplicaServer puts one Server behind an HTTP
-// endpoint speaking the binary mesh wire format (EncodeMeshBinary /
-// DecodeMeshBinary), and NewRouter fronts any set of replica addresses with
-// shard-affine routing, health probes, and saturation-aware failover.
+// servers on loopback sockets, each one Server behind an HTTP endpoint
+// speaking the binary mesh wire format, behind a consistent-hashing router
+// with shard-affine routing, health probes, and saturation-aware failover.
 //
 // Quick start:
 //
@@ -50,7 +48,6 @@
 package repro
 
 import (
-	"io"
 	"net/http"
 
 	"repro/internal/cluster"
@@ -71,8 +68,6 @@ type (
 	// Grid is a regular scalar volume (see GenerateRM and the Generate*
 	// helpers, or build one sample-by-sample with volume accessors).
 	Grid = volume.Grid
-	// Format selects a grid's scalar storage width.
-	Format = volume.Format
 	// Config controls preprocessing and data distribution.
 	Config = cluster.Config
 	// Engine is a preprocessed dataset distributed across node-local disks.
@@ -83,18 +78,10 @@ type (
 	Options = cluster.Options
 	// Result is the outcome of one parallel extraction.
 	Result = cluster.Result
-	// NodeResult is one node's share of an extraction.
-	NodeResult = cluster.NodeResult
 	// Mesh is a triangle soup produced by extraction.
 	Mesh = geom.Mesh
-	// Triangle is one isosurface triangle.
-	Triangle = geom.Triangle
-	// Vec3 is a single-precision 3-vector.
-	Vec3 = geom.Vec3
 	// Framebuffer is a color+depth image.
 	Framebuffer = render.Framebuffer
-	// Camera is a perspective look-at camera.
-	Camera = render.Camera
 	// Tile is one display server's region of the tiled wall.
 	Tile = composite.Tile
 	// IndexedMesh is a welded mesh ready for export (OBJ/STL/PLY).
@@ -109,41 +96,21 @@ type (
 	// ServeConfig sizes a Server (in-flight limit, queue depth, cache
 	// budget, isovalue quantum).
 	ServeConfig = serve.Config
-	// ServeStats is a snapshot of a Server's counters.
-	ServeStats = serve.Stats
 	// ServeResponse is one served query result.
 	ServeResponse = serve.Response
-	// ServeKey is the (time step, quantized isovalue) coalescing/cache key.
-	ServeKey = serve.Key
 	// Metrics is a named registry of counters, gauges, and latency
 	// histograms. Pass one registry via Config.Metrics and ServeConfig.Metrics
 	// so engine and server expose on the same page (see MetricsHandler).
 	Metrics = obs.Registry
-	// MetricsHistogram is a fixed-memory log-bucketed latency histogram.
-	MetricsHistogram = obs.Histogram
-	// Trace is the per-stage timing breakdown of one extraction, recorded
-	// when Options.Trace (or ServeConfig.Trace) is set; Trace.Waterfall
-	// renders it.
-	Trace = obs.Trace
-	// TraceSpan is one stage of a Trace.
-	TraceSpan = obs.Span
-	// ServeBackend is what a Server extracts from; EngineBackend and
-	// TimeVaryingBackend adapt the two engine kinds.
+	// ServeBackend is what a Server or the distributed tier extracts from
+	// (see EngineBackend).
 	ServeBackend = serve.Backend
-	// Replica is one shard of the distributed serving tier: a Server behind
-	// an HTTP endpoint speaking the binary mesh wire format.
-	Replica = dist.Replica
 	// ReplicaConfig sizes a Replica (HTTP admission, modeled NIC rate).
 	ReplicaConfig = dist.ReplicaConfig
-	// Router is the shard-aware front end: consistent-hash routing with
-	// health probes and saturation-aware failover along the ring.
-	Router = dist.Router
 	// RouterConfig sizes a Router (replica addresses, ring, probing).
 	RouterConfig = dist.RouterConfig
 	// RouterStats is a snapshot of a Router's counters and health view.
 	RouterStats = dist.RouterStats
-	// RouterResponse is one routed, decoded query result.
-	RouterResponse = dist.Response
 	// DistConfig sizes an in-process distributed tier (see StartDistCluster).
 	DistConfig = dist.ClusterConfig
 	// DistCluster is a running tier: N replicas plus the router over them.
@@ -154,14 +121,6 @@ type (
 // request (and by Router queries when every candidate replica shed).
 var ErrSaturated = serve.ErrSaturated
 
-// ErrNoReplicas is returned by Router queries when the tier is unreachable —
-// every candidate replica was down or failed at the transport.
-var ErrNoReplicas = dist.ErrNoReplicas
-
-// MeshContentType is the media type replicas and routers serve binary mesh
-// frames under.
-const MeshContentType = dist.MeshContentType
-
 // Scalar storage formats.
 const (
 	U8  = volume.U8
@@ -169,11 +128,9 @@ const (
 	F32 = volume.F32
 )
 
-// Default sizing of the streaming extraction pipeline (see Options).
-const (
-	DefaultBatchRecords  = cluster.DefaultBatchRecords
-	DefaultPipelineDepth = cluster.DefaultPipelineDepth
-)
+// DefaultBatchRecords is the number of metacell records per hand-off of the
+// streaming extraction pipeline.
+const DefaultBatchRecords = cluster.DefaultBatchRecords
 
 // GenerateRM produces one time step of the deterministic synthetic
 // Richtmyer–Meshkov stand-in dataset (see DESIGN.md §2 for how it
@@ -225,61 +182,12 @@ func NewTimeVaryingServer(tv *TimeVaryingEngine, cfg ServeConfig) *Server {
 // distributed tier; queries address it as time step 0.
 func EngineBackend(eng *Engine) ServeBackend { return serve.AsBackend(eng) }
 
-// TimeVaryingBackend adapts a time-varying engine likewise.
-func TimeVaryingBackend(tv *TimeVaryingEngine) ServeBackend { return serve.AsTimeVaryingBackend(tv) }
-
-// NewReplicaServer mounts a query service behind the replica HTTP surface:
-// GET /mesh serves binary frames, overload sheds as 503 + Retry-After, and
-// /metrics, /statusz and /debug/pprof expose the server's registry.
-func NewReplicaServer(srv *Server, cfg ReplicaConfig) *Replica {
-	return dist.NewReplicaServer(srv, cfg)
-}
-
-// NewRouter fronts a set of replica addresses with consistent-hash routing:
-// each (time step, quantized isovalue) key has a home replica whose mesh
-// cache stays hot on it, saturation and transport errors fail over along the
-// hash ring, and background probes route around dead replicas. The request
-// path is hardened per RouterConfig: per-attempt timeouts, checksum-verified
-// frames retried on the ring successor, hedged requests past HedgeAfter,
-// Retry-After-honoring saturation backoff, and cooldown-based passive
-// revival of marked-down replicas.
-func NewRouter(cfg RouterConfig) (*Router, error) { return dist.NewRouter(cfg) }
-
 // StartDistCluster spawns cfg.Replicas replica servers over one backend on
 // loopback listeners and a Router across them — a whole serving tier over
 // real sockets in one call (cmd/isoserve -replicas and the scaling
 // experiment both drive this).
 func StartDistCluster(backend ServeBackend, cfg DistConfig) (*DistCluster, error) {
 	return dist.StartCluster(backend, cfg)
-}
-
-// EncodeMeshBinary encodes meshes (concatenated in order) into one
-// length-prefixed binary wire frame, the format replicas serve.
-func EncodeMeshBinary(iso float32, meshes ...*Mesh) []byte {
-	return meshio.EncodeBinary(iso, meshes...)
-}
-
-// EncodeMeshBinaryChecksum is EncodeMeshBinary with a CRC32-C trailer
-// (flagged in the frame header) so in-flight corruption is detectable —
-// the variant the serving tier's replicas emit.
-func EncodeMeshBinaryChecksum(iso float32, meshes ...*Mesh) []byte {
-	return meshio.EncodeBinaryChecksum(iso, meshes...)
-}
-
-// VerifyMeshBinary checks a frame's structure, and its checksum when the
-// frame carries one, without decoding the geometry.
-func VerifyMeshBinary(data []byte) error { return meshio.VerifyBinary(data) }
-
-// DecodeMeshBinary strictly decodes a binary wire frame. It is safe on
-// untrusted input: any truncation, corruption, or hostile length field
-// yields an error, never a panic or an unbounded allocation (checksummed
-// frames are verified first).
-func DecodeMeshBinary(data []byte) (*Mesh, float32, error) { return meshio.DecodeBinary(data) }
-
-// ReadMeshBinary reads and decodes one binary frame from r, rejecting frames
-// over maxBytes before allocating (0 = the codec's 1 GiB default).
-func ReadMeshBinary(r io.Reader, maxBytes int) (*Mesh, float32, error) {
-	return meshio.ReadBinary(r, maxBytes)
 }
 
 // RenderComposite renders each node's mesh on its own (software) GPU and
