@@ -17,7 +17,6 @@ import (
 	"testing"
 
 	"repro/internal/harness"
-	"repro/internal/meshio"
 	"repro/internal/serve"
 )
 
@@ -120,40 +119,6 @@ func BenchmarkServeQueryHot(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := srv.Query(context.Background(), 0, 110); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRouterQueryHot measures the distributed tier's hot path over real
-// loopback sockets: Router.Query for a surface its home replica has cached
-// and sealed — the replica writes the cached triangles' own bytes, the router
-// checksums the frame once and hands back a view of it. With -benchmem the
-// bytes per op should sit near one frame (the router's read buffer) and
-// MB/s is frame bytes delivered.
-func BenchmarkRouterQueryHot(b *testing.B) {
-	eng, err := harness.Engine(benchCfg(), 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tier, err := StartDistCluster(EngineBackend(eng), DistConfig{Replicas: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer tier.Close()
-	ctx := context.Background()
-	warm, err := tier.Router.Query(ctx, 0, 110)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(meshio.BinarySize(warm.Mesh)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		resp, err := tier.Router.Query(ctx, 0, 110)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if resp.Route.Source != "cache" || resp.Mesh.Len() != warm.Mesh.Len() {
-			b.Fatalf("request %d: source %q, %d triangles (warm-up had %d)", i, resp.Route.Source, resp.Mesh.Len(), warm.Mesh.Len())
 		}
 	}
 }

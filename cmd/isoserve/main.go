@@ -395,6 +395,7 @@ func routedQuery(rt *dist.Router) func(context.Context, int, float32) error {
 			return err
 		}
 		_, _, err = meshio.DecodeBinaryHeader(frame)
+		rt.Recycle(frame)
 		return err
 	}
 }

@@ -135,13 +135,17 @@ func TestReplicaBodyByteIdenticalForEverySource(t *testing.T) {
 // TestRoutedMeshBelongsToTheCaller: Router.Query's mesh is a view of the
 // frame that request read off the socket — scribbling over it, or growing it,
 // changes nothing anyone else will ever see: not the next response for the
-// key, not the replica's cached surface.
+// key, not the replica's cached surface. And it stays the caller's: only a
+// response that was released is read into again, so a mesh its caller kept
+// still holds what the caller last wrote however many queries follow.
 func TestRoutedMeshBelongsToTheCaller(t *testing.T) {
 	ctx := context.Background()
 	const iso = 128
 	want := directFrame(t, iso)
 	c := startCluster(t, 2, ReplicaConfig{}, RouterConfig{})
+	scribble := geom.Triangle{A: geom.V(-1, -2, -3)}
 
+	var kept []*Response
 	for round := 0; round < 3; round++ {
 		resp, err := c.Router.Query(ctx, 0, iso)
 		if err != nil {
@@ -154,16 +158,41 @@ func TestRoutedMeshBelongsToTheCaller(t *testing.T) {
 			t.Fatalf("round %d (%s): routed mesh differs from the direct extraction", round, resp.Route.Source)
 		}
 		for i := range resp.Mesh.Tris {
-			resp.Mesh.Tris[i] = geom.Triangle{A: geom.V(-1, -2, -3)}
+			resp.Mesh.Tris[i] = scribble
 		}
-		resp.Mesh.Append(geom.Triangle{})
+		kept = append(kept, resp)
+
+		// A second response, scribbled over too, then released: the next
+		// round's queries are free to land in its frame and in no other.
+		released, err := c.Router.Query(ctx, 0, iso)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range released.Mesh.Tris {
+			released.Mesh.Tris[i] = scribble
+		}
+		released.Mesh.Append(geom.Triangle{})
+		released.Release()
+		if released.Mesh != nil {
+			t.Fatal("a released response still offers its mesh")
+		}
 	}
 	frame, route, err := c.Router.QueryBytes(ctx, 0, iso)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if route.Source != "cache" || !bytes.Equal(frame, want) {
-		t.Fatalf("after scribbling over three routed meshes the %s frame differs from the reference", route.Source)
+		t.Fatalf("after scribbling over six routed meshes the %s frame differs from the reference", route.Source)
+	}
+	if n, _ := freeFrames(c.Router); n != 0 {
+		t.Errorf("%d buffers on the free list; the one released frame should be in use again", n)
+	}
+	for round, resp := range kept {
+		for i, tri := range resp.Mesh.Tris {
+			if tri != scribble {
+				t.Fatalf("kept response %d, triangle %d: a later query wrote into a frame its caller never released", round, i)
+			}
+		}
 	}
 }
 

@@ -1,0 +1,370 @@
+package dist
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/chaos"
+	"repro/internal/cluster"
+	"repro/internal/geom"
+	"repro/internal/meshio"
+)
+
+// bigBackend serves a synthetic surface of tris triangles per isovalue with
+// no extraction behind it: frames of a chosen size, so the tests below can
+// make a frame's allocation stand out against the HTTP exchange around it.
+type bigBackend struct{ tris int }
+
+func (b bigBackend) mesh(iso float32) *geom.Mesh {
+	m := &geom.Mesh{Tris: make([]geom.Triangle, b.tris)}
+	for i := range m.Tris {
+		f := iso + float32(i)
+		m.Tris[i] = geom.Triangle{A: geom.V(f, 1, 2), B: geom.V(3, f, 5), C: geom.V(6, 7, f)}
+	}
+	return m
+}
+
+func (b bigBackend) ExtractStep(_ context.Context, _ int, iso float32, _ cluster.Options) (*cluster.Result, error) {
+	return &cluster.Result{Iso: iso, Triangles: b.tris, PerNode: []cluster.NodeResult{{Mesh: b.mesh(iso)}}}, nil
+}
+
+func startBigCluster(t testing.TB, n, tris int, rtcfg RouterConfig) *Cluster {
+	t.Helper()
+	c, err := StartCluster(bigBackend{tris}, ClusterConfig{Replicas: n, Router: rtcfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	return c
+}
+
+// freeFrames reports the router's free list: buffers and bytes of capacity.
+func freeFrames(rt *Router) (n, bytes int) {
+	rt.fmu.Lock()
+	defer rt.fmu.Unlock()
+	return len(rt.free), rt.freeBytes
+}
+
+// waitGoroutines fails the test unless the goroutine count is back at (or
+// under) before within two seconds: a hedge's losing attempt outlives its
+// Query, but only until its cancelled read returns.
+func waitGoroutines(t *testing.T, before int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for time.Now().Before(deadline) {
+		if runtime.NumGoroutine() <= before {
+			return
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	t.Errorf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
+}
+
+// TestHedgeLoserNeverWritesARecycledFrame is the ownership rule under the
+// one flow where an attempt outlives its request: home and hedge race within
+// a jitter of each other, so the loser is cancelled before it connects, in
+// the middle of its read, or after it has a whole frame nobody will take.
+// Every winner's mesh is checked, scribbled over and released, so a loser
+// still writing a buffer that went back to the list — or a buffer handed to
+// two clients at once — shows as wrong bytes here and as a race under -race.
+func TestHedgeLoserNeverWritesARecycledFrame(t *testing.T) {
+	const (
+		iso     = 77
+		tris    = 30_000 // ~1 MB: a read long enough to be cancelled inside
+		clients = 3
+		rounds  = 40
+	)
+	want := meshio.EncodeBinaryChecksum(iso, bigBackend{tris}.mesh(iso))
+	in, base := chaos.NewInjector(31), NewTransport()
+	c := startBigCluster(t, 3, tris, RouterConfig{
+		ProbeInterval: -1,
+		HedgeAfter:    time.Millisecond,
+		Client:        &http.Client{Transport: in.Transport(base)},
+	})
+	ctx := context.Background()
+	before := runtime.NumGoroutine() // no connection is open yet
+	home := c.Router.HomeReplica(0, iso)
+	in.SetFault(c.Replicas[home].Addr(), chaos.Fault{Latency: 500 * time.Microsecond, Jitter: 3 * time.Millisecond})
+
+	var (
+		mu   sync.Mutex
+		live = map[*byte]bool{} // first byte of every frame a client holds
+		wg   sync.WaitGroup
+	)
+	for k := 0; k < clients; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < rounds; round++ {
+				resp, err := c.Router.Query(ctx, 0, iso)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				base := &resp.frame[0]
+				mu.Lock()
+				twice := live[base]
+				live[base] = true
+				mu.Unlock()
+				if twice {
+					t.Errorf("round %d: a frame another client still holds was handed out again", round)
+					return
+				}
+				if got := meshio.EncodeBinaryChecksum(resp.Iso, resp.Mesh); !bytes.Equal(got, want) {
+					t.Errorf("round %d (replica %d): routed mesh differs from the backend's", round, resp.Route.Replica)
+					return
+				}
+				for i := range resp.Mesh.Tris {
+					resp.Mesh.Tris[i] = geom.Triangle{A: geom.V(-1, -2, -3)}
+				}
+				mu.Lock()
+				delete(live, base)
+				mu.Unlock()
+				resp.Release()
+			}
+		}()
+	}
+	wg.Wait()
+	st := c.Router.Stats()
+	if st.Hedges == 0 || st.HedgeWins == 0 || st.HedgeWins == st.Routed {
+		t.Errorf("%d routed, %d hedges, %d hedge wins: the race was never run both ways", st.Routed, st.Hedges, st.HedgeWins)
+	}
+	base.CloseIdleConnections() // what is left then is a leak, not a pooled connection
+	waitGoroutines(t, before)
+	if n, _ := freeFrames(c.Router); n == 0 {
+		t.Error("free list is empty after every response was released")
+	}
+}
+
+// TestFailedAttemptsGiveTheirBuffersBack: an attempt that got as far as
+// taking a buffer and then failed — frame rejected, or connection cut
+// mid-body — puts it back itself; the request's answer comes from the
+// successor in a buffer of its own.
+func TestFailedAttemptsGiveTheirBuffersBack(t *testing.T) {
+	ctx := context.Background()
+	const iso = 128
+	want := directFrame(t, iso)
+	for _, tc := range []struct {
+		name    string
+		fault   chaos.Fault
+		corrupt int64
+	}{
+		{"corrupt", chaos.Fault{CorruptProb: 1}, 1},
+		{"truncated", chaos.Fault{TruncateProb: 1}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			client, in := chaosClient(24)
+			c := startCluster(t, 2, ReplicaConfig{}, RouterConfig{ProbeInterval: -1, Client: client})
+			home := c.Router.HomeReplica(0, iso)
+			in.SetFault(c.Replicas[home].Addr(), tc.fault)
+
+			// Alone, the faulted replica fails the request and the attempt's
+			// buffer is all there is to find afterwards.
+			alone, err := NewRouter(RouterConfig{Replicas: []string{c.Replicas[home].Addr()}, ProbeInterval: -1, Client: client})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(alone.Close)
+			if _, _, err := alone.QueryBytes(ctx, 0, iso); !errors.Is(err, ErrNoReplicas) {
+				t.Fatalf("err = %v from a router over the faulted replica alone, want ErrNoReplicas", err)
+			}
+			if n, b := freeFrames(alone); n != 1 || b < len(want) {
+				t.Fatalf("free list holds %d buffers / %d bytes after one failed attempt, want 1 / ≥ %d", n, b, len(want))
+			}
+			if got := alone.Stats().CorruptFrames; got != tc.corrupt {
+				t.Errorf("%d corrupt frames counted, want %d", got, tc.corrupt)
+			}
+			if got := alone.Metrics().Histogram("router_frame_read_seconds", "").Count(); got != tc.corrupt {
+				t.Errorf("router_frame_read_seconds has %d observations, want %d (frames read to a verdict)", got, tc.corrupt)
+			}
+
+			// With a successor, the retry reads the good frame into the very
+			// buffer the bad one was in, and none of the bad bytes survive.
+			frame, route, err := c.Router.QueryBytes(ctx, 0, iso)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if route.Replica == home || !bytes.Equal(frame, want) {
+				t.Fatalf("served by %d (faulted home %d), frame intact = %v", route.Replica, home, bytes.Equal(frame, want))
+			}
+			if n, _ := freeFrames(c.Router); n != 0 {
+				t.Errorf("%d buffers on the free list: the successor's attempt did not reuse the failed one's", n)
+			}
+			c.Router.Recycle(frame)
+			if n, _ := freeFrames(c.Router); n != 1 {
+				t.Errorf("%d buffers on the free list after the caller recycled, want 1", n)
+			}
+		})
+	}
+}
+
+// TestMalformedPrefixIsACorruptFrame: a replica that answers 200 with a
+// length prefix no frame can have has sent a corrupt frame — counted and
+// reported as one, whether or not the router checksums, and never mistaken
+// for an I/O failure or an attempt timeout.
+func TestMalformedPrefixIsACorruptFrame(t *testing.T) {
+	for name, body := range map[string][]byte{
+		"below header size": {3, 0, 0, 0, 'I', 'S', 'O'},
+		"exceeds limit":     {0xff, 0xff, 0xff, 0xff, 'I', 'S', 'O', 'M'},
+	} {
+		for _, disableVerify := range []bool{false, true} {
+			bad := serveOnLoopback(t, http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+				w.Write(body) //nolint:errcheck
+			}))
+			rt, err := NewRouter(RouterConfig{Replicas: []string{bad}, ProbeInterval: -1, DisableVerify: disableVerify})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(rt.Close)
+			_, _, err = rt.QueryBytes(context.Background(), 0, 1)
+			if !errors.Is(err, ErrNoReplicas) || !strings.Contains(err.Error(), "frame rejected") {
+				t.Errorf("%s (DisableVerify=%v): err = %v, want ErrNoReplicas naming a rejected frame", name, disableVerify, err)
+			}
+			if st := rt.Stats(); st.CorruptFrames != 1 || st.AttemptTimeouts != 0 || !st.Down[0] {
+				t.Errorf("%s (DisableVerify=%v): %d corrupt frames, %d attempt timeouts, down=%v; want 1, 0, true",
+					name, disableVerify, st.CorruptFrames, st.AttemptTimeouts, st.Down[0])
+			}
+			if n, _ := freeFrames(rt); n != 0 {
+				t.Errorf("%s: %d buffers on the free list though none was ever taken", name, n)
+			}
+		}
+	}
+}
+
+// TestFreeListIsBounded: the list keeps at most freeFrameSlots buffers and
+// freeFrameBytes of capacity, prefers large buffers to small ones, and hands
+// out the tightest fit.
+func TestFreeListIsBounded(t *testing.T) {
+	rt, err := NewRouter(RouterConfig{Replicas: []string{"127.0.0.1:1"}, ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	for i := 1; i <= 2*freeFrameSlots; i++ {
+		rt.Recycle(make([]byte, i<<10))
+	}
+	n, b := freeFrames(rt)
+	if n != freeFrameSlots {
+		t.Fatalf("%d buffers kept, bound is %d", n, freeFrameSlots)
+	}
+	if got := cap(rt.takeFrame(1)); got != (freeFrameSlots+1)<<10 {
+		t.Errorf("a 1-byte frame was given a %d-byte buffer; the smallest kept is %d", got, (freeFrameSlots+1)<<10)
+	}
+	if got := rt.takeFrame(2*freeFrameSlots<<10 + 1); len(got) != cap(got) {
+		t.Errorf("a frame larger than any kept buffer got a recycled one (len %d, cap %d)", len(got), cap(got))
+	}
+	if n2, b2 := freeFrames(rt); n2 != n-1 || b2 != b-(freeFrameSlots+1)<<10 {
+		t.Errorf("after one take: %d buffers / %d bytes, want %d / %d", n2, b2, n-1, b-(freeFrameSlots+1)<<10)
+	}
+	rt.Recycle(make([]byte, freeFrameBytes+1)) // larger than the whole bound: dropped
+	rt.Recycle(make([]byte, freeFrameBytes))   // fills it alone: everything smaller goes
+	if n, b := freeFrames(rt); n != 1 || b != freeFrameBytes {
+		t.Errorf("%d buffers / %d bytes kept, want 1 / %d", n, b, freeFrameBytes)
+	}
+	for _, m := range rt.Metrics().Snapshot() {
+		if m.Name == "router_free_frames_bytes" && m.Value != freeFrameBytes {
+			t.Errorf("router_free_frames_bytes = %v, want %d", m.Value, freeFrameBytes)
+		}
+	}
+	for _, path := range []string{"/metrics", "/statusz"} {
+		rec := httptest.NewRecorder()
+		rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		for _, name := range []string{"router_free_frames_bytes", "router_frame_read_seconds"} {
+			if !strings.Contains(rec.Body.String(), name) {
+				t.Errorf("%s does not show %s", path, name)
+			}
+		}
+	}
+}
+
+// allocPerRequest runs n routed hits and returns the bytes the process
+// allocated per request (TotalAlloc: garbage counts, live or not).
+func allocPerRequest(t testing.TB, rt *Router, iso float32, n int, recycle bool) float64 {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		frame, _, err := rt.QueryBytes(context.Background(), 0, iso)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if recycle {
+			rt.Recycle(frame)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+}
+
+// TestRecycleZeroAllocSteadyState is the allocation gate for the give-back:
+// a caller that recycles each frame makes the tier — router, HTTP exchange
+// and replica together — allocate less than 5 % of a frame per warmed hit; a
+// caller that keeps its frames pays one frame each, as before.
+func TestRecycleZeroAllocSteadyState(t *testing.T) {
+	const iso, tris = 5, 240_000
+	c := startBigCluster(t, 1, tris, RouterConfig{ProbeInterval: -1})
+	frame := float64(meshio.BinarySize(&geom.Mesh{Tris: make([]geom.Triangle, tris)}) + 4)
+	if frame < 8<<20 {
+		t.Fatalf("test frame is %.0f bytes, want at least 8 MiB", frame)
+	}
+	allocPerRequest(t, c.Router, iso, 3, true) // extract, seal, fill connection pools and the free list
+	if got := allocPerRequest(t, c.Router, iso, 20, true); got > 0.05*frame {
+		t.Errorf("recycling caller: %.0f bytes allocated per request, want under 5 %% of the %.0f-byte frame", got, frame)
+	}
+	if got := allocPerRequest(t, c.Router, iso, 20, false); got < 0.9*frame || got > 1.1*frame {
+		t.Errorf("keeping caller: %.0f bytes allocated per request, want about one %.0f-byte frame", got, frame)
+	}
+}
+
+// BenchmarkRoutedHit measures the tier's hot path over real loopback
+// sockets: one replica with the surface cached and sealed, a 32 MB frame (the
+// repository benchmark's mean). keep is a caller that holds on to every mesh
+// — B/op is one frame; recycle is one that hands each frame back when done
+// with it — B/op is the HTTP exchange alone. MB/s is frame bytes delivered.
+func BenchmarkRoutedHit(b *testing.B) {
+	const iso, tris = 5, 890_000
+	c := startBigCluster(b, 1, tris, RouterConfig{ProbeInterval: -1})
+	ctx := context.Background()
+	warm, err := c.Router.Query(ctx, 0, iso)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, recycle := range []bool{false, true} {
+		name := "keep"
+		if recycle {
+			name = "recycle"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(int64(meshio.BinarySize(warm.Mesh)))
+			b.ReportAllocs()
+			if recycle { // steady state: the free list already holds this caller's frame
+				resp, err := c.Router.Query(ctx, 0, iso)
+				if err != nil {
+					b.Fatal(err)
+				}
+				resp.Release()
+				b.ResetTimer()
+			}
+			for i := 0; i < b.N; i++ {
+				resp, err := c.Router.Query(ctx, 0, iso)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if resp.Route.Source != "cache" || resp.Mesh.Len() != tris {
+					b.Fatalf("request %d: source %q, %d triangles", i, resp.Route.Source, resp.Mesh.Len())
+				}
+				if recycle {
+					resp.Release()
+				}
+			}
+		})
+	}
+}

@@ -86,6 +86,12 @@ type RouterConfig struct {
 const (
 	probeTimeout = time.Second           // bound on one /healthz round trip
 	backoffBase  = 25 * time.Millisecond // first saturation-backoff wait absent a Retry-After hint; doubles each round
+
+	// The free list of recycled frame buffers holds at most this many bytes
+	// of capacity in at most this many buffers: eight callers' worth of
+	// 32 MB frames, and a scan short enough to do under a mutex.
+	freeFrameBytes = 256 << 20
+	freeFrameSlots = 16
 )
 
 func (c RouterConfig) withDefaults() RouterConfig {
@@ -193,6 +199,14 @@ type Router struct {
 	timeouts  *obs.Counter
 	revived   *obs.Counter
 	latency   *obs.Histogram
+	frameRead *obs.Histogram
+
+	// Frame buffers handed back by Recycle, for fetch to read the next
+	// frames into. Deliberately not a sync.Pool: a GC would empty it, and
+	// the point is a steady state that allocates nothing.
+	fmu       sync.Mutex
+	free      [][]byte
+	freeBytes int // sum of cap over free
 
 	stopProbe context.CancelFunc
 	probeDone chan struct{}
@@ -227,7 +241,13 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		timeouts:  reg.Counter("router_attempt_timeouts_total", "attempts cut off by the per-attempt timeout"),
 		revived:   reg.Counter("router_revived_total", "down replicas revived by a passing request"),
 		latency:   reg.Histogram("router_request_seconds", "end-to-end routed request latency"),
+		frameRead: reg.Histogram("router_frame_read_seconds", "one replica response from status line to trailer compared: socket read and checksum, one pass"),
 	}
+	reg.GaugeFunc("router_free_frames_bytes", "capacity of recycled frame buffers waiting for the next fetch", func() float64 {
+		rt.fmu.Lock()
+		defer rt.fmu.Unlock()
+		return float64(rt.freeBytes)
+	})
 	reg.GaugeFunc("router_replicas_up", "replicas currently considered healthy", func() float64 {
 		up := 0
 		for i := range rt.down {
@@ -353,7 +373,8 @@ func (rt *Router) candidates(step int, iso float32) []int {
 }
 
 // QueryBytes routes one query and returns the raw mesh frame — the relay
-// path (Handler) and accounting-only callers use it to skip the decode.
+// path (Handler) and accounting-only callers use it to skip the decode. The
+// frame is the caller's; a caller that is done with it may Recycle it.
 func (rt *Router) QueryBytes(ctx context.Context, step int, iso float32) ([]byte, Route, error) {
 	start := time.Now()
 	var (
@@ -538,8 +559,32 @@ func (rt *Router) hedgedFetch(ctx context.Context, a, b, step int, iso float32) 
 	hctx, cancel := context.WithCancel(ctx)
 	defer cancel() // cancels the loser once a winner returns
 	ch := make(chan fres, 2)
+	// A result nobody will pick up still owns a buffer. One that is already
+	// in ch when this call returns is recycled here; an attempt that finishes
+	// later recycles its own, from its own goroutine, after its last write.
+	var (
+		mu      sync.Mutex
+		settled bool
+	)
+	defer func() {
+		mu.Lock()
+		settled = true
+		for len(ch) > 0 {
+			rt.Recycle((<-ch).frame)
+		}
+		mu.Unlock()
+	}()
 	fire := func(ri int) {
-		go func() { ch <- rt.fetch(hctx, ri, step, iso) }()
+		go func() {
+			f := rt.fetch(hctx, ri, step, iso)
+			mu.Lock()
+			defer mu.Unlock()
+			if settled {
+				rt.Recycle(f.frame)
+				return
+			}
+			ch <- f // never blocks: two slots, two attempts
+		}()
 	}
 	fire(a)
 	launched := 1
@@ -573,11 +618,24 @@ func (rt *Router) hedgedFetch(ctx context.Context, a, b, step int, iso float32) 
 // Response is a routed query result, decoded. Mesh.Tris are a view of the
 // frame this request read off the socket (no second copy of the triangles):
 // the mesh belongs to the caller alone — nothing else references that frame,
-// and the replica's cached surface is on the far side of a TCP connection.
+// and the replica's cached surface is on the far side of a TCP connection —
+// until the caller says it is done with it (Release).
 type Response struct {
 	Mesh  *geom.Mesh
 	Iso   float32 // the quantized isovalue the shard extracted
 	Route Route
+
+	rt    *Router
+	frame []byte // what Mesh views; Release hands it back
+}
+
+// Release tells the router the caller is done with the mesh: the frame it
+// views goes back for a later query to be read into, and Mesh is cleared.
+// Optional — a response never released is the caller's for good, and no
+// later query touches it. Not safe to call while Mesh.Tris is still in use.
+func (r *Response) Release() {
+	r.rt.Recycle(r.frame)
+	r.Mesh, r.frame = nil, nil
 }
 
 // Query routes one query and decodes the returned frame in place. fetch has
@@ -590,9 +648,70 @@ func (rt *Router) Query(ctx context.Context, step int, iso float32) (*Response, 
 	}
 	mesh, qiso, err := meshio.DecodeBinaryView(frame, !rt.cfg.DisableVerify)
 	if err != nil {
+		rt.Recycle(frame)
 		return nil, fmt.Errorf("dist: replica %s returned a bad frame: %w", route.Addr, err)
 	}
-	return &Response{Mesh: mesh, Iso: qiso, Route: route}, nil
+	return &Response{Mesh: mesh, Iso: qiso, Route: route, rt: rt, frame: frame}, nil
+}
+
+// Recycle hands back a frame QueryBytes returned, once the caller is done
+// with every byte of it: a later fetch reads its frame into the same memory
+// instead of allocating (and zeroing, and faulting in) its own. Optional, and
+// the only way a buffer returns — the router never reuses a frame a caller
+// still holds. The caller must not touch frame afterwards.
+func (rt *Router) Recycle(frame []byte) {
+	c := cap(frame)
+	if c == 0 || c > freeFrameBytes {
+		return
+	}
+	rt.fmu.Lock()
+	defer rt.fmu.Unlock()
+	// Make room by dropping the smallest buffer: any frame it could hold, a
+	// larger one can too.
+	for len(rt.free) == freeFrameSlots || rt.freeBytes+c > freeFrameBytes {
+		small := 0
+		for i := range rt.free {
+			if cap(rt.free[i]) < cap(rt.free[small]) {
+				small = i
+			}
+		}
+		if cap(rt.free[small]) >= c {
+			return // the newcomer is the smallest
+		}
+		rt.dropFree(small)
+	}
+	rt.free = append(rt.free, frame[:0])
+	rt.freeBytes += c
+}
+
+// takeFrame returns a size-byte buffer for one fetch to read into: the
+// tightest recycled one that fits, else a fresh one. Always sliced from the
+// buffer's start, where an allocation is aligned for meshio's triangle view.
+func (rt *Router) takeFrame(size int) []byte {
+	rt.fmu.Lock()
+	best := -1
+	for i := range rt.free {
+		if c := cap(rt.free[i]); c >= size && (best < 0 || c < cap(rt.free[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		rt.fmu.Unlock()
+		return make([]byte, size)
+	}
+	buf := rt.free[best]
+	rt.dropFree(best)
+	rt.fmu.Unlock()
+	return buf[:size]
+}
+
+// dropFree removes free[i]; fmu is held.
+func (rt *Router) dropFree(i int) {
+	last := len(rt.free) - 1
+	rt.freeBytes -= cap(rt.free[i])
+	rt.free[i] = rt.free[last]
+	rt.free[last] = nil
+	rt.free = rt.free[:last]
 }
 
 // errReplicaFailed marks a definitive replica-side failure (non-503 error
@@ -644,17 +763,30 @@ func (rt *Router) fetch(ctx context.Context, ri, step int, iso float32) fres {
 		out.err = fmt.Errorf("%w: %s from %s", errReplicaFailed, resp.Status, addr)
 		return out
 	}
-	frame, err := meshio.ReadBinaryFrame(resp.Body, meshio.MaxBinaryFrameBytes)
-	if err != nil {
-		out.err = timedOut(fmt.Errorf("reading frame from %s: %w", addr, err))
-		return out
+	// One pass: the CRC is folded over each chunk as it comes off the socket.
+	// buf is this attempt's alone until its frame is served; on any failure
+	// it goes back from here, after ReadFrame — its only writer — returned.
+	var buf []byte
+	readStart := time.Now()
+	frame, err := meshio.ReadFrame(resp.Body, meshio.MaxBinaryFrameBytes, !rt.cfg.DisableVerify, func(size int) []byte {
+		buf = rt.takeFrame(size)
+		return buf
+	})
+	malformed := errors.Is(err, meshio.ErrBinaryFormat)
+	if err == nil || malformed {
+		rt.frameRead.Observe(time.Since(readStart)) // read through to a verdict
 	}
-	if !rt.cfg.DisableVerify {
-		if err := meshio.VerifyBinary(frame); err != nil {
+	if err != nil {
+		rt.Recycle(buf)
+		if malformed {
+			// Whichever byte was hit — prefix, header or checksum — the
+			// replica answered, with the wrong bytes.
 			rt.corrupt.Inc()
 			out.err = fmt.Errorf("replica %s frame rejected: %w", addr, err)
 			return out
 		}
+		out.err = timedOut(fmt.Errorf("reading frame from %s: %w", addr, err))
+		return out
 	}
 	out.frame, out.src = frame, resp.Header.Get("X-Iso-Source")
 	return out
@@ -705,8 +837,11 @@ func (rt *Router) probe(ctx context.Context, i int) bool {
 // Handler exposes the router over HTTP so remote clients (isoserve
 // -connect) can drive the tier without linking it:
 //
-//	GET /mesh?step=S&iso=V  the routed mesh frame, relayed verbatim;
-//	                        X-Iso-Replica names the shard that served it
+//	GET /mesh?step=S&iso=V  the routed mesh frame, relayed verbatim from
+//	                        the buffer fetch verified it in — buffered whole,
+//	                        because a relay that has started writing cannot
+//	                        retry on the successor; X-Iso-Replica names the
+//	                        shard that served it
 //	GET /healthz            200 while ≥1 replica is up
 //	/metrics /statusz       the router's registry
 func (rt *Router) Handler() http.Handler {
@@ -740,6 +875,7 @@ func (rt *Router) Handler() http.Handler {
 		w.Header().Set("X-Iso-Source", route.Source)
 		w.Header().Set("X-Iso-Replica", route.Addr)
 		w.Write(frame) //nolint:errcheck // client gone is the client's business
+		rt.Recycle(frame)
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, req *http.Request) {
 		for i := range rt.down {

@@ -220,10 +220,15 @@ func chaosRow(ctx context.Context, backend serve.Backend, ccfg ChaosConfig, w Se
 			qctx, cancel := context.WithTimeout(ctx, ccfg.RequestTimeout)
 			defer cancel()
 			frame, _, err := cl.Router.QueryBytes(qctx, 0, iso)
-			if err == nil && !bytes.Equal(frame, refs[math.Float32bits(iso)]) {
+			if err != nil {
+				return err
+			}
+			same := bytes.Equal(frame, refs[math.Float32bits(iso)])
+			cl.Router.Recycle(frame)
+			if !same {
 				return errMismatch
 			}
-			return err
+			return nil
 		},
 		func(d time.Duration, err error) {
 			lat.Observe(d)

@@ -114,6 +114,7 @@ func ScalingTable(ctx context.Context, cfg RMConfig, procs int, replicaCounts []
 				frame, _, err := cl.Router.QueryBytes(ctx, 0, iso)
 				if err == nil {
 					_, nt, err := meshio.DecodeBinaryHeader(frame)
+					cl.Router.Recycle(frame)
 					return nt, err
 				}
 				if !errors.Is(err, serve.ErrSaturated) {

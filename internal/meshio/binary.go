@@ -253,8 +253,14 @@ func VerifyBinary(data []byte) error {
 	if flags&FlagChecksum == 0 {
 		return nil
 	}
-	want := binary.LittleEndian.Uint32(data[len(data)-binCRCSize:])
-	if got := crc32.Checksum(data[binPrefixSize:len(data)-binCRCSize], crcTable); got != want {
+	return checkTrailer(data, crc32.Checksum(data[binPrefixSize:len(data)-binCRCSize], crcTable))
+}
+
+// checkTrailer compares the CRC32-C computed over a frame's magic..payload
+// with the trailer the frame carries. data has passed decodeHeader with the
+// checksum flag set, so the trailer is there.
+func checkTrailer(data []byte, got uint32) error {
+	if want := binary.LittleEndian.Uint32(data[len(data)-binCRCSize:]); got != want {
 		return fmt.Errorf("%w: %w: computed %#08x, frame carries %#08x", ErrBinaryFormat, ErrChecksum, got, want)
 	}
 	return nil
@@ -291,11 +297,12 @@ func ownTris(payload []byte) []geom.Triangle {
 // DecodeBinaryView is DecodeBinary without the copy: the returned mesh's
 // Tris are data's own payload bytes, so the mesh is valid only while data is
 // left alone and a write to either shows in the other. Pass verified=true
-// only for a frame VerifyBinary has already accepted — the CRC pass is then
-// skipped, so a frame that crosses one trust boundary is checksummed exactly
-// once; the structural checks that bound every access run regardless. Where
-// the payload cannot be viewed in place (foreign byte order, or data whose
-// payload is not 4-byte aligned) the result is DecodeBinary's private copy.
+// only for a frame VerifyBinary (or a verifying ReadFrame) has already
+// accepted — the CRC pass is then skipped, so a frame that crosses one trust
+// boundary is checksummed exactly once; the structural checks that bound
+// every access run regardless. Where the payload cannot be viewed in place
+// (foreign byte order, or data whose payload is not 4-byte aligned) the
+// result is DecodeBinary's private copy.
 func DecodeBinaryView(data []byte, verified bool) (*geom.Mesh, float32, error) {
 	payload, iso, err := verifiedPayload(data, verified)
 	if err != nil {
@@ -344,11 +351,37 @@ func getVec(b []byte) geom.Vec3 {
 	}
 }
 
-// ReadBinaryFrame reads one whole frame (length prefix included) from r,
-// refusing frames whose declared size exceeds maxBytes (≤ 0 selects
-// MaxBinaryFrameBytes). The limit is enforced before the payload is
-// allocated or read, so a hostile length prefix cannot balloon memory.
-func ReadBinaryFrame(r io.Reader, maxBytes int) ([]byte, error) {
+// readChunk is how much of a frame ReadFrame asks its reader for at a time
+// when it is checksumming: small enough that the bytes a Read just wrote are
+// still in L2 (a few MiB on any host this runs on) when crc32.Update walks
+// them, large enough that the per-chunk overhead disappears against a
+// 36 B/triangle payload.
+const readChunk = 256 << 10
+
+// ReadFrame reads one whole frame (length prefix included) from r in a single
+// pass. It refuses a frame whose declared size exceeds maxBytes (≤ 0 selects
+// MaxBinaryFrameBytes) before the frame's buffer is asked for, so a hostile
+// length prefix cannot balloon memory. alloc supplies that buffer — it is
+// called at most once, with the frame's exact size, and must return at least
+// that many bytes (nil = make a fresh one); the frame is read into its start,
+// over whatever it held, and every byte of the returned frame came from r.
+//
+// With verify set the frame is also held to everything VerifyBinary checks,
+// without a second walk: the CRC32-C is folded over each chunk as it comes
+// off r, and once the last byte is in the structural checks run and the
+// trailer is compared. The error is then the one VerifyBinary would have
+// given the same bytes (ErrBinaryFormat, ErrChecksum). Without verify any
+// well-prefixed bytes pass. A short or failed read wraps r's error
+// (io.ErrUnexpectedEOF for a body that ends early) and is never
+// ErrBinaryFormat. On any error the returned frame is nil and the buffer
+// alloc returned is the caller's again.
+func ReadFrame(r io.Reader, maxBytes int, verify bool, alloc func(size int) []byte) ([]byte, error) {
+	return readFrame(r, maxBytes, verify, alloc, readChunk)
+}
+
+// readFrame is ReadFrame with the chunk size named, so the fuzzer can put
+// chunk boundaries anywhere in a small frame.
+func readFrame(r io.Reader, maxBytes int, verify bool, alloc func(size int) []byte, chunk int) ([]byte, error) {
 	if maxBytes <= 0 {
 		maxBytes = MaxBinaryFrameBytes
 	}
@@ -363,21 +396,68 @@ func ReadBinaryFrame(r io.Reader, maxBytes int) ([]byte, error) {
 	if uint64(n)+binPrefixSize > uint64(maxBytes) {
 		return nil, binErr("frame of %d bytes exceeds limit %d", uint64(n)+binPrefixSize, maxBytes)
 	}
-	frame := make([]byte, binPrefixSize+int(n))
+	size := binPrefixSize + int(n)
+	var frame []byte
+	if alloc != nil {
+		frame = alloc(size)[:size]
+	} else {
+		frame = make([]byte, size)
+	}
 	copy(frame, prefix[:])
-	if _, err := io.ReadFull(r, frame[binPrefixSize:]); err != nil {
-		return nil, fmt.Errorf("meshio: reading %d-byte frame body: %w", n, err)
+
+	// The CRC covers magic..payload. Whether a trailer follows is a header
+	// flag, known once the first chunk — never shorter than the header — is
+	// in; until then sumEnd keeps the fold off, and without the flag it
+	// stays off.
+	sumEnd := 0
+	if verify {
+		chunk = max(chunk, binHeaderSize)
+	} else {
+		chunk = size // nothing to fold: one read
+	}
+	var sum uint32
+	for off := binPrefixSize; off < size; {
+		end := min(off+chunk, size)
+		if _, err := io.ReadFull(r, frame[off:end]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF // the prefix promised these bytes
+			}
+			return nil, fmt.Errorf("meshio: reading %d-byte frame body: %w", n, err)
+		}
+		if verify && off == binPrefixSize && binary.LittleEndian.Uint16(frame[10:])&FlagChecksum != 0 {
+			sumEnd = size - binCRCSize
+		}
+		if off < sumEnd {
+			sum = crc32.Update(sum, crcTable, frame[off:min(end, sumEnd)])
+		}
+		off = end
+	}
+	if verify {
+		_, _, flags, err := decodeHeader(frame)
+		if err == nil && flags&FlagChecksum != 0 {
+			err = checkTrailer(frame, sum)
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
 	return frame, nil
 }
 
-// ReadBinary reads and decodes one frame from r under the same size limit
-// as ReadBinaryFrame. The frame buffer is this call's own, so the mesh is a
+// ReadBinaryFrame reads one whole frame from r into a buffer of its own under
+// ReadFrame's size limit, unverified: the bytes are for a caller that relays
+// them or checks them itself.
+func ReadBinaryFrame(r io.Reader, maxBytes int) ([]byte, error) {
+	return ReadFrame(r, maxBytes, false, nil)
+}
+
+// ReadBinary reads, verifies and decodes one frame from r under the same size
+// limit, in one pass. The frame buffer is this call's own, so the mesh is a
 // view of it rather than a second copy.
 func ReadBinary(r io.Reader, maxBytes int) (*geom.Mesh, float32, error) {
-	frame, err := ReadBinaryFrame(r, maxBytes)
+	frame, err := ReadFrame(r, maxBytes, true, nil)
 	if err != nil {
 		return nil, 0, err
 	}
-	return DecodeBinaryView(frame, false)
+	return DecodeBinaryView(frame, true)
 }

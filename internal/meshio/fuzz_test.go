@@ -5,11 +5,59 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/geom"
 )
+
+// frameSeeds are the hand-written frames both fuzz targets start from: valid,
+// truncated, padded, hostile and checksummed.
+func frameSeeds() [][]byte {
+	var seeds [][]byte
+	add := func(b []byte) { seeds = append(seeds, b) }
+
+	empty := EncodeBinary(0, &geom.Mesh{})
+	one := EncodeBinary(110, &geom.Mesh{Tris: []geom.Triangle{{
+		A: geom.V(0, 0, 0), B: geom.V(1, 0, 0), C: geom.V(0, 1, 0),
+	}}})
+	many := EncodeBinary(-3.25, testMesh(9, 2))
+
+	add(empty)
+	add(one)
+	add(many)
+	add(one[:len(one)-7])                        // truncated payload
+	add(append(append([]byte(nil), many...), 1)) // trailing byte
+	add([]byte{})                                // no bytes at all
+	add(bytes.Repeat([]byte{0xff}, binMinFrame)) // hostile prefix + count
+	corruptVersion := append([]byte(nil), one...)
+	binary.LittleEndian.PutUint16(corruptVersion[8:], 2)
+	add(corruptVersion)
+
+	// Checksum-flag frames: valid trailers, a flipped payload byte (CRC must
+	// catch it), a flag with no room for a trailer, and a truncated trailer.
+	add(EncodeBinaryChecksum(0, &geom.Mesh{}))
+	summed := AppendBinaryChecksum(nil, 110, &geom.Mesh{Tris: []geom.Triangle{{
+		A: geom.V(0, 0, 0), B: geom.V(1, 0, 0), C: geom.V(0, 1, 0),
+	}}})
+	add(summed)
+	flipped := append([]byte(nil), summed...)
+	flipped[binMinFrame+5] ^= 0x40
+	add(flipped)
+	flagNoRoom := append([]byte(nil), empty...)
+	binary.LittleEndian.PutUint16(flagNoRoom[10:], FlagChecksum)
+	add(flagNoRoom)
+	add(summed[:len(summed)-2])
+
+	// Frames the in-place paths care about: several meshes with an empty one
+	// between them, and payload bits that only survive if moved as bits.
+	add(EncodeBinaryChecksum(-3.25, testMesh(2, 1), &geom.Mesh{}, testMesh(1, 7)))
+	add(EncodeBinary(110, nanMesh()))
+	add(EncodeBinaryChecksum(110, nanMesh(), nanMesh()))
+	return seeds
+}
 
 // FuzzDecodeBinary holds the wire decoder to its contract under arbitrary
 // input: it must return ErrBinaryFormat (never panic, never tolerate a
@@ -25,43 +73,9 @@ import (
 // the view must fall back to a private copy — not a misaligned pointer —
 // when the same frame sits at byte offsets 1–3 of a larger buffer.
 func FuzzDecodeBinary(f *testing.F) {
-	empty := EncodeBinary(0, &geom.Mesh{})
-	one := EncodeBinary(110, &geom.Mesh{Tris: []geom.Triangle{{
-		A: geom.V(0, 0, 0), B: geom.V(1, 0, 0), C: geom.V(0, 1, 0),
-	}}})
-	many := EncodeBinary(-3.25, testMesh(9, 2))
-
-	f.Add(empty)
-	f.Add(one)
-	f.Add(many)
-	f.Add(one[:len(one)-7])                        // truncated payload
-	f.Add(append(append([]byte(nil), many...), 1)) // trailing byte
-	f.Add([]byte{})                                // no bytes at all
-	f.Add(bytes.Repeat([]byte{0xff}, binMinFrame)) // hostile prefix + count
-	corruptVersion := append([]byte(nil), one...)
-	binary.LittleEndian.PutUint16(corruptVersion[8:], 2)
-	f.Add(corruptVersion)
-
-	// Checksum-flag frames: valid trailers, a flipped payload byte (CRC must
-	// catch it), a flag with no room for a trailer, and a truncated trailer.
-	f.Add(EncodeBinaryChecksum(0, &geom.Mesh{}))
-	summed := AppendBinaryChecksum(nil, 110, &geom.Mesh{Tris: []geom.Triangle{{
-		A: geom.V(0, 0, 0), B: geom.V(1, 0, 0), C: geom.V(0, 1, 0),
-	}}})
-	f.Add(summed)
-	flipped := append([]byte(nil), summed...)
-	flipped[binMinFrame+5] ^= 0x40
-	f.Add(flipped)
-	flagNoRoom := append([]byte(nil), empty...)
-	binary.LittleEndian.PutUint16(flagNoRoom[10:], FlagChecksum)
-	f.Add(flagNoRoom)
-	f.Add(summed[:len(summed)-2])
-
-	// Frames the in-place paths care about: several meshes with an empty one
-	// between them, and payload bits that only survive if moved as bits.
-	f.Add(EncodeBinaryChecksum(-3.25, testMesh(2, 1), &geom.Mesh{}, testMesh(1, 7)))
-	f.Add(EncodeBinary(110, nanMesh()))
-	f.Add(EncodeBinaryChecksum(110, nanMesh(), nanMesh()))
+	for _, seed := range frameSeeds() {
+		f.Add(seed)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, iso, err := DecodeBinary(data)
@@ -147,4 +161,158 @@ func FuzzDecodeBinary(f *testing.F) {
 			}
 		}
 	})
+}
+
+// readFrameTwoPass is the reader ReadFrame replaced, kept as its oracle: the
+// whole body in one ReadFull into fresh memory, then VerifyBinary's second
+// walk over it.
+func readFrameTwoPass(r io.Reader, maxBytes int, verify bool) ([]byte, error) {
+	var prefix [binPrefixSize]byte
+	if _, err := io.ReadFull(r, prefix[:]); err != nil {
+		return nil, err
+	}
+	n := binary.LittleEndian.Uint32(prefix[:])
+	if n < binHeaderSize {
+		return nil, binErr("length prefix %d below header size %d", n, binHeaderSize)
+	}
+	if uint64(n)+binPrefixSize > uint64(maxBytes) {
+		return nil, binErr("frame of %d bytes exceeds limit %d", uint64(n)+binPrefixSize, maxBytes)
+	}
+	frame := make([]byte, binPrefixSize+int(n))
+	copy(frame, prefix[:])
+	if _, err := io.ReadFull(r, frame[binPrefixSize:]); err != nil {
+		return nil, err
+	}
+	if verify {
+		if err := VerifyBinary(frame); err != nil {
+			return nil, err
+		}
+	}
+	return frame, nil
+}
+
+var errFuzzReader = errors.New("fuzz reader gave up")
+
+// endErrReader hands out data at most chunk bytes a Read and returns its
+// error together with the last of them, as a reader is allowed to.
+type endErrReader struct {
+	data  []byte
+	chunk int
+}
+
+func (r *endErrReader) Read(p []byte) (int, error) {
+	n := copy(p[:min(len(p), r.chunk)], r.data)
+	r.data = r.data[n:]
+	if len(r.data) == 0 {
+		return n, errFuzzReader
+	}
+	return n, nil
+}
+
+// FuzzReadFrame holds the one-pass reader to the two-pass one it replaced.
+// For arbitrary bytes, size limit, chunk size and a reader that fragments
+// them, ReadFrame returns the oracle's bytes or an error of the oracle's
+// class — checksum, other malformation, input ran out, reader failed —
+// whether or not it verifies. Along the way: the buffer is asked for at most
+// once and never for more than the limit, and a frame read into a buffer
+// full of someone else's bytes is made of r's bytes only.
+func FuzzReadFrame(f *testing.F) {
+	for i, seed := range frameSeeds() {
+		f.Add(seed, uint16(0xffff), uint8(i), uint8(16+i))
+	}
+	f.Add(EncodeBinaryChecksum(1, testMesh(40, 3)), uint16(0xffff), uint8(1), uint8(37))
+	f.Add(EncodeBinaryChecksum(1, testMesh(40, 3)), uint16(500), uint8(4), uint8(200)) // over the limit
+
+	readers := []func([]byte, int) io.Reader{
+		func(b []byte, _ int) io.Reader { return bytes.NewReader(b) },
+		func(b []byte, _ int) io.Reader { return iotest.OneByteReader(bytes.NewReader(b)) },
+		func(b []byte, _ int) io.Reader { return iotest.HalfReader(bytes.NewReader(b)) },
+		func(b []byte, _ int) io.Reader { return iotest.DataErrReader(bytes.NewReader(b)) },
+		func(b []byte, chunk int) io.Reader { return &endErrReader{data: b, chunk: chunk} },
+	}
+	class := func(t *testing.T, err error) string {
+		switch {
+		case err == nil:
+			return "ok"
+		case errors.Is(err, ErrChecksum):
+			return "checksum"
+		case errors.Is(err, ErrBinaryFormat):
+			return "malformed"
+		case errors.Is(err, io.EOF), errors.Is(err, io.ErrUnexpectedEOF):
+			return "input ran out"
+		case errors.Is(err, errFuzzReader):
+			return "reader failed"
+		}
+		t.Fatalf("error of no known class: %v", err)
+		return ""
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte, limit uint16, mode, chunk uint8) {
+		maxBytes := int(limit) + 1
+		newReader := func() io.Reader { return readers[int(mode)%len(readers)](data, int(chunk)+1) }
+		for _, verify := range []bool{false, true} {
+			want, werr := readFrameTwoPass(newReader(), maxBytes, verify)
+
+			var dirty []byte
+			got, gerr := readFrame(newReader(), maxBytes, verify, func(size int) []byte {
+				if dirty != nil {
+					t.Fatal("buffer asked for twice")
+				}
+				if size > maxBytes {
+					t.Fatalf("asked for %d bytes under a limit of %d", size, maxBytes)
+				}
+				dirty = bytes.Repeat([]byte{0xa5}, size+17)
+				return dirty
+			}, int(chunk)+1)
+
+			if class(t, gerr) != class(t, werr) {
+				t.Fatalf("verify=%v: one pass: %v; two passes: %v", verify, gerr, werr)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("verify=%v: one pass returned %d bytes that differ from the two-pass reader's %d", verify, len(got), len(want))
+			}
+			if gerr == nil && &got[0] != &dirty[0] {
+				t.Fatal("frame does not start at the start of the buffer it was given")
+			}
+			if gerr != nil && got != nil {
+				t.Fatalf("an error (%v) came with %d bytes of frame", gerr, len(got))
+			}
+		}
+	})
+}
+
+// TestReadFrameAtRealChunkEdges: the fuzzer moves a small chunk around small
+// frames; this holds ReadFrame's own 256 KiB chunking to VerifyBinary on
+// frames whose body is just under, exactly, and just over two chunks — intact,
+// with one byte flipped at each edge, and cut off on a chunk boundary.
+func TestReadFrameAtRealChunkEdges(t *testing.T) {
+	for _, tris := range []int{14562, 14563, 14564} { // 14563: body = 2·readChunk exactly
+		frame := EncodeBinaryChecksum(3, testMesh(tris, 1))
+		got, err := ReadFrame(iotest.HalfReader(bytes.NewReader(frame)), 0, true, nil)
+		if err != nil || !bytes.Equal(got, frame) {
+			t.Fatalf("%d triangles: intact frame: err %v, bytes equal %v", tris, err, bytes.Equal(got, frame))
+		}
+		for _, at := range []int{
+			binPrefixSize, binMinFrame,
+			binPrefixSize + readChunk - 1, binPrefixSize + readChunk,
+			binPrefixSize + 2*readChunk - 1, len(frame) - binCRCSize - 1, len(frame) - 1,
+		} {
+			if at >= len(frame) {
+				continue // the shortest body ends before the second chunk does
+			}
+			bad := append([]byte(nil), frame...)
+			bad[at] ^= 0x10
+			_, err := ReadFrame(bytes.NewReader(bad), 0, true, nil)
+			if verr := VerifyBinary(bad); verr == nil || (err == nil) || errors.Is(err, ErrChecksum) != errors.Is(verr, ErrChecksum) {
+				t.Errorf("%d triangles, byte %d flipped: one pass: %v; VerifyBinary: %v", tris, at, err, verr)
+			}
+			if got, err := ReadFrame(bytes.NewReader(bad), 0, false, nil); err != nil || !bytes.Equal(got, bad) {
+				t.Errorf("%d triangles, byte %d flipped: unverified read: err %v", tris, at, err)
+			}
+		}
+		cut := frame[:binPrefixSize+readChunk]
+		if _, err := ReadFrame(bytes.NewReader(cut), 0, true, nil); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("%d triangles, cut on a chunk boundary: err = %v, want io.ErrUnexpectedEOF", tris, err)
+		}
+	}
 }
