@@ -84,8 +84,9 @@ type Engine struct {
 	trees []*core.Tree
 	devs  []blockio.Device
 
-	// scratch holds the pipeline scratch (batch-mesh ring + staging soup) of
-	// node-extractions not running right now; see pipeScratch in stream.go.
+	// scratch holds the pipeline scratch (record ring, per-worker welders,
+	// batch-mesh ring, staging soup) of node-extractions not running right
+	// now; see pipeScratch in stream.go.
 	// A plain free list rather than a sync.Pool: a collection must not empty
 	// it, or the next extraction re-grows every mesh on its critical path.
 	scratchMu sync.Mutex

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync/atomic"
@@ -106,9 +107,10 @@ func TestStreamingMatchesTwoPhaseGrid(t *testing.T) {
 // TestPipelineMemoryBounds is the white-box half of the pipeline's memory
 // statement: however a node-extraction ends — drained, cancelled mid-stream,
 // or killed by a disk that fails for good — its record ring never held more
-// than depth×batch×recordSize bytes, and the only batch meshes
-// it ever had are the threads+depth of the ring it borrowed and gave
-// back.
+// than depth×batch×recordSize bytes, and everything it worked in is the one
+// scratch it borrowed and gave back: depth record buffers of exactly
+// batch×recordSize, a welder per thread, and the threads+depth batch meshes of
+// the ring.
 func TestPipelineMemoryBounds(t *testing.T) {
 	g := pipeGrid()
 	type ending struct {
@@ -172,8 +174,20 @@ func TestPipelineMemoryBounds(t *testing.T) {
 				if len(e.scratch) != 1 {
 					t.Fatalf("%s: engine retains %d scratches after sequential runs, want 1", name, len(e.scratch))
 				}
-				if got, ring := len(e.scratch[0].meshes), shape.threads+shape.depth; got != ring {
+				sc := e.scratch[0]
+				if got, ring := len(sc.meshes), shape.threads+shape.depth; got != ring {
 					t.Errorf("%s: %d batch meshes exist, want the ring's %d", name, got, ring)
+				}
+				if len(sc.workers) != shape.threads {
+					t.Errorf("%s: %d welders exist, want one per thread: %d", name, len(sc.workers), shape.threads)
+				}
+				if len(sc.recs) != shape.depth {
+					t.Errorf("%s: %d record buffers exist, want the ring's %d", name, len(sc.recs), shape.depth)
+				}
+				for i, buf := range sc.recs {
+					if want := shape.batch * e.Layout.RecordSize(); len(buf) != 0 || cap(buf) != want {
+						t.Errorf("%s: record buffer %d has len %d cap %d, want an empty one of exactly %d", name, i, len(buf), cap(buf), want)
+					}
 				}
 			}
 		}
@@ -209,7 +223,10 @@ func (d *armedDevice) ReadAt(p []byte, off int64) error {
 // decode fails, the caller cancels — with batches welded, reordered and half
 // merged at that moment, and then asks the same engine for a surface: no
 // goroutine may be left, and the mesh must be the bytes a fresh engine
-// produces, not a staging buffer or ring mesh's leftovers.
+// produces, not a staging buffer or ring mesh's leftovers. Nor may what the
+// retained scratch last held show: welders whose edge tables are full of
+// another isovalue's vertex ids, a metacell decoded halfway, record buffers
+// full of noise.
 func TestAbortedKeepMeshesLeavesEngineClean(t *testing.T) {
 	g := pipeGrid()
 	cfg := Config{Procs: 2, ThreadsPerNode: 2}
@@ -276,4 +293,35 @@ func TestAbortedKeepMeshesLeavesEngineClean(t *testing.T) {
 	}
 	waitGoroutines(t, before)
 	check("cancellations")
+
+	// No extraction is running, so every scratch is on the free list. Leave
+	// each worker's welder as a weld at a far-off isovalue leaves it (every
+	// edge-table entry it touched names a vertex of a mesh that is gone), and
+	// its metacell and the record ring as an abort halfway through might.
+	if len(e.scratch) == 0 {
+		t.Fatal("engine retains no scratch after sequential extractions")
+	}
+	for _, sc := range e.scratch {
+		for i := range sc.workers {
+			ws := &sc.workers[i]
+			if len(ws.m.Samples) == 0 {
+				t.Fatal("a retained worker scratch has never decoded a metacell")
+			}
+			var gone geom.IndexedMesh
+			gone.Verts = make([]geom.Vec3, 1<<20) // ids far past any batch mesh's
+			for _, iso := range []float32{30, 220} {
+				ws.w.Metacell(e.Layout, &ws.m, iso, &gone)
+			}
+			for j := range ws.m.Samples[:len(ws.m.Samples)/2] {
+				ws.m.Samples[j] = float32(math.NaN())
+			}
+		}
+		for _, buf := range sc.recs {
+			buf = buf[:cap(buf)]
+			for j := range buf {
+				buf[j] = 0xa5
+			}
+		}
+	}
+	check("a scribbled-on scratch")
 }

@@ -36,18 +36,28 @@ type batchOutput struct {
 }
 
 // pipeScratch is what one node-extraction borrows from its engine for as long
-// as it runs: the ring of batch meshes circulating between workers and merger,
-// and the staging soup the merger expands them into. The engine keeps them
-// between extractions (warmed-up capacity is the point), so what it retains is
-// one pipeScratch per node-extraction that has ever run at once.
+// as it runs: the record ring the producer fills, each worker's welder and
+// decoded metacell, the ring of batch meshes circulating between workers and
+// merger, and the staging soup the merger expands them into. The engine keeps
+// them between extractions (warmed-up capacity is the point), so what it
+// retains is one pipeScratch per node-extraction that has ever run at once.
 type pipeScratch struct {
-	meshes []*geom.IndexedMesh
-	stage  geom.Mesh
+	recs    [][]byte // record buffers, each of exactly batchRecords×recordSize capacity
+	workers []workerScratch
+	meshes  []*geom.IndexedMesh
+	stage   geom.Mesh
 }
 
-// takeScratch lends out a scratch with at least ring batch meshes and an
-// empty staging soup.
-func (e *Engine) takeScratch(ring int) *pipeScratch {
+// workerScratch is what one pipeline worker keeps from batch to batch.
+type workerScratch struct {
+	w march.Welder
+	m metacell.Meta
+}
+
+// takeScratch lends out a scratch with at least depth empty record buffers of
+// bufBytes capacity, threads worker scratches, ring batch meshes and an empty
+// staging soup.
+func (e *Engine) takeScratch(ring, threads, depth, bufBytes int) *pipeScratch {
 	var sc *pipeScratch
 	e.scratchMu.Lock()
 	if n := len(e.scratch); n > 0 {
@@ -56,6 +66,20 @@ func (e *Engine) takeScratch(ring int) *pipeScratch {
 	e.scratchMu.Unlock()
 	if sc == nil {
 		sc = new(pipeScratch)
+	}
+	for len(sc.recs) < depth {
+		sc.recs = append(sc.recs, nil)
+	}
+	for i, buf := range sc.recs[:depth] {
+		// A full buffer is the producer's signal to hand it over, so the
+		// capacity is the batch size exactly.
+		if cap(buf) < bufBytes {
+			buf = make([]byte, 0, bufBytes)
+		}
+		sc.recs[i] = buf[:0:bufBytes]
+	}
+	for len(sc.workers) < threads {
+		sc.workers = append(sc.workers, workerScratch{})
 	}
 	for len(sc.meshes) < ring {
 		sc.meshes = append(sc.meshes, new(geom.IndexedMesh))
@@ -127,12 +151,16 @@ func (e *Engine) extractNodeStreaming(ctx context.Context, node int, iso float32
 	batchRecs, depth := e.batchRecords, e.pipelineDepth
 	threads := max(e.Threads, 1)
 
-	// depth full batches may wait for a worker, which is what lets
-	// the producer run that far ahead.
+	ringSize := threads + depth
+	sc := e.takeScratch(ringSize, threads, depth, batchRecs*recSize)
+	defer e.putScratch(sc)
+
+	// The record ring. depth full batches may wait for a worker, which is
+	// what lets the producer run that far ahead.
 	work := make(chan streamBatch, depth)
 	free := make(chan []byte, depth)
-	for i := 0; i < depth; i++ {
-		free <- make([]byte, 0, batchRecs*recSize)
+	for _, buf := range sc.recs[:depth] {
+		free <- buf
 	}
 
 	// The mesh ring. A worker takes its mesh before it takes a batch, and
@@ -141,9 +169,6 @@ func (e *Engine) extractNodeStreaming(ctx context.Context, node int, iso float32
 	// the ring cannot run dry with the merger starved. Every welded batch
 	// holds one ring mesh until the merger is done with it, so outs, sized to
 	// the ring, never blocks a worker.
-	ringSize := threads + depth
-	sc := e.takeScratch(ringSize)
-	defer e.putScratch(sc)
 	ring := make(chan *geom.IndexedMesh, ringSize)
 	for _, im := range sc.meshes[:ringSize] {
 		ring <- im
@@ -246,8 +271,7 @@ func (e *Engine) extractNodeStreaming(ctx context.Context, node int, iso float32
 					close(outs)
 				}
 			}()
-			var m metacell.Meta
-			var w march.Welder
+			ws := &sc.workers[t]
 			var decodeNS *int64
 			if opts.Trace {
 				decodeNS = &decode[t]
@@ -267,7 +291,7 @@ func (e *Engine) extractNodeStreaming(ctx context.Context, node int, iso float32
 				}
 				tb := time.Now()
 				im.Reset()
-				cells, err := weldBatch(e.Layout, sb.buf, len(sb.buf)/recSize, recSize, iso, &w, &m, im, decodeNS)
+				cells, err := weldBatch(e.Layout, sb.buf, len(sb.buf)/recSize, recSize, iso, &ws.w, &ws.m, im, decodeNS)
 				batchDur := time.Since(tb)
 				busy[t] += batchDur
 				if e.met != nil {

@@ -157,18 +157,6 @@ func (im *IndexedMesh) Reset() {
 	im.Idx = im.Idx[:0]
 }
 
-// AppendVert adds a vertex and returns its index.
-func (im *IndexedMesh) AppendVert(p Vec3) uint32 {
-	id := uint32(len(im.Verts))
-	im.Verts = append(im.Verts, p)
-	return id
-}
-
-// AppendTri adds one index triple.
-func (im *IndexedMesh) AppendTri(a, b, c uint32) {
-	im.Idx = append(im.Idx, a, b, c)
-}
-
 // ExpandSoup converts the indexed mesh back to a triangle soup, in triangle
 // order.
 func (im *IndexedMesh) ExpandSoup() *Mesh {

@@ -79,3 +79,48 @@ func BenchmarkGrid(b *testing.B) {
 		b.ReportMetric(float64(tris)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mtri/s")
 	}
 }
+
+// BenchmarkNodeWeld is one worker's share of a node-extraction: decode and
+// weld every active metacell of an RM volume, in record order, resetting the
+// batch mesh every batchRecords records as the pipeline does, at a sparse, a
+// dense and again a sparse isovalue with one Welder throughout. Unlike
+// BenchmarkMetacellIndexed's single busiest metacell this includes the
+// inactive cells of active metacells, which outnumber the active ones.
+func BenchmarkNodeWeld(b *testing.B) {
+	const batchRecords = 256 // cluster.DefaultBatchRecords; cluster imports march
+	g := volume.RichtmyerMeshkov(129, 129, 120, 250, 1)
+	l, cells := metacell.Extract(g, 9)
+	var w Welder
+	var m metacell.Meta
+	var mesh geom.IndexedMesh
+	sweep := func() (active, tris, verts int) {
+		for _, iso := range []float32{30, 130, 210} {
+			n := 0
+			mesh.Reset()
+			for _, c := range cells {
+				if iso < c.VMin || iso > c.VMax {
+					continue
+				}
+				if err := metacell.DecodeRecordInto(l, c.Record, &m); err != nil {
+					b.Fatal(err)
+				}
+				active += w.Metacell(l, &m, iso, &mesh)
+				if n++; n%batchRecords == 0 {
+					tris, verts = tris+mesh.Len(), verts+mesh.NumVerts()
+					mesh.Reset()
+				}
+			}
+			tris, verts = tris+mesh.Len(), verts+mesh.NumVerts()
+		}
+		return active, tris, verts
+	}
+	sweep() // size the scratch before timing
+	b.ResetTimer()
+	var active, tris, verts int
+	for i := 0; i < b.N; i++ {
+		active, tris, verts = sweep()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*active), "ns/cell")
+	b.ReportMetric(float64(tris), "tris")
+	b.ReportMetric(float64(verts), "verts")
+}

@@ -1,0 +1,215 @@
+package march
+
+import (
+	"encoding/binary"
+	"math"
+	"testing"
+
+	"repro/internal/geom"
+	"repro/internal/metacell"
+	"repro/internal/volume"
+)
+
+// checkWeldAgainstSoup welds m into out, which may already hold geometry, and
+// holds what was appended to the soup baseline: the same active count and, by
+// bits (so NaN positions compare), the same triangles in the same order. The
+// weld's structure is checked too: every index names a vertex this metacell
+// added, every vertex it added is used, and there are exactly as many of them
+// as grid edges of the cell extent whose two samples straddle the isovalue.
+func checkWeldAgainstSoup(t *testing.T, w *Welder, l metacell.Layout, m *metacell.Meta, iso float32, out *geom.IndexedMesh) {
+	t.Helper()
+	var soup geom.Mesh
+	wantActive := Metacell(l, m, iso, &soup)
+
+	nv0, ni0 := len(out.Verts), len(out.Idx)
+	if got := w.Metacell(l, m, iso, out); got != wantActive {
+		t.Fatalf("span %d iso %v: %d active cells, soup baseline %d", l.Span, iso, got, wantActive)
+	}
+	verts, idx := out.Verts[nv0:], out.Idx[ni0:]
+	if len(idx) != 3*soup.Len() {
+		t.Fatalf("span %d iso %v: %d indices for the soup's %d triangles", l.Span, iso, len(idx), soup.Len())
+	}
+	used := make([]bool, len(verts))
+	for k, id := range idx {
+		if int(id) < nv0 || int(id) >= len(out.Verts) {
+			t.Fatalf("span %d iso %v: index %d names vertex %d, this metacell's are %d..%d", l.Span, iso, k, id, nv0, len(out.Verts)-1)
+		}
+		used[int(id)-nv0] = true
+		tri := soup.Tris[k/3]
+		want := [3]geom.Vec3{tri.A, tri.B, tri.C}[k%3]
+		if got := out.Verts[id]; bitsOf(got) != bitsOf(want) {
+			t.Fatalf("span %d iso %v: triangle %d corner %d is %v (%x), soup baseline %v (%x)",
+				l.Span, iso, k/3, k%3, got, bitsOf(got), want, bitsOf(want))
+		}
+	}
+	for v, ok := range used {
+		if !ok {
+			t.Fatalf("span %d iso %v: vertex %d of %d is in no triangle", l.Span, iso, v, len(verts))
+		}
+	}
+	if want := cutEdges(l, m, iso); len(verts) != want {
+		t.Fatalf("span %d iso %v: %d vertices for %d cut grid edges", l.Span, iso, len(verts), want)
+	}
+}
+
+func bitsOf(p geom.Vec3) [3]uint32 {
+	return [3]uint32{math.Float32bits(p.X), math.Float32bits(p.Y), math.Float32bits(p.Z)}
+}
+
+// cutEdges counts, sample by sample, the grid edges between samples of the
+// metacell that lie inside the volume and on opposite sides of iso.
+func cutEdges(l metacell.Layout, m *metacell.Meta, iso float32) int {
+	ox, oy, oz := l.Origin(m.ID)
+	n := [3]int{min(l.Span, l.Nx-ox), min(l.Span, l.Ny-oy), min(l.Span, l.Nz-oz)} // samples inside, per axis
+	if n[0] < 2 || n[1] < 2 || n[2] < 2 {
+		return 0 // no whole cell inside
+	}
+	at := func(x, y, z int) bool { return m.Samples[(z*l.Span+y)*l.Span+x] >= iso }
+	cut := 0
+	for z := 0; z < n[2]; z++ {
+		for y := 0; y < n[1]; y++ {
+			for x := 0; x < n[0]; x++ {
+				in := at(x, y, z)
+				if x+1 < n[0] && in != at(x+1, y, z) {
+					cut++
+				}
+				if y+1 < n[1] && in != at(x, y+1, z) {
+					cut++
+				}
+				if z+1 < n[2] && in != at(x, y, z+1) {
+					cut++
+				}
+			}
+		}
+	}
+	return cut
+}
+
+// fuzzSamples fills a span³ block from data, read cyclically as values of
+// format fm: bytes, little-endian uint16s, or raw float32 bit patterns (NaNs
+// and infinities included).
+func fuzzSamples(span int, fm volume.Format, data []byte) []float32 {
+	samples := make([]float32, span*span*span)
+	if len(data) == 0 {
+		return samples
+	}
+	var word [4]byte
+	at := 0 // the next byte of data
+	for i := range samples {
+		for b := range word[:fm.Bytes()] {
+			word[b] = data[at]
+			if at++; at == len(data) {
+				at = 0
+			}
+		}
+		switch fm {
+		case volume.U8:
+			samples[i] = float32(word[0])
+		case volume.U16:
+			samples[i] = float32(binary.LittleEndian.Uint16(word[:]))
+		default:
+			samples[i] = math.Float32frombits(binary.LittleEndian.Uint32(word[:]))
+		}
+	}
+	return samples
+}
+
+// FuzzWelderMatchesSoup is the differential test of the weld kernel against
+// the soup triangulator: arbitrary sample blocks in each format's value
+// range, spans 2..70 on both sides of the one-word mask limit, metacells
+// anywhere in a 2×2×2 layout whose volume cuts them short on any subset of
+// axes, any isovalue bit pattern. (Whole metacells of the large spans are
+// TestWelderAroundMaskWidth's and TestWelderWideSpanFallback's.) One Welder and one batch mesh serve the
+// whole body — a dense metacell, then the same block gone sparse, then another
+// isovalue, then a second span and back — because the edge table is never
+// cleared: what an earlier weld left in it must never reach a triangle.
+func FuzzWelderMatchesSoup(f *testing.F) {
+	ramp := make([]byte, 251)
+	for i := range ramp {
+		ramp[i] = byte(i * 37)
+	}
+	iso := func(v float32) uint32 { return math.Float32bits(v) }
+	nan, inf := uint32(0x7fc00001), math.Float32bits(float32(math.Inf(1)))
+	f.Add(ramp, iso(128), uint8(9-2), uint8(5-2), uint8(0), uint8(0), uint8(0))                          // the paper's span, whole metacell
+	f.Add(ramp, iso(128), uint8(9-2), uint8(17-2), uint8(0), uint8(7), uint8(0b111))                     // far corner, cut short on every axis
+	f.Add(ramp, iso(77.5), uint8(9-2), uint8(9-2), uint8(0), uint8(3), uint8(0b001))                     // cut short in x only
+	f.Add(ramp[:7], iso(100), uint8(2-2), uint8(3-2), uint8(0), uint8(0), uint8(0))                      // one cell
+	f.Add(ramp, iso(30000), uint8(12-2), uint8(4-2), uint8(1), uint8(5), uint8(0b010))                   // uint16 range
+	f.Add(ramp, iso(128), uint8(63-2), uint8(9-2), uint8(0), uint8(0), uint8(0))                         // one bit short of a mask word
+	f.Add(ramp, iso(128), uint8(64-2), uint8(65-2), uint8(0), uint8(0), uint8(0))                        // exactly a mask word, then one past
+	f.Add(ramp, iso(128), uint8(65-2), uint8(64-2), uint8(0), uint8(6), uint8(0b101))                    // wide and cut short, then narrow
+	f.Add(ramp, iso(128), uint8(70-2), uint8(9-2), uint8(0), uint8(0), uint8(0))                         // widest, then narrow
+	f.Add(ramp, iso(0), uint8(9-2), uint8(9-2), uint8(0), uint8(0), uint8(0))                            // everything inside
+	f.Add(ramp, nan, uint8(9-2), uint8(6-2), uint8(2), uint8(0), uint8(0))                               // NaN isovalue: nothing inside
+	f.Add(ramp, inf, uint8(9-2), uint8(6-2), uint8(2), uint8(1), uint8(0b100))                           // +Inf isovalue over raw float bits
+	f.Add([]byte{0, 0, 0x80, 0x7f, 0, 0, 0x80, 0xff, 0, 0, 0xc0, 0x7f, 0, 0, 0x80, 0x3f, 0, 0, 0, 0xc0}, // ±Inf, NaN, 1, -2
+		iso(0.5), uint8(5-2), uint8(9-2), uint8(2), uint8(2), uint8(0b011))
+	f.Add([]byte{0xff, 0xff, 0x7f, 0x7f, 0xff, 0xff, 0x7f, 0xff}, iso(0), uint8(4-2), uint8(3-2), uint8(2), uint8(0), uint8(0)) // ±MaxFloat32: vb-va overflows
+	f.Add([]byte{}, iso(0), uint8(3-2), uint8(3-2), uint8(1), uint8(0), uint8(0))
+
+	f.Fuzz(func(t *testing.T, data []byte, isoBits uint32, spanA, spanB, fmtRaw, id, cutShort uint8) {
+		iso := math.Float32frombits(isoBits)
+		fm := []volume.Format{volume.U8, volume.U16, volume.F32}[fmtRaw%3]
+		var w Welder
+		var out geom.IndexedMesh
+		for round, span := range []int{2 + int(spanA)%69, 2 + int(spanB)%69, 2 + int(spanA)%69} {
+			// The metacell sits somewhere in a 2×2×2 grid; on the axes cutShort
+			// names, the volume ends inside it (after 1..span of its samples).
+			// Large spans keep their full length on one axis at a time and a
+			// few samples on the others, so an execution stays milliseconds.
+			l := metacell.Layout{Span: span, Fmt: fm, Mx: 2, My: 2, Mz: 2}
+			m := metacell.Meta{ID: uint32(id % 8)}
+			ox, oy, oz := l.Origin(m.ID)
+			seed := len(data) + int(id>>3)
+			keep := func(axis int) int {
+				n := span
+				if cutShort>>axis&1 != 0 {
+					n = 1 + (seed+axis*round)%span
+				}
+				if span > 16 && axis != (seed+round)%3 {
+					n = min(n, 2+seed%11)
+				}
+				return n
+			}
+			l.Nx, l.Ny, l.Nz = ox+keep(0), oy+keep(1), oz+keep(2)
+
+			m.Samples = fuzzSamples(span, fm, data)
+			checkWeldAgainstSoup(t, &w, l, &m, iso, &out) // as dense as the data makes it
+
+			// The same block with all but a few planes flattened: most of the
+			// edge table now holds ids of edges that are no longer cut.
+			for i := range m.Samples[:len(m.Samples)*3/4] {
+				m.Samples[i] = m.Samples[0]
+			}
+			checkWeldAgainstSoup(t, &w, l, &m, iso, &out)
+
+			// And a different surface through it, over both of those.
+			checkWeldAgainstSoup(t, &w, l, &m, -iso/2+1, &out)
+		}
+	})
+}
+
+// TestWelderAroundMaskWidth runs the differential check at the spans where
+// the row masks fill up: 63, 64 (every bit of the word, cx = 63) and 65 (the
+// first span without masks), whole and cut short, with one Welder.
+func TestWelderAroundMaskWidth(t *testing.T) {
+	noise := make([]byte, 4099)
+	for i := range noise {
+		noise[i] = byte(i*i*31 + i*7)
+	}
+	var w Welder
+	var out geom.IndexedMesh
+	for _, span := range []int{63, 64, 65, 66, 64} {
+		for _, short := range [][3]int{{0, 0, 0}, {1, 0, 0}, {5, 40, 61}} {
+			l := metacell.Layout{Span: span, Fmt: volume.U8, Mx: 2, My: 2, Mz: 2}
+			m := metacell.Meta{ID: 7, Samples: fuzzSamples(span, volume.U8, noise)}
+			ox, oy, oz := l.Origin(m.ID)
+			l.Nx, l.Ny, l.Nz = ox+span-short[0], oy+span-short[1], oz+span-short[2]
+			out.Reset()
+			checkWeldAgainstSoup(t, &w, l, &m, 128, &out)
+			if out.Len() == 0 {
+				t.Fatalf("span %d short %v: no triangles; the check is vacuous", span, short)
+			}
+		}
+	}
+}
