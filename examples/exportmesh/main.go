@@ -1,7 +1,6 @@
 // Exportmesh: extract an isosurface and write it as standard mesh files
 // (OBJ, binary STL, PLY) for use in external tools — the typical downstream
-// consumption of an isosurface library. Also demonstrates the unstructured
-// (tetrahedral) pipeline on the same data.
+// consumption of an isosurface library.
 package main
 
 import (
@@ -39,18 +38,4 @@ func main() {
 		}
 		fmt.Println("wrote", name)
 	}
-
-	// The unstructured pipeline: the same volume as a tetrahedral mesh.
-	tm := repro.TetMeshFromGrid(repro.GenerateSphere(32))
-	idx, err := repro.NewTetIndex(tm, 64)
-	if err != nil {
-		log.Fatal(err)
-	}
-	surf, st := idx.Extract(128)
-	fmt.Printf("unstructured sphere: %d tets in %d active clusters → %d triangles\n",
-		st.ActiveTets, st.ActiveClusters, surf.Len())
-	if err := repro.IndexMesh(surf).WriteFile("sphere-tets.obj"); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("wrote sphere-tets.obj")
 }

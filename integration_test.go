@@ -118,27 +118,6 @@ func TestDeterministicExtraction(t *testing.T) {
 	}
 }
 
-// TestUnstructuredFacade runs the tetrahedral pipeline through the public
-// API.
-func TestUnstructuredFacade(t *testing.T) {
-	tm := TetMeshFromGrid(GenerateSphere(16))
-	idx, err := NewTetIndex(tm, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	surf, st := idx.Extract(128)
-	if surf.Len() == 0 || st.ActiveTets == 0 {
-		t.Fatal("no unstructured surface")
-	}
-	im := IndexMesh(surf)
-	if !im.IsClosed() {
-		t.Error("tet sphere not watertight")
-	}
-	if chi := im.EulerCharacteristic(); chi != 2 {
-		t.Errorf("Euler characteristic = %d", chi)
-	}
-}
-
 // TestMergeMeshesRequiresKeep covers the documented error path.
 func TestMergeMeshesRequiresKeep(t *testing.T) {
 	eng, err := Preprocess(GenerateSphere(17), Config{Procs: 2})

@@ -114,16 +114,10 @@ func (t *Tree) indexPathBlocks() int {
 	return (h + lv - 1) / lv
 }
 
-// NumNodeBlocks returns the on-disk size of the blocked index in blocks.
-func (t *Tree) NumNodeBlocks() int { return t.nodeBlocks }
-
 // IndexSizeBytes returns the blocked index size in bytes.
 func (t *Tree) IndexSizeBytes() int64 {
 	return int64(t.nodeBlocks) * blockio.DefaultBlockSize
 }
-
-// Count returns the number of active metacells for iso without data I/O.
-func (t *Tree) Count(iso float32) int { return t.it.Count(iso) }
 
 // DispatchModel captures the paper's criticism of the host-coordinated
 // execution: a single host traverses the index and hands active metacells

@@ -103,13 +103,13 @@ func TestScatteredReadsCostMoreSeeksThanCIT(t *testing.T) {
 
 func TestIndexAccounting(t *testing.T) {
 	_, _, tree, _ := buildRM(t)
-	if tree.NumNodeBlocks() <= 0 {
+	if tree.nodeBlocks <= 0 {
 		t.Error("no index blocks")
 	}
-	if tree.IndexSizeBytes() != int64(tree.NumNodeBlocks())*blockio.DefaultBlockSize {
+	if tree.IndexSizeBytes() != int64(tree.nodeBlocks)*blockio.DefaultBlockSize {
 		t.Error("index size inconsistent with block count")
 	}
-	if tree.Count(128) == 0 {
+	if tree.it.Count(128) == 0 {
 		t.Error("Count returned nothing at a mid isovalue")
 	}
 	st, err := tree.Query(blockio.NewStore(nil, 0), 300, func([]byte) error { return nil })

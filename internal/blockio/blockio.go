@@ -124,7 +124,7 @@ func (s *Store) Size() int64 { return int64(len(s.data)) }
 // seek unless it begins in the block that immediately follows the previous
 // request's last block (or in that same last block).
 func (s *Store) ReadAt(p []byte, off int64) error {
-	if off < 0 || off+int64(len(p)) > int64(len(s.data)) {
+	if off < 0 || off > int64(len(s.data))-int64(len(p)) { // not off+len > size: a hostile offset wraps
 		return fmt.Errorf("blockio: read [%d,%d) outside device of size %d", off, off+int64(len(p)), len(s.data))
 	}
 	copy(p, s.data[off:])

@@ -72,7 +72,7 @@ func (c *Cache) Size() int64 { return c.inner.Size() }
 // bytes.
 func (c *Cache) ReadAt(p []byte, off int64) error {
 	size := c.inner.Size()
-	if off < 0 || off+int64(len(p)) > size {
+	if off < 0 || off > size-int64(len(p)) { // not off+len > size: a hostile offset wraps
 		return fmt.Errorf("blockio: read [%d,%d) outside device of size %d", off, off+int64(len(p)), size)
 	}
 	if len(p) == 0 {

@@ -13,8 +13,8 @@ import (
 var ErrInjected = errors.New("blockio: injected I/O fault")
 
 // FaultDevice wraps a Device with configurable fault injection, for
-// exercising the error paths of the query and cluster engines in tests and
-// the chaos harness. Two selection modes compose:
+// exercising the error paths of the query and cluster engines in tests. Two
+// selection modes compose:
 //
 //   - FailEvery: every Nth read fails — the deterministic mode, exact and
 //     schedule-independent.
@@ -44,8 +44,7 @@ type FaultDevice struct {
 	// so two zero-configured devices draw identical streams.
 	Seed uint64
 
-	calls    atomic.Int64
-	injected atomic.Int64
+	calls atomic.Int64
 
 	mu   sync.Mutex
 	rand *rng.SplitMix64
@@ -81,14 +80,10 @@ func (d *FaultDevice) ReadAt(p []byte, off int64) error {
 		d.mu.Unlock()
 	}
 	if fail {
-		d.injected.Add(1)
 		return ErrInjected
 	}
 	return d.Inner.ReadAt(p, off)
 }
-
-// Injected reports how many reads have failed with ErrInjected.
-func (d *FaultDevice) Injected() int64 { return d.injected.Load() }
 
 // Size returns the inner device's size.
 func (d *FaultDevice) Size() int64 { return d.Inner.Size() }

@@ -43,7 +43,7 @@ func (s *FileStore) Size() int64 { return s.size }
 
 // ReadAt implements Device with the same accounting rules as Store.ReadAt.
 func (s *FileStore) ReadAt(p []byte, off int64) error {
-	if off < 0 || off+int64(len(p)) > s.size {
+	if off < 0 || off > s.size-int64(len(p)) { // not off+len > size: a hostile offset wraps
 		return fmt.Errorf("blockio: read [%d,%d) outside device of size %d", off, off+int64(len(p)), s.size)
 	}
 	if _, err := s.f.ReadAt(p, off); err != nil {

@@ -14,13 +14,9 @@
 // statistical rather than bitwise — the same fault rates, not the same
 // victims — which is what a repeatable experiment table needs.
 //
-// Two injection points cover both sides of an exchange:
-//
-//   - Transport wraps an http.RoundTripper (the router's client): faults are
-//     applied per request, on the path to the faulted target only.
-//   - Listener wraps a net.Listener (a replica's accept loop): accepted
-//     connections can be dropped at birth or delayed before their first
-//     byte, modeling a failing NIC or an overloaded accept queue.
+// One injection point: Transport wraps an http.RoundTripper (the router's
+// client), so faults are applied per request, on the path to the faulted
+// target only. Disk faults are injected below it, by blockio.FaultDevice.
 package chaos
 
 import (
@@ -96,8 +92,7 @@ type Stats struct {
 }
 
 // Injector holds the fault plan and the seeded decision stream. One injector
-// serves any number of Transports and Listeners; they share its plan and
-// its stream.
+// serves any number of Transports; they share its plan and its stream.
 type Injector struct {
 	mu     sync.Mutex
 	rng    *rng.SplitMix64
@@ -282,53 +277,6 @@ func (b *corruptBody) Read(p []byte) (int, error) {
 }
 
 func (b *corruptBody) Close() error { return b.inner.Close() }
-
-// Listener wraps ln with server-side connection faults drawn from the
-// injector's plan for target (use the listener's own address to fault
-// everything it accepts): DropProb closes accepted connections at birth,
-// Latency/Jitter delay them before their first byte. Response-body faults
-// (truncate/corrupt/blackhole) are client-path concerns — inject them with
-// Transport.
-func (in *Injector) Listener(ln net.Listener, target string) net.Listener {
-	return &listener{Listener: ln, in: in, target: target}
-}
-
-type listener struct {
-	net.Listener
-	in     *Injector
-	target string
-}
-
-func (l *listener) Accept() (net.Conn, error) {
-	conn, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	v := l.in.decide(l.target)
-	if v.drop {
-		conn.Close()
-		// Hand the dead connection to the server anyway: its first read
-		// fails exactly as a client that vanished after connecting.
-		return conn, nil
-	}
-	if v.delay > 0 {
-		return &delayedConn{Conn: conn, delay: v.delay}, nil
-	}
-	return conn, nil
-}
-
-// delayedConn stalls the first read, modeling accept-queue or scheduler
-// delay on the server side.
-type delayedConn struct {
-	net.Conn
-	delay time.Duration
-	once  sync.Once
-}
-
-func (c *delayedConn) Read(p []byte) (int, error) {
-	c.once.Do(func() { time.Sleep(c.delay) })
-	return c.Conn.Read(p)
-}
 
 // ParseFault parses a compact fault spec of comma-separated key=value
 // pairs — the CLI surface (isoserve -chaos):

@@ -206,31 +206,6 @@ func TestDeterministicDecisions(t *testing.T) {
 	}
 }
 
-func TestListenerDrop(t *testing.T) {
-	frame := []byte("hello")
-	in := NewInjector(8)
-	base := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Write(frame) //nolint:errcheck
-	}))
-	addr := base.Listener.Addr().String()
-	in.SetFault(addr, Fault{DropProb: 1, Until: 0})
-	base.Listener = in.Listener(base.Listener, addr)
-	base.Start()
-	defer base.Close()
-
-	client := &http.Client{Timeout: 2 * time.Second}
-	if _, err := get(t, client, "http://"+addr); err == nil {
-		t.Fatal("request through a drop-everything listener succeeded")
-	}
-	if in.Stats().Dropped == 0 {
-		t.Fatal("listener recorded no drops")
-	}
-	in.SetFault(addr, Fault{})
-	if got, err := get(t, client, "http://"+addr); err != nil || string(got) != string(frame) {
-		t.Fatalf("cleared listener still faulting: %v %q", err, got)
-	}
-}
-
 func TestParseFaultRoundTrip(t *testing.T) {
 	spec := "latency=20ms,jitter=10ms,drop=0.125,blackhole=0.05,truncate=0.1,corrupt=0.25,after=1s,until=5s"
 	f, err := ParseFault(spec)

@@ -16,7 +16,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sync"
 	"time"
@@ -219,17 +218,6 @@ func (e *Engine) Close() error {
 	return first
 }
 
-// RemoveFiles deletes the node brick files created under dir by Build.
-func RemoveFiles(dir string, procs int) error {
-	var first error
-	for i := 0; i < procs; i++ {
-		if err := os.Remove(nodePath(dir, i)); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
 // Tree exposes a node's index (for inspection and tests).
 func (e *Engine) Tree(node int) *core.Tree { return e.trees[node] }
 
@@ -405,7 +393,6 @@ func (e *Engine) extract(ctx context.Context, iso float32, opts Options,
 type TimeVaryingEngine struct {
 	Steps map[int]*Engine // keyed by time step
 	Index core.TimeVaryingIndex
-	order []int
 }
 
 // BuildTimeVarying preprocesses the given steps of a time-varying dataset.
@@ -418,7 +405,6 @@ func BuildTimeVarying(gen func(step int) *volume.Grid, steps []int, cfg Config) 
 		}
 		tv.Steps[s] = eng
 		tv.Index.Steps = append(tv.Index.Steps, eng.trees[0])
-		tv.order = append(tv.order, s)
 	}
 	return tv, nil
 }
@@ -431,6 +417,3 @@ func (tv *TimeVaryingEngine) Extract(ctx context.Context, step int, iso float32,
 	}
 	return eng.Extract(ctx, iso, opts)
 }
-
-// StepsIndexed returns the indexed step numbers in build order.
-func (tv *TimeVaryingEngine) StepsIndexed() []int { return tv.order }

@@ -154,9 +154,6 @@ func TestFileBackedNodes(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := RemoveFiles(dir, 3); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestIOAccountingPerNode(t *testing.T) {
@@ -191,8 +188,8 @@ func TestTimeVarying(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tv.StepsIndexed(); len(got) != 3 || got[0] != 100 {
-		t.Errorf("StepsIndexed = %v", got)
+	if len(tv.Steps) != 3 || tv.Steps[100] == nil {
+		t.Errorf("Steps = %v", tv.Steps)
 	}
 	if tv.Index.NumSteps() != 3 {
 		t.Errorf("index steps = %d", tv.Index.NumSteps())
@@ -429,47 +426,5 @@ func TestOpenDetectsCorruption(t *testing.T) {
 	}
 	if _, err := Open(dir); err == nil {
 		t.Error("corrupted brick file should fail to open")
-	}
-}
-
-func TestTimeVaryingSaveOpen(t *testing.T) {
-	dir := t.TempDir()
-	gen := volume.TimeVaryingRM(17, 17, 16, 5)
-	steps := []int{100, 200}
-	tv, err := BuildTimeVaryingDirs(gen, steps, Config{Procs: 2}, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := tv.Extract(context.Background(), 200, 70, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tv.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	if err := tv.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	re, err := OpenTimeVarying(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if got := re.StepsIndexed(); len(got) != 2 || got[1] != 200 {
-		t.Fatalf("StepsIndexed = %v", got)
-	}
-	got, err := re.Extract(context.Background(), 200, 70, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Triangles != want.Triangles {
-		t.Errorf("reopened: %d triangles, want %d", got.Triangles, want.Triangles)
-	}
-	if re.Index.NumSteps() != 2 {
-		t.Errorf("index steps = %d", re.Index.NumSteps())
-	}
-	if _, err := OpenTimeVarying(t.TempDir()); err == nil {
-		t.Error("missing steps manifest should fail")
 	}
 }

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/blockio"
 	"repro/internal/core"
-	"repro/internal/volume"
 )
 
 // manifestName is the per-dataset metadata file written beside the node
@@ -127,80 +126,4 @@ func Open(dir string) (*Engine, error) {
 	}
 	e.Layout = e.trees[0].Layout
 	return e, nil
-}
-
-// SaveTimeVarying persists every step of a time-varying engine: each step's
-// bricks, indexes and manifest go into dir/step-N/. The engines must have
-// been built with per-step directories via BuildTimeVaryingDirs, or the
-// brick data re-laid here from memory-backed engines is rejected.
-func (tv *TimeVaryingEngine) Save(dir string) error {
-	for _, s := range tv.order {
-		if err := tv.Steps[s].Save(stepDir(dir, s)); err != nil {
-			return fmt.Errorf("cluster: saving step %d: %w", s, err)
-		}
-	}
-	steps, err := json.MarshalIndent(tv.order, "", " ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(dir, "steps.json"), steps, 0o644)
-}
-
-func stepDir(dir string, step int) string {
-	return filepath.Join(dir, fmt.Sprintf("step-%d", step))
-}
-
-// BuildTimeVaryingDirs preprocesses time steps into per-step subdirectories
-// of dir (file-backed node disks), ready for Save/OpenTimeVarying.
-func BuildTimeVaryingDirs(gen func(step int) *volume.Grid, steps []int, cfg Config, dir string) (*TimeVaryingEngine, error) {
-	tv := &TimeVaryingEngine{Steps: map[int]*Engine{}}
-	for _, s := range steps {
-		c := cfg
-		c.Dir = stepDir(dir, s)
-		if err := os.MkdirAll(c.Dir, 0o755); err != nil {
-			return nil, err
-		}
-		eng, err := Build(gen(s), c)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: building step %d: %w", s, err)
-		}
-		tv.Steps[s] = eng
-		tv.Index.Steps = append(tv.Index.Steps, eng.trees[0])
-		tv.order = append(tv.order, s)
-	}
-	return tv, nil
-}
-
-// OpenTimeVarying reopens a time-varying dataset saved by Save.
-func OpenTimeVarying(dir string) (*TimeVaryingEngine, error) {
-	data, err := os.ReadFile(filepath.Join(dir, "steps.json"))
-	if err != nil {
-		return nil, fmt.Errorf("cluster: reading steps manifest: %w", err)
-	}
-	var steps []int
-	if err := json.Unmarshal(data, &steps); err != nil {
-		return nil, fmt.Errorf("cluster: parsing steps manifest: %w", err)
-	}
-	tv := &TimeVaryingEngine{Steps: map[int]*Engine{}}
-	for _, s := range steps {
-		eng, err := Open(stepDir(dir, s))
-		if err != nil {
-			return nil, fmt.Errorf("cluster: opening step %d: %w", s, err)
-		}
-		tv.Steps[s] = eng
-		tv.Index.Steps = append(tv.Index.Steps, eng.trees[0])
-		tv.order = append(tv.order, s)
-	}
-	return tv, nil
-}
-
-// Close releases all per-step file handles.
-func (tv *TimeVaryingEngine) Close() error {
-	var first error
-	for _, e := range tv.Steps {
-		if err := e.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
 }

@@ -72,15 +72,6 @@ func (e *Engine) EnableMetrics(reg *obs.Registry) {
 	e.met = m
 }
 
-// Metrics returns the registry the engine records into (nil when
-// uninstrumented).
-func (e *Engine) Metrics() *obs.Registry {
-	if e.met == nil {
-		return nil
-	}
-	return e.met.reg
-}
-
 // deviceStats sums the I/O counters across every node device.
 func (e *Engine) deviceStats() blockio.Stats {
 	var st blockio.Stats

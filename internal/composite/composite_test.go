@@ -28,8 +28,8 @@ func TestZCompositeNearestWins(t *testing.T) {
 	if out.At(1, 1) != (render.RGB{G: 255}) {
 		t.Errorf("pixel = %+v, want green (nearer)", out.At(1, 1))
 	}
-	if out.DepthAt(1, 1) != 3 {
-		t.Errorf("depth = %v", out.DepthAt(1, 1))
+	if out.Depth[1*out.W+1] != 3 {
+		t.Errorf("depth = %v", out.Depth[1*out.W+1])
 	}
 	if st.Sources != 2 || st.BytesMoved != 2*a.SizeBytes() {
 		t.Errorf("stats = %+v", st)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"math"
 	"path/filepath"
 	"sort"
@@ -81,8 +82,8 @@ func TestPlanInvariants(t *testing.T) {
 	l := testLayout()
 	cells := synthCells(l, 500, 1)
 	p := Plan(cells)
-	if p.NumCells() != 500 {
-		t.Errorf("NumCells = %d", p.NumCells())
+	if tree, _ := materialize(t, l, cells); tree.NumCells != 500 {
+		t.Errorf("NumCells = %d", tree.NumCells)
 	}
 	seen := map[int]bool{}
 	for ni, nd := range p.nodes {
@@ -119,8 +120,9 @@ func TestPlanInvariants(t *testing.T) {
 func TestPlanDeterministic(t *testing.T) {
 	l := testLayout()
 	cells := synthCells(l, 300, 2)
-	a, b := Plan(cells), Plan(cells)
-	if a.NumNodes() != b.NumNodes() || a.NumBricks() != b.NumBricks() || a.Height() != b.Height() {
+	a, _ := materialize(t, l, cells)
+	b, _ := materialize(t, l, cells)
+	if len(a.Nodes) != len(b.Nodes) || a.NumEntries() != b.NumEntries() || a.Height() != b.Height() {
 		t.Fatal("plans differ between runs")
 	}
 }
@@ -128,23 +130,22 @@ func TestPlanDeterministic(t *testing.T) {
 func TestPlanHeightLogarithmic(t *testing.T) {
 	l := testLayout()
 	cells := synthCells(l, 2000, 3)
-	p := Plan(cells)
+	tree, _ := materialize(t, l, cells)
 	// n ≤ 256 distinct endpoints for u8 data → height well under 2·log2(256).
-	if h := p.Height(); h > 16 {
+	if h := tree.Height(); h > 16 {
 		t.Errorf("height = %d for u8 data, want ≤ 16", h)
 	}
 }
 
 func TestEmptyPlan(t *testing.T) {
 	l := testLayout()
-	p := Plan(nil)
-	if p.NumNodes() != 0 || p.Height() != -1 {
-		t.Errorf("empty plan: nodes=%d height=%d", p.NumNodes(), p.Height())
-	}
 	w := blockio.NewWriter()
-	tree, err := p.Materialize(l, nil, w)
+	tree, err := Plan(nil).Materialize(l, nil, w)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(tree.Nodes) != 0 || tree.Height() != -1 {
+		t.Errorf("empty plan: nodes=%d height=%d", len(tree.Nodes), tree.Height())
 	}
 	dev := blockio.NewStore(w.Bytes(), 0)
 	st, err := tree.Query(dev, 100, func([]byte) error { return nil })
@@ -341,6 +342,8 @@ func TestStripedBalanceBound(t *testing.T) {
 	l := testLayout()
 	cells := synthCells(l, 2000, 12)
 	p := Plan(cells)
+	seq, _ := materialize(t, l, cells)
+	bricks := seq.NumEntries() // one index entry per brick of the plan
 	const procs = 4
 	ws := make([]*blockio.Writer, procs)
 	for i := range ws {
@@ -376,8 +379,8 @@ func TestStripedBalanceBound(t *testing.T) {
 				hi = c
 			}
 		}
-		if hi-lo > p.NumBricks() {
-			t.Errorf("iso %v: count spread %d exceeds brick count %d (counts %v)", iso, hi-lo, p.NumBricks(), counts)
+		if hi-lo > bricks {
+			t.Errorf("iso %v: count spread %d exceeds brick count %d (counts %v)", iso, hi-lo, bricks, counts)
 		}
 	}
 }
@@ -478,15 +481,24 @@ func TestReadTreeBadInput(t *testing.T) {
 	if _, err := ReadTree(bytes.NewReader(nil)); err == nil {
 		t.Error("empty index should fail")
 	}
-	if _, err := ReadTree(bytes.NewReader(make([]byte, 48))); err == nil {
-		t.Error("bad magic should fail")
+	if _, err := ReadTree(bytes.NewReader(make([]byte, 48))); !errors.Is(err, ErrCorruptIndex) {
+		t.Errorf("bad magic: error = %v, want ErrCorruptIndex", err)
+	}
+	// A good 48-byte header claiming 2^24 nodes and carrying none: the reader
+	// must run out of input, not make room for them first (that was 640 MB).
+	_, err, alloc := readTreeAlloc(hostileHeader(1 << 24))
+	if !errors.Is(err, io.EOF) {
+		t.Errorf("header without nodes: error = %v, want io.EOF", err)
+	}
+	if alloc >= 1<<20 {
+		t.Errorf("header without nodes: ReadTree allocated %d B, want < 1 MB", alloc)
 	}
 }
 
-// TestCorruptIndexLinks feeds both trees an index whose root or child links
-// leave the node table or loop: ReadTree and OpenExternal take links on trust,
-// so the walk has to fail with ErrCorruptIndex, not index out of range or
-// spin.
+// TestCorruptIndexLinks gives the tree a root or child link that leaves the
+// node table or loops. A Tree assembled in memory (its fields are exported)
+// must fail its walk with ErrCorruptIndex, not index out of range or spin;
+// the same tree written to a file must not load at all.
 func TestCorruptIndexLinks(t *testing.T) {
 	l := testLayout()
 	cells := synthCells(l, 300, 23)
@@ -512,37 +524,15 @@ func TestCorruptIndexLinks(t *testing.T) {
 			if c.root != nil {
 				bad.Root = c.root(bad.Root)
 			}
+			if _, err := bad.Query(dev, 128, func([]byte) error { return nil }); !errors.Is(err, ErrCorruptIndex) {
+				t.Errorf("Query error = %v, want ErrCorruptIndex", err)
+			}
 			var file bytes.Buffer
 			if _, err := bad.WriteTo(&file); err != nil {
 				t.Fatal(err)
 			}
-			read, err := ReadTree(&file)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := read.CountActive(dev, 128); !errors.Is(err, ErrCorruptIndex) {
-				t.Errorf("CountActive error = %v, want ErrCorruptIndex", err)
-			}
-		})
-		t.Run("external/"+c.name, func(t *testing.T) {
-			_, image, err := BuildExternal(good, blockio.DefaultBlockSize)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if c.child != nil { // the root is BFS rank 0, at the front of the image
-				binary.LittleEndian.PutUint32(image[4:], uint32(c.child(0)))
-				binary.LittleEndian.PutUint32(image[8:], uint32(c.child(0)))
-			}
-			et, err := OpenExternal(l, blockio.NewStore(image, blockio.DefaultBlockSize))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if c.root != nil {
-				et.Root = c.root(et.Root)
-			}
-			_, err = et.Query(dev, 128, func([]byte) error { return nil })
-			if !errors.Is(err, ErrCorruptIndex) {
-				t.Errorf("Query error = %v, want ErrCorruptIndex", err)
+			if _, err := ReadTree(&file); !errors.Is(err, ErrCorruptIndex) {
+				t.Errorf("ReadTree error = %v, want ErrCorruptIndex", err)
 			}
 		})
 	}
@@ -640,9 +630,6 @@ func TestTimeVaryingIndex(t *testing.T) {
 	if tv.NumSteps() != 4 {
 		t.Errorf("NumSteps = %d", tv.NumSteps())
 	}
-	if tv.Step(2) == nil || tv.Step(-1) != nil || tv.Step(4) != nil {
-		t.Error("Step bounds handling wrong")
-	}
 	if tv.IndexSizeBytes() <= 0 {
 		t.Error("IndexSizeBytes should be positive")
 	}
@@ -673,12 +660,12 @@ func TestCountActive(t *testing.T) {
 	l := testLayout()
 	cells := synthCells(l, 400, 19)
 	tree, dev := materialize(t, l, cells)
-	n, err := tree.CountActive(dev, 100)
+	st, err := tree.Query(dev, 100, func([]byte) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := len(bruteActive(cells, 100)); n != want {
-		t.Errorf("CountActive = %d, want %d", n, want)
+	if want := len(bruteActive(cells, 100)); st.ActiveMetacells != want {
+		t.Errorf("ActiveMetacells = %d, want %d", st.ActiveMetacells, want)
 	}
 }
 
@@ -693,12 +680,11 @@ func TestEntriesPerLevelBound(t *testing.T) {
 		endpoints[c.VMax] = struct{}{}
 	}
 	n := float64(len(endpoints))
-	p := Plan(cells)
 	tree, _ := materialize(t, l, cells)
 	bound := n * (math.Log2(n) + 2)
 	if float64(tree.NumEntries()) > bound {
 		t.Errorf("entries = %d exceeds n·log n bound %.0f (n=%d, height=%d)",
-			tree.NumEntries(), bound, len(endpoints), p.Height())
+			tree.NumEntries(), bound, len(endpoints), tree.Height())
 	}
 }
 

@@ -80,7 +80,23 @@ func (t *Tree) WriteTo(w io.Writer) (int64, error) {
 	return n, bw.Flush()
 }
 
-// ReadTree deserializes a tree index written by WriteTo.
+// maxSpan bounds the metacell edge a header may claim: past it span³ samples
+// is not a record size any device holds.
+const maxSpan = 1 << 10
+
+// presize is how many nodes, or entries of one node, ReadTree makes room for
+// on a header's say-so; past it the slices grow as records actually arrive.
+const presize = 1 << 10
+
+// ReadTree deserializes a tree index written by WriteTo. The bytes are not
+// trusted: memory is allocated in proportion to the input actually read,
+// whatever counts the header and the nodes claim; input that ends early is
+// io.EOF or io.ErrUnexpectedEOF; and a header that makes no sense, or a root
+// or child link that is out of range, points backwards or gives a node a
+// second parent, is ErrCorruptIndex. WriteTo emits nodes parent first, so
+// every link of a real index points forward; holding a file to that leaves no
+// cycle and no shared subtree, which bounds Height's recursion and every walk
+// by the node count.
 func ReadTree(r io.Reader) (*Tree, error) {
 	br := bufio.NewReader(r)
 	var scratch [8]byte
@@ -105,11 +121,14 @@ func ReadTree(r io.Reader) (*Tree, error) {
 		hdr[i] = v
 	}
 	if hdr[0] != indexMagic {
-		return nil, fmt.Errorf("core: bad index magic %#x", hdr[0])
+		return nil, fmt.Errorf("%w: bad magic %#x", ErrCorruptIndex, hdr[0])
 	}
 	f := volume.Format(hdr[2])
 	if f != volume.U8 && f != volume.U16 && f != volume.F32 {
-		return nil, fmt.Errorf("core: bad scalar format %d", hdr[2])
+		return nil, fmt.Errorf("%w: bad scalar format %d", ErrCorruptIndex, hdr[2])
+	}
+	if hdr[1] < 2 || hdr[1] > maxSpan {
+		return nil, fmt.Errorf("%w: bad metacell span %d", ErrCorruptIndex, hdr[1])
 	}
 	t := &Tree{
 		Layout: metacell.Layout{
@@ -122,10 +141,22 @@ func ReadTree(r io.Reader) (*Tree, error) {
 	}
 	numNodes := int(hdr[11])
 	if numNodes < 0 || numNodes > 1<<28 {
-		return nil, fmt.Errorf("core: implausible node count %d", numNodes)
+		return nil, fmt.Errorf("%w: implausible node count %d", ErrCorruptIndex, numNodes)
 	}
-	t.Nodes = make([]Node, numNodes)
-	for i := range t.Nodes {
+	link := func(from int, to int32) error {
+		if to < -1 || int(to) >= numNodes {
+			return fmt.Errorf("%w: link to node %d of %d", ErrCorruptIndex, to, numNodes)
+		}
+		if to != -1 && int(to) <= from {
+			return fmt.Errorf("%w: node %d links back to node %d", ErrCorruptIndex, from, to)
+		}
+		return nil
+	}
+	if err := link(-1, t.Root); err != nil {
+		return nil, err
+	}
+	t.Nodes = make([]Node, 0, min(numNodes, presize))
+	for i := 0; i < numNodes; i++ {
 		vm, err := get32()
 		if err != nil {
 			return nil, fmt.Errorf("core: reading node %d: %w", i, err)
@@ -143,11 +174,16 @@ func ReadTree(r io.Reader) (*Tree, error) {
 			return nil, err
 		}
 		if int(ne) > t.NumCells && t.NumCells > 0 {
-			return nil, fmt.Errorf("core: node %d claims %d entries for %d cells", i, ne, t.NumCells)
+			return nil, fmt.Errorf("%w: node %d claims %d entries for %d cells", ErrCorruptIndex, i, ne, t.NumCells)
 		}
 		nd := Node{VM: math.Float32frombits(vm), Left: int32(l), Right: int32(rr)}
-		nd.Entries = make([]IndexEntry, ne)
-		for j := range nd.Entries {
+		for _, to := range [2]int32{nd.Left, nd.Right} {
+			if err := link(i, to); err != nil {
+				return nil, err
+			}
+		}
+		nd.Entries = make([]IndexEntry, 0, min(int(ne), presize))
+		for j := 0; j < int(ne); j++ {
 			vmax, err := get32()
 			if err != nil {
 				return nil, err
@@ -164,14 +200,30 @@ func ReadTree(r io.Reader) (*Tree, error) {
 			if err != nil {
 				return nil, err
 			}
-			nd.Entries[j] = IndexEntry{
+			nd.Entries = append(nd.Entries, IndexEntry{
 				VMax:    math.Float32frombits(vmax),
 				MinVMin: math.Float32frombits(vmin),
 				Offset:  int64(off),
 				Count:   int32(cnt),
-			}
+			})
 		}
-		t.Nodes[i] = nd
+		t.Nodes = append(t.Nodes, nd)
+	}
+	// Forward links cannot loop; one parent each means no subtree is shared.
+	parented := make([]bool, numNodes)
+	if t.Root != -1 {
+		parented[t.Root] = true
+	}
+	for i := range t.Nodes {
+		for _, to := range [2]int32{t.Nodes[i].Left, t.Nodes[i].Right} {
+			if to == -1 {
+				continue
+			}
+			if parented[to] {
+				return nil, fmt.Errorf("%w: node %d has two parents", ErrCorruptIndex, to)
+			}
+			parented[to] = true
+		}
 	}
 	return t, nil
 }

@@ -148,34 +148,3 @@ func medianEndpoint(cells []metacell.Cell, subset []int) float32 {
 	}
 	return vals[w/2]
 }
-
-// NumNodes returns the number of tree nodes in the plan.
-func (p *BuildPlan) NumNodes() int { return len(p.nodes) }
-
-// NumBricks returns the total number of bricks across all nodes.
-func (p *BuildPlan) NumBricks() int {
-	n := 0
-	for _, nd := range p.nodes {
-		n += len(nd.bricks)
-	}
-	return n
-}
-
-// NumCells returns the number of metacells covered by the plan.
-func (p *BuildPlan) NumCells() int { return p.cells }
-
-// Height returns the height of the planned tree (0 for a single node, -1 for
-// an empty plan).
-func (p *BuildPlan) Height() int { return p.height(p.root) }
-
-func (p *BuildPlan) height(n int32) int {
-	if n < 0 {
-		return -1
-	}
-	hl := p.height(p.nodes[n].left)
-	hr := p.height(p.nodes[n].right)
-	if hl > hr {
-		return hl + 1
-	}
-	return hr + 1
-}

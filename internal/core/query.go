@@ -18,8 +18,9 @@ type QueryStats struct {
 	Batches         int // record batches emitted (QueryBatches granularity)
 }
 
-// ErrCorruptIndex is what a query returns when the index it walks names a
-// node outside its node table or loops back on itself; test with errors.Is.
+// ErrCorruptIndex is what ReadTree returns for bytes that are not an index,
+// and what a query returns when the index it walks names a node outside its
+// node table or loops back on itself; test with errors.Is.
 var ErrCorruptIndex = errors.New("core: corrupt index")
 
 // QueryBatches streams the records of every metacell whose interval contains
@@ -31,19 +32,13 @@ var ErrCorruptIndex = errors.New("core: corrupt index")
 // batches may run smaller than batchRecs), so peak memory is one batch —
 // never the total active-metacell bytes — regardless of output size. The
 // batch slice passed to emit holds nrec records back to back and is reused
-// across calls; the consumer must copy what it retains.
+// across calls; the consumer must copy what it retains. A Tree's fields are
+// exported and may have come from a file, so a root or child link outside
+// [-1, len(Nodes)), or a path longer than the node table, is reported as
+// ErrCorruptIndex rather than followed.
 func (t *Tree) QueryBatches(dev blockio.Device, iso float32, batchRecs int, emit func(batch []byte, nrec int) error) (QueryStats, error) {
-	fetch := func(n int32) (*Node, error) { return &t.Nodes[n], nil }
-	return walk(t.Layout, t.Root, len(t.Nodes), fetch, dev, iso, batchRecs, emit)
-}
-
-// walk is the root-to-leaf descent behind every query. The in-memory and the
-// external tree differ only in fetch, which is handed node indices already
-// checked against [0, nodes). The index may have come from a file, so a root
-// or child link outside [-1, nodes), or a path longer than the node table,
-// is reported as ErrCorruptIndex rather than followed.
-func walk(l metacell.Layout, root int32, nodes int, fetch func(n int32) (*Node, error), dev blockio.Device, iso float32, batchRecs int, emit func(batch []byte, nrec int) error) (QueryStats, error) {
 	var st QueryStats
+	l, nodes := t.Layout, len(t.Nodes)
 	recSize := l.RecordSize()
 	if batchRecs <= 0 {
 		// One disk block's worth of records per batch: Case-2 scans then
@@ -56,17 +51,14 @@ func walk(l metacell.Layout, root int32, nodes int, fetch func(n int32) (*Node, 
 	}
 	buf := make([]byte, batchRecs*recSize)
 
-	for n := root; n != -1; {
+	for n := t.Root; n != -1; {
 		if n < -1 || int(n) >= nodes {
 			return st, fmt.Errorf("%w: link to node %d of %d", ErrCorruptIndex, n, nodes)
 		}
 		if st.NodesVisited == nodes {
 			return st, fmt.Errorf("%w: walk revisits a node (%d nodes)", ErrCorruptIndex, nodes)
 		}
-		node, err := fetch(n)
-		if err != nil {
-			return st, err
-		}
+		node := &t.Nodes[n]
 		st.NodesVisited++
 		if iso >= node.VM {
 			// Case 1: every metacell in the prefix of bricks with
@@ -205,15 +197,4 @@ func scanBrick(l metacell.Layout, dev blockio.Device, e *IndexEntry, iso float32
 		off += int64(n * recSize)
 	}
 	return nil
-}
-
-// CountActive returns the number of active metacells for iso. It is not
-// free: the Case-2 prefix lengths live on disk (each brick must be scanned
-// until the first record with vmin > iso), and the Case-1 walk issues its
-// bulk reads too, so CountActive performs the same block I/O as a full query
-// — only the per-record decode and triangulation work is skipped. Its main
-// use is in tests and balance tables where the visitor work is not wanted.
-func (t *Tree) CountActive(dev blockio.Device, iso float32) (int, error) {
-	st, err := t.QueryBatches(dev, iso, 0, func([]byte, int) error { return nil })
-	return st.ActiveMetacells, err
 }

@@ -9,14 +9,6 @@ type TimeVaryingIndex struct {
 	Steps []*Tree
 }
 
-// Step returns the tree for a time step, or nil if out of range.
-func (tv *TimeVaryingIndex) Step(i int) *Tree {
-	if i < 0 || i >= len(tv.Steps) {
-		return nil
-	}
-	return tv.Steps[i]
-}
-
 // NumSteps returns the number of indexed time steps.
 func (tv *TimeVaryingIndex) NumSteps() int { return len(tv.Steps) }
 

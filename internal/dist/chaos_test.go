@@ -137,7 +137,7 @@ func TestBackoffRespectsDeadline(t *testing.T) {
 		QueueDepth:  -1,
 		CacheBytes:  -1,
 	})
-	rep := NewReplicaServer(srv, ReplicaConfig{RetryAfter: time.Second})
+	rep := NewReplicaServer(srv, ReplicaConfig{})
 	if err := rep.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -202,20 +202,11 @@ func TestBackoffRespectsDeadline(t *testing.T) {
 // router front-end forwards the replicas' Retry-After hint on 503 rather
 // than hardcoding its own.
 func TestRetryAfterPropagatesThroughHandler(t *testing.T) {
-	srv := serve.New(slowBackend{delay: 3 * time.Second}, serve.Config{
-		MaxInFlight: 1,
-		QueueDepth:  -1,
-		CacheBytes:  -1,
-	})
-	rep := NewReplicaServer(srv, ReplicaConfig{RetryAfter: 7 * time.Second})
-	if err := rep.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { rep.Close() })
-	go http.Get(fmt.Sprintf("http://%s/mesh?step=0&iso=1", rep.Addr())) //nolint:errcheck // occupy the slot
-	time.Sleep(50 * time.Millisecond)
-
-	rt, err := NewRouter(RouterConfig{Replicas: []string{rep.Addr()}, ProbeInterval: -1})
+	saturated := serveOnLoopback(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Retry-After", "7")
+		http.Error(w, "saturated", http.StatusServiceUnavailable)
+	}))
+	rt, err := NewRouter(RouterConfig{Replicas: []string{saturated}, ProbeInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

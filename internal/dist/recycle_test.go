@@ -182,7 +182,7 @@ func TestFailedAttemptsGiveTheirBuffersBack(t *testing.T) {
 			if got := alone.Stats().CorruptFrames; got != tc.corrupt {
 				t.Errorf("%d corrupt frames counted, want %d", got, tc.corrupt)
 			}
-			if got := alone.Metrics().Histogram("router_frame_read_seconds", "").Count(); got != tc.corrupt {
+			if got := alone.reg.Histogram("router_frame_read_seconds", "").Count(); got != tc.corrupt {
 				t.Errorf("router_frame_read_seconds has %d observations, want %d (frames read to a verdict)", got, tc.corrupt)
 			}
 
@@ -269,7 +269,7 @@ func TestFreeListIsBounded(t *testing.T) {
 	if n, b := freeFrames(rt); n != 1 || b != freeFrameBytes {
 		t.Errorf("%d buffers / %d bytes kept, want 1 / %d", n, b, freeFrameBytes)
 	}
-	for _, m := range rt.Metrics().Snapshot() {
+	for _, m := range rt.reg.Snapshot() {
 		if m.Name == "router_free_frames_bytes" && m.Value != freeFrameBytes {
 			t.Errorf("router_free_frames_bytes = %v, want %d", m.Value, freeFrameBytes)
 		}
@@ -311,7 +311,7 @@ func allocPerRequest(t testing.TB, rt *Router, iso float32, n int, recycle bool)
 func TestRecycleZeroAllocSteadyState(t *testing.T) {
 	const iso, tris = 5, 240_000
 	c := startBigCluster(t, 1, tris, RouterConfig{ProbeInterval: -1})
-	frame := float64(meshio.BinarySize(&geom.Mesh{Tris: make([]geom.Triangle, tris)}) + 4)
+	frame := float64(len(meshio.EncodeBinaryChecksum(iso, &geom.Mesh{Tris: make([]geom.Triangle, tris)})))
 	if frame < 8<<20 {
 		t.Fatalf("test frame is %.0f bytes, want at least 8 MiB", frame)
 	}
@@ -343,7 +343,7 @@ func BenchmarkRoutedHit(b *testing.B) {
 			name = "recycle"
 		}
 		b.Run(name, func(b *testing.B) {
-			b.SetBytes(int64(meshio.BinarySize(warm.Mesh)))
+			b.SetBytes(int64(len(meshio.EncodeBinaryChecksum(iso, warm.Mesh))))
 			b.ReportAllocs()
 			if recycle { // steady state: the free list already holds this caller's frame
 				resp, err := c.Router.Query(ctx, 0, iso)

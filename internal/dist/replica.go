@@ -42,18 +42,14 @@ type ReplicaConfig struct {
 	// host's one CPU — the measured capacity of the scaling experiment.
 	// 0 disables pacing (frames go out at loopback speed).
 	LinkBytesPerSec int64
-
-	// RetryAfter is the Retry-After hint attached to 503 responses
-	// (0 = 1s; sub-second values round up to 1s on the wire).
-	RetryAfter time.Duration
 }
+
+// retryAfter is the Retry-After hint on every 503 the replica sheds with.
+const retryAfter = time.Second
 
 func (c ReplicaConfig) withDefaults() ReplicaConfig {
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 64
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
 	}
 	return c
 }
@@ -169,7 +165,7 @@ func (r *Replica) handleHealth(w http.ResponseWriter, req *http.Request) {
 
 func (r *Replica) shed(w http.ResponseWriter, msg string) {
 	r.sheds.Inc()
-	w.Header().Set("Retry-After", strconv.Itoa(int((r.cfg.RetryAfter+time.Second-1)/time.Second)))
+	w.Header().Set("Retry-After", strconv.Itoa(int(retryAfter/time.Second)))
 	http.Error(w, msg, http.StatusServiceUnavailable)
 }
 

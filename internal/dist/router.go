@@ -266,9 +266,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	return rt, nil
 }
 
-// Metrics returns the registry the router records into.
-func (rt *Router) Metrics() *obs.Registry { return rt.reg }
-
 // Close stops the health probes and idle connections. In-flight queries
 // finish on their own.
 func (rt *Router) Close() {

@@ -225,13 +225,6 @@ func (b AABB) Union(o AABB) AABB {
 	return b.ExtendPoint(o.Min).ExtendPoint(o.Max)
 }
 
-// Contains reports whether p lies inside the (closed) box.
-func (b AABB) Contains(p Vec3) bool {
-	return p.X >= b.Min.X && p.X <= b.Max.X &&
-		p.Y >= b.Min.Y && p.Y <= b.Max.Y &&
-		p.Z >= b.Min.Z && p.Z <= b.Max.Z
-}
-
 // Center returns the box center; meaningless for an empty box.
 func (b AABB) Center() Vec3 { return b.Min.Add(b.Max).Scale(0.5) }
 

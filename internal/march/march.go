@@ -50,15 +50,6 @@ func cell(v *[8]float32, origin geom.Vec3, iso float32, out *geom.Mesh) bool {
 	return true
 }
 
-// CellAt triangulates a single unit cell with corner values v (ordered as
-// in Config: corner c at offset (c&1, c>>1&1, c>>2&1)) and minimum corner at
-// origin, appending triangles to out. It reports whether the cell was
-// active. This is the entry point for callers that traverse cells
-// themselves, such as the contour-propagation baseline.
-func CellAt(v *[8]float32, origin geom.Vec3, iso float32, out *geom.Mesh) bool {
-	return cell(v, origin, iso, out)
-}
-
 // Metacell triangulates every cell of a decoded metacell at the given
 // isovalue, appending triangles (in volume coordinates) to out. It returns
 // the number of active cells.

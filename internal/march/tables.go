@@ -239,7 +239,3 @@ func TriangleCount(config uint8) int { return int(triCount[config]) }
 // TableTriangles exposes the generated triangle list (edge-index triples) of
 // a configuration, primarily for tests and inspection.
 func TableTriangles(config uint8) []uint8 { return triTable[config][:3*triCount[config]] }
-
-// CutEdges returns the mask of edges a configuration's triangulation
-// references (bit e set = edge e is cut and used).
-func CutEdges(config uint8) uint16 { return cutEdgeMask[config] }

@@ -66,7 +66,7 @@ const (
 	binCRCSize    = 4  // CRC32-C trailer, when FlagChecksum is set
 	binMinFrame   = binPrefixSize + binHeaderSize
 
-	// MaxBinaryFrameBytes is the largest frame ReadBinary accepts by
+	// MaxBinaryFrameBytes is the largest frame ReadFrame accepts by
 	// default: 1 GiB ≈ 29.8 M triangles, far above any mesh the pipeline
 	// produces, far below anything that could exhaust memory twice over.
 	MaxBinaryFrameBytes = 1 << 30
@@ -89,16 +89,6 @@ func binErr(format string, args ...any) error {
 // crcTable is the Castagnoli polynomial table (hardware-accelerated on
 // amd64/arm64), shared by encode and verify.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// BinarySize returns the encoded frame size (length prefix included) of the
-// given meshes' concatenated triangles.
-func BinarySize(meshes ...*geom.Mesh) int {
-	tris := 0
-	for _, m := range meshes {
-		tris += len(m.Tris)
-	}
-	return frameSize(0, tris)
-}
 
 // AppendBinary appends one encoded frame holding the concatenation of the
 // given meshes (in argument order) to dst and returns the extended slice.
@@ -449,15 +439,4 @@ func readFrame(r io.Reader, maxBytes int, verify bool, alloc func(size int) []by
 // them or checks them itself.
 func ReadBinaryFrame(r io.Reader, maxBytes int) ([]byte, error) {
 	return ReadFrame(r, maxBytes, false, nil)
-}
-
-// ReadBinary reads, verifies and decodes one frame from r under the same size
-// limit, in one pass. The frame buffer is this call's own, so the mesh is a
-// view of it rather than a second copy.
-func ReadBinary(r io.Reader, maxBytes int) (*geom.Mesh, float32, error) {
-	frame, err := ReadFrame(r, maxBytes, true, nil)
-	if err != nil {
-		return nil, 0, err
-	}
-	return DecodeBinaryView(frame, true)
 }

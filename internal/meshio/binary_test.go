@@ -29,8 +29,8 @@ func TestBinaryRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 513} {
 		m := testMesh(n, 1.5)
 		frame := EncodeBinary(110.5, m)
-		if len(frame) != BinarySize(m) {
-			t.Fatalf("n=%d: frame %d bytes, BinarySize says %d", n, len(frame), BinarySize(m))
+		if len(frame) != frameSize(0, n) {
+			t.Fatalf("n=%d: frame %d bytes, frameSize says %d", n, len(frame), frameSize(0, n))
 		}
 		got, iso, err := DecodeBinary(frame)
 		if err != nil {
@@ -103,8 +103,8 @@ func TestBinaryChecksumRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 513} {
 		m := testMesh(n, 2.5)
 		frame := EncodeBinaryChecksum(99, m)
-		if len(frame) != BinarySize(m)+4 {
-			t.Fatalf("n=%d: checksummed frame %d bytes, want BinarySize+4 = %d", n, len(frame), BinarySize(m)+4)
+		if len(frame) != frameSize(0, n)+4 {
+			t.Fatalf("n=%d: checksummed frame %d bytes, want plain frame + 4 = %d", n, len(frame), frameSize(0, n)+4)
 		}
 		if err := VerifyBinary(frame); err != nil {
 			t.Fatalf("n=%d: verify: %v", n, err)
@@ -161,22 +161,22 @@ func TestBinaryChecksumDetectsCorruption(t *testing.T) {
 
 func TestReadBinaryEnforcesLimit(t *testing.T) {
 	frame := EncodeBinary(9, testMesh(100, 1))
-	if _, _, err := ReadBinary(bytes.NewReader(frame), len(frame)); err != nil {
+	if _, err := ReadFrame(bytes.NewReader(frame), len(frame), true, nil); err != nil {
 		t.Fatalf("frame at exactly the limit: %v", err)
 	}
-	if _, _, err := ReadBinary(bytes.NewReader(frame), len(frame)-1); !errors.Is(err, ErrBinaryFormat) {
+	if _, err := ReadFrame(bytes.NewReader(frame), len(frame)-1, true, nil); !errors.Is(err, ErrBinaryFormat) {
 		t.Fatalf("frame over the limit: err = %v, want ErrBinaryFormat", err)
 	}
 
 	// A hostile prefix declaring a huge frame must error before reading it.
 	var huge [8]byte
 	binary.LittleEndian.PutUint32(huge[:], math.MaxUint32)
-	if _, _, err := ReadBinary(bytes.NewReader(huge[:]), 1<<20); !errors.Is(err, ErrBinaryFormat) {
+	if _, err := ReadFrame(bytes.NewReader(huge[:]), 1<<20, true, nil); !errors.Is(err, ErrBinaryFormat) {
 		t.Fatalf("hostile prefix: err = %v, want ErrBinaryFormat", err)
 	}
 
 	// A truncated stream surfaces the read error, not a format error.
-	if _, _, err := ReadBinary(bytes.NewReader(frame[:len(frame)/2]), 0); !errors.Is(err, io.ErrUnexpectedEOF) {
+	if _, err := ReadFrame(bytes.NewReader(frame[:len(frame)/2]), 0, true, nil); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("truncated stream: err = %v, want ErrUnexpectedEOF", err)
 	}
 }

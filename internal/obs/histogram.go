@@ -76,9 +76,6 @@ func (h *Histogram) Observe(d time.Duration) {
 // Count returns the number of recorded samples.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 
-// Sum returns the total of all recorded durations.
-func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
-
 // Max returns the largest recorded duration.
 func (h *Histogram) Max() time.Duration { return time.Duration(h.max.Load()) }
 
@@ -118,24 +115,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	s.P99 = s.Quantile(0.99)
 	s.P999 = s.Quantile(0.999)
 	return s
-}
-
-// Merge adds o's samples into s (histograms with identical bucket layouts are
-// mergeable by construction — the layout is a package constant).
-func (s *HistogramSnapshot) Merge(o HistogramSnapshot) {
-	for i := range s.Buckets {
-		s.Buckets[i] += o.Buckets[i]
-	}
-	s.Count += o.Count
-	s.Sum += o.Sum
-	if o.Max > s.Max {
-		s.Max = o.Max
-	}
-	// Summary quantiles are stale after a merge; recompute.
-	s.P50 = s.Quantile(0.50)
-	s.P90 = s.Quantile(0.90)
-	s.P99 = s.Quantile(0.99)
-	s.P999 = s.Quantile(0.999)
 }
 
 // Quantile estimates the q-quantile by linear interpolation inside the
@@ -185,6 +164,3 @@ func BucketBound(i int) float64 {
 	}
 	return float64(histBoundNS[i]) / 1e9
 }
-
-// NumBuckets is the number of histogram buckets, overflow included.
-func NumBuckets() int { return histBuckets }

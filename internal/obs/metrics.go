@@ -23,7 +23,6 @@ package obs
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -186,16 +185,4 @@ func (r *Registry) Snapshot() []MetricSnapshot {
 		out = append(out, m)
 	}
 	return out
-}
-
-// Names returns the registered metric names, sorted (for tests).
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.byName))
-	for n := range r.byName {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -158,16 +158,6 @@ func (t *Tree) Query(iso float32, visit func(id uint32)) QueryStats {
 	return st
 }
 
-// Count returns the number of active metacells for iso.
-func (t *Tree) Count(iso float32) int {
-	n := 0
-	t.Query(iso, func(uint32) { n++ })
-	return n
-}
-
-// NumNodes returns the number of octree nodes.
-func (t *Tree) NumNodes() int { return len(t.Nodes) }
-
 // SizeBytes returns the packed size of the octree under the accounting used
 // for the other index structures: per node two scalar fields, a child
 // bitmap+pointer (8 bytes) and the box (implicit in traversal order, so not
@@ -175,29 +165,4 @@ func (t *Tree) NumNodes() int { return len(t.Nodes) }
 func (t *Tree) SizeBytes() int64 {
 	w := int64(t.Layout.Fmt.Bytes())
 	return int64(len(t.Nodes)) * (2*w + 8)
-}
-
-// TBON is the temporal branch-on-need extension (Sutton–Hansen): one octree
-// per time step sharing the query interface, mirroring the paper's §5.2
-// comparison point for time-varying data.
-type TBON struct {
-	Steps []*Tree
-}
-
-// BuildTBON builds one octree per time step.
-func BuildTBON(gen func(step int) *volume.Grid, steps []int, span int) *TBON {
-	tb := &TBON{}
-	for _, s := range steps {
-		tb.Steps = append(tb.Steps, Build(gen(s), span))
-	}
-	return tb
-}
-
-// SizeBytes returns the total packed size across steps.
-func (tb *TBON) SizeBytes() int64 {
-	var n int64
-	for _, t := range tb.Steps {
-		n += t.SizeBytes()
-	}
-	return n
 }

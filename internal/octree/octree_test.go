@@ -54,16 +54,16 @@ func TestPruning(t *testing.T) {
 	g := volume.Sphere(65)
 	sp := Build(g, 9)
 	stSparse := sp.Query(240, func(uint32) {}) // small shell near the center
-	if stSparse.NodesVisited >= sp.NumNodes() {
-		t.Errorf("no pruning: visited %d of %d nodes", stSparse.NodesVisited, sp.NumNodes())
+	if stSparse.NodesVisited >= len(sp.Nodes) {
+		t.Errorf("no pruning: visited %d of %d nodes", stSparse.NodesVisited, len(sp.Nodes))
 	}
 }
 
 func TestBranchOnNeedDropsConstantRegions(t *testing.T) {
 	// A constant volume has no non-constant metacells: empty tree.
 	tree := Build(volume.Constant(33, 33, 33, volume.U8, 9), 9)
-	if tree.Root != -1 || tree.NumNodes() != 0 {
-		t.Errorf("constant volume built %d nodes", tree.NumNodes())
+	if tree.Root != -1 || len(tree.Nodes) != 0 {
+		t.Errorf("constant volume built %d nodes", len(tree.Nodes))
 	}
 	// RM data: the tree must be smaller than a full octree over all
 	// metacells would be, since about half the volume is constant.
@@ -74,8 +74,8 @@ func TestBranchOnNeedDropsConstantRegions(t *testing.T) {
 	for n := l.Count(); n > 0; n = n / 8 {
 		full += n
 	}
-	if tr.NumNodes() >= full {
-		t.Errorf("branch-on-need tree (%d nodes) not smaller than full tree (≈%d)", tr.NumNodes(), full)
+	if len(tr.Nodes) >= full {
+		t.Errorf("branch-on-need tree (%d nodes) not smaller than full tree (≈%d)", len(tr.Nodes), full)
 	}
 }
 
@@ -86,8 +86,10 @@ func TestNonPowerOfTwoDims(t *testing.T) {
 	_, cells := metacell.Extract(g, 9)
 	tree := Build(g, 9)
 	want := bruteActive(cells, 128)
-	if got := tree.Count(128); got != len(want) {
-		t.Errorf("Count = %d, want %d", got, len(want))
+	got := 0
+	tree.Query(128, func(uint32) { got++ })
+	if got != len(want) {
+		t.Errorf("Query delivered %d, want %d", got, len(want))
 	}
 }
 
@@ -115,24 +117,8 @@ func TestSizeAccounting(t *testing.T) {
 	if tree.SizeBytes() <= 0 {
 		t.Error("zero size")
 	}
-	if tree.SizeBytes() != int64(tree.NumNodes())*10 {
+	if tree.SizeBytes() != int64(len(tree.Nodes))*10 {
 		t.Errorf("u8 octree node should cost 10 bytes, got %d total for %d nodes",
-			tree.SizeBytes(), tree.NumNodes())
-	}
-}
-
-func TestTBON(t *testing.T) {
-	gen := volume.TimeVaryingRM(17, 17, 16, 5)
-	tb := BuildTBON(gen, []int{100, 200}, 9)
-	if len(tb.Steps) != 2 {
-		t.Fatalf("%d steps", len(tb.Steps))
-	}
-	if tb.SizeBytes() != tb.Steps[0].SizeBytes()+tb.Steps[1].SizeBytes() {
-		t.Error("TBON size != sum of steps")
-	}
-	_, cells := metacell.Extract(gen(200), 9)
-	want := bruteActive(cells, 70)
-	if got := tb.Steps[1].Count(70); got != len(want) {
-		t.Errorf("step 200 count = %d, want %d", got, len(want))
+			tree.SizeBytes(), len(tree.Nodes))
 	}
 }

@@ -50,9 +50,6 @@ func (c *Camera) Project(p geom.Vec3) (x, y, depth float32, ok bool) {
 	return float32(c.W)/2 + x, float32(c.H)/2 - y, depth, true
 }
 
-// ViewDir returns the unit vector from the eye toward the target.
-func (c *Camera) ViewDir() geom.Vec3 { return c.back.Scale(-1) }
-
 // FitMesh positions the camera to frame a bounding box from a default
 // three-quarter view, a convenience for the examples and figures.
 func FitMesh(b geom.AABB, fovYDeg float32, w, h int) *Camera {

@@ -46,9 +46,6 @@ func (fb *Framebuffer) Clear(bg RGB) {
 // At returns the color at (x, y).
 func (fb *Framebuffer) At(x, y int) RGB { return fb.Color[y*fb.W+x] }
 
-// DepthAt returns the depth at (x, y).
-func (fb *Framebuffer) DepthAt(x, y int) float32 { return fb.Depth[y*fb.W+x] }
-
 // set writes a fragment if it is nearer than the stored depth.
 func (fb *Framebuffer) set(x, y int, z float32, c RGB) {
 	i := y*fb.W + x

@@ -18,14 +18,14 @@ func TestFramebufferClear(t *testing.T) {
 		t.Error("fresh framebuffer should be uncovered")
 	}
 	fb.set(3, 2, 1.5, RGB{1, 2, 3})
-	if fb.At(3, 2) != (RGB{1, 2, 3}) || fb.DepthAt(3, 2) != 1.5 {
+	if fb.At(3, 2) != (RGB{1, 2, 3}) || fb.Depth[2*fb.W+3] != 1.5 {
 		t.Error("set/At mismatch")
 	}
 	if fb.CoveredPixels() != 1 {
 		t.Error("covered count wrong")
 	}
 	fb.Clear(RGB{9, 9, 9})
-	if fb.At(3, 2) != (RGB{9, 9, 9}) || !math.IsInf(float64(fb.DepthAt(3, 2)), 1) {
+	if fb.At(3, 2) != (RGB{9, 9, 9}) || !math.IsInf(float64(fb.Depth[2*fb.W+3]), 1) {
 		t.Error("clear failed")
 	}
 }
@@ -35,8 +35,8 @@ func TestZBufferKeepsNearest(t *testing.T) {
 	fb.set(0, 0, 5, RGB{R: 1})
 	fb.set(0, 0, 3, RGB{R: 2}) // nearer: wins
 	fb.set(0, 0, 4, RGB{R: 3}) // farther than current: loses
-	if fb.At(0, 0) != (RGB{R: 2}) || fb.DepthAt(0, 0) != 3 {
-		t.Errorf("z-test wrong: %+v depth %v", fb.At(0, 0), fb.DepthAt(0, 0))
+	if fb.At(0, 0) != (RGB{R: 2}) || fb.Depth[0] != 3 {
+		t.Errorf("z-test wrong: %+v depth %v", fb.At(0, 0), fb.Depth[0])
 	}
 }
 

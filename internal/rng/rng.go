@@ -27,30 +27,12 @@ func (s *SplitMix64) Float64() float64 {
 	return float64(s.Uint64()>>11) / (1 << 53)
 }
 
-// Float32 returns a uniform value in [0, 1).
-func (s *SplitMix64) Float32() float32 {
-	return float32(s.Uint64()>>40) / (1 << 24)
-}
-
 // Intn returns a uniform value in [0, n). It panics if n <= 0.
 func (s *SplitMix64) Intn(n int) int {
 	if n <= 0 {
 		panic("rng: Intn with non-positive n")
 	}
 	return int(s.Uint64() % uint64(n))
-}
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (s *SplitMix64) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
 }
 
 // mix is the splitmix64 finalizer: a bijective avalanche over 64 bits.

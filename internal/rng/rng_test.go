@@ -33,9 +33,6 @@ func TestFloatRanges(t *testing.T) {
 		if f := r.Float64(); f < 0 || f >= 1 {
 			t.Fatalf("Float64 out of range: %v", f)
 		}
-		if f := r.Float32(); f < 0 || f >= 1 {
-			t.Fatalf("Float32 out of range: %v", f)
-		}
 	}
 }
 
@@ -67,18 +64,6 @@ func TestIntn(t *testing.T) {
 		}
 	}()
 	r.Intn(0)
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := New(11)
-	p := r.Perm(100)
-	seen := make([]bool, 100)
-	for _, v := range p {
-		if v < 0 || v >= 100 || seen[v] {
-			t.Fatalf("not a permutation: %v", p)
-		}
-		seen[v] = true
-	}
 }
 
 func TestHash3Deterministic(t *testing.T) {

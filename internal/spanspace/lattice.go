@@ -128,12 +128,6 @@ func (lt *Lattice) Query(iso float32, visit func(id uint32)) QueryStats {
 	return st
 }
 
-// Count returns the number of active metacells for iso.
-func (lt *Lattice) Count(iso float32) int {
-	st := lt.Query(iso, func(uint32) {})
-	return st.Active
-}
-
 // SizeBytes returns the packed lattice size: per entry two scalars and an
 // ID, plus per bucket a pointer.
 func (lt *Lattice) SizeBytes(scalarBytes int) int64 {

@@ -178,13 +178,13 @@ func TestLatticeBulkDominates(t *testing.T) {
 func TestLatticeEdgeCases(t *testing.T) {
 	cells := rmCells(t)
 	lt := NewLattice(cells, 8)
-	if lt.Count(-10) != 0 || lt.Count(300) != 0 {
+	if lt.Query(-10, func(uint32) {}).Active != 0 || lt.Query(300, func(uint32) {}).Active != 0 {
 		t.Error("out-of-range isovalues should be empty")
 	}
-	if NewLattice(nil, 8).Count(10) != 0 {
+	if NewLattice(nil, 8).Query(10, func(uint32) {}).Active != 0 {
 		t.Error("empty lattice should be empty")
 	}
-	if NewLattice(cells, 0).Count(10) != 0 {
+	if NewLattice(cells, 0).Query(10, func(uint32) {}).Active != 0 {
 		t.Error("L=0 lattice should be empty")
 	}
 	if lt.SizeBytes(1) <= 0 {

@@ -79,10 +79,6 @@ func (g *Grid) Samples() int { return g.Nx * g.Ny * g.Nz }
 // SizeBytes returns the raw payload size in bytes.
 func (g *Grid) SizeBytes() int64 { return int64(len(g.data)) }
 
-// Raw exposes the underlying sample bytes (x-fastest layout). Callers must
-// not resize the slice.
-func (g *Grid) Raw() []byte { return g.data }
-
 // index returns the flat sample index of (x,y,z). Bounds are the caller's
 // responsibility; At/Set check them.
 func (g *Grid) index(x, y, z int) int {
@@ -186,22 +182,4 @@ func (g *Grid) DistinctValues() int {
 		}
 	}
 	return len(seen)
-}
-
-// Downsample returns a grid reduced by an integer factor k in each dimension
-// by point sampling, mirroring the paper's down-sampled 256×256×240 version
-// of the 2048×2048×1920 dataset.
-func (g *Grid) Downsample(k int) *Grid {
-	if k <= 0 {
-		panic("volume: non-positive downsample factor")
-	}
-	d := New((g.Nx+k-1)/k, (g.Ny+k-1)/k, (g.Nz+k-1)/k, g.Fmt)
-	for z := 0; z < d.Nz; z++ {
-		for y := 0; y < d.Ny; y++ {
-			for x := 0; x < d.Nx; x++ {
-				d.Set(x, y, z, g.At(x*k, y*k, z*k))
-			}
-		}
-	}
-	return d
 }

@@ -162,19 +162,6 @@ func Torus(n int) *Grid {
 	return g
 }
 
-// Gyroid generates an n³ one-byte grid of the gyroid implicit surface, a
-// standard stress test producing surface through nearly every cell.
-func Gyroid(n int, periods float32) *Grid {
-	g := New(n, n, n, U8)
-	k := 2 * math.Pi * periods / float32(n)
-	g.Fill(func(x, y, z int) float32 {
-		gx, gy, gz := k*float32(x), k*float32(y), k*float32(z)
-		v := sin32(gx)*cos32(gy) + sin32(gy)*cos32(gz) + sin32(gz)*cos32(gx)
-		return 127.5 + 85*v // in [42.5, 212.5] approx
-	})
-	return g
-}
-
 // Constant generates a grid with every sample equal to v; all its metacells
 // are degenerate and should be dropped by preprocessing.
 func Constant(nx, ny, nz int, f Format, v float32) *Grid {

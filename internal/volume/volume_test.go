@@ -90,18 +90,6 @@ func TestFillAndMinMax(t *testing.T) {
 	}
 }
 
-func TestDownsample(t *testing.T) {
-	g := New(8, 8, 8, U8)
-	g.Fill(func(x, y, z int) float32 { return float32(x) })
-	d := g.Downsample(2)
-	if d.Nx != 4 || d.Ny != 4 || d.Nz != 4 {
-		t.Fatalf("downsampled dims %d×%d×%d", d.Nx, d.Ny, d.Nz)
-	}
-	if got := d.At(1, 0, 0); got != 2 {
-		t.Errorf("downsampled At(1,0,0) = %v, want 2", got)
-	}
-}
-
 func TestIORoundTrip(t *testing.T) {
 	for _, f := range []Format{U8, U16, F32} {
 		g := New(5, 4, 3, f)
@@ -117,7 +105,7 @@ func TestIORoundTrip(t *testing.T) {
 		if r.Nx != g.Nx || r.Ny != g.Ny || r.Nz != g.Nz || r.Fmt != g.Fmt {
 			t.Fatalf("%v: header mismatch", f)
 		}
-		if !bytes.Equal(r.Raw(), g.Raw()) {
+		if !bytes.Equal(r.data, g.data) {
 			t.Errorf("%v: payload mismatch", f)
 		}
 	}
@@ -151,7 +139,7 @@ func TestFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(r.Raw(), g.Raw()) {
+	if !bytes.Equal(r.data, g.data) {
 		t.Error("file round trip mismatch")
 	}
 }
@@ -159,15 +147,15 @@ func TestFileRoundTrip(t *testing.T) {
 func TestRMDeterministic(t *testing.T) {
 	a := RichtmyerMeshkov(16, 16, 16, 100, 7)
 	b := RichtmyerMeshkov(16, 16, 16, 100, 7)
-	if !bytes.Equal(a.Raw(), b.Raw()) {
+	if !bytes.Equal(a.data, b.data) {
 		t.Error("RM generator not deterministic")
 	}
 	c := RichtmyerMeshkov(16, 16, 16, 100, 8)
-	if bytes.Equal(a.Raw(), c.Raw()) {
+	if bytes.Equal(a.data, c.data) {
 		t.Error("RM generator ignores seed")
 	}
 	d := RichtmyerMeshkov(16, 16, 16, 101, 7)
-	if bytes.Equal(a.Raw(), d.Raw()) {
+	if bytes.Equal(a.data, d.data) {
 		t.Error("RM generator ignores time step")
 	}
 }
@@ -245,14 +233,6 @@ func TestTorusRange(t *testing.T) {
 	lo, hi := g.MinMax()
 	if lo != 0 || hi < 200 {
 		t.Errorf("torus range [%v,%v]", lo, hi)
-	}
-}
-
-func TestGyroidCoverage(t *testing.T) {
-	g := Gyroid(16, 2)
-	lo, hi := g.MinMax()
-	if lo > 80 || hi < 180 {
-		t.Errorf("gyroid range [%v,%v] unexpectedly narrow", lo, hi)
 	}
 }
 
@@ -342,7 +322,7 @@ func TestRawRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(r.Raw(), g.Raw()) {
+		if !bytes.Equal(r.data, g.data) {
 			t.Errorf("%v: raw round trip mismatch", f)
 		}
 	}

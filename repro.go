@@ -58,7 +58,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/render"
 	"repro/internal/serve"
-	"repro/internal/unstructured"
 	"repro/internal/volume"
 )
 
@@ -86,10 +85,6 @@ type (
 	Tile = composite.Tile
 	// IndexedMesh is a welded mesh ready for export (OBJ/STL/PLY).
 	IndexedMesh = meshio.IndexedMesh
-	// TetMesh is an unstructured tetrahedral grid with per-vertex scalars.
-	TetMesh = unstructured.Mesh
-	// TetIndex accelerates isosurface extraction over a TetMesh.
-	TetIndex = unstructured.Index
 	// Server is the concurrent query service: request coalescing, mesh
 	// cache, admission control (see NewServer / NewTimeVaryingServer).
 	Server = serve.Server
@@ -238,12 +233,3 @@ func MergeMeshes(res *Result) (*Mesh, error) {
 // IndexMesh welds a triangle soup into an indexed mesh with shared vertices,
 // ready for WriteFile(".obj"/".stl"/".ply").
 func IndexMesh(m *Mesh) *IndexedMesh { return meshio.Index(m) }
-
-// TetMeshFromGrid converts a regular grid into a conforming tetrahedral mesh
-// (six tets per cell), the entry point of the unstructured pipeline.
-func TetMeshFromGrid(g *Grid) *TetMesh { return unstructured.FromGrid(g) }
-
-// NewTetIndex builds the cluster interval index over a tetrahedral mesh.
-func NewTetIndex(m *TetMesh, clusterSize int) (*TetIndex, error) {
-	return unstructured.NewIndex(m, clusterSize)
-}
