@@ -416,10 +416,15 @@ func printRouterStats(st dist.RouterStats) {
 }
 
 func printDistStats(cl *dist.Cluster) {
-	printRouterStats(cl.Router.Stats())
+	rs := cl.Router.Stats()
+	printRouterStats(rs)
 	for i, st := range cl.Stats() {
-		fmt.Printf("replica %d: %d requests · hit rate %.0f%% · %d coalesced · %d extractions · %d shed · cache %d meshes / %s\n",
-			i, st.Requests, 100*st.HitRate(), st.Coalesced, st.Extractions, st.Rejected,
+		share := 0.0
+		if rs.Routed > 0 {
+			share = 100 * float64(rs.Served[i]) / float64(rs.Routed)
+		}
+		fmt.Printf("replica %d: %.0f%% of routed · %d requests · hit rate %.0f%% · %d coalesced · %d extractions · %d shed · cache %d meshes / %s\n",
+			i, share, st.Requests, 100*st.HitRate(), st.Coalesced, st.Extractions, st.Rejected,
 			st.CachedMeshes, obs.FormatBytes(st.CachedBytes))
 	}
 }

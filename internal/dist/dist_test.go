@@ -157,9 +157,15 @@ func TestShardAffinity(t *testing.T) {
 		}
 	}
 	var extractions, requests int64
-	for _, st := range c.Stats() {
+	served := c.Router.Stats().Served
+	for i, st := range c.Stats() {
 		extractions += st.Extractions
 		requests += st.Requests
+		// Nothing failed over, so the router's view of the split is each
+		// replica's own request count.
+		if served[i] != st.Requests {
+			t.Errorf("router counts %d requests served by replica %d, the replica saw %d", served[i], i, st.Requests)
+		}
 	}
 	if extractions != int64(len(isos)) {
 		t.Errorf("%d extractions across the tier for %d distinct keys", extractions, len(isos))

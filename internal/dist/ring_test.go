@@ -24,18 +24,35 @@ func TestRingOrderCoversAllReplicasOnce(t *testing.T) {
 	}
 }
 
+// TestRingSpreadsKeys: every replica's cache is worth as much as its share of
+// the keys, so the share must be near 1/n at every tier size — and on the
+// paper's eleven-isovalue sweep, which the repository benchmark routes over
+// two replicas, neither replica may sit idle.
 func TestRingSpreadsKeys(t *testing.T) {
-	rg := newRing(4)
-	counts := make([]int, 4)
-	for bucket := int64(0); bucket < 1024; bucket++ {
-		counts[rg.order(keyHash(0, bucket), nil)[0]]++
-	}
-	for r, n := range counts {
-		// With 128 vnodes the split of 1024 keys should be far from
-		// degenerate; require every replica to own a real share.
-		if n < 1024/4/3 {
-			t.Errorf("replica %d owns only %d/1024 keys: %v", r, n, counts)
+	const steps, buckets = 4, 1024
+	for _, n := range []int{2, 3, 4, 5, 8, 16} {
+		rg := newRing(n)
+		counts := make([]int, n)
+		for step := 0; step < steps; step++ {
+			for bucket := int64(0); bucket < buckets; bucket++ {
+				counts[rg.order(keyHash(step, bucket), nil)[0]]++
+			}
 		}
+		fair := float64(steps*buckets) / float64(n)
+		for r, c := range counts {
+			if share := float64(c) / fair; share < 0.7 || share > 1.3 {
+				t.Errorf("n=%d: replica %d owns %d keys, %.2f of a fair share (want 0.7–1.3): %v", n, r, c, share, counts)
+			}
+		}
+	}
+
+	rg := newRing(2)
+	var sweep [2]int
+	for bucket := int64(10); bucket <= 210; bucket += 20 {
+		sweep[rg.order(keyHash(0, bucket), nil)[0]]++
+	}
+	if sweep[0] == 0 || sweep[0] > 8 || sweep[1] == 0 || sweep[1] > 8 {
+		t.Errorf("the sweep's 11 isovalues split %v over 2 replicas, want neither idle nor above 8", sweep)
 	}
 }
 

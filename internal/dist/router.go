@@ -156,6 +156,7 @@ type RouterStats struct {
 	AttemptTimeouts int64 // attempts cut off by AttemptTimeout
 	Revived         int64 // down replicas revived by a passing request
 	Down            []bool
+	Served          []int64 // requests each replica answered, indexed like Down; sums to Routed
 }
 
 // Route reports how one request was served.
@@ -183,6 +184,7 @@ type Router struct {
 	ring   *ring
 	down   []atomic.Bool
 	downAt []atomic.Int64 // unix nanos of the last markDown, for DownCooldown
+	served []atomic.Int64 // requests answered per replica: how the ring split the load
 
 	jmu    sync.Mutex
 	jitter *rng.SplitMix64
@@ -228,6 +230,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		ring:      newRing(len(cfg.Replicas)),
 		down:      make([]atomic.Bool, len(cfg.Replicas)),
 		downAt:    make([]atomic.Int64, len(cfg.Replicas)),
+		served:    make([]atomic.Int64, len(cfg.Replicas)),
 		jitter:    rng.New(0),
 		reg:       reg,
 		routed:    reg.Counter("router_routed_total", "requests answered with a mesh"),
@@ -292,9 +295,11 @@ func (rt *Router) Stats() RouterStats {
 		AttemptTimeouts: rt.timeouts.Value(),
 		Revived:         rt.revived.Value(),
 		Down:            make([]bool, len(rt.down)),
+		Served:          make([]int64, len(rt.down)),
 	}
 	for i := range rt.down {
 		st.Down[i] = rt.isDown(i)
+		st.Served[i] = rt.served[i].Load()
 	}
 	return st
 }
@@ -490,6 +495,7 @@ func (rt *Router) pass(ctx context.Context, start time.Time, cands []int, step i
 	}
 	serveFrom := func(win fres) passResult {
 		rt.routed.Inc()
+		rt.served[win.ri].Add(1)
 		rt.latency.Observe(time.Since(start))
 		if rt.down[win.ri].CompareAndSwap(true, false) {
 			rt.revived.Inc()

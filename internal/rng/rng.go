@@ -19,7 +19,7 @@ func New(seed uint64) *SplitMix64 { return &SplitMix64{state: seed} }
 // Uint64 returns the next 64 pseudo-random bits.
 func (s *SplitMix64) Uint64() uint64 {
 	s.state += 0x9e3779b97f4a7c15
-	return mix(s.state)
+	return Mix(s.state)
 }
 
 // Float64 returns a uniform value in [0, 1).
@@ -35,8 +35,8 @@ func (s *SplitMix64) Intn(n int) int {
 	return int(s.Uint64() % uint64(n))
 }
 
-// mix is the splitmix64 finalizer: a bijective avalanche over 64 bits.
-func mix(z uint64) uint64 {
+// Mix is the splitmix64 finalizer: a bijective avalanche over 64 bits.
+func Mix(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
@@ -46,9 +46,9 @@ func mix(z uint64) uint64 {
 // It is the basis for the value noise in package volume.
 func Hash3(x, y, z int32, seed uint64) uint64 {
 	h := seed
-	h = mix(h ^ uint64(uint32(x)))
-	h = mix(h ^ uint64(uint32(y))<<1)
-	h = mix(h ^ uint64(uint32(z))<<2)
+	h = Mix(h ^ uint64(uint32(x)))
+	h = Mix(h ^ uint64(uint32(y))<<1)
+	h = Mix(h ^ uint64(uint32(z))<<2)
 	return h
 }
 

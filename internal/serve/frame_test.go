@@ -112,14 +112,16 @@ func TestFrameBuiltOncePerSurface(t *testing.T) {
 // frame with it — the re-extraction seals a fresh one with the same bytes.
 func TestFrameLeavesCacheAccountingAlone(t *testing.T) {
 	const tris = 100
-	entryBytes := int64(tris) * triangleBytes
+	entryBytes := int64(tris)*triangleBytes + entryOverhead
 	cfg := Config{CacheBytes: 2*entryBytes + entryBytes/2}
 	plain := New(&fakeBackend{tris: tris}, cfg)
 	framed := New(&fakeBackend{tris: tris}, cfg)
 
 	var first *meshio.Frame
 	var firstBytes []byte
-	for step, iso := range []float32{10, 20, 10, 30, 20, 10, 40, 10} { // 30 evicts 20, 20 evicts 10, …
+	// 20 is asked for twice, so 30 evicts 10; 10 comes back over 30; 40 finds
+	// 10 re-based on a higher floor than 20 and evicts 20.
+	for step, iso := range []float32{10, 20, 20, 30, 10, 10, 40, 20} {
 		p, err := plain.Query(context.Background(), 0, iso)
 		if err != nil {
 			t.Fatal(err)
@@ -149,16 +151,17 @@ func TestFrameLeavesCacheAccountingAlone(t *testing.T) {
 		switch step {
 		case 0:
 			first, firstBytes = f.Frame(), got
-		case 2: // still resident: the hit writes the frame sealed at step 0
-			if f.Source != SourceCache || f.Frame() != first {
-				t.Fatalf("resident surface: source %v, frame %p, want cache hit of %p", f.Source, f.Frame(), first)
-			}
-		case 5: // evicted at step 4: new extraction, new surface, new frame
+		case 4: // evicted at step 3: new extraction, new surface, new frame
 			if f.Source != SourceExtracted || f.Frame() == first {
 				t.Fatalf("evicted surface: source %v, frame reused = %v", f.Source, f.Frame() == first)
 			}
 			if !bytes.Equal(got, firstBytes) {
 				t.Fatal("re-extracted surface seals to different bytes")
+			}
+			first = f.Frame()
+		case 5: // still resident: the hit writes the frame sealed at step 4
+			if f.Source != SourceCache || f.Frame() != first {
+				t.Fatalf("resident surface: source %v, frame %p, want cache hit of %p", f.Source, f.Frame(), first)
 			}
 		}
 	}

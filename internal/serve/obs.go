@@ -58,7 +58,7 @@ func newServeMetrics(s *Server, reg *obs.Registry) *serveMetrics {
 		n, _ := s.cache.size()
 		return float64(n)
 	})
-	reg.GaugeFunc("serve_cache_bytes", "mesh cache payload bytes resident", func() float64 {
+	reg.GaugeFunc("serve_cache_bytes", "bytes charged to resident mesh cache entries", func() float64 {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		_, b := s.cache.size()

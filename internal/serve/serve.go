@@ -8,9 +8,10 @@
 //   - Request coalescing: concurrent requests for the same (time step,
 //     quantized isovalue) key join a single in-flight extraction and all
 //     receive its result, singleflight-style.
-//   - Mesh cache: completed results are kept in a byte-budgeted LRU keyed the
-//     same way, so repeated queries — the common case under a Zipf-shaped
-//     isovalue popularity — skip the backend entirely.
+//   - Mesh cache: completed results are kept under a byte budget, keyed the
+//     same way and evicted by frequency and size (see meshCache), so repeated
+//     queries — the common case under a Zipf-shaped isovalue popularity —
+//     skip the backend entirely.
 //   - Admission control: at most MaxInFlight extractions run at once and at
 //     most QueueDepth more may wait; past that, requests fail fast with
 //     ErrSaturated instead of piling onto the disks.
@@ -55,8 +56,8 @@ type Config struct {
 	// slot before further ones are rejected with ErrSaturated (0 = 16; use a
 	// negative value for no queue at all).
 	QueueDepth int
-	// CacheBytes is the mesh cache budget in triangle-payload bytes
-	// (0 = 256 MiB; negative disables caching).
+	// CacheBytes is the mesh cache budget: triangle-payload bytes plus a
+	// small fixed charge per entry (0 = 256 MiB; negative disables caching).
 	CacheBytes int64
 	// IsoQuantum is the isovalue bucket width of the coalescing/cache key:
 	// requests within the same bucket are served the same mesh (0 = 1, which
@@ -190,7 +191,7 @@ type Stats struct {
 	Evictions   int64 // cache entries evicted to fit the byte budget
 
 	CachedMeshes int   // current cache entries
-	CachedBytes  int64 // current cache payload bytes
+	CachedBytes  int64 // bytes charged to the current entries
 	InFlight     int   // extractions running now
 	Queued       int   // extractions waiting for a slot now
 }

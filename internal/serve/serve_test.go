@@ -174,14 +174,15 @@ func TestCoalescedMeshesByteIdentical(t *testing.T) {
 }
 
 // TestEvictionUnderBudget holds the cache to two entries' worth of bytes and
-// checks LRU eviction keeps it there, with evicted surfaces re-extracted on
-// their next request.
+// checks eviction keeps it there, with evicted surfaces re-extracted on their
+// next request. The surfaces are the same size, so priority is the hit count
+// over a rising floor, and equal priorities go least recently used first.
 func TestEvictionUnderBudget(t *testing.T) {
 	fb := &fakeBackend{tris: 100}
-	entryBytes := int64(100) * triangleBytes
+	entryBytes := int64(100)*triangleBytes + entryOverhead
 	s := New(fb, Config{CacheBytes: 2*entryBytes + entryBytes/2})
 
-	for _, iso := range []float32{10, 20, 30} { // 30 evicts 10
+	for _, iso := range []float32{10, 20, 30} { // all asked for once: 30 evicts 10, the oldest
 		if _, err := s.Query(context.Background(), 0, iso); err != nil {
 			t.Fatal(err)
 		}
@@ -197,6 +198,11 @@ func TestEvictionUnderBudget(t *testing.T) {
 	}
 	if r, err := s.Query(context.Background(), 0, 10); err != nil || r.Source != SourceExtracted {
 		t.Fatalf("evicted surface: source %v err %v, want re-extraction", r.Source, err)
+	}
+	// 10 came back over 30 (asked for once, before the floor rose), not over
+	// 20 (asked for twice).
+	if r, err := s.Query(context.Background(), 0, 20); err != nil || r.Source != SourceCache {
+		t.Fatalf("twice-asked surface: source %v err %v, want it to outlive the once-asked one", r.Source, err)
 	}
 	if got := fb.calls.Load(); got != 4 {
 		t.Errorf("backend calls = %d, want 4 (3 cold + 1 re-extraction)", got)

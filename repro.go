@@ -24,8 +24,9 @@
 // For many concurrent clients, wrap an engine in a Server (NewServer /
 // NewTimeVaryingServer): concurrent requests for the same (time step,
 // quantized isovalue) are coalesced into one extraction, completed meshes are
-// kept in a byte-budgeted LRU cache, and admission control bounds in-flight
-// work, shedding excess load with ErrSaturated.
+// kept in a byte-budgeted cache that evicts by frequency and size, and
+// admission control bounds in-flight work, shedding excess load with
+// ErrSaturated.
 //
 // To scale the service out, shard it: StartDistCluster spawns N replica
 // servers on loopback sockets, each one Server behind an HTTP endpoint
