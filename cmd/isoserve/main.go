@@ -54,58 +54,66 @@ import (
 	"repro/internal/serve"
 )
 
+var (
+	size    = flag.String("size", "small", "full (256×256×240) or small (96×96×90)")
+	procs   = flag.Int("procs", 4, "cluster nodes")
+	threads = flag.Int("threads", 1, "triangulation threads per node")
+
+	clients  = flag.Int("clients", 32, "concurrent synthetic clients")
+	requests = flag.Int("requests", 32, "closed-loop requests per client")
+	qps      = flag.Float64("qps", 0, "open-loop target request rate (0 = closed loop)")
+	duration = flag.Duration("duration", 10*time.Second, "open-loop run length")
+
+	zipfS  = flag.Float64("zipf", 1.1, "Zipf skew of isovalue popularity (>1)")
+	levels = flag.Int("levels", 64, "distinct isovalue levels")
+	isoMin = flag.Float64("isomin", 10, "lowest isovalue level")
+	isoMax = flag.Float64("isomax", 210, "highest isovalue level")
+	seed   = flag.Int64("seed", 42, "workload seed")
+
+	maxInFlight = flag.Int("max-inflight", 0, "extractions allowed concurrently (0 = serve default)")
+	queueDepth  = flag.Int("queue", 0, "admission queue depth (0 = clients, so the closed loop is never shed)")
+	cacheBytes  = flag.Int64("cache-bytes", 0, "mesh cache budget (0 = serve default 256 MiB, <0 disables)")
+	quantum     = flag.Float64("quantum", 1, "isovalue quantization of the coalescing/cache key")
+
+	direct  = flag.Bool("direct", false, "bypass the server: every request is a raw Engine.Extract")
+	compare = flag.Bool("compare", false, "closed-loop served-vs-direct comparison table")
+
+	replicas  = flag.Int("replicas", 0, "shard the tier across N replica servers on loopback sockets (0 = one in-process server, no sockets)")
+	serveAddr = flag.String("serve", "", "serve the tier's router on this address and wait; no load is generated")
+	connect   = flag.String("connect", "", "drive a remote tier (a router or replica /mesh endpoint) at this address; no engine is built")
+	link      = flag.Int64("link", 0, "modeled per-replica NIC rate, bytes/sec (0 = unpaced); see the scaling experiment")
+
+	attemptTimeout = flag.Duration("attempt-timeout", 0, "router per-attempt timeout (0 = the router's default, 30s)")
+	hedge          = flag.Duration("hedge", 0, "router hedges the first attempt to the ring successor after this delay (0 = off)")
+	chaosSpec      = flag.String("chaos", "", "inject faults into the tier's client path, e.g. latency=20ms,drop=0.125,corrupt=0.25")
+	chaosReplica   = flag.Int("chaos-replica", 0, "replica index the -chaos fault applies to (-replicas mode)")
+	chaosSeed      = flag.Uint64("chaos-seed", 42, "seed of the chaos fault streams")
+
+	listen   = flag.String("listen", "", "serve /metrics, /statusz and /debug/pprof on this address (e.g. :9090)")
+	trace    = flag.Bool("trace", false, "record stage traces; print the first extraction's waterfall")
+	statslog = flag.Duration("statslog", 0, "log a one-line metrics digest at this interval (0 = off)")
+)
+
+// serveOn serves h on addr in the background and returns the bound address.
+func serveOn(addr, what string, h http.Handler) net.Addr {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		log.Fatal(err)
+	}
+	go func() {
+		if err := dist.NewHTTPServer(h).Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
+			log.Printf("%s: %v", what, err)
+		}
+	}()
+	return ln.Addr()
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("isoserve: ")
-	var (
-		size    = flag.String("size", "small", "full (256×256×240) or small (96×96×90)")
-		procs   = flag.Int("procs", 4, "cluster nodes")
-		threads = flag.Int("threads", 1, "triangulation threads per node")
-
-		clients  = flag.Int("clients", 32, "concurrent synthetic clients")
-		requests = flag.Int("requests", 32, "closed-loop requests per client")
-		qps      = flag.Float64("qps", 0, "open-loop target request rate (0 = closed loop)")
-		duration = flag.Duration("duration", 10*time.Second, "open-loop run length")
-
-		zipfS  = flag.Float64("zipf", 1.1, "Zipf skew of isovalue popularity (>1)")
-		levels = flag.Int("levels", 64, "distinct isovalue levels")
-		isoMin = flag.Float64("isomin", 10, "lowest isovalue level")
-		isoMax = flag.Float64("isomax", 210, "highest isovalue level")
-		seed   = flag.Int64("seed", 42, "workload seed")
-
-		maxInFlight = flag.Int("max-inflight", 0, "extractions allowed concurrently (0 = serve default)")
-		queueDepth  = flag.Int("queue", 0, "admission queue depth (0 = clients, so the closed loop is never shed)")
-		cacheBytes  = flag.Int64("cache-bytes", 0, "mesh cache budget (0 = serve default 256 MiB, <0 disables)")
-		quantum     = flag.Float64("quantum", 1, "isovalue quantization of the coalescing/cache key")
-
-		direct  = flag.Bool("direct", false, "bypass the server: every request is a raw Engine.Extract")
-		compare = flag.Bool("compare", false, "closed-loop served-vs-direct comparison table")
-
-		replicas  = flag.Int("replicas", 0, "shard the tier across N replica servers on loopback sockets (0 = one in-process server, no sockets)")
-		serveAddr = flag.String("serve", "", "serve the tier's router on this address and wait; no load is generated")
-		connect   = flag.String("connect", "", "drive a remote tier (a router or replica /mesh endpoint) at this address; no engine is built")
-		link      = flag.Int64("link", 0, "modeled per-replica NIC rate, bytes/sec (0 = unpaced); see the scaling experiment")
-
-		attemptTimeout = flag.Duration("attempt-timeout", 0, "router per-attempt timeout (0 = router default, negative disables)")
-		hedge          = flag.Duration("hedge", 0, "router hedges the first attempt to the ring successor after this delay (0 = off)")
-		chaosSpec      = flag.String("chaos", "", "inject faults into the tier's client path, e.g. latency=20ms,drop=0.125,corrupt=0.25")
-		chaosReplica   = flag.Int("chaos-replica", 0, "replica index the -chaos fault applies to (-replicas mode)")
-		chaosSeed      = flag.Uint64("chaos-seed", 42, "seed of the chaos fault streams")
-
-		listen   = flag.String("listen", "", "serve /metrics, /statusz and /debug/pprof on this address (e.g. :9090)")
-		trace    = flag.Bool("trace", false, "record stage traces; print the first extraction's waterfall")
-		statslog = flag.Duration("statslog", 0, "log a one-line metrics digest at this interval (0 = off)")
-	)
 	flag.Parse()
-	var chaosFault chaos.Fault
-	if *chaosSpec != "" {
-		var err error
-		if chaosFault, err = chaos.ParseFault(*chaosSpec); err != nil {
-			log.Fatal(err)
-		}
-		if *replicas == 0 && *connect == "" {
-			log.Fatal("-chaos injects transport faults: it needs -replicas or -connect")
-		}
+	if *chaosSpec != "" && *replicas == 0 && *connect == "" {
+		log.Fatal("-chaos injects transport faults: it needs -replicas or -connect")
 	}
 	if *zipfS <= 1 {
 		log.Fatalf("-zipf must be > 1 (Zipf skew), got %v", *zipfS)
@@ -127,6 +135,10 @@ func main() {
 	if (*replicas > 0 || *serveAddr != "") && (*direct || *compare) {
 		log.Fatal("-replicas/-serve run the sharded tier: they exclude -direct and -compare")
 	}
+	fault, err := chaos.ParseFault(*chaosSpec)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -136,26 +148,17 @@ func main() {
 	// side on the same /metrics page.
 	reg := obs.NewRegistry()
 	if *listen != "" {
-		ln, err := net.Listen("tcp", *listen)
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("metrics on http://%s/metrics (also /statusz, /debug/pprof)", ln.Addr())
-		go func() {
-			if err := dist.NewHTTPServer(obs.NewHandler(reg)).Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				log.Printf("metrics server: %v", err)
-			}
-		}()
+		log.Printf("metrics on http://%s/metrics (also /statusz, /debug/pprof)", serveOn(*listen, "metrics server", obs.NewHandler(reg)))
 	}
 	if *statslog > 0 {
 		go obs.LogLoop(ctx, reg, *statslog, log.Printf)
 	}
 
-	cfg := harness.DefaultRM()
+	r := &run{reg: reg, fault: fault, cfg: harness.DefaultRM()}
 	if *size == "small" {
-		cfg = harness.Small()
+		r.cfg = harness.Small()
 	}
-	w := harness.ServingWorkload{
+	r.w = harness.ServingWorkload{
 		ReqPerClient: *requests,
 		Levels:       *levels,
 		ZipfS:        *zipfS,
@@ -163,7 +166,7 @@ func main() {
 		IsoMax:       float32(*isoMax),
 		Seed:         *seed,
 	}
-	scfg := serve.Config{
+	r.scfg = serve.Config{
 		MaxInFlight: *maxInFlight,
 		QueueDepth:  *queueDepth,
 		CacheBytes:  *cacheBytes,
@@ -171,152 +174,25 @@ func main() {
 		Metrics:     reg,
 		Trace:       *trace,
 	}
-	if scfg.QueueDepth == 0 {
-		scfg.QueueDepth = *clients
+	if r.scfg.QueueDepth == 0 {
+		r.scfg.QueueDepth = *clients
 	}
 
-	if *compare {
-		// ServingTable preprocesses (and memoizes) its own engine; -threads
-		// applies only to the direct/served modes below.
-		rows, err := harness.ServingTable(ctx, cfg, *procs, []int{*clients}, w, scfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		harness.PrintServingTable(os.Stdout, *procs, w, rows)
-		r := rows[0]
-		fmt.Printf("\ncoalescing + mesh cache: %.1f q/s vs %.1f q/s direct → %.1f× throughput\n",
-			r.ServedQPS, r.DirectQPS, r.Speedup)
-		fmt.Printf("delivered geometry: %.1f Mtri/s served vs %.1f Mtri/s direct\n",
-			r.ServedMtriPerSec, r.DirectMtriPerSec)
-		return
-	}
-
-	// -connect needs no engine; every other mode extracts locally.
-	var eng *cluster.Engine
-	if *connect == "" {
-		log.Printf("preprocessing %d×%d×%d on %d nodes…", cfg.NX, cfg.NY, cfg.NZ, *procs)
-		var err error
-		eng, err = cluster.Build(harness.Volume(cfg), cluster.Config{Procs: *procs, ThreadsPerNode: *threads, Metrics: reg})
-		if err != nil {
-			log.Fatal(err)
-		}
-	}
-
-	// An injector-wrapped client slots the chaos layer between the router
-	// and the tier; the routing knobs below decide whether it copes.
-	var injector *chaos.Injector
-	routerClient := func() *http.Client {
-		if *chaosSpec == "" {
-			return nil // router builds its own pooled transport
-		}
-		injector = chaos.NewInjector(*chaosSeed)
-		return &http.Client{Transport: injector.Transport(dist.NewTransport())}
-	}()
-	defer func() {
-		if injector != nil {
-			s := injector.Stats()
-			fmt.Printf("chaos: %d delayed · %d dropped · %d blackholed · %d truncated · %d corrupted\n",
-				s.Delayed, s.Dropped, s.Blackhole, s.Truncated, s.Corrupted)
-		}
-	}()
-
-	var firstTrace atomic.Pointer[obs.Trace]
-	keepTrace := func(tr *obs.Trace) {
-		if tr != nil {
-			firstTrace.CompareAndSwap(nil, tr)
-		}
-	}
-	var query func(ctx context.Context, client int, iso float32) error
-	var label string
+	var m mode = r.served
 	switch {
+	case *compare:
+		m = r.compare
 	case *connect != "":
-		rt, err := dist.NewRouter(dist.RouterConfig{
-			Replicas:       []string{*connect},
-			IsoQuantum:     float32(*quantum),
-			Metrics:        reg,
-			AttemptTimeout: *attemptTimeout,
-			HedgeAfter:     *hedge,
-			Client:         routerClient,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		if injector != nil {
-			injector.SetFault(*connect, chaosFault)
-		}
-		defer func() { printRouterStats(rt.Stats()) }()
-		defer rt.Close()
-		label = "remote tier at " + *connect
-		query = routedQuery(rt)
-
+		m = r.remote
 	case *replicas > 0 || *serveAddr != "":
-		n := *replicas
-		if n <= 0 {
-			n = 1
-		}
-		cl, err := dist.StartCluster(serve.AsBackend(eng), dist.ClusterConfig{
-			Replicas: n,
-			Replica:  dist.ReplicaConfig{Serve: scfg, LinkBytesPerSec: *link},
-			Router: dist.RouterConfig{
-				Metrics:        reg,
-				AttemptTimeout: *attemptTimeout,
-				HedgeAfter:     *hedge,
-				Client:         routerClient,
-			},
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		if injector != nil {
-			if *chaosReplica < 0 || *chaosReplica >= n {
-				log.Fatalf("-chaos-replica %d out of range (tier has %d replicas)", *chaosReplica, n)
-			}
-			injector.SetFault(cl.Replicas[*chaosReplica].Addr(), chaosFault)
-			log.Printf("chaos: replica %d faulted with %s", *chaosReplica, chaosFault)
-		}
-		defer func() { printDistStats(cl) }()
-		defer cl.Close()
-		for i, rep := range cl.Replicas {
-			log.Printf("replica %d on http://%s (/mesh, /healthz, /metrics, /statusz)", i, rep.Addr())
-		}
-		if *serveAddr != "" {
-			ln, err := net.Listen("tcp", *serveAddr)
-			if err != nil {
-				log.Fatal(err)
-			}
-			go func() {
-				if err := dist.NewHTTPServer(cl.Router.Handler()).Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-					log.Printf("router: %v", err)
-				}
-			}()
-			log.Printf("router on http://%s — try /mesh?iso=110, /healthz, /statusz; Ctrl-C to exit", ln.Addr())
-			<-ctx.Done()
-			return
-		}
-		label = fmt.Sprintf("sharded tier, %d replicas", n)
-		query = routedQuery(cl.Router)
-
+		m = r.tier
 	case *direct:
-		label = "direct (no server)"
-		query = func(ctx context.Context, _ int, iso float32) error {
-			res, err := eng.Extract(ctx, iso, cluster.Options{KeepMeshes: true, Trace: *trace})
-			if err == nil {
-				keepTrace(res.Trace)
-			}
-			return err
-		}
-
-	default:
-		label = "served"
-		srv := serve.NewServer(eng, scfg)
-		defer func() { printStats(srv.Stats()) }()
-		query = func(ctx context.Context, _ int, iso float32) error {
-			resp, err := srv.Query(ctx, 0, iso)
-			if err == nil && resp.Source == serve.SourceExtracted {
-				keepTrace(resp.Trace)
-			}
-			return err
-		}
+		m = r.direct
+	}
+	query, label, cleanup := m(ctx)
+	defer cleanup()
+	if query == nil {
+		return // the mode was its own run: -compare's table, -serve's daemon
 	}
 
 	load := harness.Load{Clients: *clients}
@@ -329,12 +205,12 @@ func main() {
 			*clients, *requests, *zipfS, *levels, label)
 	}
 	var rec recorder
-	wall, dropped := w.Drive(ctx, load, query, rec.record)
+	wall, dropped := r.w.Drive(ctx, load, query, rec.record)
 	if dropped > 0 {
 		log.Printf("load generator saturated: dropped %d dispatch ticks", dropped)
 	}
 	rec.print(wall)
-	if tr := firstTrace.Load(); tr != nil {
+	if tr := r.firstTrace.Load(); tr != nil {
 		fmt.Printf("\nfirst extraction, stage waterfall (wall %v):\n%s", tr.Wall.Round(time.Microsecond), tr)
 	}
 	if ctx.Err() != nil {
@@ -345,6 +221,161 @@ func main() {
 		log.Printf("run complete — still serving metrics on %s, Ctrl-C to exit", *listen)
 		<-ctx.Done()
 	}
+}
+
+// run is what the modes share beside the flags: what main derived from them.
+type run struct {
+	reg   *obs.Registry
+	cfg   harness.RMConfig
+	w     harness.ServingWorkload
+	scfg  serve.Config
+	fault chaos.Fault // the parsed -chaos plan
+
+	injector   *chaos.Injector // set by routerConfig under -chaos
+	firstTrace atomic.Pointer[obs.Trace]
+}
+
+// queryFunc is the load driver's request: one client asking for one isovalue.
+type queryFunc = func(ctx context.Context, client int, iso float32) error
+
+// A mode stands up what the load is driven through and returns the request
+// to drive, a label for the log line, and what to close and print when the
+// run is over. A nil query means the mode was the whole run.
+type mode = func(context.Context) (query queryFunc, label string, cleanup func())
+
+// engine preprocesses the volume every mode but -compare (whose table brings
+// its own) and -connect (which has the tier do it) extracts from.
+func (r *run) engine() *cluster.Engine {
+	log.Printf("preprocessing %d×%d×%d on %d nodes…", r.cfg.NX, r.cfg.NY, r.cfg.NZ, *procs)
+	eng, err := cluster.Build(harness.Volume(r.cfg), cluster.Config{Procs: *procs, ThreadsPerNode: *threads, Metrics: r.reg})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return eng
+}
+
+func (r *run) keepTrace(tr *obs.Trace) {
+	if tr != nil {
+		r.firstTrace.CompareAndSwap(nil, tr)
+	}
+}
+
+func (r *run) served(context.Context) (queryFunc, string, func()) {
+	srv := serve.NewServer(r.engine(), r.scfg)
+	return func(ctx context.Context, _ int, iso float32) error {
+		resp, err := srv.Query(ctx, 0, iso)
+		if err == nil && resp.Source == serve.SourceExtracted {
+			r.keepTrace(resp.Trace)
+		}
+		return err
+	}, "served", func() { printStats(srv.Stats()) }
+}
+
+func (r *run) direct(context.Context) (queryFunc, string, func()) {
+	eng := r.engine()
+	return func(ctx context.Context, _ int, iso float32) error {
+		res, err := eng.Extract(ctx, iso, cluster.Options{KeepMeshes: true, Trace: *trace})
+		if err == nil {
+			r.keepTrace(res.Trace)
+		}
+		return err
+	}, "direct (no server)", func() {}
+}
+
+func (r *run) compare(ctx context.Context) (queryFunc, string, func()) {
+	// ServingTable preprocesses (and memoizes) its own engine; -threads
+	// applies only to the direct/served modes.
+	rows, err := harness.ServingTable(ctx, r.cfg, *procs, []int{*clients}, r.w, r.scfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	harness.PrintServingTable(os.Stdout, *procs, r.w, rows)
+	row := rows[0]
+	fmt.Printf("\ncoalescing + mesh cache: %.1f q/s vs %.1f q/s direct → %.1f× throughput\n",
+		row.ServedQPS, row.DirectQPS, row.Speedup)
+	fmt.Printf("delivered geometry: %.1f Mtri/s served vs %.1f Mtri/s direct\n",
+		row.ServedMtriPerSec, row.DirectMtriPerSec)
+	return nil, "", func() {}
+}
+
+// routerConfig is the one place flags become a dist.RouterConfig, for the
+// local tier (no replicas named: StartCluster fills in its own) and for
+// -connect alike. Under -chaos an injector-wrapped client slots the chaos
+// layer between the router and the tier; -attempt-timeout and -hedge decide
+// whether it copes.
+func (r *run) routerConfig(replicas ...string) dist.RouterConfig {
+	rc := dist.RouterConfig{
+		Replicas:       replicas,
+		IsoQuantum:     r.scfg.IsoQuantum,
+		Metrics:        r.reg,
+		AttemptTimeout: *attemptTimeout,
+		HedgeAfter:     *hedge,
+	}
+	if *chaosSpec != "" {
+		r.injector = chaos.NewInjector(*chaosSeed)
+		rc.Client = &http.Client{Transport: r.injector.Transport(dist.NewTransport())}
+	}
+	return rc
+}
+
+// printInjected reports what -chaos actually did, after the router's view.
+func (r *run) printInjected() {
+	if r.injector != nil {
+		s := r.injector.Stats()
+		fmt.Printf("chaos: %d delayed · %d dropped · %d blackholed · %d truncated · %d corrupted\n",
+			s.Delayed, s.Dropped, s.Blackhole, s.Truncated, s.Corrupted)
+	}
+}
+
+func (r *run) remote(context.Context) (queryFunc, string, func()) {
+	rt, err := dist.NewRouter(r.routerConfig(*connect))
+	if err != nil {
+		log.Fatal(err)
+	}
+	if r.injector != nil {
+		r.injector.SetFault(*connect, r.fault)
+	}
+	return routedQuery(rt), "remote tier at " + *connect, func() {
+		rt.Close()
+		printRouterStats(rt.Stats())
+		r.printInjected()
+	}
+}
+
+// tier is -replicas and -serve: N replicas and a router on loopback sockets,
+// driven with load or, under -serve, exposed and left running.
+func (r *run) tier(ctx context.Context) (queryFunc, string, func()) {
+	n := max(*replicas, 1)
+	cl, err := dist.StartCluster(serve.AsBackend(r.engine()), dist.ClusterConfig{
+		Replicas: n,
+		Replica:  dist.ReplicaConfig{Serve: r.scfg, LinkBytesPerSec: *link},
+		Router:   r.routerConfig(),
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if r.injector != nil {
+		if *chaosReplica < 0 || *chaosReplica >= n {
+			log.Fatalf("-chaos-replica %d out of range (tier has %d replicas)", *chaosReplica, n)
+		}
+		r.injector.SetFault(cl.Replicas[*chaosReplica].Addr(), r.fault)
+		log.Printf("chaos: replica %d faulted with %s", *chaosReplica, r.fault)
+	}
+	cleanup := func() {
+		cl.Close()
+		printDistStats(cl)
+		r.printInjected()
+	}
+	for i, rep := range cl.Replicas {
+		log.Printf("replica %d on http://%s (/mesh, /healthz, /metrics, /statusz)", i, rep.Addr())
+	}
+	if *serveAddr != "" {
+		log.Printf("router on http://%s — try /mesh?iso=110, /healthz, /statusz; Ctrl-C to exit",
+			serveOn(*serveAddr, "router", cl.Router.Handler()))
+		<-ctx.Done()
+		return nil, "", cleanup
+	}
+	return routedQuery(cl.Router), fmt.Sprintf("sharded tier, %d replicas", n), cleanup
 }
 
 // recorder aggregates one load run's outcomes. Served-request latencies go

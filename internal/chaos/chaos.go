@@ -91,6 +91,12 @@ type Stats struct {
 	Corrupted int64
 }
 
+// Total is the number of faults inflicted (an exchange that was delayed and
+// then cut short suffered two).
+func (s Stats) Total() int64 {
+	return s.Delayed + s.Dropped + s.Blackhole + s.Truncated + s.Corrupted
+}
+
 // Injector holds the fault plan and the seeded decision stream. One injector
 // serves any number of Transports; they share its plan and its stream.
 type Injector struct {
@@ -191,6 +197,15 @@ func (in *Injector) Transport(inner http.RoundTripper) http.RoundTripper {
 type transport struct {
 	in    *Injector
 	inner http.RoundTripper
+}
+
+// CloseIdleConnections forwards to the wrapped round tripper, so that
+// http.Client.CloseIdleConnections reaches the connection pool under the
+// injector.
+func (t *transport) CloseIdleConnections() {
+	if c, ok := t.inner.(interface{ CloseIdleConnections() }); ok {
+		c.CloseIdleConnections()
+	}
 }
 
 func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {

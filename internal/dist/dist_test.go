@@ -6,8 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -346,6 +348,30 @@ func TestReplicaRejectsBadRequests(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: %s, want 400", q, resp.Status)
+		}
+	}
+}
+
+// TestMeshURLRoundTrips: the one place that writes a mesh request and the one
+// that reads it agree on every float32 — an exponent's '+' must not arrive as
+// a space.
+func TestMeshURLRoundTrips(t *testing.T) {
+	for _, iso := range []float32{
+		0, float32(math.Copysign(0, -1)), 128, -37.5, 0.1, 1.0 / 3, 16777217,
+		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, 1.1754942e-38, // denormals and the smallest normal
+		1e20, -1e20, math.MaxFloat32, -math.MaxFloat32,
+	} {
+		for _, step := range []int{0, 7, -1} {
+			url := MeshURL("replica.invalid:80", step, iso)
+			gotStep, gotIso, err := parseMeshQuery(httptest.NewRequest(http.MethodGet, url, nil))
+			if err != nil {
+				t.Errorf("%s: %v", url, err)
+				continue
+			}
+			if gotStep != step || math.Float32bits(gotIso) != math.Float32bits(iso) {
+				t.Errorf("%s parsed as step %d iso %v (%#x), want step %d iso %v (%#x)",
+					url, gotStep, gotIso, math.Float32bits(gotIso), step, iso, math.Float32bits(iso))
+			}
 		}
 	}
 }

@@ -4,11 +4,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net"
 	"net/http"
-	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -44,13 +45,6 @@ func startBigCluster(t testing.TB, n, tris int, rtcfg RouterConfig) *Cluster {
 	}
 	t.Cleanup(c.Close)
 	return c
-}
-
-// freeFrames reports the router's free list: buffers and bytes of capacity.
-func freeFrames(rt *Router) (n, bytes int) {
-	rt.fmu.Lock()
-	defer rt.fmu.Unlock()
-	return len(rt.free), rt.freeBytes
 }
 
 // waitGoroutines fails the test unless the goroutine count is back at (or
@@ -139,7 +133,7 @@ func TestHedgeLoserNeverWritesARecycledFrame(t *testing.T) {
 	}
 	base.CloseIdleConnections() // what is left then is a leak, not a pooled connection
 	waitGoroutines(t, before)
-	if n, _ := freeFrames(c.Router); n == 0 {
+	if n, _ := c.Router.frames.size(); n == 0 {
 		t.Error("free list is empty after every response was released")
 	}
 }
@@ -176,7 +170,7 @@ func TestFailedAttemptsGiveTheirBuffersBack(t *testing.T) {
 			if _, _, err := alone.QueryBytes(ctx, 0, iso); !errors.Is(err, ErrNoReplicas) {
 				t.Fatalf("err = %v from a router over the faulted replica alone, want ErrNoReplicas", err)
 			}
-			if n, b := freeFrames(alone); n != 1 || b < len(want) {
+			if n, b := alone.frames.size(); n != 1 || b < len(want) {
 				t.Fatalf("free list holds %d buffers / %d bytes after one failed attempt, want 1 / ≥ %d", n, b, len(want))
 			}
 			if got := alone.Stats().CorruptFrames; got != tc.corrupt {
@@ -195,11 +189,11 @@ func TestFailedAttemptsGiveTheirBuffersBack(t *testing.T) {
 			if route.Replica == home || !bytes.Equal(frame, want) {
 				t.Fatalf("served by %d (faulted home %d), frame intact = %v", route.Replica, home, bytes.Equal(frame, want))
 			}
-			if n, _ := freeFrames(c.Router); n != 0 {
+			if n, _ := c.Router.frames.size(); n != 0 {
 				t.Errorf("%d buffers on the free list: the successor's attempt did not reuse the failed one's", n)
 			}
 			c.Router.Recycle(frame)
-			if n, _ := freeFrames(c.Router); n != 1 {
+			if n, _ := c.Router.frames.size(); n != 1 {
 				t.Errorf("%d buffers on the free list after the caller recycled, want 1", n)
 			}
 		})
@@ -208,81 +202,79 @@ func TestFailedAttemptsGiveTheirBuffersBack(t *testing.T) {
 
 // TestMalformedPrefixIsACorruptFrame: a replica that answers 200 with a
 // length prefix no frame can have has sent a corrupt frame — counted and
-// reported as one, whether or not the router checksums, and never mistaken
-// for an I/O failure or an attempt timeout.
+// reported as one, and never mistaken for an I/O failure or an attempt
+// timeout.
 func TestMalformedPrefixIsACorruptFrame(t *testing.T) {
 	for name, body := range map[string][]byte{
 		"below header size": {3, 0, 0, 0, 'I', 'S', 'O'},
 		"exceeds limit":     {0xff, 0xff, 0xff, 0xff, 'I', 'S', 'O', 'M'},
 	} {
-		for _, disableVerify := range []bool{false, true} {
-			bad := serveOnLoopback(t, http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-				w.Write(body) //nolint:errcheck
-			}))
-			rt, err := NewRouter(RouterConfig{Replicas: []string{bad}, ProbeInterval: -1, DisableVerify: disableVerify})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(rt.Close)
-			_, _, err = rt.QueryBytes(context.Background(), 0, 1)
-			if !errors.Is(err, ErrNoReplicas) || !strings.Contains(err.Error(), "frame rejected") {
-				t.Errorf("%s (DisableVerify=%v): err = %v, want ErrNoReplicas naming a rejected frame", name, disableVerify, err)
-			}
-			if st := rt.Stats(); st.CorruptFrames != 1 || st.AttemptTimeouts != 0 || !st.Down[0] {
-				t.Errorf("%s (DisableVerify=%v): %d corrupt frames, %d attempt timeouts, down=%v; want 1, 0, true",
-					name, disableVerify, st.CorruptFrames, st.AttemptTimeouts, st.Down[0])
-			}
-			if n, _ := freeFrames(rt); n != 0 {
-				t.Errorf("%s: %d buffers on the free list though none was ever taken", name, n)
-			}
+		bad := serveOnLoopback(t, http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			w.Write(body) //nolint:errcheck
+		}))
+		rt, err := NewRouter(RouterConfig{Replicas: []string{bad}, ProbeInterval: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(rt.Close)
+		_, _, err = rt.QueryBytes(context.Background(), 0, 1)
+		if !errors.Is(err, ErrNoReplicas) || !strings.Contains(err.Error(), "frame rejected") {
+			t.Errorf("%s: err = %v, want ErrNoReplicas naming a rejected frame", name, err)
+		}
+		if st := rt.Stats(); st.CorruptFrames != 1 || st.AttemptTimeouts != 0 || !st.Down[0] {
+			t.Errorf("%s: %d corrupt frames, %d attempt timeouts, down=%v; want 1, 0, true",
+				name, st.CorruptFrames, st.AttemptTimeouts, st.Down[0])
+		}
+		if n, _ := rt.frames.size(); n != 0 {
+			t.Errorf("%s: %d buffers on the free list though none was ever taken", name, n)
 		}
 	}
 }
 
-// TestFreeListIsBounded: the list keeps at most freeFrameSlots buffers and
-// freeFrameBytes of capacity, prefers large buffers to small ones, and hands
-// out the tightest fit.
-func TestFreeListIsBounded(t *testing.T) {
-	rt, err := NewRouter(RouterConfig{Replicas: []string{"127.0.0.1:1"}, ProbeInterval: -1})
-	if err != nil {
-		t.Fatal(err)
+// countedConn tells its dialer's counter when it is closed.
+type countedConn struct {
+	net.Conn
+	open   *atomic.Int64
+	closed sync.Once
+}
+
+func (c *countedConn) Close() error {
+	c.closed.Do(func() { c.open.Add(-1) })
+	return c.Conn.Close()
+}
+
+// TestCloseReachesAWrappedTransport: a router whose client wraps the pooled
+// transport in other round trippers — the chaos injector here, a byte counter
+// in the benchmark — still closes its keep-alive connections on Close. The
+// replicas stay up, so nothing else would: a connection left pooled keeps its
+// two client goroutines and the replica's serving one until the idle timer.
+func TestCloseReachesAWrappedTransport(t *testing.T) {
+	var open atomic.Int64
+	base := NewTransport()
+	base.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
+		conn, err := (&net.Dialer{}).DialContext(ctx, network, addr)
+		if err != nil {
+			return nil, err
+		}
+		open.Add(1)
+		return &countedConn{Conn: conn, open: &open}, nil
 	}
-	defer rt.Close()
-	for i := 1; i <= 2*freeFrameSlots; i++ {
-		rt.Recycle(make([]byte, i<<10))
-	}
-	n, b := freeFrames(rt)
-	if n != freeFrameSlots {
-		t.Fatalf("%d buffers kept, bound is %d", n, freeFrameSlots)
-	}
-	if got := cap(rt.takeFrame(1)); got != (freeFrameSlots+1)<<10 {
-		t.Errorf("a 1-byte frame was given a %d-byte buffer; the smallest kept is %d", got, (freeFrameSlots+1)<<10)
-	}
-	if got := rt.takeFrame(2*freeFrameSlots<<10 + 1); len(got) != cap(got) {
-		t.Errorf("a frame larger than any kept buffer got a recycled one (len %d, cap %d)", len(got), cap(got))
-	}
-	if n2, b2 := freeFrames(rt); n2 != n-1 || b2 != b-(freeFrameSlots+1)<<10 {
-		t.Errorf("after one take: %d buffers / %d bytes, want %d / %d", n2, b2, n-1, b-(freeFrameSlots+1)<<10)
-	}
-	rt.Recycle(make([]byte, freeFrameBytes+1)) // larger than the whole bound: dropped
-	rt.Recycle(make([]byte, freeFrameBytes))   // fills it alone: everything smaller goes
-	if n, b := freeFrames(rt); n != 1 || b != freeFrameBytes {
-		t.Errorf("%d buffers / %d bytes kept, want 1 / %d", n, b, freeFrameBytes)
-	}
-	for _, m := range rt.reg.Snapshot() {
-		if m.Name == "router_free_frames_bytes" && m.Value != freeFrameBytes {
-			t.Errorf("router_free_frames_bytes = %v, want %d", m.Value, freeFrameBytes)
+	client := &http.Client{Transport: chaos.NewInjector(25).Transport(base)}
+	c := startCluster(t, 2, ReplicaConfig{}, RouterConfig{ProbeInterval: -1, Client: client})
+	before := runtime.NumGoroutine() // no connection is open yet
+	for _, iso := range []float32{64, 128, 150, 200} {
+		if _, _, err := c.Router.QueryBytes(context.Background(), 0, iso); err != nil {
+			t.Fatal(err)
 		}
 	}
-	for _, path := range []string{"/metrics", "/statusz"} {
-		rec := httptest.NewRecorder()
-		rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
-		for _, name := range []string{"router_free_frames_bytes", "router_frame_read_seconds"} {
-			if !strings.Contains(rec.Body.String(), name) {
-				t.Errorf("%s does not show %s", path, name)
-			}
-		}
+	if open.Load() == 0 {
+		t.Fatal("no connection is pooled after four requests; the test has nothing to watch")
 	}
+	c.Router.Close()
+	if n := open.Load(); n != 0 {
+		t.Errorf("%d connections still open after Close", n)
+	}
+	waitGoroutines(t, before)
 }
 
 // allocPerRequest runs n routed hits and returns the bytes the process

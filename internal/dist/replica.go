@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -236,6 +237,13 @@ func (r *Replica) transmit(ctx context.Context, frameBytes int) bool {
 	case <-ctx.Done():
 		return false
 	}
+}
+
+// MeshURL is the address of one mesh on a replica or a router front end: the
+// request parseMeshQuery reads back to the same step and the same float32.
+func MeshURL(addr string, step int, iso float32) string {
+	return fmt.Sprintf("http://%s/mesh?step=%d&iso=%s", addr, step,
+		url.QueryEscape(strconv.FormatFloat(float64(iso), 'g', -1, 32))) // a large value's exponent carries a '+'
 }
 
 func parseMeshQuery(req *http.Request) (step int, iso float32, err error) {

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/rng"
+	"repro/internal/serve"
 )
 
 // ring is a consistent-hash ring over n replicas. Each replica owns
@@ -116,4 +117,43 @@ func putU64(b []byte, v uint64) {
 	b[5] = byte(v >> 40)
 	b[6] = byte(v >> 48)
 	b[7] = byte(v >> 56)
+}
+
+// KeyFor returns the shard key a query maps to: the key its replica will
+// coalesce and cache it under.
+func (rt *Router) KeyFor(step int, iso float32) serve.Key {
+	return serve.KeyOf(step, iso, rt.cfg.IsoQuantum)
+}
+
+// HomeReplica returns the replica index that owns a query's shard — the
+// first attempt of every routed request (exposed for tests and rebalancing
+// math).
+func (rt *Router) HomeReplica(step int, iso float32) int {
+	key := rt.KeyFor(step, iso)
+	ord := rt.ring.order(keyHash(key.Step, key.Bucket), nil)
+	return ord[0]
+}
+
+// Candidates returns the replicas a query may be served by, in failover
+// order: the home shard first, then the ring successors Attempts allows.
+// Exposed so operators (and the scaling harness) can pre-warm every cache a
+// key's overflow can spill into.
+func (rt *Router) Candidates(step int, iso float32) []int {
+	key := rt.KeyFor(step, iso)
+	order := rt.ring.order(keyHash(key.Step, key.Bucket), nil)
+	if len(order) > rt.cfg.Attempts {
+		order = order[:rt.cfg.Attempts]
+	}
+	return order
+}
+
+// candidates orders this request's replicas: the ring order Attempts allows,
+// healthy ones first (see health.healthyFirst).
+func (rt *Router) candidates(step int, iso float32) []int {
+	key := rt.KeyFor(step, iso)
+	order := rt.ring.order(keyHash(key.Step, key.Bucket), make([]int, 0, rt.ring.n))
+	if len(order) > rt.cfg.Attempts {
+		order = order[:rt.cfg.Attempts]
+	}
+	return rt.health.healthyFirst(order)
 }

@@ -115,8 +115,8 @@ func TestCandidatesOneHealthSnapshot(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					rt.markDown(n - 1)
-					rt.down[n-1].Store(false)
+					rt.health.markDown(n - 1)
+					rt.health.revive(n - 1)
 				}
 			}
 		}()

@@ -20,10 +20,11 @@ import (
 
 // ---------------------------------------------------------------------------
 // Chaos experiment: availability, error rate, and tail latency of the
-// sharded tier under injected faults, with the router's resilience features
-// on versus off. Each scenario pins one replica with a fault plan from
-// internal/chaos and replays the same Zipf workload twice; correctness is
-// checked byte-for-byte against fault-free reference frames.
+// sharded tier under injected faults, seen through the router and — the
+// control — by a naive client the router does not protect. Each scenario pins
+// one replica with a fault plan from internal/chaos and replays the same Zipf
+// workload twice; correctness is checked byte-for-byte against fault-free
+// reference frames.
 
 // ChaosScenario names one fault plan, applied for the whole timed run to
 // the replica that is home to the workload's hottest key.
@@ -46,10 +47,10 @@ func DefaultChaosScenarios() []ChaosScenario {
 	}
 }
 
-// ChaosRow reports one (scenario, router mode) cell of the chaos experiment.
+// ChaosRow reports one (scenario, client) cell of the chaos experiment.
 type ChaosRow struct {
 	Scenario  string
-	Resilient bool
+	Resilient bool // through the router; false = the naive client
 
 	Requests   int
 	Failed     int // requests that returned an error
@@ -59,8 +60,14 @@ type ChaosRow struct {
 	P50, P99     time.Duration
 	P99Ratio     float64 // P99 / the fault-free resilient row's P99 (0 until known)
 
-	// Router-side accounting deltas over the timed run.
-	Failovers, Retries, Hedges, HedgeWins, Corrupt, Timeouts, Revived int64
+	// Router is the router's accounting of the timed run — the warm pass goes
+	// to the replicas directly — and all zero on a naive row, none of whose
+	// requests passes through it.
+	Router dist.RouterStats
+
+	// Injected is what the fault plan actually did to the row's exchanges: a
+	// row that shows no damage under a plan that never fired proves nothing.
+	Injected chaos.Stats
 }
 
 // ChaosConfig sizes the chaos experiment.
@@ -86,8 +93,8 @@ func (c ChaosConfig) withDefaults() ChaosConfig {
 
 // resilientRouter is the hardened configuration under test: bounded
 // attempts, early hedging, saturation retries, passive revival, verified
-// frames. Probing is off in both modes so the rows compare the request
-// path's own resilience, not the probe loop's.
+// frames. Probing is off so the rows show the request path's own resilience,
+// not the probe loop's.
 func resilientRouter(client *http.Client) dist.RouterConfig {
 	// The timeouts are generous: a warm cache hit on the experiment grids
 	// can cost hundreds of milliseconds under the race detector, and a
@@ -104,25 +111,30 @@ func resilientRouter(client *http.Client) dist.RouterConfig {
 	}
 }
 
-// fragileRouter switches every resilience feature off — the pre-hardening
-// request path: unbounded attempts, no hedging, no saturation retries,
-// transport errors strand a replica forever, frames pass unverified.
-func fragileRouter(client *http.Client) dist.RouterConfig {
-	return dist.RouterConfig{
-		Client:           client,
-		ProbeInterval:    -1,
-		AttemptTimeout:   -1,
-		HedgeAfter:       0,
-		SaturationBudget: 0,
-		DownCooldown:     -1,
-		DisableVerify:    true,
+// naiveFetch is the control: a plain GET of the mesh from one replica through
+// the same faulted client, the body taken as it comes — what the faults do to
+// a client with no timeout of its own, no second replica to turn to and no
+// checksum to look at.
+func naiveFetch(ctx context.Context, client *http.Client, addr string, iso float32) ([]byte, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, dist.MeshURL(addr, 0, iso), nil)
+	if err != nil {
+		return nil, err
 	}
+	resp, err := client.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close() //nolint:errcheck // read-only
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("harness: %s from %s", resp.Status, addr)
+	}
+	return io.ReadAll(resp.Body)
 }
 
-// ChaosTable runs every scenario twice — resilient and fragile router —
-// against a fresh cluster each time, and reports availability, correctness,
-// and tail latency. Rows are ordered scenario-major with the resilient run
-// first.
+// ChaosTable runs every scenario twice — through the resilient router, then
+// as the naive client — against a fresh cluster each time, and reports
+// availability, correctness, and tail latency. Rows are ordered
+// scenario-major with the resilient run first.
 func ChaosTable(ctx context.Context, cfg RMConfig, procs int, ccfg ChaosConfig, w ServingWorkload, scenarios []ChaosScenario) ([]ChaosRow, error) {
 	w = w.withDefaults()
 	ccfg = ccfg.withDefaults()
@@ -186,14 +198,10 @@ var errMismatch = errors.New("harness: frame differs from the fault-free referen
 func chaosRow(ctx context.Context, backend serve.Backend, ccfg ChaosConfig, w ServingWorkload, sc ChaosScenario, resilient bool, refs map[uint32][]byte) (ChaosRow, error) {
 	in := chaos.NewInjector(ccfg.Seed + 1)
 	client := &http.Client{Transport: in.Transport(dist.NewTransport())}
-	rcfg := fragileRouter(client)
-	if resilient {
-		rcfg = resilientRouter(client)
-	}
 	cl, err := dist.StartCluster(backend, dist.ClusterConfig{
 		Replicas: ccfg.Replicas,
 		Replica:  dist.ReplicaConfig{Serve: serve.Config{QueueDepth: ccfg.Clients}},
-		Router:   rcfg,
+		Router:   resilientRouter(client),
 	})
 	if err != nil {
 		return ChaosRow{}, err
@@ -206,7 +214,6 @@ func chaosRow(ctx context.Context, backend serve.Backend, ccfg ChaosConfig, w Se
 	if err := warmLevels(ctx, w, cl); err != nil {
 		return ChaosRow{}, err
 	}
-	pre := cl.Router.Stats()
 	// Fault the home shard of the workload's hottest key (Zipf rank 0), so
 	// the faulted replica actually sees the bulk of the traffic — faulting a
 	// fixed index can land on a shard the skewed workload barely touches.
@@ -219,13 +226,19 @@ func chaosRow(ctx context.Context, backend serve.Backend, ccfg ChaosConfig, w Se
 		func(ctx context.Context, _ int, iso float32) error {
 			qctx, cancel := context.WithTimeout(ctx, ccfg.RequestTimeout)
 			defer cancel()
-			frame, _, err := cl.Router.QueryBytes(qctx, 0, iso)
+			var frame []byte
+			var err error
+			if resilient {
+				frame, _, err = cl.Router.QueryBytes(qctx, 0, iso)
+				defer cl.Router.Recycle(frame)
+			} else {
+				// The router is asked where the key lives and nothing more.
+				frame, err = naiveFetch(qctx, client, cl.Replicas[cl.Router.HomeReplica(0, iso)].Addr(), iso)
+			}
 			if err != nil {
 				return err
 			}
-			same := bytes.Equal(frame, refs[math.Float32bits(iso)])
-			cl.Router.Recycle(frame)
-			if !same {
+			if !bytes.Equal(frame, refs[math.Float32bits(iso)]) {
 				return errMismatch
 			}
 			return nil
@@ -243,7 +256,6 @@ func chaosRow(ctx context.Context, backend serve.Backend, ccfg ChaosConfig, w Se
 		return ChaosRow{}, err
 	}
 
-	st := cl.Router.Stats()
 	total := ccfg.Clients * w.ReqPerClient
 	row := ChaosRow{
 		Scenario:   sc.Name,
@@ -253,13 +265,8 @@ func chaosRow(ctx context.Context, backend serve.Backend, ccfg ChaosConfig, w Se
 		Mismatched: int(mismatched.Load()),
 		P50:        lat.Quantile(0.50),
 		P99:        lat.Quantile(0.99),
-		Failovers:  st.Failovers - pre.Failovers,
-		Retries:    st.Retries - pre.Retries,
-		Hedges:     st.Hedges - pre.Hedges,
-		HedgeWins:  st.HedgeWins - pre.HedgeWins,
-		Corrupt:    st.CorruptFrames - pre.CorruptFrames,
-		Timeouts:   st.AttemptTimeouts - pre.AttemptTimeouts,
-		Revived:    st.Revived - pre.Revived,
+		Router:     cl.Router.Stats(),
+		Injected:   in.Stats(), // no fault was set before the timed run
 	}
 	row.Availability = float64(total-row.Failed-row.Mismatched) / float64(total)
 	return row, nil
@@ -277,16 +284,16 @@ func PrintChaosTable(out io.Writer, ccfg ChaosConfig, w ServingWorkload, scenari
 		}
 	}
 	tw := tabwriter.NewWriter(out, 2, 0, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintln(tw, "scenario\trouter\treqs\tfailed\tcorruptions\tavail\tp50\tp99\tp99 vs base\tfailovers\thedges (won)\tretries\ttimeouts\trevived\t")
+	fmt.Fprintln(tw, "scenario\tclient\treqs\tinjected\tfailed\tcorruptions\tavail\tp50\tp99\tp99 vs base\tfailovers\thedges (won)\tretries\ttimeouts\trevived\t")
 	for _, r := range rows {
-		mode := "fragile"
+		mode := "naive"
 		if r.Resilient {
 			mode = "resilient"
 		}
-		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%d\t%.1f%%\t%s\t%s\t%.1f×\t%d\t%d (%d)\t%d\t%d\t%d\t\n",
-			r.Scenario, mode, r.Requests, r.Failed, r.Mismatched,
+		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%d\t%d\t%.1f%%\t%s\t%s\t%.1f×\t%d\t%d (%d)\t%d\t%d\t%d\t\n",
+			r.Scenario, mode, r.Requests, r.Injected.Total(), r.Failed, r.Mismatched,
 			100*r.Availability, fmtDur(r.P50), fmtDur(r.P99), r.P99Ratio,
-			r.Failovers, r.Hedges, r.HedgeWins, r.Retries, r.Timeouts, r.Revived)
+			r.Router.Failovers, r.Router.Hedges, r.Router.HedgeWins, r.Router.Retries, r.Router.AttemptTimeouts, r.Router.Revived)
 	}
 	tw.Flush()
 }

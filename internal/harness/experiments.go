@@ -238,7 +238,7 @@ func Experiments(imagePath string) []Experiment {
 			return printed(err, func() { PrintScalingTable(out, 32, w, rep, rows) })
 		},
 	}, {
-		Name: "chaos", Title: "Chaos: availability and tail latency under injected faults (resilient vs fragile router)", Load: true, Paced: true,
+		Name: "chaos", Title: "Chaos: availability and tail latency under injected faults (resilient router vs naive client)", Load: true, Paced: true,
 		Metric: "resilient-failures", // requests the resilient router failed or mis-served; isobench -chaos-strict gates on 0
 		Run: func(ctx context.Context, cfg RMConfig, out io.Writer) (float64, error) {
 			w := ServingWorkload{ReqPerClient: 16, Levels: 16}

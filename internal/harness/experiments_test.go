@@ -74,7 +74,7 @@ func TestExperimentRegistryResolves(t *testing.T) {
 	}, ablations[:7], []string{
 		"Serving layer: throughput vs clients (4 nodes)",
 		"Scaling: sharded serving tier, throughput vs replicas (4 nodes each)",
-		"Chaos: availability and tail latency under injected faults (resilient vs fragile router)",
+		"Chaos: availability and tail latency under injected faults (resilient router vs naive client)",
 	}, ablations[7:])
 	if got := titles(SelectExperiments(all, "all")); !slices.Equal(got, want) {
 		t.Errorf("all expands to\n%q, want\n%q", got, want)

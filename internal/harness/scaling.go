@@ -221,7 +221,7 @@ func warmLevels(ctx context.Context, w ServingWorkload, cl *dist.Cluster) error 
 // fetchReplicaMesh pulls one mesh straight from a replica (bypassing the
 // router), waiting out 503s — the warm pass must land every key, not shed it.
 func fetchReplicaMesh(ctx context.Context, addr string, step int, iso float32) error {
-	url := fmt.Sprintf("http://%s/mesh?step=%d&iso=%g", addr, step, iso)
+	url := dist.MeshURL(addr, step, iso)
 	for {
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 		if err != nil {

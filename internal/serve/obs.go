@@ -7,8 +7,8 @@ import (
 )
 
 // serveMetrics holds the server's pre-resolved metric handles. The counters
-// mirror the Stats struct one for one (Stats stays the programmatic snapshot
-// API; the registry is the exposition path), the histograms add what a
+// are what Stats reports, one for one (Stats is the programmatic snapshot of
+// them; the registry is the exposition path), the histograms add what a
 // snapshot cannot: latency distributions with constant memory.
 type serveMetrics struct {
 	reg *obs.Registry

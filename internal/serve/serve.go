@@ -67,7 +67,9 @@ type Config struct {
 	// Metrics is the registry the server records into (counters, live
 	// gauges, latency and queue-wait histograms under serve_*). Nil creates
 	// a private registry, reachable via Server.Metrics — pass the engine's
-	// registry to serve everything from one /metrics endpoint.
+	// registry to serve everything from one /metrics endpoint. Stats reads
+	// the serve_* counters back, so give each Server a registry no other
+	// Server records into.
 	Metrics *obs.Registry
 	// Trace enables per-request stage tracing: every Response carries a
 	// Trace (queue-wait, extraction stages, coalesce-join or cache-hit)
@@ -234,8 +236,7 @@ type Server struct {
 	cache    *meshCache
 	queued   int
 	running  int
-	stats    Stats
-	met      *serveMetrics
+	met      *serveMetrics // its counters move under mu, so Stats reads them consistent
 
 	slots chan struct{} // capacity MaxInFlight; holding a token = running
 }
@@ -294,9 +295,15 @@ func (b tvBackend) ExtractStep(ctx context.Context, step int, iso float32, opts 
 	return b.tv.Extract(ctx, step, iso, opts)
 }
 
+// KeyOf quantizes a query to the key it is coalesced and cached under — and,
+// in the tier, sharded by: the router calls this with the replicas' quantum.
+func KeyOf(step int, iso, quantum float32) Key {
+	return Key{Step: step, Bucket: int64(math.Round(float64(iso) / float64(quantum)))}
+}
+
 // KeyFor returns the coalescing/cache key a query maps to.
 func (s *Server) KeyFor(step int, iso float32) Key {
-	return Key{Step: step, Bucket: int64(math.Round(float64(iso) / float64(s.cfg.IsoQuantum)))}
+	return KeyOf(step, iso, s.cfg.IsoQuantum)
 }
 
 // IsoOf returns the quantized isovalue a key extracts — the bucket center
@@ -313,12 +320,10 @@ func (s *Server) Query(ctx context.Context, step int, iso float32) (*Response, e
 	key := s.KeyFor(step, iso)
 
 	s.mu.Lock()
-	s.stats.Requests++
 	s.met.requests.Inc()
 	if surf, ok := s.cache.get(key); ok {
-		s.stats.CacheHits++
-		s.mu.Unlock()
 		s.met.cacheHits.Inc()
+		s.mu.Unlock()
 		wall := time.Since(start)
 		s.met.requestLatency.Observe(wall)
 		return &Response{Key: key, Iso: s.IsoOf(key), Source: SourceCache, Wall: wall,
@@ -331,16 +336,14 @@ func (s *Server) Query(ctx context.Context, step int, iso float32) (*Response, e
 	// owns.
 	if c, ok := s.inflight[key]; ok && c.ctx.Err() == nil {
 		c.waiters++
-		s.stats.Coalesced++
-		s.mu.Unlock()
 		s.met.coalesced.Inc()
+		s.mu.Unlock()
 		return s.wait(ctx, c, SourceCoalesced, start)
 	}
 	if s.running+s.queued >= s.cfg.MaxInFlight+s.cfg.QueueDepth {
-		s.stats.Rejected++
+		s.met.rejected.Inc()
 		running, queued := s.running, s.queued
 		s.mu.Unlock()
-		s.met.rejected.Inc()
 		return nil, fmt.Errorf("%w (%d running, %d queued)", ErrSaturated, running, queued)
 	}
 	c := &call{key: key, waiters: 1, done: make(chan struct{})}
@@ -369,13 +372,12 @@ func (s *Server) wait(ctx context.Context, c *call, src Source, start time.Time)
 			Result: c.surf.res, Trace: s.traceOf(c, src, wall), surf: c.surf}, nil
 	case <-ctx.Done():
 		s.mu.Lock()
-		s.stats.Canceled++
+		s.met.canceled.Inc()
 		c.waiters--
 		if c.waiters == 0 {
 			c.cancel()
 		}
 		s.mu.Unlock()
-		s.met.canceled.Inc()
 		return nil, ctx.Err()
 	}
 }
@@ -436,12 +438,9 @@ func (s *Server) run(c *call) {
 	s.mu.Lock()
 	s.running--
 	if err == nil {
-		s.stats.Extractions++
 		s.met.extractions.Inc()
 		c.surf = &surface{res: res}
-		ev := s.cache.put(c.key, c.surf)
-		s.stats.Evictions += ev
-		s.met.evictions.Add(ev)
+		s.met.evictions.Add(s.cache.put(c.key, c.surf))
 	}
 	c.err = err
 	s.unregister(c)
@@ -459,12 +458,22 @@ func (s *Server) unregister(c *call) {
 	}
 }
 
-// Stats returns a snapshot of the server's counters.
+// Stats returns a snapshot of the server's counters: the serve_* counters of
+// its registry, and the live state beside them.
 func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := s.stats
+	st := Stats{
+		Requests:    s.met.requests.Value(),
+		CacheHits:   s.met.cacheHits.Value(),
+		Coalesced:   s.met.coalesced.Value(),
+		Extractions: s.met.extractions.Value(),
+		Rejected:    s.met.rejected.Value(),
+		Canceled:    s.met.canceled.Value(),
+		Evictions:   s.met.evictions.Value(),
+		InFlight:    s.running,
+		Queued:      s.queued,
+	}
 	st.CachedMeshes, st.CachedBytes = s.cache.size()
-	st.InFlight, st.Queued = s.running, s.queued
 	return st
 }

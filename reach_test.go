@@ -11,9 +11,14 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/dist"
+	"repro/internal/serve"
 )
 
 // oracles names every package-level declaration under internal/ that no
@@ -384,5 +389,29 @@ func TestEveryDeclarationHasACaller(t *testing.T) {
 	sort.Strings(dead)
 	for _, d := range dead {
 		t.Errorf("%s: nothing reaches it; delete it, or name it in oracles with the test that needs it", d)
+	}
+}
+
+// configSurface is the number of values a caller can set across the five
+// configuration types of the production path. It moves only on purpose: an
+// option added to one of them fails TestConfigSurface until this number is
+// changed in the same commit, where a reviewer sees it.
+const configSurface = 28
+
+// TestConfigSurface counts the exported fields of the configuration types.
+func TestConfigSurface(t *testing.T) {
+	total := 0
+	for _, cfg := range []any{cluster.Options{}, cluster.Config{}, serve.Config{}, dist.ReplicaConfig{}, dist.RouterConfig{}} {
+		typ, n := reflect.TypeOf(cfg), 0
+		for i := 0; i < typ.NumField(); i++ {
+			if typ.Field(i).IsExported() {
+				n++
+			}
+		}
+		t.Logf("%s: %d", typ, n)
+		total += n
+	}
+	if total != configSurface {
+		t.Errorf("the configuration types have %d settable values, the pinned surface is %d (per type: -v)", total, configSurface)
 	}
 }
