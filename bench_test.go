@@ -72,6 +72,31 @@ func BenchmarkQuerySingleIsovalue(b *testing.B) {
 	b.ReportMetric(float64(tris), "triangles")
 }
 
+// BenchmarkPreprocess is the benchmark's setup_s under go test: the volume
+// bench/ generates (256×256×240 RM, step 250, seed 42) preprocessed onto one
+// node disk, memory-backed as the routed workloads set up and file-backed as
+// cold_sweep does.
+func BenchmarkPreprocess(b *testing.B) {
+	g := GenerateRM(256, 256, 240, 250, 42)
+	for _, backing := range []string{"memory", "file"} {
+		b.Run(backing, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				cfg := Config{Procs: 1, ThreadsPerNode: 1}
+				if backing == "file" {
+					cfg.Dir = b.TempDir()
+				}
+				eng, err := Preprocess(g, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := eng.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // extractScheduleBench runs a single-node extraction at the mid isovalue
 // under the given schedule — the head-to-head pair for the two schedules.
 func extractScheduleBench(b *testing.B, extract func(*Engine, context.Context, float32, Options) (*Result, error)) {

@@ -157,6 +157,46 @@ func TestWriterMemory(t *testing.T) {
 	}
 }
 
+// TestWriterReserve: a memory writer told how much is coming builds its image
+// in place — appends up to the reserved size neither allocate nor move what
+// is there — and an append past it still works.
+func TestWriterReserve(t *testing.T) {
+	rec := bytes.Repeat([]byte{7}, 734)
+	w := NewWriter()
+	if _, err := w.Append(rec); err != nil {
+		t.Fatal(err)
+	}
+	w.Reserve(1000 * len(rec))
+	first := &w.Bytes()[0]
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 500; i++ { // AllocsPerRun runs it twice
+			if _, err := w.Append(rec); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	if allocs != 0 || &w.Bytes()[0] != first {
+		t.Errorf("appending into reserved room: %v allocations, image moved: %v", allocs, &w.Bytes()[0] != first)
+	}
+	for i := 0; i < 10; i++ {
+		if _, err := w.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want := int64(1011 * len(rec)); w.Offset() != want || int64(len(w.Bytes())) != want {
+		t.Errorf("offset %d, image %d bytes, want %d", w.Offset(), len(w.Bytes()), want)
+	}
+
+	f, err := CreateFile(filepath.Join(t.TempDir(), "dev.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Reserve(1 << 20) // nothing to size: the file grows as it is written
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestWriterFileAndFileStore(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "dev.bin")
 	w, err := CreateFile(path)

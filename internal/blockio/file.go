@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 )
 
@@ -108,6 +109,15 @@ func CreateFile(path string) (*Writer, error) {
 		return nil, err
 	}
 	return &Writer{f: f, bw: bufio.NewWriterSize(f, 1<<20)}, nil
+}
+
+// Reserve makes room in a memory writer's image for n more bytes, so that a
+// caller who knows how much it is about to append pays for one allocation and
+// no copy of what is already there. A file-backed writer ignores it.
+func (w *Writer) Reserve(n int) {
+	if w.f == nil {
+		w.mem = slices.Grow(w.mem, n)
+	}
 }
 
 // Offset returns the byte offset at which the next Append will land.

@@ -156,7 +156,10 @@ func buildFromCells(l metacell.Layout, cells []metacell.Cell, cfg Config) (*Engi
 	ws := make([]*blockio.Writer, cfg.Procs)
 	for i := range ws {
 		if cfg.Dir == "" {
+			// Striping deals the records out round-robin, so no disk gets more
+			// than its even share rounded up: the image is sized once.
 			ws[i] = blockio.NewWriter()
+			ws[i].Reserve((len(cells) + cfg.Procs - 1) / cfg.Procs * l.RecordSize())
 		} else {
 			w, err := blockio.CreateFile(nodePath(cfg.Dir, i))
 			if err != nil {

@@ -15,7 +15,7 @@ type engineMetrics struct {
 	reg *obs.Registry
 
 	extract       *obs.Histogram // whole-extraction wall time
-	batchWeld     *obs.Histogram // per-batch decode+triangulate latency
+	batchWeld     *obs.Histogram // per-batch weld latency (record checks + triangulation)
 	merge         *obs.Histogram // per node-extraction merger busy time
 	producerStall *obs.Histogram // per node-extraction producer stall total
 	consumerStall *obs.Histogram // per node-extraction consumer stall total
@@ -42,7 +42,7 @@ func (e *Engine) EnableMetrics(reg *obs.Registry) {
 	m := &engineMetrics{
 		reg:           reg,
 		extract:       reg.Histogram("cluster_extract_seconds", "isosurface extraction wall time"),
-		batchWeld:     reg.Histogram("cluster_batch_weld_seconds", "per-batch decode+triangulate latency in the streaming pipeline"),
+		batchWeld:     reg.Histogram("cluster_batch_weld_seconds", "per-batch weld latency in the streaming pipeline: a worker checking and triangulating one batch of records"),
 		merge:         reg.Histogram("cluster_merge_seconds", "per node-extraction ordered-merge busy time: batch expansion plus the soup's copy-out"),
 		producerStall: reg.Histogram("cluster_producer_stall_seconds", "per node-extraction producer time blocked on a full pipeline"),
 		consumerStall: reg.Histogram("cluster_consumer_stall_seconds", "per node-extraction worker time blocked on an empty pipeline or on the merger for a batch mesh"),

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"slices"
 	"sync/atomic"
@@ -178,8 +177,8 @@ func TestPipelineMemoryBounds(t *testing.T) {
 				if got, ring := len(sc.meshes), shape.threads+shape.depth; got != ring {
 					t.Errorf("%s: %d batch meshes exist, want the ring's %d", name, got, ring)
 				}
-				if len(sc.workers) != shape.threads {
-					t.Errorf("%s: %d welders exist, want one per thread: %d", name, len(sc.workers), shape.threads)
+				if len(sc.welders) != shape.threads {
+					t.Errorf("%s: %d welders exist, want one per thread: %d", name, len(sc.welders), shape.threads)
 				}
 				if len(sc.recs) != shape.depth {
 					t.Errorf("%s: %d record buffers exist, want the ring's %d", name, len(sc.recs), shape.depth)
@@ -225,8 +224,8 @@ func (d *armedDevice) ReadAt(p []byte, off int64) error {
 // goroutine may be left, and the mesh must be the bytes a fresh engine
 // produces, not a staging buffer or ring mesh's leftovers. Nor may what the
 // retained scratch last held show: welders whose edge tables are full of
-// another isovalue's vertex ids, a metacell decoded halfway, record buffers
-// full of noise.
+// another isovalue's vertex ids and whose sample copy is another record's,
+// record buffers full of noise.
 func TestAbortedKeepMeshesLeavesEngineClean(t *testing.T) {
 	g := pipeGrid()
 	cfg := Config{Procs: 2, ThreadsPerNode: 2}
@@ -295,25 +294,28 @@ func TestAbortedKeepMeshesLeavesEngineClean(t *testing.T) {
 	check("cancellations")
 
 	// No extraction is running, so every scratch is on the free list. Leave
-	// each worker's welder as a weld at a far-off isovalue leaves it (every
-	// edge-table entry it touched names a vertex of a mesh that is gone), and
-	// its metacell and the record ring as an abort halfway through might.
+	// each welder as welds of a dense record at far-off isovalues leave it
+	// (every edge-table entry it touched names a vertex of a mesh that is
+	// gone; a wider format's sample copy holds that record), and the record
+	// ring as an abort halfway through might.
 	if len(e.scratch) == 0 {
 		t.Fatal("engine retains no scratch after sequential extractions")
 	}
+	noise := make([]byte, e.Layout.RecordSize())
+	for j := range noise[4:] {
+		noise[4+j] = byte(j * 89)
+	}
 	for _, sc := range e.scratch {
-		for i := range sc.workers {
-			ws := &sc.workers[i]
-			if len(ws.m.Samples) == 0 {
-				t.Fatal("a retained worker scratch has never decoded a metacell")
-			}
+		if len(sc.welders) == 0 {
+			t.Fatal("a retained scratch has no welder")
+		}
+		for i := range sc.welders {
 			var gone geom.IndexedMesh
 			gone.Verts = make([]geom.Vec3, 1<<20) // ids far past any batch mesh's
 			for _, iso := range []float32{30, 220} {
-				ws.w.Metacell(e.Layout, &ws.m, iso, &gone)
-			}
-			for j := range ws.m.Samples[:len(ws.m.Samples)/2] {
-				ws.m.Samples[j] = float32(math.NaN())
+				if n, err := sc.welders[i].Record(e.Layout, noise, iso, &gone); err != nil || n == 0 {
+					t.Fatalf("welding the noise record at %v: %d active cells, error %v", iso, n, err)
+				}
 			}
 		}
 		for _, buf := range sc.recs {

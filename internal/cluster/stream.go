@@ -36,27 +36,21 @@ type batchOutput struct {
 }
 
 // pipeScratch is what one node-extraction borrows from its engine for as long
-// as it runs: the record ring the producer fills, each worker's welder and
-// decoded metacell, the ring of batch meshes circulating between workers and
-// merger, and the staging soup the merger expands them into. The engine keeps
-// them between extractions (warmed-up capacity is the point), so what it
-// retains is one pipeScratch per node-extraction that has ever run at once.
+// as it runs: the record ring the producer fills, each worker's welder, the
+// ring of batch meshes circulating between workers and merger, and the
+// staging soup the merger expands them into. The engine keeps them between
+// extractions (warmed-up capacity is the point), so what it retains is one
+// pipeScratch per node-extraction that has ever run at once.
 type pipeScratch struct {
-	recs    [][]byte // record buffers, each of exactly batchRecords×recordSize capacity
-	workers []workerScratch
+	recs    [][]byte       // record buffers, each of exactly batchRecords×recordSize capacity
+	welders []march.Welder // one per pipeline worker
 	meshes  []*geom.IndexedMesh
 	stage   geom.Mesh
 }
 
-// workerScratch is what one pipeline worker keeps from batch to batch.
-type workerScratch struct {
-	w march.Welder
-	m metacell.Meta
-}
-
 // takeScratch lends out a scratch with at least depth empty record buffers of
-// bufBytes capacity, threads worker scratches, ring batch meshes and an empty
-// staging soup.
+// bufBytes capacity, threads welders, ring batch meshes and an empty staging
+// soup.
 func (e *Engine) takeScratch(ring, threads, depth, bufBytes int) *pipeScratch {
 	var sc *pipeScratch
 	e.scratchMu.Lock()
@@ -78,8 +72,8 @@ func (e *Engine) takeScratch(ring, threads, depth, bufBytes int) *pipeScratch {
 		}
 		sc.recs[i] = buf[:0:bufBytes]
 	}
-	for len(sc.workers) < threads {
-		sc.workers = append(sc.workers, workerScratch{})
+	for len(sc.welders) < threads {
+		sc.welders = append(sc.welders, march.Welder{})
 	}
 	for len(sc.meshes) < ring {
 		sc.meshes = append(sc.meshes, new(geom.IndexedMesh))
@@ -96,32 +90,19 @@ func (e *Engine) putScratch(sc *pipeScratch) {
 	e.scratchMu.Unlock()
 }
 
-// weldBatch decodes one batch's records and triangulates them into out's
-// welded indexed mesh, returning the number of active cells. This is the
-// pipeline worker's steady-state body: once the caller's scratch (w, m, out)
+// weldBatch triangulates one batch's records, where they lie in buf, into
+// out's welded indexed mesh, returning the number of active cells. This is
+// the pipeline worker's steady-state body: once the caller's scratch (w, out)
 // has warmed up it must not allocate — TestWeldBatchZeroAllocSteadyState is
 // the regression gate.
-//
-// decodeNS, when non-nil, accumulates the nanoseconds spent in record decode
-// so a trace can split the worker's busy time into decode and march/weld
-// stages; nil (the untraced default) costs one pointer check per record.
-func weldBatch(l metacell.Layout, buf []byte, nrec, recSize int, iso float32, w *march.Welder, m *metacell.Meta, out *geom.IndexedMesh, decodeNS *int64) (int, error) {
+func weldBatch(l metacell.Layout, buf []byte, nrec, recSize int, iso float32, w *march.Welder, out *geom.IndexedMesh) (int, error) {
 	cells := 0
 	for r := 0; r < nrec; r++ {
-		rec := buf[r*recSize : (r+1)*recSize]
-		if decodeNS == nil {
-			if err := metacell.DecodeRecordInto(l, rec, m); err != nil {
-				return cells, err
-			}
-		} else {
-			t0 := time.Now()
-			err := metacell.DecodeRecordInto(l, rec, m)
-			*decodeNS += time.Since(t0).Nanoseconds()
-			if err != nil {
-				return cells, err
-			}
+		n, err := w.Record(l, buf[r*recSize:(r+1)*recSize], iso, out)
+		if err != nil {
+			return cells, err
 		}
-		cells += w.Metacell(l, m, iso, out)
+		cells += n
 	}
 	return cells, nil
 }
@@ -251,17 +232,13 @@ func (e *Engine) extractNodeStreaming(ctx context.Context, node int, iso float32
 	}()
 
 	// Workers: weld each batch into a ring mesh, recycle the record buffer,
-	// and hand the mesh to the merger. A decode failure aborts the pipeline:
-	// done unblocks the producer and every worker waiting for a mesh, the
-	// producer closes work, and the last worker out closes outs — no
-	// goroutine outlives this call.
+	// and hand the mesh to the merger. A record that is not the layout's
+	// aborts the pipeline: done unblocks the producer and every worker waiting
+	// for a mesh, the producer closes work, and the last worker out closes
+	// outs — no goroutine outlives this call.
 	werrs := make([]error, threads)
 	busy := make([]time.Duration, threads)  // per-worker triangulation time
 	stall := make([]time.Duration, threads) // per-worker time blocked on the merger or an empty pipeline
-	var decode []int64                      // per-worker decode nanoseconds, traced runs only
-	if opts.Trace {
-		decode = make([]int64, threads)
-	}
 	var live atomic.Int32
 	live.Store(int32(threads))
 	for t := 0; t < threads; t++ {
@@ -271,11 +248,7 @@ func (e *Engine) extractNodeStreaming(ctx context.Context, node int, iso float32
 					close(outs)
 				}
 			}()
-			ws := &sc.workers[t]
-			var decodeNS *int64
-			if opts.Trace {
-				decodeNS = &decode[t]
-			}
+			w := &sc.welders[t]
 			for {
 				tw := time.Now()
 				var im *geom.IndexedMesh
@@ -291,7 +264,7 @@ func (e *Engine) extractNodeStreaming(ctx context.Context, node int, iso float32
 				}
 				tb := time.Now()
 				im.Reset()
-				cells, err := weldBatch(e.Layout, sb.buf, len(sb.buf)/recSize, recSize, iso, &ws.w, &ws.m, im, decodeNS)
+				cells, err := weldBatch(e.Layout, sb.buf, len(sb.buf)/recSize, recSize, iso, w, im)
 				batchDur := time.Since(tb)
 				busy[t] += batchDur
 				if e.met != nil {
@@ -396,18 +369,9 @@ func (e *Engine) extractNodeStreaming(ctx context.Context, node int, iso float32
 			obs.Span{Lane: prod, Name: "stall", Start: prodBusy, Dur: producerStall})
 		for t := 0; t < threads; t++ {
 			lane := fmt.Sprintf("n%d/w%d", node, t)
-			dec := time.Duration(0)
-			if decode != nil {
-				dec = time.Duration(decode[t])
-			}
-			weld := busy[t] - dec
-			if weld < 0 {
-				weld = 0
-			}
 			nr.spans = append(nr.spans,
 				obs.Span{Lane: lane, Name: "wait", Start: 0, Dur: stall[t]},
-				obs.Span{Lane: lane, Name: "decode", Start: stall[t], Dur: dec},
-				obs.Span{Lane: lane, Name: "march/weld", Start: stall[t] + dec, Dur: weld})
+				obs.Span{Lane: lane, Name: "march/weld", Start: stall[t], Dur: busy[t]})
 		}
 		merge := fmt.Sprintf("n%d/merge", node)
 		nr.spans = append(nr.spans,

@@ -282,37 +282,44 @@ func TestExtractConcurrentSameEngine(t *testing.T) {
 }
 
 // TestWeldBatchZeroAllocSteadyState is the pipeline allocation gate: once a
-// worker's scratch (Welder, Meta, IndexedMesh) has warmed up, processing a
-// batch must not allocate. A regression here silently reintroduces per-batch
-// garbage across every extraction.
+// worker's scratch (the Welder, with its copy of a two- or four-byte record's
+// samples, and the IndexedMesh) has warmed up, processing a batch must not
+// allocate, in any scalar format. A regression here silently reintroduces
+// per-batch garbage across every extraction.
 func TestWeldBatchZeroAllocSteadyState(t *testing.T) {
-	g := rmGrid()
-	l, cells := metacell.Extract(g, metacell.DefaultSpan)
-	recSize := l.RecordSize()
-	nrec := len(cells)
-	if nrec == 0 {
-		t.Fatal("no metacells extracted")
-	}
-	buf := make([]byte, 0, nrec*recSize)
-	for _, c := range cells {
-		buf = append(buf, c.Record...)
-	}
-
-	var w march.Welder
-	var m metacell.Meta
-	im := &geom.IndexedMesh{}
-	const iso = 110
-	if _, err := weldBatch(l, buf, nrec, recSize, iso, &w, &m, im, nil); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		im.Reset()
-		if _, err := weldBatch(l, buf, nrec, recSize, iso, &w, &m, im, nil); err != nil {
-			t.Error(err)
+	rm := rmGrid()
+	for _, f := range []volume.Format{volume.U8, volume.U16, volume.F32} {
+		g := volume.New(rm.Nx, rm.Ny, rm.Nz, f)
+		g.Fill(rm.At)
+		l, cells := metacell.Extract(g, metacell.DefaultSpan)
+		recSize := l.RecordSize()
+		nrec := len(cells)
+		if nrec == 0 {
+			t.Fatal("no metacells extracted")
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state weldBatch allocates %v per batch, want 0", allocs)
+		buf := make([]byte, 0, nrec*recSize)
+		for _, c := range cells {
+			buf = append(buf, c.Record...)
+		}
+
+		var w march.Welder
+		im := &geom.IndexedMesh{}
+		const iso = 110
+		if _, err := weldBatch(l, buf, nrec, recSize, iso, &w, im); err != nil {
+			t.Fatal(err)
+		}
+		if im.Len() == 0 {
+			t.Fatalf("%v: the batch welds to nothing; the gate is vacuous", f)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			im.Reset()
+			if _, err := weldBatch(l, buf, nrec, recSize, iso, &w, im); err != nil {
+				t.Error(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%v: steady-state weldBatch allocates %v per batch, want 0", f, allocs)
+		}
 	}
 }
 

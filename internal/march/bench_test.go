@@ -80,18 +80,18 @@ func BenchmarkGrid(b *testing.B) {
 	}
 }
 
-// BenchmarkNodeWeld is one worker's share of a node-extraction: decode and
-// weld every active metacell of an RM volume, in record order, resetting the
-// batch mesh every batchRecords records as the pipeline does, at a sparse, a
-// dense and again a sparse isovalue with one Welder throughout. Unlike
-// BenchmarkMetacellIndexed's single busiest metacell this includes the
-// inactive cells of active metacells, which outnumber the active ones.
+// BenchmarkNodeWeld is one worker's share of a node-extraction: weld every
+// active metacell of an RM volume from its encoded record, in record order,
+// resetting the batch mesh every batchRecords records as the pipeline does,
+// at a sparse, a dense and again a sparse isovalue with one Welder
+// throughout. Unlike BenchmarkMetacellIndexed's single busiest metacell this
+// includes the inactive cells of active metacells, which outnumber the active
+// ones.
 func BenchmarkNodeWeld(b *testing.B) {
 	const batchRecords = 256 // cluster.DefaultBatchRecords; cluster imports march
 	g := volume.RichtmyerMeshkov(129, 129, 120, 250, 1)
 	l, cells := metacell.Extract(g, 9)
 	var w Welder
-	var m metacell.Meta
 	var mesh geom.IndexedMesh
 	sweep := func() (active, tris, verts int) {
 		for _, iso := range []float32{30, 130, 210} {
@@ -101,10 +101,11 @@ func BenchmarkNodeWeld(b *testing.B) {
 				if iso < c.VMin || iso > c.VMax {
 					continue
 				}
-				if err := metacell.DecodeRecordInto(l, c.Record, &m); err != nil {
+				a, err := w.Record(l, c.Record, iso, &mesh)
+				if err != nil {
 					b.Fatal(err)
 				}
-				active += w.Metacell(l, &m, iso, &mesh)
+				active += a
 				if n++; n%batchRecords == 0 {
 					tris, verts = tris+mesh.Len(), verts+mesh.NumVerts()
 					mesh.Reset()

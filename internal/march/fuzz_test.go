@@ -2,7 +2,9 @@ package march
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -10,45 +12,64 @@ import (
 	"repro/internal/volume"
 )
 
-// checkWeldAgainstSoup welds m into out, which may already hold geometry, and
-// holds what was appended to the soup baseline: the same active count and, by
-// bits (so NaN positions compare), the same triangles in the same order. The
-// weld's structure is checked too: every index names a vertex this metacell
-// added, every vertex it added is used, and there are exactly as many of them
-// as grid edges of the cell extent whose two samples straddle the isovalue.
+// checkWeldAgainstSoup welds m into out, which may already hold geometry,
+// twice — from its record, encoded in the layout's format, through
+// Welder.Record, and from the decoded samples through Welder.Metacell — and
+// holds what each appended to the soup baseline over the decoded samples.
 func checkWeldAgainstSoup(t *testing.T, w *Welder, l metacell.Layout, m *metacell.Meta, iso float32, out *geom.IndexedMesh) {
 	t.Helper()
 	var soup geom.Mesh
 	wantActive := Metacell(l, m, iso, &soup)
+	want := cutEdges(l, m, iso)
 
+	rec := metacell.EncodeRecord(l, m.ID, m.VMin, m.Samples)
 	nv0, ni0 := len(out.Verts), len(out.Idx)
-	if got := w.Metacell(l, m, iso, out); got != wantActive {
-		t.Fatalf("span %d iso %v: %d active cells, soup baseline %d", l.Span, iso, got, wantActive)
+	got, err := w.Record(l, rec, iso, out)
+	if err != nil {
+		t.Fatalf("span %d %v iso %v: Record: %v", l.Span, l.Fmt, iso, err)
+	}
+	checkWelded(t, fmt.Sprintf("span %d %v record, iso %v", l.Span, l.Fmt, iso), out, nv0, ni0, got, wantActive, want, &soup)
+
+	nv0, ni0 = len(out.Verts), len(out.Idx)
+	got = w.Metacell(l, m, iso, out)
+	checkWelded(t, fmt.Sprintf("span %d decoded %v, iso %v", l.Span, l.Fmt, iso), out, nv0, ni0, got, wantActive, want, &soup)
+}
+
+// checkWelded holds what one weld appended to out past (nv0, ni0) to the soup:
+// the same active count and, by bits (so NaN positions compare), the same
+// triangles in the same order. The weld's structure is checked too: every
+// index names a vertex this weld added, every vertex it added is used, and
+// there are exactly as many of them as grid edges of the cell extent whose
+// two samples straddle the isovalue.
+func checkWelded(t *testing.T, name string, out *geom.IndexedMesh, nv0, ni0, gotActive, wantActive, wantVerts int, soup *geom.Mesh) {
+	t.Helper()
+	if gotActive != wantActive {
+		t.Fatalf("%s: %d active cells, soup baseline %d", name, gotActive, wantActive)
 	}
 	verts, idx := out.Verts[nv0:], out.Idx[ni0:]
 	if len(idx) != 3*soup.Len() {
-		t.Fatalf("span %d iso %v: %d indices for the soup's %d triangles", l.Span, iso, len(idx), soup.Len())
+		t.Fatalf("%s: %d indices for the soup's %d triangles", name, len(idx), soup.Len())
 	}
 	used := make([]bool, len(verts))
 	for k, id := range idx {
 		if int(id) < nv0 || int(id) >= len(out.Verts) {
-			t.Fatalf("span %d iso %v: index %d names vertex %d, this metacell's are %d..%d", l.Span, iso, k, id, nv0, len(out.Verts)-1)
+			t.Fatalf("%s: index %d names vertex %d, this metacell's are %d..%d", name, k, id, nv0, len(out.Verts)-1)
 		}
 		used[int(id)-nv0] = true
 		tri := soup.Tris[k/3]
 		want := [3]geom.Vec3{tri.A, tri.B, tri.C}[k%3]
 		if got := out.Verts[id]; bitsOf(got) != bitsOf(want) {
-			t.Fatalf("span %d iso %v: triangle %d corner %d is %v (%x), soup baseline %v (%x)",
-				l.Span, iso, k/3, k%3, got, bitsOf(got), want, bitsOf(want))
+			t.Fatalf("%s: triangle %d corner %d is %v (%x), soup baseline %v (%x)",
+				name, k/3, k%3, got, bitsOf(got), want, bitsOf(want))
 		}
 	}
 	for v, ok := range used {
 		if !ok {
-			t.Fatalf("span %d iso %v: vertex %d of %d is in no triangle", l.Span, iso, v, len(verts))
+			t.Fatalf("%s: vertex %d of %d is in no triangle", name, v, len(verts))
 		}
 	}
-	if want := cutEdges(l, m, iso); len(verts) != want {
-		t.Fatalf("span %d iso %v: %d vertices for %d cut grid edges", l.Span, iso, len(verts), want)
+	if len(verts) != wantVerts {
+		t.Fatalf("%s: %d vertices for %d cut grid edges", name, len(verts), wantVerts)
 	}
 }
 
@@ -116,13 +137,17 @@ func fuzzSamples(span int, fm volume.Format, data []byte) []float32 {
 
 // FuzzWelderMatchesSoup is the differential test of the weld kernel against
 // the soup triangulator: arbitrary sample blocks in each format's value
-// range, spans 2..70 on both sides of the one-word mask limit, metacells
+// range, welded from their encoded u8, u16 or f32 record (Welder.Record) and
+// from the decoded samples (Welder.Metacell) while the soup reads the decoded
+// samples; spans 2..70 on both sides of the one-word mask limit, metacells
 // anywhere in a 2×2×2 layout whose volume cuts them short on any subset of
-// axes, any isovalue bit pattern. (Whole metacells of the large spans are
+// axes, any isovalue bit pattern — NaN, ±Inf, negative, fractional, equal to
+// a sample, past the format's range. (Whole metacells of the large spans are
 // TestWelderAroundMaskWidth's and TestWelderWideSpanFallback's.) One Welder and one batch mesh serve the
 // whole body — a dense metacell, then the same block gone sparse, then another
-// isovalue, then a second span and back — because the edge table is never
-// cleared: what an earlier weld left in it must never reach a triangle.
+// isovalue, then a second span in the next format and a third in the one
+// after — because the edge table is never cleared and the sample copy is
+// reused: what an earlier weld left in either must never reach a triangle.
 func FuzzWelderMatchesSoup(f *testing.F) {
 	ramp := make([]byte, 251)
 	for i := range ramp {
@@ -146,10 +171,26 @@ func FuzzWelderMatchesSoup(f *testing.F) {
 		iso(0.5), uint8(5-2), uint8(9-2), uint8(2), uint8(2), uint8(0b011))
 	f.Add([]byte{0xff, 0xff, 0x7f, 0x7f, 0xff, 0xff, 0x7f, 0xff}, iso(0), uint8(4-2), uint8(3-2), uint8(2), uint8(0), uint8(0)) // ±MaxFloat32: vb-va overflows
 	f.Add([]byte{}, iso(0), uint8(3-2), uint8(3-2), uint8(1), uint8(0), uint8(0))
+	// Where classifying in the sample's own domain could part from comparing
+	// floats: isovalues at, between and around the integers a format holds.
+	f.Add(ramp, iso(37), uint8(9-2), uint8(9-2), uint8(0), uint8(0), uint8(0))                                 // u8 first: an exact sample value
+	f.Add(ramp, iso(254.5), uint8(9-2), uint8(17-2), uint8(0), uint8(7), uint8(0b110))                         // between the top two bytes; -iso/2+1 is negative
+	f.Add(ramp, iso(255), uint8(9-2), uint8(9-2), uint8(0), uint8(0), uint8(0))                                // the largest byte
+	f.Add(ramp, iso(255.5), uint8(9-2), uint8(9-2), uint8(0), uint8(0), uint8(0))                              // just past a byte, inside a uint16
+	f.Add(ramp, iso(-3), uint8(9-2), uint8(9-2), uint8(0), uint8(0), uint8(0))                                 // below every integer; -iso/2+1 = 2.5
+	f.Add(ramp, iso(300), uint8(16-2), uint8(8-2), uint8(0), uint8(1), uint8(0b001))                           // past a byte: span 16 rows are two whole words
+	f.Add(ramp, iso(0.25), uint8(17-2), uint8(24-2), uint8(0), uint8(0), uint8(0))                             // only zero is outside; rows of 17 and 24 bytes
+	f.Add(ramp, iso(9509), uint8(9-2), uint8(9-2), uint8(1), uint8(0), uint8(0))                               // u16 first: 0x2525, an exact sample value
+	f.Add(ramp, iso(65535), uint8(9-2), uint8(9-2), uint8(1), uint8(4), uint8(0b100))                          // the largest uint16
+	f.Add(ramp, iso(65535.5), uint8(9-2), uint8(9-2), uint8(1), uint8(0), uint8(0))                            // rounds to 65536: past a uint16
+	f.Add(ramp, iso(70000), uint8(9-2), uint8(9-2), uint8(1), uint8(0), uint8(0))                              // well past
+	f.Add(ramp, math.Float32bits(float32(math.Inf(-1))), uint8(9-2), uint8(9-2), uint8(1), uint8(0), uint8(0)) // -Inf: everything inside, then +Inf
+	f.Add(ramp, iso(-0.0), uint8(9-2), uint8(9-2), uint8(2), uint8(0), uint8(0))                               // f32 first
+	f.Add(ramp, uint32(0x80000000), uint8(9-2), uint8(9-2), uint8(0), uint8(0), uint8(0))                      // negative zero
 
 	f.Fuzz(func(t *testing.T, data []byte, isoBits uint32, spanA, spanB, fmtRaw, id, cutShort uint8) {
 		iso := math.Float32frombits(isoBits)
-		fm := []volume.Format{volume.U8, volume.U16, volume.F32}[fmtRaw%3]
+		formats := []volume.Format{volume.U8, volume.U16, volume.F32}
 		var w Welder
 		var out geom.IndexedMesh
 		for round, span := range []int{2 + int(spanA)%69, 2 + int(spanB)%69, 2 + int(spanA)%69} {
@@ -157,6 +198,7 @@ func FuzzWelderMatchesSoup(f *testing.F) {
 			// names, the volume ends inside it (after 1..span of its samples).
 			// Large spans keep their full length on one axis at a time and a
 			// few samples on the others, so an execution stays milliseconds.
+			fm := formats[(int(fmtRaw)+round)%3]
 			l := metacell.Layout{Span: span, Fmt: fm, Mx: 2, My: 2, Mz: 2}
 			m := metacell.Meta{ID: uint32(id % 8)}
 			ox, oy, oz := l.Origin(m.ID)
@@ -187,6 +229,50 @@ func FuzzWelderMatchesSoup(f *testing.F) {
 			checkWeldAgainstSoup(t, &w, l, &m, -iso/2+1, &out)
 		}
 	})
+}
+
+// TestRecordRejectsWhatDecodeRejects: a record that is not the layout's — the
+// wrong size, an ID outside the metacell grid — gets from Welder.Record the
+// error DecodeRecordInto gives it, in every format, and the mesh it was to be
+// welded into is left as it was.
+func TestRecordRejectsWhatDecodeRejects(t *testing.T) {
+	for _, fm := range []volume.Format{volume.U8, volume.U16, volume.F32} {
+		l := metacell.Layout{Span: 5, Fmt: fm, Nx: 9, Ny: 9, Nz: 9, Mx: 2, My: 2, Mz: 2}
+		samples := fuzzSamples(l.Span, fm, []byte{3, 200, 90, 17, 140, 66, 251})
+		good := metacell.EncodeRecord(l, 7, 0, samples)
+		iso := (slices.Min(samples) + slices.Max(samples)) / 2
+		outside := func(id uint32) []byte {
+			rec := append([]byte(nil), good...)
+			binary.LittleEndian.PutUint32(rec, id)
+			return rec
+		}
+		var w Welder
+		var out geom.IndexedMesh
+		if n, err := w.Record(l, good, iso, &out); err != nil || n == 0 || out.Len() == 0 {
+			t.Fatalf("%v: the good record welds to %d cells, %d triangles, error %v", fm, n, out.Len(), err)
+		}
+		verts, idx := slices.Clone(out.Verts), slices.Clone(out.Idx)
+		for name, rec := range map[string][]byte{
+			"empty":                  {},
+			"one byte short":         good[:len(good)-1],
+			"one byte long":          append(append([]byte(nil), good...), 0),
+			"first ID past the grid": outside(uint32(l.Count())),
+			"largest ID":             outside(math.MaxUint32),
+		} {
+			var m metacell.Meta
+			want := metacell.DecodeRecordInto(l, rec, &m)
+			if want == nil {
+				t.Fatalf("%v %s: DecodeRecordInto accepts it", fm, name)
+			}
+			n, err := w.Record(l, rec, iso, &out)
+			if err == nil || err.Error() != want.Error() || n != 0 {
+				t.Errorf("%v %s: Record returns %d cells, error %v; DecodeRecordInto's is %v", fm, name, n, err, want)
+			}
+			if !slices.Equal(out.Verts, verts) || !slices.Equal(out.Idx, idx) {
+				t.Errorf("%v %s: the rejected record changed the mesh", fm, name)
+			}
+		}
+	}
 }
 
 // TestWelderAroundMaskWidth runs the differential check at the spans where

@@ -30,7 +30,7 @@ func FuzzDecodeRecordInto(f *testing.F) {
 		for i := range samples {
 			samples[i] = float32(i * 7 % 251)
 		}
-		good := encodeRecord(l, 5, 3, samples)
+		good := EncodeRecord(l, 5, 3, samples)
 		f.Add(good)
 		f.Add(good[:len(good)-1])                      // one byte short
 		f.Add(append(append([]byte(nil), good...), 0)) // one byte long
@@ -73,7 +73,7 @@ func FuzzDecodeRecordInto(f *testing.F) {
 			if len(fresh.Samples) != n || cap(fresh.Samples) != n {
 				t.Fatalf("%v: %d samples (cap %d), layout has %d", fm, len(fresh.Samples), cap(fresh.Samples), n)
 			}
-			if back := encodeRecord(l, fresh.ID, fresh.VMin, fresh.Samples); !bytes.Equal(back, data) {
+			if back := EncodeRecord(l, fresh.ID, fresh.VMin, fresh.Samples); !bytes.Equal(back, data) {
 				t.Fatalf("%v: decoded record does not encode back to its bytes", fm)
 			}
 		}

@@ -37,14 +37,19 @@ func NewLayout(g *volume.Grid, span int) Layout {
 	if span < 2 {
 		panic(fmt.Sprintf("metacell: span %d < 2", span))
 	}
+	return layoutOf(g.Nx, g.Ny, g.Nz, g.Fmt, span)
+}
+
+// layoutOf is the decomposition of an nx×ny×nz volume of format f.
+func layoutOf(nx, ny, nz int, f volume.Format, span int) Layout {
 	cells := span - 1 // cells covered per metacell edge
 	return Layout{
 		Span: span,
-		Fmt:  g.Fmt,
-		Nx:   g.Nx, Ny: g.Ny, Nz: g.Nz,
-		Mx: ceilDiv(g.Nx-1, cells),
-		My: ceilDiv(g.Ny-1, cells),
-		Mz: ceilDiv(g.Nz-1, cells),
+		Fmt:  f,
+		Nx:   nx, Ny: ny, Nz: nz,
+		Mx: ceilDiv(nx-1, cells),
+		My: ceilDiv(ny-1, cells),
+		Mz: ceilDiv(nz-1, cells),
 	}
 }
 
@@ -89,72 +94,24 @@ type Cell struct {
 	Record     []byte
 }
 
-// Extract decomposes g into metacells, dropping constant ones. The returned
-// cells appear in ID order. Samples beyond the volume boundary (when the
-// dimensions are not a multiple of Span-1) are clamped to the nearest edge
-// sample, which keeps every record the same size without creating spurious
-// surface: clamped cells are degenerate and produce no triangles.
+// Extract decomposes g into metacells, dropping constant ones: ExtractStream
+// over the grid's planes, with the cells collected in ID order.
 func Extract(g *volume.Grid, span int) (Layout, []Cell) {
-	l := NewLayout(g, span)
-	cells := make([]Cell, 0, l.Count())
-	buf := make([]float32, span*span*span)
-	for mz := 0; mz < l.Mz; mz++ {
-		for my := 0; my < l.My; my++ {
-			for mx := 0; mx < l.Mx; mx++ {
-				id := l.ID(mx, my, mz)
-				vmin, vmax := readSamples(g, l, id, buf)
-				if vmin == vmax {
-					continue // constant metacell: cannot contain surface
-				}
-				cells = append(cells, Cell{
-					ID:     id,
-					VMin:   vmin,
-					VMax:   vmax,
-					Record: encodeRecord(l, id, vmin, buf),
-				})
-			}
-		}
+	var cells []Cell
+	l, err := ExtractStream(SourceFromGrid(g), span, func(c Cell) error {
+		cells = append(cells, c)
+		return nil
+	})
+	if err != nil {
+		panic(err) // a grid has every plane it says it has: only a span below 2 gets here
 	}
 	return l, cells
 }
 
-// readSamples loads the metacell's Span³ samples into buf (boundary-clamped)
-// and returns their min and max.
-func readSamples(g *volume.Grid, l Layout, id uint32, buf []float32) (vmin, vmax float32) {
-	ox, oy, oz := l.Origin(id)
-	vmin = float32(math.Inf(1))
-	vmax = float32(math.Inf(-1))
-	i := 0
-	for dz := 0; dz < l.Span; dz++ {
-		z := clampInt(oz+dz, g.Nz-1)
-		for dy := 0; dy < l.Span; dy++ {
-			y := clampInt(oy+dy, g.Ny-1)
-			for dx := 0; dx < l.Span; dx++ {
-				x := clampInt(ox+dx, g.Nx-1)
-				v := g.At(x, y, z)
-				buf[i] = v
-				i++
-				if v < vmin {
-					vmin = v
-				}
-				if v > vmax {
-					vmax = v
-				}
-			}
-		}
-	}
-	return vmin, vmax
-}
-
-func clampInt(v, hi int) int {
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-// encodeRecord serializes (id, vmin, samples) in the layout's scalar format.
-func encodeRecord(l Layout, id uint32, vmin float32, samples []float32) []byte {
+// EncodeRecord serializes (id, vmin, samples) in the layout's scalar format,
+// sample by sample: the reference for what the extractor assembles from the
+// volume's bytes and for what DecodeRecordInto reads back.
+func EncodeRecord(l Layout, id uint32, vmin float32, samples []float32) []byte {
 	w := l.Fmt.Bytes()
 	rec := make([]byte, l.RecordSize())
 	binary.LittleEndian.PutUint32(rec, id)
@@ -195,12 +152,9 @@ func DecodeRecord(l Layout, rec []byte) (Meta, error) {
 // which the triangulator would place outside the volume and silently drop. m
 // is written in full or, on error, not at all.
 func DecodeRecordInto(l Layout, rec []byte, m *Meta) error {
-	if len(rec) != l.RecordSize() {
-		return fmt.Errorf("metacell: record size %d, layout wants %d", len(rec), l.RecordSize())
-	}
-	id := binary.LittleEndian.Uint32(rec)
-	if int64(id) >= int64(l.Count()) {
-		return fmt.Errorf("metacell: record names metacell %d, layout has %d", id, l.Count())
+	id, err := CheckRecord(l, rec)
+	if err != nil {
+		return err
 	}
 	n := l.Span * l.Span * l.Span
 	if len(m.Samples) != n {
@@ -228,6 +182,20 @@ func DecodeRecordInto(l Layout, rec []byte, m *Meta) error {
 		panic("metacell: unknown format")
 	}
 	return nil
+}
+
+// CheckRecord is the whole of what makes a record the layout's — its size,
+// and an ID inside the metacell grid — and returns that ID. Whoever reads a
+// record's samples without decoding it calls this first.
+func CheckRecord(l Layout, rec []byte) (id uint32, err error) {
+	if len(rec) != l.RecordSize() {
+		return 0, fmt.Errorf("metacell: record size %d, layout wants %d", len(rec), l.RecordSize())
+	}
+	id = binary.LittleEndian.Uint32(rec)
+	if int64(id) >= int64(l.Count()) {
+		return 0, fmt.Errorf("metacell: record names metacell %d, layout has %d", id, l.Count())
+	}
+	return id, nil
 }
 
 // VMinOfRecord extracts just the vmin field, the only field the Case-2 scan

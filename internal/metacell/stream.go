@@ -3,7 +3,6 @@ package metacell
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"os"
 
@@ -12,13 +11,16 @@ import (
 
 // PlaneSource yields a volume one z-plane at a time, so preprocessing can
 // run over datasets that do not fit in memory (the paper's time steps are
-// 7.5 GB against 8 GB of node RAM). volume.Grid satisfies the interface for
-// in-memory data; PlaneFile streams from a volume file on disk.
+// 7.5 GB against 8 GB of node RAM). A plane is handed over as the volume
+// stores it — the bytes a record's sample rows are made of — and never as
+// decoded values. SourceFromGrid serves in-memory data; PlaneFile streams
+// from a volume file on disk.
 type PlaneSource interface {
 	// Dims returns the volume dimensions and scalar format.
 	Dims() (nx, ny, nz int, f volume.Format)
-	// ReadPlane fills dst (nx*ny values, x-fastest) with plane z.
-	ReadPlane(z int, dst []float32) error
+	// ReadPlane fills dst (nx*ny samples, x-fastest, in the volume's format)
+	// with plane z.
+	ReadPlane(z int, dst []byte) error
 }
 
 // gridSource adapts an in-memory grid.
@@ -31,81 +33,73 @@ func (s gridSource) Dims() (int, int, int, volume.Format) {
 	return s.g.Nx, s.g.Ny, s.g.Nz, s.g.Fmt
 }
 
-func (s gridSource) ReadPlane(z int, dst []float32) error {
-	if len(dst) != s.g.Nx*s.g.Ny {
-		return fmt.Errorf("metacell: plane buffer has %d values, want %d", len(dst), s.g.Nx*s.g.Ny)
+func (s gridSource) ReadPlane(z int, dst []byte) error {
+	if z < 0 || z >= s.g.Nz {
+		return fmt.Errorf("metacell: plane %d outside [0,%d)", z, s.g.Nz)
 	}
-	i := 0
-	for y := 0; y < s.g.Ny; y++ {
-		for x := 0; x < s.g.Nx; x++ {
-			dst[i] = s.g.At(x, y, z)
-			i++
-		}
+	plane := s.g.Plane(z)
+	if len(dst) != len(plane) {
+		return fmt.Errorf("metacell: plane buffer has %d bytes, want %d", len(dst), len(plane))
 	}
+	copy(dst, plane)
 	return nil
 }
 
 // PlaneFile streams planes from a volume file written by volume.WriteFile,
 // reading each plane on demand so memory stays O(nx·ny·span).
 type PlaneFile struct {
-	f          *os.File
-	nx, ny, nz int
-	fmt        volume.Format
-	planeBytes int
-	buf        []byte
+	f   *os.File
+	hdr volume.Header
 }
 
-// OpenPlaneFile opens a volume file for streaming.
+// OpenPlaneFile opens a volume file for streaming. The header is read by
+// volume's parser, and a file shorter than the payload its header declares
+// is refused here, before anyone sizes a buffer by that header.
 func OpenPlaneFile(path string) (*PlaneFile, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	var hdr [24]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
+	pf, err := newPlaneFile(f)
+	if err != nil {
 		f.Close()
-		return nil, fmt.Errorf("metacell: reading volume header: %w", err)
+		return nil, fmt.Errorf("metacell: %s: %w", path, err)
 	}
-	if m := binary.LittleEndian.Uint32(hdr[0:]); m != 0x564f4c31 {
-		f.Close()
-		return nil, fmt.Errorf("metacell: bad volume magic %#x", m)
-	}
-	pf := &PlaneFile{
-		f:   f,
-		fmt: volume.Format(binary.LittleEndian.Uint32(hdr[4:])),
-		nx:  int(binary.LittleEndian.Uint32(hdr[8:])),
-		ny:  int(binary.LittleEndian.Uint32(hdr[12:])),
-		nz:  int(binary.LittleEndian.Uint32(hdr[16:])),
-	}
-	if pf.nx <= 0 || pf.ny <= 0 || pf.nz <= 0 {
-		f.Close()
-		return nil, fmt.Errorf("metacell: bad volume dims %d×%d×%d", pf.nx, pf.ny, pf.nz)
-	}
-	pf.planeBytes = pf.nx * pf.ny * pf.fmt.Bytes()
-	pf.buf = make([]byte, pf.planeBytes)
 	return pf, nil
+}
+
+func newPlaneFile(f *os.File) (*PlaneFile, error) {
+	hdr, err := volume.ReadHeader(f)
+	if err != nil {
+		return nil, err
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	if have, want := fi.Size()-volume.HeaderSize, int64(hdr.PayloadBytes()); have < want {
+		return nil, fmt.Errorf("%w: %d×%d×%d %v samples need %d bytes, the file holds %d",
+			volume.ErrBadHeader, hdr.Nx, hdr.Ny, hdr.Nz, hdr.Fmt, want, have)
+	}
+	return &PlaneFile{f: f, hdr: hdr}, nil
 }
 
 // Dims implements PlaneSource.
 func (pf *PlaneFile) Dims() (int, int, int, volume.Format) {
-	return pf.nx, pf.ny, pf.nz, pf.fmt
+	return pf.hdr.Nx, pf.hdr.Ny, pf.hdr.Nz, pf.hdr.Fmt
 }
 
 // ReadPlane implements PlaneSource.
-func (pf *PlaneFile) ReadPlane(z int, dst []float32) error {
-	if z < 0 || z >= pf.nz {
-		return fmt.Errorf("metacell: plane %d outside [0,%d)", z, pf.nz)
+func (pf *PlaneFile) ReadPlane(z int, dst []byte) error {
+	if z < 0 || z >= pf.hdr.Nz {
+		return fmt.Errorf("metacell: plane %d outside [0,%d)", z, pf.hdr.Nz)
 	}
-	if len(dst) != pf.nx*pf.ny {
-		return fmt.Errorf("metacell: plane buffer has %d values, want %d", len(dst), pf.nx*pf.ny)
+	if len(dst) != pf.hdr.PlaneBytes() {
+		return fmt.Errorf("metacell: plane buffer has %d bytes, want %d", len(dst), pf.hdr.PlaneBytes())
 	}
-	off := int64(24) + int64(z)*int64(pf.planeBytes)
-	if _, err := pf.f.ReadAt(pf.buf, off); err != nil {
+	off := volume.HeaderSize + int64(z)*int64(len(dst))
+	if _, err := pf.f.ReadAt(dst, off); err != nil {
 		return fmt.Errorf("metacell: reading plane %d: %w", z, err)
-	}
-	w := pf.fmt.Bytes()
-	for i := range dst {
-		dst[i] = getScalar(pf.buf[i*w:], pf.fmt)
 	}
 	return nil
 }
@@ -115,95 +109,105 @@ func (pf *PlaneFile) Close() error { return pf.f.Close() }
 
 // ExtractStream decomposes a streamed volume into metacells, emitting each
 // non-constant metacell to visit in ID order. It holds only span z-planes in
-// memory (a ring buffer of O(nx·ny·span) floats) — the out-of-core
-// counterpart of Extract, with identical output.
+// memory (a ring buffer of O(nx·ny·span) samples, as stored).
+//
+// A record's sample rows are the volume's own bytes: each row is one copy of
+// the samples the volume has for it, and where the metacell reaches past the
+// volume's +x, +y or +z face (dimensions that are not a multiple of span-1)
+// the last sample, row or plane inside is repeated, which clamps every
+// coordinate to the nearest edge sample. That keeps every record the same
+// size without creating spurious surface: clamped cells are degenerate and
+// produce no triangles. The interval is taken over the record's samples.
 func ExtractStream(src PlaneSource, span int, visit func(Cell) error) (Layout, error) {
 	nx, ny, nz, f := src.Dims()
 	if span < 2 {
 		return Layout{}, fmt.Errorf("metacell: span %d < 2", span)
 	}
-	l := Layout{
-		Span: span, Fmt: f,
-		Nx: nx, Ny: ny, Nz: nz,
-		Mx: ceilDiv(nx-1, span-1),
-		My: ceilDiv(ny-1, span-1),
-		Mz: ceilDiv(nz-1, span-1),
-	}
+	l := layoutOf(nx, ny, nz, f, span)
+	w := f.Bytes()
+	row := span * w // bytes of one sample row of a record
 
 	// Ring buffer of the last `span` planes, indexed by z % span.
-	planes := make([][]float32, span)
+	planes := make([][]byte, span)
 	for i := range planes {
-		planes[i] = make([]float32, nx*ny)
+		planes[i] = make([]byte, nx*ny*w)
 	}
-	loaded := -1 // highest plane index read so far
-	load := func(z int) error {
-		for loaded < z {
-			loaded++
-			if err := src.ReadPlane(loaded, planes[loaded%span]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	sampleAt := func(x, y, z int) float32 {
-		if x > nx-1 {
-			x = nx - 1
-		}
-		if y > ny-1 {
-			y = ny - 1
-		}
-		return planes[z%span][y*nx+x]
-	}
-
-	buf := make([]float32, span*span*span)
+	loaded := -1   // highest plane index read so far
+	var rec []byte // the record being assembled; a dropped metacell's is reused
 	for mz := 0; mz < l.Mz; mz++ {
 		z0 := mz * (span - 1)
-		zTop := z0 + span - 1
-		if zTop > nz-1 {
-			zTop = nz - 1
-		}
-		if err := load(zTop); err != nil {
-			return l, err
+		for top := min(z0+span-1, nz-1); loaded < top; {
+			loaded++
+			if err := src.ReadPlane(loaded, planes[loaded%span]); err != nil {
+				return l, err
+			}
 		}
 		for my := 0; my < l.My; my++ {
+			y0 := my * (span - 1)
 			for mx := 0; mx < l.Mx; mx++ {
-				id := l.ID(mx, my, mz)
-				ox, oy, _ := l.Origin(id)
-				vmin := float32(math.Inf(1))
-				vmax := float32(math.Inf(-1))
-				i := 0
+				x0 := mx * (span - 1)
+				inside := min(span, nx-x0) * w // bytes of a row the volume has
+				if rec == nil {
+					rec = make([]byte, l.RecordSize())
+				}
+				body := rec[4+w:]
 				for dz := 0; dz < span; dz++ {
-					z := z0 + dz
-					if z > nz-1 {
-						z = nz - 1
-					}
+					plane := planes[min(z0+dz, nz-1)%span]
 					for dy := 0; dy < span; dy++ {
-						for dx := 0; dx < span; dx++ {
-							v := sampleAt(ox+dx, oy+dy, z)
-							buf[i] = v
-							i++
-							if v < vmin {
-								vmin = v
-							}
-							if v > vmax {
-								vmax = v
-							}
+						at := (min(y0+dy, ny-1)*nx + x0) * w
+						dst := body[(dz*span+dy)*row:][:row]
+						copy(dst, plane[at:at+inside])
+						for x := inside; x < row; x += w {
+							copy(dst[x:], dst[inside-w:inside])
 						}
 					}
 				}
+				vmin, vmax := minMax(body, f)
 				if vmin == vmax {
-					continue
+					continue // constant metacell: cannot contain surface
 				}
-				if err := visit(Cell{
-					ID:     id,
-					VMin:   vmin,
-					VMax:   vmax,
-					Record: encodeRecord(l, id, vmin, buf),
-				}); err != nil {
+				id := l.ID(mx, my, mz)
+				binary.LittleEndian.PutUint32(rec, id)
+				putScalar(rec[4:], f, vmin)
+				c := Cell{ID: id, VMin: vmin, VMax: vmax, Record: rec}
+				rec = nil
+				if err := visit(c); err != nil {
 					return l, err
 				}
 			}
 		}
 	}
 	return l, nil
+}
+
+// minMax returns the smallest and largest of the samples encoded in body.
+func minMax(body []byte, f volume.Format) (vmin, vmax float32) {
+	switch f {
+	case volume.U8:
+		lo, hi := body[0], body[0]
+		for _, b := range body {
+			lo, hi = min(lo, b), max(hi, b)
+		}
+		return float32(lo), float32(hi)
+	case volume.U16:
+		lo, hi := uint16(math.MaxUint16), uint16(0)
+		for i := 0; i < len(body); i += 2 {
+			v := binary.LittleEndian.Uint16(body[i:])
+			lo, hi = min(lo, v), max(hi, v)
+		}
+		return float32(lo), float32(hi)
+	}
+	// Floats by comparison, not by min and max: a NaN sample is neither below
+	// the minimum nor above the maximum, and moves neither.
+	vmin, vmax = float32(math.Inf(1)), float32(math.Inf(-1))
+	for i := 0; i < len(body); i += 4 {
+		v := math.Float32frombits(binary.LittleEndian.Uint32(body[i:]))
+		if v < vmin {
+			vmin = v
+		}
+		if v > vmax {
+			vmax = v
+		}
+	}
+	return vmin, vmax
 }

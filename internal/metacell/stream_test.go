@@ -2,9 +2,14 @@ package metacell
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/volume"
@@ -117,7 +122,7 @@ func TestPlaneFileErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pf.Close()
-	buf := make([]float32, 12*12)
+	buf := make([]byte, 12*12)
 	if err := pf.ReadPlane(-1, buf); err == nil {
 		t.Error("negative plane should fail")
 	}
@@ -155,4 +160,165 @@ var errStop = errors.New("stop")
 
 func writeFile(path string, b []byte) error {
 	return os.WriteFile(path, b, 0o644)
+}
+
+// extractBySample is the extractor as it was first written, kept here as the
+// oracle: every sample of every metacell fetched through Grid.At with its
+// coordinates clamped to the volume, min and max taken over the decoded
+// values, the record encoded value by value.
+func extractBySample(g *volume.Grid, span int) (Layout, []Cell) {
+	l := NewLayout(g, span)
+	var cells []Cell
+	buf := make([]float32, span*span*span)
+	for id := uint32(0); int(id) < l.Count(); id++ {
+		ox, oy, oz := l.Origin(id)
+		vmin, vmax := float32(math.Inf(1)), float32(math.Inf(-1))
+		i := 0
+		for dz := 0; dz < span; dz++ {
+			for dy := 0; dy < span; dy++ {
+				for dx := 0; dx < span; dx++ {
+					v := g.At(min(ox+dx, g.Nx-1), min(oy+dy, g.Ny-1), min(oz+dz, g.Nz-1))
+					buf[i] = v
+					i++
+					if v < vmin {
+						vmin = v
+					}
+					if v > vmax {
+						vmax = v
+					}
+				}
+			}
+		}
+		if vmin != vmax {
+			cells = append(cells, Cell{ID: id, VMin: vmin, VMax: vmax, Record: EncodeRecord(l, id, vmin, buf)})
+		}
+	}
+	return l, cells
+}
+
+// TestExtractorMatchesPerSampleOracle holds the one extractor — through
+// Extract, through ExtractStream over the grid, and through a volume file —
+// to the per-sample oracle, record for record, in every scalar format, on
+// volumes whose dimensions are and are not multiples of span-1, one of them
+// thinner than a metacell, and with float samples that include NaN and ±Inf.
+func TestExtractorMatchesPerSampleOracle(t *testing.T) {
+	dims := [][3]int{{17, 17, 17}, {17, 25, 9}, {20, 28, 12}, {10, 9, 3}, {2, 2, 2}, {19, 3, 30}, {1, 9, 9}}
+	for _, f := range []volume.Format{volume.U8, volume.U16, volume.F32} {
+		for _, d := range dims {
+			for _, span := range []int{9, 4, 2} {
+				g := volume.New(d[0], d[1], d[2], f)
+				g.Fill(func(x, y, z int) float32 {
+					h := uint32(x*73856093 ^ y*19349663 ^ z*83492791)
+					switch {
+					case z%5 == 4:
+						return 7 // constant slabs: dropped metacells between kept ones
+					case f == volume.F32 && h%61 == 0:
+						return float32(math.NaN())
+					case f == volume.F32 && h%67 == 0:
+						return float32(math.Inf(int(h%2)*2 - 1))
+					case f == volume.U8:
+						return float32(h % 256)
+					}
+					return float32(h%60000) + float32(h%4)/4 // fractions survive only in f32
+				})
+				name := fmt.Sprintf("%v %v span %d", f, d, span)
+				wantL, want := extractBySample(g, span)
+
+				gotL, got := Extract(g, span)
+				if gotL != wantL {
+					t.Fatalf("%s: layout %+v, oracle %+v", name, gotL, wantL)
+				}
+				assertSameCellBits(t, name+" (Extract)", want, got)
+
+				_, got = collectStream(t, SourceFromGrid(g), span)
+				assertSameCellBits(t, name+" (stream)", want, got)
+
+				path := filepath.Join(t.TempDir(), "v.vol")
+				if err := g.WriteFile(path); err != nil {
+					t.Fatal(err)
+				}
+				pf, err := OpenPlaneFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, got = collectStream(t, pf, span)
+				pf.Close()
+				assertSameCellBits(t, name+" (file)", want, got)
+			}
+		}
+	}
+}
+
+// assertSameCellBits is assertSameCells with intervals compared by bits, so
+// that it holds for float volumes whose metacells are all NaN.
+func assertSameCellBits(t *testing.T, name string, want, got []Cell) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d cells, oracle %d", name, len(got), len(want))
+	}
+	for i := range want {
+		w, g := want[i], got[i]
+		if g.ID != w.ID || math.Float32bits(g.VMin) != math.Float32bits(w.VMin) || math.Float32bits(g.VMax) != math.Float32bits(w.VMax) {
+			t.Fatalf("%s: cell %d is %d [%v, %v], oracle %d [%v, %v]", name, i, g.ID, g.VMin, g.VMax, w.ID, w.VMin, w.VMax)
+		}
+		if !bytes.Equal(g.Record, w.Record) {
+			t.Fatalf("%s: cell %d (metacell %d): record differs from the oracle's", name, i, w.ID)
+		}
+	}
+}
+
+// hostileHeaders are 24-byte files: headers with nothing after them.
+func hostileHeaders() map[string][]byte {
+	hdr := func(format, nx, ny, nz uint32) []byte {
+		b := make([]byte, volume.HeaderSize)
+		for i, v := range []uint32{0x564f4c31, format, nx, ny, nz, 0} {
+			binary.LittleEndian.PutUint32(b[4*i:], v)
+		}
+		return b
+	}
+	return map[string][]byte{
+		"16 GiB of f32 samples":     hdr(uint32(volume.F32), 1<<11, 1<<11, 1<<10),
+		"dimensions that wrap to 4": hdr(uint32(volume.U8), 1<<22, 1<<22, 1<<22),
+		"dimensions past any int":   hdr(uint32(volume.F32), math.MaxUint32, math.MaxUint32, math.MaxUint32),
+		"format 7":                  hdr(7, 4, 4, 4),
+		"an empty dimension":        hdr(uint32(volume.U8), 4, 0, 4),
+	}
+}
+
+// TestHostileVolumeHeaders: a header is a claim. Neither reader of volume
+// files panics on one that is wrong, and neither allocates by it — ReadFile's
+// 1 MiB read buffer is the most either spends on 24 bytes of input — before
+// the file has shown it holds what the header says.
+func TestHostileVolumeHeaders(t *testing.T) {
+	for name, data := range hostileHeaders() {
+		path := filepath.Join(t.TempDir(), "hostile.vol")
+		if err := writeFile(path, data); err != nil {
+			t.Fatal(err)
+		}
+		readers := map[string]func() error{
+			"volume.ReadFile": func() error { _, err := volume.ReadFile(path); return err },
+			"OpenPlaneFile": func() error {
+				pf, err := OpenPlaneFile(path)
+				if err == nil {
+					pf.Close()
+				}
+				return err
+			},
+		}
+		for reader, read := range readers {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := read()
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Errorf("%s: %s accepted it", name, reader)
+			}
+			if !errors.Is(err, volume.ErrBadHeader) && !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, io.EOF) {
+				t.Errorf("%s: %s: untyped error %v", name, reader, err)
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 2<<20 {
+				t.Errorf("%s: %s allocated %d bytes for a %d-byte file", name, reader, alloc, len(data))
+			}
+		}
+	}
 }

@@ -79,6 +79,13 @@ func (g *Grid) Samples() int { return g.Nx * g.Ny * g.Nz }
 // SizeBytes returns the raw payload size in bytes.
 func (g *Grid) SizeBytes() int64 { return int64(len(g.data)) }
 
+// Plane returns the stored bytes of plane z — Nx·Ny samples, x-fastest, in the
+// grid's own format — as a view of the grid, not a copy: read, do not write.
+func (g *Grid) Plane(z int) []byte {
+	n := g.Nx * g.Ny * g.Fmt.Bytes()
+	return g.data[z*n : (z+1)*n : (z+1)*n]
+}
+
 // index returns the flat sample index of (x,y,z). Bounds are the caller's
 // responsibility; At/Set check them.
 func (g *Grid) index(x, y, z int) int {

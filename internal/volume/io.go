@@ -3,18 +3,22 @@ package volume
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 	"os"
+	"slices"
 )
 
 // fileMagic identifies the on-disk volume header ("VOL1").
 const fileMagic = 0x564f4c31
 
-// Write serializes the grid (a fixed 24-byte header followed by the raw
-// x-fastest sample payload) to w.
+// Write serializes the grid (the fixed header followed by the raw x-fastest
+// sample payload) to w.
 func (g *Grid) Write(w io.Writer) error {
-	var hdr [24]byte
+	var hdr [HeaderSize]byte
 	binary.LittleEndian.PutUint32(hdr[0:], fileMagic)
 	binary.LittleEndian.PutUint32(hdr[4:], uint32(g.Fmt))
 	binary.LittleEndian.PutUint32(hdr[8:], uint32(g.Nx))
@@ -30,30 +34,98 @@ func (g *Grid) Write(w io.Writer) error {
 	return nil
 }
 
-// Read deserializes a grid written by Write.
-func Read(r io.Reader) (*Grid, error) {
-	var hdr [24]byte
+// HeaderSize is the length of a volume file's header; the x-fastest sample
+// payload follows it.
+const HeaderSize = 24
+
+// ErrBadHeader is what every reader of a volume file returns, wrapped, for a
+// header that cannot be a volume's: wrong magic, an unknown scalar format,
+// an empty dimension, or a payload whose size overflows int.
+var ErrBadHeader = errors.New("volume: bad header")
+
+// Header is what a volume file says about itself before its first sample.
+type Header struct {
+	Nx, Ny, Nz int
+	Fmt        Format
+}
+
+// ReadHeader reads and checks a volume file's header: the one parser of it,
+// for readers that load the payload (Read) and readers that stream it. A
+// Header it returns has a known format, positive dimensions, and a payload
+// size that fits an int — which says nothing yet about whether the file
+// holds that much.
+func ReadHeader(r io.Reader) (Header, error) {
+	var hdr [HeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("volume: reading header: %w", err)
+		return Header{}, fmt.Errorf("volume: reading header: %w", err)
 	}
 	if m := binary.LittleEndian.Uint32(hdr[0:]); m != fileMagic {
-		return nil, fmt.Errorf("volume: bad magic %#x", m)
+		return Header{}, fmt.Errorf("%w: magic %#x", ErrBadHeader, m)
 	}
-	f := Format(binary.LittleEndian.Uint32(hdr[4:]))
-	if f != U8 && f != U16 && f != F32 {
-		return nil, fmt.Errorf("volume: bad format %d", int(f))
+	f := binary.LittleEndian.Uint32(hdr[4:])
+	if Format(f) != U8 && Format(f) != U16 && Format(f) != F32 {
+		return Header{}, fmt.Errorf("%w: scalar format %d", ErrBadHeader, f)
 	}
-	nx := int(binary.LittleEndian.Uint32(hdr[8:]))
-	ny := int(binary.LittleEndian.Uint32(hdr[12:]))
-	nz := int(binary.LittleEndian.Uint32(hdr[16:]))
-	if nx <= 0 || ny <= 0 || nz <= 0 || nx*ny*nz > 1<<32 {
-		return nil, fmt.Errorf("volume: bad dimensions %d×%d×%d", nx, ny, nz)
+	h := Header{
+		Nx:  int(binary.LittleEndian.Uint32(hdr[8:])),
+		Ny:  int(binary.LittleEndian.Uint32(hdr[12:])),
+		Nz:  int(binary.LittleEndian.Uint32(hdr[16:])),
+		Fmt: Format(f),
 	}
-	g := New(nx, ny, nz, f)
-	if _, err := io.ReadFull(r, g.data); err != nil {
-		return nil, fmt.Errorf("volume: reading payload: %w", err)
+	if _, ok := payloadBytes(h.Nx, h.Ny, h.Nz, h.Fmt); !ok {
+		return Header{}, fmt.Errorf("%w: dimensions %d×%d×%d", ErrBadHeader, h.Nx, h.Ny, h.Nz)
 	}
-	return g, nil
+	return h, nil
+}
+
+// payloadBytes returns nx·ny·nz samples of format f in bytes; ok is false for
+// a dimension that is not positive or a product that does not fit an int.
+func payloadBytes(nx, ny, nz int, f Format) (n int, ok bool) {
+	size := uint64(f.Bytes())
+	for _, d := range [3]int{nx, ny, nz} {
+		if d <= 0 {
+			return 0, false
+		}
+		hi, lo := bits.Mul64(size, uint64(d))
+		if hi != 0 || lo > math.MaxInt {
+			return 0, false
+		}
+		size = lo
+	}
+	return int(size), true
+}
+
+// PlaneBytes returns the size of one z-plane of the payload.
+func (h Header) PlaneBytes() int { return h.Nx * h.Ny * h.Fmt.Bytes() }
+
+// PayloadBytes returns the size of the whole payload.
+func (h Header) PayloadBytes() int { return h.PlaneBytes() * h.Nz }
+
+// readChunk is how much payload Read makes room for before it has read any.
+const readChunk = 64 << 10
+
+// Read deserializes a grid written by Write. The header only says how long
+// the payload should be: room for it is made as it arrives, doubling, so a
+// short input costs memory in proportion to itself and not to its claim.
+func Read(r io.Reader) (*Grid, error) {
+	h, err := ReadHeader(r)
+	if err != nil {
+		return nil, err
+	}
+	want := h.PayloadBytes()
+	data := make([]byte, 0, min(want, readChunk))
+	for len(data) < want {
+		if len(data) == cap(data) {
+			data = slices.Grow(data, min(want-len(data), len(data)))
+		}
+		room := data[len(data):min(cap(data), want)]
+		n, err := io.ReadFull(r, room)
+		data = data[:len(data)+n]
+		if err != nil {
+			return nil, fmt.Errorf("volume: reading payload: %d of %d bytes: %w", len(data), want, err)
+		}
+	}
+	return &Grid{Nx: h.Nx, Ny: h.Ny, Nz: h.Nz, Fmt: h.Fmt, data: data}, nil
 }
 
 // WriteFile writes the grid to path, creating or truncating it.
@@ -93,10 +165,10 @@ func ReadRaw(path string, nx, ny, nz int, f Format) (*Grid, error) {
 	if err != nil {
 		return nil, err
 	}
-	if nx <= 0 || ny <= 0 || nz <= 0 {
+	want, ok := payloadBytes(nx, ny, nz, f)
+	if !ok {
 		return nil, fmt.Errorf("volume: bad raw dimensions %d×%d×%d", nx, ny, nz)
 	}
-	want := nx * ny * nz * f.Bytes()
 	if len(data) != want {
 		return nil, fmt.Errorf("volume: %s is %d bytes, %d×%d×%d %s needs %d",
 			path, len(data), nx, ny, nz, f, want)

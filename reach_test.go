@@ -49,7 +49,7 @@ var oracles = map[string]string{
 	// Fixtures: what a test of live code is fed by.
 	"blockio.FaultDevice":      "the disk-fault injector behind every error-path test of core, cluster and the pipeline (Config.WrapDevice)",
 	"metacell.IDOfRecord":      "core, bbio and metacell tests identify delivered records by it",
-	"metacell.SourceFromGrid":  "in-memory PlaneSource: stream_test feeds ExtractStream from it and compares with Extract",
+	"metacell.EncodeRecord":    "the value-by-value record encoder: the extractor's per-sample oracle, FuzzDecodeRecordInto's round trip and FuzzWelderMatchesSoup's records are made with it",
 	"volume.(*Grid).WriteFile": "writes the volume files ReadFile, OpenPlaneFile and the commands' -in flags are tested on",
 	"volume.(*Grid).WriteRaw":  "writes the headerless files ReadRaw is tested on",
 	"volume.Constant":          "a volume with no active metacell: preprocessing must drop everything, the octree must be empty",
