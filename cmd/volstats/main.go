@@ -143,10 +143,3 @@ func loadVolume(in, raw, rawDims, rawFmt string, nx, ny, nz, step int, seed uint
 		return volume.RichtmyerMeshkov(nx, ny, nz, step, seed), nil
 	}
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -40,8 +40,9 @@ type Config struct {
 	// WrapDevice, when set, wraps each node's disk after preprocessing —
 	// the hook used for fault injection and custom I/O instrumentation.
 	WrapDevice func(node int, dev blockio.Device) blockio.Device
-	// ThreadsPerNode is the number of CPUs each node uses for
-	// triangulation. The paper's nodes are 2-way SMPs; 0 means 1.
+	// ThreadsPerNode is the number of goroutines each node starts to
+	// triangulate beside its own, which does too: ThreadsPerNode+1 lanes.
+	// The paper's nodes are 2-way SMPs, both CPUs triangulating; 0 means 1.
 	ThreadsPerNode int
 	// CacheBlocks, when > 0, wraps each node's disk (outside WrapDevice) in
 	// an LRU cache of that many 8 KB blocks, so repeated sweeps —
@@ -83,9 +84,9 @@ type Engine struct {
 	trees []*core.Tree
 	devs  []blockio.Device
 
-	// scratch holds the pipeline scratch (record ring, per-worker welders,
-	// batch-mesh ring, staging soup) of node-extractions not running right
-	// now; see pipeScratch in stream.go.
+	// scratch holds the pipeline scratch (record ring, per-lane welders,
+	// welded batch meshes) of node-extractions not running right now; see
+	// pipeScratch in stream.go.
 	// A plain free list rather than a sync.Pool: a collection must not empty
 	// it, or the next extraction re-grows every mesh on its critical path.
 	scratchMu sync.Mutex
@@ -139,15 +140,11 @@ func BuildFromVolumeFile(path string, cfg Config) (*Engine, error) {
 }
 
 func buildFromCells(l metacell.Layout, cells []metacell.Cell, cfg Config) (*Engine, error) {
-	threads := cfg.ThreadsPerNode
-	if threads <= 0 {
-		threads = 1
-	}
 	e := &Engine{
 		Procs:            cfg.Procs,
 		Layout:           l,
 		Disk:             blockio.DefaultDiskModel(),
-		Threads:          threads,
+		Threads:          max(cfg.ThreadsPerNode, 1),
 		batchRecords:     DefaultBatchRecords,
 		pipelineDepth:    DefaultPipelineDepth,
 		TotalMetacells:   len(cells),
@@ -241,17 +238,17 @@ type NodeResult struct {
 	// mode the phases run back to back and these are their measured walls; in
 	// streaming mode they overlap, so AMCWall is the query producer's busy
 	// time (retrieval + batch copies, stalls excluded) and TriWall the
-	// slowest worker's triangulation busy time, keeping IOModelTime+TriWall
-	// comparable across the two schedules.
+	// slowest lane's weld busy time (Threads+1 lanes weld), keeping
+	// IOModelTime+TriWall comparable across the two schedules.
 	AMCWall time.Duration
 	TriWall time.Duration
 
 	// Streaming-pipeline statistics (zero in two-phase mode).
-	PipelineWall      time.Duration // elapsed time of the overlapped pipeline, up to the merged soup's copy-out
-	Batches           int           // pipeline hand-offs: batches of up to DefaultBatchRecords records the producer sent the workers
+	PipelineWall      time.Duration // elapsed time of the pipeline, from the query's start until the kept soup is complete
+	Batches           int           // pipeline hand-offs: batches of up to DefaultBatchRecords records the producer sent the lanes
 	PeakBufferedBytes int64         // max record bytes buffered at once, ≤ DefaultPipelineDepth×DefaultBatchRecords×recSize
 	ProducerStall     time.Duration // producer time blocked on a full pipeline
-	ConsumerStall     time.Duration // worker time blocked on an empty pipeline, or on the merger for a batch mesh
+	ConsumerStall     time.Duration // lane time blocked on an empty pipeline, summed over the lanes
 
 	Mesh *geom.Mesh // nil unless Options.KeepMeshes
 
@@ -274,13 +271,21 @@ type Result struct {
 // triangulation wall), the quantity the paper's overall-time figures use
 // before the composite step.
 func (r *Result) MaxNodeTime() time.Duration {
-	var max time.Duration
+	var slowest time.Duration
 	for _, n := range r.PerNode {
-		if t := n.IOModelTime + n.TriWall; t > max {
-			max = t
-		}
+		slowest = max(slowest, n.IOModelTime+n.TriWall)
 	}
-	return max
+	return slowest
+}
+
+// MaxPeakBufferedBytes returns the largest per-node pipeline staging peak of
+// the extraction (0 for two-phase runs, which report no pipeline stats).
+func (r *Result) MaxPeakBufferedBytes() int64 {
+	var peak int64
+	for i := range r.PerNode {
+		peak = max(peak, r.PerNode[i].PeakBufferedBytes)
+	}
+	return peak
 }
 
 // Meshes returns the per-node meshes of an extraction run with
@@ -299,13 +304,12 @@ func (r *Result) Meshes() ([]*geom.Mesh, error) {
 // Pipeline sizing: the producer packs consecutive query emissions into one
 // buffer and hands it over when it holds DefaultBatchRecords records, so only
 // an extraction's last batch runs short; DefaultPipelineDepth such buffers
-// circulate between the producer and the triangulation workers, which is also
-// how many full batches the producer may run ahead. With the paper's ~1 KB
+// circulate between the producer and the welding lanes, which is also how
+// many full batches the producer may run ahead. With the paper's ~1 KB
 // metacell records that bounds each node's record staging near 1 MB
-// (depth × batch × recordSize) however many metacells the isosurface touches,
-// and the welded batches held for the ordered merge at Threads + depth. These
-// are constants, not options: with full-batch hand-offs extraction time does
-// not measurably depend on them (DESIGN.md §3).
+// (depth × batch × recordSize) however many metacells the isosurface touches.
+// These are constants, not options: with full-batch hand-offs extraction time
+// does not measurably depend on them (DESIGN.md §3).
 const (
 	DefaultBatchRecords  = 256
 	DefaultPipelineDepth = 4
@@ -317,23 +321,23 @@ type Options struct {
 	// for rendering; large for big isosurfaces).
 	KeepMeshes bool
 	// Trace records a per-stage span trace of the extraction (index query +
-	// block read, stalls, decode, march/weld, merge expand and copy-out — one
-	// lane per pipeline actor) into Result.Trace, renderable with
-	// Trace.Waterfall. Tracing costs two extra clock reads per record, so it
-	// is per-request opt-in, not an always-on metric.
+	// block read, stalls, march/weld, expand — one lane per pipeline actor)
+	// into Result.Trace, renderable with Trace.Waterfall. Per request, not an
+	// always-on metric.
 	Trace bool
 }
 
 // Extract runs the isosurface query on all nodes in parallel. Each node
 // works independently against its own disk with no inter-node communication,
 // as a streaming pipeline in which a query producer feeds active metacell
-// record batches through a bounded channel to the node's marching-cubes
-// workers and an ordered merge collects what they weld, overlapping disk I/O,
-// triangulation and merging under a fixed memory bound.
+// record batches through a bounded channel to the node's ThreadsPerNode+1
+// lanes, which weld them as they arrive — disk I/O and triangulation overlap
+// under a fixed record-staging bound — and then, when the meshes are kept,
+// gather the welded batches into one soup of exactly the surface's length.
 //
 // Cancelling ctx aborts the extraction mid-pipeline on every node — the
-// producers stop issuing disk reads, the workers drain, and Extract returns
-// ctx.Err() with no goroutines left behind.
+// producers stop issuing disk reads, the lanes stop welding, and Extract
+// returns ctx.Err() with no goroutines left behind.
 //
 // Extract is safe to call concurrently (the serving layer does): devices are
 // shared but internally synchronized, and per-extraction I/O accounting is

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -53,18 +54,16 @@ func indexPath(dir string, node int) string {
 // preprocessed dataset reopenable with Open — the preprocess-once /
 // query-many workflow of the paper.
 func (e *Engine) Save(dir string) error {
-	for i, t := range e.trees {
-		if err := t.WriteFile(indexPath(dir, i)); err != nil {
-			return fmt.Errorf("cluster: writing node %d index: %w", i, err)
-		}
-	}
 	m := manifest{
 		Procs:            e.Procs,
 		TotalMetacells:   e.TotalMetacells,
 		DroppedMetacells: e.DroppedMetacells,
 		DataBytes:        e.DataBytes,
 	}
-	for i := range e.trees {
+	for i, t := range e.trees {
+		if err := t.WriteFile(indexPath(dir, i)); err != nil {
+			return fmt.Errorf("cluster: writing node %d index: %w", i, err)
+		}
 		crc, err := fileCRC(nodePath(dir, i))
 		if err != nil {
 			return fmt.Errorf("cluster: checksumming node %d bricks: %w", i, err)
@@ -78,18 +77,39 @@ func (e *Engine) Save(dir string) error {
 	return os.WriteFile(filepath.Join(dir, manifestName), data, 0o644)
 }
 
-// Open reopens a preprocessed dataset saved under dir.
-func Open(dir string) (*Engine, error) {
+// Open wraps ErrBadManifest for a cluster.json that cannot describe a dataset
+// and ErrLayoutMismatch for node indexes that do not describe the same one.
+var (
+	ErrBadManifest    = errors.New("cluster: bad manifest")
+	ErrLayoutMismatch = errors.New("cluster: node indexes disagree on the layout")
+)
+
+// parseManifest reads a manifest an operator's directory handed over: at
+// least one node, a checksum per node or none, no negative count.
+func parseManifest(data []byte) (manifest, error) {
+	var m manifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		return m, fmt.Errorf("%w: %v", ErrBadManifest, err)
+	}
+	if m.Procs < 1 || len(m.BrickCRC32) != 0 && len(m.BrickCRC32) != m.Procs ||
+		m.TotalMetacells < 0 || m.DroppedMetacells < 0 || m.DataBytes < 0 {
+		return m, fmt.Errorf("%w: %d procs, %d brick checksums, %d metacells kept, %d dropped, %d data bytes",
+			ErrBadManifest, m.Procs, len(m.BrickCRC32), m.TotalMetacells, m.DroppedMetacells, m.DataBytes)
+	}
+	return m, nil
+}
+
+// Open reopens a preprocessed dataset saved under dir. The manifest's node
+// count is a claim until the files bear it out: the engine grows a node at a
+// time as its files are read, and a failure closes what was opened before it.
+func Open(dir string) (_ *Engine, err error) {
 	data, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
 		return nil, fmt.Errorf("cluster: reading manifest: %w", err)
 	}
-	var m manifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("cluster: parsing manifest: %w", err)
-	}
-	if m.Procs <= 0 {
-		return nil, fmt.Errorf("cluster: manifest has %d procs", m.Procs)
+	m, err := parseManifest(data)
+	if err != nil {
+		return nil, err
 	}
 	e := &Engine{
 		Procs:            m.Procs,
@@ -100,16 +120,24 @@ func Open(dir string) (*Engine, error) {
 		TotalMetacells:   m.TotalMetacells,
 		DroppedMetacells: m.DroppedMetacells,
 		DataBytes:        m.DataBytes,
-		trees:            make([]*core.Tree, m.Procs),
-		devs:             make([]blockio.Device, m.Procs),
 	}
+	defer func() {
+		if err != nil {
+			e.Close()
+		}
+	}()
 	for i := 0; i < m.Procs; i++ {
 		t, err := core.ReadTreeFile(indexPath(dir, i))
 		if err != nil {
 			return nil, fmt.Errorf("cluster: reading node %d index: %w", i, err)
 		}
-		e.trees[i] = t
-		if i < len(m.BrickCRC32) {
+		if i == 0 {
+			e.Layout = t.Layout
+		} else if t.Layout != e.Layout {
+			return nil, fmt.Errorf("%w: node %d has %+v, node 0 %+v", ErrLayoutMismatch, i, t.Layout, e.Layout)
+		}
+		e.trees = append(e.trees, t)
+		if len(m.BrickCRC32) > 0 {
 			crc, err := fileCRC(nodePath(dir, i))
 			if err != nil {
 				return nil, fmt.Errorf("cluster: checksumming node %d bricks: %w", i, err)
@@ -122,8 +150,7 @@ func Open(dir string) (*Engine, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cluster: opening node %d bricks: %w", i, err)
 		}
-		e.devs[i] = dev
+		e.devs = append(e.devs, dev)
 	}
-	e.Layout = e.trees[0].Layout
 	return e, nil
 }

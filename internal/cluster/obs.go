@@ -16,7 +16,7 @@ type engineMetrics struct {
 
 	extract       *obs.Histogram // whole-extraction wall time
 	batchWeld     *obs.Histogram // per-batch weld latency (record checks + triangulation)
-	merge         *obs.Histogram // per node-extraction merger busy time
+	merge         *obs.Histogram // per node-extraction expand-phase wall time
 	producerStall *obs.Histogram // per node-extraction producer stall total
 	consumerStall *obs.Histogram // per node-extraction consumer stall total
 	readLatency   *obs.Histogram // block device read latency
@@ -26,7 +26,8 @@ type engineMetrics struct {
 	batches     *obs.Counter // record batches through the pipeline
 	readBytes   *obs.Counter // payload bytes read off the node devices
 
-	mtriPerSec *obs.Gauge // last extraction's delivered Mtri/s
+	mtriPerSec   *obs.Gauge // last extraction's delivered Mtri/s
+	scratchBytes *obs.Gauge // heap held by the pipeline scratch on the engine's free list
 }
 
 // EnableMetrics instruments the engine into reg: extraction and pipeline
@@ -42,16 +43,17 @@ func (e *Engine) EnableMetrics(reg *obs.Registry) {
 	m := &engineMetrics{
 		reg:           reg,
 		extract:       reg.Histogram("cluster_extract_seconds", "isosurface extraction wall time"),
-		batchWeld:     reg.Histogram("cluster_batch_weld_seconds", "per-batch weld latency in the streaming pipeline: a worker checking and triangulating one batch of records"),
-		merge:         reg.Histogram("cluster_merge_seconds", "per node-extraction ordered-merge busy time: batch expansion plus the soup's copy-out"),
+		batchWeld:     reg.Histogram("cluster_batch_weld_seconds", "per-batch weld latency in the streaming pipeline: a lane checking and triangulating one batch of records"),
+		merge:         reg.Histogram("cluster_merge_seconds", "per node-extraction expand-phase wall time: allocating the surface's soup at its exact length and every lane gathering the welded batches into it (extractions that keep their meshes only)"),
 		producerStall: reg.Histogram("cluster_producer_stall_seconds", "per node-extraction producer time blocked on a full pipeline"),
-		consumerStall: reg.Histogram("cluster_consumer_stall_seconds", "per node-extraction worker time blocked on an empty pipeline or on the merger for a batch mesh"),
+		consumerStall: reg.Histogram("cluster_consumer_stall_seconds", "per node-extraction lane time blocked on an empty pipeline, summed over the lanes"),
 		readLatency:   reg.Histogram("blockio_read_seconds", "node block device read latency"),
 		extractions:   reg.Counter("cluster_extractions_total", "completed extractions"),
 		triangles:     reg.Counter("cluster_triangles_total", "isosurface triangles produced"),
 		batches:       reg.Counter("cluster_batches_total", "record batches through the streaming pipeline"),
 		readBytes:     reg.Counter("blockio_read_bytes_total", "payload bytes read from the node devices"),
 		mtriPerSec:    reg.Gauge("cluster_last_mtri_per_sec", "last extraction's delivered millions of triangles per second"),
+		scratchBytes:  reg.Gauge("mem_engine_scratch_bytes", "heap the engine retains as pipeline scratch between extractions: record buffers, welder tables and welded batch meshes, by capacity, over the free list"),
 	}
 	reg.GaugeFunc("blockio_blocks_read", "blocks read across all node devices", func() float64 {
 		return float64(e.deviceStats().BlocksRead)

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/pprof"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,43 +17,49 @@ import (
 )
 
 // errPipelineAborted is what the producer returns from its emit callback once
-// a worker has failed; the worker's error is the one reported.
+// a lane has failed; the lane's error is the one reported.
 var errPipelineAborted = errors.New("cluster: pipeline aborted")
 
 // streamBatch is one pipeline hand-off: whole records back to back in buf,
-// whose capacity is the full batch buffer being circulated.
+// whose capacity is the full batch buffer being circulated, and, when the
+// extraction keeps its surface, the mesh this batch is to be welded into.
 type streamBatch struct {
-	seq int
-	buf []byte
-}
-
-// batchOutput is one worker's result for one batch. The merger puts outputs
-// back in seq order as they arrive, so the merged mesh is byte-for-byte the
-// one the two-phase schedule produces.
-type batchOutput struct {
-	seq   int
-	cells int
-	tris  int
-	mesh  *geom.IndexedMesh // the ring mesh the batch was welded into
+	buf  []byte
+	mesh *geom.IndexedMesh
 }
 
 // pipeScratch is what one node-extraction borrows from its engine for as long
-// as it runs: the record ring the producer fills, each worker's welder, the
-// ring of batch meshes circulating between workers and merger, and the
-// staging soup the merger expands them into. The engine keeps them between
-// extractions (warmed-up capacity is the point), so what it retains is one
-// pipeScratch per node-extraction that has ever run at once.
+// as it runs: the record ring the producer fills, each lane's welder, and the
+// welded meshes — with KeepMeshes one per batch, in record order, which the
+// surface is gathered from; without, one per lane, welded into and counted.
+// The engine keeps them between extractions (warmed-up capacity is the
+// point): one pipeScratch per node-extraction that has ever run at once.
 type pipeScratch struct {
 	recs    [][]byte       // record buffers, each of exactly batchRecords×recordSize capacity
-	welders []march.Welder // one per pipeline worker
+	welders []march.Welder // one per lane
 	meshes  []*geom.IndexedMesh
-	stage   geom.Mesh
+}
+
+// bytes is the heap the scratch holds on to, by capacity.
+func (sc *pipeScratch) bytes() int64 {
+	n := 0
+	for _, buf := range sc.recs {
+		n += cap(buf)
+	}
+	for i := range sc.welders {
+		n += sc.welders[i].RetainedBytes()
+	}
+	for _, im := range sc.meshes {
+		n += 12*cap(im.Verts) + 4*cap(im.Idx)
+	}
+	return int64(n)
 }
 
 // takeScratch lends out a scratch with at least depth empty record buffers of
-// bufBytes capacity, threads welders, ring batch meshes and an empty staging
-// soup.
-func (e *Engine) takeScratch(ring, threads, depth, bufBytes int) *pipeScratch {
+// bufBytes capacity, a welder per lane and — for an extraction that only
+// counts — a mesh per lane; one that keeps its surface grows the mesh list a
+// batch at a time as the producer hands batches over.
+func (e *Engine) takeScratch(lanes, depth, bufBytes int, keep bool) *pipeScratch {
 	var sc *pipeScratch
 	e.scratchMu.Lock()
 	if n := len(e.scratch); n > 0 {
@@ -72,13 +80,12 @@ func (e *Engine) takeScratch(ring, threads, depth, bufBytes int) *pipeScratch {
 		}
 		sc.recs[i] = buf[:0:bufBytes]
 	}
-	for len(sc.welders) < threads {
+	for len(sc.welders) < lanes {
 		sc.welders = append(sc.welders, march.Welder{})
 	}
-	for len(sc.meshes) < ring {
+	for !keep && len(sc.meshes) < lanes {
 		sc.meshes = append(sc.meshes, new(geom.IndexedMesh))
 	}
-	sc.stage.Tris = sc.stage.Tris[:0]
 	return sc
 }
 
@@ -87,12 +94,19 @@ func (e *Engine) takeScratch(ring, threads, depth, bufBytes int) *pipeScratch {
 func (e *Engine) putScratch(sc *pipeScratch) {
 	e.scratchMu.Lock()
 	e.scratch = append(e.scratch, sc)
+	if e.met != nil {
+		var retained int64
+		for _, sc := range e.scratch {
+			retained += sc.bytes()
+		}
+		e.met.scratchBytes.Set(float64(retained))
+	}
 	e.scratchMu.Unlock()
 }
 
 // weldBatch triangulates one batch's records, where they lie in buf, into
 // out's welded indexed mesh, returning the number of active cells. This is
-// the pipeline worker's steady-state body: once the caller's scratch (w, out)
+// a lane's steady-state weld-phase body: once the caller's scratch (w, out)
 // has warmed up it must not allocate — TestWeldBatchZeroAllocSteadyState is
 // the regression gate.
 func weldBatch(l metacell.Layout, buf []byte, nrec, recSize int, iso float32, w *march.Welder, out *geom.IndexedMesh) (int, error) {
@@ -107,95 +121,107 @@ func weldBatch(l metacell.Layout, buf []byte, nrec, recSize int, iso float32, w 
 	return cells, nil
 }
 
-// extractNodeStreaming is the per-node streaming schedule, a three-stage
-// pipeline. A producer goroutine walks the compact interval tree and packs
-// the active records into a ring of pipelineDepth buffers of batchRecords
-// records, handing each over when it is full; the node's Threads
-// marching-cubes workers weld each batch into a mesh from a ring of
-// Threads+pipelineDepth; and this goroutine, the merger, puts the welded
-// batches back in record order and expands them into the staging soup while
-// later batches are still being read and welded. When the pipeline drains the
-// result is one exact-length copy of the staging soup.
+// runLanes runs fn(0..n-1) at once, the last on the calling goroutine, each
+// under the pprof labels lane=<lane> and node=<node> so a CPU profile splits
+// the way the trace's waterfall does, and returns when all have.
+func runLanes(ctx context.Context, n int, lane string, node int, fn func(t int)) {
+	labels := pprof.Labels("lane", lane, "node", strconv.Itoa(node))
+	var wg sync.WaitGroup
+	wg.Add(n - 1)
+	for t := 0; t < n-1; t++ {
+		go func() {
+			defer wg.Done()
+			pprof.Do(ctx, labels, func(context.Context) { fn(t) })
+		}()
+	}
+	pprof.Do(ctx, labels, func(context.Context) { fn(n - 1) })
+	wg.Wait()
+}
+
+// laneStats is what one lane accounts for: time blocked on an empty pipeline,
+// time welding, time gathering, and what it welded.
+type laneStats struct {
+	stall, weld, expand time.Duration
+	cells, tris         int
+	err                 error
+}
+
+// extractNodeStreaming is the per-node streaming schedule. A producer
+// goroutine walks the compact interval tree and packs the active records into
+// a ring of pipelineDepth buffers of batchRecords records, handing each over
+// when it is full. Threads+1 identical lanes — the node's Threads goroutines
+// and this one — do both of the node's CPU jobs, in two phases with one
+// barrier between them. Weld: every lane takes batches off the ring as they
+// arrive and welds each into the mesh the producer named for it (the seq'th
+// of the scratch's list), or into the lane's own when the extraction only
+// counts. Expand (KeepMeshes only, once the ring has drained without error or
+// cancellation): the triangle total is now exact, so the result is one
+// allocation of that length, prefix sums of the per-batch counts give every
+// batch its part of it, and the lanes claim batches off a counter and gather
+// straight into place — disjoint writes, nothing to reorder or copy twice.
 //
 // Peak record staging is pipelineDepth×batchRecords×recordSize bytes — a
 // constant of the engine — where the two-phase schedule stages all active
-// metacell bytes, which grow with the isosurface.
-//
-// Cancelling ctx reuses the pipeline's abort path: a watcher trips the same
-// done channel a worker failure does, the producer stops within one batch,
-// the workers exit, and the merger returns once the last of them has.
+// metacell bytes, which grow with the isosurface. Cancelling ctx trips the
+// same done channel a lane's failure does: the producer stops within one
+// batch and every lane leaves the weld phase at its next hand-off.
 func (e *Engine) extractNodeStreaming(ctx context.Context, node int, iso float32, opts Options) (NodeResult, error) {
 	nr := NodeResult{Node: node}
 	dev := e.devs[node]
 	ioBefore := dev.Stats()
 	recSize := e.Layout.RecordSize()
 	batchRecs, depth := e.batchRecords, e.pipelineDepth
-	threads := max(e.Threads, 1)
+	lanes := max(e.Threads, 1) + 1
 
-	ringSize := threads + depth
-	sc := e.takeScratch(ringSize, threads, depth, batchRecs*recSize)
+	sc := e.takeScratch(lanes, depth, batchRecs*recSize, opts.KeepMeshes)
 	defer e.putScratch(sc)
 
-	// The record ring. depth full batches may wait for a worker, which is
-	// what lets the producer run that far ahead.
+	// The record ring. depth full batches may wait for a lane, which is what
+	// lets the producer run that far ahead.
 	work := make(chan streamBatch, depth)
 	free := make(chan []byte, depth)
 	for _, buf := range sc.recs[:depth] {
 		free <- buf
 	}
 
-	// The mesh ring. A worker takes its mesh before it takes a batch, and
-	// work is first in, first out, so whichever batch the merger is waiting
-	// for either owns a mesh already or will be taken by a worker that does:
-	// the ring cannot run dry with the merger starved. Every welded batch
-	// holds one ring mesh until the merger is done with it, so outs, sized to
-	// the ring, never blocks a worker.
-	ring := make(chan *geom.IndexedMesh, ringSize)
-	for _, im := range sc.meshes[:ringSize] {
-		ring <- im
-	}
-	outs := make(chan batchOutput, ringSize)
-
-	done := make(chan struct{}) // closed on the first worker failure or ctx cancel
-	var closeDone sync.Once
-	abort := func() { closeDone.Do(func() { close(done) }) }
-
+	done := make(chan struct{}) // closed on the first lane failure or ctx cancel
+	abort := sync.OnceFunc(func() { close(done) })
 	// Cancellation folds into the pipeline's own abort channel.
-	stopWatch := context.AfterFunc(ctx, abort)
-	defer stopWatch()
+	defer context.AfterFunc(ctx, abort)()
 
-	var buffered, peakBuffered atomic.Int64
+	// Record bytes in the ring. Only the producer adds, so only it sees a peak.
+	var buffered atomic.Int64
 
 	// Producer: consecutive query emissions are packed, in record order, into
 	// the buffer being filled, which goes downstream when it holds
 	// batchRecs records (the last one when the walk ends). Blocking on an
 	// exhausted free list (all depth buffers in flight) is precisely the
 	// pipeline's memory bound; the time spent there is reported as
-	// ProducerStall.
-	var (
-		qerr          error
-		producerStall time.Duration
-		amcWall       time.Duration
-		handoffs      int
-		records       int
-	)
+	// ProducerStall. Until it is done, nr's pipeline statistics are its alone.
+	var qerr error
 	start := time.Now()
-	var wgProd sync.WaitGroup
-	wgProd.Add(1)
-	go func() {
-		defer wgProd.Done()
+	prodDone := make(chan struct{})
+	go pprof.Do(ctx, pprof.Labels("lane", "prod", "node", strconv.Itoa(node)), func(context.Context) {
+		defer close(prodDone)
 		defer close(work)
 		var cur []byte // the buffer being filled; nil between hand-offs
 		send := func() error {
+			sb := streamBatch{buf: cur}
+			if opts.KeepMeshes {
+				if nr.Batches == len(sc.meshes) {
+					sc.meshes = append(sc.meshes, new(geom.IndexedMesh))
+				}
+				sb.mesh = sc.meshes[nr.Batches]
+			}
 			tw := time.Now()
 			select {
-			case work <- streamBatch{seq: handoffs, buf: cur}:
+			case work <- sb:
 			case <-done:
 				return errPipelineAborted
 			}
-			producerStall += time.Since(tw) // every slot ahead of the workers is taken
-			handoffs++
-			records += len(cur) / recSize
+			nr.ProducerStall += time.Since(tw) // every slot ahead of the lanes is taken
+			nr.Batches++
+			nr.ActiveMetacells += len(cur) / recSize
 			cur = nil
 			return nil
 		}
@@ -208,13 +234,11 @@ func (e *Engine) extractNodeStreaming(ctx context.Context, node int, iso float32
 					case <-done:
 						return errPipelineAborted
 					}
-					producerStall += time.Since(tw)
+					nr.ProducerStall += time.Since(tw)
 				}
 				n := copy(cur[len(cur):cap(cur)], batch)
 				cur, batch = cur[:len(cur)+n], batch[n:]
-				if now := buffered.Add(int64(n)); now > peakBuffered.Load() {
-					storeMax(&peakBuffered, now)
-				}
+				nr.PeakBufferedBytes = max(nr.PeakBufferedBytes, buffered.Add(int64(n)))
 				if len(cur) == cap(cur) {
 					if err := send(); err != nil {
 						return err
@@ -228,178 +252,111 @@ func (e *Engine) extractNodeStreaming(ctx context.Context, node int, iso float32
 				qerr = err
 			}
 		}
-		amcWall = time.Since(start)
-	}()
+		nr.AMCWall = time.Since(start) - nr.ProducerStall // busy time: query + batch copies
+	})
 
-	// Workers: weld each batch into a ring mesh, recycle the record buffer,
-	// and hand the mesh to the merger. A record that is not the layout's
-	// aborts the pipeline: done unblocks the producer and every worker waiting
-	// for a mesh, the producer closes work, and the last worker out closes
-	// outs — no goroutine outlives this call.
-	werrs := make([]error, threads)
-	busy := make([]time.Duration, threads)  // per-worker triangulation time
-	stall := make([]time.Duration, threads) // per-worker time blocked on the merger or an empty pipeline
-	var live atomic.Int32
-	live.Store(int32(threads))
-	for t := 0; t < threads; t++ {
-		go func(t int) {
-			defer func() {
-				if live.Add(-1) == 0 {
-					close(outs)
-				}
-			}()
-			w := &sc.welders[t]
-			for {
-				tw := time.Now()
-				var im *geom.IndexedMesh
-				select {
-				case im = <-ring:
-				case <-done:
-					return
-				}
-				sb, ok := <-work
-				stall[t] += time.Since(tw)
-				if !ok {
-					return
-				}
-				tb := time.Now()
-				im.Reset()
-				cells, err := weldBatch(e.Layout, sb.buf, len(sb.buf)/recSize, recSize, iso, w, im)
-				batchDur := time.Since(tb)
-				busy[t] += batchDur
-				if e.met != nil {
-					e.met.batchWeld.Observe(batchDur)
-				}
-				buffered.Add(-int64(len(sb.buf)))
-				free <- sb.buf[:0]
-				if err != nil {
-					werrs[t] = fmt.Errorf("cluster: node %d decode: %w", node, err)
-					abort()
-					return
-				}
-				outs <- batchOutput{seq: sb.seq, cells: cells, tris: im.Len(), mesh: im}
+	// Weld phase. A record that is not the layout's aborts the pipeline: done
+	// unblocks the producer, which closes work, and every waiting lane.
+	ls := make([]laneStats, lanes)
+	runLanes(ctx, lanes, "weld", node, func(t int) {
+		l, w := &ls[t], &sc.welders[t]
+		for {
+			tw := time.Now()
+			var sb streamBatch
+			select {
+			case sb = <-work:
+			case <-done:
 			}
-		}(t)
-	}
+			l.stall += time.Since(tw)
+			if sb.buf == nil { // drained, or aborted
+				return
+			}
+			im := sb.mesh
+			if im == nil {
+				im = sc.meshes[t]
+			}
+			tb := time.Now()
+			im.Reset()
+			cells, err := weldBatch(e.Layout, sb.buf, len(sb.buf)/recSize, recSize, iso, w, im)
+			batchDur := time.Since(tb)
+			l.weld += batchDur
+			if e.met != nil {
+				e.met.batchWeld.Observe(batchDur)
+			}
+			buffered.Add(-int64(len(sb.buf)))
+			free <- sb.buf[:0]
+			if err != nil {
+				l.err = fmt.Errorf("cluster: node %d decode: %w", node, err)
+				abort()
+				return
+			}
+			l.cells += cells
+			l.tris += im.Len()
+		}
+	})
+	<-prodDone
 
-	// Merger. Counts add up in any order; with KeepMeshes the batch meshes go
-	// through pending, which holds the ones that arrived ahead of their turn
-	// (only Threads > 1 ever reorders), and each is expanded into the staging
-	// soup and handed back to the ring the moment its predecessors have been.
-	// After an abort the awaited batch may never come: what is pending then
-	// stays put until the scratch is reused.
-	var mergeWait, mergeExpand, mergeCopy time.Duration
-	pending := make(map[int]*geom.IndexedMesh)
-	next := 0
-	for {
-		tw := time.Now()
-		o, ok := <-outs
-		tr := time.Now()
-		mergeWait += tr.Sub(tw)
-		if !ok {
-			break
-		}
-		nr.ActiveCells += o.cells
-		nr.Triangles += o.tris
-		if !opts.KeepMeshes {
-			ring <- o.mesh
-			continue
-		}
-		pending[o.seq] = o.mesh
-		for im := pending[next]; im != nil; im = pending[next] {
-			delete(pending, next)
-			im.ExpandInto(&sc.stage)
-			ring <- im
-			next++
-		}
-		mergeExpand += time.Since(tr)
-	}
-	wgProd.Wait()
-
-	nr.PipelineWall = time.Since(start)
-	nr.ActiveMetacells = records
-	nr.Batches = handoffs
-	nr.AMCWall = amcWall - producerStall // producer busy time: query + batch copies
-	for _, b := range busy {
-		if b > nr.TriWall {
-			nr.TriWall = b // slowest worker's triangulation busy time
-		}
-	}
 	nr.IOStats = dev.Stats().Sub(ioBefore)
 	nr.IOModelTime = e.Disk.Time(nr.IOStats)
-	nr.PeakBufferedBytes = peakBuffered.Load()
-	nr.ProducerStall = producerStall
-	for _, s := range stall {
-		nr.ConsumerStall += s
-	}
-
-	if err := ctx.Err(); err != nil {
-		return nr, err
-	}
-	for _, err := range werrs {
-		if err != nil {
-			return nr, err
+	err := ctx.Err()
+	for _, l := range ls {
+		nr.ActiveCells += l.cells
+		nr.Triangles += l.tris
+		nr.TriWall = max(nr.TriWall, l.weld) // slowest lane's triangulation busy time
+		nr.ConsumerStall += l.stall
+		if err == nil {
+			err = l.err
 		}
 	}
-	if qerr != nil && !errors.Is(qerr, errPipelineAborted) {
-		return nr, fmt.Errorf("cluster: node %d query: %w", node, qerr)
+	if err == nil && qerr != nil && !errors.Is(qerr, errPipelineAborted) {
+		err = fmt.Errorf("cluster: node %d query: %w", node, qerr)
 	}
 
-	if opts.KeepMeshes {
-		// Copy-out: allocation and copy in one pass, exactly the soup's
-		// length, so the staging buffer goes back to the engine.
-		tc := time.Now()
-		nr.Mesh = &geom.Mesh{Tris: append([]geom.Triangle(nil), sc.stage.Tris...)}
-		mergeCopy = time.Since(tc)
+	// Expand phase: the one allocation that scales with the surface, made at
+	// its exact length and filled by every lane at once.
+	expandStart := time.Since(start)
+	if err == nil && opts.KeepMeshes {
+		batches := sc.meshes[:nr.Batches]
+		offs := make([]int, len(batches)+1)
+		for b, im := range batches {
+			offs[b+1] = offs[b] + im.Len()
+		}
+		tris := make([]geom.Triangle, nr.Triangles)
+		var next atomic.Int64
+		runLanes(ctx, lanes, "expand", node, func(t int) {
+			te := time.Now()
+			for b := next.Add(1) - 1; b < int64(len(batches)); b = next.Add(1) - 1 {
+				batches[b].Gather(tris[offs[b]:offs[b+1]])
+			}
+			ls[t].expand = time.Since(te)
+		})
+		nr.Mesh = &geom.Mesh{Tris: tris}
+		if e.met != nil {
+			e.met.merge.Observe(time.Since(start) - expandStart)
+		}
 	}
-	if e.met != nil {
-		e.met.merge.Observe(mergeExpand + mergeCopy)
+	nr.PipelineWall = time.Since(start)
+	if err != nil {
+		return nr, err
 	}
 
 	if opts.Trace {
-		// One lane per pipeline actor; within a lane spans are laid end to
-		// end in stage order, so each lane's durations sum to exactly the
-		// time that actor has accounted for (the trace property tests rely on
-		// this). Busy and stall alternate in reality; the aggregate layout
-		// trades that interleaving for constant span count.
+		// One lane per pipeline actor, its spans in stage order without
+		// overlap, so a lane's durations sum to exactly the time that actor
+		// has accounted for (the trace property tests rely on this). Busy and
+		// stall alternate in reality; the aggregate layout trades that for a
+		// constant span count. Expand starts where the phase did.
 		prod := fmt.Sprintf("n%d/prod", node)
-		prodBusy := amcWall - producerStall
 		nr.spans = append(nr.spans,
-			obs.Span{Lane: prod, Name: "query+read", Start: 0, Dur: prodBusy},
-			obs.Span{Lane: prod, Name: "stall", Start: prodBusy, Dur: producerStall})
-		for t := 0; t < threads; t++ {
+			obs.Span{Lane: prod, Name: "query+read", Start: 0, Dur: nr.AMCWall},
+			obs.Span{Lane: prod, Name: "stall", Start: nr.AMCWall, Dur: nr.ProducerStall})
+		for t, l := range ls {
 			lane := fmt.Sprintf("n%d/w%d", node, t)
 			nr.spans = append(nr.spans,
-				obs.Span{Lane: lane, Name: "wait", Start: 0, Dur: stall[t]},
-				obs.Span{Lane: lane, Name: "march/weld", Start: stall[t], Dur: busy[t]})
+				obs.Span{Lane: lane, Name: "wait", Start: 0, Dur: l.stall},
+				obs.Span{Lane: lane, Name: "march/weld", Start: l.stall, Dur: l.weld},
+				obs.Span{Lane: lane, Name: "expand", Start: expandStart, Dur: l.expand})
 		}
-		merge := fmt.Sprintf("n%d/merge", node)
-		nr.spans = append(nr.spans,
-			obs.Span{Lane: merge, Name: "wait", Start: 0, Dur: mergeWait},
-			obs.Span{Lane: merge, Name: "expand", Start: mergeWait, Dur: mergeExpand},
-			obs.Span{Lane: merge, Name: "copy-out", Start: mergeWait + mergeExpand, Dur: mergeCopy})
 	}
 	return nr, nil
-}
-
-// storeMax raises p to at least v.
-func storeMax(p *atomic.Int64, v int64) {
-	for {
-		old := p.Load()
-		if v <= old || p.CompareAndSwap(old, v) {
-			return
-		}
-	}
-}
-
-// MaxPeakBufferedBytes returns the largest per-node pipeline staging peak of
-// the extraction (0 for two-phase runs, which report no pipeline stats).
-func (r *Result) MaxPeakBufferedBytes() int64 {
-	var max int64
-	for i := range r.PerNode {
-		if b := r.PerNode[i].PeakBufferedBytes; b > max {
-			max = b
-		}
-	}
-	return max
 }

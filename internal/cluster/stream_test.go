@@ -15,6 +15,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/march"
 	"repro/internal/metacell"
+	"repro/internal/obs"
 	"repro/internal/volume"
 )
 
@@ -234,8 +235,8 @@ func TestExtractCancellation(t *testing.T) {
 // TestExtractConcurrentSameEngine runs many concurrent extractions against
 // one shared engine — the serving layer's access pattern — and checks results
 // stay correct and deterministic under -race. The extractions keep their
-// meshes and ask for different surfaces, so two of them sharing a staging
-// soup or a ring mesh would hand one the other's triangles.
+// meshes and ask for different surfaces, so two of them sharing a batch mesh
+// would hand one the other's triangles.
 func TestExtractConcurrentSameEngine(t *testing.T) {
 	cfg := Config{Procs: 2, CacheBlocks: 512}
 	e, err := Build(rmGrid(), cfg)
@@ -347,5 +348,106 @@ func TestDefaultSizingOnThePublicPath(t *testing.T) {
 		if n.PeakBufferedBytes <= 0 || n.PeakBufferedBytes > bound {
 			t.Errorf("node %d: peak buffered %d bytes outside (0, %d]", i, n.PeakBufferedBytes, bound)
 		}
+	}
+}
+
+// TestResultIsOneExactAllocation pins what the expand phase is for: the kept
+// soup is allocated once, at its length, and it is all a warmed extraction
+// allocates — a staging copy, or a result grown by append, would read 2× here.
+func TestResultIsOneExactAllocation(t *testing.T) {
+	// A large surface and 64-record batches, so that what an extraction
+	// allocates whatever its size — the query's read buffer of one batch is
+	// nearly all of it — hides well under 2 %.
+	e, err := Build(volume.RichtmyerMeshkov(129, 129, 113, 230, 7), Config{Procs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizing{threads: 1, depth: DefaultPipelineDepth, batch: 64}.applyTo(e)
+	var res *Result
+	var before, after runtime.MemStats
+	for run := 0; run < 3; run++ { // the first two warm the scratch
+		runtime.ReadMemStats(&before)
+		if res, err = e.Extract(context.Background(), 110, Options{KeepMeshes: true}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+	}
+	m := res.PerNode[0].Mesh
+	if m.Len() != res.Triangles || cap(m.Tris) != len(m.Tris) {
+		t.Errorf("mesh of %d triangles has len %d cap %d", res.Triangles, len(m.Tris), cap(m.Tris))
+	}
+	soup := float64(36 * res.Triangles)
+	alloc := float64(after.TotalAlloc - before.TotalAlloc)
+	t.Logf("%.0f B allocated for a soup of %.0f B: %.4f×", alloc, soup, alloc/soup)
+	if alloc > 1.02*soup {
+		t.Errorf("a warmed extraction allocated %.0f B for a soup of %.0f B (%.3f×), want ≤ 1.02×", alloc, soup, alloc/soup)
+	}
+}
+
+// TestExpandPhaseDisjoint runs the expand phase with as many claims on the
+// batch counter as there are records, from two, three and five lanes, under
+// the race detector in CI: every lane writes only the part of the soup its
+// batch owns, and the parts tile it.
+func TestExpandPhaseDisjoint(t *testing.T) {
+	g := pipeGrid()
+	cfg := Config{Procs: 1}
+	want := meshesOf(t, g, cfg, 100)
+	e, err := Build(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, threads := range []int{1, 2, 4} {
+		sizing{threads: threads, depth: 2, batch: 1}.applyTo(e)
+		for run := 0; run < 3; run++ {
+			res, err := e.Extract(context.Background(), 100, Options{KeepMeshes: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.PerNode[0].Batches != res.Active {
+				t.Fatalf("threads=%d: %d hand-offs for %d records, want one each", threads, res.PerNode[0].Batches, res.Active)
+			}
+			if err := sameMeshes(res, want); err != nil {
+				t.Errorf("threads=%d run %d: %v", threads, run, err)
+			}
+		}
+	}
+}
+
+// TestScratchLedger is the engine's line of the memory ledger: after the
+// eleven-isovalue sweep with kept meshes the scratch the engine retains — the
+// mem_engine_scratch_bytes gauge, which is what pipeScratch.bytes adds up —
+// is the welded batches of the largest surfaces, about 20 B a triangle, plus
+// a fixed part (record ring, welders); the staging soup it replaced was 36 B
+// a triangle on its own.
+func TestScratchLedger(t *testing.T) {
+	reg := obs.NewRegistry()
+	e, err := Build(volume.RichtmyerMeshkov(96, 96, 90, 250, 42), Config{Procs: 1, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	largest := 0
+	for iso := float32(10); iso <= 210; iso += 20 {
+		res, err := e.Extract(context.Background(), iso, Options{KeepMeshes: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		largest = max(largest, res.Triangles)
+	}
+	if len(e.scratch) != 1 {
+		t.Fatalf("engine retains %d scratches after a sequential sweep", len(e.scratch))
+	}
+	sc := e.scratch[0]
+	retained := int64(reg.Gauge("mem_engine_scratch_bytes", "").Value())
+	if retained != sc.bytes() {
+		t.Errorf("gauge reads %d B, the free list holds %d B", retained, sc.bytes())
+	}
+	fixed := int64(e.pipelineDepth * e.batchRecords * e.Layout.RecordSize())
+	for i := range sc.welders {
+		fixed += int64(sc.welders[i].RetainedBytes())
+	}
+	perTri := float64(retained-fixed) / float64(largest)
+	t.Logf("retained %d B = fixed %d B + %.1f B × the largest surface's %d triangles", retained, fixed, perTri, largest)
+	if bound := int64(1.1*20*float64(largest)) + fixed; retained > bound {
+		t.Errorf("scratch retains %d B, want ≤ 1.1 × 20 B × %d triangles + %d B fixed = %d B", retained, largest, fixed, bound)
 	}
 }

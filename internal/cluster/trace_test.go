@@ -36,15 +36,18 @@ func traceStreamingProperty(t *testing.T, keep bool) {
 		t.Errorf("Trace.Wall = %v, want Result.Wall %v", tr.Wall, res.Wall)
 	}
 
-	// Every pipeline actor shows up: producer, each worker, and the merger,
-	// per node.
+	// Every pipeline actor shows up, and nothing else: the producer and the
+	// Threads+1 lanes, per node.
 	lanes := tr.Lanes()
+	if want := e.Procs * (1 + e.Threads + 1); len(lanes) != want {
+		t.Errorf("trace has %d lanes %v, want %d", len(lanes), lanes, want)
+	}
 	for node := 0; node < e.Procs; node++ {
 		for _, want := range []string{
 			fmt.Sprintf("n%d/prod", node),
 			fmt.Sprintf("n%d/w0", node),
 			fmt.Sprintf("n%d/w1", node),
-			fmt.Sprintf("n%d/merge", node),
+			fmt.Sprintf("n%d/w2", node),
 		} {
 			found := false
 			for _, l := range lanes {
@@ -99,18 +102,32 @@ func traceStreamingProperty(t *testing.T, keep bool) {
 		}
 	}
 
-	// The merger lane is wait, expand, copy-out, in that order; an extraction
-	// that keeps no mesh has nothing to expand or copy.
+	// A lane is wait, march/weld, expand, in that order, and its spans are
+	// what the node reports for it: the waits add up to ConsumerStall, the
+	// slowest weld is TriWall, and an extraction that keeps no mesh has
+	// nothing to expand.
 	for node := 0; node < e.Procs; node++ {
-		var names []string
-		for _, sp := range tr.LaneSpans(fmt.Sprintf("n%d/merge", node)) {
-			names = append(names, sp.Name)
-			if sp.Name != "wait" && (sp.Dur != 0) != keep {
-				t.Errorf("node %d: merger span %q lasts %v with KeepMeshes=%v", node, sp.Name, sp.Dur, keep)
+		var stall, slowest, expand time.Duration
+		for w := 0; w <= e.Threads; w++ {
+			spans := tr.LaneSpans(fmt.Sprintf("n%d/w%d", node, w))
+			var names []string
+			for _, sp := range spans {
+				names = append(names, sp.Name)
 			}
+			if got := strings.Join(names, ","); got != "wait,march/weld,expand" {
+				t.Fatalf("node %d lane %d is %q, want wait,march/weld,expand", node, w, got)
+			}
+			stall += spans[0].Dur
+			slowest = max(slowest, spans[1].Dur)
+			expand += spans[2].Dur
 		}
-		if got := strings.Join(names, ","); got != "wait,expand,copy-out" {
-			t.Errorf("node %d: merger lane is %q, want wait,expand,copy-out", node, got)
+		n := &res.PerNode[node]
+		if stall != n.ConsumerStall || slowest != n.TriWall {
+			t.Errorf("node %d: lanes wait %v and weld at most %v, node reports ConsumerStall %v, TriWall %v",
+				node, stall, slowest, n.ConsumerStall, n.TriWall)
+		}
+		if (expand != 0) != (keep && n.Triangles > 0) {
+			t.Errorf("node %d: lanes spent %v expanding %d triangles with KeepMeshes=%v", node, expand, n.Triangles, keep)
 		}
 	}
 

@@ -166,15 +166,24 @@ func (im *IndexedMesh) ExpandSoup() *Mesh {
 }
 
 // ExpandInto appends the indexed mesh's triangles to dst. A dst with room
-// (Grow'n to a known total, or a warmed-up staging buffer) is written in
-// place; one without grows the way append does, so expanding batch after
-// batch into an unsized mesh copies a constant factor of the result, not its
-// square. The triangles are stored by index into the pre-sliced tail of dst.
+// (Grow'n to a known total) is written in place; one without grows the way
+// append does, so expanding batch after batch into an unsized mesh copies a
+// constant factor of the result, not its square.
 func (im *IndexedMesh) ExpandInto(dst *Mesh) {
 	n := im.Len()
 	base := len(dst.Tris)
 	dst.Tris = slices.Grow(dst.Tris, n)[:base+n]
-	out, verts, idx := dst.Tris[base:], im.Verts, im.Idx[:3*n]
+	im.Gather(dst.Tris[base:])
+}
+
+// Gather writes the indexed mesh's triangles, in order, into out, which must
+// be exactly Len() long: the caller has sized the soup and owns this part of
+// it, so many meshes gather into disjoint parts of one allocation at once.
+func (im *IndexedMesh) Gather(out []Triangle) {
+	if len(out) != im.Len() {
+		panic("geom: Gather into a slice that is not the mesh's length")
+	}
+	verts, idx := im.Verts, im.Idx[:3*len(out)]
 	for i := range out {
 		out[i] = Triangle{A: verts[idx[3*i]], B: verts[idx[3*i+1]], C: verts[idx[3*i+2]]}
 	}

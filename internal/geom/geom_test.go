@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -171,10 +172,10 @@ func TestNewellNormal(t *testing.T) {
 	}
 }
 
-// TestExpandIntoAmortized expands many small welded batches into one soup the
-// three ways the pipeline does: into an unsized mesh (a staging buffer's
-// first fill — growth must be amortized, not one exact reallocation per
-// batch), into a mesh grown to the known total, and in one shot.
+// TestExpandIntoAmortized expands many small welded batches into one soup
+// three ways: into an unsized mesh (growth must be amortized, not one exact
+// reallocation per batch), into a mesh grown to the known total, and in one
+// shot.
 func TestExpandIntoAmortized(t *testing.T) {
 	const batches = 1000
 	batch := func(b int) *IndexedMesh {
@@ -232,4 +233,66 @@ func TestExpandIntoAmortized(t *testing.T) {
 	if !slices.Equal(sized.Tris, want.Tris) {
 		t.Error("expansion into a pre-grown mesh differs from the one-shot expansion")
 	}
+}
+
+// TestGatherIntoParts is the pipeline's expand phase in small: batches
+// gathered, last first, into their own parts of one soup allocated at its
+// length give ExpandSoup's bytes and allocate nothing, and a part of the wrong
+// length — a prefix sum gone wrong — panics instead of tearing the soup.
+func TestGatherIntoParts(t *testing.T) {
+	rnd := rand.New(rand.NewSource(5))
+	var batches []*IndexedMesh
+	whole, total := &IndexedMesh{}, 0
+	for b := 0; b < 50; b++ {
+		im := &IndexedMesh{}
+		for v := rnd.Intn(40) + 1; v > 0; v-- {
+			im.Verts = append(im.Verts, V(rnd.Float32(), float32(math.NaN()), float32(b)))
+		}
+		for k := 3 * rnd.Intn(60); k > 0; k-- { // some batches weld to nothing
+			im.Idx = append(im.Idx, uint32(rnd.Intn(len(im.Verts))))
+		}
+		base := uint32(whole.NumVerts())
+		whole.Verts = append(whole.Verts, im.Verts...)
+		for _, i := range im.Idx {
+			whole.Idx = append(whole.Idx, base+i)
+		}
+		batches = append(batches, im)
+		total += im.Len()
+	}
+	soup := make([]Triangle, total)
+	if allocs := testing.AllocsPerRun(3, func() {
+		end := total
+		for b := len(batches) - 1; b >= 0; b-- {
+			batches[b].Gather(soup[end-batches[b].Len() : end])
+			end -= batches[b].Len()
+		}
+	}); allocs != 0 {
+		t.Errorf("gathering into a sized soup allocates %v times", allocs)
+	}
+	// Bit for bit: the NaNs compare unequal as floats.
+	if want := whole.ExpandSoup().Tris; !slices.Equal(bitsOf(soup), bitsOf(want)) {
+		t.Error("gathered parts differ from the one-shot expansion")
+	}
+
+	for _, n := range []int{total - 1, total + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Gather of %d triangles into %d did not panic", total, n)
+				}
+			}()
+			whole.Gather(make([]Triangle, n))
+		}()
+	}
+}
+
+// bitsOf is the soup's coordinates as their bit patterns.
+func bitsOf(tris []Triangle) []uint32 {
+	var out []uint32
+	for _, t := range tris {
+		for _, v := range []Vec3{t.A, t.B, t.C} {
+			out = append(out, math.Float32bits(v.X), math.Float32bits(v.Y), math.Float32bits(v.Z))
+		}
+	}
+	return out
 }

@@ -31,7 +31,7 @@ type ScheduleRow struct {
 	StreamDisk    time.Duration
 	StreamPeak    int64
 	ProducerStall time.Duration // slowest node's producer stall
-	ConsumerStall time.Duration // slowest node's worker stall
+	ConsumerStall time.Duration // slowest node's lane stall, summed over its lanes
 }
 
 // AblationSchedule sweeps the isovalues through both schedules on the same

@@ -152,6 +152,12 @@ type Welder struct {
 	f32 []float32
 }
 
+// RetainedBytes is the heap a welder holds on to between records: its row
+// masks, edge table, offset table and, for the wider formats, sample copy.
+func (w *Welder) RetainedBytes() int {
+	return 8*cap(w.masks) + 4*cap(w.edge) + 4*len(w.triOff)*len(w.triOff[0]) + 2*cap(w.u16) + 4*cap(w.f32)
+}
+
 // maskSpan is the widest span whose sample rows fit one mask word.
 const maskSpan = 64
 

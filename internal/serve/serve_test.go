@@ -419,15 +419,18 @@ func TestServeStress(t *testing.T) {
 	for err := range fail {
 		t.Fatal(err)
 	}
-	st := s.Stats()
+	// A client that gives up returns at once; the extraction it abandoned is
+	// in flight until its pipeline notices, a moment later.
+	var st Stats
+	waitFor(t, func() bool {
+		st = s.Stats()
+		return st.InFlight == 0 && st.Queued == 0
+	})
 	if total := served.Load() + rejected.Load() + canceled.Load(); total != workers*40 {
 		t.Errorf("outcomes %d != requests %d", total, workers*40)
 	}
 	if st.Requests != workers*40 {
 		t.Errorf("server counted %d requests, want %d", st.Requests, workers*40)
-	}
-	if st.InFlight != 0 || st.Queued != 0 {
-		t.Errorf("work left behind: %+v", st)
 	}
 	if served.Load() > 0 && st.Extractions == 0 && st.CacheHits == 0 {
 		t.Errorf("served %d requests with no extractions or hits: %+v", served.Load(), st)

@@ -12,14 +12,15 @@
 //
 // Extraction runs each node as a streaming pipeline: a query producer feeds
 // block-aligned record batches through a bounded channel to the node's
-// marching-cubes workers, overlapping disk I/O with triangulation while
-// staging at most four batches of DefaultBatchRecords records in
-// memory (the paper's original retrieve-everything-then-triangulate schedule
-// survives as Engine.ExtractTwoPhase, the reference the pipeline is tested
-// against). Config.CacheBlocks adds an
-// LRU block cache over each node's disk for repeated sweeps such as
-// animation or isovalue scans. Extraction takes a context.Context; cancelling
-// it aborts the pipeline mid-stream on every node.
+// ThreadsPerNode+1 marching-cubes lanes, overlapping disk I/O with
+// triangulation while staging at most four batches of DefaultBatchRecords
+// records in memory; a kept surface is then gathered by the same lanes into
+// one soup of exactly its length (the paper's original
+// retrieve-everything-then-triangulate schedule survives as
+// Engine.ExtractTwoPhase, the reference the pipeline is tested against).
+// Config.CacheBlocks adds an LRU block cache over each node's disk for
+// repeated sweeps such as animation or isovalue scans. Extraction takes a
+// context.Context; cancelling it aborts the pipeline mid-stream on every node.
 //
 // For many concurrent clients, wrap an engine in a Server (NewServer /
 // NewTimeVaryingServer): concurrent requests for the same (time step,
