@@ -75,11 +75,14 @@ func BenchmarkQuerySingleIsovalue(b *testing.B) {
 // BenchmarkPreprocess is the benchmark's setup_s under go test: the volume
 // bench/ generates (256×256×240 RM, step 250, seed 42) preprocessed onto one
 // node disk, memory-backed as the routed workloads set up and file-backed as
-// cold_sweep does.
+// cold_sweep does. The rate is volume bytes preprocessed: the number that
+// scales to the paper's 7.5 GB steps. Extraction runs on every core, so read
+// it at -cpu 1 and at the host's count.
 func BenchmarkPreprocess(b *testing.B) {
 	g := GenerateRM(256, 256, 240, 250, 42)
 	for _, backing := range []string{"memory", "file"} {
 		b.Run(backing, func(b *testing.B) {
+			b.SetBytes(g.SizeBytes())
 			for i := 0; i < b.N; i++ {
 				cfg := Config{Procs: 1, ThreadsPerNode: 1}
 				if backing == "file" {

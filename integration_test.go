@@ -2,12 +2,15 @@ package repro
 
 import (
 	"context"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/march"
+	"repro/internal/volume"
 )
 
 // TestFullWorkflow exercises the complete production path a downstream user
@@ -131,4 +134,55 @@ func TestMergeMeshesRequiresKeep(t *testing.T) {
 	if _, err := MergeMeshes(res); err == nil {
 		t.Error("MergeMeshes without KeepMeshes should fail")
 	}
+}
+
+// TestPreprocessAllNaNMetacell: a float volume one of whose metacells holds
+// nothing but NaN used to panic in the index planner (an interval of
+// [+Inf, -Inf] contains no split value). No isovalue cuts such a metacell, so
+// preprocessing drops it like a constant one, and the surface is the one
+// marching the whole grid finds, byte for byte once both soups are sorted.
+func TestPreprocessAllNaNMetacell(t *testing.T) {
+	vol := volume.New(33, 33, 33, volume.F32)
+	vol.Fill(func(x, y, z int) float32 {
+		if x < 9 && y < 9 && z < 9 {
+			return float32(math.NaN())
+		}
+		return float32(x + y + z)
+	})
+	for _, procs := range []int{1, 3} {
+		eng, err := Preprocess(vol, Config{Procs: procs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if eng.DroppedMetacells != 1 || eng.TotalMetacells != 63 {
+			t.Fatalf("kept %d and dropped %d of 64 metacells, want 63 and the all-NaN one", eng.TotalMetacells, eng.DroppedMetacells)
+		}
+		for _, iso := range []float32{28.5, 40, 70.25} { // the first cuts every metacell that is partly NaN
+			res, err := eng.Extract(context.Background(), iso, Options{KeepMeshes: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := MergeMeshes(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, _ := march.Grid(vol, iso)
+			if got.Len() == 0 || !slices.Equal(sortedSoup(got), sortedSoup(ref)) {
+				t.Errorf("procs %d iso %v: %d triangles, marching the grid gives %d, or not the same ones", procs, iso, got.Len(), ref.Len())
+			}
+		}
+	}
+}
+
+// sortedSoup is a mesh's triangles as bit patterns, in an order that does not
+// depend on the order they were emitted in.
+func sortedSoup(m *Mesh) [][9]uint32 {
+	out := make([][9]uint32, len(m.Tris))
+	for i, tr := range m.Tris {
+		for j, v := range [9]float32{tr.A.X, tr.A.Y, tr.A.Z, tr.B.X, tr.B.Y, tr.B.Z, tr.C.X, tr.C.Y, tr.C.Z} {
+			out[i][j] = math.Float32bits(v)
+		}
+	}
+	slices.SortFunc(out, func(a, b [9]uint32) int { return slices.Compare(a[:], b[:]) })
+	return out
 }

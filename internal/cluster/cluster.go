@@ -115,10 +115,11 @@ func Build(g *volume.Grid, cfg Config) (*Engine, error) {
 }
 
 // BuildFromVolumeFile preprocesses a volume file by streaming it one z-slab
-// at a time (metacell.ExtractStream), so only the extracted metacell records
-// — about half the volume on RM-like data — ever reside in memory, never the
-// raw volume. This mirrors the paper's single-node preprocessing of 7.5 GB
-// steps on 8 GB nodes.
+// at a time on every core (metacell.ExtractStream), so what resides in memory
+// is GOMAXPROCS × span planes of the raw volume plus the extracted metacell
+// records — about half the volume on RM-like data — and never the volume.
+// This mirrors the paper's single-node preprocessing of 7.5 GB steps on 8 GB
+// nodes.
 func BuildFromVolumeFile(path string, cfg Config) (*Engine, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
@@ -128,11 +129,7 @@ func BuildFromVolumeFile(path string, cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	defer pf.Close()
-	var cells []metacell.Cell
-	l, err := metacell.ExtractStream(pf, cfg.Span, func(c metacell.Cell) error {
-		cells = append(cells, c)
-		return nil
-	})
+	l, cells, err := metacell.ExtractStream(pf, cfg.Span)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: streaming %s: %w", path, err)
 	}
@@ -172,7 +169,7 @@ func buildFromCells(l metacell.Layout, cells []metacell.Cell, cfg Config) (*Engi
 	}
 	trees, err := plan.MaterializeStriped(l, cells, sinks)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("cluster: indexing and striping %d metacells: %w", len(cells), err)
 	}
 	e.trees = trees
 	e.devs = make([]blockio.Device, cfg.Procs)

@@ -725,6 +725,32 @@ func TestMaterializeStripedNoWriters(t *testing.T) {
 	}
 }
 
+// TestPlanRefusesWhatIsNotAnInterval: a cell whose vmin is above its vmax,
+// or is NaN, used to panic the median split ("produced an empty node"), or to
+// be indexed where no query finds it. Both materializations return
+// ErrBadInterval and write nothing.
+func TestPlanRefusesWhatIsNotAnInterval(t *testing.T) {
+	l := testLayout()
+	nan := float32(math.NaN())
+	for name, bad := range map[string][2]float32{
+		"all-NaN metacell": {float32(math.Inf(1)), float32(math.Inf(-1))},
+		"inverted":         {9, 3},
+		"NaN vmin":         {nan, 3},
+		"NaN vmax":         {3, nan},
+	} {
+		cells := synthCells(l, 10, 24)
+		cells[7].VMin, cells[7].VMax = bad[0], bad[1]
+		p := Plan(cells)
+		w := blockio.NewWriter()
+		if _, err := p.Materialize(l, cells, w); !errors.Is(err, ErrBadInterval) || w.Offset() != 0 {
+			t.Errorf("%s: Materialize: err = %v after %d bytes, want ErrBadInterval and none", name, err, w.Offset())
+		}
+		if _, err := p.MaterializeStriped(l, cells, []RecordWriter{w}); !errors.Is(err, ErrBadInterval) || w.Offset() != 0 {
+			t.Errorf("%s: MaterializeStriped: err = %v after %d bytes, want ErrBadInterval and none", name, err, w.Offset())
+		}
+	}
+}
+
 func TestBrickOrderOnDisk(t *testing.T) {
 	// Records within a node's disk region must be vmin-sorted within each
 	// brick and bricks in decreasing vmax order; verify via a full readback.

@@ -30,10 +30,18 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"sort"
 
 	"repro/internal/metacell"
 )
+
+// ErrBadInterval is what materializing a plan returns, wrapped, when one of
+// the plan's metacells has no interval: vmin above vmax, or a NaN endpoint.
+// A split value is an endpoint of an interval that must then contain it, so
+// such a metacell has no place in the tree.
+var ErrBadInterval = errors.New("core: a metacell's interval is not vmin ≤ vmax")
 
 // brickPlan groups the metacells of one node sharing one vmax value.
 type brickPlan struct {
@@ -57,13 +65,21 @@ type BuildPlan struct {
 	nodes []nodePlan
 	root  int32
 	cells int
+	err   error // ErrBadInterval: there is no plan, and Materialize says so
 }
 
 // Plan computes the compact interval tree skeleton for a set of metacells.
 // The input order is irrelevant; the plan is deterministic (ties broken by
-// metacell ID).
+// metacell ID). Cells that are not all intervals have no plan: materializing
+// the result returns ErrBadInterval.
 func Plan(cells []metacell.Cell) *BuildPlan {
 	p := &BuildPlan{cells: len(cells)}
+	for i := range cells {
+		if c := &cells[i]; !(c.VMin <= c.VMax) {
+			p.err = fmt.Errorf("%w: metacell %d has [%v, %v]", ErrBadInterval, c.ID, c.VMin, c.VMax)
+			return p
+		}
+	}
 	idx := make([]int, len(cells))
 	for i := range idx {
 		idx[i] = i

@@ -48,6 +48,9 @@ type Tree struct {
 // written in node order, bricks in decreasing-vmax order, metacells in
 // increasing-vmin order) and returns the sequential tree.
 func (p *BuildPlan) Materialize(l metacell.Layout, cells []metacell.Cell, w RecordWriter) (*Tree, error) {
+	if p.err != nil {
+		return nil, p.err
+	}
 	t := &Tree{Layout: l, Root: p.root, NumCells: p.cells, Nodes: make([]Node, len(p.nodes))}
 	for ni, np := range p.nodes {
 		n := Node{VM: np.vm, Left: np.left, Right: np.right}
@@ -88,6 +91,9 @@ func (p *BuildPlan) MaterializeStriped(l metacell.Layout, cells []metacell.Cell,
 	procs := len(ws)
 	if procs == 0 {
 		return nil, fmt.Errorf("core: striping requires at least one writer")
+	}
+	if p.err != nil {
+		return nil, p.err
 	}
 	trees := make([]*Tree, procs)
 	for i := range trees {

@@ -185,7 +185,13 @@ func (im *IndexedMesh) Gather(out []Triangle) {
 	}
 	verts, idx := im.Verts, im.Idx[:3*len(out)]
 	for i := range out {
-		out[i] = Triangle{A: verts[idx[3*i]], B: verts[idx[3*i+1]], C: verts[idx[3*i+2]]}
+		// Corner by corner through a pointer: a Triangle literal is built in
+		// a stack temporary with 4- and 8-byte stores and copied out with
+		// 16-byte loads that straddle them, a store-forwarding stall apiece.
+		t := &out[i]
+		t.A = verts[idx[3*i]]
+		t.B = verts[idx[3*i+1]]
+		t.C = verts[idx[3*i+2]]
 	}
 }
 

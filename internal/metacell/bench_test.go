@@ -6,24 +6,15 @@ import (
 	"repro/internal/volume"
 )
 
-// BenchmarkExtract measures in-memory metacell decomposition.
+// BenchmarkExtract measures metacell decomposition of the repository
+// benchmark's time step (bench/: 256×256×240 RM, step 250, seed 42), in
+// volume bytes per second.
 func BenchmarkExtract(b *testing.B) {
-	g := volume.RichtmyerMeshkov(65, 65, 60, 250, 1)
+	g := volume.RichtmyerMeshkov(256, 256, 240, 250, 42)
+	b.SetBytes(g.SizeBytes())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Extract(g, 9)
-	}
-}
-
-// BenchmarkExtractStream measures the slab-streaming decomposition.
-func BenchmarkExtractStream(b *testing.B) {
-	g := volume.RichtmyerMeshkov(65, 65, 60, 250, 1)
-	src := SourceFromGrid(g)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ExtractStream(src, 9, func(Cell) error { return nil }); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -95,13 +95,9 @@ type Cell struct {
 }
 
 // Extract decomposes g into metacells, dropping constant ones: ExtractStream
-// over the grid's planes, with the cells collected in ID order.
+// over the grid's planes.
 func Extract(g *volume.Grid, span int) (Layout, []Cell) {
-	var cells []Cell
-	l, err := ExtractStream(SourceFromGrid(g), span, func(c Cell) error {
-		cells = append(cells, c)
-		return nil
-	})
+	l, cells, err := ExtractStream(SourceFromGrid(g), span)
 	if err != nil {
 		panic(err) // a grid has every plane it says it has: only a span below 2 gets here
 	}

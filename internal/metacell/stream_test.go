@@ -11,17 +11,14 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/volume"
 )
 
 func collectStream(t *testing.T, src PlaneSource, span int) (Layout, []Cell) {
 	t.Helper()
-	var cells []Cell
-	l, err := ExtractStream(src, span, func(c Cell) error {
-		cells = append(cells, c)
-		return nil
-	})
+	l, cells, err := ExtractStream(src, span)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,24 +131,55 @@ func TestPlaneFileErrors(t *testing.T) {
 	}
 }
 
-func TestExtractStreamVisitorError(t *testing.T) {
-	g := volume.Sphere(17)
-	calls := 0
-	_, err := ExtractStream(SourceFromGrid(g), 9, func(Cell) error {
-		calls++
+// failingSource is a grid whose plane `bad` cannot be read.
+type failingSource struct {
+	PlaneSource
+	bad int
+}
+
+func (s failingSource) ReadPlane(z int, dst []byte) error {
+	if z == s.bad {
 		return errStop
-	})
-	if err != errStop {
-		t.Errorf("err = %v, want sentinel", err)
 	}
-	if calls != 1 {
-		t.Errorf("visitor called %d times after error", calls)
+	return s.PlaneSource.ReadPlane(z, dst)
+}
+
+// TestExtractStreamSourceError: whichever range meets the plane that cannot
+// be read, ExtractStream returns that error and no cells, and every goroutine
+// it started is gone when it does.
+func TestExtractStreamSourceError(t *testing.T) {
+	g := volume.RichtmyerMeshkov(17, 17, 41, 230, 7) // Mz = 5
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 3, 8} {
+		runtime.GOMAXPROCS(procs)
+		for bad := 0; bad < g.Nz; bad++ {
+			before := runtime.NumGoroutine()
+			_, cells, err := ExtractStream(failingSource{SourceFromGrid(g), bad}, 9)
+			if !errors.Is(err, errStop) || cells != nil {
+				t.Fatalf("GOMAXPROCS %d, plane %d unreadable: %d cells, err = %v", procs, bad, len(cells), err)
+			}
+			waitGoroutines(t, before)
+		}
 	}
+}
+
+// waitGoroutines gives goroutines that have finished their work a moment to
+// exit, then fails if more are left than there were before.
+func waitGoroutines(t *testing.T, before int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for time.Now().Before(deadline) {
+		if runtime.NumGoroutine() <= before {
+			return
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
 }
 
 func TestExtractStreamBadSpan(t *testing.T) {
 	g := volume.Sphere(9)
-	if _, err := ExtractStream(SourceFromGrid(g), 1, func(Cell) error { return nil }); err == nil {
+	if _, _, err := ExtractStream(SourceFromGrid(g), 1); err == nil {
 		t.Error("span 1 should fail")
 	}
 }
@@ -189,20 +217,22 @@ func extractBySample(g *volume.Grid, span int) (Layout, []Cell) {
 				}
 			}
 		}
-		if vmin != vmax {
+		if vmin < vmax { // not constant, and not all NaN
 			cells = append(cells, Cell{ID: id, VMin: vmin, VMax: vmax, Record: EncodeRecord(l, id, vmin, buf)})
 		}
 	}
 	return l, cells
 }
 
-// TestExtractorMatchesPerSampleOracle holds the one extractor — through
-// Extract, through ExtractStream over the grid, and through a volume file —
-// to the per-sample oracle, record for record, in every scalar format, on
-// volumes whose dimensions are and are not multiples of span-1, one of them
-// thinner than a metacell, and with float samples that include NaN and ±Inf.
+// TestExtractorMatchesPerSampleOracle holds the one extractor — over the grid
+// and over a volume file, split into one, two, three and (where there are
+// that many slab rows) eight ranges — to the per-sample oracle, record for
+// record, in every scalar format, on volumes whose dimensions are and are not
+// multiples of span-1, with one, two, three and more slab rows, one of them
+// thinner than a metacell, and with float samples that include ±Inf, NaN and
+// a corner of nothing but NaN.
 func TestExtractorMatchesPerSampleOracle(t *testing.T) {
-	dims := [][3]int{{17, 17, 17}, {17, 25, 9}, {20, 28, 12}, {10, 9, 3}, {2, 2, 2}, {19, 3, 30}, {1, 9, 9}}
+	dims := [][3]int{{17, 17, 17}, {17, 25, 9}, {20, 28, 12}, {10, 9, 3}, {2, 2, 2}, {19, 3, 30}, {1, 9, 9}, {9, 10, 25}, {12, 9, 21}}
 	for _, f := range []volume.Format{volume.U8, volume.U16, volume.F32} {
 		for _, d := range dims {
 			for _, span := range []int{9, 4, 2} {
@@ -212,8 +242,8 @@ func TestExtractorMatchesPerSampleOracle(t *testing.T) {
 					switch {
 					case z%5 == 4:
 						return 7 // constant slabs: dropped metacells between kept ones
-					case f == volume.F32 && h%61 == 0:
-						return float32(math.NaN())
+					case f == volume.F32 && (h%61 == 0 || x < 5 && y < 5 && z < 4):
+						return math.Float32frombits(0x7fc00000 | h%2) // NaN, two payloads: scattered, and whole metacells of it at spans 4 and 2
 					case f == volume.F32 && h%67 == 0:
 						return float32(math.Inf(int(h%2)*2 - 1))
 					case f == volume.U8:
@@ -221,18 +251,7 @@ func TestExtractorMatchesPerSampleOracle(t *testing.T) {
 					}
 					return float32(h%60000) + float32(h%4)/4 // fractions survive only in f32
 				})
-				name := fmt.Sprintf("%v %v span %d", f, d, span)
 				wantL, want := extractBySample(g, span)
-
-				gotL, got := Extract(g, span)
-				if gotL != wantL {
-					t.Fatalf("%s: layout %+v, oracle %+v", name, gotL, wantL)
-				}
-				assertSameCellBits(t, name+" (Extract)", want, got)
-
-				_, got = collectStream(t, SourceFromGrid(g), span)
-				assertSameCellBits(t, name+" (stream)", want, got)
-
 				path := filepath.Join(t.TempDir(), "v.vol")
 				if err := g.WriteFile(path); err != nil {
 					t.Fatal(err)
@@ -241,16 +260,47 @@ func TestExtractorMatchesPerSampleOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				_, got = collectStream(t, pf, span)
+				for _, procs := range []int{1, 2, 3, 8} {
+					name := fmt.Sprintf("%v %v span %d GOMAXPROCS %d", f, d, span, procs)
+					prev := runtime.GOMAXPROCS(procs)
+					gotL, got := Extract(g, span)
+					_, fromFile := collectStream(t, pf, span)
+					runtime.GOMAXPROCS(prev)
+					if gotL != wantL {
+						t.Fatalf("%s: layout %+v, oracle %+v", name, gotL, wantL)
+					}
+					assertSameCellBits(t, name+" (grid)", want, got)
+					assertSameCellBits(t, name+" (file)", want, fromFile)
+				}
 				pf.Close()
-				assertSameCellBits(t, name+" (file)", want, got)
 			}
 		}
 	}
 }
 
-// assertSameCellBits is assertSameCells with intervals compared by bits, so
-// that it holds for float volumes whose metacells are all NaN.
+// TestExtractNaNMetacells: a metacell of nothing but NaN is dropped — no
+// isovalue cuts it, and [+Inf, -Inf] is not an interval — while one that is
+// partly NaN keeps the interval of the samples that are numbers.
+func TestExtractNaNMetacells(t *testing.T) {
+	g := volume.New(33, 33, 33, volume.F32)
+	g.Fill(func(x, y, z int) float32 {
+		if x < 9 && y < 9 && z < 9 {
+			return math.Float32frombits(0x7fc00000 | uint32(x&1)) // two payloads: not one bit pattern
+		}
+		return float32(x + y + z)
+	})
+	l, cells := Extract(g, 9)
+	if len(cells) != l.Count()-1 || cells[0].ID != 1 {
+		t.Fatalf("%d of %d metacells kept, the first is %d: want all but metacell 0", len(cells), l.Count(), cells[0].ID)
+	}
+	// Metacell 1 is x 8..16, y and z 0..8: its x = 8 face is NaN.
+	if c := cells[0]; c.VMin != 9 || c.VMax != 32 || VMinOfRecord(l, c.Record) != 9 {
+		t.Errorf("partly-NaN metacell 1 has [%v, %v] (record vmin %v), want [9, 32]", c.VMin, c.VMax, VMinOfRecord(l, c.Record))
+	}
+}
+
+// assertSameCellBits is assertSameCells with intervals compared by bits: an
+// interval of -0 is not one of +0.
 func assertSameCellBits(t *testing.T, name string, want, got []Cell) {
 	t.Helper()
 	if len(got) != len(want) {
