@@ -73,7 +73,6 @@ var (
 	maxInFlight = flag.Int("max-inflight", 0, "extractions allowed concurrently (0 = serve default)")
 	queueDepth  = flag.Int("queue", 0, "admission queue depth (0 = clients, so the closed loop is never shed)")
 	cacheBytes  = flag.Int64("cache-bytes", 0, "mesh cache budget (0 = serve default 256 MiB, <0 disables)")
-	quantum     = flag.Float64("quantum", 1, "isovalue quantization of the coalescing/cache key")
 
 	direct  = flag.Bool("direct", false, "bypass the server: every request is a raw Engine.Extract")
 	compare = flag.Bool("compare", false, "closed-loop served-vs-direct comparison table")
@@ -170,7 +169,6 @@ func main() {
 		MaxInFlight: *maxInFlight,
 		QueueDepth:  *queueDepth,
 		CacheBytes:  *cacheBytes,
-		IsoQuantum:  float32(*quantum),
 		Metrics:     reg,
 		Trace:       *trace,
 	}
@@ -285,11 +283,13 @@ func (r *run) direct(context.Context) (queryFunc, string, func()) {
 func (r *run) compare(ctx context.Context) (queryFunc, string, func()) {
 	// ServingTable preprocesses (and memoizes) its own engine; -threads
 	// applies only to the direct/served modes.
+	log.Printf("served vs direct: %d clients × %d requests, Zipf(%.2g) over %d levels, %d nodes",
+		*clients, *requests, *zipfS, *levels, *procs)
 	rows, err := harness.ServingTable(ctx, r.cfg, *procs, []int{*clients}, r.w, r.scfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	harness.PrintServingTable(os.Stdout, *procs, r.w, rows)
+	harness.WriteTable(os.Stdout, rows, "")
 	row := rows[0]
 	fmt.Printf("\ncoalescing + mesh cache: %.1f q/s vs %.1f q/s direct → %.1f× throughput\n",
 		row.ServedQPS, row.DirectQPS, row.Speedup)
@@ -306,7 +306,6 @@ func (r *run) compare(ctx context.Context) (queryFunc, string, func()) {
 func (r *run) routerConfig(replicas ...string) dist.RouterConfig {
 	rc := dist.RouterConfig{
 		Replicas:       replicas,
-		IsoQuantum:     r.scfg.IsoQuantum,
 		Metrics:        r.reg,
 		AttemptTimeout: *attemptTimeout,
 		HedgeAfter:     *hedge,

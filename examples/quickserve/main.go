@@ -25,13 +25,12 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 2. Wrap it in a query server: up to 2 extractions in flight, a 64 MiB
-	// mesh cache, and isovalues quantized to integers so that requests for
+	// 2. Wrap it in a query server: up to 2 extractions in flight and a
+	// 64 MiB mesh cache. Isovalues are rounded to integers, so requests for
 	// 189.7 and 190.2 are the same surface.
 	srv := repro.NewServer(eng, repro.ServeConfig{
 		MaxInFlight: 2,
 		CacheBytes:  64 << 20,
-		IsoQuantum:  1,
 	})
 
 	// 3. Eight clients ask for (almost) the same isovalue at once. The
@@ -42,7 +41,7 @@ func main() {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			iso := 190 + float32(k)*0.05 // all in the same quantization bucket
+			iso := 190 + float32(k)*0.05 // all round to the same isovalue
 			r, err := srv.Query(context.Background(), 0, iso)
 			if err != nil {
 				log.Fatal(err)

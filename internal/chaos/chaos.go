@@ -25,6 +25,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -293,45 +294,41 @@ func (b *corruptBody) Read(p []byte) (int, error) {
 
 func (b *corruptBody) Close() error { return b.inner.Close() }
 
+// ErrBadFault is what ParseFault's errors wrap.
+var ErrBadFault = errors.New("chaos: bad fault spec")
+
 // ParseFault parses a compact fault spec of comma-separated key=value
 // pairs — the CLI surface (isoserve -chaos):
 //
 //	latency=20ms,jitter=10ms,drop=0.125,blackhole=0.05,truncate=0.1,corrupt=0.25,after=1s,until=5s
 //
-// Unknown keys error; omitted keys stay zero.
+// Each value is parsed whole: a probability must lie in [0, 1], a duration
+// must not be negative. Unknown keys error; omitted keys stay zero; "" and
+// "none" (what a zero Fault prints as) are the zero Fault.
 func ParseFault(spec string) (Fault, error) {
 	var f Fault
-	if strings.TrimSpace(spec) == "" {
+	if s := strings.TrimSpace(spec); s == "" || s == "none" {
 		return f, nil
 	}
+	durations := map[string]*time.Duration{"latency": &f.Latency, "jitter": &f.Jitter, "after": &f.After, "until": &f.Until}
+	probs := map[string]*float64{"drop": &f.DropProb, "blackhole": &f.BlackholeProb, "truncate": &f.TruncateProb, "corrupt": &f.CorruptProb}
 	for _, part := range strings.Split(spec, ",") {
 		k, v, ok := strings.Cut(strings.TrimSpace(part), "=")
 		if !ok {
-			return Fault{}, fmt.Errorf("chaos: bad fault term %q (want key=value)", part)
+			return Fault{}, fmt.Errorf("%w: term %q is not key=value", ErrBadFault, part)
 		}
 		var err error
-		switch k {
-		case "latency":
-			f.Latency, err = time.ParseDuration(v)
-		case "jitter":
-			f.Jitter, err = time.ParseDuration(v)
-		case "drop":
-			_, err = fmt.Sscanf(v, "%f", &f.DropProb)
-		case "blackhole":
-			_, err = fmt.Sscanf(v, "%f", &f.BlackholeProb)
-		case "truncate":
-			_, err = fmt.Sscanf(v, "%f", &f.TruncateProb)
-		case "corrupt":
-			_, err = fmt.Sscanf(v, "%f", &f.CorruptProb)
-		case "after":
-			f.After, err = time.ParseDuration(v)
-		case "until":
-			f.Until, err = time.ParseDuration(v)
-		default:
-			return Fault{}, fmt.Errorf("chaos: unknown fault key %q", k)
-		}
-		if err != nil {
-			return Fault{}, fmt.Errorf("chaos: bad value for %q: %v", k, err)
+		if d, ok := durations[k]; ok {
+			if *d, err = time.ParseDuration(v); err != nil || *d < 0 {
+				return Fault{}, fmt.Errorf("%w: %s=%s is not a duration ≥ 0", ErrBadFault, k, v)
+			}
+		} else if p, ok := probs[k]; ok {
+			// The negated test rejects NaN, which every comparison fails.
+			if *p, err = strconv.ParseFloat(v, 64); err != nil || !(*p >= 0 && *p <= 1) {
+				return Fault{}, fmt.Errorf("%w: %s=%s is not a probability in [0, 1]", ErrBadFault, k, v)
+			}
+		} else {
+			return Fault{}, fmt.Errorf("%w: unknown key %q", ErrBadFault, k)
 		}
 	}
 	return f, nil

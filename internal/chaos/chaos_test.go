@@ -226,12 +226,40 @@ func TestParseFaultRoundTrip(t *testing.T) {
 	if f2, err := ParseFault(f.String()); err != nil || f2 != f {
 		t.Fatalf("re-parse: %+v, %v", f2, err)
 	}
-	if empty, err := ParseFault(""); err != nil || empty != (Fault{}) {
-		t.Fatalf("empty spec: %+v, %v", empty, err)
-	}
-	for _, bad := range []string{"latency", "nope=1", "drop=x"} {
-		if _, err := ParseFault(bad); err == nil {
-			t.Errorf("ParseFault(%q) accepted", bad)
+	for _, spec := range []string{"", Fault{}.String()} {
+		if empty, err := ParseFault(spec); err != nil || empty != (Fault{}) {
+			t.Fatalf("ParseFault(%q) = %+v, %v; want the zero Fault", spec, empty, err)
 		}
 	}
+	for _, bad := range badFaultSpecs {
+		if f, err := ParseFault(bad); !errors.Is(err, ErrBadFault) {
+			t.Errorf("ParseFault(%q) = %+v, %v; want ErrBadFault", bad, f, err)
+		}
+	}
+}
+
+// badFaultSpecs are specs ParseFault must reject: malformed terms, an unknown
+// key, a value with trailing junk, and probabilities and durations outside
+// their range.
+var badFaultSpecs = []string{"latency", "nope=1", "drop=x", "drop=0.5x", "drop=2", "drop=-1", "drop=NaN", "latency=-1s"}
+
+// FuzzParseFault holds the -chaos flag's parser to a round trip: whatever it
+// accepts prints as a spec that parses back to the same Fault.
+func FuzzParseFault(f *testing.F) {
+	for _, spec := range append(badFaultSpecs, "none", "latency=20ms,jitter=10ms,drop=0.125,blackhole=0.05,truncate=0.1,corrupt=0.25,after=1s,until=5s") {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		fault, err := ParseFault(spec)
+		if err != nil {
+			if !errors.Is(err, ErrBadFault) {
+				t.Fatalf("ParseFault(%q): untyped error %v", spec, err)
+			}
+			return
+		}
+		again, err := ParseFault(fault.String())
+		if err != nil || again != fault {
+			t.Fatalf("ParseFault(%q) = %+v, prints as %q, which parses to %+v, %v", spec, fault, fault.String(), again, err)
+		}
+	})
 }

@@ -66,8 +66,7 @@ type ClusterConfig struct {
 	// are per-process).
 	Replica ReplicaConfig
 	// Router configures the front end; its Replicas field is filled in
-	// with the spawned listeners' addresses and its IsoQuantum is forced
-	// to the replicas' quantum so routing and caching agree on shards.
+	// with the spawned listeners' addresses.
 	Router RouterConfig
 }
 
@@ -102,7 +101,6 @@ func StartCluster(backend serve.Backend, cfg ClusterConfig) (*Cluster, error) {
 	for i, rep := range c.Replicas {
 		rcfg.Replicas[i] = rep.Addr()
 	}
-	rcfg.IsoQuantum = cfg.Replica.Serve.IsoQuantum
 	rt, err := NewRouter(rcfg)
 	if err != nil {
 		c.Close()

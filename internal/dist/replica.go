@@ -21,10 +21,10 @@ const MeshContentType = "application/x-isosurface-mesh"
 
 // ReplicaConfig sizes one replica of the serving tier.
 type ReplicaConfig struct {
-	// Serve sizes the replica's query service (admission, mesh cache,
-	// isovalue quantum). Give each replica its own Metrics registry — the
-	// serve metric names are per-process, so two replicas sharing one
-	// registry would also share counters. StartCluster does this for you.
+	// Serve sizes the replica's query service (admission, mesh cache).
+	// Give each replica its own Metrics registry — the serve metric names
+	// are per-process, so two replicas sharing one registry would also
+	// share counters. StartCluster does this for you.
 	Serve serve.Config
 
 	// MaxInFlight bounds requests inside the replica at once — parsing,

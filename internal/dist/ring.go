@@ -119,17 +119,11 @@ func putU64(b []byte, v uint64) {
 	b[7] = byte(v >> 56)
 }
 
-// KeyFor returns the shard key a query maps to: the key its replica will
-// coalesce and cache it under.
-func (rt *Router) KeyFor(step int, iso float32) serve.Key {
-	return serve.KeyOf(step, iso, rt.cfg.IsoQuantum)
-}
-
 // HomeReplica returns the replica index that owns a query's shard — the
 // first attempt of every routed request (exposed for tests and rebalancing
 // math).
 func (rt *Router) HomeReplica(step int, iso float32) int {
-	key := rt.KeyFor(step, iso)
+	key := serve.KeyOf(step, iso)
 	ord := rt.ring.order(keyHash(key.Step, key.Bucket), nil)
 	return ord[0]
 }
@@ -139,7 +133,7 @@ func (rt *Router) HomeReplica(step int, iso float32) int {
 // Exposed so operators (and the scaling harness) can pre-warm every cache a
 // key's overflow can spill into.
 func (rt *Router) Candidates(step int, iso float32) []int {
-	key := rt.KeyFor(step, iso)
+	key := serve.KeyOf(step, iso)
 	order := rt.ring.order(keyHash(key.Step, key.Bucket), nil)
 	if len(order) > rt.cfg.Attempts {
 		order = order[:rt.cfg.Attempts]
@@ -150,7 +144,7 @@ func (rt *Router) Candidates(step int, iso float32) []int {
 // candidates orders this request's replicas: the ring order Attempts allows,
 // healthy ones first (see health.healthyFirst).
 func (rt *Router) candidates(step int, iso float32) []int {
-	key := rt.KeyFor(step, iso)
+	key := serve.KeyOf(step, iso)
 	order := rt.ring.order(keyHash(key.Step, key.Bucket), make([]int, 0, rt.ring.n))
 	if len(order) > rt.cfg.Attempts {
 		order = order[:rt.cfg.Attempts]

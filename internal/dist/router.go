@@ -28,11 +28,6 @@ type RouterConfig struct {
 	// restarts or the shards (and their warmed caches) reshuffle.
 	Replicas []string
 
-	// IsoQuantum must match the replicas' serve.Config.IsoQuantum: the
-	// router hashes the quantized bucket, so every request a replica would
-	// coalesce or cache together lands on the same shard (0 = 1).
-	IsoQuantum float32
-
 	// Attempts bounds how many distinct replicas one request may try —
 	// the home shard plus failovers along the ring (0 = all replicas).
 	Attempts int
@@ -80,9 +75,6 @@ const (
 )
 
 func (c RouterConfig) withDefaults() RouterConfig {
-	if c.IsoQuantum <= 0 {
-		c.IsoQuantum = 1
-	}
 	if c.Attempts <= 0 || c.Attempts > len(c.Replicas) {
 		c.Attempts = len(c.Replicas)
 	}

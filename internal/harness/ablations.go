@@ -2,9 +2,7 @@ package harness
 
 import (
 	"context"
-	"fmt"
-	"io"
-	"text/tabwriter"
+	"slices"
 	"time"
 
 	"repro/internal/bbio"
@@ -15,7 +13,6 @@ import (
 	"repro/internal/intervaltree"
 	"repro/internal/march"
 	"repro/internal/metacell"
-	"repro/internal/obs"
 	"repro/internal/octree"
 	"repro/internal/spanspace"
 )
@@ -33,10 +30,10 @@ func countTriangles(l metacell.Layout, m *metacell.Meta, iso float32) int {
 
 // IndexAblationRow compares index structures on the standard RM workload.
 type IndexAblationRow struct {
-	Structure string
-	Entries   int
-	SizeBytes int64
-	Height    int
+	Structure string `col:"structure"`
+	Entries   int    `col:"entries"`
+	SizeBytes int64  `col:"size,bytes"`
+	Height    int    `col:"height"`
 }
 
 // AblationIndexStructures builds all three index structures over the same
@@ -65,26 +62,16 @@ func AblationIndexStructures(cfg RMConfig) ([]IndexAblationRow, error) {
 	}, nil
 }
 
-// PrintIndexAblation renders the index comparison.
-func PrintIndexAblation(w io.Writer, rows []IndexAblationRow) {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "structure\tentries\tsize\theight")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%d\t%s\t%d\n", r.Structure, r.Entries, obs.FormatBytes(r.SizeBytes), r.Height)
-	}
-	tw.Flush()
-}
-
 // ---------------------------------------------------------------------------
 // Ablation B — data distribution: brick striping vs range partition vs
 // block round-robin, judged by worst-case imbalance over the sweep.
 
 // DistributionRow summarizes one distribution scheme.
 type DistributionRow struct {
-	Scheme      string
-	WorstMaxAvg float64 // worst max/avg over the isovalue sweep
-	MeanMaxAvg  float64
-	WorstIso    float32
+	Scheme      string  `col:"scheme"`
+	WorstMaxAvg float64 `col:"worst max/avg,%.3f"` // over the isovalue sweep
+	MeanMaxAvg  float64 `col:"mean max/avg,%.3f"`
+	WorstIso    float32 `col:"worst isovalue,%.0f"`
 }
 
 // AblationDistribution compares the three distribution schemes on the RM
@@ -109,68 +96,43 @@ func AblationDistribution(ctx context.Context, cfg RMConfig, procs int) ([]Distr
 	rowStripe.MeanMaxAvg = sum / float64(len(striped))
 
 	// Scheme 2: range partition (Zhang–Bajaj–Blanke).
-	rp := spanspace.NewRangePartition(cells, procs)
-	rowRange := DistributionRow{Scheme: "range partition [21]"}
-	sum = 0
-	count := 0
-	for _, iso := range Sweep() {
-		counts := rp.Distribution(iso)
-		total := 0
-		for _, c := range counts {
-			total += c
-		}
-		if total == 0 {
-			continue
-		}
-		im := spanspace.Imbalance(counts)
-		if im > rowRange.WorstMaxAvg {
-			rowRange.WorstMaxAvg, rowRange.WorstIso = im, iso
-		}
-		sum += im
-		count++
-	}
-	if count > 0 {
-		rowRange.MeanMaxAvg = sum / float64(count)
-	}
+	rowRange := sweepImbalance("range partition [21]", spanspace.NewRangePartition(cells, procs).Distribution)
 
 	// Scheme 3: spatial block round-robin (metacell ID modulo p), a naive
 	// but common distribution.
-	rowRR := DistributionRow{Scheme: "spatial round-robin"}
-	sum = 0
-	count = 0
-	for _, iso := range Sweep() {
+	rowRR := sweepImbalance("spatial round-robin", func(iso float32) []int {
 		counts := make([]int, procs)
-		total := 0
 		for _, c := range cells {
 			if c.VMin <= iso && iso <= c.VMax {
 				counts[int(c.ID)%procs]++
-				total++
 			}
 		}
-		if total == 0 {
-			continue
-		}
-		im := spanspace.Imbalance(counts)
-		if im > rowRR.WorstMaxAvg {
-			rowRR.WorstMaxAvg, rowRR.WorstIso = im, iso
-		}
-		sum += im
-		count++
-	}
-	if count > 0 {
-		rowRR.MeanMaxAvg = sum / float64(count)
-	}
+		return counts
+	})
 	return []DistributionRow{rowStripe, rowRange, rowRR}, nil
 }
 
-// PrintDistributionAblation renders the distribution comparison.
-func PrintDistributionAblation(w io.Writer, procs int, rows []DistributionRow) {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "scheme\tworst max/avg\tmean max/avg\tworst isovalue\t[p=%d]\n", procs)
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%.3f\t%.3f\t%.0f\t\n", r.Scheme, r.WorstMaxAvg, r.MeanMaxAvg, r.WorstIso)
+// sweepImbalance summarizes a distribution scheme's per-node active counts
+// over the isovalue sweep, skipping isovalues where nothing is active.
+func sweepImbalance(scheme string, counts func(iso float32) []int) DistributionRow {
+	row := DistributionRow{Scheme: scheme}
+	sum, n := 0.0, 0
+	for _, iso := range Sweep() {
+		c := counts(iso)
+		if slices.Max(c) == 0 {
+			continue
+		}
+		im := spanspace.Imbalance(c)
+		if im > row.WorstMaxAvg {
+			row.WorstMaxAvg, row.WorstIso = im, iso
+		}
+		sum += im
+		n++
 	}
-	tw.Flush()
+	if n > 0 {
+		row.MeanMaxAvg = sum / float64(n)
+	}
+	return row
 }
 
 // ---------------------------------------------------------------------------
@@ -178,14 +140,14 @@ func PrintDistributionAblation(w io.Writer, procs int, rows []DistributionRow) {
 
 // BulkReadRow compares the I/O of the two layouts at one isovalue.
 type BulkReadRow struct {
-	Iso        float32
-	Active     int
-	CITBlocks  int64
-	CITSeeks   int64
-	CITModel   time.Duration
-	BBIOBlocks int64
-	BBIOSeeks  int64
-	BBIOModel  time.Duration
+	Iso        float32       `col:"isovalue,%.0f"`
+	Active     int           `col:"active MC"`
+	CITBlocks  int64         `col:"CIT blocks"`
+	CITSeeks   int64         `col:"CIT seeks"`
+	CITModel   time.Duration `col:"CIT time"`
+	BBIOBlocks int64         `col:"BBIO blocks"`
+	BBIOSeeks  int64         `col:"BBIO seeks"`
+	BBIOModel  time.Duration `col:"BBIO time"`
 }
 
 // AblationBulkRead queries the same metacell set through the CIT brick
@@ -236,31 +198,19 @@ func AblationBulkRead(cfg RMConfig) ([]BulkReadRow, error) {
 	return rows, nil
 }
 
-// PrintBulkReadAblation renders the layout comparison.
-func PrintBulkReadAblation(w io.Writer, rows []BulkReadRow) {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "isovalue\tactive MC\tCIT blocks\tCIT seeks\tCIT time\tBBIO blocks\tBBIO seeks\tBBIO time")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%.0f\t%d\t%d\t%d\t%s\t%d\t%d\t%s\n",
-			r.Iso, r.Active, r.CITBlocks, r.CITSeeks, fmtDur(r.CITModel),
-			r.BBIOBlocks, r.BBIOSeeks, fmtDur(r.BBIOModel))
-	}
-	tw.Flush()
-}
-
 // ---------------------------------------------------------------------------
 // Ablation D — metacell size: span 5 vs 9 vs 17.
 
 // MetacellSizeRow summarizes one span choice.
 type MetacellSizeRow struct {
-	Span        int
-	RecordBytes int
-	Metacells   int
-	DataBytes   int64
-	IndexBytes  int64
-	Active      int   // active metacells at the reference isovalue
-	ReadBlocks  int64 // blocks read at the reference isovalue
-	Triangles   int
+	Span        int   `col:"span,%d³"`
+	RecordBytes int   `col:"record,%d B"`
+	Metacells   int   `col:"metacells"`
+	DataBytes   int64 `col:"data,bytes"`
+	IndexBytes  int64 `col:"index,bytes"`
+	Active      int   `col:"active MC"`   // active metacells at the reference isovalue
+	ReadBlocks  int64 `col:"blocks read"` // blocks read at the reference isovalue
+	Triangles   int   `col:"triangles"`
 }
 
 // AblationMetacellSize rebuilds the pipeline with different metacell spans
@@ -302,26 +252,14 @@ func AblationMetacellSize(cfg RMConfig, iso float32, spans []int) ([]MetacellSiz
 	return rows, nil
 }
 
-// PrintMetacellSizeAblation renders the span comparison.
-func PrintMetacellSizeAblation(w io.Writer, iso float32, rows []MetacellSizeRow) {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "span\trecord\tmetacells\tdata\tindex\tactive MC\tblocks read\ttriangles\t[iso=%.0f]\n", iso)
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%d³\t%d B\t%d\t%s\t%s\t%d\t%d\t%d\t\n",
-			r.Span, r.RecordBytes, r.Metacells, obs.FormatBytes(r.DataBytes), obs.FormatBytes(r.IndexBytes),
-			r.Active, r.ReadBlocks, r.Triangles)
-	}
-	tw.Flush()
-}
-
 // ---------------------------------------------------------------------------
 // Ablation E — host dispatch vs independent per-node queries.
 
 // DispatchRow compares the two execution models for one worker count.
 type DispatchRow struct {
-	Workers     int
-	HostBound   time.Duration // BBIO host-dispatch makespan
-	Independent time.Duration // our per-node independent extraction (modeled)
+	Workers     int           `col:"workers"`
+	HostBound   time.Duration `col:"host-dispatch (BBIO)"` // makespan
+	Independent time.Duration `col:"independent (paper)"`  // our per-node independent extraction (modeled)
 }
 
 // AblationHostDispatch models the BBIO host-dispatch makespan against the
@@ -359,27 +297,17 @@ func AblationHostDispatch(ctx context.Context, cfg RMConfig, iso float32, worker
 	return rows, nil
 }
 
-// PrintDispatchAblation renders the execution-model comparison.
-func PrintDispatchAblation(w io.Writer, iso float32, rows []DispatchRow) {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "workers\thost-dispatch (BBIO)\tindependent (paper)\t[iso=%.0f]\n", iso)
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%d\t%s\t%s\t\n", r.Workers, fmtDur(r.HostBound), fmtDur(r.Independent))
-	}
-	tw.Flush()
-}
-
 // ---------------------------------------------------------------------------
 // Ablation F — query acceleration structures: CIT vs octree vs span-space
 // lattice vs standard interval tree, compared on index size and query work.
 
 // QueryStructureRow summarizes one structure at the reference isovalue.
 type QueryStructureRow struct {
-	Structure string
-	SizeBytes int64
-	Active    int           // active metacells reported
-	Visited   int           // structure elements examined during the query
-	QueryWall time.Duration // in-memory query time (no data I/O)
+	Structure string        `col:"structure"`
+	SizeBytes int64         `col:"index size,bytes"`
+	Active    int           `col:"active MC"`        // active metacells reported
+	Visited   int           `col:"elements visited"` // structure elements examined during the query
+	QueryWall time.Duration `col:"query time"`       // in-memory query time (no data I/O)
 }
 
 // AblationQueryStructures compares the in-memory query behavior of the four
@@ -451,14 +379,4 @@ func AblationQueryStructures(cfg RMConfig, iso float32) ([]QueryStructureRow, er
 		QueryWall: time.Since(t0),
 	}
 	return []QueryStructureRow{citRow, octRow, latRow, itRow}, nil
-}
-
-// PrintQueryStructuresAblation renders the structure comparison.
-func PrintQueryStructuresAblation(w io.Writer, iso float32, rows []QueryStructureRow) {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "structure\tindex size\tactive MC\telements visited\tquery time\t[iso=%.0f]\n", iso)
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%s\t\n", r.Structure, obs.FormatBytes(r.SizeBytes), r.Active, r.Visited, fmtDur(r.QueryWall))
-	}
-	tw.Flush()
 }

@@ -9,7 +9,6 @@ import (
 	"math"
 	"net/http"
 	"sync/atomic"
-	"text/tabwriter"
 	"time"
 
 	"repro/internal/chaos"
@@ -49,25 +48,29 @@ func DefaultChaosScenarios() []ChaosScenario {
 
 // ChaosRow reports one (scenario, client) cell of the chaos experiment.
 type ChaosRow struct {
-	Scenario  string
-	Resilient bool // through the router; false = the naive client
+	Scenario string `col:"scenario"`
+	Client   string `col:"client"` // "resilient" (through the router) or "naive" (the control)
+	Requests int    `col:"reqs"`
+	// Injected counts what the fault plan actually did to the row's
+	// exchanges: a row that shows no damage under a plan that never fired
+	// proves nothing.
+	Injected   int64 `col:"injected"`
+	Failed     int   `col:"failed"`      // requests that returned an error
+	Mismatched int   `col:"corruptions"` // requests that returned bytes differing from the reference
 
-	Requests   int
-	Failed     int // requests that returned an error
-	Mismatched int // requests that returned bytes differing from the reference
+	Availability float64       `col:"avail,%.1f%%"` // correct responses / requests
+	P50          time.Duration `col:"p50"`
+	P99          time.Duration `col:"p99"`
+	P99Ratio     float64       `col:"p99 vs base,%.1f×"` // P99 / the fault-free resilient row's P99 (0 until known)
 
-	Availability float64 // correct responses / requests
-	P50, P99     time.Duration
-	P99Ratio     float64 // P99 / the fault-free resilient row's P99 (0 until known)
-
-	// Router is the router's accounting of the timed run — the warm pass goes
-	// to the replicas directly — and all zero on a naive row, none of whose
-	// requests passes through it.
-	Router dist.RouterStats
-
-	// Injected is what the fault plan actually did to the row's exchanges: a
-	// row that shows no damage under a plan that never fired proves nothing.
-	Injected chaos.Stats
+	// The router's accounting of the timed run — the warm pass goes to the
+	// replicas directly — all zero on a naive row, none of whose requests
+	// passes through it. Hedges reads "launched (won)".
+	Failovers int64  `col:"failovers"`
+	Hedges    string `col:"hedges (won)"`
+	Retries   int64  `col:"retries"`
+	Timeouts  int64  `col:"timeouts"`
+	Revived   int64  `col:"revived"`
 }
 
 // ChaosConfig sizes the chaos experiment.
@@ -154,12 +157,12 @@ func ChaosTable(ctx context.Context, cfg RMConfig, procs int, ccfg ChaosConfig, 
 	var rows []ChaosRow
 	var baselineP99 time.Duration
 	for _, sc := range scenarios {
-		for _, resilient := range []bool{true, false} {
-			row, err := chaosRow(ctx, backend, ccfg, w, sc, resilient, refs)
+		for _, client := range []string{"resilient", "naive"} {
+			row, err := chaosRow(ctx, backend, ccfg, w, sc, client, refs)
 			if err != nil {
-				return nil, fmt.Errorf("harness: chaos scenario %q (resilient=%v): %w", sc.Name, resilient, err)
+				return nil, fmt.Errorf("harness: chaos scenario %q (%s client): %w", sc.Name, client, err)
 			}
-			if resilient && sc.Name == "fault-free" && row.P99 > 0 {
+			if client == "resilient" && sc.Name == "fault-free" && row.P99 > 0 {
 				baselineP99 = row.P99
 			}
 			rows = append(rows, row)
@@ -195,13 +198,13 @@ func referenceFrames(ctx context.Context, backend serve.Backend, w ServingWorklo
 // errMismatch marks a response that arrived but differs from its reference.
 var errMismatch = errors.New("harness: frame differs from the fault-free reference")
 
-func chaosRow(ctx context.Context, backend serve.Backend, ccfg ChaosConfig, w ServingWorkload, sc ChaosScenario, resilient bool, refs map[uint32][]byte) (ChaosRow, error) {
+func chaosRow(ctx context.Context, backend serve.Backend, ccfg ChaosConfig, w ServingWorkload, sc ChaosScenario, client string, refs map[uint32][]byte) (ChaosRow, error) {
 	in := chaos.NewInjector(ccfg.Seed + 1)
-	client := &http.Client{Transport: in.Transport(dist.NewTransport())}
+	faulted := &http.Client{Transport: in.Transport(dist.NewTransport())}
 	cl, err := dist.StartCluster(backend, dist.ClusterConfig{
 		Replicas: ccfg.Replicas,
 		Replica:  dist.ReplicaConfig{Serve: serve.Config{QueueDepth: ccfg.Clients}},
-		Router:   resilientRouter(client),
+		Router:   resilientRouter(faulted),
 	})
 	if err != nil {
 		return ChaosRow{}, err
@@ -228,12 +231,12 @@ func chaosRow(ctx context.Context, backend serve.Backend, ccfg ChaosConfig, w Se
 			defer cancel()
 			var frame []byte
 			var err error
-			if resilient {
+			if client == "resilient" {
 				frame, _, err = cl.Router.QueryBytes(qctx, 0, iso)
 				defer cl.Router.Recycle(frame)
 			} else {
 				// The router is asked where the key lives and nothing more.
-				frame, err = naiveFetch(qctx, client, cl.Replicas[cl.Router.HomeReplica(0, iso)].Addr(), iso)
+				frame, err = naiveFetch(qctx, faulted, cl.Replicas[cl.Router.HomeReplica(0, iso)].Addr(), iso)
 			}
 			if err != nil {
 				return err
@@ -257,43 +260,22 @@ func chaosRow(ctx context.Context, backend serve.Backend, ccfg ChaosConfig, w Se
 	}
 
 	total := ccfg.Clients * w.ReqPerClient
+	rs := cl.Router.Stats()
 	row := ChaosRow{
 		Scenario:   sc.Name,
-		Resilient:  resilient,
+		Client:     client,
 		Requests:   total,
+		Injected:   in.Stats().Total(), // no fault was set before the timed run
 		Failed:     int(failed.Load()),
 		Mismatched: int(mismatched.Load()),
 		P50:        lat.Quantile(0.50),
 		P99:        lat.Quantile(0.99),
-		Router:     cl.Router.Stats(),
-		Injected:   in.Stats(), // no fault was set before the timed run
+		Failovers:  rs.Failovers,
+		Hedges:     fmt.Sprintf("%d (%d)", rs.Hedges, rs.HedgeWins),
+		Retries:    rs.Retries,
+		Timeouts:   rs.AttemptTimeouts,
+		Revived:    rs.Revived,
 	}
 	row.Availability = float64(total-row.Failed-row.Mismatched) / float64(total)
 	return row, nil
-}
-
-// PrintChaosTable emits the chaos experiment in the repo's table style.
-func PrintChaosTable(out io.Writer, ccfg ChaosConfig, w ServingWorkload, scenarios []ChaosScenario, rows []ChaosRow) {
-	ww := w.withDefaults()
-	cc := ccfg.withDefaults()
-	fmt.Fprintf(out, "%d replicas, fault on the hottest key's home shard; %d clients × %d requests, Zipf(%.2g) over %d levels, %v/request deadline\n",
-		cc.Replicas, cc.Clients, ww.ReqPerClient, ww.ZipfS, ww.Levels, cc.RequestTimeout)
-	for _, sc := range scenarios {
-		if sc.Fault != (chaos.Fault{}) {
-			fmt.Fprintf(out, "  %-10s %s\n", sc.Name+":", sc.Fault)
-		}
-	}
-	tw := tabwriter.NewWriter(out, 2, 0, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintln(tw, "scenario\tclient\treqs\tinjected\tfailed\tcorruptions\tavail\tp50\tp99\tp99 vs base\tfailovers\thedges (won)\tretries\ttimeouts\trevived\t")
-	for _, r := range rows {
-		mode := "naive"
-		if r.Resilient {
-			mode = "resilient"
-		}
-		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%d\t%d\t%.1f%%\t%s\t%s\t%.1f×\t%d\t%d (%d)\t%d\t%d\t%d\t\n",
-			r.Scenario, mode, r.Requests, r.Injected.Total(), r.Failed, r.Mismatched,
-			100*r.Availability, fmtDur(r.P50), fmtDur(r.P99), r.P99Ratio,
-			r.Router.Failovers, r.Router.Hedges, r.Router.HedgeWins, r.Router.Retries, r.Router.AttemptTimeouts, r.Router.Revived)
-	}
-	tw.Flush()
 }

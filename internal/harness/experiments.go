@@ -6,7 +6,9 @@ import (
 	"io"
 	"strings"
 
+	"repro/internal/chaos"
 	"repro/internal/dist"
+	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
@@ -38,15 +40,6 @@ type Experiment struct {
 // runFunc executes an experiment on cfg and prints its table to out.
 type runFunc = func(ctx context.Context, cfg RMConfig, out io.Writer) (float64, error)
 
-// printed ends an entry with no headline metric: print the rows unless the
-// driver failed.
-func printed(err error, print func()) (float64, error) {
-	if err == nil {
-		print()
-	}
-	return 0, err
-}
-
 // Report prints the section header, then runs the experiment.
 func (e Experiment) Report(ctx context.Context, cfg RMConfig, out io.Writer) (float64, error) {
 	fmt.Fprintf(out, "\n=== %s ===\n", e.Title)
@@ -76,14 +69,18 @@ func ExperimentUsage() string {
 }
 
 // Experiments returns the registry in report order. fig4 writes its image to
-// imagePath ("" = no file).
+// imagePath ("" = no file). An entry runs its driver, writes the rows — a
+// driver that fails returns none, and WriteTable prints nothing for none —
+// and returns its metric.
 func Experiments(imagePath string) []Experiment {
 	const midIso = 110 // the ablations' reference isovalue
+	midIsoNote := fmt.Sprintf("[iso=%d]", midIso)
 	exps := []Experiment{{
 		Name: "table1", Title: "Table 1: indexing structure sizes",
 		Run: func(_ context.Context, _ RMConfig, out io.Writer) (float64, error) {
 			rows, err := Table1(96, 7)
-			return printed(err, func() { PrintTable1(out, rows) })
+			WriteTable(out, rows, "")
+			return 0, err
 		},
 	}}
 	for i, procs := range []int{1, 2, 4, 8} {
@@ -96,7 +93,7 @@ func Experiments(imagePath string) []Experiment {
 				if err != nil {
 					return 0, err
 				}
-				PrintPerfTable(out, procs, rows)
+				WriteTable(out, rows, fmt.Sprintf("[p=%d]", procs))
 				var rate float64
 				for _, r := range rows {
 					rate += r.Rate
@@ -111,7 +108,7 @@ func Experiments(imagePath string) []Experiment {
 			if err != nil {
 				return 0, err
 			}
-			PrintBalanceTable(out, metric, rows)
+			WriteTable(out, rows, "["+metric+"]")
 			worst := 0.0
 			for _, r := range rows {
 				worst = max(worst, r.MaxAvg)
@@ -137,13 +134,23 @@ func Experiments(imagePath string) []Experiment {
 				steps = append(steps, s)
 			}
 			rows, idx, err := Table8(ctx, cfg, steps, 70, 4)
-			return printed(err, func() { PrintTable8(out, 70, 4, rows, idx) })
+			if err != nil {
+				return 0, err
+			}
+			WriteTable(out, rows, "[iso=70 p=4]")
+			fmt.Fprintf(out, "time-varying index: %d steps, %s total (resident in memory)\n",
+				idx.NumSteps(), obs.FormatBytes(idx.IndexSizeBytes()))
+			return 0, nil
 		},
 	}, {
 		Name: "fig5", Title: "Figure 5: overall time vs isovalue",
 		Run: func(ctx context.Context, cfg RMConfig, out io.Writer) (float64, error) {
 			pts, err := ScalingSeries(ctx, cfg, scalingProcs, PerfOptions{})
-			return printed(err, func() { PrintFigure5(out, scalingProcs, pts) })
+			if err != nil {
+				return 0, err
+			}
+			writeScaling(out, scalingProcs, pts, "overall time", func(p ScalingPoint) string { return fmtDur(p.Overall) })
+			return 0, nil
 		},
 	}, {
 		Name: "fig6", Title: "Figure 6: speedup vs isovalue",
@@ -153,7 +160,7 @@ func Experiments(imagePath string) []Experiment {
 			if err != nil {
 				return 0, err
 			}
-			PrintFigure6(out, scalingProcs, pts)
+			writeScaling(out, scalingProcs, pts, "speedup vs p=1", func(p ScalingPoint) string { return fmt.Sprintf("%.2f", p.Speedup) })
 			var s8 float64
 			n := 0
 			for _, p := range pts {
@@ -168,90 +175,114 @@ func Experiments(imagePath string) []Experiment {
 		Name: "fig4", Title: "Figure 4: isosurface render (iso 190)",
 		Run: func(ctx context.Context, cfg RMConfig, out io.Writer) (float64, error) {
 			res, err := Figure4(ctx, cfg, 190, 4, 1024, 768, imagePath)
-			return printed(err, func() {
-				fmt.Fprintf(out, "triangles: %d, covered pixels: %d, image: %s\n", res.Triangles, res.CoveredPixels, imagePath)
-			})
+			if err != nil {
+				return 0, err
+			}
+			fmt.Fprintf(out, "triangles: %d, covered pixels: %d, image: %s\n", res.Triangles, res.CoveredPixels, imagePath)
+			return 0, nil
 		},
 	}, {
 		Name: "ablation-index", Title: "Ablation: index structures", Ablation: true,
 		Run: func(_ context.Context, cfg RMConfig, out io.Writer) (float64, error) {
 			rows, err := AblationIndexStructures(cfg)
-			return printed(err, func() { PrintIndexAblation(out, rows) })
+			WriteTable(out, rows, "")
+			return 0, err
 		},
 	}, {
 		Name: "ablation-distribution", Title: "Ablation: data distribution (4 nodes)", Ablation: true,
 		Run: func(ctx context.Context, cfg RMConfig, out io.Writer) (float64, error) {
 			rows, err := AblationDistribution(ctx, cfg, 4)
-			return printed(err, func() { PrintDistributionAblation(out, 4, rows) })
+			WriteTable(out, rows, "[p=4]")
+			return 0, err
 		},
 	}, {
 		Name: "ablation-bulkread", Title: "Ablation: bulk brick reads vs scattered reads", Ablation: true,
 		Run: func(_ context.Context, cfg RMConfig, out io.Writer) (float64, error) {
 			rows, err := AblationBulkRead(cfg)
-			return printed(err, func() { PrintBulkReadAblation(out, rows) })
+			WriteTable(out, rows, "")
+			return 0, err
 		},
 	}, {
 		Name: "ablation-metacell", Title: "Ablation: metacell size", Ablation: true,
 		Run: func(_ context.Context, cfg RMConfig, out io.Writer) (float64, error) {
 			rows, err := AblationMetacellSize(cfg, midIso, []int{5, 9, 17})
-			return printed(err, func() { PrintMetacellSizeAblation(out, midIso, rows) })
+			WriteTable(out, rows, midIsoNote)
+			return 0, err
 		},
 	}, {
 		Name: "ablation-dispatch", Title: "Ablation: host dispatch vs independent nodes", Ablation: true,
 		Run: func(ctx context.Context, cfg RMConfig, out io.Writer) (float64, error) {
 			rows, err := AblationHostDispatch(ctx, cfg, midIso, []int{2, 4, 8})
-			return printed(err, func() { PrintDispatchAblation(out, midIso, rows) })
+			WriteTable(out, rows, midIsoNote)
+			return 0, err
 		},
 	}, {
 		Name: "ablation-query", Title: "Ablation: query acceleration structures", Ablation: true,
 		Run: func(_ context.Context, cfg RMConfig, out io.Writer) (float64, error) {
 			rows, err := AblationQueryStructures(cfg, midIso)
-			return printed(err, func() { PrintQueryStructuresAblation(out, midIso, rows) })
+			WriteTable(out, rows, midIsoNote)
+			return 0, err
 		},
 	}, {
 		Name: "schedule", Title: "Ablation: two-phase vs streaming extraction (4 nodes)", Ablation: true,
 		Run: func(ctx context.Context, cfg RMConfig, out io.Writer) (float64, error) {
 			rows, err := AblationSchedule(ctx, cfg, 4)
-			return printed(err, func() { PrintScheduleAblation(out, 4, rows) })
+			WriteTable(out, rows, "[p=4]")
+			return 0, err
 		},
 	}, {
 		Name: "serving", Title: "Serving layer: throughput vs clients (4 nodes)", Load: true,
 		Metric: "speedup", // served vs direct throughput at the largest client count
 		Run: func(ctx context.Context, cfg RMConfig, out io.Writer) (float64, error) {
-			w := ServingWorkload{}
+			w := ServingWorkload{}.withDefaults()
 			rows, err := ServingTable(ctx, cfg, 4, []int{1, 8, 32}, w, serve.Config{})
 			if err != nil {
 				return 0, err
 			}
-			PrintServingTable(out, 4, w, rows)
+			fmt.Fprintf(out, "closed-loop clients, Zipf(%.2g) over %d isovalue levels, %d requests/client, 4 nodes\n",
+				w.ZipfS, w.Levels, w.ReqPerClient)
+			WriteTable(out, rows, "")
 			return rows[len(rows)-1].Speedup, nil
 		},
 	}, {
 		Name: "scaling", Title: "Scaling: sharded serving tier, throughput vs replicas (4 nodes each)", Load: true, Paced: true,
 		Run: func(ctx context.Context, cfg RMConfig, out io.Writer) (float64, error) {
-			w := ServingWorkload{ReqPerClient: 16}
+			w := ServingWorkload{ReqPerClient: 16}.withDefaults()
 			// ~200 Mbit per replica, era-plausible cluster networking (DESIGN §2
 			// models the era's disks the same way): slow enough that four
 			// replicated links still fit under one test host's CPU.
 			rep := dist.ReplicaConfig{LinkBytesPerSec: 25e6}
 			rows, err := ScalingTable(ctx, cfg, 4, []int{1, 2, 4}, 32, w, rep)
-			return printed(err, func() { PrintScalingTable(out, 32, w, rep, rows) })
+			if err != nil {
+				return 0, err
+			}
+			fmt.Fprintf(out, "32 closed-loop clients, Zipf(%.2g) over %d isovalue levels, %d requests/client, %.0f MB/s modeled link per replica; steady state (levels warmed before timing)\n",
+				w.ZipfS, w.Levels, w.ReqPerClient, float64(rep.LinkBytesPerSec)/1e6)
+			WriteTable(out, rows, "")
+			return 0, nil
 		},
 	}, {
 		Name: "chaos", Title: "Chaos: availability and tail latency under injected faults (resilient router vs naive client)", Load: true, Paced: true,
 		Metric: "resilient-failures", // requests the resilient router failed or mis-served; isobench -chaos-strict gates on 0
 		Run: func(ctx context.Context, cfg RMConfig, out io.Writer) (float64, error) {
-			w := ServingWorkload{ReqPerClient: 16, Levels: 16}
-			ccfg := ChaosConfig{Replicas: 3, Clients: 8, Seed: 42}
+			w := ServingWorkload{ReqPerClient: 16, Levels: 16}.withDefaults()
+			ccfg := ChaosConfig{Replicas: 3, Clients: 8, Seed: 42}.withDefaults()
 			scenarios := DefaultChaosScenarios()
 			rows, err := ChaosTable(ctx, cfg, 2, ccfg, w, scenarios)
 			if err != nil {
 				return 0, err
 			}
-			PrintChaosTable(out, ccfg, w, scenarios, rows)
+			fmt.Fprintf(out, "%d replicas, fault on the hottest key's home shard; %d clients × %d requests, Zipf(%.2g) over %d levels, %v/request deadline\n",
+				ccfg.Replicas, ccfg.Clients, w.ReqPerClient, w.ZipfS, w.Levels, ccfg.RequestTimeout)
+			for _, sc := range scenarios {
+				if sc.Fault != (chaos.Fault{}) {
+					fmt.Fprintf(out, "  %-10s %s\n", sc.Name+":", sc.Fault)
+				}
+			}
+			WriteTable(out, rows, "")
 			bad := 0
 			for _, r := range rows {
-				if r.Resilient {
+				if r.Client == "resilient" {
 					bad += r.Failed + r.Mismatched
 				}
 			}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"text/tabwriter"
 	"time"
 
 	"repro/internal/cluster"
@@ -49,28 +48,18 @@ func ScalingSeries(ctx context.Context, cfg RMConfig, procsList []int, opt PerfO
 	return points, nil
 }
 
-// PrintFigure5 renders the overall-time series (one column per node count).
-func PrintFigure5(w io.Writer, procsList []int, points []ScalingPoint) {
-	printScaling(w, procsList, points, "overall time", func(p ScalingPoint) string {
-		return fmtDur(p.Overall)
-	})
-}
-
-// PrintFigure6 renders the speedup series.
-func PrintFigure6(w io.Writer, procsList []int, points []ScalingPoint) {
-	printScaling(w, procsList, points, "speedup vs p=1", func(p ScalingPoint) string {
-		return fmt.Sprintf("%.2f", p.Speedup)
-	})
-}
-
-func printScaling(w io.Writer, procsList []int, points []ScalingPoint, what string, cell func(ScalingPoint) string) {
+// writeScaling writes Figure 5 or 6 as a table pivoted on the node count:
+// one row per isovalue, one column per entry of procsList, cell(p) in each.
+// It keeps its own loop beside WriteTable: its columns are node counts, data
+// rather than fields, so no tag can name them.
+func writeScaling(w io.Writer, procsList []int, points []ScalingPoint, what string, cell func(ScalingPoint) string) {
 	byKey := map[[2]int]ScalingPoint{}
 	isoSet := map[float32]bool{}
 	for _, p := range points {
 		byKey[[2]int{int(p.Iso), p.Procs}] = p
 		isoSet[p.Iso] = true
 	}
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	tw := newTable(w)
 	fmt.Fprintf(tw, "isovalue\t")
 	for _, procs := range procsList {
 		fmt.Fprintf(tw, "p=%d\t", procs)

@@ -1,7 +1,8 @@
 // Package harness drives the experiments that regenerate every table and
 // figure of the paper's evaluation (§7), plus the ablation studies listed in
-// DESIGN.md §5. Each driver returns structured rows and has a printer that
-// emits a text table shaped like the paper's; Experiments (experiments.go)
+// DESIGN.md §5. Each driver returns structured rows whose type declares its
+// columns as field tags, and one writer, WriteTable (table.go), prints any of
+// them as a text table shaped like the paper's; Experiments (experiments.go)
 // registers every driver once with its parameters, and both the root
 // BenchmarkExperiments and cmd/isobench are loops over that registry. The
 // serving-tier experiments and cmd/isoserve share one Zipf load driver,

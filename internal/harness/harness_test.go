@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -80,7 +81,7 @@ func TestTable1(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	PrintTable1(&buf, rows)
+	WriteTable(&buf, rows, "")
 	if !strings.Contains(buf.String(), "Bunny") {
 		t.Error("printed table missing dataset names")
 	}
@@ -106,7 +107,7 @@ func TestPerfTableSingleNode(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	PrintPerfTable(&buf, 1, rows)
+	WriteTable(&buf, rows, "[p=1]")
 	if !strings.Contains(buf.String(), "Mtri/s") {
 		t.Error("printed perf table malformed")
 	}
@@ -174,7 +175,7 @@ func TestBalanceTables(t *testing.T) {
 			}
 		}
 		var buf bytes.Buffer
-		PrintBalanceTable(&buf, metric, rows)
+		WriteTable(&buf, rows, "["+metric+"]")
 		if !strings.Contains(buf.String(), "node 3") {
 			t.Error("printed balance table malformed")
 		}
@@ -211,7 +212,7 @@ func TestTable8(t *testing.T) {
 		t.Errorf("time-varying index = %d bytes", idx.IndexSizeBytes())
 	}
 	var buf bytes.Buffer
-	PrintTable8(&buf, 70, 2, rows, idx)
+	WriteTable(&buf, rows, "")
 	if !strings.Contains(buf.String(), "time step") {
 		t.Error("printed table 8 malformed")
 	}
@@ -299,8 +300,8 @@ func TestScalingSeries(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	PrintFigure5(&buf, procs, pts)
-	PrintFigure6(&buf, procs, pts)
+	writeScaling(&buf, procs, pts, "overall time", func(p ScalingPoint) string { return fmtDur(p.Overall) })
+	writeScaling(&buf, procs, pts, "speedup vs p=1", func(p ScalingPoint) string { return fmt.Sprintf("%.2f", p.Speedup) })
 	out := buf.String()
 	if !strings.Contains(out, "overall time") || !strings.Contains(out, "speedup") {
 		t.Error("printed figures malformed")
@@ -339,7 +340,7 @@ func TestAblationIndexStructures(t *testing.T) {
 		t.Errorf("CIT (%d) not smaller than standard tree (%d)", rows[0].SizeBytes, rows[1].SizeBytes)
 	}
 	var buf bytes.Buffer
-	PrintIndexAblation(&buf, rows)
+	WriteTable(&buf, rows, "")
 	if !strings.Contains(buf.String(), "compact") {
 		t.Error("printed ablation malformed")
 	}
@@ -362,7 +363,7 @@ func TestAblationDistribution(t *testing.T) {
 			rangePart.WorstMaxAvg, stripe.WorstMaxAvg)
 	}
 	var buf bytes.Buffer
-	PrintDistributionAblation(&buf, 4, rows)
+	WriteTable(&buf, rows, "")
 	if !strings.Contains(buf.String(), "striping") {
 		t.Error("printed ablation malformed")
 	}
@@ -382,7 +383,7 @@ func TestAblationBulkRead(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	PrintBulkReadAblation(&buf, rows)
+	WriteTable(&buf, rows, "")
 	if !strings.Contains(buf.String(), "CIT blocks") {
 		t.Error("printed ablation malformed")
 	}
@@ -407,7 +408,7 @@ func TestAblationMetacellSize(t *testing.T) {
 			rows[0].Triangles, rows[1].Triangles, rows[2].Triangles)
 	}
 	var buf bytes.Buffer
-	PrintMetacellSizeAblation(&buf, 110, rows)
+	WriteTable(&buf, rows, "")
 	if !strings.Contains(buf.String(), "span") {
 		t.Error("printed ablation malformed")
 	}
@@ -427,7 +428,7 @@ func TestAblationHostDispatch(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	PrintDispatchAblation(&buf, 110, rows)
+	WriteTable(&buf, rows, "")
 	if !strings.Contains(buf.String(), "host-dispatch") {
 		t.Error("printed ablation malformed")
 	}
@@ -468,7 +469,7 @@ func TestAblationQueryStructures(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	PrintQueryStructuresAblation(&buf, 110, rows)
+	WriteTable(&buf, rows, "")
 	if !strings.Contains(buf.String(), "octree") {
 		t.Error("printed ablation malformed")
 	}
@@ -543,7 +544,7 @@ func TestServingTable(t *testing.T) {
 			rows[1].ServedQPS, rows[1].DirectQPS)
 	}
 	var buf bytes.Buffer
-	PrintServingTable(&buf, 2, w, rows)
+	WriteTable(&buf, rows, "")
 	if !strings.Contains(buf.String(), "hit rate") {
 		t.Error("printed serving table malformed")
 	}
@@ -561,7 +562,7 @@ func TestServingTableReportsTriangleRate(t *testing.T) {
 			r.ServedMtriPerSec, r.DirectMtriPerSec)
 	}
 	var buf bytes.Buffer
-	PrintServingTable(&buf, 2, w, rows)
+	WriteTable(&buf, rows, "")
 	if !strings.Contains(buf.String(), "Mtri/s") {
 		t.Error("printed serving table lacks Mtri/s columns")
 	}

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"sync"
 	"sync/atomic"
-	"text/tabwriter"
 	"time"
 
 	"repro/internal/dist"
@@ -23,27 +22,28 @@ import (
 
 // ScalingRow reports one replica count of the scaling experiment.
 type ScalingRow struct {
-	Replicas int
-	Requests int // total requests issued across all clients
+	Replicas int `col:"replicas"`
+	Requests int `col:"reqs"` // total requests issued across all clients
 
-	QPS        float64
-	Speedup    float64 // QPS / the table's single-replica QPS (0 if no 1-replica row)
-	MtriPerSec float64 // delivered geometry throughput, millions of triangles/s
+	QPS        float64 `col:"q/s,%.1f"`
+	Speedup    float64 `col:"speedup,%.2f×"` // QPS / the table's single-replica QPS (0 if no 1-replica row)
+	MtriPerSec float64 `col:"Mtri/s,%.1f"`   // delivered geometry throughput, millions of triangles/s
 
 	// AggHitRate is (cache hits + coalesced) / requests summed over every
 	// replica; MinHitRate / MaxHitRate are the extremes across individual
 	// replicas — the shard-locality check. Sharding by key means each
 	// replica's cache sees only its own key range, so per-replica hit rates
 	// should track the single-replica run, not degrade with N.
-	AggHitRate  float64
-	MinHitRate  float64
-	MaxHitRate  float64
-	Extractions int64 // backend extractions summed over replicas
+	AggHitRate  float64 `col:"agg hit,%.0f%%"`
+	MinHitRate  float64 `col:"min hit,%.0f%%"`
+	MaxHitRate  float64 `col:"max hit,%.0f%%"`
+	Extractions int64   `col:"extractions"` // backend extractions summed over replicas
 
-	Failovers int64 // requests the router moved to a ring successor
-	Retries   int64 // client retries after every candidate replica shed
+	Failovers int64 `col:"failovers"` // requests the router moved to a ring successor
+	Retries   int64 `col:"retries"`   // client retries after every candidate replica shed
 
-	P50, P99 time.Duration
+	P50 time.Duration `col:"p50"`
+	P99 time.Duration `col:"p99"`
 }
 
 // ScalingTable runs the fixed Zipf workload (clients closed-loop clients)
@@ -246,25 +246,4 @@ func fetchReplicaMesh(ctx context.Context, addr string, step int, iso float32) e
 			return fmt.Errorf("harness: warming %s: %s", url, resp.Status)
 		}
 	}
-}
-
-// PrintScalingTable emits the scaling experiment in the repo's table style.
-func PrintScalingTable(out io.Writer, clients int, w ServingWorkload, rep dist.ReplicaConfig, rows []ScalingRow) {
-	ww := w.withDefaults()
-	fmt.Fprintf(out, "%d closed-loop clients, Zipf(%.2g) over %d isovalue levels, %d requests/client",
-		clients, ww.ZipfS, ww.Levels, ww.ReqPerClient)
-	if rep.LinkBytesPerSec > 0 {
-		fmt.Fprintf(out, ", %.0f MB/s modeled link per replica", float64(rep.LinkBytesPerSec)/1e6)
-	}
-	fmt.Fprintln(out, "; steady state (levels warmed before timing)")
-	tw := tabwriter.NewWriter(out, 2, 0, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintln(tw, "replicas\treqs\tq/s\tspeedup\tMtri/s\tagg hit\tmin hit\tmax hit\textractions\tfailovers\tretries\tp50\tp99\t")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%d\t%d\t%.1f\t%.2f×\t%.1f\t%.0f%%\t%.0f%%\t%.0f%%\t%d\t%d\t%d\t%s\t%s\t\n",
-			r.Replicas, r.Requests, r.QPS, r.Speedup, r.MtriPerSec,
-			100*r.AggHitRate, 100*r.MinHitRate, 100*r.MaxHitRate,
-			r.Extractions, r.Failovers, r.Retries,
-			fmtDur(r.P50), fmtDur(r.P99))
-	}
-	tw.Flush()
 }

@@ -3,10 +3,8 @@ package harness
 import (
 	"context"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
-	"text/tabwriter"
 	"time"
 
 	"repro/internal/cluster"
@@ -22,26 +20,28 @@ import (
 // the closed-loop workload through a serve.Server; Direct runs the identical
 // workload straight against Engine.Extract with no coalescing or cache.
 type ServingRow struct {
-	Clients  int
-	Requests int // total requests issued across all clients
+	Clients  int `col:"clients"`
+	Requests int `col:"reqs"` // total requests issued across all clients
 
-	ServedQPS float64
-	DirectQPS float64
-	Speedup   float64 // ServedQPS / DirectQPS
+	ServedQPS float64 `col:"served q/s,%.1f"`
+	DirectQPS float64 `col:"direct q/s,%.1f"`
+	Speedup   float64 `col:"speedup,%.1f×"` // ServedQPS / DirectQPS
 
 	// Delivered geometry throughput (millions of triangles per second):
 	// every request counts its result's triangles whether extracted fresh,
 	// coalesced onto a neighbor, or served from cache, so cheaper cache
 	// misses show up here even when the hit rate is unchanged.
-	ServedMtriPerSec float64
-	DirectMtriPerSec float64
+	ServedMtriPerSec float64 `col:"served Mtri/s,%.1f"`
+	DirectMtriPerSec float64 `col:"direct Mtri/s,%.1f"`
 
-	HitRate     float64 // (cache hits + coalesced) / requests
-	CacheHits   int64
-	Coalesced   int64
-	Extractions int64
+	HitRate     float64 `col:"hit rate,%.0f%%"` // (cache hits + coalesced) / requests
+	CacheHits   int64   `col:"hits"`
+	Coalesced   int64   `col:"coalesced"`
+	Extractions int64   `col:"extractions"`
 
-	P50, P99 time.Duration // served per-request latency percentiles
+	// Served per-request latency percentiles.
+	P50 time.Duration `col:"p50"`
+	P99 time.Duration `col:"p99"`
 }
 
 // closedLoop drives n closed-loop clients through query (which reports the
@@ -144,21 +144,4 @@ func ServingTable(ctx context.Context, cfg RMConfig, procs int, clientCounts []i
 		rows = append(rows, row)
 	}
 	return rows, nil
-}
-
-// PrintServingTable emits the serving experiment in the repo's table style.
-func PrintServingTable(out io.Writer, procs int, w ServingWorkload, rows []ServingRow) {
-	ww := w.withDefaults()
-	fmt.Fprintf(out, "closed-loop clients, Zipf(%.2g) over %d isovalue levels, %d requests/client, %d nodes\n",
-		ww.ZipfS, ww.Levels, ww.ReqPerClient, procs)
-	tw := tabwriter.NewWriter(out, 2, 0, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintln(tw, "clients\treqs\tserved q/s\tdirect q/s\tspeedup\tserved Mtri/s\tdirect Mtri/s\thit rate\thits\tcoalesced\textractions\tp50\tp99\t")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%d\t%d\t%.1f\t%.1f\t%.1f×\t%.1f\t%.1f\t%.0f%%\t%d\t%d\t%d\t%s\t%s\t\n",
-			r.Clients, r.Requests, r.ServedQPS, r.DirectQPS, r.Speedup,
-			r.ServedMtriPerSec, r.DirectMtriPerSec,
-			100*r.HitRate, r.CacheHits, r.Coalesced, r.Extractions,
-			fmtDur(r.P50), fmtDur(r.P99))
-	}
-	tw.Flush()
 }

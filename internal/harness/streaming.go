@@ -3,12 +3,9 @@ package harness
 import (
 	"context"
 	"fmt"
-	"io"
-	"text/tabwriter"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/obs"
 )
 
 // ---------------------------------------------------------------------------
@@ -20,18 +17,18 @@ import (
 // (the largest node's buffered record bytes — all active metacells for
 // two-phase, the bounded pipeline ring for streaming).
 type ScheduleRow struct {
-	Iso    float32
-	Active int
+	Iso    float32 `col:"isovalue,%.0f"`
+	Active int     `col:"active MC"`
 
-	TwoPhaseWall time.Duration
-	TwoPhaseDisk time.Duration
-	TwoPhasePeak int64
+	TwoPhaseWall time.Duration `col:"2-phase wall"`
+	TwoPhaseDisk time.Duration `col:"2-phase disk"`
+	TwoPhasePeak int64         `col:"2-phase peak,bytes"`
 
-	StreamWall    time.Duration
-	StreamDisk    time.Duration
-	StreamPeak    int64
-	ProducerStall time.Duration // slowest node's producer stall
-	ConsumerStall time.Duration // slowest node's lane stall, summed over its lanes
+	StreamWall    time.Duration `col:"stream wall"`
+	StreamDisk    time.Duration `col:"stream disk"`
+	StreamPeak    int64         `col:"stream peak,bytes"`
+	ProducerStall time.Duration `col:"prod stall"` // slowest node's producer stall
+	ConsumerStall time.Duration `col:"cons stall"` // slowest node's lane stall, summed over its lanes
 }
 
 // AblationSchedule sweeps the isovalues through both schedules on the same
@@ -66,39 +63,15 @@ func AblationSchedule(ctx context.Context, cfg RMConfig, procs int) ([]ScheduleR
 			StreamPeak:   str.MaxPeakBufferedBytes(),
 		}
 		for _, n := range two.PerNode {
-			if n.IOModelTime > row.TwoPhaseDisk {
-				row.TwoPhaseDisk = n.IOModelTime
-			}
-			if peak := int64(n.ActiveMetacells) * recSize; peak > row.TwoPhasePeak {
-				row.TwoPhasePeak = peak
-			}
+			row.TwoPhaseDisk = max(row.TwoPhaseDisk, n.IOModelTime)
+			row.TwoPhasePeak = max(row.TwoPhasePeak, int64(n.ActiveMetacells)*recSize)
 		}
 		for _, n := range str.PerNode {
-			if n.IOModelTime > row.StreamDisk {
-				row.StreamDisk = n.IOModelTime
-			}
-			if n.ProducerStall > row.ProducerStall {
-				row.ProducerStall = n.ProducerStall
-			}
-			if n.ConsumerStall > row.ConsumerStall {
-				row.ConsumerStall = n.ConsumerStall
-			}
+			row.StreamDisk = max(row.StreamDisk, n.IOModelTime)
+			row.ProducerStall = max(row.ProducerStall, n.ProducerStall)
+			row.ConsumerStall = max(row.ConsumerStall, n.ConsumerStall)
 		}
 		rows = append(rows, row)
 	}
 	return rows, nil
-}
-
-// PrintScheduleAblation renders the schedule comparison.
-func PrintScheduleAblation(w io.Writer, procs int, rows []ScheduleRow) {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "isovalue\tactive MC\t2-phase wall\t2-phase disk\t2-phase peak\tstream wall\tstream disk\tstream peak\tprod stall\tcons stall\t[p=%d]\n", procs)
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%.0f\t%d\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t\n",
-			r.Iso, r.Active,
-			fmtDur(r.TwoPhaseWall), fmtDur(r.TwoPhaseDisk), obs.FormatBytes(r.TwoPhasePeak),
-			fmtDur(r.StreamWall), fmtDur(r.StreamDisk), obs.FormatBytes(r.StreamPeak),
-			fmtDur(r.ProducerStall), fmtDur(r.ConsumerStall))
-	}
-	tw.Flush()
 }

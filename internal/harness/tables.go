@@ -3,8 +3,7 @@ package harness
 import (
 	"context"
 	"fmt"
-	"io"
-	"text/tabwriter"
+	"slices"
 	"time"
 
 	"repro/internal/cluster"
@@ -12,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/intervaltree"
 	"repro/internal/metacell"
-	"repro/internal/obs"
 	"repro/internal/render"
 	"repro/internal/volume"
 )
@@ -23,14 +21,14 @@ import (
 
 // Table1Row compares the two index structures on one dataset.
 type Table1Row struct {
-	Name      string
-	Dims      string
-	Format    string
-	Metacells int   // N: intervals indexed
-	Endpoints int   // n: distinct endpoint values
-	CITBytes  int64 // compact interval tree size
-	StdBytes  int64 // standard interval tree size
-	Ratio     float64
+	Name      string  `col:"dataset"`
+	Dims      string  `col:"dims"`
+	Format    string  `col:"fmt"`
+	Metacells int     `col:"N metacells"` // intervals indexed
+	Endpoints int     `col:"n endpoints"` // distinct endpoint values
+	CITBytes  int64   `col:"compact IT,bytes"`
+	StdBytes  int64   `col:"standard IT,bytes"`
+	Ratio     float64 `col:"std/compact,%.1f×"`
 }
 
 // Table1 builds both index structures for synthetic stand-ins of the
@@ -81,18 +79,6 @@ func Table1(n int, seed uint64) ([]Table1Row, error) {
 	return rows, nil
 }
 
-// PrintTable1 renders the rows as a text table.
-func PrintTable1(w io.Writer, rows []Table1Row) {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "dataset\tdims\tfmt\tN metacells\tn endpoints\tcompact IT\tstandard IT\tstd/compact")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%d\t%d\t%s\t%s\t%.1f×\n",
-			r.Name, r.Dims, r.Format, r.Metacells, r.Endpoints,
-			obs.FormatBytes(r.CITBytes), obs.FormatBytes(r.StdBytes), r.Ratio)
-	}
-	tw.Flush()
-}
-
 // ---------------------------------------------------------------------------
 // Tables 2–5 — extraction + rendering performance on 1, 2, 4 and 8 nodes
 // over the isovalue sweep.
@@ -101,17 +87,17 @@ func PrintTable1(w io.Writer, rows []Table1Row) {
 // (triangle count, AMC retrieval time, triangulation time, rendering time,
 // overall rate), where times are the slowest node's.
 type PerfRow struct {
-	Iso       float32
-	Active    int
-	Triangles int
+	Iso       float32 `col:"isovalue,%.0f"`
+	Active    int     `col:"active MC"`
+	Triangles int     `col:"triangles"`
 
-	AMCModel time.Duration // slowest node's modeled disk time for retrieval
-	AMCWall  time.Duration // slowest node's measured retrieval wall time
-	TriWall  time.Duration // slowest node's triangulation wall time
-	RendWall time.Duration // slowest node's local rendering wall time
+	AMCModel time.Duration `col:"AMC I/O (model)"` // slowest node's modeled disk time for retrieval
+	AMCWall  time.Duration `col:"AMC (wall)"`      // slowest node's measured retrieval wall time
+	TriWall  time.Duration `col:"triangulate"`     // slowest node's triangulation wall time
+	RendWall time.Duration `col:"render"`          // slowest node's local rendering wall time
 
-	Overall time.Duration // max-node (AMCModel+TriWall+RendWall) + composite
-	Rate    float64       // Triangles/Overall, Mtri/s
+	Overall time.Duration `col:"overall"`     // max-node (AMCModel+TriWall+RendWall) + composite
+	Rate    float64       `col:"Mtri/s,%.2f"` // Triangles/Overall
 }
 
 // PerfOptions tunes the performance tables.
@@ -159,39 +145,16 @@ func PerfTable(ctx context.Context, cfg RMConfig, procs int, opt PerfOptions) ([
 			compositeWall = time.Since(t0)
 		}
 		for i, n := range res.PerNode {
-			if n.IOModelTime > row.AMCModel {
-				row.AMCModel = n.IOModelTime
-			}
-			if n.AMCWall > row.AMCWall {
-				row.AMCWall = n.AMCWall
-			}
-			if n.TriWall > row.TriWall {
-				row.TriWall = n.TriWall
-			}
-			if rendWall[i] > row.RendWall {
-				row.RendWall = rendWall[i]
-			}
-			if t := n.IOModelTime + n.TriWall + rendWall[i]; t+compositeWall > row.Overall {
-				row.Overall = t + compositeWall
-			}
+			row.AMCModel = max(row.AMCModel, n.IOModelTime)
+			row.AMCWall = max(row.AMCWall, n.AMCWall)
+			row.TriWall = max(row.TriWall, n.TriWall)
+			row.RendWall = max(row.RendWall, rendWall[i])
+			row.Overall = max(row.Overall, n.IOModelTime+n.TriWall+rendWall[i]+compositeWall)
 		}
 		row.Rate = mtps(row.Triangles, row.Overall)
 		rows = append(rows, row)
 	}
 	return rows, nil
-}
-
-// PrintPerfTable renders performance rows in the paper's Table 2–5 shape.
-func PrintPerfTable(w io.Writer, procs int, rows []PerfRow) {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "isovalue\tactive MC\ttriangles\tAMC I/O (model)\tAMC (wall)\ttriangulate\trender\toverall\tMtri/s\t[p=%d]\n", procs)
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%.0f\t%d\t%d\t%s\t%s\t%s\t%s\t%s\t%.2f\t\n",
-			r.Iso, r.Active, r.Triangles,
-			fmtDur(r.AMCModel), fmtDur(r.AMCWall), fmtDur(r.TriWall), fmtDur(r.RendWall),
-			fmtDur(r.Overall), r.Rate)
-	}
-	tw.Flush()
 }
 
 // ---------------------------------------------------------------------------
@@ -200,10 +163,10 @@ func PrintPerfTable(w io.Writer, procs int, rows []PerfRow) {
 
 // BalanceRow is one isovalue's distribution across nodes.
 type BalanceRow struct {
-	Iso     float32
-	PerNode []int
-	Total   int
-	MaxAvg  float64 // max/avg ratio; 1.0 is perfect balance
+	Iso     float32 `col:"isovalue,%.0f"`
+	PerNode []int   `col:"node %d"`
+	Total   int     `col:"total"`
+	MaxAvg  float64 `col:"max/avg,%.3f"` // 1.0 is perfect balance
 }
 
 // BalanceTable computes the per-node distribution of active metacells
@@ -231,41 +194,13 @@ func BalanceTable(ctx context.Context, cfg RMConfig, procs int, metric string) (
 			}
 			row.Total += row.PerNode[i]
 		}
+		row.MaxAvg = 1
 		if row.Total > 0 {
-			max := 0
-			for _, c := range row.PerNode {
-				if c > max {
-					max = c
-				}
-			}
-			row.MaxAvg = float64(max) * float64(procs) / float64(row.Total)
-		} else {
-			row.MaxAvg = 1
+			row.MaxAvg = float64(slices.Max(row.PerNode)) * float64(procs) / float64(row.Total)
 		}
 		rows = append(rows, row)
 	}
 	return rows, nil
-}
-
-// PrintBalanceTable renders distribution rows in the paper's Table 6–7 shape.
-func PrintBalanceTable(w io.Writer, metric string, rows []BalanceRow) {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	if len(rows) == 0 {
-		return
-	}
-	fmt.Fprintf(tw, "isovalue\t")
-	for i := range rows[0].PerNode {
-		fmt.Fprintf(tw, "node %d\t", i)
-	}
-	fmt.Fprintf(tw, "total\tmax/avg\t[%s]\n", metric)
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%.0f\t", r.Iso)
-		for _, c := range r.PerNode {
-			fmt.Fprintf(tw, "%d\t", c)
-		}
-		fmt.Fprintf(tw, "%d\t%.3f\t\n", r.Total, r.MaxAvg)
-	}
-	tw.Flush()
 }
 
 // ---------------------------------------------------------------------------
@@ -274,11 +209,11 @@ func PrintBalanceTable(w io.Writer, metric string, rows []BalanceRow) {
 
 // Table8Row is one time step's row.
 type Table8Row struct {
-	Step      int
-	Active    int
-	Triangles int
-	Time      time.Duration // max-node modeled time, as in the perf tables
-	Rate      float64       // Mtri/s
+	Step      int           `col:"time step"`
+	Active    int           `col:"active MC"`
+	Triangles int           `col:"triangles"`
+	Time      time.Duration `col:"time"` // max-node modeled time, as in the perf tables
+	Rate      float64       `col:"Mtri/s,%.2f"`
 }
 
 // Table8 preprocesses the given steps (paper: 180–195) and extracts the
@@ -301,36 +236,6 @@ func Table8(ctx context.Context, cfg RMConfig, steps []int, iso float32, procs i
 		rows = append(rows, row)
 	}
 	return rows, &tv.Index, nil
-}
-
-// PrintTable8 renders time-varying rows in the paper's Table 8 shape.
-func PrintTable8(w io.Writer, iso float32, procs int, rows []Table8Row, idx *core.TimeVaryingIndex) {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "time step\tactive MC\ttriangles\ttime\tMtri/s\t[iso=%.0f p=%d]\n", iso, procs)
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%d\t%d\t%d\t%s\t%.2f\t\n", r.Step, r.Active, r.Triangles, fmtDur(r.Time), r.Rate)
-	}
-	tw.Flush()
-	if idx != nil {
-		fmt.Fprintf(w, "time-varying index: %d steps, %s total (resident in memory)\n",
-			idx.NumSteps(), obs.FormatBytes(idx.IndexSizeBytes()))
-	}
-}
-
-// ---------------------------------------------------------------------------
-// shared formatting helpers
-
-func fmtDur(d time.Duration) string {
-	switch {
-	case d >= time.Second:
-		return fmt.Sprintf("%.2fs", d.Seconds())
-	case d >= time.Millisecond:
-		return fmt.Sprintf("%.1fms", float64(d.Microseconds())/1000)
-	case d >= time.Microsecond:
-		return fmt.Sprintf("%dµs", d.Microseconds())
-	default:
-		return fmt.Sprintf("%dns", d.Nanoseconds())
-	}
 }
 
 // nullWriter returns a Writer whose output is discarded after offsets are

@@ -6,7 +6,7 @@
 // Three mechanisms make N clients cheaper than N extractions:
 //
 //   - Request coalescing: concurrent requests for the same (time step,
-//     quantized isovalue) key join a single in-flight extraction and all
+//     rounded isovalue) key join a single in-flight extraction and all
 //     receive its result, singleflight-style.
 //   - Mesh cache: completed results are kept under a byte budget, keyed the
 //     same way and evicted by frequency and size (see meshCache), so repeated
@@ -59,11 +59,6 @@ type Config struct {
 	// CacheBytes is the mesh cache budget: triangle-payload bytes plus a
 	// small fixed charge per entry (0 = 256 MiB; negative disables caching).
 	CacheBytes int64
-	// IsoQuantum is the isovalue bucket width of the coalescing/cache key:
-	// requests within the same bucket are served the same mesh (0 = 1, which
-	// matches the paper's integer isovalue sweeps; must be > 0 to coalesce
-	// anything).
-	IsoQuantum float32
 	// Metrics is the registry the server records into (counters, live
 	// gauges, latency and queue-wait histograms under serve_*). Nil creates
 	// a private registry, reachable via Server.Metrics — pass the engine's
@@ -91,14 +86,12 @@ func (c Config) withDefaults() Config {
 	if c.CacheBytes == 0 {
 		c.CacheBytes = 256 << 20
 	}
-	if c.IsoQuantum <= 0 {
-		c.IsoQuantum = 1
-	}
 	return c
 }
 
-// Key identifies a servable surface: one time step and one quantized
-// isovalue bucket. Requests sharing a Key share extractions and cache slots.
+// Key identifies a servable surface: one time step and one isovalue bucket,
+// the isovalue rounded to the nearest integer (the paper's sweeps are
+// integers). Requests sharing a Key share extractions and cache slots.
 type Key struct {
 	Step   int
 	Bucket int64
@@ -134,7 +127,7 @@ func (s Source) String() string {
 // as immutable.
 type Response struct {
 	Key    Key
-	Iso    float32 // the quantized isovalue actually extracted
+	Iso    float32 // the rounded isovalue actually extracted
 	Source Source
 	Wall   time.Duration // request latency inside the server
 	Result *cluster.Result
@@ -295,29 +288,22 @@ func (b tvBackend) ExtractStep(ctx context.Context, step int, iso float32, opts 
 	return b.tv.Extract(ctx, step, iso, opts)
 }
 
-// KeyOf quantizes a query to the key it is coalesced and cached under — and,
-// in the tier, sharded by: the router calls this with the replicas' quantum.
-func KeyOf(step int, iso, quantum float32) Key {
-	return Key{Step: step, Bucket: int64(math.Round(float64(iso) / float64(quantum)))}
+// KeyOf is the key a query is coalesced and cached under — and, in the tier,
+// sharded by: the router calls it too.
+func KeyOf(step int, iso float32) Key {
+	return Key{Step: step, Bucket: int64(math.Round(float64(iso)))}
 }
 
-// KeyFor returns the coalescing/cache key a query maps to.
-func (s *Server) KeyFor(step int, iso float32) Key {
-	return KeyOf(step, iso, s.cfg.IsoQuantum)
-}
-
-// IsoOf returns the quantized isovalue a key extracts — the bucket center
-// every request in the bucket is served.
-func (s *Server) IsoOf(k Key) float32 {
-	return float32(k.Bucket) * s.cfg.IsoQuantum
-}
+// Iso is the isovalue a key extracts: the one every request in its bucket is
+// served.
+func (k Key) Iso() float32 { return float32(k.Bucket) }
 
 // Query serves one isosurface request: cache hit, coalesced join, or a fresh
 // extraction under admission control. It blocks until the mesh is available,
 // the request is rejected, or ctx is done.
 func (s *Server) Query(ctx context.Context, step int, iso float32) (*Response, error) {
 	start := time.Now()
-	key := s.KeyFor(step, iso)
+	key := KeyOf(step, iso)
 
 	s.mu.Lock()
 	s.met.requests.Inc()
@@ -326,7 +312,7 @@ func (s *Server) Query(ctx context.Context, step int, iso float32) (*Response, e
 		s.mu.Unlock()
 		wall := time.Since(start)
 		s.met.requestLatency.Observe(wall)
-		return &Response{Key: key, Iso: s.IsoOf(key), Source: SourceCache, Wall: wall,
+		return &Response{Key: key, Iso: key.Iso(), Source: SourceCache, Wall: wall,
 			Result: surf.res, Trace: traceCacheHit(s.cfg.Trace, wall), surf: surf}, nil
 	}
 	// Join an in-flight extraction — unless its last waiter already
@@ -368,7 +354,7 @@ func (s *Server) wait(ctx context.Context, c *call, src Source, start time.Time)
 		}
 		wall := time.Since(start)
 		s.met.requestLatency.Observe(wall)
-		return &Response{Key: c.key, Iso: s.IsoOf(c.key), Source: src, Wall: wall,
+		return &Response{Key: c.key, Iso: c.key.Iso(), Source: src, Wall: wall,
 			Result: c.surf.res, Trace: s.traceOf(c, src, wall), surf: c.surf}, nil
 	case <-ctx.Done():
 		s.mu.Lock()
@@ -431,7 +417,7 @@ func (s *Server) run(c *call) {
 
 	t0 := time.Now()
 	// A serving layer that drops its meshes would have nothing to return.
-	res, err := s.backend.ExtractStep(c.ctx, c.key.Step, s.IsoOf(c.key), cluster.Options{KeepMeshes: true, Trace: s.cfg.Trace})
+	res, err := s.backend.ExtractStep(c.ctx, c.key.Step, c.key.Iso(), cluster.Options{KeepMeshes: true, Trace: s.cfg.Trace})
 	c.extractDur = time.Since(t0)
 	s.met.extractLatency.Observe(c.extractDur)
 

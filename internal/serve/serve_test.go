@@ -381,7 +381,6 @@ func TestServeStress(t *testing.T) {
 		MaxInFlight: 2,
 		QueueDepth:  2,
 		CacheBytes:  1 << 20, // small enough to evict
-		IsoQuantum:  8,
 	})
 	const workers = 8
 	var wg sync.WaitGroup
@@ -398,7 +397,7 @@ func TestServeStress(t *testing.T) {
 				if rnd.Intn(4) == 0 {
 					ctx, cancel = context.WithTimeout(ctx, time.Duration(rnd.Intn(200))*time.Microsecond)
 				}
-				_, err := s.Query(ctx, 0, float32(rnd.Intn(256)))
+				_, err := s.Query(ctx, 0, float32(8*rnd.Intn(32))) // 32 keys: hot reuse
 				cancel()
 				switch {
 				case err == nil:

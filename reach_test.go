@@ -396,7 +396,7 @@ func TestEveryDeclarationHasACaller(t *testing.T) {
 // configuration types of the production path. It moves only on purpose: an
 // option added to one of them fails TestConfigSurface until this number is
 // changed in the same commit, where a reviewer sees it.
-const configSurface = 28
+const configSurface = 26
 
 // TestConfigSurface counts the exported fields of the configuration types.
 func TestConfigSurface(t *testing.T) {

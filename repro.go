@@ -91,7 +91,7 @@ type (
 	// cache, admission control (see NewServer / NewTimeVaryingServer).
 	Server = serve.Server
 	// ServeConfig sizes a Server (in-flight limit, queue depth, cache
-	// budget, isovalue quantum).
+	// budget).
 	ServeConfig = serve.Config
 	// ServeResponse is one served query result.
 	ServeResponse = serve.Response
