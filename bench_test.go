@@ -53,23 +53,24 @@ func BenchmarkExperiments(b *testing.B) {
 
 // --- Micro-benchmarks of the core operations ---
 
-// BenchmarkQuerySingleIsovalue measures one complete single-node query +
-// triangulation at the mid isovalue (default streaming schedule).
-func BenchmarkQuerySingleIsovalue(b *testing.B) {
+// BenchmarkExtractStreaming measures one complete single-node extraction at
+// the mid isovalue — index query, block reads and weld on the bounded-memory
+// streaming pipeline — and reports the surface's triangles and the
+// pipeline's peak record staging.
+func BenchmarkExtractStreaming(b *testing.B) {
 	eng, err := harness.Engine(benchCfg(), 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
-	var tris int
+	var res *Result
 	for i := 0; i < b.N; i++ {
-		res, err := eng.Extract(context.Background(), 110, Options{})
-		if err != nil {
+		if res, err = eng.Extract(context.Background(), 110, Options{}); err != nil {
 			b.Fatal(err)
 		}
-		tris = res.Triangles
 	}
-	b.ReportMetric(float64(tris), "triangles")
+	b.ReportMetric(float64(res.Triangles), "triangles")
+	b.ReportMetric(float64(res.PerNode[0].PeakBufferedBytes), "peak-buffered-bytes")
 }
 
 // BenchmarkPreprocess is the benchmark's setup_s under go test: the volume
@@ -98,38 +99,6 @@ func BenchmarkPreprocess(b *testing.B) {
 			}
 		})
 	}
-}
-
-// extractScheduleBench runs a single-node extraction at the mid isovalue
-// under the given schedule — the head-to-head pair for the two schedules.
-func extractScheduleBench(b *testing.B, extract func(*Engine, context.Context, float32, Options) (*Result, error)) {
-	b.Helper()
-	eng, err := harness.Engine(benchCfg(), 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var peak int64
-	for i := 0; i < b.N; i++ {
-		res, err := extract(eng, context.Background(), 110, Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		peak = res.MaxPeakBufferedBytes()
-	}
-	b.ReportMetric(float64(peak), "peak-buffered-bytes")
-}
-
-// BenchmarkExtractTwoPhase measures the reference retrieve-then-triangulate
-// schedule, whose staging memory grows with the isosurface.
-func BenchmarkExtractTwoPhase(b *testing.B) {
-	extractScheduleBench(b, (*Engine).ExtractTwoPhase)
-}
-
-// BenchmarkExtractStreaming measures the bounded-memory streaming pipeline
-// on the identical volume and isovalue.
-func BenchmarkExtractStreaming(b *testing.B) {
-	extractScheduleBench(b, (*Engine).Extract)
 }
 
 // BenchmarkServeQueryHot measures the server's hot path: a cache-resident

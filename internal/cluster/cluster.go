@@ -231,16 +231,15 @@ type NodeResult struct {
 
 	IOStats     blockio.Stats // block accesses during AMC retrieval
 	IOModelTime time.Duration // the cost model applied to IOStats
-	// AMCWall and TriWall are the busy times of the two phases. In two-phase
-	// mode the phases run back to back and these are their measured walls; in
-	// streaming mode they overlap, so AMCWall is the query producer's busy
-	// time (retrieval + batch copies, stalls excluded) and TriWall the
-	// slowest lane's weld busy time (Threads+1 lanes weld), keeping
-	// IOModelTime+TriWall comparable across the two schedules.
+	// AMCWall and TriWall are the busy times of the two phases. They
+	// overlap, so AMCWall is the query producer's busy time (retrieval +
+	// batch copies, stalls excluded) and TriWall the slowest lane's weld busy
+	// time (Threads+1 lanes weld); IOModelTime+TriWall is the node's time in
+	// the paper's terms.
 	AMCWall time.Duration
 	TriWall time.Duration
 
-	// Streaming-pipeline statistics (zero in two-phase mode).
+	// Streaming-pipeline statistics.
 	PipelineWall      time.Duration // elapsed time of the pipeline, from the query's start until the kept soup is complete
 	Batches           int           // pipeline hand-offs: batches of up to DefaultBatchRecords records the producer sent the lanes
 	PeakBufferedBytes int64         // max record bytes buffered at once, ≤ DefaultPipelineDepth×DefaultBatchRecords×recSize
@@ -273,16 +272,6 @@ func (r *Result) MaxNodeTime() time.Duration {
 		slowest = max(slowest, n.IOModelTime+n.TriWall)
 	}
 	return slowest
-}
-
-// MaxPeakBufferedBytes returns the largest per-node pipeline staging peak of
-// the extraction (0 for two-phase runs, which report no pipeline stats).
-func (r *Result) MaxPeakBufferedBytes() int64 {
-	var peak int64
-	for i := range r.PerNode {
-		peak = max(peak, r.PerNode[i].PeakBufferedBytes)
-	}
-	return peak
 }
 
 // Meshes returns the per-node meshes of an extraction run with
@@ -346,13 +335,6 @@ func (e *Engine) Extract(ctx context.Context, iso float32, opts Options) (*Resul
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return e.extract(ctx, iso, opts, e.extractNodeStreaming)
-}
-
-// extract fans one per-node schedule out across the nodes and gathers the
-// result; Extract and the ExtractTwoPhase reference differ only in nodeFn.
-func (e *Engine) extract(ctx context.Context, iso float32, opts Options,
-	nodeFn func(ctx context.Context, node int, iso float32, opts Options) (NodeResult, error)) (*Result, error) {
 	res := &Result{Iso: iso, PerNode: make([]NodeResult, e.Procs)}
 	errs := make([]error, e.Procs)
 	start := time.Now()
@@ -361,7 +343,7 @@ func (e *Engine) extract(ctx context.Context, iso float32, opts Options,
 		wg.Add(1)
 		go func(node int) {
 			defer wg.Done()
-			res.PerNode[node], errs[node] = nodeFn(ctx, node, iso, opts)
+			res.PerNode[node], errs[node] = e.extractNodeStreaming(ctx, node, iso, opts)
 		}(i)
 	}
 	wg.Wait()

@@ -35,19 +35,15 @@ func waitGoroutines(t *testing.T, before int) {
 	t.Errorf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
 }
 
-// meshesOf extracts iso with KeepMeshes on a fresh engine's reference
-// schedule: the bytes every other schedule and engine state must reproduce.
+// meshesOf extracts iso on a fresh engine's reference schedule: the bytes
+// every pipeline shape and engine state must reproduce.
 func meshesOf(t *testing.T, g *volume.Grid, cfg Config, iso float32) []*geom.Mesh {
 	t.Helper()
 	e, err := Build(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.ExtractTwoPhase(context.Background(), iso, Options{KeepMeshes: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	meshes, err := res.Meshes()
+	meshes, err := twoPhase(t, e, iso).Meshes()
 	if err != nil {
 		t.Fatal(err)
 	}

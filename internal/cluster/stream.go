@@ -161,8 +161,8 @@ type laneStats struct {
 // straight into place — disjoint writes, nothing to reorder or copy twice.
 //
 // Peak record staging is pipelineDepth×batchRecords×recordSize bytes — a
-// constant of the engine — where the two-phase schedule stages all active
-// metacell bytes, which grow with the isosurface. Cancelling ctx trips the
+// constant of the engine — where the paper's retrieve-then-triangulate
+// schedule stages all active metacell bytes, which grow with the isosurface. Cancelling ctx trips the
 // same done channel a lane's failure does: the producer stops within one
 // batch and every lane leaves the weld phase at its next hand-off.
 func (e *Engine) extractNodeStreaming(ctx context.Context, node int, iso float32, opts Options) (NodeResult, error) {

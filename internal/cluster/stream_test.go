@@ -28,13 +28,41 @@ func (s sizing) applyTo(e *Engine) {
 	e.Threads, e.pipelineDepth, e.batchRecords = s.threads, s.depth, s.batch
 }
 
-// schedules names the streaming schedule and its two-phase reference, for
-// tests that hold both to the same assertion.
-func schedules(e *Engine) map[string]func(context.Context, float32, Options) (*Result, error) {
-	return map[string]func(context.Context, float32, Options) (*Result, error){
-		"streaming": e.Extract,
-		"two-phase": e.ExtractTwoPhase,
+// twoPhase is the paper's own schedule, the reference Extract is held to:
+// per node, retrieve every active metacell record (phase 1), then weld them
+// in record order and expand the welded mesh (phase 2). It runs serially,
+// which gives the same bytes as contiguous per-thread ranges concatenated in
+// thread order, and fills the counts and meshes the tests compare.
+func twoPhase(t testing.TB, e *Engine, iso float32) *Result {
+	t.Helper()
+	res := &Result{Iso: iso, PerNode: make([]NodeResult, e.Procs)}
+	recSize := e.Layout.RecordSize()
+	for node := range res.PerNode {
+		var records []byte
+		st, err := e.trees[node].Query(e.devs[node], iso, func(rec []byte) error {
+			records = append(records, rec...)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("two-phase node %d query: %v", node, err)
+		}
+		nr := &res.PerNode[node]
+		nr.Node, nr.ActiveMetacells = node, st.ActiveMetacells
+		var w march.Welder
+		var im geom.IndexedMesh
+		for off := 0; off < len(records); off += recSize {
+			cells, err := w.Record(e.Layout, records[off:off+recSize], iso, &im)
+			if err != nil {
+				t.Fatalf("two-phase node %d weld: %v", node, err)
+			}
+			nr.ActiveCells += cells
+		}
+		nr.Mesh = im.ExpandSoup()
+		nr.Triangles = nr.Mesh.Len()
+		res.Active += nr.ActiveMetacells
+		res.Triangles += nr.Triangles
 	}
+	return res
 }
 
 // TestStreamingMatchesTwoPhaseProperty is the schedule-equivalence property
@@ -55,10 +83,7 @@ func TestStreamingMatchesTwoPhaseProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 		shape.applyTo(e)
-		two, err := e.ExtractTwoPhase(context.Background(), iso, Options{KeepMeshes: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+		two := twoPhase(t, e, iso)
 		str, err := e.Extract(context.Background(), iso, Options{KeepMeshes: true})
 		if err != nil {
 			t.Fatal(err)

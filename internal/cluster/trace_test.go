@@ -141,49 +141,21 @@ func traceStreamingProperty(t *testing.T, keep bool) {
 	}
 }
 
-func TestTraceTwoPhaseProperty(t *testing.T) {
-	e, err := Build(rmGrid(), Config{Procs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.ExtractTwoPhase(context.Background(), 150, Options{Trace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Trace == nil {
-		t.Fatal("Options.Trace set but Result.Trace is nil (two-phase)")
-	}
-	for _, lane := range res.Trace.Lanes() {
-		var end time.Duration
-		for _, sp := range res.Trace.LaneSpans(lane) {
-			if sp.Start < end {
-				t.Errorf("lane %q: overlapping spans", lane)
-			}
-			end = sp.Start + sp.Dur
-		}
-		if end > res.Trace.Wall+laneEps {
-			t.Errorf("lane %q ends at %v, after wall %v", lane, end, res.Trace.Wall)
-		}
-	}
-}
-
 func TestTraceDisabledRecordsNothing(t *testing.T) {
 	e, err := Build(rmGrid(), Config{Procs: 2, ThreadsPerNode: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, extract := range schedules(e) {
-		res, err := extract(context.Background(), 150, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Trace != nil {
-			t.Errorf("%s: tracing disabled but Result.Trace = %+v", name, res.Trace)
-		}
-		for i := range res.PerNode {
-			if len(res.PerNode[i].spans) != 0 {
-				t.Errorf("%s: node %d recorded %d spans with tracing disabled", name, i, len(res.PerNode[i].spans))
-			}
+	res, err := e.Extract(context.Background(), 150, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Trace != nil {
+		t.Errorf("tracing disabled but Result.Trace = %+v", res.Trace)
+	}
+	for i := range res.PerNode {
+		if len(res.PerNode[i].spans) != 0 {
+			t.Errorf("node %d recorded %d spans with tracing disabled", i, len(res.PerNode[i].spans))
 		}
 	}
 }

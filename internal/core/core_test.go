@@ -578,15 +578,12 @@ func TestEndToEndTrianglesMatchReference(t *testing.T) {
 	g := volume.RichtmyerMeshkov(33, 33, 30, 220, 21)
 	l, cells := metacell.Extract(g, 9)
 	tree, dev := materialize(t, l, cells)
+	var w march.Welder
 	for _, iso := range []float32{60, 128, 190} {
-		var mesh geom.Mesh
-		var m metacell.Meta
+		var mesh geom.IndexedMesh
 		_, err := tree.Query(dev, iso, func(rec []byte) error {
-			if err := metacell.DecodeRecordInto(l, rec, &m); err != nil {
-				return err
-			}
-			march.Metacell(l, &m, iso, &mesh)
-			return nil
+			_, err := w.Record(l, rec, iso, &mesh)
+			return err
 		})
 		if err != nil {
 			t.Fatal(err)

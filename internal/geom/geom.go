@@ -100,8 +100,8 @@ type Mesh struct {
 func (m *Mesh) Append(ts ...Triangle) { m.Tris = append(m.Tris, ts...) }
 
 // Grow ensures capacity for at least n more triangles, exactly, so a
-// known-size bulk append (the two-phase merge, a metacell's worth of cells)
-// pays one allocation of the final size instead of append's growth walk.
+// known-size bulk append pays one allocation of the final size instead of
+// append's growth walk.
 func (m *Mesh) Grow(n int) {
 	if need := len(m.Tris) + n; need > cap(m.Tris) {
 		grown := make([]Triangle, len(m.Tris), need)

@@ -17,14 +17,6 @@ import (
 	"repro/internal/spanspace"
 )
 
-// countTriangles triangulates one decoded metacell and returns its triangle
-// count (the mesh itself is discarded).
-func countTriangles(l metacell.Layout, m *metacell.Meta, iso float32) int {
-	var mesh geom.Mesh
-	march.Metacell(l, m, iso, &mesh)
-	return mesh.Len()
-}
-
 // ---------------------------------------------------------------------------
 // Ablation A — index structures: CIT vs standard interval tree vs BBIO.
 
@@ -226,14 +218,11 @@ func AblationMetacellSize(cfg RMConfig, iso float32, spans []int) ([]MetacellSiz
 			return nil, err
 		}
 		dev := blockio.NewStore(w.Bytes(), blockio.DefaultBlockSize)
-		tris := 0
-		var m metacell.Meta
+		var welder march.Welder
+		var mesh geom.IndexedMesh
 		st, err := cit.Query(dev, iso, func(rec []byte) error {
-			if err := metacell.DecodeRecordInto(l, rec, &m); err != nil {
-				return err
-			}
-			tris += countTriangles(l, &m, iso)
-			return nil
+			_, err := welder.Record(l, rec, iso, &mesh)
+			return err
 		})
 		if err != nil {
 			return nil, err
@@ -246,7 +235,7 @@ func AblationMetacellSize(cfg RMConfig, iso float32, spans []int) ([]MetacellSiz
 			IndexBytes:  cit.IndexSizeBytes(),
 			Active:      st.ActiveMetacells,
 			ReadBlocks:  dev.Stats().BlocksRead,
-			Triangles:   tris,
+			Triangles:   mesh.Len(),
 		})
 	}
 	return rows, nil

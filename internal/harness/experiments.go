@@ -224,13 +224,6 @@ func Experiments(imagePath string) []Experiment {
 			return 0, err
 		},
 	}, {
-		Name: "schedule", Title: "Ablation: two-phase vs streaming extraction (4 nodes)", Ablation: true,
-		Run: func(ctx context.Context, cfg RMConfig, out io.Writer) (float64, error) {
-			rows, err := AblationSchedule(ctx, cfg, 4)
-			WriteTable(out, rows, "[p=4]")
-			return 0, err
-		},
-	}, {
 		Name: "serving", Title: "Serving layer: throughput vs clients (4 nodes)", Load: true,
 		Metric: "speedup", // served vs direct throughput at the largest client count
 		Run: func(ctx context.Context, cfg RMConfig, out io.Writer) (float64, error) {

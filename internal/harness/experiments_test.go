@@ -31,7 +31,7 @@ func TestExperimentRegistryResolves(t *testing.T) {
 		seen[e.Name] = true
 	}
 
-	const oldFlag = "table1|table2|table3|table4|table5|table6|table7|table8|fig4|fig5|fig6|ablations|schedule|serving|scaling|chaos|all"
+	const oldFlag = "table1|table2|table3|table4|table5|table6|table7|table8|fig4|fig5|fig6|ablations|serving|scaling|chaos|all"
 	for _, name := range strings.Split(oldFlag, "|") {
 		if len(SelectExperiments(all, name)) == 0 {
 			t.Errorf("-experiment %s no longer resolves", name)
@@ -54,7 +54,6 @@ func TestExperimentRegistryResolves(t *testing.T) {
 		"Ablation: metacell size",
 		"Ablation: host dispatch vs independent nodes",
 		"Ablation: query acceleration structures",
-		"Ablation: two-phase vs streaming extraction (4 nodes)",
 	}
 	if got := titles(SelectExperiments(all, "ablations")); !slices.Equal(got, ablations) {
 		t.Errorf("ablations expands to\n%q, want\n%q", got, ablations)
@@ -71,11 +70,11 @@ func TestExperimentRegistryResolves(t *testing.T) {
 		"Figure 5: overall time vs isovalue",
 		"Figure 6: speedup vs isovalue",
 		"Figure 4: isosurface render (iso 190)",
-	}, ablations[:7], []string{
+	}, ablations, []string{
 		"Serving layer: throughput vs clients (4 nodes)",
 		"Scaling: sharded serving tier, throughput vs replicas (4 nodes each)",
 		"Chaos: availability and tail latency under injected faults (resilient router vs naive client)",
-	}, ablations[7:])
+	})
 	if got := titles(SelectExperiments(all, "all")); !slices.Equal(got, want) {
 		t.Errorf("all expands to\n%q, want\n%q", got, want)
 	}

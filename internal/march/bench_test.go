@@ -8,35 +8,9 @@ import (
 	"repro/internal/volume"
 )
 
-// BenchmarkMetacell measures triangulating one decoded metacell.
-func BenchmarkMetacell(b *testing.B) {
-	g := volume.RichtmyerMeshkov(33, 33, 30, 250, 1)
-	l, cells := metacell.Extract(g, 9)
-	// Pick a busy metacell (widest interval).
-	best := 0
-	for i, c := range cells {
-		if c.VMax-c.VMin > cells[best].VMax-cells[best].VMin {
-			best = i
-		}
-	}
-	m, err := metacell.DecodeRecord(l, cells[best].Record)
-	if err != nil {
-		b.Fatal(err)
-	}
-	iso := (cells[best].VMin + cells[best].VMax) / 2
-	b.ResetTimer()
-	tris := 0
-	for i := 0; i < b.N; i++ {
-		var mesh geom.Mesh
-		Metacell(l, &m, iso, &mesh)
-		tris = mesh.Len()
-	}
-	b.ReportMetric(float64(tris), "triangles")
-}
-
-// BenchmarkMetacellIndexed measures the welded indexed-mesh path on the same
-// metacell as BenchmarkMetacell; -benchmem should report 0 allocs/op in
-// steady state.
+// BenchmarkMetacellIndexed measures welding one decoded metacell, the
+// busiest (widest interval) of a small RM volume; -benchmem should report 0
+// allocs/op in steady state.
 func BenchmarkMetacellIndexed(b *testing.B) {
 	g := volume.RichtmyerMeshkov(33, 33, 30, 250, 1)
 	l, cells := metacell.Extract(g, 9)

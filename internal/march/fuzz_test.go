@@ -12,6 +12,50 @@ import (
 	"repro/internal/volume"
 )
 
+// Metacell is the soup baseline every weld is held to: it triangulates each
+// cell of a decoded metacell on its own, as Grid does, appending triangles
+// (in volume coordinates) to out, each cell interpolating its own copy of
+// every edge crossing. It returns the number of active cells. Cells that
+// reach past the volume boundary (only in truncated edge metacells, whose
+// samples were clamp-padded) are skipped, so no geometry lies outside the
+// data.
+func Metacell(l metacell.Layout, m *metacell.Meta, iso float32, out *geom.Mesh) int {
+	ox, oy, oz := l.Origin(m.ID)
+	span := l.Span
+	active := 0
+	var v [8]float32
+	for dz := 0; dz < span-1; dz++ {
+		if oz+dz+1 >= l.Nz {
+			break
+		}
+		for dy := 0; dy < span-1; dy++ {
+			if oy+dy+1 >= l.Ny {
+				break
+			}
+			row := (dz*span + dy) * span
+			for dx := 0; dx < span-1; dx++ {
+				if ox+dx+1 >= l.Nx {
+					break
+				}
+				i := row + dx
+				v[0] = m.Samples[i]
+				v[1] = m.Samples[i+1]
+				v[2] = m.Samples[i+span]
+				v[3] = m.Samples[i+span+1]
+				v[4] = m.Samples[i+span*span]
+				v[5] = m.Samples[i+span*span+1]
+				v[6] = m.Samples[i+span*span+span]
+				v[7] = m.Samples[i+span*span+span+1]
+				origin := geom.V(float32(ox+dx), float32(oy+dy), float32(oz+dz))
+				if cell(&v, origin, iso, out) {
+					active++
+				}
+			}
+		}
+	}
+	return active
+}
+
 // checkWeldAgainstSoup welds m into out, which may already hold geometry,
 // twice — from its record, encoded in the layout's format, through
 // Welder.Record, and from the decoded samples through Welder.Metacell — and

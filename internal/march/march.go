@@ -52,55 +52,6 @@ func cell(v *[8]float32, origin geom.Vec3, iso float32, out *geom.Mesh) bool {
 	return true
 }
 
-// Metacell triangulates every cell of a decoded metacell at the given
-// isovalue, appending triangles (in volume coordinates) to out. It returns
-// the number of active cells.
-//
-// This is the triangle-soup baseline: each cell interpolates its own copy of
-// every edge crossing. The streaming pipeline uses Welder.Metacell, whose
-// expanded output is byte-identical; this path is kept as the equivalence
-// reference and for callers that want a soup directly.
-//
-// Cells that extend past the volume boundary (possible only in truncated
-// edge metacells, where samples were clamp-padded) are skipped so no
-// spurious geometry is generated outside the data.
-func Metacell(l metacell.Layout, m *metacell.Meta, iso float32, out *geom.Mesh) int {
-	ox, oy, oz := l.Origin(m.ID)
-	span := l.Span
-	active := 0
-	var v [8]float32
-	for dz := 0; dz < span-1; dz++ {
-		if oz+dz+1 >= l.Nz {
-			break
-		}
-		for dy := 0; dy < span-1; dy++ {
-			if oy+dy+1 >= l.Ny {
-				break
-			}
-			row := (dz*span + dy) * span
-			for dx := 0; dx < span-1; dx++ {
-				if ox+dx+1 >= l.Nx {
-					break
-				}
-				i := row + dx
-				v[0] = m.Samples[i]
-				v[1] = m.Samples[i+1]
-				v[2] = m.Samples[i+span]
-				v[3] = m.Samples[i+span+1]
-				v[4] = m.Samples[i+span*span]
-				v[5] = m.Samples[i+span*span+1]
-				v[6] = m.Samples[i+span*span+span]
-				v[7] = m.Samples[i+span*span+span+1]
-				origin := geom.V(float32(ox+dx), float32(oy+dy), float32(oz+dz))
-				if cell(&v, origin, iso, out) {
-					active++
-				}
-			}
-		}
-	}
-	return active
-}
-
 // sample is a metacell scalar in the type its record stores it as.
 type sample interface{ uint8 | uint16 | float32 }
 
@@ -125,7 +76,8 @@ type sample interface{ uint8 | uint16 | float32 }
 // Each crossing is interpolated once per metacell instead of once per
 // incident cell (up to 4× for an edge shared by four cells), and because the
 // interpolation reads the same two samples with the same arithmetic,
-// ExpandSoup of the result is byte-identical to Metacell's soup. Triangles
+// ExpandSoup of the result is byte-identical to the soup baseline — every
+// cell triangulated on its own, as Grid does, the tests' oracle. Triangles
 // come out in the soup's order; vertices in the vertex pass's.
 //
 // The edge table is never cleared. A cell's triangles name only edges that
@@ -187,7 +139,7 @@ type extent struct{ cx, cy, cz int }
 // Metacell triangulates every cell of a decoded metacell, welding vertices
 // into out (an indexed mesh that may already hold earlier metacells'
 // geometry). It returns the number of active cells — the same count, and in
-// ExpandSoup form the same bytes, as the Metacell soup baseline.
+// ExpandSoup form the same bytes, as the soup baseline.
 func (w *Welder) Metacell(l metacell.Layout, m *metacell.Meta, iso float32, out *geom.IndexedMesh) int {
 	return weld(w, l, m.ID, m.Samples, iso, iso, out)
 }

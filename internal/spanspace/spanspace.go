@@ -12,6 +12,7 @@
 package spanspace
 
 import (
+	"math"
 	"sort"
 
 	"repro/internal/metacell"
@@ -20,44 +21,42 @@ import (
 // Histogram2D is a coarse occupancy map of the span space: counts of
 // metacells per (vmin, vmax) bucket. Used by the analysis tooling.
 type Histogram2D struct {
-	Bins   int
-	Lo, Hi float32
-	Count  [][]int // [vminBin][vmaxBin]
+	Bins  int
+	Count [][]int // [vminBin][vmaxBin]
 }
 
-// Histogram builds a bins×bins span-space occupancy histogram.
+// Histogram builds a bins×bins span-space occupancy histogram. The bins
+// divide the range of the finite endpoints, in float64 so that not even
+// ±MaxFloat32 overflows it, and an infinite endpoint falls in an end bin.
 func Histogram(cells []metacell.Cell, bins int) *Histogram2D {
 	h := &Histogram2D{Bins: bins}
-	if len(cells) == 0 || bins <= 0 {
+	if bins <= 0 {
 		return h
-	}
-	h.Lo, h.Hi = cells[0].VMin, cells[0].VMax
-	for _, c := range cells {
-		if c.VMin < h.Lo {
-			h.Lo = c.VMin
-		}
-		if c.VMax > h.Hi {
-			h.Hi = c.VMax
-		}
 	}
 	h.Count = make([][]int, bins)
 	for i := range h.Count {
 		h.Count[i] = make([]int, bins)
 	}
-	span := h.Hi - h.Lo
-	if span == 0 {
-		span = 1
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for _, c := range cells {
+		for _, v := range [2]float64{float64(c.VMin), float64(c.VMax)} {
+			if !math.IsInf(v, 0) {
+				lo, hi = min(lo, v), max(hi, v)
+			}
+		}
+	}
+	width := hi - lo
+	switch {
+	case lo > hi: // no finite endpoint
+		lo, width = 0, 1
+	case width == 0:
+		width = 1
+	}
+	bin := func(v float32) int {
+		return int(min(max(float64(bins)*(float64(v)-lo)/width, 0), float64(bins-1)))
 	}
 	for _, c := range cells {
-		i := int(float32(bins) * (c.VMin - h.Lo) / span)
-		j := int(float32(bins) * (c.VMax - h.Lo) / span)
-		if i >= bins {
-			i = bins - 1
-		}
-		if j >= bins {
-			j = bins - 1
-		}
-		h.Count[i][j]++
+		h.Count[bin(c.VMin)][bin(c.VMax)]++
 	}
 	return h
 }

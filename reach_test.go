@@ -26,7 +26,8 @@ import (
 // that stays anyway, with the reason: it is something a test of live code
 // compares against, or is fed by. Whatever an entry calls is kept with it.
 // TestEveryDeclarationHasACaller fails on an unreachable declaration that is
-// not listed here, and on an entry that has become reachable or is gone.
+// not listed here, and on an entry that has become reachable, is gone, or
+// whose name (its last identifier) no test file mentions.
 var oracles = map[string]string{
 	// Reference implementations: what a test of live code compares against.
 	"march.Grid":                     "whole-grid marching cubes, the reference the metacell path, the cluster and the mesh exporters are tested against",
@@ -56,7 +57,7 @@ var oracles = map[string]string{
 
 	// Waiting for the caller ROADMAP names.
 	"meshio.IndexFromWelded":   "ROADMAP item 2 (indexed payload) starts from it; meshio_test holds it to Index of the expanded soup",
-	"dist.(*Response).Release": "ROADMAP item 3's releasing benchmark client: the give-back for Router.Query callers, pinned by the recycle tests and the allocation gate",
+	"dist.(*Response).Release": "ROADMAP item 1A(f)'s releasing benchmark client: the give-back for Router.Query callers, pinned by the recycle tests and the allocation gate",
 }
 
 // reflected are the methods fmt, errors and encoding/json find by asserting
@@ -324,6 +325,7 @@ func TestEveryDeclarationHasACaller(t *testing.T) {
 	}
 	fset := token.NewFileSet()
 	l := &reachLoader{root: root, fset: fset, std: importer.ForCompiler(fset, "source", nil), pkgs: map[string]*reachPkg{}}
+	mentioned := map[string]bool{} // every identifier the module's test files use
 	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
 			return err
@@ -339,7 +341,7 @@ func TestEveryDeclarationHasACaller(t *testing.T) {
 		if p := l.load(imp); p.err != nil {
 			t.Errorf("%s: %v", imp, p.err)
 		}
-		return nil
+		return mentionsIn(fset, path, mentioned)
 	})
 	if err != nil || t.Failed() {
 		t.Fatalf("loading the module: %v", err)
@@ -364,6 +366,9 @@ func TestEveryDeclarationHasACaller(t *testing.T) {
 
 	live := g.reach(roots)
 	for name, why := range oracles {
+		if last := name[strings.LastIndex(name, ".")+1:]; !mentioned[last] {
+			t.Errorf("oracles[%q] is stale: no test file mentions %s", name, last)
+		}
 		o, ok := internal[name]
 		switch {
 		case why == "":
@@ -390,6 +395,25 @@ func TestEveryDeclarationHasACaller(t *testing.T) {
 	for _, d := range dead {
 		t.Errorf("%s: nothing reaches it; delete it, or name it in oracles with the test that needs it", d)
 	}
+}
+
+// mentionsIn adds every identifier that the test files of dir use, under the
+// current build constraints, to mentioned.
+func mentionsIn(fset *token.FileSet, dir string, mentioned map[string]bool) error {
+	bp, _ := build.Default.ImportDir(dir, 0) // no Go files: no tests; l.load reports any other error
+	for _, name := range append(bp.TestGoFiles, bp.XTestGoFiles...) {
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				mentioned[id.Name] = true
+			}
+			return true
+		})
+	}
+	return nil
 }
 
 // configSurface is the number of values a caller can set across the five

@@ -15,9 +15,8 @@
 // ThreadsPerNode+1 marching-cubes lanes, overlapping disk I/O with
 // triangulation while staging at most four batches of DefaultBatchRecords
 // records in memory; a kept surface is then gathered by the same lanes into
-// one soup of exactly its length (the paper's original
-// retrieve-everything-then-triangulate schedule survives as
-// Engine.ExtractTwoPhase, the reference the pipeline is tested against).
+// one soup of exactly its length, byte for byte the mesh of the paper's
+// retrieve-everything-then-triangulate schedule.
 // Config.CacheBlocks adds an LRU block cache over each node's disk for
 // repeated sweeps such as animation or isovalue scans. Extraction takes a
 // context.Context; cancelling it aborts the pipeline mid-stream on every node.
