@@ -8,8 +8,6 @@
 //
 //	isoserve -size small -clients 32 -requests 32            # closed loop
 //	isoserve -size small -clients 32 -qps 200 -duration 10s  # open loop
-//	isoserve -size small -clients 32 -direct                 # uncached baseline
-//	isoserve -size small -clients 32 -compare                # served vs direct table
 //	isoserve -size small -clients 32 -listen :9090           # + /metrics, /statusz, pprof
 //	isoserve -size small -clients 32 -replicas 4             # sharded tier on loopback sockets
 //	isoserve -size small -replicas 3 -serve :8080            # daemon: router + replicas, no load
@@ -74,9 +72,6 @@ var (
 	queueDepth  = flag.Int("queue", 0, "admission queue depth (0 = clients, so the closed loop is never shed)")
 	cacheBytes  = flag.Int64("cache-bytes", 0, "mesh cache budget (0 = serve default 256 MiB, <0 disables)")
 
-	direct  = flag.Bool("direct", false, "bypass the server: every request is a raw Engine.Extract")
-	compare = flag.Bool("compare", false, "closed-loop served-vs-direct comparison table")
-
 	replicas  = flag.Int("replicas", 0, "shard the tier across N replica servers on loopback sockets (0 = one in-process server, no sockets)")
 	serveAddr = flag.String("serve", "", "serve the tier's router on this address and wait; no load is generated")
 	connect   = flag.String("connect", "", "drive a remote tier (a router or replica /mesh endpoint) at this address; no engine is built")
@@ -128,11 +123,8 @@ func main() {
 			log.Fatalf("-requests must be ≥ 1, got %d", *requests)
 		}
 	}
-	if *connect != "" && (*replicas > 0 || *serveAddr != "" || *direct || *compare) {
-		log.Fatal("-connect drives a remote tier: it excludes -replicas, -serve, -direct and -compare")
-	}
-	if (*replicas > 0 || *serveAddr != "") && (*direct || *compare) {
-		log.Fatal("-replicas/-serve run the sharded tier: they exclude -direct and -compare")
+	if *connect != "" && (*replicas > 0 || *serveAddr != "") {
+		log.Fatal("-connect drives a remote tier: it excludes -replicas and -serve")
 	}
 	fault, err := chaos.ParseFault(*chaosSpec)
 	if err != nil {
@@ -178,19 +170,15 @@ func main() {
 
 	var m mode = r.served
 	switch {
-	case *compare:
-		m = r.compare
 	case *connect != "":
 		m = r.remote
 	case *replicas > 0 || *serveAddr != "":
 		m = r.tier
-	case *direct:
-		m = r.direct
 	}
 	query, label, cleanup := m(ctx)
 	defer cleanup()
 	if query == nil {
-		return // the mode was its own run: -compare's table, -serve's daemon
+		return // the mode was its own run: -serve's daemon
 	}
 
 	load := harness.Load{Clients: *clients}
@@ -241,8 +229,8 @@ type queryFunc = func(ctx context.Context, client int, iso float32) error
 // run is over. A nil query means the mode was the whole run.
 type mode = func(context.Context) (query queryFunc, label string, cleanup func())
 
-// engine preprocesses the volume every mode but -compare (whose table brings
-// its own) and -connect (which has the tier do it) extracts from.
+// engine preprocesses the volume every mode but -connect (which has the tier
+// do it) extracts from.
 func (r *run) engine() *cluster.Engine {
 	log.Printf("preprocessing %d×%d×%d on %d nodes…", r.cfg.NX, r.cfg.NY, r.cfg.NZ, *procs)
 	eng, err := cluster.Build(harness.Volume(r.cfg), cluster.Config{Procs: *procs, ThreadsPerNode: *threads, Metrics: r.reg})
@@ -252,50 +240,15 @@ func (r *run) engine() *cluster.Engine {
 	return eng
 }
 
-func (r *run) keepTrace(tr *obs.Trace) {
-	if tr != nil {
-		r.firstTrace.CompareAndSwap(nil, tr)
-	}
-}
-
 func (r *run) served(context.Context) (queryFunc, string, func()) {
 	srv := serve.NewServer(r.engine(), r.scfg)
 	return func(ctx context.Context, _ int, iso float32) error {
 		resp, err := srv.Query(ctx, 0, iso)
-		if err == nil && resp.Source == serve.SourceExtracted {
-			r.keepTrace(resp.Trace)
+		if err == nil && resp.Source == serve.SourceExtracted && resp.Trace != nil {
+			r.firstTrace.CompareAndSwap(nil, resp.Trace)
 		}
 		return err
 	}, "served", func() { printStats(srv.Stats()) }
-}
-
-func (r *run) direct(context.Context) (queryFunc, string, func()) {
-	eng := r.engine()
-	return func(ctx context.Context, _ int, iso float32) error {
-		res, err := eng.Extract(ctx, iso, cluster.Options{KeepMeshes: true, Trace: *trace})
-		if err == nil {
-			r.keepTrace(res.Trace)
-		}
-		return err
-	}, "direct (no server)", func() {}
-}
-
-func (r *run) compare(ctx context.Context) (queryFunc, string, func()) {
-	// ServingTable preprocesses (and memoizes) its own engine; -threads
-	// applies only to the direct/served modes.
-	log.Printf("served vs direct: %d clients × %d requests, Zipf(%.2g) over %d levels, %d nodes",
-		*clients, *requests, *zipfS, *levels, *procs)
-	rows, err := harness.ServingTable(ctx, r.cfg, *procs, []int{*clients}, r.w, r.scfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	harness.WriteTable(os.Stdout, rows, "")
-	row := rows[0]
-	fmt.Printf("\ncoalescing + mesh cache: %.1f q/s vs %.1f q/s direct → %.1f× throughput\n",
-		row.ServedQPS, row.DirectQPS, row.Speedup)
-	fmt.Printf("delivered geometry: %.1f Mtri/s served vs %.1f Mtri/s direct\n",
-		row.ServedMtriPerSec, row.DirectMtriPerSec)
-	return nil, "", func() {}
 }
 
 // routerConfig is the one place flags become a dist.RouterConfig, for the

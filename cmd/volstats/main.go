@@ -23,6 +23,7 @@ import (
 	"text/tabwriter"
 
 	"repro/internal/blockio"
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/metacell"
 	"repro/internal/obs"
@@ -33,26 +34,20 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("volstats: ")
+	src := cli.Volume(cli.Span)
 	var (
-		in      = flag.String("in", "", "volume file in this repository's format")
-		raw     = flag.String("raw", "", "headerless raw volume file")
+		raw     = flag.String("raw", "", "headerless raw volume file (instead of -in or the synthetic volume)")
 		rawDims = flag.String("rawdims", "", "raw dimensions, e.g. 256x256x256")
 		rawFmt  = flag.String("rawfmt", "u8", "raw scalar format: u8|u16|f32")
-		nx      = flag.Int("nx", 128, "synthetic volume X samples")
-		ny      = flag.Int("ny", 128, "synthetic volume Y samples")
-		nz      = flag.Int("nz", 120, "synthetic volume Z samples")
-		step    = flag.Int("step", 250, "synthetic RM time step")
-		seed    = flag.Uint64("seed", 42, "synthetic generator seed")
-		span    = flag.Int("span", 9, "metacell span")
 	)
 	flag.Parse()
 
-	g, err := loadVolume(*in, *raw, *rawDims, *rawFmt, *nx, *ny, *nz, *step, *seed)
+	g, err := loadVolume(src, *raw, *rawDims, *rawFmt)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	if err := report(os.Stdout, g, *span); err != nil {
+	if err := report(os.Stdout, g, src.Span); err != nil {
 		log.Fatal(err)
 	}
 }
@@ -154,28 +149,19 @@ func valueHistogram(g *volume.Grid, buckets int) histogram {
 	return h
 }
 
-func loadVolume(in, raw, rawDims, rawFmt string, nx, ny, nz, step int, seed uint64) (*volume.Grid, error) {
-	switch {
-	case in != "":
-		return volume.ReadFile(in)
-	case raw != "":
-		var dx, dy, dz int
-		if _, err := fmt.Sscanf(rawDims, "%dx%dx%d", &dx, &dy, &dz); err != nil {
-			return nil, fmt.Errorf("bad -rawdims %q (want NXxNYxNZ): %v", rawDims, err)
-		}
-		var f volume.Format
-		switch rawFmt {
-		case "u8":
-			f = volume.U8
-		case "u16":
-			f = volume.U16
-		case "f32":
-			f = volume.F32
-		default:
-			return nil, fmt.Errorf("bad -rawfmt %q", rawFmt)
-		}
-		return volume.ReadRaw(raw, dx, dy, dz, f)
-	default:
-		return volume.RichtmyerMeshkov(nx, ny, nz, step, seed), nil
+// loadVolume reads the headerless -raw file, or the volume src names.
+func loadVolume(src *cli.Source, raw, rawDims, rawFmt string) (*volume.Grid, error) {
+	if raw == "" {
+		return src.Grid()
 	}
+	var dx, dy, dz int
+	if _, err := fmt.Sscanf(rawDims, "%dx%dx%d", &dx, &dy, &dz); err != nil {
+		return nil, fmt.Errorf("bad -rawdims %q (want NXxNYxNZ): %v", rawDims, err)
+	}
+	for _, f := range []volume.Format{volume.U8, volume.U16, volume.F32} {
+		if f.String() == rawFmt {
+			return volume.ReadRaw(raw, dx, dy, dz, f)
+		}
+	}
+	return nil, fmt.Errorf("bad -rawfmt %q", rawFmt)
 }

@@ -64,7 +64,6 @@ type nodePlan struct {
 type BuildPlan struct {
 	nodes []nodePlan
 	root  int32
-	cells int
 	err   error // ErrBadInterval: there is no plan, and Materialize says so
 }
 
@@ -73,7 +72,7 @@ type BuildPlan struct {
 // metacell ID). Cells that are not all intervals have no plan: materializing
 // the result returns ErrBadInterval.
 func Plan(cells []metacell.Cell) *BuildPlan {
-	p := &BuildPlan{cells: len(cells)}
+	p := &BuildPlan{}
 	for i := range cells {
 		if c := &cells[i]; !(c.VMin <= c.VMax) {
 			p.err = fmt.Errorf("%w: metacell %d has [%v, %v]", ErrBadInterval, c.ID, c.VMin, c.VMax)

@@ -46,31 +46,14 @@ type Tree struct {
 
 // Materialize lays the plan's bricks out on a single disk via w (records are
 // written in node order, bricks in decreasing-vmax order, metacells in
-// increasing-vmin order) and returns the sequential tree.
+// increasing-vmin order) and returns the sequential tree: MaterializeStriped
+// over one disk, where no brick is empty.
 func (p *BuildPlan) Materialize(l metacell.Layout, cells []metacell.Cell, w RecordWriter) (*Tree, error) {
-	if p.err != nil {
-		return nil, p.err
+	trees, err := p.MaterializeStriped(l, cells, []RecordWriter{w})
+	if err != nil {
+		return nil, err
 	}
-	t := &Tree{Layout: l, Root: p.root, NumCells: p.cells, Nodes: make([]Node, len(p.nodes))}
-	for ni, np := range p.nodes {
-		n := Node{VM: np.vm, Left: np.left, Right: np.right}
-		for _, b := range np.bricks {
-			off := w.Offset()
-			for _, ci := range b.cells {
-				if _, err := w.Append(cells[ci].Record); err != nil {
-					return nil, fmt.Errorf("core: writing brick: %w", err)
-				}
-			}
-			n.Entries = append(n.Entries, IndexEntry{
-				VMax:    b.vmax,
-				MinVMin: cells[b.cells[0]].VMin,
-				Offset:  off,
-				Count:   int32(len(b.cells)),
-			})
-		}
-		t.Nodes[ni] = n
-	}
-	return t, nil
+	return trees[0], nil
 }
 
 // MaterializeStriped distributes the plan across len(ws) disks: the

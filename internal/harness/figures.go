@@ -109,8 +109,7 @@ func Figure4(ctx context.Context, cfg RMConfig, iso float32, procs, w, h int, ou
 	if err != nil {
 		return nil, err
 	}
-	// Per-node colors visualize the striped distribution.
-	fbs, _ := render.DrawNodes(meshes, w, h, true)
+	fbs, _ := render.DrawNodes(meshes, render.FitNodes(meshes, w, h))
 	tiles, _, err := composite.SortLast(fbs, 2, 2)
 	if err != nil {
 		return nil, err

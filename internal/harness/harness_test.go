@@ -496,7 +496,7 @@ func TestCompositeTrafficOrdersOfMagnitudeBelowTriangles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fbs, _ := render.DrawNodes(meshes, 512, 512, true)
+	fbs, _ := render.DrawNodes(meshes, render.FitNodes(meshes, 512, 512))
 	_, st, err := composite.SortLast(fbs, 2, 2)
 	if err != nil {
 		t.Fatal(err)

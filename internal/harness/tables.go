@@ -137,7 +137,7 @@ func PerfTable(ctx context.Context, cfg RMConfig, procs int, opt PerfOptions) ([
 				return nil, err
 			}
 			var fbs []*render.Framebuffer
-			fbs, rendWall = render.DrawNodes(meshes, opt.FrameW, opt.FrameH, false)
+			fbs, rendWall = render.DrawNodes(meshes, render.FitNodes(meshes, opt.FrameW, opt.FrameH))
 			t0 := time.Now()
 			if _, _, err := composite.ZComposite(fbs...); err != nil {
 				return nil, err

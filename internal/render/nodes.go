@@ -7,18 +7,22 @@ import (
 	"repro/internal/geom"
 )
 
-// DrawNodes renders per-node meshes the way the cluster's per-node GPUs do:
-// one camera fitted to the union of the meshes' bounds, each mesh drawn into
-// its own w×h framebuffer on its own goroutine. With colorByNode, mesh i is
-// tinted NodeColor(i) to visualize the striped distribution; otherwise every
-// mesh gets DefaultShading. It returns the framebuffers, ready for sort-last
-// compositing, and each node's render wall time.
-func DrawNodes(meshes []*geom.Mesh, w, h int, colorByNode bool) ([]*Framebuffer, []time.Duration) {
+// FitNodes fits one camera to the union of the per-node meshes' bounds with
+// FitMesh's three-quarter view, for DrawNodes.
+func FitNodes(meshes []*geom.Mesh, w, h int) *Camera {
 	bounds := geom.EmptyAABB()
 	for _, m := range meshes {
 		bounds = bounds.Union(m.Bounds())
 	}
-	cam := FitMesh(bounds, 45, w, h)
+	return FitMesh(bounds, 45, w, h)
+}
+
+// DrawNodes renders per-node meshes the way the cluster's per-node GPUs do:
+// each mesh drawn through cam into its own cam.W×cam.H framebuffer on its own
+// goroutine, tinted NodeColor(i) to visualize the striped distribution. It
+// returns the framebuffers, ready for sort-last compositing, and each node's
+// render wall time.
+func DrawNodes(meshes []*geom.Mesh, cam *Camera) ([]*Framebuffer, []time.Duration) {
 	fbs := make([]*Framebuffer, len(meshes))
 	walls := make([]time.Duration, len(meshes))
 	var wg sync.WaitGroup
@@ -28,10 +32,8 @@ func DrawNodes(meshes []*geom.Mesh, w, h int, colorByNode bool) ([]*Framebuffer,
 			defer wg.Done()
 			t0 := time.Now()
 			sh := DefaultShading()
-			if colorByNode {
-				sh.Base = NodeColor(i)
-			}
-			fbs[i] = NewFramebuffer(w, h)
+			sh.Base = NodeColor(i)
+			fbs[i] = NewFramebuffer(cam.W, cam.H)
 			DrawMesh(fbs[i], cam, m, sh)
 			walls[i] = time.Since(t0)
 		}()

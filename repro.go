@@ -194,7 +194,7 @@ func RenderComposite(res *Result, w, h int) (*Framebuffer, error) {
 	if err != nil {
 		return nil, err
 	}
-	fbs, _ := render.DrawNodes(meshes, w, h, true)
+	fbs, _ := render.DrawNodes(meshes, render.FitNodes(meshes, w, h))
 	merged, _, err := composite.ZComposite(fbs...)
 	return merged, err
 }
@@ -207,7 +207,7 @@ func RenderWall(res *Result, w, h, tilesX, tilesY int) ([]Tile, error) {
 	if err != nil {
 		return nil, err
 	}
-	fbs, _ := render.DrawNodes(meshes, w, h, true)
+	fbs, _ := render.DrawNodes(meshes, render.FitNodes(meshes, w, h))
 	tiles, _, err := composite.SortLast(fbs, tilesX, tilesY)
 	return tiles, err
 }
