@@ -55,6 +55,11 @@ func main() {
 	if *tiles && *out == "" {
 		log.Fatal("-tiles splits the -o image: it needs -o")
 	}
+	if *mesh != "" {
+		if err := meshio.CheckPath(*mesh); err != nil {
+			log.Fatal(err)
+		}
+	}
 	for _, p := range []string{*mesh, *out} {
 		if src.Ranged && p != "" {
 			if err := framePattern(p); err != nil {
@@ -118,15 +123,11 @@ func report(res *cluster.Result) {
 	}
 }
 
-// writeMesh writes the per-node meshes as one indexed mesh.
+// writeMesh welds the per-node meshes into one indexed mesh and writes it.
 func writeMesh(meshes []*geom.Mesh, path string) error {
-	var soup geom.Mesh
-	for _, m := range meshes {
-		soup.Append(m.Tris...)
-	}
-	im := meshio.Index(&soup)
-	fmt.Printf("writing %s (%d vertices, %d faces)\n", path, im.NumVerts(), im.NumFaces())
-	return im.WriteFile(path)
+	im := meshio.Index(meshes...)
+	fmt.Printf("writing %s (%d vertices, %d faces)\n", path, im.NumVerts(), im.Len())
+	return meshio.WriteFile(path, im)
 }
 
 // writeImage renders each node's mesh through cam and writes their

@@ -24,16 +24,16 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Weld the per-node triangle soup into an indexed mesh and export.
-	soup, err := repro.MergeMeshes(res)
+	// Weld the per-node triangle soups into one indexed mesh and export.
+	meshes, err := res.Meshes()
 	if err != nil {
 		log.Fatal(err)
 	}
-	im := repro.IndexMesh(soup)
+	im := repro.IndexMesh(meshes...)
 	fmt.Printf("isosurface: %d triangles → %d welded vertices, %d faces\n",
-		soup.Len(), im.NumVerts(), im.NumFaces())
+		res.Triangles, im.NumVerts(), im.Len())
 	for _, name := range []string{"isosurface.obj", "isosurface.stl", "isosurface.ply"} {
-		if err := im.WriteFile(name); err != nil {
+		if err := repro.WriteMesh(name, im); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Println("wrote", name)

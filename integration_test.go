@@ -84,11 +84,11 @@ func TestFullWorkflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	im := IndexMesh(soup)
-	if im.NumFaces() == 0 || im.NumFaces() > soup.Len() {
-		t.Fatalf("welded mesh has %d faces for %d triangles", im.NumFaces(), soup.Len())
+	if im.Len() == 0 || im.Len() > soup.Len() {
+		t.Fatalf("welded mesh has %d faces for %d triangles", im.Len(), soup.Len())
 	}
 	for _, ext := range []string{".obj", ".stl", ".ply"} {
-		if err := im.WriteFile(filepath.Join(dir, "surface"+ext)); err != nil {
+		if err := WriteMesh(filepath.Join(dir, "surface"+ext), im); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -336,10 +336,12 @@ func TestReplicaDrain(t *testing.T) {
 }
 
 // TestReplicaRejectsBadRequests covers the 400 path and that the router
-// does not fail over on it.
+// does not fail over on it. An isovalue no serve.Key holds (NaN, or beyond
+// ±2⁶³) parses, but is refused too: such values once shared the bucket −2⁶³
+// and were all served the surface at −9.22e18.
 func TestReplicaRejectsBadRequests(t *testing.T) {
 	c := startCluster(t, 2, ReplicaConfig{}, RouterConfig{})
-	for _, q := range []string{"/mesh", "/mesh?iso=abc", "/mesh?iso=1&step=x"} {
+	for _, q := range []string{"/mesh", "/mesh?iso=abc", "/mesh?iso=1&step=x", "/mesh?iso=1e20", "/mesh?iso=-Inf", "/mesh?iso=NaN"} {
 		resp, err := http.Get("http://" + c.Replicas[0].Addr() + q)
 		if err != nil {
 			t.Fatal(err)
@@ -349,6 +351,23 @@ func TestReplicaRejectsBadRequests(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: %s, want 400", q, resp.Status)
 		}
+	}
+	for _, iso := range []float32{1e20, -1e20, math.MaxFloat32, float32(math.Inf(1)), float32(math.NaN())} {
+		resp, err := c.Router.Query(context.Background(), 0, iso)
+		if err == nil {
+			resp.Release()
+		}
+		if !errors.Is(err, errReplicaFailed) {
+			t.Errorf("routed iso %v: %v, want the replica's refusal", iso, err)
+		}
+	}
+	for i, st := range c.Stats() {
+		if st.Extractions != 0 {
+			t.Errorf("replica %d ran %d extractions for refused requests", i, st.Extractions)
+		}
+	}
+	if st := c.Router.Stats(); st.Failovers != 0 {
+		t.Errorf("router failed over %d times on a refused request", st.Failovers)
 	}
 }
 

@@ -194,6 +194,9 @@ func (r *Replica) handleMesh(w http.ResponseWriter, req *http.Request) {
 	case errors.Is(err, serve.ErrSaturated):
 		r.shed(w, err.Error())
 		return
+	case errors.Is(err, serve.ErrIsovalue):
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
 	case req.Context().Err() != nil:
 		return // client gone; nothing to say and no one to say it to
 	default:

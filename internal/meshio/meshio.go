@@ -1,5 +1,5 @@
-// Package meshio turns the extraction pipeline's triangle soup into an
-// indexed mesh (exact-coordinate vertex welding, per-vertex normals) and
+// Package meshio welds the extraction pipeline's triangle soups into one
+// geom.IndexedMesh (exact-coordinate vertex welding, per-vertex normals) and
 // writes the standard interchange formats a downstream user of an
 // isosurface library expects: Wavefront OBJ, binary STL and ASCII PLY.
 //
@@ -15,21 +15,22 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
+	"slices"
 
 	"repro/internal/geom"
 )
 
-// IndexedMesh is a welded triangle mesh.
-type IndexedMesh struct {
-	Verts []geom.Vec3
-	Faces [][3]uint32
-}
-
-// Index welds a triangle soup into an indexed mesh, dropping degenerate
-// triangles (including those that collapse under welding).
-func Index(m *geom.Mesh) *IndexedMesh {
-	im := &IndexedMesh{}
-	lookup := make(map[geom.Vec3]uint32, len(m.Tris))
+// Index welds triangle soups, in order, into one indexed mesh, dropping
+// degenerate triangles (including those that collapse under welding). Given
+// an extraction's per-node meshes it welds what their concatenation would.
+func Index(meshes ...*geom.Mesh) *geom.IndexedMesh {
+	n := 0
+	for _, m := range meshes {
+		n += m.Len()
+	}
+	im := &geom.IndexedMesh{}
+	lookup := make(map[geom.Vec3]uint32, n)
 	idOf := func(p geom.Vec3) uint32 {
 		if id, ok := lookup[p]; ok {
 			return id
@@ -39,79 +40,25 @@ func Index(m *geom.Mesh) *IndexedMesh {
 		lookup[p] = id
 		return id
 	}
-	for _, tr := range m.Tris {
-		if tr.Degenerate() {
-			continue
+	for _, m := range meshes {
+		for _, tr := range m.Tris {
+			if tr.Degenerate() {
+				continue
+			}
+			a, b, c := idOf(tr.A), idOf(tr.B), idOf(tr.C)
+			if a == b || b == c || a == c {
+				continue
+			}
+			im.Idx = append(im.Idx, a, b, c)
 		}
-		a, b, c := idOf(tr.A), idOf(tr.B), idOf(tr.C)
-		if a == b || b == c || a == c {
-			continue
-		}
-		im.Faces = append(im.Faces, [3]uint32{a, b, c})
 	}
 	return im
 }
-
-// IndexFromWelded converts a pipeline-welded geom.IndexedMesh into an
-// interchange mesh with the same semantics as Index: degenerate and collapsed
-// faces are dropped, and coordinates are re-welded globally. The pipeline's
-// weld is per metacell (and per edge), so duplicates remain across metacell
-// boundaries and at exact corner hits; deduplicating only those leftovers
-// against a coordinate map is much cheaper than welding the full expanded
-// soup vertex by vertex. Index(welded.ExpandSoup()) produces the identical
-// mesh — the round-trip test holds meshio to that.
-func IndexFromWelded(welded *geom.IndexedMesh) *IndexedMesh {
-	im := &IndexedMesh{}
-	lookup := make(map[geom.Vec3]uint32, len(welded.Verts))
-	// remap[i] is welded vertex i's index in the output (deduplicated, and
-	// assigned lazily in first-reference order so face-visit order matches
-	// Index over the expanded soup).
-	remap := make([]uint32, len(welded.Verts))
-	for i := range remap {
-		remap[i] = ^uint32(0)
-	}
-	idOf := func(wi uint32) uint32 {
-		if id := remap[wi]; id != ^uint32(0) {
-			return id
-		}
-		p := welded.Verts[wi]
-		id, ok := lookup[p]
-		if !ok {
-			id = uint32(len(im.Verts))
-			im.Verts = append(im.Verts, p)
-			lookup[p] = id
-		}
-		remap[wi] = id
-		return id
-	}
-	for i := 0; i+2 < len(welded.Idx); i += 3 {
-		t := geom.Triangle{
-			A: welded.Verts[welded.Idx[i]],
-			B: welded.Verts[welded.Idx[i+1]],
-			C: welded.Verts[welded.Idx[i+2]],
-		}
-		if t.Degenerate() {
-			continue
-		}
-		a, b, c := idOf(welded.Idx[i]), idOf(welded.Idx[i+1]), idOf(welded.Idx[i+2])
-		if a == b || b == c || a == c {
-			continue
-		}
-		im.Faces = append(im.Faces, [3]uint32{a, b, c})
-	}
-	return im
-}
-
-// NumVerts returns the vertex count.
-func (im *IndexedMesh) NumVerts() int { return len(im.Verts) }
-
-// NumFaces returns the face count.
-func (im *IndexedMesh) NumFaces() int { return len(im.Faces) }
 
 // Normals computes area-weighted per-vertex normals.
-func (im *IndexedMesh) Normals() []geom.Vec3 {
+func Normals(im *geom.IndexedMesh) []geom.Vec3 {
 	ns := make([]geom.Vec3, len(im.Verts))
-	for _, f := range im.Faces {
+	for f := range slices.Chunk(im.Idx, 3) {
 		t := geom.Triangle{A: im.Verts[f[0]], B: im.Verts[f[1]], C: im.Verts[f[2]]}
 		n := t.Normal() // magnitude ∝ area: area weighting for free
 		for _, vi := range f {
@@ -124,27 +71,10 @@ func (im *IndexedMesh) Normals() []geom.Vec3 {
 	return ns
 }
 
-// EulerCharacteristic returns V − E + F, with edges counted from the face
-// list. For a closed orientable surface this is 2 − 2·genus.
-func (im *IndexedMesh) EulerCharacteristic() int {
-	edges := make(map[[2]uint32]struct{}, 3*len(im.Faces)/2)
-	for _, f := range im.Faces {
-		for i := 0; i < 3; i++ {
-			a, b := f[i], f[(i+1)%3]
-			if a > b {
-				a, b = b, a
-			}
-			edges[[2]uint32{a, b}] = struct{}{}
-		}
-	}
-	return len(im.Verts) - len(edges) + len(im.Faces)
-}
-
-// IsClosed reports whether every edge is shared by exactly two faces (a
-// watertight surface).
-func (im *IndexedMesh) IsClosed() bool {
-	use := make(map[[2]uint32]int, 3*len(im.Faces)/2)
-	for _, f := range im.Faces {
+// edgeUses counts the faces on each undirected edge of im.
+func edgeUses(im *geom.IndexedMesh) map[[2]uint32]int {
+	use := make(map[[2]uint32]int, 3*im.Len()/2)
+	for f := range slices.Chunk(im.Idx, 3) {
 		for i := 0; i < 3; i++ {
 			a, b := f[i], f[(i+1)%3]
 			if a > b {
@@ -153,7 +83,19 @@ func (im *IndexedMesh) IsClosed() bool {
 			use[[2]uint32{a, b}]++
 		}
 	}
-	for _, n := range use {
+	return use
+}
+
+// EulerCharacteristic returns V − E + F, with edges counted from the index
+// triples. For a closed orientable surface this is 2 − 2·genus.
+func EulerCharacteristic(im *geom.IndexedMesh) int {
+	return im.NumVerts() - len(edgeUses(im)) + im.Len()
+}
+
+// IsClosed reports whether every edge is shared by exactly two faces (a
+// watertight surface).
+func IsClosed(im *geom.IndexedMesh) bool {
+	for _, n := range edgeUses(im) {
 		if n != 2 {
 			return false
 		}
@@ -161,26 +103,25 @@ func (im *IndexedMesh) IsClosed() bool {
 	return true
 }
 
-// WriteOBJ writes the mesh as Wavefront OBJ with per-vertex normals.
-func (im *IndexedMesh) WriteOBJ(w io.Writer) error {
+// WriteOBJ writes im as Wavefront OBJ with per-vertex normals.
+func WriteOBJ(w io.Writer, im *geom.IndexedMesh) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
-	fmt.Fprintf(bw, "# isosurface: %d vertices, %d faces\n", im.NumVerts(), im.NumFaces())
+	fmt.Fprintf(bw, "# isosurface: %d vertices, %d faces\n", im.NumVerts(), im.Len())
 	for _, v := range im.Verts {
 		fmt.Fprintf(bw, "v %g %g %g\n", v.X, v.Y, v.Z)
 	}
-	for _, n := range im.Normals() {
+	for _, n := range Normals(im) {
 		fmt.Fprintf(bw, "vn %g %g %g\n", n.X, n.Y, n.Z)
 	}
-	for _, f := range im.Faces {
+	for f := range slices.Chunk(im.Idx, 3) {
 		// OBJ indices are 1-based; vertex and normal indices coincide.
 		fmt.Fprintf(bw, "f %d//%d %d//%d %d//%d\n", f[0]+1, f[0]+1, f[1]+1, f[1]+1, f[2]+1, f[2]+1)
 	}
 	return bw.Flush()
 }
 
-// WriteSTL writes the mesh as binary STL (unindexed; STL has no shared
-// vertices).
-func (im *IndexedMesh) WriteSTL(w io.Writer) error {
+// WriteSTL writes im as binary STL (unindexed; STL has no shared vertices).
+func WriteSTL(w io.Writer, im *geom.IndexedMesh) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	var header [80]byte
 	copy(header[:], "isosurface (binary STL)")
@@ -188,7 +129,7 @@ func (im *IndexedMesh) WriteSTL(w io.Writer) error {
 		return err
 	}
 	var n [4]byte
-	binary.LittleEndian.PutUint32(n[:], uint32(len(im.Faces)))
+	binary.LittleEndian.PutUint32(n[:], uint32(im.Len()))
 	if _, err := bw.Write(n[:]); err != nil {
 		return err
 	}
@@ -198,7 +139,7 @@ func (im *IndexedMesh) WriteSTL(w io.Writer) error {
 		binary.LittleEndian.PutUint32(rec[off+4:], math.Float32bits(v.Y))
 		binary.LittleEndian.PutUint32(rec[off+8:], math.Float32bits(v.Z))
 	}
-	for _, f := range im.Faces {
+	for f := range slices.Chunk(im.Idx, 3) {
 		t := geom.Triangle{A: im.Verts[f[0]], B: im.Verts[f[1]], C: im.Verts[f[2]]}
 		putV(0, t.UnitNormal())
 		putV(12, t.A)
@@ -212,46 +153,50 @@ func (im *IndexedMesh) WriteSTL(w io.Writer) error {
 	return bw.Flush()
 }
 
-// WritePLY writes the mesh as ASCII PLY.
-func (im *IndexedMesh) WritePLY(w io.Writer) error {
+// WritePLY writes im as ASCII PLY.
+func WritePLY(w io.Writer, im *geom.IndexedMesh) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	fmt.Fprintf(bw, "ply\nformat ascii 1.0\nelement vertex %d\n", im.NumVerts())
 	fmt.Fprint(bw, "property float x\nproperty float y\nproperty float z\n")
-	fmt.Fprintf(bw, "element face %d\nproperty list uchar int vertex_indices\nend_header\n", im.NumFaces())
+	fmt.Fprintf(bw, "element face %d\nproperty list uchar int vertex_indices\nend_header\n", im.Len())
 	for _, v := range im.Verts {
 		fmt.Fprintf(bw, "%g %g %g\n", v.X, v.Y, v.Z)
 	}
-	for _, f := range im.Faces {
+	for f := range slices.Chunk(im.Idx, 3) {
 		fmt.Fprintf(bw, "3 %d %d %d\n", f[0], f[1], f[2])
 	}
 	return bw.Flush()
 }
 
-// WriteFile writes the mesh to path in the format implied by its extension
-// (.obj, .stl or .ply).
-func (im *IndexedMesh) WriteFile(path string) error {
+// writers are the formats WriteFile knows, by file extension.
+var writers = map[string]func(io.Writer, *geom.IndexedMesh) error{
+	".obj": WriteOBJ,
+	".stl": WriteSTL,
+	".ply": WritePLY,
+}
+
+// CheckPath reports whether WriteFile knows the mesh format path's extension
+// names: .obj, .stl or .ply.
+func CheckPath(path string) error {
+	if writers[filepath.Ext(path)] == nil {
+		return fmt.Errorf("meshio: unknown mesh extension in %q (want .obj/.stl/.ply)", path)
+	}
+	return nil
+}
+
+// WriteFile writes im to path in the format its extension names. An unknown
+// extension fails before the file is created.
+func WriteFile(path string, im *geom.IndexedMesh) error {
+	if err := CheckPath(path); err != nil {
+		return err
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	var werr error
-	switch {
-	case hasSuffix(path, ".obj"):
-		werr = im.WriteOBJ(f)
-	case hasSuffix(path, ".stl"):
-		werr = im.WriteSTL(f)
-	case hasSuffix(path, ".ply"):
-		werr = im.WritePLY(f)
-	default:
-		werr = fmt.Errorf("meshio: unknown mesh extension in %q (want .obj/.stl/.ply)", path)
-	}
-	if werr != nil {
+	if err := writers[filepath.Ext(path)](f, im); err != nil {
 		f.Close()
-		return werr
+		return err
 	}
 	return f.Close()
-}
-
-func hasSuffix(s, suf string) bool {
-	return len(s) >= len(suf) && s[len(s)-len(suf):] == suf
 }

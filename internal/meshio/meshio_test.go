@@ -2,15 +2,18 @@ package meshio
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"math"
+	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/geom"
 	"repro/internal/march"
-	"repro/internal/metacell"
 	"repro/internal/volume"
 )
 
@@ -26,16 +29,16 @@ func sphereMesh(t *testing.T) *geom.Mesh {
 func TestIndexWeldsSharedVertices(t *testing.T) {
 	mesh := sphereMesh(t)
 	im := Index(mesh)
-	if im.NumFaces() == 0 {
+	if im.Len() == 0 {
 		t.Fatal("no faces")
 	}
 	// A closed triangle mesh has far fewer vertices than 3 per face; for
 	// large closed meshes V ≈ F/2.
-	if im.NumVerts() >= 3*im.NumFaces()*2/3 {
-		t.Errorf("welding ineffective: %d verts for %d faces", im.NumVerts(), im.NumFaces())
+	if im.NumVerts() >= 3*im.Len()*2/3 {
+		t.Errorf("welding ineffective: %d verts for %d faces", im.NumVerts(), im.Len())
 	}
 	// Every face index must be valid and non-degenerate.
-	for _, f := range im.Faces {
+	for f := range slices.Chunk(im.Idx, 3) {
 		for _, vi := range f {
 			if int(vi) >= im.NumVerts() {
 				t.Fatalf("face references vertex %d of %d", vi, im.NumVerts())
@@ -45,14 +48,23 @@ func TestIndexWeldsSharedVertices(t *testing.T) {
 			t.Fatal("degenerate face survived welding")
 		}
 	}
+	// Welding per-node soups in order is welding their concatenation:
+	// vertices shared across the cut get one index either way.
+	n := mesh.Len()
+	a, b := &geom.Mesh{Tris: mesh.Tris[:n/3]}, &geom.Mesh{Tris: mesh.Tris[n/3:]}
+	parts := Index(a, &geom.Mesh{}, b)
+	if !slices.Equal(parts.Verts, im.Verts) || !slices.Equal(parts.Idx, im.Idx) {
+		t.Errorf("Index(a, empty, b): %d verts / %d faces, Index(a+b): %d / %d",
+			parts.NumVerts(), parts.Len(), im.NumVerts(), im.Len())
+	}
 }
 
 func TestIndexedSphereTopology(t *testing.T) {
 	im := Index(sphereMesh(t))
-	if !im.IsClosed() {
+	if !IsClosed(im) {
 		t.Error("sphere mesh not closed after indexing")
 	}
-	if chi := im.EulerCharacteristic(); chi != 2 {
+	if chi := EulerCharacteristic(im); chi != 2 {
 		t.Errorf("Euler characteristic = %d, want 2", chi)
 	}
 }
@@ -60,7 +72,7 @@ func TestIndexedSphereTopology(t *testing.T) {
 func TestIndexedTorusTopology(t *testing.T) {
 	mesh, _ := march.Grid(volume.Torus(32), 180)
 	im := Index(mesh)
-	if chi := im.EulerCharacteristic(); chi != 0 {
+	if chi := EulerCharacteristic(im); chi != 0 {
 		t.Errorf("torus Euler characteristic = %d, want 0", chi)
 	}
 }
@@ -71,14 +83,14 @@ func TestIndexDropsDegenerate(t *testing.T) {
 	m.Append(geom.Triangle{A: geom.V(0, 0, 0), B: geom.V(0, 0, 0), C: geom.V(1, 0, 0)}) // repeated vertex
 	m.Append(geom.Triangle{A: geom.V(0, 0, 0), B: geom.V(1, 0, 0), C: geom.V(0, 1, 0)}) // good
 	im := Index(&m)
-	if im.NumFaces() != 1 {
-		t.Errorf("kept %d faces, want 1", im.NumFaces())
+	if im.Len() != 1 {
+		t.Errorf("kept %d faces, want 1", im.Len())
 	}
 }
 
 func TestNormalsUnitAndOutward(t *testing.T) {
 	im := Index(sphereMesh(t))
-	ns := im.Normals()
+	ns := Normals(im)
 	c := geom.V(9.5, 9.5, 9.5)
 	for i, n := range ns {
 		l := n.Len()
@@ -94,15 +106,15 @@ func TestNormalsUnitAndOutward(t *testing.T) {
 func TestWriteOBJ(t *testing.T) {
 	im := Index(sphereMesh(t))
 	var buf bytes.Buffer
-	if err := im.WriteOBJ(&buf); err != nil {
+	if err := WriteOBJ(&buf, im); err != nil {
 		t.Fatal(err)
 	}
 	s := buf.String()
 	if strings.Count(s, "\nv ")+1 < im.NumVerts() { // first v may follow header line
 		t.Error("missing vertices in OBJ")
 	}
-	if strings.Count(s, "\nf ") != im.NumFaces() {
-		t.Errorf("OBJ has %d faces, want %d", strings.Count(s, "\nf "), im.NumFaces())
+	if strings.Count(s, "\nf ") != im.Len() {
+		t.Errorf("OBJ has %d faces, want %d", strings.Count(s, "\nf "), im.Len())
 	}
 	if !strings.Contains(s, "vn ") {
 		t.Error("OBJ missing normals")
@@ -112,28 +124,28 @@ func TestWriteOBJ(t *testing.T) {
 func TestWriteSTL(t *testing.T) {
 	im := Index(sphereMesh(t))
 	var buf bytes.Buffer
-	if err := im.WriteSTL(&buf); err != nil {
+	if err := WriteSTL(&buf, im); err != nil {
 		t.Fatal(err)
 	}
 	b := buf.Bytes()
-	if len(b) != 84+50*im.NumFaces() {
-		t.Fatalf("STL size %d, want %d", len(b), 84+50*im.NumFaces())
+	if len(b) != 84+50*im.Len() {
+		t.Fatalf("STL size %d, want %d", len(b), 84+50*im.Len())
 	}
-	if n := binary.LittleEndian.Uint32(b[80:]); int(n) != im.NumFaces() {
-		t.Errorf("STL face count %d, want %d", n, im.NumFaces())
+	if n := binary.LittleEndian.Uint32(b[80:]); int(n) != im.Len() {
+		t.Errorf("STL face count %d, want %d", n, im.Len())
 	}
 	// First triangle's vertices must match the mesh.
-	f := im.Faces[0]
+	v := im.Verts[im.Idx[0]]
 	gotX := math.Float32frombits(binary.LittleEndian.Uint32(b[84+12:]))
-	if gotX != im.Verts[f[0]].X {
-		t.Errorf("STL vertex mismatch: %v vs %v", gotX, im.Verts[f[0]].X)
+	if gotX != v.X {
+		t.Errorf("STL vertex mismatch: %v vs %v", gotX, v.X)
 	}
 }
 
 func TestWritePLY(t *testing.T) {
 	im := Index(sphereMesh(t))
 	var buf bytes.Buffer
-	if err := im.WritePLY(&buf); err != nil {
+	if err := WritePLY(&buf, im); err != nil {
 		t.Fatal(err)
 	}
 	s := buf.String()
@@ -149,83 +161,65 @@ func TestWriteFileByExtension(t *testing.T) {
 	im := Index(sphereMesh(t))
 	dir := t.TempDir()
 	for _, name := range []string{"m.obj", "m.stl", "m.ply"} {
-		if err := im.WriteFile(filepath.Join(dir, name)); err != nil {
+		if err := WriteFile(filepath.Join(dir, name), im); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
-	if err := im.WriteFile(filepath.Join(dir, "m.xyz")); err == nil {
-		t.Error("unknown extension should fail")
+	// An unknown extension fails before the file is created, and CheckPath
+	// says so up front.
+	for _, name := range []string{"m.xyz", "m", "m.obj.bak", "obj"} {
+		path := filepath.Join(dir, name)
+		if CheckPath(path) == nil {
+			t.Errorf("CheckPath(%q) accepted an unknown extension", name)
+		}
+		if err := WriteFile(path, im); err == nil {
+			t.Errorf("%s: unknown extension should fail", name)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("%s: a failed WriteFile left a file behind (stat: %v)", name, err)
+		}
 	}
 }
 
 func TestEmptyMesh(t *testing.T) {
-	im := Index(&geom.Mesh{})
-	if im.NumVerts() != 0 || im.NumFaces() != 0 {
-		t.Error("empty soup produced geometry")
-	}
-	if !im.IsClosed() { // vacuously closed
-		t.Error("empty mesh should be vacuously closed")
-	}
-	var buf bytes.Buffer
-	if err := im.WriteOBJ(&buf); err != nil {
-		t.Error(err)
+	for _, im := range []*geom.IndexedMesh{Index(), Index(&geom.Mesh{})} {
+		if im.NumVerts() != 0 || im.Len() != 0 {
+			t.Error("empty soup produced geometry")
+		}
+		if !IsClosed(im) { // vacuously closed
+			t.Error("empty mesh should be vacuously closed")
+		}
+		var buf bytes.Buffer
+		if err := WriteOBJ(&buf, im); err != nil {
+			t.Error(err)
+		}
 	}
 }
 
-// weldedSphere extracts the sphere through the pipeline's welded path so the
-// IndexFromWelded tests exercise real multi-metacell meshes (internal welds,
-// cross-metacell duplicates, corner hits).
-func weldedSphere(t *testing.T) *geom.IndexedMesh {
-	t.Helper()
-	l, cells := metacell.Extract(volume.Sphere(20), 9)
-	var w march.Welder
-	welded := &geom.IndexedMesh{}
-	for _, c := range cells {
-		m, err := metacell.DecodeRecord(l, c.Record)
-		if err != nil {
+// TestExportBytes pins every exporter's output, byte for byte, on the welded
+// sphere and torus: a change to the welding order, the index layout or a
+// format's printing shows up here and not first in a downstream tool.
+func TestExportBytes(t *testing.T) {
+	torus, _ := march.Grid(volume.Torus(32), 180)
+	meshes := map[string]*geom.IndexedMesh{"sphere": Index(sphereMesh(t)), "torus": Index(torus)}
+	for _, c := range []struct {
+		mesh, ext string
+		size      int
+		sha256    string
+	}{
+		{"sphere", ".obj", 126213, "71bfde1aaa5234a6de5e896f514c738a4b3629b82b03fc5ff0c8b58dfc5d853d"},
+		{"sphere", ".stl", 115084, "fb76309e51879955f3f93874c50e945b6a6accae194953ef77966f55affa387a"},
+		{"sphere", ".ply", 47340, "2fa974f02af53cd55463f07d7a110dada69982516ab9825e10595c80bd41bf5f"},
+		{"torus", ".obj", 229784, "4af5c28c5a4ddc68cd835b456603ae687d4f26417ddad34320ace72435cb743c"},
+		{"torus", ".stl", 200084, "9b8865e75a93a5b0a0110e37d8bb3d7a3a5d68e07cfae8379271031900d26515"},
+		{"torus", ".ply", 88826, "2f4948d71ae78c89211677cf8320f791de9b0e54a1c4d5f95c32c5d3d6dbeb5e"},
+	} {
+		var buf bytes.Buffer
+		if err := writers[c.ext](&buf, meshes[c.mesh]); err != nil {
 			t.Fatal(err)
 		}
-		w.Metacell(l, &m, 128, welded)
-	}
-	if welded.Len() == 0 {
-		t.Fatal("no welded sphere mesh")
-	}
-	return welded
-}
-
-func TestIndexFromWeldedMatchesIndex(t *testing.T) {
-	welded := weldedSphere(t)
-	fast := IndexFromWelded(welded)
-	ref := Index(welded.ExpandSoup())
-	if len(fast.Verts) != len(ref.Verts) || len(fast.Faces) != len(ref.Faces) {
-		t.Fatalf("IndexFromWelded: %d verts / %d faces, Index(ExpandSoup): %d / %d",
-			len(fast.Verts), len(fast.Faces), len(ref.Verts), len(ref.Faces))
-	}
-	for i := range ref.Verts {
-		if fast.Verts[i] != ref.Verts[i] {
-			t.Fatalf("vertex %d: %v vs %v", i, fast.Verts[i], ref.Verts[i])
+		if sum := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); buf.Len() != c.size || sum != c.sha256 {
+			t.Errorf("%s%s: %d bytes, sha256 %s; want %d bytes, %s", c.mesh, c.ext, buf.Len(), sum, c.size, c.sha256)
 		}
-	}
-	for i := range ref.Faces {
-		if fast.Faces[i] != ref.Faces[i] {
-			t.Fatalf("face %d: %v vs %v", i, fast.Faces[i], ref.Faces[i])
-		}
-	}
-}
-
-func TestIndexFromWeldedTopology(t *testing.T) {
-	im := IndexFromWelded(weldedSphere(t))
-	if !im.IsClosed() {
-		t.Error("welded sphere not closed after cross-metacell dedup")
-	}
-	if chi := im.EulerCharacteristic(); chi != 2 {
-		t.Errorf("Euler characteristic = %d, want 2", chi)
-	}
-}
-
-func TestIndexFromWeldedEmpty(t *testing.T) {
-	im := IndexFromWelded(&geom.IndexedMesh{})
-	if im.NumVerts() != 0 || im.NumFaces() != 0 {
-		t.Errorf("empty welded mesh produced %d verts / %d faces", im.NumVerts(), im.NumFaces())
 	}
 }

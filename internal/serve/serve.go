@@ -39,6 +39,10 @@ import (
 // extractions are running and QueueDepth more are already waiting.
 var ErrSaturated = errors.New("serve: saturated: extraction and queue limits reached")
 
+// ErrIsovalue is returned for an isovalue no Key holds: NaN, or a magnitude
+// of 2⁶³ or more, whose bucket would overflow int64.
+var ErrIsovalue = errors.New("serve: isovalue is NaN or outside ±2⁶³")
+
 // Backend is the extraction service a Server fronts. Implementations must be
 // safe for concurrent use; both cluster engine kinds are.
 type Backend interface {
@@ -300,8 +304,12 @@ func (k Key) Iso() float32 { return float32(k.Bucket) }
 
 // Query serves one isosurface request: cache hit, coalesced join, or a fresh
 // extraction under admission control. It blocks until the mesh is available,
-// the request is rejected, or ctx is done.
+// the request is rejected, or ctx is done. An isovalue no Key holds is
+// refused with ErrIsovalue before the cache or admission sees it.
 func (s *Server) Query(ctx context.Context, step int, iso float32) (*Response, error) {
+	if !(math.Abs(float64(iso)) < 1<<63) {
+		return nil, fmt.Errorf("%w: %v", ErrIsovalue, iso)
+	}
 	start := time.Now()
 	key := KeyOf(step, iso)
 

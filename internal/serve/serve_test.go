@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -263,6 +264,39 @@ func TestRejectWhenSaturated(t *testing.T) {
 	st := s.Stats()
 	if st.Rejected != 1 || st.Extractions != 2 {
 		t.Errorf("rejected %d, extractions %d; want 1, 2", st.Rejected, st.Extractions)
+	}
+}
+
+// TestIsovalueOutOfRange: an isovalue whose bucket would overflow int64 is
+// refused before the cache, coalescing or the backend see it — such values
+// once all shared the bucket −2⁶³ and were served the surface at −9.22e18 —
+// while the largest float32 on either side of the bound keeps its own key.
+func TestIsovalueOutOfRange(t *testing.T) {
+	fb := &fakeBackend{tris: 1}
+	s := New(fb, Config{})
+	bound := float32(1 << 63)
+	for _, iso := range []float32{
+		1e20, -1e20, math.MaxFloat32, -math.MaxFloat32, bound, -bound, 9.3e18,
+		float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
+	} {
+		if _, err := s.Query(context.Background(), 0, iso); !errors.Is(err, ErrIsovalue) {
+			t.Errorf("Query(%v) = %v, want ErrIsovalue", iso, err)
+		}
+	}
+	if n := fb.calls.Load(); n != 0 {
+		t.Errorf("backend ran %d extractions for refused isovalues", n)
+	}
+	if st := s.Stats(); st.Requests != 0 || st.Extractions != 0 {
+		t.Errorf("refused isovalues reached the server: %+v", st)
+	}
+	for _, iso := range []float32{math.Nextafter32(bound, 0), -math.Nextafter32(bound, 0)} {
+		r, err := s.Query(context.Background(), 0, iso)
+		if err != nil {
+			t.Fatalf("Query(%v): %v", iso, err)
+		}
+		if r.Iso != iso || r.Key != KeyOf(0, iso) || r.Key.Bucket != int64(iso) {
+			t.Errorf("Query(%v) served key %+v at iso %v", iso, r.Key, r.Iso)
+		}
 	}
 }
 

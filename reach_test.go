@@ -37,15 +37,15 @@ var oracles = map[string]string{
 	"meshio.EncodeBinaryChecksum":    "the same with the CRC trailer: every routed ≡ direct byte oracle encodes its reference with it",
 
 	// Measurements a test of live code reads its verdict from.
-	"intervaltree.(*Tree).Count":                "stabbing count the interval tree and BBIO tests check against brute force",
-	"march.TriangleCount":                       "march_test reads the generated case table's triangle counts through it",
-	"march.TableTriangles":                      "march_test checks every generated case (valid cut edges, manifold fans) through it",
-	"meshio.(*IndexedMesh).IsClosed":            "watertightness of what Index welds from an extracted sphere",
-	"meshio.(*IndexedMesh).EulerCharacteristic": "topology (χ = 2 sphere, 0 torus) of what Index welds",
-	"geom.(*Mesh).TotalArea":                    "march_test compares an extracted sphere's area with 4πr²",
-	"geom.Triangle.Centroid":                    "march tests check triangle normals point away from the inside through it",
-	"spanspace.(*Histogram2D).Total":            "spanspace_test checks the span-space histogram conserves its metacells",
-	"blockio.(*Cache).Resident":                 "cache_test's bound: resident blocks never exceed capacity, also under concurrent readers",
+	"intervaltree.(*Tree).Count":     "stabbing count the interval tree and BBIO tests check against brute force",
+	"march.TriangleCount":            "march_test reads the generated case table's triangle counts through it",
+	"march.TableTriangles":           "march_test checks every generated case (valid cut edges, manifold fans) through it",
+	"meshio.IsClosed":                "watertightness of what Index welds from an extracted sphere",
+	"meshio.EulerCharacteristic":     "topology (χ = 2 sphere, 0 torus) of what Index welds",
+	"geom.(*Mesh).TotalArea":         "march_test compares an extracted sphere's area with 4πr²",
+	"geom.Triangle.Centroid":         "march tests check triangle normals point away from the inside through it",
+	"spanspace.(*Histogram2D).Total": "spanspace_test checks the span-space histogram conserves its metacells",
+	"blockio.(*Cache).Resident":      "cache_test's bound: resident blocks never exceed capacity, also under concurrent readers",
 
 	// Fixtures: what a test of live code is fed by.
 	"blockio.FaultDevice":      "the disk-fault injector behind every error-path test of core, cluster and the pipeline (Config.WrapDevice)",
@@ -56,7 +56,6 @@ var oracles = map[string]string{
 	"volume.Constant":          "a volume with no active metacell: preprocessing must drop everything, the octree must be empty",
 
 	// Waiting for the caller ROADMAP names.
-	"meshio.IndexFromWelded":   "ROADMAP item 2 (indexed payload) starts from it; meshio_test holds it to Index of the expanded soup",
 	"dist.(*Response).Release": "ROADMAP item 1A(f)'s releasing benchmark client: the give-back for Router.Query callers, pinned by the recycle tests and the allocation gate",
 }
 

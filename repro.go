@@ -84,8 +84,9 @@ type (
 	Framebuffer = render.Framebuffer
 	// Tile is one display server's region of the tiled wall.
 	Tile = composite.Tile
-	// IndexedMesh is a welded mesh ready for export (OBJ/STL/PLY).
-	IndexedMesh = meshio.IndexedMesh
+	// IndexedMesh is a welded triangle mesh, shared vertices plus index
+	// triples: what extraction welds into and what WriteMesh exports.
+	IndexedMesh = geom.IndexedMesh
 	// Server is the concurrent query service: request coalescing, mesh
 	// cache, admission control (see NewServer / NewTimeVaryingServer).
 	Server = serve.Server
@@ -231,6 +232,11 @@ func MergeMeshes(res *Result) (*Mesh, error) {
 	return &out, nil
 }
 
-// IndexMesh welds a triangle soup into an indexed mesh with shared vertices,
-// ready for WriteFile(".obj"/".stl"/".ply").
-func IndexMesh(m *Mesh) *IndexedMesh { return meshio.Index(m) }
+// IndexMesh welds triangle soups, in order, into one indexed mesh with shared
+// vertices: an extraction's per-node meshes (Result.Meshes) weld to the same
+// mesh as their MergeMeshes soup.
+func IndexMesh(meshes ...*Mesh) *IndexedMesh { return meshio.Index(meshes...) }
+
+// WriteMesh writes an indexed mesh to path in the format its extension names
+// (.obj, .stl or .ply). An unknown extension fails before the file is created.
+func WriteMesh(path string, im *IndexedMesh) error { return meshio.WriteFile(path, im) }
