@@ -138,3 +138,34 @@ func TestCandidatesOneHealthSnapshot(t *testing.T) {
 		rt.Close()
 	}
 }
+
+// TestRingMappingPinned holds the key → replica mapping still: the ring
+// order of every key in steps 0–2 × buckets −8..63 at 1, 2, 3 and 8 replicas,
+// folded into one digest. A changed digest means warmed caches would be
+// reshuffled on upgrade.
+func TestRingMappingPinned(t *testing.T) {
+	const want = 0xb5b4fbed650835a1
+	h := uint64(14695981039346656037)
+	for _, n := range []int{1, 2, 3, 8} {
+		addrs := make([]string, n)
+		for i := range addrs {
+			addrs[i] = fmt.Sprintf("replica-%d.invalid:1", i)
+		}
+		rt, err := NewRouter(RouterConfig{Replicas: addrs, ProbeInterval: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for step := 0; step < 3; step++ {
+			for bucket := -8; bucket <= 63; bucket++ {
+				for _, ri := range rt.Candidates(step, float32(bucket)) {
+					h = (h ^ uint64(ri)) * 1099511628211
+				}
+				h = (h ^ 0xff) * 1099511628211
+			}
+		}
+		rt.Close()
+	}
+	if h != want {
+		t.Errorf("ring mapping digest %#x, want %#x", h, uint64(want))
+	}
+}
