@@ -88,6 +88,30 @@ var (
 	statslog = flag.Duration("statslog", 0, "log a one-line metrics digest at this interval (0 = off)")
 )
 
+// checkFlags refuses, before anything is built, a flag set no mode can run,
+// and returns the parsed -chaos plan.
+func checkFlags() (chaos.Fault, error) {
+	tier := *replicas > 0 || *serveAddr != "" // -serve alone is a one-replica tier
+	switch {
+	case *chaosSpec != "" && !tier && *connect == "":
+		return chaos.Fault{}, errors.New("-chaos injects transport faults: it needs -replicas, -serve or -connect")
+	case *chaosSpec != "" && tier && (*chaosReplica < 0 || *chaosReplica >= max(*replicas, 1)):
+		return chaos.Fault{}, fmt.Errorf("-chaos-replica %d out of range (tier has %d replicas)", *chaosReplica, max(*replicas, 1))
+	case *zipfS <= 1:
+		return chaos.Fault{}, fmt.Errorf("-zipf must be > 1 (Zipf skew), got %v", *zipfS)
+	case *levels < 2:
+		return chaos.Fault{}, fmt.Errorf("-levels must be ≥ 2, got %d", *levels)
+	// Daemon mode generates no load; the client flags don't apply to it.
+	case *serveAddr == "" && *clients < 1:
+		return chaos.Fault{}, fmt.Errorf("-clients must be ≥ 1, got %d", *clients)
+	case *serveAddr == "" && *requests < 1:
+		return chaos.Fault{}, fmt.Errorf("-requests must be ≥ 1, got %d", *requests)
+	case *connect != "" && tier:
+		return chaos.Fault{}, errors.New("-connect drives a remote tier: it excludes -replicas and -serve")
+	}
+	return chaos.ParseFault(*chaosSpec)
+}
+
 // serveOn serves h on addr in the background and returns the bound address.
 func serveOn(addr, what string, h http.Handler) net.Addr {
 	ln, err := net.Listen("tcp", addr)
@@ -106,27 +130,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("isoserve: ")
 	flag.Parse()
-	if *chaosSpec != "" && *replicas == 0 && *connect == "" {
-		log.Fatal("-chaos injects transport faults: it needs -replicas or -connect")
-	}
-	if *zipfS <= 1 {
-		log.Fatalf("-zipf must be > 1 (Zipf skew), got %v", *zipfS)
-	}
-	if *levels < 2 {
-		log.Fatalf("-levels must be ≥ 2, got %d", *levels)
-	}
-	if *serveAddr == "" { // daemon mode generates no load; client flags don't apply
-		if *clients < 1 {
-			log.Fatalf("-clients must be ≥ 1, got %d", *clients)
-		}
-		if *requests < 1 {
-			log.Fatalf("-requests must be ≥ 1, got %d", *requests)
-		}
-	}
-	if *connect != "" && (*replicas > 0 || *serveAddr != "") {
-		log.Fatal("-connect drives a remote tier: it excludes -replicas and -serve")
-	}
-	fault, err := chaos.ParseFault(*chaosSpec)
+	fault, err := checkFlags()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -307,9 +311,6 @@ func (r *run) tier(ctx context.Context) (queryFunc, string, func()) {
 		log.Fatal(err)
 	}
 	if r.injector != nil {
-		if *chaosReplica < 0 || *chaosReplica >= n {
-			log.Fatalf("-chaos-replica %d out of range (tier has %d replicas)", *chaosReplica, n)
-		}
 		r.injector.SetFault(cl.Replicas[*chaosReplica].Addr(), r.fault)
 		log.Printf("chaos: replica %d faulted with %s", *chaosReplica, r.fault)
 	}

@@ -17,16 +17,17 @@ import (
 // QueryBytes routes one query and returns the raw mesh frame — the relay
 // path (Handler) and accounting-only callers use it to skip the decode. The
 // frame is the caller's; a caller that is done with it may Recycle it.
+//
+// It is the router's one request loop, and one select drives it. A walk
+// goes down the request's candidates with one attempt in flight, moving on
+// when that one fails; if the walk's first attempt has not answered within
+// HedgeAfter, the second candidate starts beside it and the first success
+// wins. When every candidate shed the request, the loop sleeps out the
+// replicas' Retry-After hint (or its own growing backoff) and walks again,
+// within SaturationBudget and the caller's deadline.
 func (rt *Router) QueryBytes(ctx context.Context, step int, iso float32) ([]byte, Route, error) {
 	start := time.Now()
-	var (
-		attempts int // replica round trips across all rounds
-		backoff  = backoffBase
-		waited   time.Duration // total saturation backoff slept
-	)
-	// A saturation budget of zero means one pass and give up; otherwise
-	// rounds of pass → backoff continue until the budget (or the caller's
-	// deadline, whichever is sooner) runs out.
+	// A saturation budget of zero means one walk and give up.
 	var budgetEnd time.Time
 	if rt.cfg.SaturationBudget > 0 {
 		budgetEnd = start.Add(rt.cfg.SaturationBudget)
@@ -34,46 +35,148 @@ func (rt *Router) QueryBytes(ctx context.Context, step int, iso float32) ([]byte
 			budgetEnd = d
 		}
 	}
+
+	// Every attempt runs fetch in its own goroutine, and a result nobody will
+	// pick up still owns a buffer. One already in results when this call
+	// returns is recycled here; an attempt that finishes later (a hedge's
+	// loser, or one the caller's cancel cut short) recycles its own, from its
+	// own goroutine, after its last write.
+	actx, cancel := context.WithCancel(ctx)
+	results := make(chan fres, 2) // never blocks: at most two attempts in flight
+	var (
+		mu       sync.Mutex
+		settled  bool
+		inFlight int
+	)
+	defer func() {
+		cancel()
+		mu.Lock()
+		settled = true
+		for len(results) > 0 {
+			rt.Recycle((<-results).frame)
+		}
+		mu.Unlock()
+	}()
+	launch := func(ri int, asHedge bool) {
+		inFlight++
+		go func() {
+			f := rt.fetch(actx, ri, step, iso)
+			f.hedge = asHedge
+			mu.Lock()
+			defer mu.Unlock()
+			if settled {
+				rt.Recycle(f.frame)
+				return
+			}
+			results <- f
+		}()
+	}
+
+	var (
+		cands    = rt.candidates(step, iso) // this walk's replicas, in order
+		next     int                        // index in cands of the walk's next attempt
+		attempts int                        // completed round trips, across walks
+		shed     bool                       // a candidate of this walk shed the request
+		hint     time.Duration              // this walk's soonest Retry-After
+		lastErr  error
+		backoff  = backoffBase
+		waited   time.Duration    // total saturation backoff slept
+		hedge    <-chan time.Time // armed while a walk's first attempt is alone
+		wake     <-chan time.Time // armed while backing off
+	)
 	for {
-		out := rt.pass(ctx, start, rt.candidates(step, iso), step, iso, &attempts)
-		if out.err == nil {
-			return out.frame, out.route, nil
-		}
-		if out.final {
-			return nil, out.route, out.err
-		}
-		// Every candidate shed the request. Sleep out the replicas' hint
-		// (or our own growing backoff) and try again if budget remains.
-		wait := out.hint
-		if wait <= 0 {
-			wait = backoff
-			if backoff *= 2; backoff > time.Second {
-				backoff = time.Second
+		if inFlight == 0 && wake == nil {
+			switch {
+			case next < len(cands):
+				if err := ctx.Err(); err != nil {
+					return nil, Route{}, err
+				}
+				if next == 0 && rt.cfg.HedgeAfter > 0 && len(cands) > 1 {
+					hedge = time.After(rt.cfg.HedgeAfter)
+				}
+				launch(cands[next], false)
+				next++
+			case !shed:
+				rt.errorsC.Inc()
+				if lastErr != nil {
+					return nil, Route{}, fmt.Errorf("%w: %d attempts, last: %v", ErrNoReplicas, attempts, lastErr)
+				}
+				return nil, Route{}, ErrNoReplicas
+			default:
+				// Every candidate shed the request. Sleep out the replicas'
+				// hint (or our own growing backoff) and walk again if budget
+				// remains.
+				wait := hint
+				if wait <= 0 {
+					wait = backoff
+					backoff = min(2*backoff, time.Second)
+				}
+				wait = rt.jittered(wait)
+				// The hint is advisory: when it reaches past the budget, clamp
+				// and make one last-chance walk at the deadline's edge instead
+				// of abandoning a request we were told to keep trying.
+				remaining := time.Until(budgetEnd)
+				if budgetEnd.IsZero() || remaining <= 0 {
+					rt.saturated.Inc()
+					return nil, Route{}, &SaturatedError{Attempts: attempts, RetryAfter: hint, Waited: waited}
+				}
+				wait = min(wait, remaining)
+				// Counted on committing to the sleep, not after it: a clamped
+				// wait ends at the caller's deadline, where wake and ctx.Done
+				// race.
+				rt.retries.Inc()
+				wake = time.After(wait)
+				waited += wait
 			}
 		}
-		wait = rt.jittered(wait)
-		// The hint is advisory: when it reaches past the budget, clamp and
-		// make one last-chance pass at the deadline's edge instead of
-		// abandoning a request we were told to keep trying.
-		remaining := time.Until(budgetEnd)
-		if budgetEnd.IsZero() || remaining <= 0 {
-			rt.saturated.Inc()
-			return nil, out.route, &SaturatedError{Attempts: attempts, RetryAfter: out.hint, Waited: waited}
-		}
-		if wait > remaining {
-			wait = remaining
-		}
-		// Counted on committing to the sleep, not after it: a clamped wait
-		// ends at the caller's deadline, where the timer and ctx.Done race.
-		rt.retries.Inc()
-		timer := time.NewTimer(wait)
 		select {
+		case f := <-results:
+			inFlight--
+			hedge = nil // the walk's first attempt is back: no hedge now
+			attempts++
+			if f.err == nil {
+				if f.hedge {
+					rt.hedgeWins.Inc()
+				}
+				rt.routed.Inc()
+				rt.served[f.ri].Add(1)
+				rt.latency.Observe(time.Since(start))
+				if rt.health.revive(f.ri) {
+					rt.revived.Inc()
+				}
+				if attempts > 1 {
+					rt.failovers.Inc()
+				}
+				return f.frame, Route{Replica: f.ri, Addr: rt.cfg.Replicas[f.ri], Source: f.src, Attempts: attempts}, nil
+			}
+			lastErr = f.err
+			switch {
+			case errors.Is(f.err, serve.ErrSaturated):
+				shed = true // busy, not dead: keep it in rotation
+				if f.hint > 0 && (hint == 0 || f.hint < hint) {
+					hint = f.hint
+				}
+			case errors.Is(f.err, errReplicaFailed):
+				// 4xx/5xx with the replica alive and responding: not routable
+				// around, the request itself is at fault.
+				rt.errorsC.Inc()
+				return nil, Route{}, f.err
+			case ctx.Err() != nil:
+				return nil, Route{}, ctx.Err()
+			default:
+				rt.health.markDown(f.ri) // transport error, timeout, or corrupt frame: cool it down
+			}
+		case <-hedge:
+			hedge = nil
+			rt.hedges.Inc()
+			launch(cands[next], true)
+			next++
+		case <-wake:
+			wake = nil
+			cands, next, shed, hint = rt.candidates(step, iso), 0, false, 0
 		case <-ctx.Done():
-			timer.Stop()
-			return nil, out.route, ctx.Err()
-		case <-timer.C:
+			return nil, Route{}, ctx.Err()
 		}
-		waited += wait
 	}
 }
 
@@ -86,15 +189,6 @@ func (rt *Router) jittered(w time.Duration) time.Duration {
 	return w/2 + time.Duration(f*float64(w))
 }
 
-// passResult is one full walk over a request's candidate list.
-type passResult struct {
-	frame []byte
-	route Route
-	hint  time.Duration // soonest Retry-After among shedding replicas
-	err   error
-	final bool // err must not be retried (definitive failure or ctx done)
-}
-
 // fres is one replica attempt's outcome.
 type fres struct {
 	ri    int
@@ -102,160 +196,7 @@ type fres struct {
 	src   string
 	hint  time.Duration
 	err   error
-}
-
-func (rt *Router) pass(ctx context.Context, start time.Time, cands []int, step int, iso float32, attempts *int) passResult {
-	var (
-		res     passResult
-		sawShed bool
-		lastErr error
-	)
-	// classify folds one failed attempt into the pass state; a non-nil
-	// return aborts the whole request.
-	classify := func(f fres) *passResult {
-		lastErr = f.err
-		if errors.Is(f.err, serve.ErrSaturated) {
-			sawShed = true // busy, not dead: keep it in rotation
-			if f.hint > 0 && (res.hint == 0 || f.hint < res.hint) {
-				res.hint = f.hint
-			}
-			return nil
-		}
-		if errors.Is(f.err, errReplicaFailed) {
-			// 4xx/5xx with the replica alive and responding: not routable
-			// around, the request itself is at fault.
-			rt.errorsC.Inc()
-			return &passResult{route: res.route, err: f.err, final: true}
-		}
-		if err := ctx.Err(); err != nil {
-			return &passResult{route: res.route, err: err, final: true}
-		}
-		rt.health.markDown(f.ri) // transport error, timeout, or corrupt frame: cool it down
-		return nil
-	}
-	serveFrom := func(win fres) passResult {
-		rt.routed.Inc()
-		rt.served[win.ri].Add(1)
-		rt.latency.Observe(time.Since(start))
-		if rt.health.revive(win.ri) {
-			rt.revived.Inc()
-		}
-		if *attempts > 1 {
-			rt.failovers.Inc()
-		}
-		return passResult{
-			frame: win.frame,
-			route: Route{Replica: win.ri, Addr: rt.cfg.Replicas[win.ri], Source: win.src, Attempts: *attempts},
-		}
-	}
-
-	i := 0
-	for i < len(cands) {
-		if err := ctx.Err(); err != nil {
-			return passResult{err: err, final: true}
-		}
-		if i == 0 && rt.cfg.HedgeAfter > 0 && len(cands) > 1 {
-			win, failed := rt.hedgedFetch(ctx, cands[0], cands[1], step, iso)
-			*attempts += len(failed)
-			if win != nil {
-				*attempts++
-			}
-			for _, f := range failed {
-				if abort := classify(f); abort != nil {
-					return *abort
-				}
-			}
-			if win != nil {
-				return serveFrom(*win)
-			}
-			// Every launched attempt failed; skip the candidates we tried.
-			i = len(failed)
-			continue
-		}
-		ri := cands[i]
-		i++
-		*attempts++
-		f := rt.fetch(ctx, ri, step, iso)
-		if f.err == nil {
-			return serveFrom(f)
-		}
-		if abort := classify(f); abort != nil {
-			return *abort
-		}
-	}
-	if sawShed {
-		res.err = fmt.Errorf("%w: all %d candidate replicas shed the request", serve.ErrSaturated, *attempts)
-		return res
-	}
-	rt.errorsC.Inc()
-	if lastErr != nil {
-		return passResult{err: fmt.Errorf("%w: %d attempts, last: %v", ErrNoReplicas, *attempts, lastErr), final: true}
-	}
-	return passResult{err: ErrNoReplicas, final: true}
-}
-
-// hedgedFetch races the home shard against its ring successor: the
-// successor launches only if the home has not answered within HedgeAfter,
-// and the first success cancels the other attempt. It returns the winner
-// (nil if every launched attempt failed) and the failed attempts.
-func (rt *Router) hedgedFetch(ctx context.Context, a, b, step int, iso float32) (*fres, []fres) {
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel() // cancels the loser once a winner returns
-	ch := make(chan fres, 2)
-	// A result nobody will pick up still owns a buffer. One that is already
-	// in ch when this call returns is recycled here; an attempt that finishes
-	// later recycles its own, from its own goroutine, after its last write.
-	var (
-		mu      sync.Mutex
-		settled bool
-	)
-	defer func() {
-		mu.Lock()
-		settled = true
-		for len(ch) > 0 {
-			rt.Recycle((<-ch).frame)
-		}
-		mu.Unlock()
-	}()
-	fire := func(ri int) {
-		go func() {
-			f := rt.fetch(hctx, ri, step, iso)
-			mu.Lock()
-			defer mu.Unlock()
-			if settled {
-				rt.Recycle(f.frame)
-				return
-			}
-			ch <- f // never blocks: two slots, two attempts
-		}()
-	}
-	fire(a)
-	launched := 1
-	timer := time.NewTimer(rt.cfg.HedgeAfter)
-	defer timer.Stop()
-	var failed []fres
-	for done := 0; done < launched; {
-		select {
-		case f := <-ch:
-			done++
-			if f.err == nil {
-				if f.ri == b {
-					rt.hedgeWins.Inc()
-				}
-				return &f, failed
-			}
-			failed = append(failed, f)
-		case <-timer.C:
-			if launched == 1 {
-				rt.hedges.Inc()
-				fire(b)
-				launched = 2
-			}
-		case <-ctx.Done():
-			return nil, failed
-		}
-	}
-	return nil, failed
+	hedge bool // the attempt was a hedge, launched beside a slow first one
 }
 
 // errReplicaFailed marks a definitive replica-side failure (non-503 error

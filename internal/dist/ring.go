@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -75,7 +76,7 @@ func (rg *ring) order(h uint64, dst []int) []int {
 }
 
 // fnv1a64 is FNV-1a, inlined so ring and key hashing allocate nothing.
-func fnv1a64(s string) uint64 {
+func fnv1a64[T string | []byte](s T) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
@@ -97,57 +98,32 @@ func pointHash(replica, vnode int) uint64 {
 // replicas would coalesce or cache together routes to the same shard.
 func keyHash(step int, bucket int64) uint64 {
 	var b [16]byte
-	putU64(b[0:], uint64(step))
-	putU64(b[8:], uint64(bucket))
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return rng.Mix(h)
+	binary.LittleEndian.PutUint64(b[0:], uint64(step))
+	binary.LittleEndian.PutUint64(b[8:], uint64(bucket))
+	return rng.Mix(fnv1a64(b[:]))
 }
 
-func putU64(b []byte, v uint64) {
-	_ = b[7]
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-	b[4] = byte(v >> 32)
-	b[5] = byte(v >> 40)
-	b[6] = byte(v >> 48)
-	b[7] = byte(v >> 56)
+// order is a query's ring order as far as Attempts allows: the home shard
+// first, then its failover successors.
+func (rt *Router) order(step int, iso float32) []int {
+	key := serve.KeyOf(step, iso)
+	order := rt.ring.order(keyHash(key.Step, key.Bucket), make([]int, 0, rt.ring.n))
+	return order[:min(len(order), rt.cfg.Attempts)]
 }
 
 // HomeReplica returns the replica index that owns a query's shard — the
-// first attempt of every routed request (exposed for tests and rebalancing
-// math).
-func (rt *Router) HomeReplica(step int, iso float32) int {
-	key := serve.KeyOf(step, iso)
-	ord := rt.ring.order(keyHash(key.Step, key.Bucket), nil)
-	return ord[0]
-}
+// first attempt of every routed request while it is not known down (exposed
+// for tests and rebalancing math).
+func (rt *Router) HomeReplica(step int, iso float32) int { return rt.order(step, iso)[0] }
 
 // Candidates returns the replicas a query may be served by, in failover
 // order: the home shard first, then the ring successors Attempts allows.
 // Exposed so operators (and the scaling harness) can pre-warm every cache a
 // key's overflow can spill into.
-func (rt *Router) Candidates(step int, iso float32) []int {
-	key := serve.KeyOf(step, iso)
-	order := rt.ring.order(keyHash(key.Step, key.Bucket), nil)
-	if len(order) > rt.cfg.Attempts {
-		order = order[:rt.cfg.Attempts]
-	}
-	return order
-}
+func (rt *Router) Candidates(step int, iso float32) []int { return rt.order(step, iso) }
 
 // candidates orders this request's replicas: the ring order Attempts allows,
 // healthy ones first (see health.healthyFirst).
 func (rt *Router) candidates(step int, iso float32) []int {
-	key := serve.KeyOf(step, iso)
-	order := rt.ring.order(keyHash(key.Step, key.Bucket), make([]int, 0, rt.ring.n))
-	if len(order) > rt.cfg.Attempts {
-		order = order[:rt.cfg.Attempts]
-	}
-	return rt.health.healthyFirst(order)
+	return rt.health.healthyFirst(rt.order(step, iso))
 }

@@ -123,7 +123,7 @@ func (e *SaturatedError) Unwrap() error { return serve.ErrSaturated }
 // RouterStats is a snapshot of the router's counters.
 type RouterStats struct {
 	Routed          int64 // requests answered with a mesh
-	Failovers       int64 // attempts moved to a ring successor (503 or transport error)
+	Failovers       int64 // requests answered after at least one failed attempt (a backoff round's included)
 	Saturated       int64 // requests that found every candidate saturated
 	Errors          int64 // requests that failed outright
 	Retries         int64 // saturation-backoff rounds begun (counted before the sleep)
@@ -138,10 +138,15 @@ type RouterStats struct {
 
 // Route reports how one request was served.
 type Route struct {
-	Replica  int // index into RouterConfig.Replicas
-	Addr     string
-	Source   string // the replica's X-Iso-Source: cache, coalesced, extracted
-	Attempts int    // 1 = served by its home shard
+	Replica int // index into RouterConfig.Replicas
+	Addr    string
+	Source  string // the replica's X-Iso-Source: cache, coalesced, extracted
+	// Attempts counts the round trips that completed, over every backoff
+	// round, the answer's included. 1 means nothing failed first, not that
+	// the home shard answered: a hedge that won, or a successor tried before
+	// a known-down home, also reads 1. A hedge's cancelled loser never
+	// completes and is not counted.
+	Attempts int
 }
 
 // Router is the shard-aware front end: it consistent-hashes each
@@ -200,7 +205,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		jitter:    rng.New(0),
 		reg:       reg,
 		routed:    reg.Counter("router_routed_total", "requests answered with a mesh"),
-		failovers: reg.Counter("router_failovers_total", "attempts moved to a ring successor"),
+		failovers: reg.Counter("router_failovers_total", "requests answered after at least one failed attempt"),
 		saturated: reg.Counter("router_saturated_total", "requests that found every candidate saturated"),
 		errorsC:   reg.Counter("router_errors_total", "requests that failed outright"),
 		retries:   reg.Counter("router_retries_total", "saturation-backoff rounds begun (counted before the sleep)"),
