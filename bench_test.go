@@ -108,7 +108,7 @@ func BenchmarkServeQueryHot(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv := serve.NewServer(eng, serve.Config{})
+	srv := serve.New(eng, serve.Config{})
 	if _, err := srv.Query(context.Background(), 0, 110); err != nil {
 		b.Fatal(err)
 	}

@@ -69,14 +69,15 @@ func main() {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	extract, err := src.Extractor()
+	tv, err := src.Extractor()
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer tv.Close()
 
 	var cam *render.Camera // fitted on the first step and kept, so a sweep's frames line up
 	for i, step := range src.Steps {
-		res, err := extract(ctx, step, float32(*iso), cluster.Options{KeepMeshes: *mesh != "" || *out != "", Trace: *trace})
+		res, err := tv.ExtractStep(ctx, step, float32(*iso), cluster.Options{KeepMeshes: *mesh != "" || *out != "", Trace: *trace})
 		if err != nil {
 			log.Fatal(err)
 		}

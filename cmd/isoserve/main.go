@@ -245,7 +245,7 @@ func (r *run) engine() *cluster.Engine {
 }
 
 func (r *run) served(context.Context) (queryFunc, string, func()) {
-	srv := serve.NewServer(r.engine(), r.scfg)
+	srv := serve.New(r.engine(), r.scfg)
 	return func(ctx context.Context, _ int, iso float32) error {
 		resp, err := srv.Query(ctx, 0, iso)
 		if err == nil && resp.Source == serve.SourceExtracted && resp.Trace != nil {
@@ -302,7 +302,7 @@ func (r *run) remote(context.Context) (queryFunc, string, func()) {
 // driven with load or, under -serve, exposed and left running.
 func (r *run) tier(ctx context.Context) (queryFunc, string, func()) {
 	n := max(*replicas, 1)
-	cl, err := dist.StartCluster(serve.AsBackend(r.engine()), dist.ClusterConfig{
+	cl, err := dist.StartCluster(r.engine(), dist.ClusterConfig{
 		Replicas: n,
 		Replica:  dist.ReplicaConfig{Serve: r.scfg, LinkBytesPerSec: *link},
 		Router:   r.routerConfig(),

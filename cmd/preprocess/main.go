@@ -34,9 +34,6 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := os.MkdirAll(*out, 0o755); err != nil {
-		log.Fatal(err)
-	}
 
 	t0 := time.Now()
 	eng, err := src.Build(*out)
@@ -53,10 +50,6 @@ func main() {
 	fmt.Printf("  metacells: %d kept, %d constant dropped (%.0f%% saved)\n",
 		kept, dropped, 100*float64(dropped)/float64(kept+dropped))
 	fmt.Printf("  brick data: %s across %d node disks\n", obs.FormatBytes(eng.DataBytes), eng.Procs)
-	var idx int64
-	for i := 0; i < eng.Procs; i++ {
-		idx += eng.Tree(i).IndexSizeBytes()
-	}
-	fmt.Printf("  index: %s total (resident in memory at query time)\n", obs.FormatBytes(idx))
+	fmt.Printf("  index: %s total (resident in memory at query time)\n", obs.FormatBytes(eng.IndexSizeBytes()))
 	fmt.Printf("  dataset saved to %s\n", *out)
 }

@@ -25,7 +25,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("time-varying index: %d steps, %d bytes total — resident in memory\n",
-		tv.Index.NumSteps(), tv.Index.IndexSizeBytes())
+		len(tv.Steps), tv.IndexSizeBytes())
 
 	// Sweep the time axis at the paper's isovalue 70, as a user exploring
 	// the simulation would.
@@ -33,7 +33,7 @@ func main() {
 	fmt.Printf("\n%-6s %12s %12s %12s\n", "step", "active MC", "triangles", "time")
 	for _, s := range steps {
 		t0 := time.Now()
-		res, err := tv.Extract(context.Background(), s, iso, repro.Options{})
+		res, err := tv.ExtractStep(context.Background(), s, iso, repro.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -2,11 +2,10 @@
 // volume file (-in) or the synthetic Richtmyer–Meshkov generator (-nx -ny
 // -nz -step -seed) — and, as each command needs them, -procs, -span and
 // -data. It turns them into what each command consumes: a grid, an engine,
-// or an extraction per time step.
+// or a time-varying engine keyed by -step's steps.
 package cli
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -106,20 +105,13 @@ func (s *Source) Build(dir string) (*cluster.Engine, error) {
 	return cluster.Build(volume.RichtmyerMeshkov(s.Nx, s.Ny, s.Nz, s.Steps[0], s.Seed), cfg)
 }
 
-// Extract is one isosurface query against one of the source's Steps.
-type Extract func(ctx context.Context, step int, iso float32, opts cluster.Options) (*cluster.Result, error)
-
 // Extractor preprocesses every step of -step in memory into one
-// cluster.TimeVaryingEngine, or opens -data, or preprocesses -in in memory,
-// and returns the query. The last two hold one volume, whatever -step says,
-// so their Extract ignores its step. The engines live as long as the command.
-func (s *Source) Extractor() (Extract, error) {
+// cluster.TimeVaryingEngine, or opens -data, or preprocesses -in in memory.
+// The last two hold one volume, which the engine keys by the step -step
+// names. The engine lives as long as the command.
+func (s *Source) Extractor() (*cluster.TimeVaryingEngine, error) {
 	if s.Data == "" && s.In == "" {
-		tv, err := cluster.BuildTimeVarying(volume.TimeVaryingRM(s.Nx, s.Ny, s.Nz, s.Seed), s.Steps, cluster.Config{Procs: s.Procs, Span: s.Span})
-		if err != nil {
-			return nil, err
-		}
-		return tv.Extract, nil
+		return cluster.BuildTimeVarying(volume.TimeVaryingRM(s.Nx, s.Ny, s.Nz, s.Seed), s.Steps, cluster.Config{Procs: s.Procs, Span: s.Span})
 	}
 	if s.Ranged {
 		return nil, errors.New("a -step range sweeps the synthetic generator: not with -data or -in")
@@ -132,7 +124,5 @@ func (s *Source) Extractor() (Extract, error) {
 	if err != nil {
 		return nil, err
 	}
-	return func(ctx context.Context, _ int, iso float32, opts cluster.Options) (*cluster.Result, error) {
-		return eng.Extract(ctx, iso, opts)
-	}, nil
+	return &cluster.TimeVaryingEngine{Steps: map[int]*cluster.Engine{s.Steps[0]: eng}}, nil
 }

@@ -15,7 +15,9 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sync"
 	"time"
@@ -35,7 +37,8 @@ type Config struct {
 	// Span is the metacell edge length in samples; 0 means the paper's 9.
 	Span int
 	// Dir, when non-empty, stores each node's brick data in a real file
-	// under Dir (node-0.bricks, …) instead of memory.
+	// under Dir (node-0.bricks, …; Dir is created if missing) instead of
+	// memory.
 	Dir string
 	// WrapDevice, when set, wraps each node's disk after preprocessing —
 	// the hook used for fault injection and custom I/O instrumentation.
@@ -83,6 +86,7 @@ type Engine struct {
 
 	trees []*core.Tree
 	devs  []blockio.Device
+	files []*blockio.FileStore // the opened file stores, under whatever wraps them in devs: what Close closes
 
 	// scratch holds the pipeline scratch (record ring, per-lane welders,
 	// welded batch meshes) of node-extractions not running right now; see
@@ -147,6 +151,11 @@ func buildFromCells(l metacell.Layout, cells []metacell.Cell, cfg Config) (*Engi
 		TotalMetacells:   len(cells),
 		DroppedMetacells: l.Count() - len(cells),
 	}
+	if cfg.Dir != "" {
+		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
+			return nil, err
+		}
+	}
 	ws := make([]*blockio.Writer, cfg.Procs)
 	for i := range ws {
 		if cfg.Dir == "" {
@@ -185,7 +194,7 @@ func buildFromCells(l metacell.Layout, cells []metacell.Cell, cfg Config) (*Engi
 			if err != nil {
 				return nil, err
 			}
-			e.devs[i] = dev
+			e.devs[i], e.files = dev, append(e.files, dev)
 		}
 		if cfg.WrapDevice != nil {
 			e.devs[i] = cfg.WrapDevice(i, e.devs[i])
@@ -204,19 +213,25 @@ func nodePath(dir string, node int) string {
 
 // Close releases file-backed node disks (no-op for memory-backed engines).
 func (e *Engine) Close() error {
-	var first error
-	for _, d := range e.devs {
-		if c, ok := d.(*blockio.FileStore); ok {
-			if err := c.Close(); err != nil && first == nil {
-				first = err
-			}
-		}
+	var errs []error
+	for _, f := range e.files {
+		errs = append(errs, f.Close())
 	}
-	return first
+	return errors.Join(errs...)
 }
 
 // Tree exposes a node's index (for inspection and tests).
 func (e *Engine) Tree(node int) *core.Tree { return e.trees[node] }
+
+// IndexSizeBytes returns the packed size of every node's index, all of it
+// resident in memory at query time.
+func (e *Engine) IndexSizeBytes() int64 {
+	var n int64
+	for _, t := range e.trees {
+		n += t.IndexSizeBytes()
+	}
+	return n
+}
 
 // Device exposes a node's local disk (for inspection and tests).
 func (e *Engine) Device(node int) blockio.Device { return e.devs[node] }
@@ -374,32 +389,66 @@ func (e *Engine) Extract(ctx context.Context, iso float32, opts Options) (*Resul
 	return res, nil
 }
 
-// TimeVaryingEngine distributes m time steps (paper §5.2): per-step striped
-// data on every node plus the in-memory time-varying index.
+// ExtractStep serves the engine as the one time step of a series, step 0:
+// it is Extract for step 0 and refuses any other step.
+func (e *Engine) ExtractStep(ctx context.Context, step int, iso float32, opts Options) (*Result, error) {
+	if step != 0 {
+		return nil, fmt.Errorf("cluster: single-step engine has no time step %d", step)
+	}
+	return e.Extract(ctx, iso, opts)
+}
+
+// TimeVaryingEngine distributes m time steps (paper §5.2): per step, one
+// compact interval tree per node in memory and that step's bricks striped
+// over the nodes' disks. The whole index is O(m·n·log n) — independent of
+// the number of cells — so hundreds of steps of one- or two-byte data stay
+// within a few megabytes (the paper's 270-step RM index is 1.6 MB).
 type TimeVaryingEngine struct {
 	Steps map[int]*Engine // keyed by time step
-	Index core.TimeVaryingIndex
 }
 
 // BuildTimeVarying preprocesses the given steps of a time-varying dataset.
+// With cfg.Dir set, step s keeps its node disks under Dir/step-<s>.
 func BuildTimeVarying(gen func(step int) *volume.Grid, steps []int, cfg Config) (*TimeVaryingEngine, error) {
 	tv := &TimeVaryingEngine{Steps: map[int]*Engine{}}
 	for _, s := range steps {
-		eng, err := Build(gen(s), cfg)
+		scfg := cfg
+		if cfg.Dir != "" {
+			scfg.Dir = filepath.Join(cfg.Dir, fmt.Sprintf("step-%d", s))
+		}
+		eng, err := Build(gen(s), scfg)
 		if err != nil {
+			tv.Close()
 			return nil, fmt.Errorf("cluster: building step %d: %w", s, err)
 		}
 		tv.Steps[s] = eng
-		tv.Index.Steps = append(tv.Index.Steps, eng.trees[0])
 	}
 	return tv, nil
 }
 
-// Extract runs an isosurface query against one time step.
-func (tv *TimeVaryingEngine) Extract(ctx context.Context, step int, iso float32, opts Options) (*Result, error) {
+// ExtractStep runs an isosurface query against one time step.
+func (tv *TimeVaryingEngine) ExtractStep(ctx context.Context, step int, iso float32, opts Options) (*Result, error) {
 	eng, ok := tv.Steps[step]
 	if !ok {
 		return nil, fmt.Errorf("cluster: time step %d not indexed", step)
 	}
 	return eng.Extract(ctx, iso, opts)
+}
+
+// IndexSizeBytes returns the packed size of every step's index on every node.
+func (tv *TimeVaryingEngine) IndexSizeBytes() int64 {
+	var n int64
+	for _, eng := range tv.Steps {
+		n += eng.IndexSizeBytes()
+	}
+	return n
+}
+
+// Close releases every step's file-backed node disks.
+func (tv *TimeVaryingEngine) Close() error {
+	var errs []error
+	for _, eng := range tv.Steps {
+		errs = append(errs, eng.Close())
+	}
+	return errors.Join(errs...)
 }

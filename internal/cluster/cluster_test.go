@@ -2,12 +2,14 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/blockio"
 	"repro/internal/march"
+	"repro/internal/obs"
 	"repro/internal/volume"
 )
 
@@ -181,31 +183,79 @@ func TestIOAccountingPerNode(t *testing.T) {
 	}
 }
 
+// TestTimeVarying checks every step against the whole-grid reference, in
+// memory and with each step's disks under Dir, and that the index size is
+// every step's trees on every node.
 func TestTimeVarying(t *testing.T) {
 	gen := volume.TimeVaryingRM(17, 17, 16, 5)
 	steps := []int{100, 150, 200}
-	tv, err := BuildTimeVarying(gen, steps, Config{Procs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tv.Steps) != 3 || tv.Steps[100] == nil {
-		t.Errorf("Steps = %v", tv.Steps)
-	}
-	if tv.Index.NumSteps() != 3 {
-		t.Errorf("index steps = %d", tv.Index.NumSteps())
-	}
-	for _, s := range steps {
-		res, err := tv.Extract(context.Background(), s, 70, Options{})
+	for _, dir := range []string{"", t.TempDir()} {
+		tv, err := BuildTimeVarying(gen, steps, Config{Procs: 2, Dir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, _ := march.Grid(gen(s), 70)
-		if res.Triangles != ref.Len() {
-			t.Errorf("step %d: %d triangles, reference %d", s, res.Triangles, ref.Len())
+		defer tv.Close()
+		if len(tv.Steps) != 3 || tv.Steps[100] == nil {
+			t.Errorf("Steps = %v", tv.Steps)
+		}
+		var size int64
+		for _, s := range steps {
+			res, err := tv.ExtractStep(context.Background(), s, 70, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, _ := march.Grid(gen(s), 70)
+			if res.Triangles != ref.Len() {
+				t.Errorf("dir %q, step %d: %d triangles, reference %d", dir, s, res.Triangles, ref.Len())
+			}
+			for i := range tv.Steps[s].Procs {
+				size += tv.Steps[s].Tree(i).IndexSizeBytes()
+			}
+		}
+		if got := tv.IndexSizeBytes(); got != size {
+			t.Errorf("dir %q: index size %d, every step's node trees sum to %d", dir, got, size)
+		}
+		if _, err := tv.ExtractStep(context.Background(), 999, 70, Options{}); err == nil {
+			t.Error("unindexed step should fail")
 		}
 	}
-	if _, err := tv.Extract(context.Background(), 999, 70, Options{}); err == nil {
-		t.Error("unindexed step should fail")
+}
+
+// TestCloseClosesWrappedFiles closes an engine whose file stores are hidden
+// behind the wrappers Config and EnableMetrics put around them, built and
+// reopened: every store must be closed after Close.
+func TestCloseClosesWrappedFiles(t *testing.T) {
+	dir := t.TempDir()
+	var stores []*blockio.FileStore
+	e, err := Build(rmGrid(), Config{Procs: 2, Dir: dir, Metrics: obs.NewRegistry(), CacheBlocks: 8,
+		WrapDevice: func(_ int, dev blockio.Device) blockio.Device {
+			stores = append(stores, dev.(*blockio.FileStore))
+			return dev
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range re.Procs {
+		stores = append(stores, re.Device(i).(*blockio.FileStore))
+	}
+	re.EnableMetrics(obs.NewRegistry())
+	for _, c := range []*Engine{e, re} {
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buf := make([]byte, 1)
+	for i, st := range stores {
+		if err := st.ReadAt(buf, 0); !errors.Is(err, os.ErrClosed) {
+			t.Errorf("store %d after Close: ReadAt = %v, want %v", i, err, os.ErrClosed)
+		}
 	}
 }
 

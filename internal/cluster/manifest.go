@@ -150,7 +150,7 @@ func Open(dir string) (_ *Engine, err error) {
 		if err != nil {
 			return nil, fmt.Errorf("cluster: opening node %d bricks: %w", i, err)
 		}
-		e.devs = append(e.devs, dev)
+		e.devs, e.files = append(e.devs, dev), append(e.files, dev)
 	}
 	return e, nil
 }

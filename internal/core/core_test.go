@@ -616,29 +616,6 @@ func TestFloat32Endpoints(t *testing.T) {
 	}
 }
 
-func TestTimeVaryingIndex(t *testing.T) {
-	l := testLayout()
-	tv := &TimeVaryingIndex{}
-	for s := 0; s < 4; s++ {
-		cells := synthCells(l, 100, uint64(30+s))
-		tree, _ := materialize(t, l, cells)
-		tv.Steps = append(tv.Steps, tree)
-	}
-	if tv.NumSteps() != 4 {
-		t.Errorf("NumSteps = %d", tv.NumSteps())
-	}
-	if tv.IndexSizeBytes() <= 0 {
-		t.Error("IndexSizeBytes should be positive")
-	}
-	var single int64
-	for _, tr := range tv.Steps {
-		single += tr.IndexSizeBytes()
-	}
-	if tv.IndexSizeBytes() != single {
-		t.Error("time-varying size != sum of steps")
-	}
-}
-
 func TestMedianEndpoint(t *testing.T) {
 	l := testLayout()
 	cells := []metacell.Cell{

@@ -41,7 +41,7 @@ func engine(t *testing.T) *cluster.Engine {
 
 func startCluster(t *testing.T, n int, rcfg ReplicaConfig, rtcfg RouterConfig) *Cluster {
 	t.Helper()
-	c, err := StartCluster(serve.AsBackend(engine(t)), ClusterConfig{
+	c, err := StartCluster(engine(t), ClusterConfig{
 		Replicas: n, Replica: rcfg, Router: rtcfg,
 	})
 	if err != nil {

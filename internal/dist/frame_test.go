@@ -61,7 +61,7 @@ func TestReplicaBodyByteIdenticalForEverySource(t *testing.T) {
 	want := directFrame(t, iso)
 
 	gate := gatedBackend{
-		inner:   serve.AsBackend(engine(t)),
+		inner:   engine(t),
 		started: make(chan struct{}, 1),
 		release: make(chan struct{}),
 	}

@@ -145,11 +145,10 @@ func ChaosTable(ctx context.Context, cfg RMConfig, procs int, ccfg ChaosConfig, 
 	if err != nil {
 		return nil, err
 	}
-	backend := serve.AsBackend(eng)
 
 	// Fault-free reference frames, one per isovalue level, fetched through a
 	// plain router: the bytes every faulted run must still deliver.
-	refs, err := referenceFrames(ctx, backend, w)
+	refs, err := referenceFrames(ctx, eng, w)
 	if err != nil {
 		return nil, err
 	}
@@ -158,7 +157,7 @@ func ChaosTable(ctx context.Context, cfg RMConfig, procs int, ccfg ChaosConfig, 
 	var baselineP99 time.Duration
 	for _, sc := range scenarios {
 		for _, client := range []string{"resilient", "naive"} {
-			row, err := chaosRow(ctx, backend, ccfg, w, sc, client, refs)
+			row, err := chaosRow(ctx, eng, ccfg, w, sc, client, refs)
 			if err != nil {
 				return nil, fmt.Errorf("harness: chaos scenario %q (%s client): %w", sc.Name, client, err)
 			}

@@ -133,13 +133,13 @@ func Experiments(imagePath string) []Experiment {
 			for s := 180; s <= 195; s++ {
 				steps = append(steps, s)
 			}
-			rows, idx, err := Table8(ctx, cfg, steps, 70, 4)
+			rows, size, err := Table8(ctx, cfg, steps, 70, 4)
 			if err != nil {
 				return 0, err
 			}
 			WriteTable(out, rows, "[iso=70 p=4]")
 			fmt.Fprintf(out, "time-varying index: %d steps, %s total (resident in memory)\n",
-				idx.NumSteps(), obs.FormatBytes(idx.IndexSizeBytes()))
+				len(steps), obs.FormatBytes(size))
 			return 0, nil
 		},
 	}, {

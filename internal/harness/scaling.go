@@ -92,7 +92,7 @@ func ScalingTable(ctx context.Context, cfg RMConfig, procs int, replicaCounts []
 			// closed loop.
 			rcfg.MaxInFlight = max(4, clients/n)
 		}
-		cl, err := dist.StartCluster(serve.AsBackend(eng), dist.ClusterConfig{
+		cl, err := dist.StartCluster(eng, dist.ClusterConfig{
 			Replicas: n,
 			Replica:  rcfg,
 			// Home shard plus one ring successor: overflow from a hot shard

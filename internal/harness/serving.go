@@ -101,7 +101,7 @@ func ServingTable(ctx context.Context, cfg RMConfig, procs int, clientCounts []i
 		if c.QueueDepth == 0 {
 			c.QueueDepth = n // never shed the benchmark's own closed loop
 		}
-		srv := serve.NewServer(eng, c)
+		srv := serve.New(eng, c)
 		servedWall, lats, servedTris, err := w.closedLoop(ctx, n, func(ctx context.Context, iso float32) (int, error) {
 			resp, err := srv.Query(ctx, 0, iso)
 			if err != nil {

@@ -217,25 +217,26 @@ type Table8Row struct {
 }
 
 // Table8 preprocesses the given steps (paper: 180–195) and extracts the
-// fixed isovalue (paper: 70) on a procs-node configuration (paper: 4).
-func Table8(ctx context.Context, cfg RMConfig, steps []int, iso float32, procs int) ([]Table8Row, *core.TimeVaryingIndex, error) {
+// fixed isovalue (paper: 70) on a procs-node configuration (paper: 4). It
+// also returns the size of the time-varying index: every step on every node.
+func Table8(ctx context.Context, cfg RMConfig, steps []int, iso float32, procs int) ([]Table8Row, int64, error) {
 	gen := volume.TimeVaryingRM(cfg.NX, cfg.NY, cfg.NZ, cfg.Seed)
 	tv, err := cluster.BuildTimeVarying(gen, steps, cluster.Config{Procs: procs, Span: cfg.Span})
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, err
 	}
 	var rows []Table8Row
 	for _, s := range steps {
-		res, err := tv.Extract(ctx, s, iso, cluster.Options{})
+		res, err := tv.ExtractStep(ctx, s, iso, cluster.Options{})
 		if err != nil {
-			return nil, nil, err
+			return nil, 0, err
 		}
 		row := Table8Row{Step: s, Active: res.Active, Triangles: res.Triangles}
 		row.Time = res.MaxNodeTime()
 		row.Rate = mtps(row.Triangles, row.Time)
 		rows = append(rows, row)
 	}
-	return rows, &tv.Index, nil
+	return rows, tv.IndexSizeBytes(), nil
 }
 
 // nullWriter returns a Writer whose output is discarded after offsets are

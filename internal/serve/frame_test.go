@@ -7,8 +7,10 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/geom"
 	"repro/internal/meshio"
+	"repro/internal/volume"
 )
 
 // frameBytes is what a replica would put on the wire for r.
@@ -189,5 +191,51 @@ func TestWarmHitFrameWriteZeroAllocSteadyState(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Fatalf("writing a warmed hit's %d-byte frame allocates %.0f times, want 0", hit.Frame().Len(), allocs)
+	}
+}
+
+// TestEngineKindsServeTheirSteps puts both cluster engine kinds behind New:
+// an Engine answers step 0 and refuses step 1, a TimeVaryingEngine answers
+// each indexed step and refuses an unindexed one, and every answer's frame is
+// the checksummed encoding of a direct extraction of that step.
+func TestEngineKindsServeTheirSteps(t *testing.T) {
+	const iso = 70
+	eng, err := cluster.Build(volume.RichtmyerMeshkov(17, 17, 16, 100, 5), cluster.Config{Procs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tv, err := cluster.BuildTimeVarying(volume.TimeVaryingRM(17, 17, 16, 5), []int{100, 200}, cluster.Config{Procs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		b       Backend
+		engines map[int]*cluster.Engine // what each servable step extracts from
+		refused int
+	}{
+		{eng, map[int]*cluster.Engine{0: eng}, 1},
+		{tv, tv.Steps, 150},
+	} {
+		s := New(c.b, Config{})
+		for step, e := range c.engines {
+			r, err := s.Query(context.Background(), step, iso)
+			if err != nil {
+				t.Fatalf("%T step %d: %v", c.b, step, err)
+			}
+			direct, err := e.Extract(context.Background(), iso, cluster.Options{KeepMeshes: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			meshes, err := direct.Meshes()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(frameBytes(t, r), meshio.EncodeBinaryChecksum(iso, meshes...)) {
+				t.Errorf("%T step %d: served frame differs from a direct extraction's encoding", c.b, step)
+			}
+		}
+		if _, err := s.Query(context.Background(), c.refused, iso); err == nil {
+			t.Errorf("%T served step %d, which it does not hold", c.b, c.refused)
+		}
 	}
 }

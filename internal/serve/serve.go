@@ -44,7 +44,8 @@ var ErrSaturated = errors.New("serve: saturated: extraction and queue limits rea
 var ErrIsovalue = errors.New("serve: isovalue is NaN or outside ±2⁶³")
 
 // Backend is the extraction service a Server fronts. Implementations must be
-// safe for concurrent use; both cluster engine kinds are.
+// safe for concurrent use. Both cluster engine kinds implement it: an Engine
+// serves as time step 0, a TimeVaryingEngine serves each step it indexes.
 type Backend interface {
 	// ExtractStep runs one isosurface extraction against one time step,
 	// honoring ctx cancellation.
@@ -223,7 +224,7 @@ type call struct {
 }
 
 // Server is the concurrent isosurface query service. The zero value is not
-// usable; construct with New, NewServer or NewTimeVaryingServer.
+// usable; construct with New.
 type Server struct {
 	backend Backend
 	cfg     Config
@@ -260,37 +261,6 @@ func New(b Backend, cfg Config) *Server {
 // Config.Metrics, or the private registry created in its absence. Serve it
 // with obs.NewHandler.
 func (s *Server) Metrics() *obs.Registry { return s.met.reg }
-
-// NewServer serves a single preprocessed time step; its queries must use
-// step 0.
-func NewServer(eng *cluster.Engine, cfg Config) *Server {
-	return New(engineBackend{eng}, cfg)
-}
-
-// NewTimeVaryingServer serves every step indexed by tv.
-func NewTimeVaryingServer(tv *cluster.TimeVaryingEngine, cfg Config) *Server {
-	return New(tvBackend{tv}, cfg)
-}
-
-// AsBackend adapts a single-time-step engine to the Backend interface (its
-// queries must use step 0) — for callers like the distributed tier that
-// build Servers over any backend with New.
-func AsBackend(eng *cluster.Engine) Backend { return engineBackend{eng} }
-
-type engineBackend struct{ eng *cluster.Engine }
-
-func (b engineBackend) ExtractStep(ctx context.Context, step int, iso float32, opts cluster.Options) (*cluster.Result, error) {
-	if step != 0 {
-		return nil, fmt.Errorf("serve: single-step engine has no time step %d", step)
-	}
-	return b.eng.Extract(ctx, iso, opts)
-}
-
-type tvBackend struct{ tv *cluster.TimeVaryingEngine }
-
-func (b tvBackend) ExtractStep(ctx context.Context, step int, iso float32, opts cluster.Options) (*cluster.Result, error) {
-	return b.tv.Extract(ctx, step, iso, opts)
-}
 
 // KeyOf is the key a query is coalesced and cached under — and, in the tier,
 // sharded by: the router calls it too.

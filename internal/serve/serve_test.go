@@ -129,7 +129,7 @@ func TestCoalescedMeshesByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewServer(eng, Config{MaxInFlight: 2})
+	s := New(eng, Config{MaxInFlight: 2})
 
 	const K = 8
 	start := make(chan struct{})
@@ -411,7 +411,7 @@ func TestServeStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewServer(eng, Config{
+	s := New(eng, Config{
 		MaxInFlight: 2,
 		QueueDepth:  2,
 		CacheBytes:  1 << 20, // small enough to evict

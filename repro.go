@@ -21,8 +21,8 @@
 // repeated sweeps such as animation or isovalue scans. Extraction takes a
 // context.Context; cancelling it aborts the pipeline mid-stream on every node.
 //
-// For many concurrent clients, wrap an engine in a Server (NewServer /
-// NewTimeVaryingServer): concurrent requests for the same (time step,
+// For many concurrent clients, put either engine kind behind a Server
+// (NewServer): concurrent requests for the same (time step,
 // quantized isovalue) are coalesced into one extraction, completed meshes are
 // kept in a byte-budgeted cache that evicts by frequency and size, and
 // admission control bounds in-flight work, shedding excess load with
@@ -88,7 +88,7 @@ type (
 	// triples: what extraction welds into and what WriteMesh exports.
 	IndexedMesh = geom.IndexedMesh
 	// Server is the concurrent query service: request coalescing, mesh
-	// cache, admission control (see NewServer / NewTimeVaryingServer).
+	// cache, admission control (see NewServer).
 	Server = serve.Server
 	// ServeConfig sizes a Server (in-flight limit, queue depth, cache
 	// budget).
@@ -99,8 +99,8 @@ type (
 	// histograms. Pass one registry via Config.Metrics and ServeConfig.Metrics
 	// so engine and server expose on the same page (see MetricsHandler).
 	Metrics = obs.Registry
-	// ServeBackend is what a Server or the distributed tier extracts from
-	// (see EngineBackend).
+	// ServeBackend is what a Server or the distributed tier extracts from:
+	// an *Engine (time step 0) or a *TimeVaryingEngine.
 	ServeBackend = serve.Backend
 	// ReplicaConfig sizes a Replica (HTTP admission, modeled NIC rate).
 	ReplicaConfig = dist.ReplicaConfig
@@ -166,18 +166,13 @@ func NewMetrics() *Metrics { return obs.NewRegistry() }
 // /debug/pprof/.
 func MetricsHandler(m *Metrics) http.Handler { return obs.NewHandler(m) }
 
-// NewServer wraps a single-time-step engine in a concurrent query service;
-// queries address it as time step 0.
-func NewServer(eng *Engine, cfg ServeConfig) *Server { return serve.NewServer(eng, cfg) }
+// NewServer puts a backend — an *Engine or a *TimeVaryingEngine — behind a
+// concurrent query service.
+func NewServer(b ServeBackend, cfg ServeConfig) *Server { return serve.New(b, cfg) }
 
-// NewTimeVaryingServer serves every indexed step of a time-varying engine.
-func NewTimeVaryingServer(tv *TimeVaryingEngine, cfg ServeConfig) *Server {
-	return serve.NewTimeVaryingServer(tv, cfg)
-}
-
-// EngineBackend adapts a single-time-step engine for a Server or the
-// distributed tier; queries address it as time step 0.
-func EngineBackend(eng *Engine) ServeBackend { return serve.AsBackend(eng) }
+// EngineBackend returns eng as a backend for a Server or the distributed
+// tier; queries address it as time step 0.
+func EngineBackend(eng *Engine) ServeBackend { return eng }
 
 // StartDistCluster spawns cfg.Replicas replica servers over one backend on
 // loopback listeners and a Router across them — a whole serving tier over

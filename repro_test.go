@@ -101,7 +101,7 @@ func TestTimeVaryingFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := tv.Extract(context.Background(), 200, 70, Options{})
+	res, err := tv.ExtractStep(context.Background(), 200, 70, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestServerFacade(t *testing.T) {
 		t.Error("served mesh rendered empty")
 	}
 
-	tvSrv := NewTimeVaryingServer(mustTV(t), ServeConfig{})
+	tvSrv := NewServer(mustTV(t), ServeConfig{})
 	if _, err := tvSrv.Query(context.Background(), 200, 70); err != nil {
 		t.Fatal(err)
 	}
