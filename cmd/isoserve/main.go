@@ -75,7 +75,6 @@ var (
 	replicas  = flag.Int("replicas", 0, "shard the tier across N replica servers on loopback sockets (0 = one in-process server, no sockets)")
 	serveAddr = flag.String("serve", "", "serve the tier's router on this address and wait; no load is generated")
 	connect   = flag.String("connect", "", "drive a remote tier (a router or replica /mesh endpoint) at this address; no engine is built")
-	link      = flag.Int64("link", 0, "modeled per-replica NIC rate, bytes/sec (0 = unpaced); see the scaling experiment")
 
 	attemptTimeout = flag.Duration("attempt-timeout", 0, "router per-attempt timeout (0 = the router's default, 30s)")
 	hedge          = flag.Duration("hedge", 0, "router hedges the first attempt to the ring successor after this delay (0 = off)")
@@ -304,7 +303,7 @@ func (r *run) tier(ctx context.Context) (queryFunc, string, func()) {
 	n := max(*replicas, 1)
 	cl, err := dist.StartCluster(r.engine(), dist.ClusterConfig{
 		Replicas: n,
-		Replica:  dist.ReplicaConfig{Serve: r.scfg, LinkBytesPerSec: *link},
+		Replica:  dist.ReplicaConfig{Serve: r.scfg},
 		Router:   r.routerConfig(),
 	})
 	if err != nil {

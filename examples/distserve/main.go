@@ -29,7 +29,7 @@ func main() {
 	// 2. Spawn the tier: three replicas on loopback listeners, each with its
 	// own coalescing server and mesh cache, and a router that consistent-
 	// hashes (step, rounded iso) across them and probes their health.
-	cl, err := repro.StartDistCluster(repro.EngineBackend(eng), repro.DistConfig{
+	cl, err := repro.StartDistCluster(eng, repro.DistConfig{
 		Replicas: 3,
 		Replica: repro.ReplicaConfig{
 			Serve: repro.ServeConfig{MaxInFlight: 2, CacheBytes: 64 << 20},

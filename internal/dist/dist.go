@@ -43,8 +43,8 @@ import (
 // pin a connection (and its goroutine) forever. Every listener in the tier
 // — replicas, routers, the isoserve metrics endpoint — goes through this
 // constructor. The write timeout is generous because one response may
-// carry a full-size extraction: queue wait + extraction + a paced
-// transmit all happen before the body is done.
+// carry a full-size extraction: queue wait + extraction + the write of a
+// frame of tens of megabytes all happen before the body is done.
 func NewHTTPServer(h http.Handler) *http.Server {
 	return &http.Server{
 		Handler:           h,

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -28,21 +27,13 @@ type ReplicaConfig struct {
 	Serve serve.Config
 
 	// MaxInFlight bounds requests inside the replica at once — parsing,
-	// querying, encoding or transmitting (0 = 64). Beyond it the replica
+	// querying, encoding or writing (0 = 64). Beyond it the replica
 	// sheds with 503 + Retry-After, the signal the router's failover feeds
 	// on. This is the HTTP layer's admission: the extraction pipeline
 	// behind it has its own (Serve.MaxInFlight), and cache hits that would
 	// sail through extraction admission still occupy a slot here while
 	// their response is on the wire.
 	MaxInFlight int
-
-	// LinkBytesPerSec models the replica machine's NIC: response frames
-	// are transmitted through a serialized link paced at this rate, the
-	// same way DESIGN.md §2's DiskModel stands in for the paper's disks.
-	// On a single test host this is what makes replica count — not the
-	// host's one CPU — the measured capacity of the scaling experiment.
-	// 0 disables pacing (frames go out at loopback speed).
-	LinkBytesPerSec int64
 }
 
 // retryAfter is the Retry-After hint on every 503 the replica sheds with.
@@ -72,7 +63,6 @@ type Replica struct {
 
 	draining atomic.Bool
 	inflight atomic.Int64
-	linkMu   sync.Mutex // the modeled NIC transmits one frame at a time
 
 	requests *obs.Counter
 	sheds    *obs.Counter
@@ -95,7 +85,8 @@ func NewReplicaServer(srv *serve.Server, cfg ReplicaConfig) *Replica {
 	return r
 }
 
-// Server returns the underlying query service (for stats and tests).
+// Server returns the underlying query service: the harness's warm pass
+// queries it in process, bypassing the HTTP surface.
 func (r *Replica) Server() *serve.Server { return r.srv }
 
 // Stats snapshots the underlying query service's counters.
@@ -216,29 +207,8 @@ func (r *Replica) handleMesh(w http.ResponseWriter, req *http.Request) {
 	w.Header().Set("X-Iso-Source", resp.Source.String())
 	w.Header().Set("X-Iso-Step", strconv.Itoa(step))
 	w.Header().Set("X-Iso-Quantized", strconv.FormatFloat(float64(resp.Iso), 'g', -1, 32))
-	if r.transmit(req.Context(), frame.Len()) {
-		if n, err := frame.WriteTo(w); err == nil {
-			r.txBytes.Add(n)
-		}
-	}
-}
-
-// transmit charges the frame to the modeled NIC: the link sends one frame
-// at a time at LinkBytesPerSec, so a busy replica's responses queue behind
-// each other exactly as they would on a real interface. Returns false if
-// the request died while waiting for the link.
-func (r *Replica) transmit(ctx context.Context, frameBytes int) bool {
-	if r.cfg.LinkBytesPerSec <= 0 {
-		return true
-	}
-	r.linkMu.Lock()
-	defer r.linkMu.Unlock()
-	d := time.Duration(float64(frameBytes) / float64(r.cfg.LinkBytesPerSec) * float64(time.Second))
-	select {
-	case <-time.After(d):
-		return true
-	case <-ctx.Done():
-		return false
+	if n, err := frame.WriteTo(w); err == nil {
+		r.txBytes.Add(n)
 	}
 }
 

@@ -39,8 +39,9 @@ type RouterConfig struct {
 
 	// AttemptTimeout bounds one replica round trip, so a blackholed
 	// connection costs one bounded attempt instead of the whole request
-	// deadline (0 = 30s — generous because paced replica links legitimately
-	// stream large frames for seconds).
+	// deadline (0 = 30s — generous because one legitimate attempt may wait
+	// in the replica's admission queue and then extract a full-size surface
+	// cold, which takes seconds).
 	AttemptTimeout time.Duration
 
 	// HedgeAfter launches a hedged copy of the first attempt to the ring

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"repro/internal/chaos"
-	"repro/internal/dist"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
@@ -28,8 +27,9 @@ type Experiment struct {
 	// per row: go test -bench runs it at Small(), not at the paper's size,
 	// and -short or -race test runs skip it.
 	Load bool
-	// Paced marks an experiment whose run time is set by modeled link pacing
-	// and fault timeouts — minutes at any size. go test -bench skips it.
+	// Paced marks an experiment whose run time is set by its injected fault
+	// latencies and timeouts — tens of seconds at any size (chaos only).
+	// go test -bench skips it.
 	Paced bool
 
 	// Metric names the headline number Run returns ("" = none, Run returns 0).
@@ -238,19 +238,16 @@ func Experiments(imagePath string) []Experiment {
 			return rows[len(rows)-1].Speedup, nil
 		},
 	}, {
-		Name: "scaling", Title: "Scaling: sharded serving tier, throughput vs replicas (4 nodes each)", Load: true, Paced: true,
+		Name: "scaling", Title: "Scaling: sharded serving tier, throughput vs replicas (4 nodes each)", Load: true,
 		Run: func(ctx context.Context, cfg RMConfig, out io.Writer) (float64, error) {
 			w := ServingWorkload{ReqPerClient: 16}.withDefaults()
-			// ~200 Mbit per replica, era-plausible cluster networking (DESIGN §2
-			// models the era's disks the same way): slow enough that four
-			// replicated links still fit under one test host's CPU.
-			rep := dist.ReplicaConfig{LinkBytesPerSec: 25e6}
-			rows, err := ScalingTable(ctx, cfg, 4, []int{1, 2, 4}, 32, w, rep)
+			rows, err := ScalingTable(ctx, cfg, 4, []int{1, 2, 4}, 32, w)
 			if err != nil {
 				return 0, err
 			}
-			fmt.Fprintf(out, "32 closed-loop clients, Zipf(%.2g) over %d isovalue levels, %d requests/client, %.0f MB/s modeled link per replica; steady state (levels warmed before timing)\n",
-				w.ZipfS, w.Levels, w.ReqPerClient, float64(rep.LinkBytesPerSec)/1e6)
+			fmt.Fprintf(out, "32 closed-loop clients, Zipf(%.2g) over %d isovalue levels, %d requests/client; steady state (levels warmed before timing)\n"+
+				"host columns: wall time on this host; link columns: each replica's frame bytes over a %.0f MB/s modeled link\n",
+				w.ZipfS, w.Levels, w.ReqPerClient, linkBytesPerSec/1e6)
 			WriteTable(out, rows, "")
 			return 0, nil
 		},

@@ -81,9 +81,10 @@ func TestExperimentRegistryResolves(t *testing.T) {
 }
 
 // TestExperimentsRun runs every registry entry to completion at Small(). The
-// serving-tier load experiments take seconds to minutes (and several times
-// that under the race detector), so -short and -race skip them; the two paced
-// ones spend that time asleep and share it.
+// serving-tier load experiments take seconds to tens of seconds (and several
+// times that under the race detector), so -short and -race skip them; the
+// paced one spends most of its time waiting out fault latencies and
+// timeouts, and runs beside the rest.
 func TestExperimentsRun(t *testing.T) {
 	image := filepath.Join(t.TempDir(), "fig4.ppm")
 	for _, e := range Experiments(image) {

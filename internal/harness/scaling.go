@@ -2,10 +2,7 @@ package harness
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"io"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,14 +17,28 @@ import (
 // count, at a fixed Zipf client population driven through the sharded tier
 // over real loopback sockets.
 
-// ScalingRow reports one replica count of the scaling experiment.
+// linkBytesPerSec is the modeled NIC of one replica machine: ~200 Mbit,
+// era-plausible cluster networking, standing in for the network the way
+// DESIGN.md §2's DiskModel stands in for the paper's disks.
+const linkBytesPerSec = 25e6
+
+// ScalingRow reports one replica count of the scaling experiment. The host
+// columns are measured wall time; the link columns are modeled from bytes.
+// No column adds the one to the other.
 type ScalingRow struct {
 	Replicas int `col:"replicas"`
 	Requests int `col:"reqs"` // total requests issued across all clients
 
-	QPS        float64 `col:"q/s,%.1f"`
-	Speedup    float64 `col:"speedup,%.2f×"` // QPS / the table's single-replica QPS (0 if no 1-replica row)
-	MtriPerSec float64 `col:"Mtri/s,%.1f"`   // delivered geometry throughput, millions of triangles/s
+	QPS        float64 `col:"host q/s,%.1f"`
+	Speedup    float64 `col:"host speedup,%.2f×"` // QPS / the table's single-replica QPS (0 if no 1-replica row)
+	MtriPerSec float64 `col:"host Mtri/s,%.1f"`   // delivered geometry throughput, millions of triangles/s
+
+	// LinkQPS is requests ÷ the busiest replica's modeled transmit time: its
+	// frame bytes over the timed run ÷ linkBytesPerSec. The replicas' links
+	// run in parallel, so the one that carried the most bytes sets the run's
+	// modeled length.
+	LinkQPS     float64 `col:"link q/s,%.1f"`
+	LinkSpeedup float64 `col:"link speedup,%.2f×"` // LinkQPS / the single-replica row's (0 if no 1-replica row)
 
 	// AggHitRate is (cache hits + coalesced) / requests summed over every
 	// replica; MinHitRate / MaxHitRate are the extremes across individual
@@ -40,32 +51,30 @@ type ScalingRow struct {
 	Extractions int64   `col:"extractions"` // backend extractions summed over replicas
 
 	Failovers int64 `col:"failovers"` // requests the router moved to a ring successor
-	Retries   int64 `col:"retries"`   // client retries after every candidate replica shed
 
-	P50 time.Duration `col:"p50"`
-	P99 time.Duration `col:"p99"`
+	P50 time.Duration `col:"host p50"`
+	P99 time.Duration `col:"host p99"`
 }
 
 // ScalingTable runs the fixed Zipf workload (clients closed-loop clients)
 // against an in-process cluster of 1, 2, ... replicas on loopback listeners,
-// routed by consistent hashing. Each replica's responses are paced through a
-// modeled NIC (rep.LinkBytesPerSec), so on a one-CPU test host the tier's
-// measured capacity is the replicated link — the resource that actually
-// multiplies with replica count — rather than the host's single core.
+// routed by consistent hashing, and reports each row twice over. The host
+// columns are the timed run's wall time: every replica shares this host's
+// cores, so they say what one host can do, not what N machines could. The
+// link columns are modeled the way IOModelTime is (DESIGN.md §2): each
+// replica's NIC sends the frame bytes it served at linkBytesPerSec.
 //
-// Each row starts with an untimed warm pass that requests every isovalue
+// Both admission bounds admit the whole client population, so nothing is
+// shed: every request goes to its home shard, and the link columns depend
+// on the workload and the ring alone, identical from run to run.
+//
+// Each row starts with an untimed warm pass that extracts every isovalue
 // level once, priming each level into its home shard's cache. The timed run
 // then measures steady-state serving capacity; the one-off cold extractions
-// are the same fixed cost at every replica count (one shared backend, one
-// CPU) and would only blur the scaling signal. Reported stats are deltas
-// over the timed run, so Extractions > 0 in a row means evictions or
-// failover spill, not cold start.
-//
-// The per-replica queue is sized to the client population so the closed loop
-// is never shed by extraction admission; the HTTP in-flight bound defaults to
-// 2×clients/replicas so a hot shard (Zipf makes one inevitable) sheds its
-// overflow to ring neighbors instead of queueing the whole population.
-func ScalingTable(ctx context.Context, cfg RMConfig, procs int, replicaCounts []int, clients int, w ServingWorkload, rep dist.ReplicaConfig) ([]ScalingRow, error) {
+// are the same fixed cost at every replica count (one shared backend) and
+// would only blur the scaling signal. Reported stats are deltas over the
+// timed run, so Extractions > 0 in a row means evictions, not cold start.
+func ScalingTable(ctx context.Context, cfg RMConfig, procs int, replicaCounts []int, clients int, w ServingWorkload) ([]ScalingRow, error) {
 	w = w.withDefaults()
 	if clients < 1 {
 		return nil, fmt.Errorf("harness: client count must be ≥ 1, got %d", clients)
@@ -79,56 +88,15 @@ func ScalingTable(ctx context.Context, cfg RMConfig, procs int, replicaCounts []
 		if n < 1 {
 			return nil, fmt.Errorf("harness: replica count must be ≥ 1, got %d", n)
 		}
-		rcfg := rep
-		if rcfg.Serve.QueueDepth == 0 {
-			rcfg.Serve.QueueDepth = clients // never shed the closed loop at the extraction layer
-		}
-		if rcfg.MaxInFlight == 0 {
-			// Give the tier exactly the client population's worth of in-flight
-			// slots, split across replicas: a hot shard (Zipf makes one
-			// inevitable) sheds its overflow to ring neighbors instead of
-			// queueing the whole population behind its one link, while a
-			// single replica — granted all the slots — never sheds its own
-			// closed loop.
-			rcfg.MaxInFlight = max(4, clients/n)
-		}
 		cl, err := dist.StartCluster(eng, dist.ClusterConfig{
 			Replicas: n,
-			Replica:  rcfg,
-			// Home shard plus one ring successor: overflow from a hot shard
-			// spills to a single standby, so each key's mesh lives in at most
-			// two caches instead of roaming (and going cold) across the whole
-			// ring.
+			Replica:  dist.ReplicaConfig{MaxInFlight: clients, Serve: serve.Config{QueueDepth: clients}},
+			// Home shard plus one ring successor: the warm pass fills two
+			// caches per key, not every replica's.
 			Router: dist.RouterConfig{Attempts: 2},
 		})
 		if err != nil {
 			return nil, err
-		}
-		var retries atomic.Int64
-		// fetch routes one query, honoring the tier's backpressure the way a
-		// polite client would: on "every candidate shed" it backs off briefly
-		// and re-asks. Retries are counted and the wall clock keeps running,
-		// so shedding still costs the timed row its throughput.
-		fetch := func(ctx context.Context, iso float32) (int, error) {
-			for {
-				frame, _, err := cl.Router.QueryBytes(ctx, 0, iso)
-				if err == nil {
-					_, nt, err := meshio.DecodeBinaryHeader(frame)
-					cl.Router.Recycle(frame)
-					return nt, err
-				}
-				if !errors.Is(err, serve.ErrSaturated) {
-					return 0, err
-				}
-				retries.Add(1)
-				// Well under a frame's transmit time, so a freed link slot is
-				// claimed quickly without polling it to death.
-				select {
-				case <-time.After(5 * time.Millisecond):
-				case <-ctx.Done():
-					return 0, ctx.Err()
-				}
-			}
 		}
 		if err := warmLevels(ctx, w, cl); err != nil {
 			cl.Close()
@@ -136,8 +104,18 @@ func ScalingTable(ctx context.Context, cfg RMConfig, procs int, replicaCounts []
 		}
 		pre := cl.Stats()
 		preRouter := cl.Router.Stats()
-		retries.Store(0)
 
+		frameBytes := make([]atomic.Int64, n) // per replica, timed run only
+		fetch := func(ctx context.Context, iso float32) (int, error) {
+			frame, route, err := cl.Router.QueryBytes(ctx, 0, iso)
+			if err != nil {
+				return 0, err
+			}
+			frameBytes[route.Replica].Add(int64(len(frame)))
+			_, nt, err := meshio.DecodeBinaryHeader(frame)
+			cl.Router.Recycle(frame)
+			return nt, err
+		}
 		wall, lats, tris, err := w.closedLoop(ctx, clients, fetch)
 		stats := cl.Stats()
 		rstats := cl.Router.Stats()
@@ -147,14 +125,18 @@ func ScalingTable(ctx context.Context, cfg RMConfig, procs int, replicaCounts []
 		}
 
 		total := clients * w.ReqPerClient
+		var busiest int64
+		for i := range frameBytes {
+			busiest = max(busiest, frameBytes[i].Load())
+		}
 		row := ScalingRow{
 			Replicas:   n,
 			Requests:   total,
 			QPS:        float64(total) / wall.Seconds(),
 			MtriPerSec: float64(tris) / wall.Seconds() / 1e6,
+			LinkQPS:    float64(total) / (float64(busiest) / linkBytesPerSec),
 			MinHitRate: 1,
 			Failovers:  rstats.Failovers - preRouter.Failovers,
-			Retries:    retries.Load(),
 			P50:        lats.Quantile(0.50),
 			P99:        lats.Quantile(0.99),
 		}
@@ -177,24 +159,27 @@ func ScalingTable(ctx context.Context, cfg RMConfig, procs int, replicaCounts []
 		if reqs > 0 {
 			row.AggHitRate = float64(served) / float64(reqs)
 		}
-		if len(rows) > 0 && rows[0].Replicas == 1 && rows[0].QPS > 0 {
-			row.Speedup = row.QPS / rows[0].QPS
-		} else if n == 1 && len(rows) == 0 {
-			row.Speedup = 1
-		}
 		rows = append(rows, row)
+	}
+	if len(rows) > 0 && rows[0].Replicas == 1 {
+		base := rows[0]
+		for i := range rows {
+			rows[i].Speedup = rows[i].QPS / base.QPS
+			rows[i].LinkSpeedup = rows[i].LinkQPS / base.LinkQPS
+		}
 	}
 	return rows, nil
 }
 
-// warmLevels requests every isovalue level once from every replica the
-// router may route it to — the home shard and the failover standby — so the
-// timed run starts with each key's mesh cached everywhere its overflow can
-// land. Eight at a time: enough to overlap the paced links without tripping a
-// replica's in-flight bound.
+// warmLevels extracts every isovalue level once on every replica the router
+// may route it to — the home shard and its standbys — in process, through
+// each replica's own query service, and seals the frame as the first HTTP
+// response for it would. The timed run then starts with each key's mesh
+// cached everywhere a request for it can land. Two at a time, serve's
+// default extraction slots, so a warm never queues for a slot.
 func warmLevels(ctx context.Context, w ServingWorkload, cl *dist.Cluster) error {
 	errs := make([]error, w.Levels)
-	sem := make(chan struct{}, 8)
+	sem := make(chan struct{}, 2)
 	var wg sync.WaitGroup
 	for rank, iso := range w.levels() {
 		wg.Add(1)
@@ -202,10 +187,12 @@ func warmLevels(ctx context.Context, w ServingWorkload, cl *dist.Cluster) error 
 		go func() {
 			defer func() { <-sem; wg.Done() }()
 			for _, ci := range cl.Router.Candidates(0, iso) {
-				if err := fetchReplicaMesh(ctx, cl.Replicas[ci].Addr(), 0, iso); err != nil {
+				resp, err := cl.Replicas[ci].Server().Query(ctx, 0, iso)
+				if err != nil {
 					errs[rank] = err
 					return
 				}
+				resp.Frame()
 			}
 		}()
 	}
@@ -216,34 +203,4 @@ func warmLevels(ctx context.Context, w ServingWorkload, cl *dist.Cluster) error 
 		}
 	}
 	return nil
-}
-
-// fetchReplicaMesh pulls one mesh straight from a replica (bypassing the
-// router), waiting out 503s — the warm pass must land every key, not shed it.
-func fetchReplicaMesh(ctx context.Context, addr string, step int, iso float32) error {
-	url := dist.MeshURL(addr, step, iso)
-	for {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-		if err != nil {
-			return err
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			return err
-		}
-		_, cerr := io.Copy(io.Discard, resp.Body)
-		resp.Body.Close() //nolint:errcheck
-		switch {
-		case resp.StatusCode == http.StatusOK:
-			return cerr
-		case resp.StatusCode == http.StatusServiceUnavailable:
-			select {
-			case <-time.After(5 * time.Millisecond):
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		default:
-			return fmt.Errorf("harness: warming %s: %s", url, resp.Status)
-		}
-	}
 }
