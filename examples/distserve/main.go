@@ -28,7 +28,7 @@ func main() {
 
 	// 2. Spawn the tier: three replicas on loopback listeners, each with its
 	// own coalescing server and mesh cache, and a router that consistent-
-	// hashes (step, rounded iso) across them and probes their health.
+	// hashes (step, rounded iso) across them.
 	cl, err := repro.StartDistCluster(eng, repro.DistConfig{
 		Replicas: 3,
 		Replica: repro.ReplicaConfig{
@@ -62,16 +62,16 @@ func main() {
 		}
 	}
 
-	// 4. Drain replica 0. Its /healthz flips to 503, the router's probes
-	// notice, and its keys fail over to ring successors — who extract once,
-	// then serve their newly warmed caches.
+	// 4. Drain replica 0: it finishes its in-flight responses and closes its
+	// listener. The first request that tries it fails to connect, marks it
+	// down and fails over within the same request; its keys land on ring
+	// successors — who extract once, then serve their newly warmed caches.
 	fmt.Println("\ndraining replica 0…")
 	dctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()
-	if err := cl.Drain(dctx, 0); err != nil {
+	if err := cl.Replicas[0].Drain(dctx); err != nil {
 		log.Fatal(err)
 	}
-	time.Sleep(500 * time.Millisecond) // a couple of probe intervals
 	for i := 0; i < 9; i++ {
 		iso := 100 + float32(i)*10
 		resp, err := cl.Router.Query(ctx, 0, iso)

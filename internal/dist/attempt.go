@@ -24,17 +24,10 @@ import (
 // HedgeAfter, the second candidate starts beside it and the first success
 // wins. When every candidate shed the request, the loop sleeps out the
 // replicas' Retry-After hint (or its own growing backoff) and walks again,
-// within SaturationBudget and the caller's deadline.
+// until the caller's deadline; a caller with no deadline gets one walk.
 func (rt *Router) QueryBytes(ctx context.Context, step int, iso float32) ([]byte, Route, error) {
 	start := time.Now()
-	// A saturation budget of zero means one walk and give up.
-	var budgetEnd time.Time
-	if rt.cfg.SaturationBudget > 0 {
-		budgetEnd = start.Add(rt.cfg.SaturationBudget)
-		if d, ok := ctx.Deadline(); ok && d.Before(budgetEnd) {
-			budgetEnd = d
-		}
-	}
+	deadline, _ := ctx.Deadline() // zero: no deadline, so one walk and give up
 
 	// Every attempt runs fetch in its own goroutine, and a result nobody will
 	// pick up still owns a buffer. One already in results when this call
@@ -104,19 +97,19 @@ func (rt *Router) QueryBytes(ctx context.Context, step int, iso float32) ([]byte
 				return nil, Route{}, ErrNoReplicas
 			default:
 				// Every candidate shed the request. Sleep out the replicas'
-				// hint (or our own growing backoff) and walk again if budget
-				// remains.
+				// hint (or our own growing backoff) and walk again if the
+				// caller's deadline allows.
 				wait := hint
 				if wait <= 0 {
 					wait = backoff
 					backoff = min(2*backoff, time.Second)
 				}
 				wait = rt.jittered(wait)
-				// The hint is advisory: when it reaches past the budget, clamp
-				// and make one last-chance walk at the deadline's edge instead
-				// of abandoning a request we were told to keep trying.
-				remaining := time.Until(budgetEnd)
-				if budgetEnd.IsZero() || remaining <= 0 {
+				// The hint is advisory: when it reaches past the deadline, the
+				// wait is clamped to it rather than the request abandoned
+				// early.
+				remaining := time.Until(deadline)
+				if deadline.IsZero() || remaining <= 0 {
 					rt.saturated.Inc()
 					return nil, Route{}, &SaturatedError{Attempts: attempts, RetryAfter: hint, Waited: waited}
 				}

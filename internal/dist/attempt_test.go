@@ -150,7 +150,7 @@ func TestAttemptSequences(t *testing.T) {
 		name       string
 		replies    [3][]reply
 		hedgeAfter time.Duration
-		budget     time.Duration
+		deadline   bool  // the caller's context has a one-minute deadline, so a shed request backs off and walks again
 		down       []int // ring places marked down before the request
 		cancel     bool  // the caller cancels once an attempt hangs
 		markedDown []int // ring places down after the request
@@ -219,19 +219,19 @@ func TestAttemptSequences(t *testing.T) {
 			hedgeAfter: time.Minute,
 			asked:      []int{0, 1}, replica: 1, attempts: 2, markedDown: []int{0},
 			want: attemptCounters{Routed: 1, Failovers: 1}},
-		{name: "all shed with budget 0",
+		{name: "all shed with no deadline: one walk",
 			replies: [3][]reply{{reply503}, {reply503Hint}, {reply503}},
 			asked:   []int{0, 1, 2}, replica: -1, err: errSaturated,
 			want: attemptCounters{Saturated: 1}},
 		{name: "all shed, then served after one backoff round",
-			replies: [3][]reply{{reply503, replyOK}, {reply503}, {reply503}},
-			budget:  time.Minute,
-			asked:   []int{0, 1, 2, 0}, replica: 0, attempts: 4,
+			replies:  [3][]reply{{reply503, replyOK}, {reply503}, {reply503}},
+			deadline: true,
+			asked:    []int{0, 1, 2, 0}, replica: 0, attempts: 4,
 			want: attemptCounters{Routed: 1, Failovers: 1, Retries: 1}},
 		{name: "the next backoff round re-reads health",
-			replies: [3][]reply{{reply503}, {replyDrop, replyOK}, {reply503, replyOK}},
-			budget:  time.Minute,
-			asked:   []int{0, 1, 2, 0, 2}, replica: 2, attempts: 5, markedDown: []int{1},
+			replies:  [3][]reply{{reply503}, {replyDrop, replyOK}, {reply503, replyOK}},
+			deadline: true,
+			asked:    []int{0, 1, 2, 0, 2}, replica: 2, attempts: 5, markedDown: []int{1},
 			want: attemptCounters{Routed: 1, Failovers: 1, Retries: 1}},
 		{name: "ctx cancelled mid-attempt",
 			replies: [3][]reply{{replyHang}, {replyOK}, {replyOK}},
@@ -242,12 +242,10 @@ func TestAttemptSequences(t *testing.T) {
 			addrs := []string{"r0.invalid:1", "r1.invalid:1", "r2.invalid:1"}
 			tier := &scriptedTier{replies: tc.replies, frame: frame, answered: make(chan struct{})}
 			rt, err := NewRouter(RouterConfig{
-				Replicas:         addrs,
-				ProbeInterval:    -1,
-				DownCooldown:     time.Minute,
-				HedgeAfter:       tc.hedgeAfter,
-				SaturationBudget: tc.budget,
-				Client:           &http.Client{Transport: tier},
+				Replicas:     addrs,
+				DownCooldown: time.Minute,
+				HedgeAfter:   tc.hedgeAfter,
+				Client:       &http.Client{Transport: tier},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -263,6 +261,10 @@ func TestAttemptSequences(t *testing.T) {
 			}
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
+			if tc.deadline {
+				ctx, cancel = context.WithTimeout(ctx, time.Minute)
+				defer cancel()
+			}
 			if tc.cancel {
 				tier.onHang = cancel
 			}

@@ -29,9 +29,8 @@ func TestHedgingBeatsSlowReplica(t *testing.T) {
 	ctx := context.Background()
 	client, in := chaosClient(21)
 	c := startCluster(t, 3, ReplicaConfig{}, RouterConfig{
-		ProbeInterval: -1,
-		HedgeAfter:    30 * time.Millisecond,
-		Client:        client,
+		HedgeAfter: 30 * time.Millisecond,
+		Client:     client,
 	})
 	const iso = 128
 	want, _, err := c.Router.QueryBytes(ctx, 0, iso)
@@ -75,8 +74,7 @@ func TestCorruptFrameRetriesOnSuccessor(t *testing.T) {
 	ctx := context.Background()
 	client, in := chaosClient(22)
 	c := startCluster(t, 3, ReplicaConfig{}, RouterConfig{
-		ProbeInterval: -1,
-		Client:        client,
+		Client: client,
 	})
 	const iso = 128
 	want, _, err := c.Router.QueryBytes(ctx, 0, iso)
@@ -124,9 +122,48 @@ func TestCorruptFrameRetriesOnSuccessor(t *testing.T) {
 	}
 }
 
-// TestBackoffRespectsDeadline pins the saturation-retry bound: with a large
-// SaturationBudget but a short caller deadline, the router backs off and
-// retries but gives up by the deadline instead of sleeping past it.
+// TestFailedReplicaStaysDownForItsCooldown pins that only a request's own
+// outcome moves a replica's health: a home replica that corrupts every frame
+// costs one corrupt frame and one failover, and then stays out of rotation
+// for its whole cooldown however long the requests keep coming — nothing
+// else, such as a /healthz answer, puts it back early.
+func TestFailedReplicaStaysDownForItsCooldown(t *testing.T) {
+	ctx := context.Background()
+	client, in := chaosClient(24)
+	c := startCluster(t, 3, ReplicaConfig{}, RouterConfig{
+		DownCooldown: time.Minute,
+		Client:       client,
+	})
+	const iso = 128
+	home := c.Router.HomeReplica(0, iso)
+	in.SetFault(c.Replicas[home].Addr(), chaos.Fault{CorruptProb: 1})
+
+	// 20 requests spread over 400 ms: anything that put the home back in that
+	// time would show as a second corrupt frame.
+	for i := 0; i < 20; i++ {
+		frame, route, err := c.Router.QueryBytes(ctx, 0, iso)
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		if route.Replica == home {
+			t.Fatalf("request %d served by the corrupting home %d", i, home)
+		}
+		c.Router.Recycle(frame)
+		time.Sleep(20 * time.Millisecond)
+	}
+	st := c.Router.Stats()
+	if st.CorruptFrames != 1 || st.Failovers != 1 {
+		t.Errorf("%d corrupt frames and %d failovers, want 1 and 1: the home was tried again inside its cooldown",
+			st.CorruptFrames, st.Failovers)
+	}
+	if !st.Down[home] {
+		t.Error("home no longer down inside its one-minute cooldown")
+	}
+}
+
+// TestBackoffRespectsDeadline pins the saturation-retry bound: with a short
+// caller deadline, the router backs off and retries but gives up by the
+// deadline instead of sleeping past it.
 func TestBackoffRespectsDeadline(t *testing.T) {
 	srv := serve.New(slowBackend{delay: 3 * time.Second}, serve.Config{
 		MaxInFlight: 1,
@@ -153,11 +190,7 @@ func TestBackoffRespectsDeadline(t *testing.T) {
 	}()
 	time.Sleep(50 * time.Millisecond)
 
-	rt, err := NewRouter(RouterConfig{
-		Replicas:         []string{rep.Addr()},
-		ProbeInterval:    -1,
-		SaturationBudget: time.Minute,
-	})
+	rt, err := NewRouter(RouterConfig{Replicas: []string{rep.Addr()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +211,7 @@ func TestBackoffRespectsDeadline(t *testing.T) {
 		t.Fatalf("router held the request %v past a 400ms deadline", elapsed)
 	}
 	if rt.Stats().Retries == 0 {
-		t.Error("router never backed off; SaturationBudget had no effect")
+		t.Error("router never backed off inside the caller's deadline")
 	}
 
 	// The SaturatedError carries the replica's Retry-After hint so front
@@ -202,7 +235,7 @@ func TestRetryAfterPropagatesThroughHandler(t *testing.T) {
 		w.Header().Set("Retry-After", "7")
 		http.Error(w, "saturated", http.StatusServiceUnavailable)
 	}))
-	rt, err := NewRouter(RouterConfig{Replicas: []string{saturated}, ProbeInterval: -1})
+	rt, err := NewRouter(RouterConfig{Replicas: []string{saturated}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,16 +255,15 @@ func TestRetryAfterPropagatesThroughHandler(t *testing.T) {
 	}
 }
 
-// TestPassiveRevival pins the DownCooldown contract: with probing disabled,
-// a replica marked down by a transient fault rejoins rotation once the
-// cooldown elapses — ProbeInterval < 0 no longer strands replicas forever.
+// TestPassiveRevival pins the DownCooldown contract: a replica marked down by
+// a transient fault rejoins rotation once the cooldown elapses and a request
+// to it succeeds.
 func TestPassiveRevival(t *testing.T) {
 	ctx := context.Background()
 	client, in := chaosClient(23)
 	c := startCluster(t, 2, ReplicaConfig{}, RouterConfig{
-		ProbeInterval: -1,
-		DownCooldown:  400 * time.Millisecond,
-		Client:        client,
+		DownCooldown: 400 * time.Millisecond,
+		Client:       client,
 	})
 	const iso = 128
 	if _, _, err := c.Router.QueryBytes(ctx, 0, iso); err != nil {
@@ -261,7 +293,7 @@ func TestPassiveRevival(t *testing.T) {
 		t.Error("request reached the home shard inside its cooldown")
 	}
 
-	// Past the cooldown, a live request revives it — no probe involved.
+	// Past the cooldown, a live request revives it.
 	time.Sleep(500 * time.Millisecond)
 	if r := route(); r.Replica != home {
 		t.Fatalf("after cooldown the home shard %d should serve again, got %d", home, r.Replica)

@@ -12,8 +12,8 @@
 //   - Router: the shard-aware front end — consistent-hashes each
 //     (time step, quantized isovalue) key to its home replica so every
 //     replica's mesh cache stays hot on its own key range, fails over
-//     along the hash ring on saturation or connect errors, and probes
-//     /healthz to route around dead or draining replicas.
+//     along the hash ring on saturation or connect errors, and routes
+//     around dead or draining replicas on the evidence of its own requests.
 //   - StartCluster: spawns N replicas over one backend on loopback
 //     listeners plus a router over them — the in-process simulated
 //     cluster the scaling experiment, the tests, and
@@ -22,14 +22,15 @@
 // Failure semantics, end to end: a saturated replica answers 503 and the
 // router tries the next replica on the ring (whose cache then warms the
 // spilled keys — hot shards shed into their neighbors); a dead replica
-// costs one connect error, is marked down, and is revived by the next
-// successful health probe; a draining replica flips /healthz to 503,
-// finishes its in-flight responses, and leaves the rotation without a
-// single failed request.
+// costs one connect error, is marked down, and is tried again once its
+// DownCooldown elapses, a success putting it back; a draining replica sheds
+// new requests, finishes its in-flight responses and closes its listener,
+// so it leaves the rotation without a single failed request. Replicas and
+// the router still answer /healthz, for operators' load balancers; the
+// router does not read it.
 package dist
 
 import (
-	"context"
 	"fmt"
 	"net/http"
 	"time"
@@ -117,13 +118,6 @@ func (c *Cluster) Stats() []serve.Stats {
 		out[i] = rep.Stats()
 	}
 	return out
-}
-
-// Drain gracefully drains one replica out of the rotation (see
-// Replica.Drain); the router's probes stop routing to it within a probe
-// interval.
-func (c *Cluster) Drain(ctx context.Context, i int) error {
-	return c.Replicas[i].Drain(ctx)
 }
 
 // Close hard-stops the router and every replica.

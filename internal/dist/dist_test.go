@@ -182,9 +182,7 @@ func TestShardAffinity(t *testing.T) {
 // up its keys, and the dead replica is marked down.
 func TestRouterFailover(t *testing.T) {
 	ctx := context.Background()
-	c := startCluster(t, 3, ReplicaConfig{}, RouterConfig{
-		ProbeInterval: 30 * time.Millisecond,
-	})
+	c := startCluster(t, 3, ReplicaConfig{}, RouterConfig{})
 	isos := []float32{40, 64, 90, 110, 128, 150, 170, 200}
 	for _, iso := range isos {
 		if _, err := c.Router.Query(ctx, 0, iso); err != nil {
@@ -287,7 +285,7 @@ func TestSaturationMapsTo503(t *testing.T) {
 	}
 
 	// Router over the one saturated replica: ErrSaturated must surface.
-	rt, err := NewRouter(RouterConfig{Replicas: []string{rep.Addr()}, ProbeInterval: -1})
+	rt, err := NewRouter(RouterConfig{Replicas: []string{rep.Addr()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,29 +297,121 @@ func TestSaturationMapsTo503(t *testing.T) {
 	}
 }
 
+// heldBackend is a Backend whose extraction of one isovalue blocks until
+// release is closed, announcing on entered that it has begun; every other
+// isovalue extracts at once.
+type heldBackend struct {
+	held             float32
+	entered, release chan struct{}
+}
+
+func (b heldBackend) ExtractStep(ctx context.Context, step int, iso float32, opts cluster.Options) (*cluster.Result, error) {
+	if iso == b.held {
+		close(b.entered)
+		select {
+		case <-b.release:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	return slowBackend{}.ExtractStep(ctx, step, iso, opts)
+}
+
+// TestReplicaAdmissionSheds pins the replica's own admission gate
+// (ReplicaConfig.MaxInFlight), which sits in front of the query service's:
+// with one request held inside a replica, a second concurrent one is shed
+// with 503 + Retry-After and counted, and a router whose key lives on that
+// replica fails over to the ring successor without an error.
+func TestReplicaAdmissionSheds(t *testing.T) {
+	ctx := context.Background()
+	const held = 40
+	backend := heldBackend{held: held, entered: make(chan struct{}), release: make(chan struct{})}
+	c, err := StartCluster(backend, ClusterConfig{Replicas: 2, Replica: ReplicaConfig{MaxInFlight: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	busy := c.Router.HomeReplica(0, held)
+	addr := c.Replicas[busy].Addr()
+
+	done := make(chan error, 1)
+	go func() {
+		resp, err := http.Get(MeshURL(addr, 0, held))
+		if err == nil {
+			io.Copy(io.Discard, resp.Body) //nolint:errcheck
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				err = fmt.Errorf("held request: %s", resp.Status)
+			}
+		}
+		done <- err
+	}()
+	<-backend.entered // the held request occupies the replica's one slot
+
+	resp, err := http.Get(MeshURL(addr, 0, 90))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body) //nolint:errcheck
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != "1" {
+		t.Fatalf("second concurrent request: %s, Retry-After %q; want 503 with Retry-After 1",
+			resp.Status, resp.Header.Get("Retry-After"))
+	}
+	sheds := c.Replicas[busy].Server().Metrics().Counter("replica_sheds_total", "")
+	if got := sheds.Value(); got != 1 {
+		t.Fatalf("replica_sheds_total = %d, want 1", got)
+	}
+
+	// A routed request whose home is the busy replica lands on its successor.
+	iso := float32(0)
+	for v := float32(41); iso == 0; v++ {
+		if c.Router.HomeReplica(0, v) == busy {
+			iso = v
+		}
+	}
+	routed, err := c.Router.Query(ctx, 0, iso)
+	if err != nil {
+		t.Fatalf("routed iso %v: %v", iso, err)
+	}
+	if routed.Route.Replica == busy || routed.Route.Attempts != 2 {
+		t.Errorf("route %+v, want the successor of replica %d after 2 attempts", routed.Route, busy)
+	}
+	if st := c.Router.Stats(); st.Failovers != 1 || st.Down[busy] {
+		t.Errorf("router: %d failovers, busy replica down = %v; want 1 and false (busy is not dead)", st.Failovers, st.Down[busy])
+	}
+
+	close(backend.release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestReplicaDrain takes one replica out gracefully and requires zero
-// failed requests while its keys move to ring neighbors.
+// failed requests while its keys move to ring neighbors: the first request
+// that tries the drained replica finds its listener closed, marks it down
+// and fails over within the same request.
 func TestReplicaDrain(t *testing.T) {
 	ctx := context.Background()
-	c := startCluster(t, 2, ReplicaConfig{}, RouterConfig{ProbeInterval: 30 * time.Millisecond})
+	c := startCluster(t, 2, ReplicaConfig{}, RouterConfig{})
 	isos := []float32{40, 90, 128, 170}
+	homes := 0
 	for _, iso := range isos {
 		if _, err := c.Router.Query(ctx, 0, iso); err != nil {
 			t.Fatalf("warmup iso %v: %v", iso, err)
 		}
+		if c.Router.HomeReplica(0, iso) == 0 {
+			homes++
+		}
+	}
+	if homes == 0 {
+		t.Fatal("no key's home is replica 0; pick other isovalues")
 	}
 
 	dctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	defer cancel()
-	if err := c.Drain(dctx, 0); err != nil {
+	if err := c.Replicas[0].Drain(dctx); err != nil {
 		t.Fatalf("drain: %v", err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for !c.Router.Stats().Down[0] {
-		if time.Now().After(deadline) {
-			t.Fatal("router never noticed the drained replica")
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 	for _, iso := range isos {
 		resp, err := c.Router.Query(ctx, 0, iso)
@@ -332,6 +422,9 @@ func TestReplicaDrain(t *testing.T) {
 		if resp.Route.Replica == 0 {
 			t.Errorf("iso %v served by drained replica", iso)
 		}
+	}
+	if !c.Router.Stats().Down[0] {
+		t.Error("router has not marked the drained replica down")
 	}
 }
 

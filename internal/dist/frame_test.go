@@ -203,7 +203,7 @@ func TestRouterQueryChecksumsOncePerFrame(t *testing.T) {
 	const iso = 128
 	want := directFrame(t, iso)
 	client, in := chaosClient(23)
-	c := startCluster(t, 2, ReplicaConfig{}, RouterConfig{ProbeInterval: -1, Client: client})
+	c := startCluster(t, 2, ReplicaConfig{}, RouterConfig{Client: client})
 	home := c.Router.HomeReplica(0, iso)
 	in.SetFault(c.Replicas[home].Addr(), chaos.Fault{CorruptProb: 1})
 

@@ -49,7 +49,7 @@ func TestFreeListIsBounded(t *testing.T) {
 // TestRouterExposesFrameMetrics: the free list's gauge and the frame-read
 // histogram are on the router's own /metrics and /statusz.
 func TestRouterExposesFrameMetrics(t *testing.T) {
-	rt, err := NewRouter(RouterConfig{Replicas: []string{"replica.invalid:1"}, ProbeInterval: -1})
+	rt, err := NewRouter(RouterConfig{Replicas: []string{"replica.invalid:1"}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,6 @@
 package dist
 
 import (
-	"context"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -61,40 +59,4 @@ func TestHealthCooldownContract(t *testing.T) {
 		t.Fatal("one markDown was revived twice")
 	}
 	samePlaces(t, "revived", h.healthyFirst(ring), ring)
-}
-
-// TestHealthProbeLoop: a failing probe marks its replica down and leaves the
-// others alone, a passing one revives it without waiting for the cooldown,
-// and stopProbes returns once the loop has exited. Rounds do not overlap, so the
-// second probe the test sees after a change proves the first one's verdict
-// was recorded.
-func TestHealthProbeLoop(t *testing.T) {
-	h := newHealth(2, time.Hour)
-	var pass atomic.Bool
-	probed := make(chan struct{})
-	h.startProbes(time.Millisecond, func(ctx context.Context, ri int) bool {
-		if ri != 0 {
-			return true
-		}
-		select {
-		case probed <- struct{}{}:
-		case <-ctx.Done():
-			return false
-		}
-		return pass.Load()
-	})
-	defer h.stopProbes() // hangs the test if the loop does not exit
-
-	<-probed
-	<-probed
-	if !h.isDown(0) || h.isDown(1) {
-		t.Fatalf("after a failed probe of replica 0: down = %v, %v; want true, false", h.isDown(0), h.isDown(1))
-	}
-	pass.Store(true)
-	<-probed // may have read pass before the store
-	<-probed
-	<-probed
-	if h.isDown(0) {
-		t.Fatal("replica 0 still down after a passing probe")
-	}
 }

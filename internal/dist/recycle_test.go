@@ -79,9 +79,8 @@ func TestHedgeLoserNeverWritesARecycledFrame(t *testing.T) {
 	want := meshio.EncodeBinaryChecksum(iso, bigBackend{tris}.mesh(iso))
 	in, base := chaos.NewInjector(31), NewTransport()
 	c := startBigCluster(t, 3, tris, RouterConfig{
-		ProbeInterval: -1,
-		HedgeAfter:    time.Millisecond,
-		Client:        &http.Client{Transport: in.Transport(base)},
+		HedgeAfter: time.Millisecond,
+		Client:     &http.Client{Transport: in.Transport(base)},
 	})
 	ctx := context.Background()
 	before := runtime.NumGoroutine() // no connection is open yet
@@ -156,13 +155,13 @@ func TestFailedAttemptsGiveTheirBuffersBack(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			client, in := chaosClient(24)
-			c := startCluster(t, 2, ReplicaConfig{}, RouterConfig{ProbeInterval: -1, Client: client})
+			c := startCluster(t, 2, ReplicaConfig{}, RouterConfig{Client: client})
 			home := c.Router.HomeReplica(0, iso)
 			in.SetFault(c.Replicas[home].Addr(), tc.fault)
 
 			// Alone, the faulted replica fails the request and the attempt's
 			// buffer is all there is to find afterwards.
-			alone, err := NewRouter(RouterConfig{Replicas: []string{c.Replicas[home].Addr()}, ProbeInterval: -1, Client: client})
+			alone, err := NewRouter(RouterConfig{Replicas: []string{c.Replicas[home].Addr()}, Client: client})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -212,7 +211,7 @@ func TestMalformedPrefixIsACorruptFrame(t *testing.T) {
 		bad := serveOnLoopback(t, http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 			w.Write(body) //nolint:errcheck
 		}))
-		rt, err := NewRouter(RouterConfig{Replicas: []string{bad}, ProbeInterval: -1})
+		rt, err := NewRouter(RouterConfig{Replicas: []string{bad}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,7 +259,7 @@ func TestCloseReachesAWrappedTransport(t *testing.T) {
 		return &countedConn{Conn: conn, open: &open}, nil
 	}
 	client := &http.Client{Transport: chaos.NewInjector(25).Transport(base)}
-	c := startCluster(t, 2, ReplicaConfig{}, RouterConfig{ProbeInterval: -1, Client: client})
+	c := startCluster(t, 2, ReplicaConfig{}, RouterConfig{Client: client})
 	before := runtime.NumGoroutine() // no connection is open yet
 	for _, iso := range []float32{64, 128, 150, 200} {
 		if _, _, err := c.Router.QueryBytes(context.Background(), 0, iso); err != nil {
@@ -302,7 +301,7 @@ func allocPerRequest(t testing.TB, rt *Router, iso float32, n int, recycle bool)
 // caller that keeps its frames pays one frame each, as before.
 func TestRecycleZeroAllocSteadyState(t *testing.T) {
 	const iso, tris = 5, 240_000
-	c := startBigCluster(t, 1, tris, RouterConfig{ProbeInterval: -1})
+	c := startBigCluster(t, 1, tris, RouterConfig{})
 	frame := float64(len(meshio.EncodeBinaryChecksum(iso, &geom.Mesh{Tris: make([]geom.Triangle, tris)})))
 	if frame < 8<<20 {
 		t.Fatalf("test frame is %.0f bytes, want at least 8 MiB", frame)
@@ -323,7 +322,7 @@ func TestRecycleZeroAllocSteadyState(t *testing.T) {
 // with it — B/op is the HTTP exchange alone. MB/s is frame bytes delivered.
 func BenchmarkRoutedHit(b *testing.B) {
 	const iso, tris = 5, 890_000
-	c := startBigCluster(b, 1, tris, RouterConfig{ProbeInterval: -1})
+	c := startBigCluster(b, 1, tris, RouterConfig{})
 	ctx := context.Background()
 	warm, err := c.Router.Query(ctx, 0, iso)
 	if err != nil {

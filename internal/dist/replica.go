@@ -51,7 +51,8 @@ func (c ReplicaConfig) withDefaults() ReplicaConfig {
 // mesh wire format, plus the observability surface.
 //
 //	GET /mesh?step=S&iso=V  one frame (200), 503 + Retry-After when shed
-//	GET /healthz            200 while serving, 503 once draining
+//	GET /healthz            200 while serving, 503 once draining (for load
+//	                        balancers: a router does not read it)
 //	/metrics /statusz /debug/pprof/   the obs handler over the replica's registry
 type Replica struct {
 	srv *serve.Server
@@ -127,7 +128,8 @@ func (r *Replica) Addr() string {
 }
 
 // Drain takes the replica out of rotation gracefully: /healthz flips to 503
-// so router probes stop routing to it, new mesh requests are shed, and
+// for load balancers, new mesh requests are shed, the listener closes — so
+// a router's next attempt fails to connect and marks the replica down — and
 // Drain blocks until in-flight requests finish (or ctx expires).
 func (r *Replica) Drain(ctx context.Context) error {
 	r.draining.Store(true)

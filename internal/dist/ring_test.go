@@ -92,7 +92,7 @@ func TestRingStableUnderReplicaRemoval(t *testing.T) {
 }
 
 // TestCandidatesOneHealthSnapshot hammers candidates while a replica's health
-// flips under it, as the probe loop and cooldown expiry do in production.
+// flips under it, as concurrent requests and cooldown expiry do in production.
 // Every list must hold each of the request's Attempts replicas exactly once:
 // a replica read as down by one look and up by another would be listed twice
 // or — on a one-replica tier, failing the request with no attempt — not at all.
@@ -102,7 +102,7 @@ func TestCandidatesOneHealthSnapshot(t *testing.T) {
 		for i := range addrs {
 			addrs[i] = fmt.Sprintf("replica-%d.invalid:1", i)
 		}
-		rt, err := NewRouter(RouterConfig{Replicas: addrs, ProbeInterval: -1})
+		rt, err := NewRouter(RouterConfig{Replicas: addrs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +151,7 @@ func TestRingMappingPinned(t *testing.T) {
 		for i := range addrs {
 			addrs[i] = fmt.Sprintf("replica-%d.invalid:1", i)
 		}
-		rt, err := NewRouter(RouterConfig{Replicas: addrs, ProbeInterval: -1})
+		rt, err := NewRouter(RouterConfig{Replicas: addrs})
 		if err != nil {
 			t.Fatal(err)
 		}

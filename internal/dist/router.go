@@ -32,11 +32,6 @@ type RouterConfig struct {
 	// the home shard plus failovers along the ring (0 = all replicas).
 	Attempts int
 
-	// ProbeInterval is the health-probe period (0 = 250ms; negative
-	// disables background probing — replicas are then marked down by
-	// transport errors and revived passively once DownCooldown elapses).
-	ProbeInterval time.Duration
-
 	// AttemptTimeout bounds one replica round trip, so a blackholed
 	// connection costs one bounded attempt instead of the whole request
 	// deadline (0 = 30s — generous because one legitimate attempt may wait
@@ -49,16 +44,9 @@ type RouterConfig struct {
 	// the first result wins and cancels the other (0 = hedging off).
 	HedgeAfter time.Duration
 
-	// SaturationBudget keeps retrying a fully saturated candidate set —
-	// honoring the replicas' Retry-After hints, with jittered exponential
-	// backoff between rounds — for up to this long, bounded also by the
-	// caller's context deadline (0 = give up immediately, the pre-resilience
-	// behavior).
-	SaturationBudget time.Duration
-
-	// DownCooldown is how long a transport error keeps a replica out of
-	// rotation before requests passively retry it. This revives marked-down
-	// replicas even with probing disabled (0 = 1s).
+	// DownCooldown is how long a failed attempt (transport error, timeout or
+	// corrupt frame) keeps a replica out of rotation; after it, requests try
+	// the replica again and the first success puts it back (0 = 1s).
 	DownCooldown time.Duration
 
 	// Client overrides the HTTP client (nil = pooled keep-alive transport).
@@ -69,18 +57,13 @@ type RouterConfig struct {
 	Metrics *obs.Registry
 }
 
-// Fixed sizing no caller has needed to vary.
-const (
-	probeTimeout = time.Second           // bound on one /healthz round trip
-	backoffBase  = 25 * time.Millisecond // first saturation-backoff wait absent a Retry-After hint; doubles each round
-)
+// backoffBase is the first saturation-backoff wait absent a Retry-After
+// hint; it doubles each round.
+const backoffBase = 25 * time.Millisecond
 
 func (c RouterConfig) withDefaults() RouterConfig {
 	if c.Attempts <= 0 || c.Attempts > len(c.Replicas) {
 		c.Attempts = len(c.Replicas)
-	}
-	if c.ProbeInterval == 0 {
-		c.ProbeInterval = 250 * time.Millisecond
 	}
 	if c.AttemptTimeout <= 0 {
 		c.AttemptTimeout = 30 * time.Second
@@ -105,8 +88,8 @@ func NewTransport() *http.Transport {
 	}
 }
 
-// SaturatedError reports that every candidate replica shed the request for
-// the whole saturation budget. It unwraps to serve.ErrSaturated and carries
+// SaturatedError reports that every candidate replica shed the request until
+// the caller's deadline (or, with no deadline, on the one walk). It unwraps to serve.ErrSaturated and carries
 // the replicas' soonest Retry-After hint so front ends can forward it.
 type SaturatedError struct {
 	Attempts   int           // replica round trips spent before giving up
@@ -153,15 +136,16 @@ type Route struct {
 // Router is the shard-aware front end: it consistent-hashes each
 // (time step, quantized isovalue) key to its home replica so every shard's
 // mesh cache stays hot on its own key range, fails over along the hash
-// ring when a replica is saturated (503) or unreachable, and probes
-// /healthz to keep routing around dead or draining replicas.
+// ring when a replica is saturated (503) or unreachable, and judges each
+// replica by its own requests' outcomes: a failed attempt benches it for
+// DownCooldown, and a success after that puts it back. It owns no goroutine
+// between requests.
 //
 // The request path is hardened against the faults internal/chaos injects:
 // every attempt runs under AttemptTimeout, responses are checksum-verified
 // (a corrupt frame retries on the ring successor), a slow home shard can be
-// hedged to its successor, saturation is retried within SaturationBudget
-// honoring Retry-After, and marked-down replicas rejoin rotation after
-// DownCooldown even with probing off.
+// hedged to its successor, and saturation is retried until the caller's
+// deadline honoring Retry-After.
 type Router struct {
 	cfg    RouterConfig
 	ring   *ring
@@ -187,8 +171,8 @@ type Router struct {
 	frameRead *obs.Histogram
 }
 
-// NewRouter builds a router over the configured replicas and starts its
-// health probes. Close releases them.
+// NewRouter builds a router over the configured replicas. Close releases its
+// idle connections.
 func NewRouter(cfg RouterConfig) (*Router, error) {
 	if len(cfg.Replicas) == 0 {
 		return nil, errors.New("dist: router needs at least one replica")
@@ -222,18 +206,14 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	reg.GaugeFunc("router_replicas_up", "replicas currently considered healthy", func() float64 {
 		return float64(rt.health.up())
 	})
-	if cfg.ProbeInterval > 0 {
-		rt.health.startProbes(cfg.ProbeInterval, rt.probe)
-	}
 	return rt, nil
 }
 
-// Close stops the health probes and closes idle connections, whatever round
-// trippers the client's transport is wrapped in (each forwards the call, or
-// the connections stay pooled until the peer or the idle timer drops them).
-// In-flight queries finish on their own.
+// Close closes idle connections, whatever round trippers the client's
+// transport is wrapped in (each forwards the call, or the connections stay
+// pooled until the peer or the idle timer drops them). In-flight queries
+// finish on their own.
 func (rt *Router) Close() {
-	rt.health.stopProbes()
 	rt.cfg.Client.CloseIdleConnections()
 }
 

@@ -95,9 +95,8 @@ func (c ChaosConfig) withDefaults() ChaosConfig {
 }
 
 // resilientRouter is the hardened configuration under test: bounded
-// attempts, early hedging, saturation retries, passive revival, verified
-// frames. Probing is off so the rows show the request path's own resilience,
-// not the probe loop's.
+// attempts, early hedging, saturation retries within the request deadline,
+// passive revival, verified frames.
 func resilientRouter(client *http.Client) dist.RouterConfig {
 	// The timeouts are generous: a warm cache hit on the experiment grids
 	// can cost hundreds of milliseconds under the race detector, and a
@@ -105,12 +104,10 @@ func resilientRouter(client *http.Client) dist.RouterConfig {
 	// failures. Blackholed attempts are still covered well before the
 	// timeout by the hedge.
 	return dist.RouterConfig{
-		Client:           client,
-		ProbeInterval:    -1,
-		AttemptTimeout:   2 * time.Second,
-		HedgeAfter:       300 * time.Millisecond,
-		SaturationBudget: 2 * time.Second,
-		DownCooldown:     250 * time.Millisecond,
+		Client:         client,
+		AttemptTimeout: 2 * time.Second,
+		HedgeAfter:     300 * time.Millisecond,
+		DownCooldown:   250 * time.Millisecond,
 	}
 }
 

@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -322,6 +323,27 @@ func TestFigure4(t *testing.T) {
 	}
 	if res.Wall.W != 128 || res.Wall.H != 128 {
 		t.Errorf("wall is %d×%d", res.Wall.W, res.Wall.H)
+	}
+}
+
+// TestFigure4ImagePinned pins the fig4 experiment's image, pixel for pixel:
+// the SHA-256 of the assembled wall's colors (R, G, B per pixel, row-major).
+// Extraction, per-node rendering and the sort-last composite are all
+// deterministic, so the hash is the same at any GOMAXPROCS; the golden table
+// pins the triangle and covered-pixel counts beside it.
+func TestFigure4ImagePinned(t *testing.T) {
+	const want = "58cc13958c13d91ca35e23185818924e13125971f353bcadfea1096c4d4d2b37"
+	res, err := Figure4(context.Background(), Small(), 190, 4, 1024, 768, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, c := range res.Wall.Color {
+		h.Write([]byte{c.R, c.G, c.B})
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+		t.Errorf("fig4 image SHA-256 %s, want %s (%d triangles, %d covered pixels)",
+			got, want, res.Triangles, res.CoveredPixels)
 	}
 }
 

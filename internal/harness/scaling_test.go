@@ -62,7 +62,7 @@ func TestScalingLinkModel(t *testing.T) {
 		for k := range addrs {
 			addrs[k] = fmt.Sprintf("replica-%d.invalid:80", k)
 		}
-		rt, err := dist.NewRouter(dist.RouterConfig{Replicas: addrs, ProbeInterval: -1})
+		rt, err := dist.NewRouter(dist.RouterConfig{Replicas: addrs})
 		if err != nil {
 			t.Fatal(err)
 		}

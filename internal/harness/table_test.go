@@ -15,7 +15,7 @@ import (
 // shows up here as a byte diff against testdata/<name>.golden.
 func TestGoldenTables(t *testing.T) {
 	golden := []string{
-		"table1", "table6", "table7",
+		"table1", "table6", "table7", "fig4",
 		"ablation-index", "ablation-distribution", "ablation-bulkread", "ablation-metacell",
 	}
 	for _, name := range golden {

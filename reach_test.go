@@ -419,7 +419,7 @@ func mentionsIn(fset *token.FileSet, dir string, mentioned map[string]bool) erro
 // configuration types of the production path. It moves only on purpose: an
 // option added to one of them fails TestConfigSurface until this number is
 // changed in the same commit, where a reviewer sees it.
-const configSurface = 25
+const configSurface = 23
 
 // TestConfigSurface counts the exported fields of the configuration types.
 func TestConfigSurface(t *testing.T) {

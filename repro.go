@@ -31,7 +31,7 @@
 // To scale the service out, shard it: StartDistCluster spawns N replica
 // servers on loopback sockets, each one Server behind an HTTP endpoint
 // speaking the binary mesh wire format, behind a consistent-hashing router
-// with shard-affine routing, health probes, and saturation-aware failover.
+// with shard-affine routing and failover on saturation and on failed attempts.
 //
 // Quick start:
 //
@@ -102,9 +102,9 @@ type (
 	// ServeBackend is what a Server or the distributed tier extracts from:
 	// an *Engine (time step 0) or a *TimeVaryingEngine.
 	ServeBackend = serve.Backend
-	// ReplicaConfig sizes a Replica (HTTP admission, modeled NIC rate).
+	// ReplicaConfig sizes a Replica (HTTP admission).
 	ReplicaConfig = dist.ReplicaConfig
-	// RouterConfig sizes a Router (replica addresses, ring, probing).
+	// RouterConfig sizes a Router (replica addresses, attempts, hedging, cooldown).
 	RouterConfig = dist.RouterConfig
 	// RouterStats is a snapshot of a Router's counters and health view.
 	RouterStats = dist.RouterStats
