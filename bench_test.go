@@ -102,20 +102,30 @@ func BenchmarkPreprocess(b *testing.B) {
 }
 
 // BenchmarkServeQueryHot measures the server's hot path: a cache-resident
-// surface served with no backend work.
+// surface served with no backend work. frame is the lookup a replica serves
+// its wire from (QueryFrame: the sealed frame, no soup); decode is Query, the
+// in-process caller's path: the same lookup plus the decode of every node's
+// chunks into a soup of the caller's own.
 func BenchmarkServeQueryHot(b *testing.B) {
 	eng, err := harness.Engine(harness.Small(), 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	srv := serve.New(eng, serve.Config{})
-	if _, err := srv.Query(context.Background(), 0, 110); err != nil {
+	if _, err := srv.QueryFrame(context.Background(), 0, 110); err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := srv.Query(context.Background(), 0, 110); err != nil {
-			b.Fatal(err)
-		}
+	for _, path := range []struct {
+		name  string
+		query func(context.Context, int, float32) (*serve.Response, error)
+	}{{"frame", srv.QueryFrame}, {"decode", srv.Query}} {
+		b.Run(path.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := path.query(context.Background(), 0, 110); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -262,6 +262,11 @@ type NodeResult struct {
 	ConsumerStall     time.Duration // lane time blocked on an empty pipeline, summed over the lanes
 
 	Mesh *geom.Mesh // nil unless Options.KeepMeshes
+	// Chunks is the node's surface as meshio version 2 chunks, one per
+	// welded batch in record order, in one buffer of exactly their length
+	// (nil unless Options.KeepChunks): what meshio.Seal frames and
+	// meshio.DecodeChunks expands to the bytes of Mesh.
+	Chunks []byte
 
 	// spans holds this node's stage-trace spans when Options.Trace is set;
 	// Extract merges them into Result.Trace.
@@ -316,11 +321,17 @@ const (
 	DefaultPipelineDepth = 4
 )
 
-// Options controls an extraction.
+// Options controls an extraction. The two Keep values choose the form a
+// caller gets the surface in; an extraction with neither only counts.
 type Options struct {
-	// KeepMeshes retains each node's triangle mesh in its NodeResult (needed
-	// for rendering; large for big isosurfaces).
+	// KeepMeshes retains each node's triangle soup in NodeResult.Mesh
+	// (36 B a triangle): the form rendering, the exporters and every direct
+	// caller of Extract read.
 	KeepMeshes bool
+	// KeepChunks retains each node's welded batches, encoded, in
+	// NodeResult.Chunks (≈ 13.7 B a triangle): the form the serving tier
+	// caches, frames and ships, building soup only for a caller that asks.
+	KeepChunks bool
 	// Trace records a per-stage span trace of the extraction (index query +
 	// block read, stalls, march/weld, expand — one lane per pipeline actor)
 	// into Result.Trace, renderable with Trace.Waterfall. Per request, not an

@@ -5,10 +5,12 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/blockio"
 	"repro/internal/march"
+	"repro/internal/meshio"
 	"repro/internal/obs"
 	"repro/internal/volume"
 )
@@ -134,6 +136,48 @@ func TestKeepMeshes(t *testing.T) {
 	for _, n := range res2.PerNode {
 		if n.Mesh != nil {
 			t.Error("mesh kept without KeepMeshes")
+		}
+	}
+}
+
+// TestKeepChunks: KeepChunks keeps each node's surface as version 2 chunks
+// and no soup; the chunks expand to exactly the soup KeepMeshes keeps, bit
+// for bit, and with both set an extraction keeps both forms of one surface.
+func TestKeepChunks(t *testing.T) {
+	e, err := Build(rmGrid(), Config{Procs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	soup, err := e.Extract(context.Background(), 128, Options{KeepMeshes: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunked, err := e.Extract(context.Background(), 128, Options{KeepChunks: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	both, err := e.Extract(context.Background(), 128, Options{KeepMeshes: true, KeepChunks: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range chunked.PerNode {
+		if n.Mesh != nil || soup.PerNode[i].Chunks != nil {
+			t.Fatalf("node %d: a form was kept that was not asked for", i)
+		}
+		if n.Triangles > 0 && len(n.Chunks) == 0 {
+			t.Fatalf("node %d: %d triangles and no chunks", i, n.Triangles)
+		}
+		for name, chunks := range map[string][]byte{"KeepChunks": n.Chunks, "both": both.PerNode[i].Chunks} {
+			m, err := meshio.DecodeChunks(chunks)
+			if err != nil {
+				t.Fatalf("node %d %s: %v", i, name, err)
+			}
+			if want := soup.PerNode[i].Mesh; !slices.Equal(m.Tris, want.Tris) || m.Len() != n.Triangles {
+				t.Errorf("node %d %s: chunks expand to %d triangles, not the kept soup's %d", i, name, m.Len(), want.Len())
+			}
+		}
+		if !slices.Equal(both.PerNode[i].Mesh.Tris, soup.PerNode[i].Mesh.Tris) {
+			t.Errorf("node %d: the soup kept beside chunks differs from the soup kept alone", i)
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/march"
+	"repro/internal/meshio"
 	"repro/internal/metacell"
 	"repro/internal/obs"
 )
@@ -30,8 +31,9 @@ type streamBatch struct {
 
 // pipeScratch is what one node-extraction borrows from its engine for as long
 // as it runs: the record ring the producer fills, each lane's welder, and the
-// welded meshes — with KeepMeshes one per batch, in record order, which the
-// surface is gathered from; without, one per lane, welded into and counted.
+// welded meshes — for an extraction that keeps its surface (KeepMeshes,
+// KeepChunks) one per batch, in record order, which the surface is gathered
+// or encoded from; without, one per lane, welded into and counted.
 // The engine keeps them between extractions (warmed-up capacity is the
 // point): one pipeScratch per node-extraction that has ever run at once.
 type pipeScratch struct {
@@ -154,11 +156,12 @@ type laneStats struct {
 // barrier between them. Weld: every lane takes batches off the ring as they
 // arrive and welds each into the mesh the producer named for it (the seq'th
 // of the scratch's list), or into the lane's own when the extraction only
-// counts. Expand (KeepMeshes only, once the ring has drained without error or
-// cancellation): the triangle total is now exact, so the result is one
-// allocation of that length, prefix sums of the per-batch counts give every
-// batch its part of it, and the lanes claim batches off a counter and gather
-// straight into place — disjoint writes, nothing to reorder or copy twice.
+// counts. Expand (KeepMeshes or KeepChunks only, once the ring has drained
+// without error or cancellation): every batch's size is now exact, so each
+// kept form is one allocation of its length — the soup, the chunk buffer —
+// prefix sums of the per-batch sizes give every batch its part of it, and the
+// lanes claim batches off a counter and gather or encode straight into place:
+// disjoint writes, nothing to reorder or copy twice.
 //
 // Peak record staging is pipelineDepth×batchRecords×recordSize bytes — a
 // constant of the engine — where the paper's retrieve-then-triangulate
@@ -173,7 +176,8 @@ func (e *Engine) extractNodeStreaming(ctx context.Context, node int, iso float32
 	batchRecs, depth := e.batchRecords, e.pipelineDepth
 	lanes := max(e.Threads, 1) + 1
 
-	sc := e.takeScratch(lanes, depth, batchRecs*recSize, opts.KeepMeshes)
+	keep := opts.KeepMeshes || opts.KeepChunks
+	sc := e.takeScratch(lanes, depth, batchRecs*recSize, keep)
 	defer e.putScratch(sc)
 
 	// The record ring. depth full batches may wait for a lane, which is what
@@ -207,7 +211,7 @@ func (e *Engine) extractNodeStreaming(ctx context.Context, node int, iso float32
 		var cur []byte // the buffer being filled; nil between hand-offs
 		send := func() error {
 			sb := streamBatch{buf: cur}
-			if opts.KeepMeshes {
+			if keep {
 				if nr.Batches == len(sc.meshes) {
 					sc.meshes = append(sc.meshes, new(geom.IndexedMesh))
 				}
@@ -312,25 +316,42 @@ func (e *Engine) extractNodeStreaming(ctx context.Context, node int, iso float32
 		err = fmt.Errorf("cluster: node %d query: %w", node, qerr)
 	}
 
-	// Expand phase: the one allocation that scales with the surface, made at
-	// its exact length and filled by every lane at once.
+	// Expand phase: the one allocation per kept form that scales with the
+	// surface, made at its exact length and filled by every lane at once —
+	// the soup (KeepMeshes) gathered, the chunks (KeepChunks) encoded.
 	expandStart := time.Since(start)
-	if err == nil && opts.KeepMeshes {
+	if err == nil && keep {
 		batches := sc.meshes[:nr.Batches]
-		offs := make([]int, len(batches)+1)
-		for b, im := range batches {
-			offs[b+1] = offs[b] + im.Len()
+		var triOffs, chunkOffs []int
+		var tris []geom.Triangle
+		var chunks []byte
+		if opts.KeepMeshes {
+			triOffs = prefixSums(batches, (*geom.IndexedMesh).Len)
+			tris = make([]geom.Triangle, triOffs[len(batches)])
 		}
-		tris := make([]geom.Triangle, nr.Triangles)
+		if opts.KeepChunks {
+			chunkOffs = prefixSums(batches, meshio.ChunkLen)
+			chunks = make([]byte, chunkOffs[len(batches)])
+		}
 		var next atomic.Int64
 		runLanes(ctx, lanes, "expand", node, func(t int) {
 			te := time.Now()
 			for b := next.Add(1) - 1; b < int64(len(batches)); b = next.Add(1) - 1 {
-				batches[b].Gather(tris[offs[b]:offs[b+1]])
+				if triOffs != nil {
+					batches[b].Gather(tris[triOffs[b]:triOffs[b+1]])
+				}
+				if chunkOffs != nil {
+					meshio.PutChunk(chunks[chunkOffs[b]:chunkOffs[b+1]], batches[b])
+				}
 			}
 			ls[t].expand = time.Since(te)
 		})
-		nr.Mesh = &geom.Mesh{Tris: tris}
+		if opts.KeepMeshes {
+			nr.Mesh = &geom.Mesh{Tris: tris}
+		}
+		if opts.KeepChunks {
+			nr.Chunks = chunks
+		}
 		if e.met != nil {
 			e.met.merge.Observe(time.Since(start) - expandStart)
 		}
@@ -359,4 +380,14 @@ func (e *Engine) extractNodeStreaming(ctx context.Context, node int, iso float32
 		}
 	}
 	return nr, nil
+}
+
+// prefixSums returns the offsets of each batch's part of one buffer holding
+// size(batch) of every batch in order; the last is the buffer's length.
+func prefixSums(batches []*geom.IndexedMesh, size func(*geom.IndexedMesh) int) []int {
+	offs := make([]int, len(batches)+1)
+	for b, im := range batches {
+		offs[b+1] = offs[b] + size(im)
+	}
+	return offs
 }

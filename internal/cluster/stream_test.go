@@ -14,6 +14,7 @@ import (
 	"repro/internal/blockio"
 	"repro/internal/geom"
 	"repro/internal/march"
+	"repro/internal/meshio"
 	"repro/internal/metacell"
 	"repro/internal/obs"
 	"repro/internal/volume"
@@ -377,8 +378,9 @@ func TestDefaultSizingOnThePublicPath(t *testing.T) {
 }
 
 // TestResultIsOneExactAllocation pins what the expand phase is for: the kept
-// soup is allocated once, at its length, and it is all a warmed extraction
-// allocates — a staging copy, or a result grown by append, would read 2× here.
+// form of the surface — the soup (KeepMeshes) or the chunks (KeepChunks) — is
+// allocated once, at its length, and it is all a warmed extraction allocates:
+// a staging copy, or a result grown by append, would read 2× here.
 func TestResultIsOneExactAllocation(t *testing.T) {
 	// A large surface and 64-record batches, so that what an extraction
 	// allocates whatever its size — the query's read buffer of one batch is
@@ -388,31 +390,38 @@ func TestResultIsOneExactAllocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	sizing{threads: 1, depth: DefaultPipelineDepth, batch: 64}.applyTo(e)
-	var res *Result
-	var before, after runtime.MemStats
-	for run := 0; run < 3; run++ { // the first two warm the scratch
-		runtime.ReadMemStats(&before)
-		if res, err = e.Extract(context.Background(), 110, Options{KeepMeshes: true}); err != nil {
-			t.Fatal(err)
+	for _, opts := range []Options{{KeepMeshes: true}, {KeepChunks: true}} {
+		var res *Result
+		var before, after runtime.MemStats
+		for run := 0; run < 3; run++ { // the first two warm the scratch
+			runtime.ReadMemStats(&before)
+			if res, err = e.Extract(context.Background(), 110, opts); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
 		}
-		runtime.ReadMemStats(&after)
-	}
-	m := res.PerNode[0].Mesh
-	if m.Len() != res.Triangles || cap(m.Tris) != len(m.Tris) {
-		t.Errorf("mesh of %d triangles has len %d cap %d", res.Triangles, len(m.Tris), cap(m.Tris))
-	}
-	soup := float64(36 * res.Triangles)
-	alloc := float64(after.TotalAlloc - before.TotalAlloc)
-	t.Logf("%.0f B allocated for a soup of %.0f B: %.4f×", alloc, soup, alloc/soup)
-	if alloc > 1.02*soup {
-		t.Errorf("a warmed extraction allocated %.0f B for a soup of %.0f B (%.3f×), want ≤ 1.02×", alloc, soup, alloc/soup)
+		n := res.PerNode[0]
+		kept := float64(len(n.Chunks))
+		if opts.KeepMeshes {
+			if n.Mesh.Len() != res.Triangles || cap(n.Mesh.Tris) != len(n.Mesh.Tris) {
+				t.Errorf("mesh of %d triangles has len %d cap %d", res.Triangles, len(n.Mesh.Tris), cap(n.Mesh.Tris))
+			}
+			kept = float64(36 * res.Triangles)
+		} else if cap(n.Chunks) != len(n.Chunks) || kept < 6*float64(res.Triangles) {
+			t.Errorf("%d triangles kept in %d chunk bytes of capacity %d", res.Triangles, len(n.Chunks), cap(n.Chunks))
+		}
+		alloc := float64(after.TotalAlloc - before.TotalAlloc)
+		t.Logf("%+v: %.0f B allocated for %.0f B kept: %.4f×", opts, alloc, kept, alloc/kept)
+		if alloc > 1.02*kept {
+			t.Errorf("%+v: a warmed extraction allocated %.0f B for %.0f B kept (%.3f×), want ≤ 1.02×", opts, alloc, kept, alloc/kept)
+		}
 	}
 }
 
 // TestExpandPhaseDisjoint runs the expand phase with as many claims on the
 // batch counter as there are records, from two, three and five lanes, under
-// the race detector in CI: every lane writes only the part of the soup its
-// batch owns, and the parts tile it.
+// the race detector in CI: every lane writes only the part of the soup and
+// of the chunk buffer its batch owns, and the parts tile them.
 func TestExpandPhaseDisjoint(t *testing.T) {
 	g := pipeGrid()
 	cfg := Config{Procs: 1}
@@ -424,7 +433,7 @@ func TestExpandPhaseDisjoint(t *testing.T) {
 	for _, threads := range []int{1, 2, 4} {
 		sizing{threads: threads, depth: 2, batch: 1}.applyTo(e)
 		for run := 0; run < 3; run++ {
-			res, err := e.Extract(context.Background(), 100, Options{KeepMeshes: true})
+			res, err := e.Extract(context.Background(), 100, Options{KeepMeshes: true, KeepChunks: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -433,6 +442,9 @@ func TestExpandPhaseDisjoint(t *testing.T) {
 			}
 			if err := sameMeshes(res, want); err != nil {
 				t.Errorf("threads=%d run %d: %v", threads, run, err)
+			}
+			if m, err := meshio.DecodeChunks(res.PerNode[0].Chunks); err != nil || !slices.Equal(m.Tris, want[0].Tris) {
+				t.Errorf("threads=%d run %d: chunks do not expand to the reference (err %v)", threads, run, err)
 			}
 		}
 	}

@@ -25,7 +25,13 @@ import (
 // wins. When every candidate shed the request, the loop sleeps out the
 // replicas' Retry-After hint (or its own growing backoff) and walks again,
 // until the caller's deadline; a caller with no deadline gets one walk.
+//
+// An isovalue no serve.Key holds is refused with serve.ErrIsovalue before
+// any replica is asked: no replica could answer it but 400.
 func (rt *Router) QueryBytes(ctx context.Context, step int, iso float32) ([]byte, Route, error) {
+	if err := serve.CheckIsovalue(iso); err != nil {
+		return nil, Route{}, err
+	}
 	start := time.Now()
 	deadline, _ := ctx.Deadline() // zero: no deadline, so one walk and give up
 

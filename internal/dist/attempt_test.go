@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sync"
 	"testing"
@@ -13,6 +14,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/meshio"
+	"repro/internal/serve"
 )
 
 // reply is one scripted replica answer.
@@ -143,11 +145,16 @@ func TestAttemptSequences(t *testing.T) {
 		hedge = lateDelay / 2 // far longer than an attempt takes to reach the transport
 	)
 	errSaturated := errors.New("a *SaturatedError") // the row's error class, matched with errors.As
-	frame := meshio.EncodeBinaryChecksum(iso, &geom.Mesh{Tris: []geom.Triangle{
-		{A: geom.V(1, 2, 3), B: geom.V(4, 5, 6), C: geom.V(7, 8, 9)},
-	}})
+	// A version 2 frame, as replicas send: one chunk of one triangle.
+	batch := &geom.IndexedMesh{Verts: []geom.Vec3{geom.V(1, 2, 3), geom.V(4, 5, 6), geom.V(7, 8, 9)}, Idx: []uint32{0, 1, 2}}
+	chunk := make([]byte, meshio.ChunkLen(batch))
+	meshio.PutChunk(chunk, batch)
+	var sealed bytes.Buffer
+	meshio.Seal(iso, chunk).WriteTo(&sealed) //nolint:errcheck // bytes.Buffer
+	frame := sealed.Bytes()
 	for _, tc := range []struct {
 		name       string
+		iso        float32 // the request's isovalue (0: iso)
 		replies    [3][]reply
 		hedgeAfter time.Duration
 		deadline   bool  // the caller's context has a one-minute deadline, so a shed request backs off and walks again
@@ -157,7 +164,7 @@ func TestAttemptSequences(t *testing.T) {
 		asked      []int
 		replica    int   // ring place that answered (-1: none)
 		attempts   int   // Route.Attempts
-		err        error // nil, errSaturated, ErrNoReplicas, errReplicaFailed or context.Canceled
+		err        error // nil, errSaturated, ErrNoReplicas, errReplicaFailed, serve.ErrIsovalue or context.Canceled
 		want       attemptCounters
 	}{
 		{name: "home OK",
@@ -233,6 +240,14 @@ func TestAttemptSequences(t *testing.T) {
 			deadline: true,
 			asked:    []int{0, 1, 2, 0, 2}, replica: 2, attempts: 5, markedDown: []int{1},
 			want: attemptCounters{Routed: 1, Failovers: 1, Retries: 1}},
+		{name: "an isovalue no key holds is asked of no replica",
+			iso:     float32(math.NaN()),
+			replies: [3][]reply{{replyOK}, {replyOK}, {replyOK}},
+			asked:   nil, replica: -1, err: serve.ErrIsovalue},
+		{name: "an isovalue past 2⁶³ is asked of no replica",
+			iso:     -1e20,
+			replies: [3][]reply{{replyOK}, {replyOK}, {replyOK}},
+			asked:   nil, replica: -1, err: serve.ErrIsovalue},
 		{name: "ctx cancelled mid-attempt",
 			replies: [3][]reply{{replyHang}, {replyOK}, {replyOK}},
 			cancel:  true,
@@ -269,7 +284,11 @@ func TestAttemptSequences(t *testing.T) {
 				tier.onHang = cancel
 			}
 
-			got, route, err := rt.QueryBytes(ctx, 0, iso)
+			qiso := tc.iso
+			if qiso == 0 {
+				qiso = iso
+			}
+			got, route, err := rt.QueryBytes(ctx, 0, qiso)
 
 			tier.mu.Lock()
 			asked, most := append([]int(nil), tier.asked...), tier.most

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/geom"
 	"repro/internal/meshio"
 	"repro/internal/serve"
 	"repro/internal/volume"
@@ -63,14 +62,7 @@ func TestClusterE2EByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	meshes := make([]*geom.Mesh, len(direct.PerNode))
-	for i := range direct.PerNode {
-		meshes[i] = direct.PerNode[i].Mesh
-	}
-	want := meshio.EncodeBinaryChecksum(iso, meshes...)
-	if direct.Triangles == 0 {
-		t.Fatal("test surface is empty; pick another isovalue")
-	}
+	want, wantSoup := directFrame(t, iso), directSoup(t, iso)
 
 	c := startCluster(t, 3, ReplicaConfig{}, RouterConfig{})
 
@@ -111,6 +103,9 @@ func TestClusterE2EByteIdentical(t *testing.T) {
 	}
 	if qiso != iso || mesh.Len() != direct.Triangles {
 		t.Fatalf("decoded (iso %v, %d tris), direct (iso %v, %d tris)", qiso, mesh.Len(), float32(iso), direct.Triangles)
+	}
+	if !bytes.Equal(meshio.EncodeBinaryChecksum(qiso, mesh), wantSoup) {
+		t.Fatal("front-end relay does not decode to the direct extraction's soup")
 	}
 
 	// The second fetch of the same key must be a cache hit on the same shard.
@@ -232,8 +227,7 @@ func (b slowBackend) ExtractStep(ctx context.Context, step int, iso float32, opt
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-	m := &geom.Mesh{Tris: []geom.Triangle{{A: geom.V(iso, 0, 0), B: geom.V(0, 1, 0), C: geom.V(0, 0, 1)}}}
-	return &cluster.Result{Iso: iso, Triangles: 1, PerNode: []cluster.NodeResult{{Mesh: m}}}, nil
+	return bigBackend{tris: 1}.ExtractStep(ctx, step, iso, opts)
 }
 
 // TestSaturationMapsTo503 pins the backpressure contract: a saturated
@@ -446,12 +440,8 @@ func TestReplicaRejectsBadRequests(t *testing.T) {
 		}
 	}
 	for _, iso := range []float32{1e20, -1e20, math.MaxFloat32, float32(math.Inf(1)), float32(math.NaN())} {
-		resp, err := c.Router.Query(context.Background(), 0, iso)
-		if err == nil {
-			resp.Release()
-		}
-		if !errors.Is(err, errReplicaFailed) {
-			t.Errorf("routed iso %v: %v, want the replica's refusal", iso, err)
+		if _, err := c.Router.Query(context.Background(), 0, iso); !errors.Is(err, serve.ErrIsovalue) {
+			t.Errorf("routed iso %v: %v, want the router's refusal", iso, err)
 		}
 	}
 	for i, st := range c.Stats() {
@@ -461,6 +451,33 @@ func TestReplicaRejectsBadRequests(t *testing.T) {
 	}
 	if st := c.Router.Stats(); st.Failovers != 0 {
 		t.Errorf("router failed over %d times on a refused request", st.Failovers)
+	}
+}
+
+// TestRouterHandlerRefusesIsovalueNoKeyHolds: the router's front end
+// answers 400 for an isovalue no serve.Key holds, without asking a replica —
+// not 502, and with no replica failure counted.
+func TestRouterHandlerRefusesIsovalueNoKeyHolds(t *testing.T) {
+	c := startCluster(t, 2, ReplicaConfig{}, RouterConfig{})
+	front := serveOnLoopback(t, c.Router.Handler())
+	for _, q := range []string{"iso=NaN", "iso=1e20", "iso=-Inf", "step=3&iso=9.3e18"} {
+		resp, err := http.Get("http://" + front + "/mesh?" + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: %s, want 400", q, resp.Status)
+		}
+	}
+	if st := c.Router.Stats(); st.Errors != 0 || st.Routed != 0 {
+		t.Errorf("router counted %d errors and %d routed requests for refused isovalues", st.Errors, st.Routed)
+	}
+	for i, rep := range c.Replicas {
+		if n := rep.Server().Metrics().Counter("replica_requests_total", "").Value(); n != 0 {
+			t.Errorf("replica %d was asked %d times", i, n)
+		}
 	}
 }
 

@@ -17,21 +17,42 @@ import (
 )
 
 // directFrame is the reference every response body is held to: a direct
-// Engine.Extract, per-node meshes encoded in node order by the copying codec.
+// Engine.Extract's per-node chunks, sealed in node order.
 func directFrame(t *testing.T, iso float32) []byte {
 	t.Helper()
-	direct, err := engine(t).Extract(context.Background(), iso, cluster.Options{KeepMeshes: true})
+	direct := extractDirect(t, iso)
+	chunks := make([][]byte, len(direct.PerNode))
+	for i := range direct.PerNode {
+		chunks[i] = direct.PerNode[i].Chunks
+	}
+	var buf bytes.Buffer
+	meshio.Seal(iso, chunks...).WriteTo(&buf) //nolint:errcheck // bytes.Buffer
+	return buf.Bytes()
+}
+
+// directSoup is the reference every routed mesh is held to: a direct
+// Engine.Extract's per-node soups in node order, encoded by the copying
+// version 1 codec — equal bytes are equal soups, bit for bit.
+func directSoup(t *testing.T, iso float32) []byte {
+	t.Helper()
+	direct := extractDirect(t, iso)
+	meshes, err := direct.Meshes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return meshio.EncodeBinaryChecksum(iso, meshes...)
+}
+
+func extractDirect(t *testing.T, iso float32) *cluster.Result {
+	t.Helper()
+	direct, err := engine(t).Extract(context.Background(), iso, cluster.Options{KeepMeshes: true, KeepChunks: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if direct.Triangles == 0 {
 		t.Fatalf("iso %v: test surface is empty; pick another isovalue", iso)
 	}
-	meshes := make([]*geom.Mesh, len(direct.PerNode))
-	for i := range direct.PerNode {
-		meshes[i] = direct.PerNode[i].Mesh
-	}
-	return meshio.EncodeBinaryChecksum(iso, meshes...)
+	return direct
 }
 
 // gatedBackend holds every extraction at a gate so a test can pile joiners
@@ -52,13 +73,14 @@ func (b gatedBackend) ExtractStep(ctx context.Context, step int, iso float32, op
 	return b.inner.ExtractStep(ctx, step, iso, opts)
 }
 
-// TestReplicaBodyByteIdenticalForEverySource: the replica no longer encodes
-// a response, it writes the surface's sealed frame — and what arrives is
-// still EncodeBinaryChecksum of a direct extraction, byte for byte, whether
-// the request led the extraction, joined it, or hit the cache afterwards.
+// TestReplicaBodyByteIdenticalForEverySource: the replica encodes no
+// response, it writes the surface's sealed frame — and what arrives is the
+// sealed frame of a direct extraction's chunks, byte for byte, and decodes to
+// the direct extraction's soup, whether the request led the extraction,
+// joined it, or hit the cache afterwards.
 func TestReplicaBodyByteIdenticalForEverySource(t *testing.T) {
 	const iso = 128
-	want := directFrame(t, iso)
+	want, wantSoup := directFrame(t, iso), directSoup(t, iso)
 
 	gate := gatedBackend{
 		inner:   engine(t),
@@ -117,6 +139,9 @@ func TestReplicaBodyByteIdenticalForEverySource(t *testing.T) {
 			t.Errorf("%s response body (%d bytes) differs from the direct extraction's frame (%d bytes)",
 				r.source, len(r.body), len(want))
 		}
+		if m, _, err := meshio.DecodeBinary(r.body); err != nil || !bytes.Equal(meshio.EncodeBinaryChecksum(iso, m), wantSoup) {
+			t.Errorf("%s response body does not decode to the direct extraction's soup (err %v)", r.source, err)
+		}
 	}
 	for _, src := range []string{"extracted", "coalesced", "cache"} {
 		if !seen[src] {
@@ -131,21 +156,21 @@ func TestReplicaBodyByteIdenticalForEverySource(t *testing.T) {
 	}
 }
 
-// TestRoutedMeshBelongsToTheCaller: Router.Query's mesh is a view of the
-// frame that request read off the socket — scribbling over it, or growing it,
-// changes nothing anyone else will ever see: not the next response for the
-// key, not the replica's cached surface. And it stays the caller's: only a
-// response that was released is read into again, so a mesh its caller kept
-// still holds what the caller last wrote however many queries follow.
+// TestRoutedMeshBelongsToTheCaller: Router.Query's mesh is a soup of the
+// caller's own, decoded from a frame that went back to the router before
+// Query returned — scribbling over the mesh, or growing it, changes nothing
+// anyone else will ever see: not the next response for the key, not the
+// replica's cached surface, and the next query reads into the recycled frame,
+// never into a mesh a caller holds.
 func TestRoutedMeshBelongsToTheCaller(t *testing.T) {
 	ctx := context.Background()
 	const iso = 128
-	want := directFrame(t, iso)
+	want, wantSoup := directFrame(t, iso), directSoup(t, iso)
 	c := startCluster(t, 2, ReplicaConfig{}, RouterConfig{})
 	scribble := geom.Triangle{A: geom.V(-1, -2, -3)}
 
 	var kept []*Response
-	for round := 0; round < 3; round++ {
+	for round := 0; round < 4; round++ {
 		resp, err := c.Router.Query(ctx, 0, iso)
 		if err != nil {
 			t.Fatal(err)
@@ -153,43 +178,29 @@ func TestRoutedMeshBelongsToTheCaller(t *testing.T) {
 		if resp.Iso != iso {
 			t.Fatalf("round %d: iso %v", round, resp.Iso)
 		}
-		if got := meshio.EncodeBinaryChecksum(resp.Iso, resp.Mesh); !bytes.Equal(got, want) {
+		if got := meshio.EncodeBinaryChecksum(resp.Iso, resp.Mesh); !bytes.Equal(got, wantSoup) {
 			t.Fatalf("round %d (%s): routed mesh differs from the direct extraction", round, resp.Route.Source)
+		}
+		if n, _ := c.Router.frames.size(); n != 1 {
+			t.Fatalf("round %d: %d buffers on the free list; Query gives its one frame back at once", round, n)
 		}
 		for i := range resp.Mesh.Tris {
 			resp.Mesh.Tris[i] = scribble
 		}
+		resp.Mesh.Append(geom.Triangle{})
 		kept = append(kept, resp)
-
-		// A second response, scribbled over too, then released: the next
-		// round's queries are free to land in its frame and in no other.
-		released, err := c.Router.Query(ctx, 0, iso)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range released.Mesh.Tris {
-			released.Mesh.Tris[i] = scribble
-		}
-		released.Mesh.Append(geom.Triangle{})
-		released.Release()
-		if released.Mesh != nil {
-			t.Fatal("a released response still offers its mesh")
-		}
 	}
 	frame, route, err := c.Router.QueryBytes(ctx, 0, iso)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if route.Source != "cache" || !bytes.Equal(frame, want) {
-		t.Fatalf("after scribbling over six routed meshes the %s frame differs from the reference", route.Source)
-	}
-	if n, _ := c.Router.frames.size(); n != 0 {
-		t.Errorf("%d buffers on the free list; the one released frame should be in use again", n)
+		t.Fatalf("after scribbling over four routed meshes the %s frame differs from the reference", route.Source)
 	}
 	for round, resp := range kept {
-		for i, tri := range resp.Mesh.Tris {
+		for i, tri := range resp.Mesh.Tris[:len(resp.Mesh.Tris)-1] {
 			if tri != scribble {
-				t.Fatalf("kept response %d, triangle %d: a later query wrote into a frame its caller never released", round, i)
+				t.Fatalf("kept response %d, triangle %d: a later query wrote into a mesh its caller holds", round, i)
 			}
 		}
 	}
@@ -201,7 +212,7 @@ func TestRoutedMeshBelongsToTheCaller(t *testing.T) {
 func TestRouterQueryChecksumsOncePerFrame(t *testing.T) {
 	ctx := context.Background()
 	const iso = 128
-	want := directFrame(t, iso)
+	want := directSoup(t, iso)
 	client, in := chaosClient(23)
 	c := startCluster(t, 2, ReplicaConfig{}, RouterConfig{Client: client})
 	home := c.Router.HomeReplica(0, iso)

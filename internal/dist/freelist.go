@@ -7,8 +7,8 @@ import (
 )
 
 // The free list holds at most this many bytes of capacity in at most this
-// many buffers: eight callers' worth of 32 MB frames, and a scan short enough
-// to do under a mutex.
+// many buffers: room for every slot to hold a mean surface's 12 MB frame, and
+// a scan short enough to do under a mutex.
 const (
 	freeFrameBytes = 256 << 20
 	freeFrameSlots = 16

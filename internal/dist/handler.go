@@ -17,7 +17,8 @@ import (
 //	                        the buffer fetch verified it in — buffered whole,
 //	                        because a relay that has started writing cannot
 //	                        retry on the successor; X-Iso-Replica names the
-//	                        shard that served it
+//	                        shard that served it. 400 for an isovalue no key
+//	                        holds (NaN, |iso| ≥ 2⁶³), asked of no replica
 //	GET /healthz            200 while ≥1 replica is up
 //	/metrics /statusz       the router's registry
 func (rt *Router) Handler() http.Handler {
@@ -39,6 +40,9 @@ func (rt *Router) Handler() http.Handler {
 			}
 			w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
 			http.Error(w, err.Error(), http.StatusServiceUnavailable)
+			return
+		case errors.Is(err, serve.ErrIsovalue):
+			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		case req.Context().Err() != nil:
 			return

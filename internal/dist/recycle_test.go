@@ -22,19 +22,65 @@ import (
 // bigBackend serves a synthetic surface of tris triangles per isovalue with
 // no extraction behind it: frames of a chosen size, so the tests below can
 // make a frame's allocation stand out against the HTTP exchange around it.
+// It is welded the way the engine's surfaces are — batches of up to 50 000
+// triangles over 0.64 as many vertices, so 16-bit indices — and its frames
+// hold as many bytes a triangle as real ones.
 type bigBackend struct{ tris int }
 
+func (b bigBackend) batches(iso float32) []*geom.IndexedMesh {
+	var out []*geom.IndexedMesh
+	for done := 0; done < b.tris; {
+		n := min(50_000, b.tris-done)
+		im := &geom.IndexedMesh{Verts: make([]geom.Vec3, max(n*16/25, 3)), Idx: make([]uint32, 3*n)}
+		for i := range im.Verts {
+			f := iso + float32(done+i)
+			im.Verts[i] = geom.V(f, 1, -f)
+		}
+		for i := range im.Idx {
+			im.Idx[i] = uint32((i/3*16/25 + i%3) % len(im.Verts))
+		}
+		out = append(out, im)
+		done += n
+	}
+	return out
+}
+
+// mesh is the surface as the client decodes it: the batches, expanded.
 func (b bigBackend) mesh(iso float32) *geom.Mesh {
-	m := &geom.Mesh{Tris: make([]geom.Triangle, b.tris)}
-	for i := range m.Tris {
-		f := iso + float32(i)
-		m.Tris[i] = geom.Triangle{A: geom.V(f, 1, 2), B: geom.V(3, f, 5), C: geom.V(6, 7, f)}
+	m := &geom.Mesh{}
+	for _, im := range b.batches(iso) {
+		im.ExpandInto(m)
 	}
 	return m
 }
 
-func (b bigBackend) ExtractStep(_ context.Context, _ int, iso float32, _ cluster.Options) (*cluster.Result, error) {
-	return &cluster.Result{Iso: iso, Triangles: b.tris, PerNode: []cluster.NodeResult{{Mesh: b.mesh(iso)}}}, nil
+// chunks is the surface as a replica caches and sends it.
+func (b bigBackend) chunks(iso float32) []byte {
+	var buf []byte
+	for _, im := range b.batches(iso) {
+		at := len(buf)
+		buf = append(buf, make([]byte, meshio.ChunkLen(im))...)
+		meshio.PutChunk(buf[at:], im)
+	}
+	return buf
+}
+
+// frame is the bytes a replica writes for the surface.
+func (b bigBackend) frame(iso float32) []byte {
+	var buf bytes.Buffer
+	meshio.Seal(iso, b.chunks(iso)).WriteTo(&buf) //nolint:errcheck // bytes.Buffer
+	return buf.Bytes()
+}
+
+func (b bigBackend) ExtractStep(_ context.Context, _ int, iso float32, opts cluster.Options) (*cluster.Result, error) {
+	nr := cluster.NodeResult{Triangles: b.tris}
+	if opts.KeepMeshes {
+		nr.Mesh = b.mesh(iso)
+	}
+	if opts.KeepChunks {
+		nr.Chunks = b.chunks(iso)
+	}
+	return &cluster.Result{Iso: iso, Triangles: b.tris, PerNode: []cluster.NodeResult{nr}}, nil
 }
 
 func startBigCluster(t testing.TB, n, tris int, rtcfg RouterConfig) *Cluster {
@@ -66,7 +112,7 @@ func waitGoroutines(t *testing.T, before int) {
 // one flow where an attempt outlives its request: home and hedge race within
 // a jitter of each other, so the loser is cancelled before it connects, in
 // the middle of its read, or after it has a whole frame nobody will take.
-// Every winner's mesh is checked, scribbled over and released, so a loser
+// Every winner's frame is checked, scribbled over and recycled, so a loser
 // still writing a buffer that went back to the list — or a buffer handed to
 // two clients at once — shows as wrong bytes here and as a race under -race.
 func TestHedgeLoserNeverWritesARecycledFrame(t *testing.T) {
@@ -76,7 +122,7 @@ func TestHedgeLoserNeverWritesARecycledFrame(t *testing.T) {
 		clients = 3
 		rounds  = 40
 	)
-	want := meshio.EncodeBinaryChecksum(iso, bigBackend{tris}.mesh(iso))
+	want := bigBackend{tris}.frame(iso)
 	in, base := chaos.NewInjector(31), NewTransport()
 	c := startBigCluster(t, 3, tris, RouterConfig{
 		HedgeAfter: time.Millisecond,
@@ -97,12 +143,12 @@ func TestHedgeLoserNeverWritesARecycledFrame(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for round := 0; round < rounds; round++ {
-				resp, err := c.Router.Query(ctx, 0, iso)
+				frame, route, err := c.Router.QueryBytes(ctx, 0, iso)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				base := &resp.frame[0]
+				base := &frame[0]
 				mu.Lock()
 				twice := live[base]
 				live[base] = true
@@ -111,17 +157,17 @@ func TestHedgeLoserNeverWritesARecycledFrame(t *testing.T) {
 					t.Errorf("round %d: a frame another client still holds was handed out again", round)
 					return
 				}
-				if got := meshio.EncodeBinaryChecksum(resp.Iso, resp.Mesh); !bytes.Equal(got, want) {
-					t.Errorf("round %d (replica %d): routed mesh differs from the backend's", round, resp.Route.Replica)
+				if !bytes.Equal(frame, want) {
+					t.Errorf("round %d (replica %d): routed frame differs from the backend's", round, route.Replica)
 					return
 				}
-				for i := range resp.Mesh.Tris {
-					resp.Mesh.Tris[i] = geom.Triangle{A: geom.V(-1, -2, -3)}
+				for i := range frame {
+					frame[i] = 0xa5
 				}
 				mu.Lock()
 				delete(live, base)
 				mu.Unlock()
-				resp.Release()
+				c.Router.Recycle(frame)
 			}
 		}()
 	}
@@ -133,7 +179,7 @@ func TestHedgeLoserNeverWritesARecycledFrame(t *testing.T) {
 	base.CloseIdleConnections() // what is left then is a leak, not a pooled connection
 	waitGoroutines(t, before)
 	if n, _ := c.Router.frames.size(); n == 0 {
-		t.Error("free list is empty after every response was released")
+		t.Error("free list is empty after every frame was recycled")
 	}
 }
 
@@ -276,19 +322,15 @@ func TestCloseReachesAWrappedTransport(t *testing.T) {
 	waitGoroutines(t, before)
 }
 
-// allocPerRequest runs n routed hits and returns the bytes the process
-// allocated per request (TotalAlloc: garbage counts, live or not).
-func allocPerRequest(t testing.TB, rt *Router, iso float32, n int, recycle bool) float64 {
+// allocPerRequest runs n routed hits through query and returns the bytes
+// the process allocated per request (TotalAlloc: garbage counts, live or not).
+func allocPerRequest(t testing.TB, n int, query func() error) float64 {
 	t.Helper()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < n; i++ {
-		frame, _, err := rt.QueryBytes(context.Background(), 0, iso)
-		if err != nil {
+		if err := query(); err != nil {
 			t.Fatal(err)
-		}
-		if recycle {
-			rt.Recycle(frame)
 		}
 	}
 	runtime.ReadMemStats(&after)
@@ -297,65 +339,77 @@ func allocPerRequest(t testing.TB, rt *Router, iso float32, n int, recycle bool)
 
 // TestRecycleZeroAllocSteadyState is the allocation gate for the give-back:
 // a caller that recycles each frame makes the tier — router, HTTP exchange
-// and replica together — allocate less than 5 % of a frame per warmed hit; a
-// caller that keeps its frames pays one frame each, as before.
+// and replica together — allocate less than 5 % of a frame per warmed hit;
+// Router.Query, whose caller keeps a mesh, pays one soup of its own and no
+// frame (it recycles the frame it decoded from before it returns).
 func TestRecycleZeroAllocSteadyState(t *testing.T) {
-	const iso, tris = 5, 240_000
+	const iso, tris = 5, 700_000
 	c := startBigCluster(t, 1, tris, RouterConfig{})
-	frame := float64(len(meshio.EncodeBinaryChecksum(iso, &geom.Mesh{Tris: make([]geom.Triangle, tris)})))
+	frame, soup := float64(len(bigBackend{tris}.frame(iso))), float64(36*tris)
 	if frame < 8<<20 {
 		t.Fatalf("test frame is %.0f bytes, want at least 8 MiB", frame)
 	}
-	allocPerRequest(t, c.Router, iso, 3, true) // extract, seal, fill connection pools and the free list
-	if got := allocPerRequest(t, c.Router, iso, 20, true); got > 0.05*frame {
+	ctx := context.Background()
+	recycle := func() error {
+		frame, _, err := c.Router.QueryBytes(ctx, 0, iso)
+		c.Router.Recycle(frame)
+		return err
+	}
+	query := func() error {
+		_, err := c.Router.Query(ctx, 0, iso)
+		return err
+	}
+	allocPerRequest(t, 3, recycle) // extract, seal, fill connection pools and the free list
+	if got := allocPerRequest(t, 20, recycle); got > 0.05*frame {
 		t.Errorf("recycling caller: %.0f bytes allocated per request, want under 5 %% of the %.0f-byte frame", got, frame)
 	}
-	if got := allocPerRequest(t, c.Router, iso, 20, false); got < 0.9*frame || got > 1.1*frame {
-		t.Errorf("keeping caller: %.0f bytes allocated per request, want about one %.0f-byte frame", got, frame)
+	if got := allocPerRequest(t, 20, query); got < 0.95*soup || got > soup+0.5*frame {
+		t.Errorf("Router.Query: %.0f bytes allocated per request, want one %.0f-byte soup and no %.0f-byte frame", got, soup, frame)
 	}
 }
 
 // BenchmarkRoutedHit measures the tier's hot path over real loopback
-// sockets: one replica with the surface cached and sealed, a 32 MB frame (the
-// repository benchmark's mean). keep is a caller that holds on to every mesh
-// — B/op is one frame; recycle is one that hands each frame back when done
-// with it — B/op is the HTTP exchange alone. MB/s is frame bytes delivered.
+// sockets: one replica with the surface cached and sealed, the repository
+// benchmark's mean surface of 890 000 triangles (a 12 MB frame, a 32 MB
+// soup). query is Router.Query — the frame decoded into a soup of the
+// caller's own and recycled, so B/op is one soup; bytes is QueryBytes with the
+// frame handed back when done — the relay path, B/op the HTTP exchange
+// alone. MB/s is frame bytes delivered, frame-B/tri their size per triangle.
 func BenchmarkRoutedHit(b *testing.B) {
 	const iso, tris = 5, 890_000
 	c := startBigCluster(b, 1, tris, RouterConfig{})
 	ctx := context.Background()
-	warm, err := c.Router.Query(ctx, 0, iso)
+	frame, _, err := c.Router.QueryBytes(ctx, 0, iso)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, recycle := range []bool{false, true} {
-		name := "keep"
-		if recycle {
-			name = "recycle"
-		}
+	frameBytes := len(frame)
+	c.Router.Recycle(frame) // steady state: the free list already holds a frame
+	for _, name := range []string{"query", "bytes"} {
 		b.Run(name, func(b *testing.B) {
-			b.SetBytes(int64(len(meshio.EncodeBinaryChecksum(iso, warm.Mesh))))
+			b.SetBytes(int64(frameBytes))
 			b.ReportAllocs()
-			if recycle { // steady state: the free list already holds this caller's frame
-				resp, err := c.Router.Query(ctx, 0, iso)
-				if err != nil {
-					b.Fatal(err)
-				}
-				resp.Release()
-				b.ResetTimer()
-			}
 			for i := 0; i < b.N; i++ {
-				resp, err := c.Router.Query(ctx, 0, iso)
+				if name == "query" {
+					resp, err := c.Router.Query(ctx, 0, iso)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if resp.Route.Source != "cache" || resp.Mesh.Len() != tris {
+						b.Fatalf("request %d: source %q, %d triangles", i, resp.Route.Source, resp.Mesh.Len())
+					}
+					continue
+				}
+				frame, route, err := c.Router.QueryBytes(ctx, 0, iso)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if resp.Route.Source != "cache" || resp.Mesh.Len() != tris {
-					b.Fatalf("request %d: source %q, %d triangles", i, resp.Route.Source, resp.Mesh.Len())
+				if route.Source != "cache" || len(frame) != frameBytes {
+					b.Fatalf("request %d: source %q, %d bytes", i, route.Source, len(frame))
 				}
-				if recycle {
-					resp.Release()
-				}
+				c.Router.Recycle(frame)
 			}
+			b.ReportMetric(float64(frameBytes)/tris, "frame-B/tri")
 		})
 	}
 }

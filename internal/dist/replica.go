@@ -181,7 +181,7 @@ func (r *Replica) handleMesh(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	resp, err := r.srv.Query(req.Context(), step, iso)
+	resp, err := r.srv.QueryFrame(req.Context(), step, iso)
 	switch {
 	case err == nil:
 	case errors.Is(err, serve.ErrSaturated):
@@ -197,11 +197,12 @@ func (r *Replica) handleMesh(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 
-	// One frame per response, per-node meshes concatenated in node order —
+	// One frame per response, the per-node chunks in node order — decoded,
 	// the same soup a direct Extract + merge produces (the E2E byte-identity
 	// test holds the tier to that). The frame is the surface's sealed one:
-	// header and CRC were computed when the first response for it went out,
-	// and the payload written below is the cached triangles' own memory.
+	// header and CRC were computed when its extraction finished, and the
+	// payload written below is the cached chunks' own memory. No soup is
+	// built on this side of the wire.
 	frame := resp.Frame()
 
 	w.Header().Set("Content-Type", MeshContentType)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -240,43 +241,35 @@ func (rt *Router) Stats() RouterStats {
 	return st
 }
 
-// Response is a routed query result, decoded. Mesh.Tris are a view of the
-// frame this request read off the socket (no second copy of the triangles):
-// the mesh belongs to the caller alone — nothing else references that frame,
-// and the replica's cached surface is on the far side of a TCP connection —
-// until the caller says it is done with it (Release).
+// Response is a routed query result, decoded into a soup of the caller's
+// own: nothing else references Mesh, and the frame it was decoded from has
+// already gone back to the router.
 type Response struct {
 	Mesh  *geom.Mesh
 	Iso   float32 // the quantized isovalue the shard extracted
 	Route Route
-
-	rt    *Router
-	frame []byte // what Mesh views; Release hands it back
 }
 
-// Release tells the router the caller is done with the mesh: the frame it
-// views goes back for a later query to be read into, and Mesh is cleared.
-// Optional — a response never released is the caller's for good, and no
-// later query touches it. Not safe to call while Mesh.Tris is still in use.
-func (r *Response) Release() {
-	r.rt.Recycle(r.frame)
-	r.Mesh, r.frame = nil, nil
-}
-
-// Query routes one query and decodes the returned frame in place. fetch has
-// already checksummed the frame as it came off the socket, so the CRC runs
-// exactly once per routed frame: there, not here.
+// Query routes one query, decodes the returned frame into a fresh soup and
+// recycles the frame at once. fetch has already checksummed the frame as it
+// came off the socket, so the CRC runs exactly once per routed frame: there,
+// not here. A version 1 frame's mesh views the frame (meshio.DecodeBinaryView),
+// so that one is copied out before the frame goes back; replicas send
+// version 2.
 func (rt *Router) Query(ctx context.Context, step int, iso float32) (*Response, error) {
 	frame, route, err := rt.QueryBytes(ctx, step, iso)
 	if err != nil {
 		return nil, err
 	}
 	mesh, qiso, err := meshio.DecodeBinaryView(frame, true)
+	if err == nil && !meshio.IsChunked(frame) {
+		mesh.Tris = slices.Clone(mesh.Tris)
+	}
+	rt.Recycle(frame)
 	if err != nil {
-		rt.Recycle(frame)
 		return nil, fmt.Errorf("dist: replica %s returned a bad frame: %w", route.Addr, err)
 	}
-	return &Response{Mesh: mesh, Iso: qiso, Route: route, rt: rt, frame: frame}, nil
+	return &Response{Mesh: mesh, Iso: qiso, Route: route}, nil
 }
 
 // Recycle hands back a frame QueryBytes returned, once the caller is done

@@ -173,8 +173,8 @@ func ScalingTable(ctx context.Context, cfg RMConfig, procs int, replicaCounts []
 
 // warmLevels extracts every isovalue level once on every replica the router
 // may route it to — the home shard and its standbys — in process, through
-// each replica's own query service, and seals the frame as the first HTTP
-// response for it would. The timed run then starts with each key's mesh
+// each replica's own frame lookup, which is what an HTTP request for it
+// runs. The timed run then starts with each key's mesh
 // cached everywhere a request for it can land. Two at a time, serve's
 // default extraction slots, so a warm never queues for a slot.
 func warmLevels(ctx context.Context, w ServingWorkload, cl *dist.Cluster) error {
@@ -187,12 +187,10 @@ func warmLevels(ctx context.Context, w ServingWorkload, cl *dist.Cluster) error 
 		go func() {
 			defer func() { <-sem; wg.Done() }()
 			for _, ci := range cl.Router.Candidates(0, iso) {
-				resp, err := cl.Replicas[ci].Server().Query(ctx, 0, iso)
-				if err != nil {
+				if _, err := cl.Replicas[ci].Server().QueryFrame(ctx, 0, iso); err != nil {
 					errs[rank] = err
 					return
 				}
-				resp.Frame()
 			}
 		}()
 	}

@@ -51,7 +51,7 @@ func TestScalingLinkModel(t *testing.T) {
 	srv := serve.New(eng, serve.Config{})
 	frameLen := make(map[float32]int64)
 	for _, iso := range w.levels() {
-		resp, err := srv.Query(ctx, 0, iso)
+		resp, err := srv.QueryFrame(ctx, 0, iso)
 		if err != nil {
 			t.Fatal(err)
 		}

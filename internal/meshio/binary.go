@@ -5,35 +5,39 @@ package meshio
 // single length-prefixed frame so it can be written straight onto a socket
 // or carried as an HTTP body, and strict enough that a decoder facing
 // untrusted bytes either returns the exact mesh that was encoded or an
-// error — never a panic, and never an allocation larger than the input.
+// error — never a panic, and never an allocation of more than 6× the input.
 //
-// Layout (all fields little-endian):
+// Layout (all fields little-endian), shared by both versions:
 //
 //	offset size
 //	0      4    frame length N: bytes that follow this prefix
 //	4      4    magic "ISOM"
-//	8      2    version (currently 1)
+//	8      2    version: 1 (soup) or 2 (chunked indexed)
 //	10     2    flags (bit 0 = CRC32-C trailer present; other bits reserved)
 //	12     4    isovalue (float32 bits)
-//	16     4    triangle count T; N must equal 16 + 36·T exactly
-//	            (+4 when the checksum flag is set)
-//	20     36·T payload: per triangle, vertices A,B,C × components X,Y,Z
-//	            as float32 bits — the same bytes geom.Mesh holds in memory,
-//	            so encode(decode(f)) == f and decode(encode(m)) == m
-//	            bit for bit, and on a little-endian host the codec moves
-//	            the payload as memory (view.go): one copy per mesh, or
-//	            none (Seal, DecodeBinaryView).
+//	16     4    triangle count T
+//	20     …    payload, by version (below)
 //	        4   CRC32-C (Castagnoli, little-endian) over magic..payload,
 //	            only when FlagChecksum is set. The distributed tier always
 //	            sets it, so a frame corrupted on the wire is detected and
 //	            retried on another replica instead of decoded.
 //
-// The triangle payload is a soup in extraction order: AppendBinary
-// concatenates the per-node meshes it is given in argument order, which for
-// a cluster Result's PerNode meshes reproduces exactly the soup
-// repro.MergeMeshes builds — the property the distributed tier's
-// byte-identity end-to-end test pins.
-
+// Version 1 payload, 36·T bytes (N = 16 + 36·T, +4 with the trailer): per
+// triangle, vertices A,B,C × components X,Y,Z as float32 bits — the same
+// bytes geom.Mesh holds in memory, so encode(decode(f)) == f and
+// decode(encode(m)) == m bit for bit, and on a little-endian host the codec
+// moves the payload as memory (view.go). The triangle payload is a soup in
+// extraction order: AppendBinary concatenates the per-node meshes it is given
+// in argument order, which for a cluster Result's PerNode meshes reproduces
+// exactly the soup repro.MergeMeshes builds.
+//
+// Version 2 payload: a sequence of chunks, each one welded batch of the
+// extraction (geom.IndexedMesh), in node order and then record order —
+// chunk.go has the chunk layout. Its triangles are T in all, and expanding
+// every chunk in order gives the version 1 payload of the same surface bit
+// for bit, at ≈ 13.7 instead of 36 bytes per triangle. The serving tier
+// caches, sends and verifies version 2 (Seal); soup is built only by the
+// decoders, for a caller that asks for a geom.Mesh.
 import (
 	"encoding/binary"
 	"errors"
@@ -45,9 +49,12 @@ import (
 	"repro/internal/geom"
 )
 
-// BinaryVersion is the wire format version AppendBinary writes and
-// DecodeBinary accepts.
-const BinaryVersion = 1
+// The wire format versions: BinaryVersion is what AppendBinary writes,
+// ChunkedVersion what Seal writes. Every decoder accepts both.
+const (
+	BinaryVersion  = 1
+	ChunkedVersion = 2
+)
 
 // FlagChecksum marks a frame carrying a 4-byte CRC32-C trailer computed over
 // everything after the length prefix (magic through payload). Decoders that
@@ -99,8 +106,9 @@ func AppendBinary(dst []byte, iso float32, meshes ...*geom.Mesh) []byte {
 }
 
 // AppendBinaryChecksum is AppendBinary with FlagChecksum set: the frame
-// carries a CRC32-C trailer so transit corruption is detectable. This is the
-// encoding the distributed tier's replicas serve.
+// carries a CRC32-C trailer so transit corruption is detectable. The tier
+// serves version 2 frames (Seal); this is the soup encoding a client compares
+// what it decoded against.
 func AppendBinaryChecksum(dst []byte, iso float32, meshes ...*geom.Mesh) []byte {
 	return appendBinary(dst, iso, FlagChecksum, meshes...)
 }
@@ -117,7 +125,7 @@ func appendBinary(dst []byte, iso float32, flags uint16, meshes ...*geom.Mesh) [
 		dst = grown
 	}
 	start := len(dst)
-	hdr := frameHeader(iso, flags, tris)
+	hdr := frameHeader(BinaryVersion, iso, flags, tris, binTriSize*tris)
 	dst = append(dst, hdr[:]...)
 	for _, m := range meshes {
 		if b, ok := triBytes(m.Tris); ok {
@@ -144,9 +152,14 @@ func EncodeBinaryChecksum(iso float32, meshes ...*geom.Mesh) []byte {
 	return AppendBinaryChecksum(nil, iso, meshes...)
 }
 
-// frameSize is the whole frame's length, prefix included.
-func frameSize(flags uint16, tris int) int {
-	n := binMinFrame + binTriSize*tris
+// frameSize is the whole length, prefix included, of a version 1 frame of
+// tris triangles.
+func frameSize(flags uint16, tris int) int { return framedSize(flags, binTriSize*tris) }
+
+// framedSize is the whole length, prefix included, of a frame whose payload
+// is payload bytes.
+func framedSize(flags uint16, payload int) int {
+	n := binMinFrame + payload
 	if flags&FlagChecksum != 0 {
 		n += binCRCSize
 	}
@@ -154,11 +167,11 @@ func frameSize(flags uint16, tris int) int {
 }
 
 // frameHeader builds the length prefix and fixed header of a frame carrying
-// tris triangles.
-func frameHeader(iso float32, flags uint16, tris int) (hdr [binMinFrame]byte) {
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(frameSize(flags, tris)-binPrefixSize))
+// tris triangles in payload bytes.
+func frameHeader(version uint16, iso float32, flags uint16, tris, payload int) (hdr [binMinFrame]byte) {
+	binary.LittleEndian.PutUint32(hdr[0:], uint32(framedSize(flags, payload)-binPrefixSize))
 	copy(hdr[4:8], binMagic[:])
-	binary.LittleEndian.PutUint16(hdr[8:], BinaryVersion)
+	binary.LittleEndian.PutUint16(hdr[8:], version)
 	binary.LittleEndian.PutUint16(hdr[10:], flags)
 	binary.LittleEndian.PutUint32(hdr[12:], math.Float32bits(iso))
 	binary.LittleEndian.PutUint32(hdr[16:], uint32(tris))
@@ -185,49 +198,80 @@ func putVec(b []byte, v geom.Vec3) {
 	binary.LittleEndian.PutUint32(b[8:], math.Float32bits(v.Z))
 }
 
-// DecodeBinaryHeader validates the fixed-size portion of a frame and
-// returns its isovalue and triangle count without touching the payload —
-// what a router or load driver needs to account for a mesh it only relays.
-// The frame must still be exactly the right length for its count (and
-// trailer, when the checksum flag is set); the CRC itself is NOT checked
-// here — use VerifyBinary or the full DecodeBinary for that.
+// DecodeBinaryHeader validates the structure of a frame and returns its
+// isovalue and triangle count without touching the triangles — what a router
+// or load driver needs to account for a mesh it only relays. The frame must
+// be exactly the right length for its count (and trailer, when the checksum
+// flag is set); a version 2 frame's chunk headers are walked and must add up
+// to the count, which costs a few loads per chunk. The CRC itself is NOT
+// checked here — use VerifyBinary or the full DecodeBinary for that.
 func DecodeBinaryHeader(data []byte) (iso float32, tris int, err error) {
-	iso, tris, _, err = decodeHeader(data)
-	return iso, tris, err
+	h, err := decodeHeader(data)
+	return h.iso, h.tris, err
 }
 
-func decodeHeader(data []byte) (iso float32, tris int, flags uint16, err error) {
+// header is what decodeHeader has checked of a frame.
+type header struct {
+	version uint16
+	flags   uint16
+	iso     float32
+	tris    int
+	payload []byte // soup (version 1) or chunks (version 2); the trailer excluded
+}
+
+func decodeHeader(data []byte) (h header, err error) {
 	if len(data) < binMinFrame {
-		return 0, 0, 0, binErr("%d bytes, need at least %d", len(data), binMinFrame)
+		return h, binErr("%d bytes, need at least %d", len(data), binMinFrame)
 	}
 	n := binary.LittleEndian.Uint32(data[0:])
 	if uint64(n) != uint64(len(data)-binPrefixSize) {
-		return 0, 0, 0, binErr("length prefix %d, frame carries %d bytes", n, len(data)-binPrefixSize)
+		return h, binErr("length prefix %d, frame carries %d bytes", n, len(data)-binPrefixSize)
 	}
 	if [4]byte(data[4:8]) != binMagic {
-		return 0, 0, 0, binErr("bad magic %q", data[4:8])
+		return h, binErr("bad magic %q", data[4:8])
 	}
-	if v := binary.LittleEndian.Uint16(data[8:]); v != BinaryVersion {
-		return 0, 0, 0, binErr("version %d, decoder speaks %d", v, BinaryVersion)
+	h.version = binary.LittleEndian.Uint16(data[8:])
+	if h.version != BinaryVersion && h.version != ChunkedVersion {
+		return h, binErr("version %d, decoder speaks %d and %d", h.version, BinaryVersion, ChunkedVersion)
 	}
-	flags = binary.LittleEndian.Uint16(data[10:])
-	if flags&^FlagChecksum != 0 {
-		return 0, 0, 0, binErr("reserved flags %#x set", flags)
+	h.flags = binary.LittleEndian.Uint16(data[10:])
+	if h.flags&^FlagChecksum != 0 {
+		return h, binErr("reserved flags %#x set", h.flags)
 	}
-	count := binary.LittleEndian.Uint32(data[16:])
-	payload := uint64(len(data) - binMinFrame)
-	if flags&FlagChecksum != 0 {
-		if payload < binCRCSize {
-			return 0, 0, 0, binErr("checksum flag set on a frame too short for a trailer")
+	end := len(data)
+	if h.flags&FlagChecksum != 0 {
+		if end-binMinFrame < binCRCSize {
+			return h, binErr("checksum flag set on a frame too short for a trailer")
 		}
-		payload -= binCRCSize
+		end -= binCRCSize
 	}
-	if uint64(count)*binTriSize != payload {
-		return 0, 0, 0, binErr("%d triangles declared, payload holds %d bytes (want %d)",
-			count, payload, uint64(count)*binTriSize)
+	h.payload = data[binMinFrame:end]
+	count := binary.LittleEndian.Uint32(data[16:])
+	if h.version == BinaryVersion {
+		if uint64(count)*binTriSize != uint64(len(h.payload)) {
+			return h, binErr("%d triangles declared, payload holds %d bytes (want %d)",
+				count, len(h.payload), uint64(count)*binTriSize)
+		}
+	} else {
+		tris, err := walkChunks(h.payload)
+		if err != nil {
+			return h, err
+		}
+		if uint64(tris) != uint64(count) {
+			return h, binErr("%d triangles declared, chunks hold %d", count, tris)
+		}
 	}
-	iso = math.Float32frombits(binary.LittleEndian.Uint32(data[12:]))
-	return iso, int(count), flags, nil
+	h.iso = math.Float32frombits(binary.LittleEndian.Uint32(data[12:]))
+	h.tris = int(count)
+	return h, nil
+}
+
+// IsChunked reports whether data's version field says version 2: the
+// decoders give such a frame's triangles a soup of their own, where a
+// version 1 frame's may be viewed in place (DecodeBinaryView). Only the
+// field is read; the frame may still be malformed.
+func IsChunked(data []byte) bool {
+	return len(data) >= binMinFrame && binary.LittleEndian.Uint16(data[8:]) == ChunkedVersion
 }
 
 // VerifyBinary checks a frame's structure and, when the checksum flag is
@@ -235,15 +279,20 @@ func decodeHeader(data []byte) (iso float32, tris int, flags uint16, err error) 
 // trailer yields an error satisfying both errors.Is(err, ErrChecksum) and
 // errors.Is(err, ErrBinaryFormat). Frames without the flag verify by
 // structure alone — the format predates the trailer, so absence is legal.
+// A version 2 frame's indices are range-checked by the decoders, not here.
 func VerifyBinary(data []byte) error {
-	_, _, flags, err := decodeHeader(data)
-	if err != nil {
-		return err
+	_, err := verifiedHeader(data, false)
+	return err
+}
+
+// verifiedHeader checks a frame: structure always, the CRC unless the caller
+// vouches for it.
+func verifiedHeader(data []byte, verified bool) (header, error) {
+	h, err := decodeHeader(data)
+	if err == nil && !verified && h.flags&FlagChecksum != 0 {
+		err = checkTrailer(data, crc32.Checksum(data[binPrefixSize:len(data)-binCRCSize], crcTable))
 	}
-	if flags&FlagChecksum == 0 {
-		return nil
-	}
-	return checkTrailer(data, crc32.Checksum(data[binPrefixSize:len(data)-binCRCSize], crcTable))
+	return h, err
 }
 
 // checkTrailer compares the CRC32-C computed over a frame's magic..payload
@@ -256,16 +305,14 @@ func checkTrailer(data []byte, got uint32) error {
 	return nil
 }
 
-// DecodeBinary decodes exactly one frame from data into a mesh of its own.
-// Truncated, oversized, or corrupt frames error with ErrBinaryFormat
-// (checksum mismatches also with ErrChecksum); a successful decode allocates
-// only the triangle slice, whose size is bounded by len(data).
+// DecodeBinary decodes exactly one frame of either version from data into a
+// mesh of its own: a version 1 payload is copied, a version 2 frame's chunks
+// are gathered into one soup of exactly T triangles. Truncated, oversized,
+// or corrupt frames error with ErrBinaryFormat (checksum mismatches also with
+// ErrChecksum); a successful decode allocates only the triangle slice, at
+// most 6× len(data) since no chunk holds a triangle in under 6 bytes.
 func DecodeBinary(data []byte) (*geom.Mesh, float32, error) {
-	payload, iso, err := verifiedPayload(data, false)
-	if err != nil {
-		return nil, 0, err
-	}
-	return &geom.Mesh{Tris: ownTris(payload)}, iso, nil
+	return decode(data, false, false)
 }
 
 // ownTris decodes payload into a fresh triangle slice: one bulk copy where
@@ -284,40 +331,44 @@ func ownTris(payload []byte) []geom.Triangle {
 	return tris
 }
 
-// DecodeBinaryView is DecodeBinary without the copy: the returned mesh's
-// Tris are data's own payload bytes, so the mesh is valid only while data is
-// left alone and a write to either shows in the other. Pass verified=true
-// only for a frame VerifyBinary (or a verifying ReadFrame) has already
-// accepted — the CRC pass is then skipped, so a frame that crosses one trust
-// boundary is checksummed exactly once; the structural checks that bound
-// every access run regardless. Where the payload cannot be viewed in place
-// (foreign byte order, or data whose payload is not 4-byte aligned) the
-// result is DecodeBinary's private copy.
+// DecodeBinaryView is DecodeBinary without the copy where the format allows
+// one to be skipped: a version 1 frame's mesh is data's own payload bytes,
+// valid only while data is left alone, and a write to either shows in the
+// other. A version 2 frame has no soup to view, so its mesh is gathered into
+// memory of its own and data is free once this returns (IsChunked tells the
+// two apart). Pass verified=true only for a frame VerifyBinary (or a
+// verifying ReadFrame) has already accepted — the CRC pass is then skipped,
+// so a frame that crosses one trust boundary is checksummed exactly once;
+// the structural checks that bound every access run regardless. Where a
+// version 1 payload cannot be viewed in place (foreign byte order, or data
+// whose payload is not 4-byte aligned) the result is DecodeBinary's private
+// copy.
 func DecodeBinaryView(data []byte, verified bool) (*geom.Mesh, float32, error) {
-	payload, iso, err := verifiedPayload(data, verified)
-	if err != nil {
-		return nil, 0, err
-	}
-	tris, ok := bytesTris(payload)
-	if !ok {
-		tris = ownTris(payload)
-	}
-	return &geom.Mesh{Tris: tris}, iso, nil
+	return decode(data, verified, true)
 }
 
-// verifiedPayload checks a frame (structure always, CRC unless the caller
-// vouches for it) and returns its triangle payload and isovalue.
-func verifiedPayload(data []byte, verified bool) ([]byte, float32, error) {
-	if !verified {
-		if err := VerifyBinary(data); err != nil {
-			return nil, 0, err
-		}
-	}
-	iso, tris, _, err := decodeHeader(data)
+// decode is the decoders' one body: check the frame, then copy, view or
+// gather its triangles.
+func decode(data []byte, verified, view bool) (*geom.Mesh, float32, error) {
+	h, err := verifiedHeader(data, verified)
 	if err != nil {
 		return nil, 0, err
 	}
-	return data[binMinFrame : binMinFrame+tris*binTriSize], iso, nil
+	var tris []geom.Triangle
+	switch {
+	case h.version == ChunkedVersion:
+		if tris, err = gatherChunks(h.payload, h.tris); err != nil {
+			return nil, 0, err
+		}
+	case view:
+		var ok bool
+		if tris, ok = bytesTris(h.payload); !ok {
+			tris = ownTris(h.payload)
+		}
+	default:
+		tris = ownTris(h.payload)
+	}
+	return &geom.Mesh{Tris: tris}, h.iso, nil
 }
 
 // getTris fills tris from payload one component at a time: the portable
@@ -345,7 +396,7 @@ func getVec(b []byte) geom.Vec3 {
 // when it is checksumming: small enough that the bytes a Read just wrote are
 // still in L2 (a few MiB on any host this runs on) when crc32.Update walks
 // them, large enough that the per-chunk overhead disappears against a
-// 36 B/triangle payload.
+// frame of megabytes.
 const readChunk = 256 << 10
 
 // ReadFrame reads one whole frame (length prefix included) from r in a single
@@ -423,8 +474,8 @@ func readFrame(r io.Reader, maxBytes int, verify bool, alloc func(size int) []by
 		off = end
 	}
 	if verify {
-		_, _, flags, err := decodeHeader(frame)
-		if err == nil && flags&FlagChecksum != 0 {
+		h, err := decodeHeader(frame)
+		if err == nil && h.flags&FlagChecksum != 0 {
 			err = checkTrailer(frame, sum)
 		}
 		if err != nil {

@@ -4,45 +4,43 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"io"
-
-	"repro/internal/geom"
 )
 
-// Frame is a sealed checksummed frame: the 20-byte prefix + header, the
-// payload as views of the meshes' own triangle memory, and the CRC32-C
-// trailer, computed once at Seal. Its bytes are exactly
-// EncodeBinaryChecksum's for the same arguments, but sealing copies no
-// triangle and writing a Frame allocates nothing — what a cache hit costs is
-// the socket write. A Frame is immutable and safe for concurrent WriteTo; it
-// keeps the meshes alive and reads them on every write, so they must not be
+// Frame is a sealed checksummed version 2 frame: the 20-byte prefix +
+// header, the payload as views of the chunk buffers it was sealed over, and
+// the CRC32-C trailer, computed once at Seal. Sealing copies no chunk and
+// writing a Frame allocates nothing — what a cache hit costs is the socket
+// write. A Frame is immutable and safe for concurrent WriteTo; it keeps the
+// chunk buffers alive and reads them on every write, so they must not be
 // modified while the Frame is in use.
 type Frame struct {
 	hdr     [binMinFrame]byte
-	payload [][]byte // one part per non-empty mesh, in argument order
+	payload [][]byte // one part per non-empty chunk buffer, in argument order
 	crc     [binCRCSize]byte
 	size    int
 }
 
-// Seal builds the checksummed frame of the given meshes' concatenated
-// triangles (argument order, like AppendBinaryChecksum). On a host whose
-// triangle layout is not the wire layout the payload is transcoded into one
-// private buffer instead of viewed in place; the frame's bytes are the same.
-func Seal(iso float32, meshes ...*geom.Mesh) *Frame {
-	f := &Frame{payload: make([][]byte, 0, len(meshes))}
-	tris := 0
-	for _, m := range meshes {
-		if len(m.Tris) == 0 {
+// Seal builds the checksummed version 2 frame of the given chunk buffers —
+// each a sequence of PutChunk chunks, such as one node's
+// cluster.NodeResult.Chunks — in argument order. It walks the chunk headers
+// for the triangle total and panics on a buffer PutChunk did not write.
+func Seal(iso float32, chunks ...[]byte) *Frame {
+	f := &Frame{payload: make([][]byte, 0, len(chunks))}
+	tris, payload := 0, 0
+	for _, part := range chunks {
+		if len(part) == 0 {
 			continue
 		}
-		tris += len(m.Tris)
-		part, ok := triBytes(m.Tris)
-		if !ok {
-			part = putTris(make([]byte, 0, len(m.Tris)*binTriSize), m.Tris)
+		n, err := walkChunks(part)
+		if err != nil {
+			panic("meshio: Seal of bytes that are not chunks: " + err.Error())
 		}
+		tris += n
+		payload += len(part)
 		f.payload = append(f.payload, part)
 	}
-	f.hdr = frameHeader(iso, FlagChecksum, tris)
-	f.size = frameSize(FlagChecksum, tris)
+	f.hdr = frameHeader(ChunkedVersion, iso, FlagChecksum, tris, payload)
+	f.size = framedSize(FlagChecksum, payload)
 	sum := crc32.Update(0, crcTable, f.hdr[binPrefixSize:])
 	for _, part := range f.payload {
 		sum = crc32.Update(sum, crcTable, part)

@@ -32,7 +32,7 @@ func portableFrame(iso float32, flags uint16, meshes ...*geom.Mesh) []byte {
 	for _, m := range meshes {
 		tris += len(m.Tris)
 	}
-	hdr := frameHeader(iso, flags, tris)
+	hdr := frameHeader(BinaryVersion, iso, flags, tris, binTriSize*tris)
 	out := append([]byte(nil), hdr[:]...)
 	for _, m := range meshes {
 		out = putTris(out, m.Tris)
@@ -69,57 +69,20 @@ func TestBulkEncodeMatchesPerTriangleOracle(t *testing.T) {
 	}
 }
 
-// TestSealedFrameBytesEqualEncodeBinaryChecksum: what a sealed frame writes
-// is EncodeBinaryChecksum's output, byte for byte, for zero, one and several
-// meshes with empty ones in between — the replica's response body is held to
-// the format by this table and the tier's byte-identity tests.
-func TestSealedFrameBytesEqualEncodeBinaryChecksum(t *testing.T) {
-	for _, tc := range frameCases {
-		want := EncodeBinaryChecksum(110.5, tc.meshes...)
-		f := Seal(110.5, tc.meshes...)
-		if f.Len() != len(want) {
-			t.Errorf("%s: Len() = %d, encoded frame is %d bytes", tc.name, f.Len(), len(want))
-		}
-		var buf bytes.Buffer
-		n, err := f.WriteTo(&buf)
-		if err != nil || n != int64(len(want)) {
-			t.Errorf("%s: WriteTo = (%d, %v), want (%d, nil)", tc.name, n, err, len(want))
-		}
-		if !bytes.Equal(buf.Bytes(), want) {
-			t.Errorf("%s: sealed frame's bytes differ from EncodeBinaryChecksum", tc.name)
-		}
-		if err := VerifyBinary(buf.Bytes()); err != nil {
-			t.Errorf("%s: sealed frame fails verification: %v", tc.name, err)
-		}
-		// Writing is repeatable: the frame is immutable.
-		buf.Reset()
-		if _, err := f.WriteTo(&buf); err != nil || !bytes.Equal(buf.Bytes(), want) {
-			t.Errorf("%s: second write differs from the first (err %v)", tc.name, err)
-		}
-	}
-}
-
-// TestSealedFrameViewsTheMeshes: sealing copies no triangle — the frame
-// writes whatever the mesh memory holds at write time (which is why served
-// results are immutable) — where the host layout is the wire layout.
+// TestSealedFrameViewsTheMeshes: sealing copies no chunk — the frame writes
+// whatever the encoded meshes' memory holds at write time (which is why
+// cached surfaces are immutable).
 func TestSealedFrameViewsTheMeshes(t *testing.T) {
-	if !hostIsWire {
-		t.Skip("host triangle layout is not the wire layout; Seal transcodes")
+	buf := chunkBuf(testBatch(5, 6, 1))
+	f := Seal(1, buf)
+	buf[chunkHeaderSize] ^= 0x01 // a vertex bit
+	var out bytes.Buffer
+	f.WriteTo(&out) //nolint:errcheck // bytes.Buffer
+	if out.Bytes()[binMinFrame+chunkHeaderSize] != buf[chunkHeaderSize] {
+		t.Fatal("sealed frame holds a copy of the chunks, not a view")
 	}
-	m := testMesh(5, 2)
-	f := Seal(1, m)
-	m.Tris[2].B.Y = 12345
-	var buf bytes.Buffer
-	f.WriteTo(&buf) //nolint:errcheck // bytes.Buffer
-	got, _, err := DecodeBinaryView(buf.Bytes(), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Tris[2].B.Y != 12345 {
-		t.Fatal("sealed frame holds a copy of the triangles, not a view")
-	}
-	if err := VerifyBinary(buf.Bytes()); !errors.Is(err, ErrChecksum) {
-		t.Fatalf("mutated mesh under a sealed CRC: err = %v, want ErrChecksum", err)
+	if err := VerifyBinary(out.Bytes()); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("mutated chunk under a sealed CRC: err = %v, want ErrChecksum", err)
 	}
 }
 
@@ -139,8 +102,9 @@ func (w *failAfter) Write(p []byte) (int, error) {
 }
 
 func TestSealedFrameWriteStopsAtFirstError(t *testing.T) {
-	f := Seal(7, testMesh(10, 1), testMesh(10, 2))
-	for _, limit := range []int{0, 5, binMinFrame, binMinFrame + 100, binMinFrame + 10*binTriSize + 1, f.Len() - 1} {
+	a, b := chunkBuf(testBatch(10, 12, 1)), chunkBuf(testBatch(10, 12, 2))
+	f := Seal(7, a, b)
+	for _, limit := range []int{0, 5, binMinFrame, binMinFrame + 100, binMinFrame + len(a) + 1, f.Len() - 1} {
 		n, err := f.WriteTo(&failAfter{n: limit})
 		if !errors.Is(err, errSink) || n != int64(limit) {
 			t.Errorf("sink of %d bytes: WriteTo = (%d, %v), want (%d, errSink)", limit, n, err, limit)
@@ -152,7 +116,7 @@ func TestSealedFrameWriteStopsAtFirstError(t *testing.T) {
 // "a cache hit is a write of immutable bytes": writing a sealed frame
 // allocates nothing, however large the mesh.
 func TestSealedFrameWriteZeroAllocSteadyState(t *testing.T) {
-	f := Seal(110, testMesh(20000, 1), &geom.Mesh{}, testMesh(30000, 2))
+	f := Seal(110, chunkBuf(testBatch(20000, 13000, 1)), nil, chunkBuf(testBatch(30000, 70000, 2)))
 	if allocs := testing.AllocsPerRun(50, func() {
 		if _, err := f.WriteTo(io.Discard); err != nil {
 			t.Fatal(err)
@@ -224,8 +188,9 @@ func TestDecodeBinaryViewVerifiesUnlessVouchedFor(t *testing.T) {
 
 // TestForeignHostPathsProduceTheSameBytes runs the codec the way a host
 // whose triangle layout is not the wire layout would — every view refused,
-// every path per-triangle — and holds it to the same bytes and the same
-// triangles. Not parallel: it flips the package's layout verdict.
+// every path per-component — and holds it to the same bytes and the same
+// triangles, version 1 and 2. Not parallel: it flips the package's layout
+// verdict.
 func TestForeignHostPathsProduceTheSameBytes(t *testing.T) {
 	defer func(was bool) { hostIsWire = was }(hostIsWire)
 	for _, tc := range frameCases {
@@ -240,12 +205,6 @@ func TestForeignHostPathsProduceTheSameBytes(t *testing.T) {
 		if got := EncodeBinaryChecksum(42, tc.meshes...); !bytes.Equal(got, want) {
 			t.Errorf("%s: per-triangle AppendBinaryChecksum differs", tc.name)
 		}
-		var buf bytes.Buffer
-		if f := Seal(42, tc.meshes...); f.Len() != len(want) {
-			t.Errorf("%s: transcoding Seal: Len() = %d, want %d", tc.name, f.Len(), len(want))
-		} else if _, err := f.WriteTo(&buf); err != nil || !bytes.Equal(buf.Bytes(), want) {
-			t.Errorf("%s: transcoding Seal writes different bytes (err %v)", tc.name, err)
-		}
 		for name, decode := range map[string]func() (*geom.Mesh, float32, error){
 			"DecodeBinary":     func() (*geom.Mesh, float32, error) { return DecodeBinary(want) },
 			"DecodeBinaryView": func() (*geom.Mesh, float32, error) { return DecodeBinaryView(want, false) },
@@ -256,6 +215,27 @@ func TestForeignHostPathsProduceTheSameBytes(t *testing.T) {
 			} else if !bytes.Equal(putTris(nil, m.Tris), putTris(nil, wantMesh.Tris)) {
 				t.Errorf("%s: per-triangle %s decodes different triangles", tc.name, name)
 			}
+		}
+	}
+	for _, tc := range batchCases {
+		hostIsWire = true
+		want, _, batches := sealCase(tc.nodes)
+		wantMesh, _, err := DecodeBinary(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		hostIsWire = false
+		got, _, _ := sealCase(tc.nodes)
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: per-component PutChunk writes different bytes", tc.name)
+		}
+		m, _, err := DecodeBinary(want)
+		if err != nil || !bytes.Equal(putTris(nil, m.Tris), putTris(nil, wantMesh.Tris)) {
+			t.Errorf("%s: per-component gather decodes different triangles (err %v)", tc.name, err)
+		}
+		if soup := expandAll(batches...); !bytes.Equal(putTris(nil, m.Tris), putTris(nil, soup.Tris)) {
+			t.Errorf("%s: per-component gather differs from the expanded batches", tc.name)
 		}
 	}
 }

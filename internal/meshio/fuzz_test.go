@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math"
+	"slices"
 	"testing"
 	"testing/iotest"
 
@@ -56,6 +58,21 @@ func frameSeeds() [][]byte {
 	add(EncodeBinaryChecksum(-3.25, testMesh(2, 1), &geom.Mesh{}, testMesh(1, 7)))
 	add(EncodeBinary(110, nanMesh()))
 	add(EncodeBinaryChecksum(110, nanMesh(), nanMesh()))
+
+	// Version 2: 16- and 32-bit chunks, nodes of several chunks, no chunk at
+	// all (an empty surface, checksummed and not), a frame without the
+	// checksum flag, and frames whose counts or indices lie under a valid CRC.
+	v2, _, _ := sealCase([][]*geom.IndexedMesh{{testBatch(3, 4, 1), testBatch(2, 3, 2)}, {testBatch(5, 7, 3)}})
+	add(v2)
+	wide, _, _ := sealCase([][]*geom.IndexedMesh{{testBatch(2, 65537, 4)}})
+	add(wide)
+	add(portableChunked(7, FlagChecksum))
+	add(portableChunked(7, 0))
+	add(portableChunked(-1, 0, testBatch(4, 5, 5)))
+	add(v2[:len(v2)-3])
+	for _, name := range slices.Sorted(maps.Keys(v2Mutations())) {
+		add(v2Mutations()[name])
+	}
 	return seeds
 }
 
@@ -63,15 +80,19 @@ func frameSeeds() [][]byte {
 // input: it must return ErrBinaryFormat (never panic, never tolerate a
 // malformed frame), and whatever it does accept must re-encode to the exact
 // input bytes — so the fuzzer proves accepted frames are canonical, not
-// merely survivable. The decoder allocates at most O(len(input)), enforced
-// structurally (triangle count is validated against the payload length
-// before the slice is made).
+// merely survivable. The decoder allocates at most 6× len(input), enforced
+// structurally (triangle counts are validated against the bytes before the
+// soup is made).
 //
-// All three decoders answer to it: the bulk-copy DecodeBinary, the aliasing
+// Every decoder answers to it: the bulk-copy DecodeBinary, the aliasing
 // DecodeBinaryView (CRC run here or vouched for by the caller) and the
-// per-triangle getTris oracle must yield the same triangles bit for bit, and
-// the view must fall back to a private copy — not a misaligned pointer —
-// when the same frame sits at byte offsets 1–3 of a larger buffer.
+// per-component oracles must yield the same triangles bit for bit. A version
+// 1 frame's oracle is getTris; a version 2 frame's is the differential
+// against soup — its chunks read back as batches (parseBatches), re-encoded
+// by portableChunked to the input, and their ExpandSoups, concatenated, are
+// what every decoder must return. The view must fall back to a private copy
+// — not a misaligned pointer — when the same frame sits at byte offsets 1–3
+// of a larger buffer, and never alias a version 2 frame.
 func FuzzDecodeBinary(f *testing.F) {
 	for _, seed := range frameSeeds() {
 		f.Add(seed)
@@ -80,9 +101,11 @@ func FuzzDecodeBinary(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, iso, err := DecodeBinary(data)
 		// The view skips only the CRC when told to: structure is checked on
-		// every path, so it errors exactly when the header peek does.
+		// every path, so it errors when the header peek does — and past it
+		// only on a version 2 index, which the peek does not read.
 		_, _, herr := DecodeBinaryHeader(data)
-		if _, _, verr := DecodeBinaryView(data, true); (verr == nil) != (herr == nil) {
+		_, _, verr := DecodeBinaryView(data, true)
+		if herr != nil && verr == nil || herr == nil && verr != nil && !(IsChunked(data) && errors.Is(verr, ErrBinaryFormat)) {
 			t.Fatalf("pre-verified view: err %v, header peek: err %v", verr, herr)
 		}
 		if err != nil {
@@ -97,6 +120,9 @@ func FuzzDecodeBinary(f *testing.F) {
 		if m == nil {
 			t.Fatal("nil mesh with nil error")
 		}
+		if 36*len(m.Tris) > 6*len(data) {
+			t.Fatalf("%d bytes decoded to %d triangles, over the 6× allocation bound", len(data), len(m.Tris))
+		}
 		// The header peek must agree with the full decode.
 		piso, ptris, perr := DecodeBinaryHeader(data)
 		if perr != nil || ptris != len(m.Tris) || math.Float32bits(piso) != math.Float32bits(iso) {
@@ -107,31 +133,42 @@ func FuzzDecodeBinary(f *testing.F) {
 		if verr := VerifyBinary(data); verr != nil {
 			t.Fatalf("decoded frame fails VerifyBinary: %v", verr)
 		}
-		// Round trip: an accepted frame is exactly what the encoder emits
-		// (checksummed frames re-encode through the checksummed variant).
-		re := EncodeBinary(iso, m)
-		if binary.LittleEndian.Uint16(data[10:])&FlagChecksum != 0 {
-			re = EncodeBinaryChecksum(iso, m)
-		}
-		if !bytes.Equal(re, data) {
-			t.Fatalf("accepted frame is not canonical: %d bytes in, %d bytes re-encoded", len(data), len(re))
-		}
+		h, _ := decodeHeader(data)
+		chunked := IsChunked(data)
 
-		// Decoder identity: the oracle's triangles, re-encoded by the
-		// oracle, are the payload; every other decoder matches them.
-		payload := data[binMinFrame : binMinFrame+ptris*binTriSize]
-		oracle := make([]geom.Triangle, ptris)
-		getTris(oracle, payload)
-		if !bytes.Equal(putTris(nil, oracle), payload) {
-			t.Fatal("per-triangle oracle does not round-trip the payload")
+		// Round trip: an accepted frame is exactly what the encoder emits
+		// (checksummed frames re-encode through the checksummed variant), and
+		// want is the soup payload every decoder must return.
+		var want []byte
+		if chunked {
+			batches := parseBatches(t, h.payload)
+			if re := portableChunked(iso, h.flags, batches...); !bytes.Equal(re, data) {
+				t.Fatalf("accepted v2 frame is not canonical: %d bytes in, %d bytes re-encoded", len(data), len(re))
+			}
+			want = putTris(nil, expandAll(batches...).Tris)
+		} else {
+			re := EncodeBinary(iso, m)
+			if h.flags&FlagChecksum != 0 {
+				re = EncodeBinaryChecksum(iso, m)
+			}
+			if !bytes.Equal(re, data) {
+				t.Fatalf("accepted frame is not canonical: %d bytes in, %d bytes re-encoded", len(data), len(re))
+			}
+			// The oracle's triangles, re-encoded by the oracle, are the payload.
+			oracle := make([]geom.Triangle, ptris)
+			getTris(oracle, h.payload)
+			if !bytes.Equal(putTris(nil, oracle), h.payload) {
+				t.Fatal("per-triangle oracle does not round-trip the payload")
+			}
+			want = h.payload
 		}
 		same := func(name string, got *geom.Mesh, giso float32, gerr error) {
 			t.Helper()
 			if gerr != nil {
 				t.Fatalf("%s: %v", name, gerr)
 			}
-			if math.Float32bits(giso) != math.Float32bits(iso) || !bytes.Equal(putTris(nil, got.Tris), payload) {
-				t.Fatalf("%s disagrees with the per-triangle oracle (%d vs %d triangles)", name, len(got.Tris), ptris)
+			if math.Float32bits(giso) != math.Float32bits(iso) || !bytes.Equal(putTris(nil, got.Tris), want) {
+				t.Fatalf("%s disagrees with the per-component oracle (%d vs %d triangles)", name, len(got.Tris), ptris)
 			}
 		}
 		same("DecodeBinary", m, iso, nil)
@@ -154,9 +191,11 @@ func FuzzDecodeBinary(f *testing.F) {
 			if ptris == 0 {
 				continue
 			}
-			at[binMinFrame] ^= 0xff
-			aliased := !bytes.Equal(putTris(nil, vm.Tris), payload)
-			if want := off == 0 && hostIsWire; aliased != want {
+			for i := binMinFrame; i < len(at); i++ {
+				at[i] ^= 0xff
+			}
+			aliased := !bytes.Equal(putTris(nil, vm.Tris), want)
+			if want := off == 0 && hostIsWire && !chunked; aliased != want {
 				t.Fatalf("offset %d: mesh aliases the buffer = %v, want %v", off, aliased, want)
 			}
 		}

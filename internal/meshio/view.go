@@ -54,3 +54,35 @@ func bytesTris(payload []byte) (tris []geom.Triangle, ok bool) {
 	}
 	return unsafe.Slice((*geom.Triangle)(p), len(payload)/binTriSize), true
 }
+
+// asBytes returns s's own memory as wire bytes: vertices (geom.Vec3) and
+// indices (uint16, uint32) are stored on the wire as they lie in memory on a
+// host whose triangles are. ok is false on any other host.
+func asBytes[T geom.Vec3 | uint16 | uint32](s []T) (b []byte, ok bool) {
+	if !hostIsWire {
+		return nil, false
+	}
+	if len(s) == 0 {
+		return nil, true
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*int(unsafe.Sizeof(s[0]))), true
+}
+
+// bytesAs returns b's own memory as values of T, the reverse of asBytes. ok
+// is false when the host is not the wire, b is not a whole number of values,
+// or it does not start on T's alignment.
+func bytesAs[T geom.Vec3 | uint16 | uint32](b []byte) (s []T, ok bool) {
+	var zero T
+	size := int(unsafe.Sizeof(zero))
+	if !hostIsWire || len(b)%size != 0 {
+		return nil, false
+	}
+	if len(b) == 0 {
+		return nil, true
+	}
+	p := unsafe.Pointer(unsafe.SliceData(b))
+	if uintptr(p)%unsafe.Alignof(zero) != 0 {
+		return nil, false
+	}
+	return unsafe.Slice((*T)(p), len(b)/size), true
+}

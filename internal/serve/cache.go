@@ -1,12 +1,6 @@
 package serve
 
-import (
-	"container/heap"
-	"unsafe"
-
-	"repro/internal/cluster"
-	"repro/internal/geom"
-)
+import "container/heap"
 
 // meshCache is the byte-budgeted cache of completed extraction results, keyed
 // like coalescing: (time step, quantized isovalue). Eviction is
@@ -52,29 +46,13 @@ func newMeshCache(budget int64) *meshCache {
 	return &meshCache{budget: budget, byKey: map[Key]*cacheEntry{}}
 }
 
-// triangleBytes is the in-memory size of one mesh triangle.
-const triangleBytes = int64(unsafe.Sizeof(geom.Triangle{}))
-
-// entryOverhead is charged to every entry on top of its triangles: roughly
-// what the Result and its per-node reports, the surface, the sealed frame's
-// header and the cache's own bookkeeping hold for it. Beside a real surface it
-// is noise; it is there so that an empty surface (an isovalue outside the data
-// range) is not free, or a sweep of such isovalues would grow the cache
-// without bound.
+// entryOverhead is charged to every entry on top of its frame's bytes:
+// roughly what the Result and its per-node reports, the surface, the sealed
+// frame's header and the cache's own bookkeeping hold for it. Beside a real
+// surface it is noise; it is there so that an empty surface (an isovalue
+// outside the data range) is not free, or a sweep of such isovalues would
+// grow the cache without bound.
 const entryOverhead = 1 << 10
-
-// resultBytes charges a result its per-node triangle payloads (the dominant
-// cost by orders of magnitude — a surface's sealed frame views that same
-// payload, so it is not charged separately) plus entryOverhead.
-func resultBytes(res *cluster.Result) int64 {
-	b := int64(entryOverhead)
-	for i := range res.PerNode {
-		if m := res.PerNode[i].Mesh; m != nil {
-			b += int64(len(m.Tris)) * triangleBytes
-		}
-	}
-	return b
-}
 
 // touch re-bases e's priority on the current floor, marks it most recently
 // used and puts it where it now belongs in the eviction order.
@@ -101,7 +79,7 @@ func (c *meshCache) get(k Key) (*surface, bool) {
 // put inserts (or refreshes) a surface and evicts past the budget — possibly
 // the surface just inserted — returning how many entries were evicted.
 func (c *meshCache) put(k Key, surf *surface) (evicted int64) {
-	bytes := resultBytes(surf.res)
+	bytes := surf.bytes
 	if c.budget <= 0 || bytes > c.budget {
 		return 0
 	}

@@ -4,14 +4,12 @@ import (
 	"context"
 	"math/rand"
 	"testing"
-
-	"repro/internal/cluster"
-	"repro/internal/geom"
 )
 
 // TestCachePolicyReplay drives meshCache alone with the repository
 // benchmark's routed mix restated as literals: the eleven surfaces of the
-// paper's sweep by payload size, asked for in Zipf(1.1) proportion — 50-request
+// paper's sweep by soup payload size (the charge before the cache held
+// chunks; the literals pin the policy, not the representation), asked for in Zipf(1.1) proportion — 50-request
 // decks, each shuffled — against the 96 MiB a routed_churn replica has for a
 // 348 MB working set. An LRU reads 0.42 here. Then the popularity order is
 // reversed: the policy has to let go of what it learned within a few hundred
@@ -21,13 +19,10 @@ func TestCachePolicyReplay(t *testing.T) {
 	deckCounts := []int{18, 9, 5, 4, 3, 3, 2, 2, 2, 1, 1}
 	const budget = 96 << 20
 
-	// One backing array, re-sliced: the cache charges len(Tris), and nothing
-	// here reads a triangle, so the pages are never touched.
-	backing := make([]geom.Triangle, int(60.1e6)/int(triangleBytes))
+	// The cache reads nothing of a surface but its charge.
 	surfaces := make([]*surface, len(payloadMB))
 	for k, mb := range payloadMB {
-		tris := backing[:int(mb*1e6)/int(triangleBytes)]
-		surfaces[k] = &surface{res: &cluster.Result{PerNode: []cluster.NodeResult{{Mesh: &geom.Mesh{Tris: tris}}}}}
+		surfaces[k] = &surface{bytes: int64(mb * 1e6)}
 	}
 
 	c := newMeshCache(budget)

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/geom"
 	"repro/internal/meshio"
 	"repro/internal/volume"
 )
@@ -23,19 +22,38 @@ func frameBytes(t *testing.T, r *Response) []byte {
 	return buf.Bytes()
 }
 
-func encodeDirect(r *Response) []byte {
-	meshes := make([]*geom.Mesh, len(r.Result.PerNode))
-	for i := range r.Result.PerNode {
-		meshes[i] = r.Result.PerNode[i].Mesh
+// sealDirect is the frame of a direct extraction's chunks (KeepChunks), in
+// node order: what a replica must send for the same surface.
+func sealDirect(t *testing.T, iso float32, res *cluster.Result) []byte {
+	t.Helper()
+	chunks := make([][]byte, len(res.PerNode))
+	for i := range res.PerNode {
+		if res.PerNode[i].Chunks == nil && res.PerNode[i].Triangles > 0 {
+			t.Fatalf("node %d kept no chunks", i)
+		}
+		chunks[i] = res.PerNode[i].Chunks
 	}
-	return meshio.EncodeBinaryChecksum(r.Iso, meshes...)
+	var buf bytes.Buffer
+	meshio.Seal(iso, chunks...).WriteTo(&buf) //nolint:errcheck // bytes.Buffer
+	return buf.Bytes()
+}
+
+// soupBytes is a result's per-node soups in node order, encoded: equal
+// bytes are equal soups, bit for bit.
+func soupBytes(t *testing.T, res *cluster.Result) []byte {
+	t.Helper()
+	meshes, err := res.Meshes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return meshio.EncodeBinary(res.Iso, meshes...)
 }
 
 // TestFrameBuiltOncePerSurface pins one extraction in flight, piles
-// coalesced joiners onto it, then adds cache hits: every response — leader,
-// joiners, hits — asking for its frame concurrently gets the same sealed
-// frame object, its bytes are the checksummed encoding of the shared result,
-// and none of it is built before someone asks.
+// coalesced joiners onto it, then adds cache hits, all through the replica's
+// lookup: every response — leader, joiners, hits — gets the same sealed frame
+// object and the same shared Result, which holds chunks and no soup, and the
+// frame's bytes are the sealed frame of the backend's own chunks.
 func TestFrameBuiltOncePerSurface(t *testing.T) {
 	fb := &fakeBackend{tris: 500, started: make(chan float32, 1), release: make(chan struct{})}
 	s := New(fb, Config{MaxInFlight: 4})
@@ -46,7 +64,7 @@ func TestFrameBuiltOncePerSurface(t *testing.T) {
 	var wg sync.WaitGroup
 	query := func(k int) {
 		defer wg.Done()
-		resps[k], errs[k] = s.Query(context.Background(), 0, 110)
+		resps[k], errs[k] = s.QueryFrame(context.Background(), 0, 110)
 	}
 	wg.Add(1)
 	go query(0)
@@ -70,16 +88,12 @@ func TestFrameBuiltOncePerSurface(t *testing.T) {
 			t.Fatalf("request %d: %v", k, errs[k])
 		}
 		sources[r.Source]++
-		if r.surf != resps[0].surf {
-			t.Fatalf("request %d (%v) holds its own surface", k, r.Source)
+		if r.Result != resps[0].Result || r.Result.PerNode[0].Mesh != nil {
+			t.Fatalf("request %d (%v) holds its own result, or soup", k, r.Source)
 		}
 	}
 	if sources != [3]int{SourceExtracted: 1, SourceCache: hits, SourceCoalesced: joiners} {
 		t.Fatalf("sources (extracted, cache, coalesced) = %v", sources)
-	}
-	// Nobody has asked yet: a Query-only caller paid for no header, no CRC.
-	if resps[0].surf.frame != nil {
-		t.Fatal("frame was sealed before any caller asked for it")
 	}
 
 	frames := make([]*meshio.Frame, len(resps))
@@ -99,24 +113,31 @@ func TestFrameBuiltOncePerSurface(t *testing.T) {
 			t.Fatalf("request %d (%v) got frame %p, the leader got %p", k, resps[k].Source, f, frames[0])
 		}
 	}
-	if got, want := frameBytes(t, resps[3]), encodeDirect(resps[0]); !bytes.Equal(got, want) {
-		t.Fatalf("sealed frame (%d bytes) differs from EncodeBinaryChecksum of the result (%d bytes)", len(got), len(want))
+	direct, err := fb.ExtractStep(context.Background(), 0, 110, cluster.Options{KeepChunks: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := frameBytes(t, resps[3]), sealDirect(t, 110, direct); !bytes.Equal(got, want) {
+		t.Fatalf("sealed frame (%d bytes) differs from the sealed frame of the backend's chunks (%d bytes)", len(got), len(want))
 	}
 	if resps[0].Iso != 110 {
 		t.Fatalf("served iso %v, want 110", resps[0].Iso)
 	}
 }
 
-// TestFrameLeavesCacheAccountingAlone runs one request sequence against two
-// identical servers, asking for every response's frame on one of them only:
-// CachedBytes, CachedMeshes and Evictions agree at every step (the frame
-// references the mesh, it does not copy it), and an evicted surface takes its
-// frame with it — the re-extraction seals a fresh one with the same bytes.
-func TestFrameLeavesCacheAccountingAlone(t *testing.T) {
+// TestCacheChargesFrameBytes runs one request sequence against two
+// identical servers, one asked through Query (which decodes a soup for every
+// call) and one through QueryFrame (which never does): Source, CachedBytes,
+// CachedMeshes and Evictions agree at every step, the bytes charged are the
+// resident surfaces' frame bytes plus the fixed overhead, the decoded soup is
+// the backend's own, and an evicted surface takes its frame with it — the
+// re-extraction seals a fresh one with the same bytes.
+func TestCacheChargesFrameBytes(t *testing.T) {
 	const tris = 100
-	entryBytes := int64(tris)*triangleBytes + entryOverhead
+	entryBytes := entryBytes(tris)
 	cfg := Config{CacheBytes: 2*entryBytes + entryBytes/2}
-	plain := New(&fakeBackend{tris: tris}, cfg)
+	fb := &fakeBackend{tris: tris}
+	decoding := New(fb, cfg)
 	framed := New(&fakeBackend{tris: tris}, cfg)
 
 	var first *meshio.Frame
@@ -124,25 +145,25 @@ func TestFrameLeavesCacheAccountingAlone(t *testing.T) {
 	// 20 is asked for twice, so 30 evicts 10; 10 comes back over 30; 40 finds
 	// 10 re-based on a higher floor than 20 and evicts 20.
 	for step, iso := range []float32{10, 20, 20, 30, 10, 10, 40, 20} {
-		p, err := plain.Query(context.Background(), 0, iso)
+		p, err := decoding.Query(context.Background(), 0, iso)
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := framed.Query(context.Background(), 0, iso)
+		want, _ := fb.ExtractStep(context.Background(), 0, iso, cluster.Options{KeepMeshes: true})
+		if !bytes.Equal(soupBytes(t, p.Result), soupBytes(t, want)) {
+			t.Fatalf("step %d: Query's decoded soup differs from the backend's", step)
+		}
+		f, err := framed.QueryFrame(context.Background(), 0, iso)
 		if err != nil {
 			t.Fatal(err)
 		}
-		before := framed.Stats()
 		got := frameBytes(t, f)
-		if after := framed.Stats(); after != before {
-			t.Fatalf("step %d: sealing moved the stats: %+v → %+v", step, before, after)
-		}
 		if p.Source != f.Source {
-			t.Fatalf("step %d iso %v: %v without frames, %v with", step, iso, p.Source, f.Source)
+			t.Fatalf("step %d iso %v: %v decoding, %v framed", step, iso, p.Source, f.Source)
 		}
-		ps, fs := plain.Stats(), framed.Stats()
+		ps, fs := decoding.Stats(), framed.Stats()
 		if ps != fs {
-			t.Fatalf("step %d: stats diverge\nwithout frames %+v\nwith frames    %+v", step, ps, fs)
+			t.Fatalf("step %d: stats diverge\ndecoding %+v\nframed   %+v", step, ps, fs)
 		}
 		if fs.CachedBytes != int64(fs.CachedMeshes)*entryBytes {
 			t.Fatalf("step %d: %d cached bytes for %d meshes of %d", step, fs.CachedBytes, fs.CachedMeshes, entryBytes)
@@ -177,14 +198,13 @@ func TestFrameLeavesCacheAccountingAlone(t *testing.T) {
 // allocates nothing — no frame-sized buffer, no scratch, no pool.
 func TestWarmHitFrameWriteZeroAllocSteadyState(t *testing.T) {
 	s := New(&fakeBackend{tris: 50000}, Config{})
-	if _, err := s.Query(context.Background(), 0, 110); err != nil {
+	if _, err := s.QueryFrame(context.Background(), 0, 110); err != nil {
 		t.Fatal(err)
 	}
-	hit, err := s.Query(context.Background(), 0, 110)
+	hit, err := s.QueryFrame(context.Background(), 0, 110)
 	if err != nil || hit.Source != SourceCache {
 		t.Fatalf("warm query: source %v, err %v", hit.Source, err)
 	}
-	hit.Frame() // the first response for the surface seals it
 	if allocs := testing.AllocsPerRun(50, func() {
 		if _, err := hit.Frame().WriteTo(io.Discard); err != nil {
 			t.Fatal(err)
@@ -196,8 +216,9 @@ func TestWarmHitFrameWriteZeroAllocSteadyState(t *testing.T) {
 
 // TestEngineKindsServeTheirSteps puts both cluster engine kinds behind New:
 // an Engine answers step 0 and refuses step 1, a TimeVaryingEngine answers
-// each indexed step and refuses an unindexed one, and every answer's frame is
-// the checksummed encoding of a direct extraction of that step.
+// each indexed step and refuses an unindexed one, and every answer is a
+// direct extraction of that step: Query's soup bit for bit, QueryFrame's
+// frame the sealed frame of the direct extraction's chunks.
 func TestEngineKindsServeTheirSteps(t *testing.T) {
 	const iso = 70
 	eng, err := cluster.Build(volume.RichtmyerMeshkov(17, 17, 16, 100, 5), cluster.Config{Procs: 2})
@@ -222,16 +243,15 @@ func TestEngineKindsServeTheirSteps(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%T step %d: %v", c.b, step, err)
 			}
-			direct, err := e.Extract(context.Background(), iso, cluster.Options{KeepMeshes: true})
+			direct, err := e.Extract(context.Background(), iso, cluster.Options{KeepMeshes: true, KeepChunks: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			meshes, err := direct.Meshes()
-			if err != nil {
-				t.Fatal(err)
+			if !bytes.Equal(soupBytes(t, r.Result), soupBytes(t, direct)) {
+				t.Errorf("%T step %d: served soup differs from a direct extraction's", c.b, step)
 			}
-			if !bytes.Equal(frameBytes(t, r), meshio.EncodeBinaryChecksum(iso, meshes...)) {
-				t.Errorf("%T step %d: served frame differs from a direct extraction's encoding", c.b, step)
+			if !bytes.Equal(frameBytes(t, r), sealDirect(t, iso, direct)) {
+				t.Errorf("%T step %d: served frame differs from the sealed frame of a direct extraction's chunks", c.b, step)
 			}
 		}
 		if _, err := s.Query(context.Background(), c.refused, iso); err == nil {

@@ -11,7 +11,11 @@
 //   - Mesh cache: completed results are kept under a byte budget, keyed the
 //     same way and evicted by frequency and size (see meshCache), so repeated
 //     queries — the common case under a Zipf-shaped isovalue popularity —
-//     skip the backend entirely.
+//     skip the backend entirely. A surface is kept the way it is sent: the
+//     extraction's welded batches as meshio version 2 chunks and the sealed
+//     frame over them, ≈ 13.7 B a triangle. Soup exists only in the hands of
+//     a caller that asks for it (Query); the tier's replicas never build it
+//     (QueryFrame).
 //   - Admission control: at most MaxInFlight extractions run at once and at
 //     most QueueDepth more may wait; past that, requests fail fast with
 //     ErrSaturated instead of piling onto the disks.
@@ -26,11 +30,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/geom"
 	"repro/internal/meshio"
 	"repro/internal/obs"
 )
@@ -61,8 +65,9 @@ type Config struct {
 	// slot before further ones are rejected with ErrSaturated (0 = 16; use a
 	// negative value for no queue at all).
 	QueueDepth int
-	// CacheBytes is the mesh cache budget: triangle-payload bytes plus a
-	// small fixed charge per entry (0 = 256 MiB; negative disables caching).
+	// CacheBytes is the mesh cache budget: each surface is charged its
+	// sealed frame's bytes (version 2, ≈ 13.7 B a triangle) plus a small
+	// fixed charge per entry (0 = 256 MiB; negative disables caching).
 	CacheBytes int64
 	// Metrics is the registry the server records into (counters, live
 	// gauges, latency and queue-wait histograms under serve_*). Nil creates
@@ -127,14 +132,16 @@ func (s Source) String() string {
 	}
 }
 
-// Response is a served query result. Result is shared between every client
-// whose request mapped to the same Key and with the cache itself — treat it
-// as immutable.
+// Response is a served query result. From QueryFrame, Result is shared
+// between every client whose request mapped to the same Key and with the
+// cache itself — treat it as immutable — and its nodes hold the surface as
+// chunks only (PerNode[i].Chunks; Mesh is nil). From Query, Result is the
+// caller's own copy, each node's Mesh a soup decoded for this call.
 type Response struct {
 	Key    Key
 	Iso    float32 // the rounded isovalue actually extracted
 	Source Source
-	Wall   time.Duration // request latency inside the server
+	Wall   time.Duration // request latency inside the server, decode excluded
 	Result *cluster.Result
 	// Trace is the request's stage trace (nil unless Config.Trace): serve
 	// spans plus, for the extraction leader, the backend's per-stage spans
@@ -143,41 +150,42 @@ type Response struct {
 	// timeline, which started before theirs.
 	Trace *obs.Trace
 
-	surf *surface
-}
-
-// Frame returns the response's mesh as a sealed wire frame: the bytes
-// meshio.EncodeBinaryChecksum(Iso, per-node meshes in node order...) would
-// produce, without copying a triangle. The frame is built — one CRC pass
-// over the payload — the first time anyone asks for this surface and then
-// shared by every response for it: later cache hits, the extraction's leader
-// and its coalesced joiners all write the same immutable bytes. A caller that
-// never asks never pays for it.
-func (r *Response) Frame() *meshio.Frame {
-	return r.surf.sealed(r.Iso)
-}
-
-// surface is one servable result as the server holds it — in the cache, in
-// a finished call, in every Response handed out for it: the extraction's
-// Result plus, once someone has asked, its sealed frame. The frame only
-// references the Result's triangle memory, so it lives and dies with the
-// surface (an evicted entry takes its frame along) and adds nothing to the
-// cache's byte accounting.
-type surface struct {
-	res   *cluster.Result
-	once  sync.Once
 	frame *meshio.Frame
 }
 
-func (sf *surface) sealed(iso float32) *meshio.Frame {
-	sf.once.Do(func() {
-		meshes := make([]*geom.Mesh, len(sf.res.PerNode))
-		for i := range sf.res.PerNode {
-			meshes[i] = sf.res.PerNode[i].Mesh
-		}
-		sf.frame = meshio.Seal(iso, meshes...)
-	})
-	return sf.frame
+// Frame returns the response's surface as a sealed version 2 wire frame over
+// the per-node chunks in node order, sealed — one CRC pass — when the
+// extraction finished and shared by every response for the surface: later
+// cache hits, the extraction's leader and its coalesced joiners all write the
+// same immutable bytes.
+func (r *Response) Frame() *meshio.Frame { return r.frame }
+
+// surface is one servable result as the server holds it — in the cache, in
+// a finished call, in every Response handed out for it: the extraction's
+// Result, whose nodes hold chunks and no soup, the frame sealed over those
+// chunks, and what the cache charges for the pair.
+type surface struct {
+	res   *cluster.Result
+	frame *meshio.Frame
+	bytes int64
+}
+
+// newSurface seals res's chunks. The frame views them, so its bytes are the
+// surface's: nothing else it holds grows with the surface. A result with
+// triangles and no chunks is from a backend that ignored KeepChunks, and
+// would otherwise be served as an empty surface.
+func newSurface(iso float32, res *cluster.Result) (*surface, error) {
+	chunks := make([][]byte, len(res.PerNode))
+	kept := 0
+	for i := range res.PerNode {
+		chunks[i] = res.PerNode[i].Chunks
+		kept += len(chunks[i])
+	}
+	if kept == 0 && res.Triangles > 0 {
+		return nil, fmt.Errorf("serve: backend returned %d triangles and no chunks (Options.KeepChunks)", res.Triangles)
+	}
+	f := meshio.Seal(iso, chunks...)
+	return &surface{res: res, frame: f, bytes: int64(f.Len()) + entryOverhead}, nil
 }
 
 // Stats is a snapshot of the server's counters.
@@ -273,12 +281,43 @@ func KeyOf(step int, iso float32) Key {
 func (k Key) Iso() float32 { return float32(k.Bucket) }
 
 // Query serves one isosurface request: cache hit, coalesced join, or a fresh
-// extraction under admission control. It blocks until the mesh is available,
-// the request is rejected, or ctx is done. An isovalue no Key holds is
-// refused with ErrIsovalue before the cache or admission sees it.
+// extraction under admission control. It blocks until the surface is
+// available, the request is rejected, or ctx is done, and then decodes the
+// surface's chunks into a soup of the caller's own per node
+// (Result.PerNode[i].Mesh) — on every call, hit or not, so the cache never
+// holds soup. An isovalue no Key holds is refused with ErrIsovalue before the
+// cache or admission sees it.
 func (s *Server) Query(ctx context.Context, step int, iso float32) (*Response, error) {
+	resp, err := s.QueryFrame(ctx, step, iso)
+	if err != nil {
+		return nil, err
+	}
+	res := *resp.Result
+	res.PerNode = slices.Clone(res.PerNode)
+	for i := range res.PerNode {
+		if res.PerNode[i].Mesh, err = meshio.DecodeChunks(res.PerNode[i].Chunks); err != nil {
+			return nil, fmt.Errorf("serve: decoding node %d of the surface at %v: %w", i, resp.Key, err)
+		}
+	}
+	resp.Result = &res
+	return resp, nil
+}
+
+// CheckIsovalue refuses, with ErrIsovalue, an isovalue no Key holds.
+func CheckIsovalue(iso float32) error {
 	if !(math.Abs(float64(iso)) < 1<<63) {
-		return nil, fmt.Errorf("%w: %v", ErrIsovalue, iso)
+		return fmt.Errorf("%w: %v", ErrIsovalue, iso)
+	}
+	return nil
+}
+
+// QueryFrame is Query without the decode: the lookup a replica serves its
+// wire from. It shares Query's cache, coalescing and admission — decoding is
+// the only difference — and its Response carries the surface as the sealed
+// Frame and the shared Result's chunks, never as soup.
+func (s *Server) QueryFrame(ctx context.Context, step int, iso float32) (*Response, error) {
+	if err := CheckIsovalue(iso); err != nil {
+		return nil, err
 	}
 	start := time.Now()
 	key := KeyOf(step, iso)
@@ -291,7 +330,7 @@ func (s *Server) Query(ctx context.Context, step int, iso float32) (*Response, e
 		wall := time.Since(start)
 		s.met.requestLatency.Observe(wall)
 		return &Response{Key: key, Iso: key.Iso(), Source: SourceCache, Wall: wall,
-			Result: surf.res, Trace: traceCacheHit(s.cfg.Trace, wall), surf: surf}, nil
+			Result: surf.res, Trace: traceCacheHit(s.cfg.Trace, wall), frame: surf.frame}, nil
 	}
 	// Join an in-flight extraction — unless its last waiter already
 	// abandoned it (its context is cancelled and it is only draining); a
@@ -333,7 +372,7 @@ func (s *Server) wait(ctx context.Context, c *call, src Source, start time.Time)
 		wall := time.Since(start)
 		s.met.requestLatency.Observe(wall)
 		return &Response{Key: c.key, Iso: c.key.Iso(), Source: src, Wall: wall,
-			Result: c.surf.res, Trace: s.traceOf(c, src, wall), surf: c.surf}, nil
+			Result: c.surf.res, Trace: s.traceOf(c, src, wall), frame: c.surf.frame}, nil
 	case <-ctx.Done():
 		s.mu.Lock()
 		s.met.canceled.Inc()
@@ -394,16 +433,20 @@ func (s *Server) run(c *call) {
 	s.mu.Unlock()
 
 	t0 := time.Now()
-	// A serving layer that drops its meshes would have nothing to return.
-	res, err := s.backend.ExtractStep(c.ctx, c.key.Step, c.key.Iso(), cluster.Options{KeepMeshes: true, Trace: s.cfg.Trace})
+	// The surface is kept as the chunks it is sent as; no soup is built.
+	res, err := s.backend.ExtractStep(c.ctx, c.key.Step, c.key.Iso(), cluster.Options{KeepChunks: true, Trace: s.cfg.Trace})
 	c.extractDur = time.Since(t0)
 	s.met.extractLatency.Observe(c.extractDur)
+	var surf *surface
+	if err == nil {
+		surf, err = newSurface(c.key.Iso(), res) // the CRC pass, outside the lock
+	}
 
 	s.mu.Lock()
 	s.running--
 	if err == nil {
 		s.met.extractions.Inc()
-		c.surf = &surface{res: res}
+		c.surf = surf
 		s.met.evictions.Add(s.cache.put(c.key, c.surf))
 	}
 	c.err = err

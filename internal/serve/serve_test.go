@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,6 +15,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/geom"
+	"repro/internal/meshio"
 	"repro/internal/volume"
 )
 
@@ -51,21 +53,46 @@ func (f *fakeBackend) ExtractStep(ctx context.Context, step int, iso float32, op
 			}
 		}
 	}
-	tris := make([]geom.Triangle, f.tris)
-	for i := range tris {
-		tris[i].A.X = iso + float32(i)
+	im := fakeSurface(iso, f.tris)
+	nr := cluster.NodeResult{Triangles: f.tris}
+	if opts.KeepMeshes {
+		nr.Mesh = im.ExpandSoup()
 	}
-	return &cluster.Result{
-		Iso:       iso,
-		Triangles: f.tris,
-		PerNode:   []cluster.NodeResult{{Mesh: &geom.Mesh{Tris: tris}}},
-	}, nil
+	if opts.KeepChunks {
+		nr.Chunks = make([]byte, meshio.ChunkLen(im))
+		meshio.PutChunk(nr.Chunks, im)
+	}
+	return &cluster.Result{Iso: iso, Triangles: f.tris, PerNode: []cluster.NodeResult{nr}}, nil
+}
+
+// fakeSurface is the one batch a fakeBackend extraction welds: tris
+// triangles of three vertices each, the first vertex's X the isovalue plus
+// the triangle's index.
+func fakeSurface(iso float32, tris int) *geom.IndexedMesh {
+	im := &geom.IndexedMesh{Verts: make([]geom.Vec3, 3*tris), Idx: make([]uint32, 3*tris)}
+	for i := range im.Idx {
+		im.Idx[i] = uint32(i)
+	}
+	for i := 0; i < tris; i++ {
+		im.Verts[3*i].X = iso + float32(i)
+	}
+	return im
+}
+
+// entryBytes is what the cache charges for one fakeBackend surface of tris
+// triangles: its sealed frame's bytes and the fixed overhead.
+func entryBytes(tris int) int64 {
+	im := fakeSurface(0, tris)
+	chunks := make([]byte, meshio.ChunkLen(im))
+	meshio.PutChunk(chunks, im)
+	return int64(meshio.Seal(0, chunks).Len()) + entryOverhead
 }
 
 // TestCoalescingSingleExtraction pins one extraction in flight and fires K
 // concurrent requests in its bucket: exactly one backend call runs, every
-// request receives the same result, and the counters classify 1 leader and
-// K-1 coalesced joins.
+// request receives the same result (QueryFrame hands out the shared one;
+// Query would decode each a soup of its own), and the counters classify 1
+// leader and K-1 coalesced joins.
 func TestCoalescingSingleExtraction(t *testing.T) {
 	fb := &fakeBackend{tris: 10, started: make(chan float32, 1), release: make(chan struct{})}
 	s := New(fb, Config{MaxInFlight: 4})
@@ -77,14 +104,14 @@ func TestCoalescingSingleExtraction(t *testing.T) {
 	wg.Add(1)
 	go func() { // leader: isovalues 110.2 and 109.9 share bucket 110
 		defer wg.Done()
-		resps[0], errs[0] = s.Query(context.Background(), 0, 110.2)
+		resps[0], errs[0] = s.QueryFrame(context.Background(), 0, 110.2)
 	}()
 	<-fb.started // extraction is now pinned in flight
 	for k := 1; k < K; k++ {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			resps[k], errs[k] = s.Query(context.Background(), 0, 109.9)
+			resps[k], errs[k] = s.QueryFrame(context.Background(), 0, 109.9)
 		}(k)
 	}
 	// Every follower must be registered as a waiter before release.
@@ -112,7 +139,7 @@ func TestCoalescingSingleExtraction(t *testing.T) {
 	}
 
 	// The surface is now cached: the next request in the bucket is a hit.
-	r, err := s.Query(context.Background(), 0, 110.4)
+	r, err := s.QueryFrame(context.Background(), 0, 110.4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +207,7 @@ func TestCoalescedMeshesByteIdentical(t *testing.T) {
 // over a rising floor, and equal priorities go least recently used first.
 func TestEvictionUnderBudget(t *testing.T) {
 	fb := &fakeBackend{tris: 100}
-	entryBytes := int64(100)*triangleBytes + entryOverhead
+	entryBytes := entryBytes(100)
 	s := New(fb, Config{CacheBytes: 2*entryBytes + entryBytes/2})
 
 	for _, iso := range []float32{10, 20, 30} { // all asked for once: 30 evicts 10, the oldest
@@ -214,7 +241,7 @@ func TestEvictionUnderBudget(t *testing.T) {
 // served but never admitted to the cache.
 func TestOversizedResultNotCached(t *testing.T) {
 	fb := &fakeBackend{tris: 1000}
-	s := New(fb, Config{CacheBytes: 10 * triangleBytes})
+	s := New(fb, Config{CacheBytes: entryBytes(1000) / 100})
 	for i := 0; i < 2; i++ {
 		r, err := s.Query(context.Background(), 0, 50)
 		if err != nil {
@@ -481,4 +508,26 @@ func waitFor(t *testing.T, cond func() bool) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatal("condition not reached within 2s")
+}
+
+// soupOnlyBackend ignores KeepChunks: it answers every extraction with a
+// soup, the form the server never caches.
+type soupOnlyBackend struct{}
+
+func (soupOnlyBackend) ExtractStep(_ context.Context, _ int, iso float32, _ cluster.Options) (*cluster.Result, error) {
+	return &cluster.Result{Iso: iso, Triangles: 1, PerNode: []cluster.NodeResult{{
+		Triangles: 1, Mesh: &geom.Mesh{Tris: make([]geom.Triangle, 1)},
+	}}}, nil
+}
+
+// TestBackendWithoutChunksIsRefused: a result with triangles and no chunks is
+// an error, not an empty surface served and cached.
+func TestBackendWithoutChunksIsRefused(t *testing.T) {
+	s := New(soupOnlyBackend{}, Config{})
+	if _, err := s.QueryFrame(context.Background(), 0, 10); err == nil || !strings.Contains(err.Error(), "no chunks") {
+		t.Fatalf("err = %v, want the refusal of a result without chunks", err)
+	}
+	if st := s.Stats(); st.CachedMeshes != 0 || st.Extractions != 0 {
+		t.Errorf("stats = %+v, want nothing cached or counted", st)
+	}
 }

@@ -24,8 +24,9 @@
 // For many concurrent clients, put either engine kind behind a Server
 // (NewServer): concurrent requests for the same (time step,
 // quantized isovalue) are coalesced into one extraction, completed meshes are
-// kept in a byte-budgeted cache that evicts by frequency and size, and
-// admission control bounds in-flight work, shedding excess load with
+// kept in a byte-budgeted cache that evicts by frequency and size — as the
+// extraction's welded batches, encoded (Options.KeepChunks), not as soup —
+// and admission control bounds in-flight work, shedding excess load with
 // ErrSaturated.
 //
 // To scale the service out, shard it: StartDistCluster spawns N replica

@@ -130,8 +130,8 @@ func TestServerFacade(t *testing.T) {
 		}
 		if first == nil {
 			first = r
-		} else if r.Result != first.Result {
-			t.Error("repeated queries should share the cached result")
+		} else if r.Frame() != first.Frame() {
+			t.Error("repeated queries should share the cached surface")
 		}
 	}
 	st := srv.Stats()
