@@ -329,7 +329,7 @@ type Options struct {
 	// caller of Extract read.
 	KeepMeshes bool
 	// KeepChunks retains each node's welded batches, encoded, in
-	// NodeResult.Chunks (≈ 13.7 B a triangle): the form the serving tier
+	// NodeResult.Chunks (≈ 11.1 B a triangle): the form the serving tier
 	// caches, frames and ships, building soup only for a caller that asks.
 	KeepChunks bool
 	// Trace records a per-stage span trace of the extraction (index query +

@@ -1,8 +1,11 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -178,6 +181,73 @@ func TestKeepChunks(t *testing.T) {
 		}
 		if !slices.Equal(both.PerNode[i].Mesh.Tris, soup.PerNode[i].Mesh.Tris) {
 			t.Errorf("node %d: the soup kept beside chunks differs from the soup kept alone", i)
+		}
+	}
+}
+
+// chunkForms counts the grid and plain chunks of one node's chunk buffer,
+// walking the chunk headers as meshio's layout comment sets them out.
+func chunkForms(t *testing.T, b []byte) (grid, plain int) {
+	t.Helper()
+	le := binary.LittleEndian
+	for len(b) > 0 {
+		verts, tris, layout := le.Uint32(b), le.Uint32(b[4:]), le.Uint32(b[8:])
+		vertSize := uint32(12)
+		if layout&(1<<8) != 0 {
+			vertSize = 8
+			grid++
+		} else {
+			plain++
+		}
+		size := 12 + vertSize*verts + (3*tris*(layout&0xff)+3)&^3
+		if uint32(len(b)) < size {
+			t.Fatalf("chunk of %d bytes in %d", size, len(b))
+		}
+		b = b[size:]
+	}
+	return grid, plain
+}
+
+// TestKeptChunkForms guards the grid property where it is made: every vertex
+// the weld kernel makes lies on a grid edge, so a byte volume's chunks are
+// all grid form (8 bytes a vertex), while an f32 volume with ±Inf samples
+// makes NaN crossings, whose chunks are plain — and decode, like the grid
+// ones, to the kept soup bit for bit.
+func TestKeptChunkForms(t *testing.T) {
+	rm := rmGrid()
+	inf := volume.New(rm.Nx, rm.Ny, rm.Nz, volume.F32)
+	inf.Fill(rm.At)
+	for i := 0; i < rm.Nx*rm.Ny*rm.Nz; i += 1009 {
+		x, y, z := i%rm.Nx, i/rm.Nx%rm.Ny, i/(rm.Nx*rm.Ny)
+		inf.Set(x, y, z, float32(math.Inf(1-2*(i/1009%2))))
+	}
+	for _, tc := range []struct {
+		name  string
+		g     *volume.Grid
+		plain bool
+	}{{"u8", rm, false}, {"f32 with ±Inf samples", inf, true}} {
+		e, err := Build(tc.g, Config{Procs: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.Extract(context.Background(), 128, Options{KeepMeshes: true, KeepChunks: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		grid, plain := 0, 0
+		for i, n := range res.PerNode {
+			g, p := chunkForms(t, n.Chunks)
+			grid, plain = grid+g, plain+p
+			m, err := meshio.DecodeChunks(n.Chunks)
+			if err != nil {
+				t.Fatalf("%s node %d: %v", tc.name, i, err)
+			}
+			if !bytes.Equal(meshio.EncodeBinary(0, m), meshio.EncodeBinary(0, n.Mesh)) {
+				t.Errorf("%s node %d: chunks decode to a soup unlike the kept one", tc.name, i)
+			}
+		}
+		if (plain > 0) != tc.plain || !tc.plain && grid == 0 {
+			t.Errorf("%s: %d grid and %d plain chunks, want plain ones %v", tc.name, grid, plain, tc.plain)
 		}
 	}
 }

@@ -23,8 +23,9 @@ import (
 // no extraction behind it: frames of a chosen size, so the tests below can
 // make a frame's allocation stand out against the HTTP exchange around it.
 // It is welded the way the engine's surfaces are — batches of up to 50 000
-// triangles over 0.64 as many vertices, so 16-bit indices — and its frames
-// hold as many bytes a triangle as real ones.
+// triangles over 0.64 as many vertices, so 16-bit indices, every vertex a
+// fraction along a scattered axis from an integer grid point, so grid-form
+// chunks — and its frames hold as many bytes a triangle as real ones.
 type bigBackend struct{ tris int }
 
 func (b bigBackend) batches(iso float32) []*geom.IndexedMesh {
@@ -33,8 +34,10 @@ func (b bigBackend) batches(iso float32) []*geom.IndexedMesh {
 		n := min(50_000, b.tris-done)
 		im := &geom.IndexedMesh{Verts: make([]geom.Vec3, max(n*16/25, 3)), Idx: make([]uint32, 3*n)}
 		for i := range im.Verts {
-			f := iso + float32(done+i)
-			im.Verts[i] = geom.V(f, 1, -f)
+			k := uint32(done + i)
+			p := [3]float32{float32(k % 128), float32(k / 128 % 128), float32(k / 16384)}
+			p[k*2654435761>>16%3] += iso / 16
+			im.Verts[i] = geom.V(p[0], p[1], p[2])
 		}
 		for i := range im.Idx {
 			im.Idx[i] = uint32((i/3*16/25 + i%3) % len(im.Verts))
@@ -343,7 +346,7 @@ func allocPerRequest(t testing.TB, n int, query func() error) float64 {
 // Router.Query, whose caller keeps a mesh, pays one soup of its own and no
 // frame (it recycles the frame it decoded from before it returns).
 func TestRecycleZeroAllocSteadyState(t *testing.T) {
-	const iso, tris = 5, 700_000
+	const iso, tris = 5, 800_000
 	c := startBigCluster(t, 1, tris, RouterConfig{})
 	frame, soup := float64(len(bigBackend{tris}.frame(iso))), float64(36*tris)
 	if frame < 8<<20 {

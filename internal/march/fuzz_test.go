@@ -73,6 +73,13 @@ func checkWeldAgainstSoup(t *testing.T, w *Welder, l metacell.Layout, m *metacel
 		t.Fatalf("span %d %v iso %v: Record: %v", l.Span, l.Fmt, iso, err)
 	}
 	checkWelded(t, fmt.Sprintf("span %d %v record, iso %v", l.Span, l.Fmt, iso), out, nv0, ni0, got, wantActive, want, &soup)
+	if finiteCrossings(m.Samples, iso) {
+		for i, v := range out.Verts[nv0:] {
+			if !onGridEdge(v) {
+				t.Fatalf("span %d %v record, iso %v: vertex %d %v (%x) is on no grid edge", l.Span, l.Fmt, iso, i, v, bitsOf(v))
+			}
+		}
+	}
 
 	nv0, ni0 = len(out.Verts), len(out.Idx)
 	got = w.Metacell(l, m, iso, out)
@@ -115,6 +122,35 @@ func checkWelded(t *testing.T, name string, out *geom.IndexedMesh, nv0, ni0, got
 	if len(verts) != wantVerts {
 		t.Fatalf("%s: %d vertices for %d cut grid edges", name, len(verts), wantVerts)
 	}
+}
+
+// finiteCrossings reports whether every crossing a weld of samples at iso
+// can make has a finite fraction: the samples and the isovalue are within
+// half the float32 range, so no difference of two of them overflows. Every
+// u8 and u16 sample is; an f32 record may hold ±Inf or NaN, or finite values
+// a range apart whose difference overflows to an Inf — and ∞/∞ is NaN.
+func finiteCrossings(samples []float32, iso float32) bool {
+	const half = math.MaxFloat32 / 2
+	for _, s := range samples {
+		if !(math.Abs(float64(s)) <= half) {
+			return false
+		}
+	}
+	return math.Abs(float64(iso)) <= half || math.IsNaN(float64(iso))
+}
+
+// onGridEdge reports whether two of v's coordinates are integers in
+// [0, 2¹⁴), bit for bit (−0 is not): the grid property meshio's 8-byte grid
+// vertices rely on (meshio/chunk.go), which the crossing of a finite
+// fraction along one axis from an integer grid point has.
+func onGridEdge(v geom.Vec3) bool {
+	n := 0
+	for _, c := range [3]float32{v.X, v.Y, v.Z} {
+		if c >= 0 && c < 1<<14 && !math.Signbit(float64(c)) && float64(c) == math.Trunc(float64(c)) {
+			n++
+		}
+	}
+	return n >= 2
 }
 
 func bitsOf(p geom.Vec3) [3]uint32 {
@@ -183,7 +219,8 @@ func fuzzSamples(span int, fm volume.Format, data []byte) []float32 {
 // the soup triangulator: arbitrary sample blocks in each format's value
 // range, welded from their encoded u8, u16 or f32 record (Welder.Record) and
 // from the decoded samples (Welder.Metacell) while the soup reads the decoded
-// samples; spans 2..70 on both sides of the one-word mask limit, metacells
+// samples — and every vertex a record of finite crossings welds to on a grid
+// edge; spans 2..70 on both sides of the one-word mask limit, metacells
 // anywhere in a 2×2×2 layout whose volume cuts them short on any subset of
 // axes, any isovalue bit pattern — NaN, ±Inf, negative, fractional, equal to
 // a sample, past the format's range. (Whole metacells of the large spans are

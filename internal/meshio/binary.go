@@ -5,7 +5,8 @@ package meshio
 // single length-prefixed frame so it can be written straight onto a socket
 // or carried as an HTTP body, and strict enough that a decoder facing
 // untrusted bytes either returns the exact mesh that was encoded or an
-// error — never a panic, and never an allocation of more than 6× the input.
+// error — never a panic, and never an allocation of more than 7.5× the input
+// (a soup of at most 6×, a version 2 vertex scratch of at most 1.5×).
 //
 // Layout (all fields little-endian), shared by both versions:
 //
@@ -35,7 +36,7 @@ package meshio
 // extraction (geom.IndexedMesh), in node order and then record order —
 // chunk.go has the chunk layout. Its triangles are T in all, and expanding
 // every chunk in order gives the version 1 payload of the same surface bit
-// for bit, at ≈ 13.7 instead of 36 bytes per triangle. The serving tier
+// for bit, at ≈ 11.1 instead of 36 bytes per triangle. The serving tier
 // caches, sends and verifies version 2 (Seal); soup is built only by the
 // decoders, for a caller that asks for a geom.Mesh.
 import (
@@ -217,6 +218,9 @@ type header struct {
 	iso     float32
 	tris    int
 	payload []byte // soup (version 1) or chunks (version 2); the trailer excluded
+	// maxVerts is the most vertices a version 2 chunk holds: the size of
+	// the decoders' vertex scratch.
+	maxVerts int
 }
 
 func decodeHeader(data []byte) (h header, err error) {
@@ -253,13 +257,14 @@ func decodeHeader(data []byte) (h header, err error) {
 				count, len(h.payload), uint64(count)*binTriSize)
 		}
 	} else {
-		tris, err := walkChunks(h.payload)
+		tris, maxVerts, err := walkChunks(h.payload)
 		if err != nil {
 			return h, err
 		}
 		if uint64(tris) != uint64(count) {
 			return h, binErr("%d triangles declared, chunks hold %d", count, tris)
 		}
+		h.maxVerts = maxVerts
 	}
 	h.iso = math.Float32frombits(binary.LittleEndian.Uint32(data[12:]))
 	h.tris = int(count)
@@ -309,8 +314,10 @@ func checkTrailer(data []byte, got uint32) error {
 // mesh of its own: a version 1 payload is copied, a version 2 frame's chunks
 // are gathered into one soup of exactly T triangles. Truncated, oversized,
 // or corrupt frames error with ErrBinaryFormat (checksum mismatches also with
-// ErrChecksum); a successful decode allocates only the triangle slice, at
-// most 6× len(data) since no chunk holds a triangle in under 6 bytes.
+// ErrChecksum); a decode allocates the triangle slice, at most 6× len(data)
+// since no chunk holds a triangle in under 6 bytes, and for a version 2
+// frame one vertex scratch the size of its largest chunk's vertices, at most
+// 1.5× len(data) since a grid vertex expands to 12 bytes from 8.
 func DecodeBinary(data []byte) (*geom.Mesh, float32, error) {
 	return decode(data, false, false)
 }
@@ -357,7 +364,7 @@ func decode(data []byte, verified, view bool) (*geom.Mesh, float32, error) {
 	var tris []geom.Triangle
 	switch {
 	case h.version == ChunkedVersion:
-		if tris, err = gatherChunks(h.payload, h.tris); err != nil {
+		if tris, err = gatherChunks(h.payload, h.tris, h.maxVerts); err != nil {
 			return nil, 0, err
 		}
 	case view:

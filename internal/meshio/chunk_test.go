@@ -5,7 +5,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"maps"
+	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -51,12 +54,104 @@ func sealed(iso float32, nodes ...[]byte) []byte {
 	return buf.Bytes()
 }
 
-// portableChunked encodes batches as a version 2 frame component by
-// component, straight from the layout comment in chunk.go, with no view and
-// no helper of the codec's but the fixed header: the oracle Seal and
-// PutChunk are held to.
-func portableChunked(iso float32, flags uint16, batches ...*geom.IndexedMesh) []byte {
+// gridBatch is a welded batch the way the weld kernel makes them: every
+// vertex a fraction along a pseudo-random axis from an integer point of a
+// grid 2¹⁴ samples a side — or, one in eight, the point itself — the
+// indices testBatch's, deterministic in seed.
+func gridBatch(tris, verts int, seed uint32) *geom.IndexedMesh {
+	im := testBatch(tris, verts, seed)
+	x := seed*2246822519 + 7
+	for i := range im.Verts {
+		x = x*1664525 + 1013904223
+		p := [3]float32{float32(x >> 3 % (1 << 14)), float32(x >> 9 % 256), float32(x >> 17 % (1 << 14))}
+		if x>>29 != 0 {
+			p[x>>13%3] += float32(x&0xff+1) / 257
+		}
+		im.Verts[i] = geom.V(p[0], p[1], p[2])
+	}
+	return im
+}
+
+// oracleGridInt is chunk.go's "integer in [0, 2¹⁴), bit for bit", read
+// without the codec's conversion trick: −0 and NaN fail the sign and the
+// comparison.
+func oracleGridInt(f float32) bool {
+	return f >= 0 && f < 1<<14 && !math.Signbit(float64(f)) && float64(f) == math.Trunc(float64(f))
+}
+
+// gridOthers are, for each axis, the two other axes in order.
+var gridOthers = [3][2]int{{1, 2}, {0, 2}, {0, 1}}
+
+// oracleGridAxis is the lowest axis whose two other coordinates are grid
+// integers; ok is false when there is none.
+func oracleGridAxis(v geom.Vec3) (axis int, ok bool) {
+	c := [3]float32{v.X, v.Y, v.Z}
+	for a, o := range gridOthers {
+		if oracleGridInt(c[o[0]]) && oracleGridInt(c[o[1]]) {
+			return a, true
+		}
+	}
+	return 0, false
+}
+
+// oracleGrid is the chunk form rule: grid when every vertex is a grid vertex.
+func oracleGrid(verts []geom.Vec3) bool {
+	for _, v := range verts {
+		if _, ok := oracleGridAxis(v); !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// portableChunk appends im's chunk to payload component by component,
+// straight from the layout comment in chunk.go, in the form the rule gives
+// unless plain forces 12-byte vertices: a chunk no encoder may write.
+func portableChunk(payload []byte, im *geom.IndexedMesh, plain bool) []byte {
 	le := binary.LittleEndian
+	width := 2
+	if len(im.Verts) > 65536 {
+		width = 4
+	}
+	grid := !plain && oracleGrid(im.Verts)
+	layout := uint32(width)
+	if grid {
+		layout |= 1 << 8
+	}
+	payload = le.AppendUint32(payload, uint32(len(im.Verts)))
+	payload = le.AppendUint32(payload, uint32(im.Len()))
+	payload = le.AppendUint32(payload, layout)
+	for _, v := range im.Verts {
+		if !grid {
+			var rec [12]byte
+			putVec(rec[:], v)
+			payload = append(payload, rec[:]...)
+			continue
+		}
+		a, _ := oracleGridAxis(v)
+		c := [3]float32{v.X, v.Y, v.Z}
+		o := gridOthers[a]
+		payload = le.AppendUint16(payload, uint16(c[o[0]])|uint16(a)<<14)
+		payload = le.AppendUint16(payload, uint16(c[o[1]]))
+		payload = le.AppendUint32(payload, math.Float32bits(c[a]))
+	}
+	for _, x := range im.Idx[:3*im.Len()] {
+		if width == 2 {
+			payload = le.AppendUint16(payload, uint16(x))
+		} else {
+			payload = le.AppendUint32(payload, x)
+		}
+	}
+	for len(payload)%4 != 0 {
+		payload = append(payload, 0)
+	}
+	return payload
+}
+
+// portableChunked encodes batches as a version 2 frame with portableChunk,
+// with no view and no helper of the codec's but the fixed header: the oracle
+// Seal and PutChunk are held to.
+func portableChunked(iso float32, flags uint16, batches ...*geom.IndexedMesh) []byte {
 	var payload []byte
 	tris := 0
 	for _, im := range batches {
@@ -64,33 +159,12 @@ func portableChunked(iso float32, flags uint16, batches ...*geom.IndexedMesh) []
 			continue
 		}
 		tris += im.Len()
-		width := 2
-		if len(im.Verts) > 65536 {
-			width = 4
-		}
-		payload = le.AppendUint32(payload, uint32(len(im.Verts)))
-		payload = le.AppendUint32(payload, uint32(im.Len()))
-		payload = le.AppendUint32(payload, uint32(width))
-		for _, v := range im.Verts {
-			var rec [12]byte
-			putVec(rec[:], v)
-			payload = append(payload, rec[:]...)
-		}
-		for _, x := range im.Idx[:3*im.Len()] {
-			if width == 2 {
-				payload = le.AppendUint16(payload, uint16(x))
-			} else {
-				payload = le.AppendUint32(payload, x)
-			}
-		}
-		for len(payload)%4 != 0 {
-			payload = append(payload, 0)
-		}
+		payload = portableChunk(payload, im, false)
 	}
 	hdr := frameHeader(ChunkedVersion, iso, flags, tris, len(payload))
 	out := append(hdr[:], payload...)
 	if flags&FlagChecksum != 0 {
-		out = le.AppendUint32(out, crc32.Checksum(out[binPrefixSize:], crcTable))
+		out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(out[binPrefixSize:], crcTable))
 	}
 	return out
 }
@@ -99,6 +173,7 @@ func portableChunked(iso float32, flags uint16, batches ...*geom.IndexedMesh) []
 // read component by component. It trusts parseChunk for the structure only.
 func parseBatches(t *testing.T, payload []byte) []*geom.IndexedMesh {
 	t.Helper()
+	le := binary.LittleEndian
 	var out []*geom.IndexedMesh
 	for len(payload) > 0 {
 		c, err := parseChunk(payload)
@@ -107,13 +182,23 @@ func parseBatches(t *testing.T, payload []byte) []*geom.IndexedMesh {
 		}
 		im := &geom.IndexedMesh{Verts: make([]geom.Vec3, c.verts), Idx: make([]uint32, 3*c.tris)}
 		for i := range im.Verts {
-			im.Verts[i] = getVec(c.vb[12*i:])
+			if !c.grid {
+				im.Verts[i] = getVec(c.vb[12*i:])
+				continue
+			}
+			first, second := le.Uint16(c.vb[8*i:]), le.Uint16(c.vb[8*i+2:])
+			a := int(first >> 14)
+			var v [3]float32
+			v[a] = math.Float32frombits(le.Uint32(c.vb[8*i+4:]))
+			v[gridOthers[a][0]] = float32(first & (1<<14 - 1))
+			v[gridOthers[a][1]] = float32(second)
+			im.Verts[i] = geom.V(v[0], v[1], v[2])
 		}
 		for i := range im.Idx {
 			if c.width == 2 {
-				im.Idx[i] = uint32(binary.LittleEndian.Uint16(c.ib[2*i:]))
+				im.Idx[i] = uint32(le.Uint16(c.ib[2*i:]))
 			} else {
-				im.Idx[i] = binary.LittleEndian.Uint32(c.ib[4*i:])
+				im.Idx[i] = le.Uint32(c.ib[4*i:])
 			}
 		}
 		out = append(out, im)
@@ -150,6 +235,14 @@ var batchCases = []struct {
 		{},
 		{{}, testBatch(1, 3, 7), testBatch(4099, 2600, 8)},
 	}},
+	{"grid, one batch", [][]*geom.IndexedMesh{{gridBatch(7, 9, 21)}}},
+	{"grid, exactly 65536 vertices: 16-bit", [][]*geom.IndexedMesh{{gridBatch(5, 65536, 22)}}},
+	{"grid, 65537 vertices: 32-bit", [][]*geom.IndexedMesh{{gridBatch(3, 65537, 23)}}},
+	{"grid and plain batches in every node", [][]*geom.IndexedMesh{
+		{gridBatch(3, 4, 24), testBatch(2, 3, 25), gridBatch(4099, 2600, 26)},
+		{},
+		{testBatch(6, 6, 27), {}, gridBatch(11, 20, 28)},
+	}},
 }
 
 // sealCase seals one case's nodes and returns the frame, the oracle frame
@@ -164,14 +257,20 @@ func sealCase(nodes [][]*geom.IndexedMesh) (frame, oracle []byte, batches []*geo
 }
 
 // TestSealedFrameBytesEqualPortableEncoding: what a sealed frame writes is
-// the layout comment's encoding, byte for byte — both index widths, nodes
-// and batches with nothing in them, chunks of odd and even triangle counts —
-// and its length, verification and header agree.
+// the layout comment's encoding, byte for byte — both index widths, both
+// vertex forms, nodes and batches with nothing in them, chunks of odd and
+// even triangle counts — and its length, verification and header agree.
 func TestSealedFrameBytesEqualPortableEncoding(t *testing.T) {
+	forms := map[bool]int{}
 	for _, tc := range batchCases {
 		got, want, batches := sealCase(tc.nodes)
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s: sealed frame's %d bytes differ from the portable encoding's %d", tc.name, len(got), len(want))
+		}
+		for _, im := range batches {
+			if im.Len() > 0 {
+				forms[oracleGrid(im.Verts)]++
+			}
 		}
 		bufs := make([][]byte, len(tc.nodes))
 		for i, node := range tc.nodes {
@@ -191,6 +290,9 @@ func TestSealedFrameBytesEqualPortableEncoding(t *testing.T) {
 		if !IsChunked(got) {
 			t.Errorf("%s: sealed frame is not version 2", tc.name)
 		}
+	}
+	if forms[true] == 0 || forms[false] == 0 {
+		t.Errorf("the cases hold %d grid and %d plain chunks: both forms must be covered", forms[true], forms[false])
 	}
 }
 
@@ -249,13 +351,41 @@ func TestChunkedDecodeOwnsItsSoup(t *testing.T) {
 	}
 }
 
+// gridCorners is a grid batch whose vertices take each axis, the last one
+// all integers (axis 0, its crossing a grid integer): the frame the grid
+// mutations break.
+func gridCorners() *geom.IndexedMesh {
+	return &geom.IndexedMesh{
+		Verts: []geom.Vec3{geom.V(0.5, 3, 4), geom.V(2, 7.25, 9), geom.V(1, 2, 3.5), geom.V(5, 6, 7)},
+		Idx:   []uint32{0, 1, 2, 1, 2, 3},
+	}
+}
+
+// gridOddities is a grid batch whose crossings are bit patterns a codec
+// that moved values, or read −0 as an integer, would get wrong: NaN on axis
+// 0 and 2, −0 on axes 0 and 1, +Inf. Every vertex is still a grid vertex.
+func gridOddities() *geom.IndexedMesh {
+	f := math.Float32frombits
+	return &geom.IndexedMesh{
+		Verts: []geom.Vec3{
+			{X: f(0x7fc00001), Y: 3, Z: 4}, // NaN crossing, axis 0
+			{X: 3, Y: f(0x80000000), Z: 4}, // −0 crossing: axis 1, not 0
+			{X: 1, Y: 2, Z: f(0xffc00000)}, // NaN crossing, axis 2
+			{X: f(0x80000000), Y: 0, Z: 0}, // −0 crossing, axis 0
+			{X: 9, Y: float32(math.Inf(1)), Z: 16383},
+		},
+		Idx: []uint32{0, 1, 2, 2, 3, 4, 4, 0, 1},
+	}
+}
+
 // v2Mutations are version 2 frames broken one way each, resealed so the CRC
-// passes and only the structure (or an index) is at fault.
+// passes and only the structure, a vertex or an index is at fault.
 func v2Mutations() map[string][]byte {
 	im := testBatch(5, 6, 11)
 	good := portableChunked(3, FlagChecksum, im, testBatch(2, 4, 12))
-	reseal := func(f func(b []byte) []byte) []byte {
-		b := f(append([]byte(nil), good...))
+	grid := portableChunked(3, FlagChecksum, gridCorners())
+	reseal := func(from []byte, f func(b []byte) []byte) []byte {
+		b := f(append([]byte(nil), from...))
 		binary.LittleEndian.PutUint32(b[0:], uint32(len(b)-binPrefixSize))
 		sum := crc32.Checksum(b[binPrefixSize:len(b)-binCRCSize], crcTable)
 		binary.LittleEndian.PutUint32(b[len(b)-binCRCSize:], sum)
@@ -263,31 +393,53 @@ func v2Mutations() map[string][]byte {
 	}
 	first := binMinFrame // the first chunk's header
 	idx := first + chunkHeaderSize + 12*6
+	gv := func(i int) int { return first + chunkHeaderSize + 8*i } // grid vertex i
+	plainGrid := frameHeader(ChunkedVersion, 3, FlagChecksum, 2, 0)
 	return map[string][]byte{
-		"header counts a triangle more":  reseal(func(b []byte) []byte { b[16]++; return b }),
-		"header counts a triangle less":  reseal(func(b []byte) []byte { b[16]--; return b }),
-		"chunk counts a triangle more":   reseal(func(b []byte) []byte { b[first+4]++; return b }),
-		"chunk counts a vertex more":     reseal(func(b []byte) []byte { b[first]++; return b }),
-		"chunk of no triangles":          reseal(func(b []byte) []byte { b[first+4] = 0; return b }),
-		"32-bit indices for 6 vertices":  reseal(func(b []byte) []byte { b[first+8] = 4; return b }),
-		"an index equal to the vertices": reseal(func(b []byte) []byte { b[idx] = 6; b[idx+1] = 0; return b }),
-		"an index past the vertices":     reseal(func(b []byte) []byte { b[idx+1] = 0xff; return b }),
-		"non-zero padding":               reseal(func(b []byte) []byte { b[idx+30] = 1; return b }),
-		"a trailing partial chunk header": reseal(func(b []byte) []byte {
+		"header counts a triangle more":  reseal(good, func(b []byte) []byte { b[16]++; return b }),
+		"header counts a triangle less":  reseal(good, func(b []byte) []byte { b[16]--; return b }),
+		"chunk counts a triangle more":   reseal(good, func(b []byte) []byte { b[first+4]++; return b }),
+		"chunk counts a vertex more":     reseal(good, func(b []byte) []byte { b[first]++; return b }),
+		"chunk of no triangles":          reseal(good, func(b []byte) []byte { b[first+4] = 0; return b }),
+		"32-bit indices for 6 vertices":  reseal(good, func(b []byte) []byte { b[first+8] = 4; return b }),
+		"an index equal to the vertices": reseal(good, func(b []byte) []byte { b[idx] = 6; b[idx+1] = 0; return b }),
+		"an index past the vertices":     reseal(good, func(b []byte) []byte { b[idx+1] = 0xff; return b }),
+		"non-zero padding":               reseal(good, func(b []byte) []byte { b[idx+30] = 1; return b }),
+		"a trailing partial chunk header": reseal(good, func(b []byte) []byte {
 			return append(b[:len(b)-binCRCSize], 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0) // 8 bytes, then the trailer's room
 		}),
+		"grid bit on a plain chunk":    reseal(good, func(b []byte) []byte { b[first+9] |= 1; return b }),
+		"layout word, bit 9 set":       reseal(grid, func(b []byte) []byte { b[first+9] |= 2; return b }),
+		"layout word, bit 31 set":      reseal(grid, func(b []byte) []byte { b[first+11] |= 0x80; return b }),
+		"grid vertex of axis 3":        reseal(grid, func(b []byte) []byte { b[gv(0)+1] |= 0xc0; return b }),
+		"grid axis a lower one fits":   reseal(grid, func(b []byte) []byte { b[gv(3)+1] = b[gv(3)+1]&0x3f | 0x40; return b }),
+		"grid integer of 2^14":         reseal(grid, func(b []byte) []byte { b[gv(0)+3] |= 0x40; return b }),
+		"grid index past the vertices": reseal(grid, func(b []byte) []byte { b[gv(4)] = 4; return b }),
+		"plain chunk of grid vertices": reseal(append(plainGrid[:], portableChunk(nil, gridCorners(), true)...),
+			func(b []byte) []byte { return append(b, 0, 0, 0, 0) }), // the trailer's room
 	}
 }
 
+// gatherOnly names the mutations only a decode sees: a vertex or an index
+// off its rule, which the structural walk does not read.
+var gatherOnly = map[string]bool{
+	"an index equal to the vertices": true,
+	"an index past the vertices":     true,
+	"grid vertex of axis 3":          true,
+	"grid axis a lower one fits":     true,
+	"grid integer of 2^14":           true,
+	"grid index past the vertices":   true,
+	"plain chunk of grid vertices":   true,
+}
+
 // TestChunkedDecodeRejectsMalformedChunks: with the CRC intact, every
-// structural lie and every out-of-range index is ErrBinaryFormat — from the
-// header peek and VerifyBinary where the structure lies, from every decoder
-// in all cases.
+// structural lie, every vertex off its form's rule and every out-of-range
+// index is ErrBinaryFormat — from the header peek and VerifyBinary where the
+// structure lies, from every decoder in all cases.
 func TestChunkedDecodeRejectsMalformedChunks(t *testing.T) {
 	for name, frame := range v2Mutations() {
 		_, _, herr := DecodeBinaryHeader(frame)
-		index := name == "an index equal to the vertices" || name == "an index past the vertices"
-		if index != (herr == nil) {
+		if gatherOnly[name] != (herr == nil) {
 			t.Errorf("%s: header peek err = %v", name, herr)
 		}
 		if _, _, err := DecodeBinary(frame); !errors.Is(err, ErrBinaryFormat) || errors.Is(err, ErrChecksum) {
@@ -299,22 +451,139 @@ func TestChunkedDecodeRejectsMalformedChunks(t *testing.T) {
 	}
 }
 
-// TestChunkedDecodeAllocationBound: a decode allocates at most 6× the
-// frame's bytes, accepted or not — the soup is sized from counts the
-// structure has already held to the bytes.
+// TestGridOdditiesRoundTrip: NaN and −0 crossings are grid vertices whose
+// bits survive the trip, and −0 on axis 1 is not mistaken for an integer
+// that would make axis 0 fit.
+func TestGridOdditiesRoundTrip(t *testing.T) {
+	im := gridOddities()
+	if ChunkLen(im) != chunkHeaderSize+8*len(im.Verts)+20 {
+		t.Fatalf("ChunkLen = %d, want the grid form's %d", ChunkLen(im), chunkHeaderSize+8*len(im.Verts)+20)
+	}
+	frame, want, _ := sealCase([][]*geom.IndexedMesh{{im}})
+	if !bytes.Equal(frame, want) {
+		t.Fatal("sealed frame differs from the portable encoding")
+	}
+	m, _, err := DecodeBinary(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(putTris(nil, m.Tris), putTris(nil, im.ExpandSoup().Tris)) {
+		t.Fatal("decoded soup differs from the batch's ExpandSoup")
+	}
+}
+
+// TestChunkedDecodeAllocationBound: a decode allocates a soup of at most 6×
+// the frame's bytes plus a vertex scratch of at most 1.5× them, accepted or
+// not — both are sized from counts the structure has already held to the
+// bytes. An accepted frame's soup is its triangles, so the rest is the
+// scratch and is measured against its own bound.
 func TestChunkedDecodeAllocationBound(t *testing.T) {
 	frames := v2Mutations()
 	for _, tc := range batchCases {
 		frames[tc.name], _, _ = sealCase(tc.nodes)
 	}
+	const slack = 1024 // the Mesh and an error
+	// scratch is the vertex scratch's bound for n frame bytes; the allocator
+	// rounds a large object (over 32 KiB) up to whole 8 KiB pages.
+	scratch := func(n uint64) uint64 {
+		b := 3 * n / 2
+		if b > 32<<10 {
+			b += 8 << 10
+		}
+		return b
+	}
 	var ms runtime.MemStats
 	for name, frame := range frames {
 		runtime.ReadMemStats(&ms)
 		before := ms.TotalAlloc
-		DecodeBinary(frame) //nolint:errcheck // only the allocation is measured
+		m, _, err := DecodeBinary(frame)
 		runtime.ReadMemStats(&ms)
-		if got := ms.TotalAlloc - before; got > 6*uint64(len(frame))+1024 {
-			t.Errorf("%s: decoding %d bytes allocated %d", name, len(frame), got)
+		got, n := ms.TotalAlloc-before, uint64(len(frame))
+		if err != nil {
+			if got > 6*n+scratch(n)+slack {
+				t.Errorf("%s: rejecting %d bytes allocated %d", name, n, got)
+			}
+			continue
+		}
+		soup := uint64(36 * len(m.Tris))
+		if soup > 6*n || got-min(got, soup) > scratch(n)+slack {
+			t.Errorf("%s: decoding %d bytes allocated a %d-byte soup and %d bytes besides", name, n, soup, got-min(got, soup))
 		}
 	}
+}
+
+// withGridKernel runs f with the vector grid kernel on or off.
+func withGridKernel(vector bool, f func()) {
+	defer func(was bool) { gridAVX2 = was }(gridAVX2)
+	gridAVX2 = vector
+	f()
+}
+
+// TestGridKernelMatchesPortableLoop holds the vector kernel to the portable
+// loop: vertex for vertex, by bits, on grid chunks of every length around the
+// eight-vertex block, and verdict for verdict with one vertex in each lane
+// off the rule — or on it in a way only bits tell apart.
+func TestGridKernelMatchesPortableLoop(t *testing.T) {
+	if !gridAVX2 {
+		t.Skip("no vector grid kernel on this host")
+	}
+	le := binary.LittleEndian
+	vertex := func(first, second uint16, crossing uint32) func(v []byte) {
+		return func(v []byte) {
+			le.PutUint16(v, first)
+			le.PutUint16(v[2:], second)
+			le.PutUint32(v[4:], crossing)
+		}
+	}
+	f32 := math.Float32bits
+	lanes := map[string]struct {
+		set func(v []byte)
+		ok  bool
+	}{
+		"axis 3":                        {func(v []byte) { v[1] |= 0xc0 }, false},
+		"second integer 2^14":           {func(v []byte) { v[3] |= 0x40 }, false},
+		"integer crossing on axis 1":    {vertex(3|1<<14, 4, f32(5)), false},
+		"integer crossing on axis 2":    {vertex(3|2<<14, 16383, f32(0)), false},
+		"integer crossing on axis 0":    {vertex(3, 4, f32(16383)), true},
+		"NaN crossing on axis 2":        {vertex(3|2<<14, 4, 0x7fc00001), true},
+		"−0 crossing on axis 1":         {vertex(3|1<<14, 4, 0x80000000), true},
+		"16384 crossing on axis 1":      {vertex(3|1<<14, 4, f32(16384)), true},
+		"16383.5 crossing on axis 2":    {vertex(3|2<<14, 4, f32(16383.5)), true},
+		"−3 crossing on axis 2":         {vertex(2<<14, 0, f32(-3)), true},
+		"+Inf crossing on axis 1":       {vertex(1<<14, 1, f32(float32(math.Inf(1)))), true},
+		"denormal crossing on axis 1":   {vertex(1<<14, 1, 1), true},
+		"largest integers on each axis": {vertex(16383|2<<14, 16383, f32(0.5)), true},
+	}
+	expand := func(vector bool, vb []byte) (verts []geom.Vec3, ok bool) {
+		verts = make([]geom.Vec3, len(vb)/8)
+		withGridKernel(vector, func() { ok = expandGrid(verts, vb) })
+		return verts, ok
+	}
+	for n := 1; n <= 33; n++ {
+		vb := chunkBuf(gridBatch(1, n, uint32(n)))[chunkHeaderSize:][:8*n]
+		want, wok := expand(false, vb)
+		got, gok := expand(true, vb)
+		if !wok || !gok || !slices.EqualFunc(got, want, func(a, b geom.Vec3) bool { return bitsOf(a) == bitsOf(b) }) {
+			t.Fatalf("%d vertices: the kernels disagree (ok %v, %v)", n, gok, wok)
+		}
+		for _, name := range slices.Sorted(maps.Keys(lanes)) {
+			lane := lanes[name]
+			for i := 0; i < n; i++ {
+				bad := append([]byte(nil), vb...)
+				lane.set(bad[8*i:])
+				want, wok := expand(false, bad)
+				got, gok := expand(true, bad)
+				if wok != lane.ok || gok != lane.ok {
+					t.Fatalf("%d vertices, %s in vertex %d: portable ok %v, vector ok %v, want %v", n, name, i, wok, gok, lane.ok)
+				}
+				if lane.ok && !slices.EqualFunc(got, want, func(a, b geom.Vec3) bool { return bitsOf(a) == bitsOf(b) }) {
+					t.Fatalf("%d vertices, %s in vertex %d: the kernels expand different vertices", n, name, i)
+				}
+			}
+		}
+	}
+}
+
+func bitsOf(v geom.Vec3) [3]uint32 {
+	return [3]uint32{math.Float32bits(v.X), math.Float32bits(v.Y), math.Float32bits(v.Z)}
 }

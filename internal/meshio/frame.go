@@ -31,7 +31,7 @@ func Seal(iso float32, chunks ...[]byte) *Frame {
 		if len(part) == 0 {
 			continue
 		}
-		n, err := walkChunks(part)
+		n, _, err := walkChunks(part)
 		if err != nil {
 			panic("meshio: Seal of bytes that are not chunks: " + err.Error())
 		}

@@ -188,11 +188,13 @@ func TestDecodeBinaryViewVerifiesUnlessVouchedFor(t *testing.T) {
 
 // TestForeignHostPathsProduceTheSameBytes runs the codec the way a host
 // whose triangle layout is not the wire layout would — every view refused,
-// every path per-component — and holds it to the same bytes and the same
-// triangles, version 1 and 2. Not parallel: it flips the package's layout
-// verdict.
+// every path per-component, grid vertices through the portable loop — and
+// holds it to the same bytes and the same triangles, version 1 and 2, plain
+// and grid chunks. Not parallel: it flips the package's layout and kernel
+// verdicts.
 func TestForeignHostPathsProduceTheSameBytes(t *testing.T) {
-	defer func(was bool) { hostIsWire = was }(hostIsWire)
+	defer func(was, avx2 bool) { hostIsWire, gridAVX2 = was, avx2 }(hostIsWire, gridAVX2)
+	native := gridAVX2
 	for _, tc := range frameCases {
 		hostIsWire = true
 		want := EncodeBinaryChecksum(42, tc.meshes...)
@@ -218,14 +220,14 @@ func TestForeignHostPathsProduceTheSameBytes(t *testing.T) {
 		}
 	}
 	for _, tc := range batchCases {
-		hostIsWire = true
+		hostIsWire, gridAVX2 = true, native
 		want, _, batches := sealCase(tc.nodes)
 		wantMesh, _, err := DecodeBinary(want)
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		hostIsWire = false
+		hostIsWire, gridAVX2 = false, false
 		got, _, _ := sealCase(tc.nodes)
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s: per-component PutChunk writes different bytes", tc.name)

@@ -70,6 +70,13 @@ func frameSeeds() [][]byte {
 	add(portableChunked(7, 0))
 	add(portableChunked(-1, 0, testBatch(4, 5, 5)))
 	add(v2[:len(v2)-3])
+	// Grid form: chunks of every axis, NaN, −0 and +Inf crossings (accepted,
+	// bits kept), grid and plain chunks in one node, and the grid rule's
+	// breaches under a valid CRC (among v2Mutations).
+	grid, _, _ := sealCase([][]*geom.IndexedMesh{{gridCorners(), testBatch(2, 3, 13)}, {gridBatch(9, 12, 14)}})
+	add(grid)
+	add(portableChunked(2, FlagChecksum, gridOddities()))
+	add(portableChunked(2, 0, gridBatch(4, 5, 15), gridOddities()))
 	for _, name := range slices.Sorted(maps.Keys(v2Mutations())) {
 		add(v2Mutations()[name])
 	}
@@ -80,9 +87,10 @@ func frameSeeds() [][]byte {
 // input: it must return ErrBinaryFormat (never panic, never tolerate a
 // malformed frame), and whatever it does accept must re-encode to the exact
 // input bytes — so the fuzzer proves accepted frames are canonical, not
-// merely survivable. The decoder allocates at most 6× len(input), enforced
+// merely survivable. The decoder's soup is at most 6× len(input), enforced
 // structurally (triangle counts are validated against the bytes before the
-// soup is made).
+// soup is made); its vertex scratch, at most 1.5×, is
+// TestChunkedDecodeAllocationBound's.
 //
 // Every decoder answers to it: the bulk-copy DecodeBinary, the aliasing
 // DecodeBinaryView (CRC run here or vouched for by the caller) and the
@@ -90,114 +98,240 @@ func frameSeeds() [][]byte {
 // 1 frame's oracle is getTris; a version 2 frame's is the differential
 // against soup — its chunks read back as batches (parseBatches), re-encoded
 // by portableChunked to the input, and their ExpandSoups, concatenated, are
-// what every decoder must return. The view must fall back to a private copy
-// — not a misaligned pointer — when the same frame sits at byte offsets 1–3
-// of a larger buffer, and never alias a version 2 frame.
+// what every decoder must return; portableChunked re-encodes each batch in
+// the form the rule gives it, so an accepted chunk of either form is the
+// one encoding of its batch. On a host with the vector grid kernel, the
+// portable loop must accept the same frames and expand them to the same bits;
+// TestDecodeSeedsWithPortableLoop runs every seed on the portable loop alone,
+// as a host without the kernel does. The view must fall back to a private
+// copy — not a misaligned pointer — when the same frame sits at byte offsets
+// 1–3 of a larger buffer, and never alias a version 2 frame.
 func FuzzDecodeBinary(f *testing.F) {
 	for _, seed := range frameSeeds() {
 		f.Add(seed)
 	}
+	f.Fuzz(checkDecodeBinary)
+}
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, iso, err := DecodeBinary(data)
-		// The view skips only the CRC when told to: structure is checked on
-		// every path, so it errors when the header peek does — and past it
-		// only on a version 2 index, which the peek does not read.
-		_, _, herr := DecodeBinaryHeader(data)
-		_, _, verr := DecodeBinaryView(data, true)
-		if herr != nil && verr == nil || herr == nil && verr != nil && !(IsChunked(data) && errors.Is(verr, ErrBinaryFormat)) {
-			t.Fatalf("pre-verified view: err %v, header peek: err %v", verr, herr)
+// TestDecodeSeedsWithPortableLoop holds FuzzDecodeBinary's seeds to its
+// contract with the vector grid kernel off, so the portable loop answers for
+// every grid chunk, on any host.
+func TestDecodeSeedsWithPortableLoop(t *testing.T) {
+	withGridKernel(false, func() {
+		for i, seed := range frameSeeds() {
+			t.Run(fmt.Sprint(i), func(t *testing.T) { checkDecodeBinary(t, seed) })
 		}
-		if err != nil {
-			if !errors.Is(err, ErrBinaryFormat) {
-				t.Fatalf("non-format error from pure decode: %v", err)
-			}
-			if _, _, verr := DecodeBinaryView(data, false); !errors.Is(verr, ErrBinaryFormat) {
-				t.Fatalf("view accepted a frame DecodeBinary rejects (%v): %v", err, verr)
-			}
-			return
-		}
-		if m == nil {
-			t.Fatal("nil mesh with nil error")
-		}
-		if 36*len(m.Tris) > 6*len(data) {
-			t.Fatalf("%d bytes decoded to %d triangles, over the 6× allocation bound", len(data), len(m.Tris))
-		}
-		// The header peek must agree with the full decode.
-		piso, ptris, perr := DecodeBinaryHeader(data)
-		if perr != nil || ptris != len(m.Tris) || math.Float32bits(piso) != math.Float32bits(iso) {
-			t.Fatalf("header peek (%v, %d, %v) disagrees with decode (%v, %d)",
-				piso, ptris, perr, iso, len(m.Tris))
-		}
-		// An accepted frame also verifies (decode is strictly stronger).
-		if verr := VerifyBinary(data); verr != nil {
-			t.Fatalf("decoded frame fails VerifyBinary: %v", verr)
-		}
-		h, _ := decodeHeader(data)
-		chunked := IsChunked(data)
+	})
+}
 
-		// Round trip: an accepted frame is exactly what the encoder emits
-		// (checksummed frames re-encode through the checksummed variant), and
-		// want is the soup payload every decoder must return.
-		var want []byte
-		if chunked {
-			batches := parseBatches(t, h.payload)
-			if re := portableChunked(iso, h.flags, batches...); !bytes.Equal(re, data) {
-				t.Fatalf("accepted v2 frame is not canonical: %d bytes in, %d bytes re-encoded", len(data), len(re))
-			}
-			want = putTris(nil, expandAll(batches...).Tris)
-		} else {
-			re := EncodeBinary(iso, m)
-			if h.flags&FlagChecksum != 0 {
-				re = EncodeBinaryChecksum(iso, m)
-			}
-			if !bytes.Equal(re, data) {
-				t.Fatalf("accepted frame is not canonical: %d bytes in, %d bytes re-encoded", len(data), len(re))
-			}
-			// The oracle's triangles, re-encoded by the oracle, are the payload.
-			oracle := make([]geom.Triangle, ptris)
-			getTris(oracle, h.payload)
-			if !bytes.Equal(putTris(nil, oracle), h.payload) {
-				t.Fatal("per-triangle oracle does not round-trip the payload")
-			}
-			want = h.payload
+// checkDecodeBinary is FuzzDecodeBinary's check of one input.
+func checkDecodeBinary(t *testing.T, data []byte) {
+	m, iso, err := DecodeBinary(data)
+	// The view skips only the CRC when told to: structure is checked on
+	// every path, so it errors when the header peek does — and past it
+	// only on a version 2 vertex or index, which the peek does not read.
+	_, _, herr := DecodeBinaryHeader(data)
+	_, _, verr := DecodeBinaryView(data, true)
+	if herr != nil && verr == nil || herr == nil && verr != nil && !(IsChunked(data) && errors.Is(verr, ErrBinaryFormat)) {
+		t.Fatalf("pre-verified view: err %v, header peek: err %v", verr, herr)
+	}
+	if err != nil {
+		if !errors.Is(err, ErrBinaryFormat) {
+			t.Fatalf("non-format error from pure decode: %v", err)
 		}
-		same := func(name string, got *geom.Mesh, giso float32, gerr error) {
-			t.Helper()
-			if gerr != nil {
-				t.Fatalf("%s: %v", name, gerr)
-			}
-			if math.Float32bits(giso) != math.Float32bits(iso) || !bytes.Equal(putTris(nil, got.Tris), want) {
-				t.Fatalf("%s disagrees with the per-component oracle (%d vs %d triangles)", name, len(got.Tris), ptris)
-			}
+		if gridAVX2 {
+			withGridKernel(false, func() {
+				if _, _, kerr := DecodeBinary(data); kerr == nil {
+					t.Fatalf("the portable loop accepts a frame the vector kernel rejects: %v", err)
+				}
+			})
 		}
-		same("DecodeBinary", m, iso, nil)
-		vm, viso, verr := DecodeBinaryView(data, false)
-		same("DecodeBinaryView", vm, viso, verr)
-		vm, viso, verr = DecodeBinaryView(data, true)
-		same("DecodeBinaryView(verified)", vm, viso, verr)
+		if _, _, verr := DecodeBinaryView(data, false); !errors.Is(verr, ErrBinaryFormat) {
+			t.Fatalf("view accepted a frame DecodeBinary rejects (%v): %v", err, verr)
+		}
+		return
+	}
+	if m == nil {
+		t.Fatal("nil mesh with nil error")
+	}
+	if 36*len(m.Tris) > 6*len(data) {
+		t.Fatalf("%d bytes decoded to %d triangles, over the 6× allocation bound", len(data), len(m.Tris))
+	}
+	// The header peek must agree with the full decode.
+	piso, ptris, perr := DecodeBinaryHeader(data)
+	if perr != nil || ptris != len(m.Tris) || math.Float32bits(piso) != math.Float32bits(iso) {
+		t.Fatalf("header peek (%v, %d, %v) disagrees with decode (%v, %d)",
+			piso, ptris, perr, iso, len(m.Tris))
+	}
+	// An accepted frame also verifies (decode is strictly stronger).
+	if verr := VerifyBinary(data); verr != nil {
+		t.Fatalf("decoded frame fails VerifyBinary: %v", verr)
+	}
+	h, _ := decodeHeader(data)
+	chunked := IsChunked(data)
 
-		// The frame at offsets 0–3 of a larger buffer. Heap buffers start
-		// 8-byte aligned, so offset 0 puts the payload on a float32 boundary
-		// (viewed in place on a little-endian host) and 1–3 never do: those
-		// must decode through a private copy, which -race's checkptr would
-		// otherwise report as a misaligned conversion.
-		for off := 0; off <= 3; off++ {
-			buf := make([]byte, off+len(data)+1)
-			at := buf[off : off+len(data)]
-			copy(at, data)
-			vm, viso, verr := DecodeBinaryView(at, false)
-			same(fmt.Sprintf("DecodeBinaryView at offset %d", off), vm, viso, verr)
-			if ptris == 0 {
-				continue
+	// Round trip: an accepted frame is exactly what the encoder emits
+	// (checksummed frames re-encode through the checksummed variant), and
+	// want is the soup payload every decoder must return.
+	var want []byte
+	if chunked {
+		batches := parseBatches(t, h.payload)
+		if re := portableChunked(iso, h.flags, batches...); !bytes.Equal(re, data) {
+			t.Fatalf("accepted v2 frame is not canonical: %d bytes in, %d bytes re-encoded", len(data), len(re))
+		}
+		want = putTris(nil, expandAll(batches...).Tris)
+	} else {
+		re := EncodeBinary(iso, m)
+		if h.flags&FlagChecksum != 0 {
+			re = EncodeBinaryChecksum(iso, m)
+		}
+		if !bytes.Equal(re, data) {
+			t.Fatalf("accepted frame is not canonical: %d bytes in, %d bytes re-encoded", len(data), len(re))
+		}
+		// The oracle's triangles, re-encoded by the oracle, are the payload.
+		oracle := make([]geom.Triangle, ptris)
+		getTris(oracle, h.payload)
+		if !bytes.Equal(putTris(nil, oracle), h.payload) {
+			t.Fatal("per-triangle oracle does not round-trip the payload")
+		}
+		want = h.payload
+	}
+	same := func(name string, got *geom.Mesh, giso float32, gerr error) {
+		t.Helper()
+		if gerr != nil {
+			t.Fatalf("%s: %v", name, gerr)
+		}
+		if math.Float32bits(giso) != math.Float32bits(iso) || !bytes.Equal(putTris(nil, got.Tris), want) {
+			t.Fatalf("%s disagrees with the per-component oracle (%d vs %d triangles)", name, len(got.Tris), ptris)
+		}
+	}
+	same("DecodeBinary", m, iso, nil)
+	if chunked && gridAVX2 {
+		withGridKernel(false, func() {
+			pm, piso, perr := DecodeBinary(data)
+			same("DecodeBinary on the portable loop", pm, piso, perr)
+		})
+	}
+	vm, viso, verr := DecodeBinaryView(data, false)
+	same("DecodeBinaryView", vm, viso, verr)
+	vm, viso, verr = DecodeBinaryView(data, true)
+	same("DecodeBinaryView(verified)", vm, viso, verr)
+
+	// The frame at offsets 0–3 of a larger buffer. Heap buffers start
+	// 8-byte aligned, so offset 0 puts the payload on a float32 boundary
+	// (viewed in place on a little-endian host) and 1–3 never do: those
+	// must decode through a private copy, which -race's checkptr would
+	// otherwise report as a misaligned conversion.
+	for off := 0; off <= 3; off++ {
+		buf := make([]byte, off+len(data)+1)
+		at := buf[off : off+len(data)]
+		copy(at, data)
+		vm, viso, verr := DecodeBinaryView(at, false)
+		same(fmt.Sprintf("DecodeBinaryView at offset %d", off), vm, viso, verr)
+		if ptris == 0 {
+			continue
+		}
+		for i := binMinFrame; i < len(at); i++ {
+			at[i] ^= 0xff
+		}
+		aliased := !bytes.Equal(putTris(nil, vm.Tris), want)
+		if want := off == 0 && hostIsWire && !chunked; aliased != want {
+			t.Fatalf("offset %d: mesh aliases the buffer = %v, want %v", off, aliased, want)
+		}
+	}
+}
+
+// fuzzCoord makes one coordinate from a 4-byte word, its low three bits
+// choosing what kind: a small grid integer, one at the 2¹⁴ edge, raw bits,
+// −0, ±Inf, a NaN, an integer plus a fraction, or an integer out of the
+// grid's range — so the fuzzer reaches every side of the grid rule at once.
+func fuzzCoord(w uint32) float32 {
+	v := w >> 3
+	switch w & 7 {
+	case 0:
+		return float32(v % 20)
+	case 1:
+		return float32(1<<14 - 4 + v%8)
+	case 2:
+		return math.Float32frombits(w)
+	case 3:
+		return math.Float32frombits(0x80000000)
+	case 4:
+		return float32(math.Inf(1 - 2*int(v&1)))
+	case 5:
+		return math.Float32frombits(0x7f800001 | v | v<<31)
+	case 6:
+		return float32(v%16) + float32(v>>4&0xff)/256
+	}
+	return -float32(v%5) + float32(v>>3&1)*float32(1<<20)
+}
+
+// FuzzPutChunk holds the encoder to the form rule on meshes the weld kernel
+// never makes: any coordinates (NaN, ±Inf, −0, integers past 2¹⁴, integer
+// crossings), any indices below the vertex count, 16- and 32-bit widths.
+// PutChunk must write exactly the oracle's bytes (portableChunk, whose form
+// is oracleGrid's), ChunkLen must be their length, and the chunk must decode
+// — alone and sealed in a frame — to the batch's ExpandSoup bit for bit.
+func FuzzPutChunk(f *testing.F) {
+	word := binary.LittleEndian.AppendUint32
+	var grid, plain, edge []byte
+	for _, w := range []uint32{8 | 0<<3, 0, 6 | 77<<3, 1 | 5<<3, 0 | 3<<3, 6 | 3<<3, 0, 0 | 19<<3, 2 | 0x3f000000} {
+		grid = word(grid, w) // three vertices of the kinds a surface has
+	}
+	for _, w := range []uint32{5, 0, 0, 4, 0, 0, 3, 8, 8} {
+		plain = word(plain, w) // a NaN, an Inf and a −0 vertex
+	}
+	for _, w := range []uint32{1, 1 | 3<<3, 6, 7, 0, 0, 3, 0, 8, 1 | 7<<3, 1 | 7<<3, 1 | 7<<3} {
+		edge = word(edge, w) // 16 383 and 16 384, out of range, −0 beside integers
+	}
+	f.Add(uint8(3), false, grid, []byte{0, 1, 2, 2, 1, 0})
+	f.Add(uint8(3), false, plain, []byte{0, 1, 2})
+	f.Add(uint8(4), false, edge, []byte{0, 1, 2, 3, 3, 3})
+	f.Add(uint8(3), true, grid, []byte{0, 1, 2, 255, 254, 7})
+	f.Add(uint8(4), true, edge, []byte{9, 8, 7})
+	f.Add(uint8(1), false, []byte{}, []byte{0})
+
+	f.Fuzz(func(t *testing.T, nv uint8, wide bool, coords, idx []byte) {
+		n := int(nv)%48 + 1
+		if wide {
+			n = narrowVerts + 1 // 32-bit indices: the n vertices repeat
+		}
+		im := &geom.IndexedMesh{Verts: make([]geom.Vec3, n)}
+		for i := range im.Verts {
+			var c [3]float32
+			for k := range c {
+				at := 4 * ((3*i + k) % (len(coords)/4 + 1))
+				var w [4]byte
+				copy(w[:], coords[min(at, len(coords)):])
+				c[k] = fuzzCoord(binary.LittleEndian.Uint32(w[:]))
 			}
-			for i := binMinFrame; i < len(at); i++ {
-				at[i] ^= 0xff
-			}
-			aliased := !bytes.Equal(putTris(nil, vm.Tris), want)
-			if want := off == 0 && hostIsWire && !chunked; aliased != want {
-				t.Fatalf("offset %d: mesh aliases the buffer = %v, want %v", off, aliased, want)
-			}
+			im.Verts[i] = geom.V(c[0], c[1], c[2])
+		}
+		for i := 0; i+2 < len(idx) && i < 3*64; i++ {
+			im.Idx = append(im.Idx, uint32(idx[i])*2654435761%uint32(n))
+		}
+		im.Idx = im.Idx[:3*(len(im.Idx)/3)]
+
+		want := portableChunk(nil, im, false)
+		if im.Len() == 0 {
+			want = nil
+		}
+		if ChunkLen(im) != len(want) {
+			t.Fatalf("ChunkLen = %d, the rule's chunk is %d bytes (grid %v)", ChunkLen(im), len(want), oracleGrid(im.Verts))
+		}
+		got := make([]byte, len(want))
+		PutChunk(got, im)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("PutChunk wrote %d bytes that differ from the rule's encoding (grid %v)", len(got), oracleGrid(im.Verts))
+		}
+		soup := putTris(nil, im.ExpandSoup().Tris)
+		m, err := DecodeChunks(got)
+		if err != nil || !bytes.Equal(putTris(nil, m.Tris), soup) {
+			t.Fatalf("DecodeChunks: err %v, or a soup unlike ExpandSoup's", err)
+		}
+		m, _, err = DecodeBinary(sealed(1, got))
+		if err != nil || !bytes.Equal(putTris(nil, m.Tris), soup) {
+			t.Fatalf("sealed frame: err %v, or a soup unlike ExpandSoup's", err)
 		}
 	})
 }

@@ -13,7 +13,7 @@
 //     queries — the common case under a Zipf-shaped isovalue popularity —
 //     skip the backend entirely. A surface is kept the way it is sent: the
 //     extraction's welded batches as meshio version 2 chunks and the sealed
-//     frame over them, ≈ 13.7 B a triangle. Soup exists only in the hands of
+//     frame over them, ≈ 11.1 B a triangle. Soup exists only in the hands of
 //     a caller that asks for it (Query); the tier's replicas never build it
 //     (QueryFrame).
 //   - Admission control: at most MaxInFlight extractions run at once and at
@@ -66,7 +66,7 @@ type Config struct {
 	// negative value for no queue at all).
 	QueueDepth int
 	// CacheBytes is the mesh cache budget: each surface is charged its
-	// sealed frame's bytes (version 2, ≈ 13.7 B a triangle) plus a small
+	// sealed frame's bytes (version 2, ≈ 11.1 B a triangle) plus a small
 	// fixed charge per entry (0 = 256 MiB; negative disables caching).
 	CacheBytes int64
 	// Metrics is the registry the server records into (counters, live
