@@ -373,11 +373,13 @@ func TestRecycleZeroAllocSteadyState(t *testing.T) {
 
 // BenchmarkRoutedHit measures the tier's hot path over real loopback
 // sockets: one replica with the surface cached and sealed, the repository
-// benchmark's mean surface of 890 000 triangles (a 12 MB frame, a 32 MB
-// soup). query is Router.Query — the frame decoded into a soup of the
-// caller's own and recycled, so B/op is one soup; bytes is QueryBytes with the
-// frame handed back when done — the relay path, B/op the HTTP exchange
-// alone. MB/s is frame bytes delivered, frame-B/tri their size per triangle.
+// benchmark's mean surface of 890 000 triangles (a 9.9 MB frame of grid
+// vertices, 11.1 B a triangle; a 32 MB soup). query is Router.Query — the
+// frame decoded into a soup of the caller's own and recycled, so B/op is one
+// soup and one vertex scratch of the largest chunk's vertices; bytes is
+// QueryBytes with the frame handed back when done — the relay path, B/op the
+// HTTP exchange alone. MB/s is frame bytes delivered, frame-B/tri their size
+// per triangle.
 func BenchmarkRoutedHit(b *testing.B) {
 	const iso, tris = 5, 890_000
 	c := startBigCluster(b, 1, tris, RouterConfig{})

@@ -8,8 +8,10 @@ import (
 // BenchmarkGather is the pipeline's expand phase at the size the repository
 // benchmark's sweep runs it: 17 welded batches of 34 k vertices and 52 k
 // triangles whose corners are near one another in the vertex array, gathered
-// into their parts of one 32 MB soup — too large to stay in cache. The rate is
-// soup bytes written.
+// into their parts of one 32 MB soup — too large to stay in cache — made
+// afresh each time, as the expand phase and the chunk decoder make theirs.
+// The rate is soup bytes written, the make's clearing included. kernel runs
+// the streaming-store kernel, portable the Go loop.
 func BenchmarkGather(b *testing.B) {
 	const batches, verts, tris = 17, 34_000, 52_000
 	rnd := rand.New(rand.NewSource(1))
@@ -24,12 +26,20 @@ func BenchmarkGather(b *testing.B) {
 		}
 		ims[k] = im
 	}
-	soup := make([]Triangle, batches*tris)
-	b.SetBytes(int64(len(soup)) * 36)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for k, im := range ims {
-			im.Gather(soup[k*tris:][:tris])
-		}
+	for _, name := range []string{"kernel", "portable"} {
+		kernel := name == "kernel"
+		b.Run(name, func(b *testing.B) {
+			if kernel && !gatherKernel {
+				b.Skip("no gather kernel in this build")
+			}
+			defer UseGatherKernel(UseGatherKernel(kernel))
+			b.SetBytes(batches * tris * 36)
+			for i := 0; i < b.N; i++ {
+				soup := make([]Triangle, batches*tris)
+				for k, im := range ims {
+					im.Gather(soup[k*tris:][:tris])
+				}
+			}
+		})
 	}
 }

@@ -183,15 +183,8 @@ func (im *IndexedMesh) Gather(out []Triangle) {
 	if len(out) != im.Len() {
 		panic("geom: Gather into a slice that is not the mesh's length")
 	}
-	verts, idx := im.Verts, im.Idx[:3*len(out)]
-	for i := range out {
-		// Corner by corner through a pointer: a Triangle literal is built in
-		// a stack temporary with 4- and 8-byte stores and copied out with
-		// 16-byte loads that straddle them, a store-forwarding stall apiece.
-		t := &out[i]
-		t.A = verts[idx[3*i]]
-		t.B = verts[idx[3*i+1]]
-		t.C = verts[idx[3*i+2]]
+	if !Gather(out, im.Verts, im.Idx) {
+		panic("geom: Gather of an index past the mesh's vertices")
 	}
 }
 

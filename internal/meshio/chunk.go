@@ -362,10 +362,10 @@ func b2u(b bool) uint32 {
 	return 0
 }
 
-// gatherChunk expands one chunk's triangles into out from its vertices,
-// reading the indices straight from the frame's bytes where the host layout
-// and the alignment allow, through a decoded copy otherwise. It reports false
-// for an index outside the chunk's vertices.
+// gatherChunk expands one chunk's triangles into out from its vertices with
+// geom.Gather, reading the indices straight from the frame's bytes where the
+// host layout and the alignment allow, through a decoded copy otherwise. It
+// reports false for an index outside the chunk's vertices.
 func gatherChunk(out []geom.Triangle, verts []geom.Vec3, c chunk) bool {
 	if c.width == 2 {
 		idx, ok := bytesAs[uint16](c.ib)
@@ -375,7 +375,7 @@ func gatherChunk(out []geom.Triangle, verts []geom.Vec3, c chunk) bool {
 				idx[i] = binary.LittleEndian.Uint16(c.ib[2*i:])
 			}
 		}
-		return gatherIdx(out, verts, idx)
+		return geom.Gather(out, verts, idx)
 	}
 	idx, ok := bytesAs[uint32](c.ib)
 	if !ok {
@@ -384,24 +384,5 @@ func gatherChunk(out []geom.Triangle, verts []geom.Vec3, c chunk) bool {
 			idx[i] = binary.LittleEndian.Uint32(c.ib[4*i:])
 		}
 	}
-	return gatherIdx(out, verts, idx)
-}
-
-// gatherIdx is geom.(*IndexedMesh).Gather for either index width, checking
-// every index against the vertices first: the bytes may be hostile.
-func gatherIdx[I uint16 | uint32](out []geom.Triangle, verts []geom.Vec3, idx []I) bool {
-	idx = idx[:3*len(out)]
-	n := uint32(len(verts)) // a chunk's vertex count is a uint32
-	for i := range out {
-		a, b, c := uint32(idx[3*i]), uint32(idx[3*i+1]), uint32(idx[3*i+2])
-		if a >= n || b >= n || c >= n {
-			return false
-		}
-		// Corner by corner through a pointer, as geom's Gather does.
-		t := &out[i]
-		t.A = verts[a]
-		t.B = verts[b]
-		t.C = verts[c]
-	}
-	return true
+	return geom.Gather(out, verts, idx)
 }

@@ -512,10 +512,19 @@ func TestChunkedDecodeAllocationBound(t *testing.T) {
 	}
 }
 
-// withGridKernel runs f with the vector grid kernel on or off.
-func withGridKernel(vector bool, f func()) {
-	defer func(was bool) { gridAVX2 = was }(gridAVX2)
-	gridAVX2 = vector
+// hostGridAVX2 is whether this host runs the vector grid kernel.
+var hostGridAVX2 = gridAVX2
+
+// withKernels runs f with both of the decoder's kernels — the vector grid
+// kernel and geom's streaming-store gather — on where the host has them, or
+// off, so that the portable loops answer alone. Not for parallel tests: it
+// flips package-wide switches.
+func withKernels(on bool, f func()) {
+	defer func(grid, gather bool) {
+		gridAVX2 = grid
+		geom.UseGatherKernel(gather)
+	}(gridAVX2, geom.UseGatherKernel(on))
+	gridAVX2 = on && hostGridAVX2
 	f()
 }
 
@@ -556,7 +565,7 @@ func TestGridKernelMatchesPortableLoop(t *testing.T) {
 	}
 	expand := func(vector bool, vb []byte) (verts []geom.Vec3, ok bool) {
 		verts = make([]geom.Vec3, len(vb)/8)
-		withGridKernel(vector, func() { ok = expandGrid(verts, vb) })
+		withKernels(vector, func() { ok = expandGrid(verts, vb) })
 		return verts, ok
 	}
 	for n := 1; n <= 33; n++ {

@@ -188,13 +188,12 @@ func TestDecodeBinaryViewVerifiesUnlessVouchedFor(t *testing.T) {
 
 // TestForeignHostPathsProduceTheSameBytes runs the codec the way a host
 // whose triangle layout is not the wire layout would — every view refused,
-// every path per-component, grid vertices through the portable loop — and
-// holds it to the same bytes and the same triangles, version 1 and 2, plain
-// and grid chunks. Not parallel: it flips the package's layout and kernel
-// verdicts.
+// every path per-component, grid vertices and the gather through the
+// portable loops — and holds it to the same bytes and the same triangles,
+// version 1 and 2, plain and grid chunks. Not parallel: it flips the
+// package's layout and kernel verdicts.
 func TestForeignHostPathsProduceTheSameBytes(t *testing.T) {
-	defer func(was, avx2 bool) { hostIsWire, gridAVX2 = was, avx2 }(hostIsWire, gridAVX2)
-	native := gridAVX2
+	defer func(was bool) { hostIsWire = was }(hostIsWire)
 	for _, tc := range frameCases {
 		hostIsWire = true
 		want := EncodeBinaryChecksum(42, tc.meshes...)
@@ -220,24 +219,26 @@ func TestForeignHostPathsProduceTheSameBytes(t *testing.T) {
 		}
 	}
 	for _, tc := range batchCases {
-		hostIsWire, gridAVX2 = true, native
+		hostIsWire = true
 		want, _, batches := sealCase(tc.nodes)
 		wantMesh, _, err := DecodeBinary(want)
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		hostIsWire, gridAVX2 = false, false
-		got, _, _ := sealCase(tc.nodes)
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s: per-component PutChunk writes different bytes", tc.name)
-		}
-		m, _, err := DecodeBinary(want)
-		if err != nil || !bytes.Equal(putTris(nil, m.Tris), putTris(nil, wantMesh.Tris)) {
-			t.Errorf("%s: per-component gather decodes different triangles (err %v)", tc.name, err)
-		}
-		if soup := expandAll(batches...); !bytes.Equal(putTris(nil, m.Tris), putTris(nil, soup.Tris)) {
-			t.Errorf("%s: per-component gather differs from the expanded batches", tc.name)
-		}
+		hostIsWire = false
+		withKernels(false, func() {
+			got, _, _ := sealCase(tc.nodes)
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s: per-component PutChunk writes different bytes", tc.name)
+			}
+			m, _, err := DecodeBinary(want)
+			if err != nil || !bytes.Equal(putTris(nil, m.Tris), putTris(nil, wantMesh.Tris)) {
+				t.Errorf("%s: per-component gather decodes different triangles (err %v)", tc.name, err)
+			}
+			if soup := expandAll(batches...); !bytes.Equal(putTris(nil, m.Tris), putTris(nil, soup.Tris)) {
+				t.Errorf("%s: per-component gather differs from the expanded batches", tc.name)
+			}
+		})
 	}
 }

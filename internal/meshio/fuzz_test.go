@@ -100,12 +100,14 @@ func frameSeeds() [][]byte {
 // by portableChunked to the input, and their ExpandSoups, concatenated, are
 // what every decoder must return; portableChunked re-encodes each batch in
 // the form the rule gives it, so an accepted chunk of either form is the
-// one encoding of its batch. On a host with the vector grid kernel, the
-// portable loop must accept the same frames and expand them to the same bits;
-// TestDecodeSeedsWithPortableLoop runs every seed on the portable loop alone,
-// as a host without the kernel does. The view must fall back to a private
-// copy — not a misaligned pointer — when the same frame sits at byte offsets
-// 1–3 of a larger buffer, and never alias a version 2 frame.
+// one encoding of its batch. With both kernels off (withKernels) — the vector
+// grid kernel and geom's streaming-store gather — the portable loops must
+// accept the same frames and decode them to the same bits, so the fuzzer
+// holds each kernel to its loop verdict for verdict, bit for bit;
+// TestDecodeSeedsWithPortableLoop runs every seed on the portable loops
+// alone, as a host without the kernels does. The view must fall back to a
+// private copy — not a misaligned pointer — when the same frame sits at byte
+// offsets 1–3 of a larger buffer, and never alias a version 2 frame.
 func FuzzDecodeBinary(f *testing.F) {
 	for _, seed := range frameSeeds() {
 		f.Add(seed)
@@ -114,10 +116,10 @@ func FuzzDecodeBinary(f *testing.F) {
 }
 
 // TestDecodeSeedsWithPortableLoop holds FuzzDecodeBinary's seeds to its
-// contract with the vector grid kernel off, so the portable loop answers for
-// every grid chunk, on any host.
+// contract with both kernels off, so the portable loops answer for every
+// grid chunk and every gather, on any host.
 func TestDecodeSeedsWithPortableLoop(t *testing.T) {
-	withGridKernel(false, func() {
+	withKernels(false, func() {
 		for i, seed := range frameSeeds() {
 			t.Run(fmt.Sprint(i), func(t *testing.T) { checkDecodeBinary(t, seed) })
 		}
@@ -139,13 +141,11 @@ func checkDecodeBinary(t *testing.T, data []byte) {
 		if !errors.Is(err, ErrBinaryFormat) {
 			t.Fatalf("non-format error from pure decode: %v", err)
 		}
-		if gridAVX2 {
-			withGridKernel(false, func() {
-				if _, _, kerr := DecodeBinary(data); kerr == nil {
-					t.Fatalf("the portable loop accepts a frame the vector kernel rejects: %v", err)
-				}
-			})
-		}
+		withKernels(false, func() {
+			if _, _, kerr := DecodeBinary(data); kerr == nil {
+				t.Fatalf("the portable loops accept a frame the kernels reject: %v", err)
+			}
+		})
 		if _, _, verr := DecodeBinaryView(data, false); !errors.Is(verr, ErrBinaryFormat) {
 			t.Fatalf("view accepted a frame DecodeBinary rejects (%v): %v", err, verr)
 		}
@@ -206,10 +206,10 @@ func checkDecodeBinary(t *testing.T, data []byte) {
 		}
 	}
 	same("DecodeBinary", m, iso, nil)
-	if chunked && gridAVX2 {
-		withGridKernel(false, func() {
+	if chunked {
+		withKernels(false, func() {
 			pm, piso, perr := DecodeBinary(data)
-			same("DecodeBinary on the portable loop", pm, piso, perr)
+			same("DecodeBinary on the portable loops", pm, piso, perr)
 		})
 	}
 	vm, viso, verr := DecodeBinaryView(data, false)

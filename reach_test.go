@@ -35,6 +35,7 @@ var oracles = map[string]string{
 	"geom.(*IndexedMesh).ExpandSoup": "the allocating expansion: welded ≡ soup is checked through it, and ExpandInto against it",
 	"meshio.EncodeBinary":            "the copying v1 encoder the decoders are held byte-identical to, and the bytes the v2 differential compares decoded soups in",
 	"meshio.EncodeBinaryChecksum":    "the same with the CRC trailer: every routed ≡ direct oracle encodes its soup reference with it",
+	"geom.UseGatherKernel":           "switches Gather to its portable loop, the reference meshio's decode differential (withKernels) holds the streaming-store kernel to",
 
 	// Measurements a test of live code reads its verdict from.
 	"intervaltree.(*Tree).Count":     "stabbing count the interval tree and BBIO tests check against brute force",
