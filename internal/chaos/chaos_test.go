@@ -17,7 +17,7 @@ import (
 // frameServer serves one checksummed mesh frame, the payload the tier ships.
 func frameServer(t *testing.T) (*httptest.Server, []byte) {
 	t.Helper()
-	frame := meshio.EncodeBinaryChecksum(42, &geom.Mesh{Tris: []geom.Triangle{
+	frame := meshio.AppendBinaryChecksum(nil, 42, &geom.Mesh{Tris: []geom.Triangle{
 		{A: geom.V(1, 2, 3), B: geom.V(4, 5, 6), C: geom.V(7, 8, 9)},
 		{A: geom.V(9, 8, 7), B: geom.V(6, 5, 4), C: geom.V(3, 2, 1)},
 	}})

@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -58,7 +59,7 @@ func TestOpenHostileManifest(t *testing.T) {
 		want error
 	}{
 		{name: "huge procs", want: os.ErrNotExist, // three good nodes, then a file that is not there
-			edit: func(m *manifest) { m.Procs, m.BrickCRC32 = 1<<40, nil }},
+			edit: func(m *manifest) { m.Procs, m.BrickCRC32 = math.MaxInt32, nil }},
 		{name: "zero procs", want: ErrBadManifest, edit: func(m *manifest) { m.Procs = 0 }},
 		{name: "negative procs", want: ErrBadManifest, edit: func(m *manifest) { m.Procs = -3 }},
 		{name: "short checksum list", want: ErrBadManifest,

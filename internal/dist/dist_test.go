@@ -104,7 +104,7 @@ func TestClusterE2EByteIdentical(t *testing.T) {
 	if qiso != iso || mesh.Len() != direct.Triangles {
 		t.Fatalf("decoded (iso %v, %d tris), direct (iso %v, %d tris)", qiso, mesh.Len(), float32(iso), direct.Triangles)
 	}
-	if !bytes.Equal(meshio.EncodeBinaryChecksum(qiso, mesh), wantSoup) {
+	if !bytes.Equal(meshio.AppendBinaryChecksum(nil, qiso, mesh), wantSoup) {
 		t.Fatal("front-end relay does not decode to the direct extraction's soup")
 	}
 

@@ -40,7 +40,7 @@ func directSoup(t *testing.T, iso float32) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return meshio.EncodeBinaryChecksum(iso, meshes...)
+	return meshio.AppendBinaryChecksum(nil, iso, meshes...)
 }
 
 func extractDirect(t *testing.T, iso float32) *cluster.Result {
@@ -139,7 +139,7 @@ func TestReplicaBodyByteIdenticalForEverySource(t *testing.T) {
 			t.Errorf("%s response body (%d bytes) differs from the direct extraction's frame (%d bytes)",
 				r.source, len(r.body), len(want))
 		}
-		if m, _, err := meshio.DecodeBinary(r.body); err != nil || !bytes.Equal(meshio.EncodeBinaryChecksum(iso, m), wantSoup) {
+		if m, _, err := meshio.DecodeBinary(r.body); err != nil || !bytes.Equal(meshio.AppendBinaryChecksum(nil, iso, m), wantSoup) {
 			t.Errorf("%s response body does not decode to the direct extraction's soup (err %v)", r.source, err)
 		}
 	}
@@ -178,7 +178,7 @@ func TestRoutedMeshBelongsToTheCaller(t *testing.T) {
 		if resp.Iso != iso {
 			t.Fatalf("round %d: iso %v", round, resp.Iso)
 		}
-		if got := meshio.EncodeBinaryChecksum(resp.Iso, resp.Mesh); !bytes.Equal(got, wantSoup) {
+		if got := meshio.AppendBinaryChecksum(nil, resp.Iso, resp.Mesh); !bytes.Equal(got, wantSoup) {
 			t.Fatalf("round %d (%s): routed mesh differs from the direct extraction", round, resp.Route.Source)
 		}
 		if n, _ := c.Router.frames.size(); n != 1 {
@@ -222,9 +222,9 @@ func TestRouterQueryChecksumsOncePerFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Route.Replica == home || !bytes.Equal(meshio.EncodeBinaryChecksum(resp.Iso, resp.Mesh), want) {
+	if resp.Route.Replica == home || !bytes.Equal(meshio.AppendBinaryChecksum(nil, resp.Iso, resp.Mesh), want) {
 		t.Fatalf("verifying router: served by %d (corrupted home %d), mesh intact = %v", resp.Route.Replica, home,
-			bytes.Equal(meshio.EncodeBinaryChecksum(resp.Iso, resp.Mesh), want))
+			bytes.Equal(meshio.AppendBinaryChecksum(nil, resp.Iso, resp.Mesh), want))
 	}
 	if n := c.Router.Stats().CorruptFrames; n != 1 {
 		t.Errorf("verifying router counted %d corrupt frames, want 1", n)

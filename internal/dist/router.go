@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -241,9 +240,9 @@ func (rt *Router) Stats() RouterStats {
 	return st
 }
 
-// Response is a routed query result, decoded into a soup of the caller's
-// own: nothing else references Mesh, and the frame it was decoded from has
-// already gone back to the router.
+// Response is a routed query result. Mesh is the replica's frame decoded
+// into a soup of the caller's own, which nothing else references; the frame
+// has already gone back to the router.
 type Response struct {
 	Mesh  *geom.Mesh
 	Iso   float32 // the quantized isovalue the shard extracted
@@ -253,18 +252,13 @@ type Response struct {
 // Query routes one query, decodes the returned frame into a fresh soup and
 // recycles the frame at once. fetch has already checksummed the frame as it
 // came off the socket, so the CRC runs exactly once per routed frame: there,
-// not here. A version 1 frame's mesh views the frame (meshio.DecodeBinaryView),
-// so that one is copied out before the frame goes back; replicas send
-// version 2.
+// not here (meshio.DecodeVerified).
 func (rt *Router) Query(ctx context.Context, step int, iso float32) (*Response, error) {
 	frame, route, err := rt.QueryBytes(ctx, step, iso)
 	if err != nil {
 		return nil, err
 	}
-	mesh, qiso, err := meshio.DecodeBinaryView(frame, true)
-	if err == nil && !meshio.IsChunked(frame) {
-		mesh.Tris = slices.Clone(mesh.Tris)
-	}
+	mesh, qiso, err := meshio.DecodeVerified(frame)
 	rt.Recycle(frame)
 	if err != nil {
 		return nil, fmt.Errorf("dist: replica %s returned a bad frame: %w", route.Addr, err)

@@ -30,15 +30,17 @@ package meshio
 // moves the payload as memory (view.go). The triangle payload is a soup in
 // extraction order: AppendBinary concatenates the per-node meshes it is given
 // in argument order, which for a cluster Result's PerNode meshes reproduces
-// exactly the soup repro.MergeMeshes builds.
+// exactly the soup repro.MergeMeshes builds. No replica sends version 1: it
+// is the encoding a soup oracle compares decoded meshes in, and every reader
+// still accepts it.
 //
 // Version 2 payload: a sequence of chunks, each one welded batch of the
 // extraction (geom.IndexedMesh), in node order and then record order —
 // chunk.go has the chunk layout. Its triangles are T in all, and expanding
 // every chunk in order gives the version 1 payload of the same surface bit
 // for bit, at ≈ 11.1 instead of 36 bytes per triangle. The serving tier
-// caches, sends and verifies version 2 (Seal); soup is built only by the
-// decoders, for a caller that asks for a geom.Mesh.
+// caches, sends and verifies version 2 only (Seal); soup is built only by
+// the decoders, for a caller that asks for a geom.Mesh.
 import (
 	"encoding/binary"
 	"errors"
@@ -129,7 +131,7 @@ func appendBinary(dst []byte, iso float32, flags uint16, meshes ...*geom.Mesh) [
 	hdr := frameHeader(BinaryVersion, iso, flags, tris, binTriSize*tris)
 	dst = append(dst, hdr[:]...)
 	for _, m := range meshes {
-		if b, ok := triBytes(m.Tris); ok {
+		if b, ok := asBytes(m.Tris); ok {
 			dst = append(dst, b...)
 		} else {
 			dst = putTris(dst, m.Tris)
@@ -141,16 +143,6 @@ func appendBinary(dst []byte, iso float32, flags uint16, meshes ...*geom.Mesh) [
 		dst = append(dst, crc[:]...)
 	}
 	return dst
-}
-
-// EncodeBinary encodes the concatenation of the given meshes as one frame.
-func EncodeBinary(iso float32, meshes ...*geom.Mesh) []byte {
-	return AppendBinary(nil, iso, meshes...)
-}
-
-// EncodeBinaryChecksum encodes one frame with the CRC32-C trailer.
-func EncodeBinaryChecksum(iso float32, meshes ...*geom.Mesh) []byte {
-	return AppendBinaryChecksum(nil, iso, meshes...)
 }
 
 // frameSize is the whole length, prefix included, of a version 1 frame of
@@ -271,14 +263,6 @@ func decodeHeader(data []byte) (h header, err error) {
 	return h, nil
 }
 
-// IsChunked reports whether data's version field says version 2: the
-// decoders give such a frame's triangles a soup of their own, where a
-// version 1 frame's may be viewed in place (DecodeBinaryView). Only the
-// field is read; the frame may still be malformed.
-func IsChunked(data []byte) bool {
-	return len(data) >= binMinFrame && binary.LittleEndian.Uint16(data[8:]) == ChunkedVersion
-}
-
 // VerifyBinary checks a frame's structure and, when the checksum flag is
 // set, its CRC32-C trailer, without decoding the payload. A mismatched
 // trailer yields an error satisfying both errors.Is(err, ErrChecksum) and
@@ -319,7 +303,16 @@ func checkTrailer(data []byte, got uint32) error {
 // frame one vertex scratch the size of its largest chunk's vertices, at most
 // 1.5× len(data) since a grid vertex expands to 12 bytes from 8.
 func DecodeBinary(data []byte) (*geom.Mesh, float32, error) {
-	return decode(data, false, false)
+	return decode(data, false)
+}
+
+// DecodeVerified is DecodeBinary without the CRC pass, for a frame a
+// verifying ReadFrame (or VerifyBinary) has already accepted, so a frame
+// that crosses one trust boundary is checksummed exactly once. The
+// structural checks that bound every access run regardless, and the mesh is
+// the caller's own either way: frame is free once this returns.
+func DecodeVerified(frame []byte) (*geom.Mesh, float32, error) {
+	return decode(frame, true)
 }
 
 // ownTris decodes payload into a fresh triangle slice: one bulk copy where
@@ -330,7 +323,7 @@ func ownTris(payload []byte) []geom.Triangle {
 		return nil
 	}
 	tris := make([]geom.Triangle, len(payload)/binTriSize)
-	if b, ok := triBytes(tris); ok {
+	if b, ok := asBytes(tris); ok {
 		copy(b, payload)
 	} else {
 		getTris(tris, payload)
@@ -338,42 +331,19 @@ func ownTris(payload []byte) []geom.Triangle {
 	return tris
 }
 
-// DecodeBinaryView is DecodeBinary without the copy where the format allows
-// one to be skipped: a version 1 frame's mesh is data's own payload bytes,
-// valid only while data is left alone, and a write to either shows in the
-// other. A version 2 frame has no soup to view, so its mesh is gathered into
-// memory of its own and data is free once this returns (IsChunked tells the
-// two apart). Pass verified=true only for a frame VerifyBinary (or a
-// verifying ReadFrame) has already accepted — the CRC pass is then skipped,
-// so a frame that crosses one trust boundary is checksummed exactly once;
-// the structural checks that bound every access run regardless. Where a
-// version 1 payload cannot be viewed in place (foreign byte order, or data
-// whose payload is not 4-byte aligned) the result is DecodeBinary's private
-// copy.
-func DecodeBinaryView(data []byte, verified bool) (*geom.Mesh, float32, error) {
-	return decode(data, verified, true)
-}
-
-// decode is the decoders' one body: check the frame, then copy, view or
-// gather its triangles.
-func decode(data []byte, verified, view bool) (*geom.Mesh, float32, error) {
+// decode is the decoders' one body: check the frame, then copy or gather
+// its triangles.
+func decode(data []byte, verified bool) (*geom.Mesh, float32, error) {
 	h, err := verifiedHeader(data, verified)
 	if err != nil {
 		return nil, 0, err
 	}
-	var tris []geom.Triangle
-	switch {
-	case h.version == ChunkedVersion:
-		if tris, err = gatherChunks(h.payload, h.tris, h.maxVerts); err != nil {
-			return nil, 0, err
-		}
-	case view:
-		var ok bool
-		if tris, ok = bytesTris(h.payload); !ok {
-			tris = ownTris(h.payload)
-		}
-	default:
-		tris = ownTris(h.payload)
+	if h.version == BinaryVersion {
+		return &geom.Mesh{Tris: ownTris(h.payload)}, h.iso, nil
+	}
+	tris, err := gatherChunks(h.payload, h.tris, h.maxVerts)
+	if err != nil {
+		return nil, 0, err
 	}
 	return &geom.Mesh{Tris: tris}, h.iso, nil
 }

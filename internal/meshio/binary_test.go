@@ -28,7 +28,7 @@ func testMesh(n int, seed float32) *geom.Mesh {
 func TestBinaryRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 513} {
 		m := testMesh(n, 1.5)
-		frame := EncodeBinary(110.5, m)
+		frame := AppendBinary(nil, 110.5, m)
 		if len(frame) != frameSize(0, n) {
 			t.Fatalf("n=%d: frame %d bytes, frameSize says %d", n, len(frame), frameSize(0, n))
 		}
@@ -42,7 +42,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 		if len(got.Tris) != n {
 			t.Fatalf("n=%d: %d triangles decoded", n, len(got.Tris))
 		}
-		if n > 0 && !bytes.Equal(EncodeBinary(iso, got), frame) {
+		if n > 0 && !bytes.Equal(AppendBinary(nil, iso, got), frame) {
 			t.Fatalf("n=%d: re-encode is not byte-identical", n)
 		}
 	}
@@ -53,7 +53,7 @@ func TestBinaryConcatenatesMeshes(t *testing.T) {
 	merged := &geom.Mesh{}
 	merged.Append(a.Tris...)
 	merged.Append(b.Tris...)
-	if !bytes.Equal(EncodeBinary(7, a, b), EncodeBinary(7, merged)) {
+	if !bytes.Equal(AppendBinary(nil, 7, a, b), AppendBinary(nil, 7, merged)) {
 		t.Fatal("per-node encode differs from merged encode")
 	}
 }
@@ -61,7 +61,7 @@ func TestBinaryConcatenatesMeshes(t *testing.T) {
 func TestBinaryNaNIsoRoundTrips(t *testing.T) {
 	// Isovalues pass through as raw bits; even NaN survives.
 	nan := math.Float32frombits(0x7fc00001)
-	_, iso, err := DecodeBinary(EncodeBinary(nan, testMesh(1, 2)))
+	_, iso, err := DecodeBinary(AppendBinary(nil, nan, testMesh(1, 2)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestBinaryNaNIsoRoundTrips(t *testing.T) {
 }
 
 func TestDecodeBinaryRejectsCorruptFrames(t *testing.T) {
-	valid := EncodeBinary(42, testMesh(4, 3))
+	valid := AppendBinary(nil, 42, testMesh(4, 3))
 	mutate := func(f func(b []byte)) []byte {
 		b := append([]byte(nil), valid...)
 		f(b)
@@ -102,7 +102,7 @@ func TestDecodeBinaryRejectsCorruptFrames(t *testing.T) {
 func TestBinaryChecksumRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 513} {
 		m := testMesh(n, 2.5)
-		frame := EncodeBinaryChecksum(99, m)
+		frame := AppendBinaryChecksum(nil, 99, m)
 		if len(frame) != frameSize(0, n)+4 {
 			t.Fatalf("n=%d: checksummed frame %d bytes, want plain frame + 4 = %d", n, len(frame), frameSize(0, n)+4)
 		}
@@ -116,7 +116,7 @@ func TestBinaryChecksumRoundTrip(t *testing.T) {
 		if iso != 99 || len(got.Tris) != n {
 			t.Fatalf("n=%d: decoded (iso %v, %d tris)", n, iso, len(got.Tris))
 		}
-		if !bytes.Equal(EncodeBinaryChecksum(iso, got), frame) {
+		if !bytes.Equal(AppendBinaryChecksum(nil, iso, got), frame) {
 			t.Fatalf("n=%d: checksummed re-encode is not byte-identical", n)
 		}
 		// The header peek must not require the CRC and must agree on counts.
@@ -128,7 +128,7 @@ func TestBinaryChecksumRoundTrip(t *testing.T) {
 }
 
 func TestBinaryChecksumDetectsCorruption(t *testing.T) {
-	frame := EncodeBinaryChecksum(7, testMesh(6, 4))
+	frame := AppendBinaryChecksum(nil, 7, testMesh(6, 4))
 	// Flip every byte position in turn (a 1-bit-per-byte sweep would be
 	// slow at 36 B/triangle; one bit per byte is what CRC32 trivially
 	// catches anyway). Skip the length prefix: resizing the frame is a
@@ -154,13 +154,13 @@ func TestBinaryChecksumDetectsCorruption(t *testing.T) {
 		t.Fatalf("payload flip: err = %v, want ErrChecksum", err)
 	}
 	// Unflagged frames have no trailer to check: verification is structural.
-	if err := VerifyBinary(EncodeBinary(7, testMesh(2, 1))); err != nil {
+	if err := VerifyBinary(AppendBinary(nil, 7, testMesh(2, 1))); err != nil {
 		t.Fatalf("plain frame failed verify: %v", err)
 	}
 }
 
 func TestReadBinaryEnforcesLimit(t *testing.T) {
-	frame := EncodeBinary(9, testMesh(100, 1))
+	frame := AppendBinary(nil, 9, testMesh(100, 1))
 	if _, err := ReadFrame(bytes.NewReader(frame), len(frame), true, nil); err != nil {
 		t.Fatalf("frame at exactly the limit: %v", err)
 	}
@@ -183,7 +183,7 @@ func TestReadBinaryEnforcesLimit(t *testing.T) {
 
 func TestDecodeBinaryHeaderPeeks(t *testing.T) {
 	m := testMesh(17, 5)
-	iso, tris, err := DecodeBinaryHeader(EncodeBinary(33, m))
+	iso, tris, err := DecodeBinaryHeader(AppendBinary(nil, 33, m))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -287,8 +287,8 @@ func TestSealedFrameBytesEqualPortableEncoding(t *testing.T) {
 		if err != nil || iso != 110.5 || tris != expandAll(batches...).Len() {
 			t.Errorf("%s: header (%v, %d, %v)", tc.name, iso, tris, err)
 		}
-		if !IsChunked(got) {
-			t.Errorf("%s: sealed frame is not version 2", tc.name)
+		if h, _ := decodeHeader(got); h.version != ChunkedVersion {
+			t.Errorf("%s: sealed frame is version %d, not 2", tc.name, h.version)
 		}
 	}
 	if forms[true] == 0 || forms[false] == 0 {
@@ -297,23 +297,22 @@ func TestSealedFrameBytesEqualPortableEncoding(t *testing.T) {
 }
 
 // TestChunkedDecodeMatchesSoup is the differential behind "soup only in the
-// caller's hands": decoding a version 2 frame — DecodeBinary, DecodeBinaryView
-// verified or not, DecodeChunks node by node — yields bit for bit the version
-// 1 soup of the same batches, ExpandSoup'd and concatenated.
+// caller's hands": decoding a version 2 frame — DecodeBinary, DecodeVerified,
+// DecodeChunks node by node — yields bit for bit the version 1 soup of the
+// same batches, ExpandSoup'd and concatenated.
 func TestChunkedDecodeMatchesSoup(t *testing.T) {
 	for _, tc := range batchCases {
 		frame, _, batches := sealCase(tc.nodes)
-		want := EncodeBinary(110.5, expandAll(batches...))
-		for name, decode := range map[string]func() (*geom.Mesh, float32, error){
-			"DecodeBinary":               func() (*geom.Mesh, float32, error) { return DecodeBinary(frame) },
-			"DecodeBinaryView":           func() (*geom.Mesh, float32, error) { return DecodeBinaryView(frame, false) },
-			"DecodeBinaryView(verified)": func() (*geom.Mesh, float32, error) { return DecodeBinaryView(frame, true) },
+		want := AppendBinary(nil, 110.5, expandAll(batches...))
+		for name, decode := range map[string]func([]byte) (*geom.Mesh, float32, error){
+			"DecodeBinary":   DecodeBinary,
+			"DecodeVerified": DecodeVerified,
 		} {
-			m, iso, err := decode()
+			m, iso, err := decode(frame)
 			if err != nil {
 				t.Fatalf("%s: %s: %v", tc.name, name, err)
 			}
-			if got := EncodeBinary(iso, m); !bytes.Equal(got, want) {
+			if got := AppendBinary(nil, iso, m); !bytes.Equal(got, want) {
 				t.Errorf("%s: %s's soup differs from the expanded batches'", tc.name, name)
 			}
 		}
@@ -323,12 +322,12 @@ func TestChunkedDecodeMatchesSoup(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: DecodeChunks: %v", tc.name, err)
 			}
-			if !bytes.Equal(EncodeBinary(0, m), EncodeBinary(0, expandAll(node...))) {
+			if !bytes.Equal(AppendBinary(nil, 0, m), AppendBinary(nil, 0, expandAll(node...))) {
 				t.Errorf("%s: DecodeChunks differs from the node's expanded batches", tc.name)
 			}
 			nodes = append(nodes, m)
 		}
-		if !bytes.Equal(EncodeBinary(110.5, nodes...), want) {
+		if !bytes.Equal(AppendBinary(nil, 110.5, nodes...), want) {
 			t.Errorf("%s: the nodes' soups, concatenated, differ from the frame's", tc.name)
 		}
 	}
@@ -338,15 +337,15 @@ func TestChunkedDecodeMatchesSoup(t *testing.T) {
 // own, so the frame can be recycled the moment the decode returns.
 func TestChunkedDecodeOwnsItsSoup(t *testing.T) {
 	frame, _, _ := sealCase([][]*geom.IndexedMesh{{testBatch(40, 30, 9)}})
-	m, _, err := DecodeBinaryView(frame, true)
+	m, _, err := DecodeVerified(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := EncodeBinary(0, m)
+	want := AppendBinary(nil, 0, m)
 	for i := range frame {
 		frame[i] = 0xa5
 	}
-	if !bytes.Equal(EncodeBinary(0, m), want) {
+	if !bytes.Equal(AppendBinary(nil, 0, m), want) {
 		t.Fatal("overwriting a v2 frame changed the mesh decoded from it")
 	}
 }
@@ -445,8 +444,8 @@ func TestChunkedDecodeRejectsMalformedChunks(t *testing.T) {
 		if _, _, err := DecodeBinary(frame); !errors.Is(err, ErrBinaryFormat) || errors.Is(err, ErrChecksum) {
 			t.Errorf("%s: DecodeBinary err = %v, want ErrBinaryFormat alone", name, err)
 		}
-		if _, _, err := DecodeBinaryView(frame, true); !errors.Is(err, ErrBinaryFormat) {
-			t.Errorf("%s: DecodeBinaryView err = %v, want ErrBinaryFormat", name, err)
+		if _, _, err := DecodeVerified(frame); !errors.Is(err, ErrBinaryFormat) {
+			t.Errorf("%s: DecodeVerified err = %v, want ErrBinaryFormat", name, err)
 		}
 	}
 }

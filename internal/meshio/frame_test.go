@@ -60,11 +60,11 @@ var frameCases = []struct {
 // per-triangle one, plain and checksummed.
 func TestBulkEncodeMatchesPerTriangleOracle(t *testing.T) {
 	for _, tc := range frameCases {
-		if got, want := EncodeBinary(-3.25, tc.meshes...), portableFrame(-3.25, 0, tc.meshes...); !bytes.Equal(got, want) {
-			t.Errorf("%s: EncodeBinary differs from the per-triangle encoding", tc.name)
+		if got, want := AppendBinary(nil, -3.25, tc.meshes...), portableFrame(-3.25, 0, tc.meshes...); !bytes.Equal(got, want) {
+			t.Errorf("%s: AppendBinary differs from the per-triangle encoding", tc.name)
 		}
-		if got, want := EncodeBinaryChecksum(-3.25, tc.meshes...), portableFrame(-3.25, FlagChecksum, tc.meshes...); !bytes.Equal(got, want) {
-			t.Errorf("%s: EncodeBinaryChecksum differs from the per-triangle encoding", tc.name)
+		if got, want := AppendBinaryChecksum(nil, -3.25, tc.meshes...), portableFrame(-3.25, FlagChecksum, tc.meshes...); !bytes.Equal(got, want) {
+			t.Errorf("%s: AppendBinaryChecksum differs from the per-triangle encoding", tc.name)
 		}
 	}
 }
@@ -126,61 +126,53 @@ func TestSealedFrameWriteZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestDecodeBinaryViewAliasesItsFrame pins both halves of the aliasing
-// contract on an aligned frame: no copy (a write to the mesh lands in the
-// frame) and clipped capacity (an append cannot run into the trailer).
-func TestDecodeBinaryViewAliasesItsFrame(t *testing.T) {
-	if !hostIsWire {
-		t.Skip("host triangle layout is not the wire layout; the view copies")
-	}
-	src := testMesh(6, 3)
-	frame := EncodeBinaryChecksum(9, src)
+// TestSoupDecodeOwnsItsTriangles: a version 1 frame's mesh is a copy, from
+// either decoder — a write to the mesh leaves the frame alone, and a write
+// to the frame leaves the mesh alone — so the frame can be recycled the
+// moment the decode returns.
+func TestSoupDecodeOwnsItsTriangles(t *testing.T) {
+	frame := AppendBinaryChecksum(nil, 9, testMesh(6, 3))
 	pristine := append([]byte(nil), frame...)
-	m, iso, err := DecodeBinaryView(frame, false)
-	if err != nil || iso != 9 || len(m.Tris) != 6 {
-		t.Fatalf("view decode: (%d tris, iso %v, %v)", len(m.Tris), iso, err)
-	}
-	if cap(m.Tris) != len(m.Tris) {
-		t.Fatalf("view has capacity %d beyond its %d triangles", cap(m.Tris), len(m.Tris))
-	}
-	m.Append(geom.Triangle{}) // must reallocate, not overwrite the CRC trailer
-	if !bytes.Equal(frame, pristine) {
-		t.Fatal("appending to the viewed mesh wrote into the frame")
-	}
-	m, _, _ = DecodeBinaryView(frame, true)
-	m.Tris[1].C.Z = -1
-	if bytes.Equal(frame, pristine) {
-		t.Fatal("DecodeBinaryView returned a copy of an aligned frame")
-	}
-	// DecodeBinary, by contrast, always owns its triangles.
-	copy(frame, pristine)
-	own, _, err := DecodeBinary(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	own.Tris[1].C.Z = -1
-	if !bytes.Equal(frame, pristine) {
-		t.Fatal("DecodeBinary's mesh aliases its input")
+	for name, decode := range map[string]func([]byte) (*geom.Mesh, float32, error){
+		"DecodeBinary":   DecodeBinary,
+		"DecodeVerified": DecodeVerified,
+	} {
+		m, iso, err := decode(frame)
+		if err != nil || iso != 9 || len(m.Tris) != 6 {
+			t.Fatalf("%s: (%v, iso %v, %v)", name, m, iso, err)
+		}
+		m.Tris[1].C.Z = -1
+		if !bytes.Equal(frame, pristine) {
+			t.Fatalf("%s's mesh aliases its input", name)
+		}
+		want := AppendBinary(nil, 0, m)
+		for i := range frame {
+			frame[i] = 0xa5
+		}
+		if !bytes.Equal(AppendBinary(nil, 0, m), want) {
+			t.Fatalf("overwriting a v1 frame changed the mesh %s decoded from it", name)
+		}
+		copy(frame, pristine)
 	}
 }
 
-// TestDecodeBinaryViewVerifiesUnlessVouchedFor: verified=false is
-// DecodeBinary's full check; verified=true skips the CRC and nothing else.
-func TestDecodeBinaryViewVerifiesUnlessVouchedFor(t *testing.T) {
-	frame := EncodeBinaryChecksum(7, testMesh(6, 4))
+// TestDecodeVerifiedSkipsOnlyTheCRC: DecodeBinary runs the full check, and
+// DecodeVerified skips the CRC and nothing else.
+func TestDecodeVerifiedSkipsOnlyTheCRC(t *testing.T) {
+	frame := AppendBinaryChecksum(nil, 7, testMesh(6, 4))
 	frame[binMinFrame+3] ^= 0x01
-	if _, _, err := DecodeBinaryView(frame, false); !errors.Is(err, ErrChecksum) {
-		t.Fatalf("unverified view of a corrupt frame: err = %v, want ErrChecksum", err)
+	if _, _, err := DecodeBinary(frame); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("DecodeBinary of a corrupt frame: err = %v, want ErrChecksum", err)
 	}
-	if _, _, err := DecodeBinaryView(frame, true); err != nil {
-		t.Fatalf("pre-verified view re-ran the CRC: %v", err)
+	if _, _, err := DecodeVerified(frame); err != nil {
+		t.Fatalf("DecodeVerified re-ran the CRC: %v", err)
 	}
 	for name, bad := range map[string][]byte{
 		"truncated": frame[:len(frame)-5],
 		"short":     frame[:12],
 		"empty":     nil,
 	} {
-		if _, _, err := DecodeBinaryView(bad, true); !errors.Is(err, ErrBinaryFormat) {
+		if _, _, err := DecodeVerified(bad); !errors.Is(err, ErrBinaryFormat) {
 			t.Errorf("%s frame, caller vouching: err = %v, want ErrBinaryFormat", name, err)
 		}
 	}
@@ -196,21 +188,21 @@ func TestForeignHostPathsProduceTheSameBytes(t *testing.T) {
 	defer func(was bool) { hostIsWire = was }(hostIsWire)
 	for _, tc := range frameCases {
 		hostIsWire = true
-		want := EncodeBinaryChecksum(42, tc.meshes...)
+		want := AppendBinaryChecksum(nil, 42, tc.meshes...)
 		wantMesh, _, err := DecodeBinary(want)
 		if err != nil {
 			t.Fatal(err)
 		}
 
 		hostIsWire = false
-		if got := EncodeBinaryChecksum(42, tc.meshes...); !bytes.Equal(got, want) {
+		if got := AppendBinaryChecksum(nil, 42, tc.meshes...); !bytes.Equal(got, want) {
 			t.Errorf("%s: per-triangle AppendBinaryChecksum differs", tc.name)
 		}
-		for name, decode := range map[string]func() (*geom.Mesh, float32, error){
-			"DecodeBinary":     func() (*geom.Mesh, float32, error) { return DecodeBinary(want) },
-			"DecodeBinaryView": func() (*geom.Mesh, float32, error) { return DecodeBinaryView(want, false) },
+		for name, decode := range map[string]func([]byte) (*geom.Mesh, float32, error){
+			"DecodeBinary":   DecodeBinary,
+			"DecodeVerified": DecodeVerified,
 		} {
-			m, iso, err := decode()
+			m, iso, err := decode(want)
 			if err != nil || iso != 42 {
 				t.Errorf("%s: per-triangle %s: iso %v, err %v", tc.name, name, iso, err)
 			} else if !bytes.Equal(putTris(nil, m.Tris), putTris(nil, wantMesh.Tris)) {

@@ -21,11 +21,11 @@ func frameSeeds() [][]byte {
 	var seeds [][]byte
 	add := func(b []byte) { seeds = append(seeds, b) }
 
-	empty := EncodeBinary(0, &geom.Mesh{})
-	one := EncodeBinary(110, &geom.Mesh{Tris: []geom.Triangle{{
+	empty := AppendBinary(nil, 0, &geom.Mesh{})
+	one := AppendBinary(nil, 110, &geom.Mesh{Tris: []geom.Triangle{{
 		A: geom.V(0, 0, 0), B: geom.V(1, 0, 0), C: geom.V(0, 1, 0),
 	}}})
-	many := EncodeBinary(-3.25, testMesh(9, 2))
+	many := AppendBinary(nil, -3.25, testMesh(9, 2))
 
 	add(empty)
 	add(one)
@@ -40,7 +40,7 @@ func frameSeeds() [][]byte {
 
 	// Checksum-flag frames: valid trailers, a flipped payload byte (CRC must
 	// catch it), a flag with no room for a trailer, and a truncated trailer.
-	add(EncodeBinaryChecksum(0, &geom.Mesh{}))
+	add(AppendBinaryChecksum(nil, 0, &geom.Mesh{}))
 	summed := AppendBinaryChecksum(nil, 110, &geom.Mesh{Tris: []geom.Triangle{{
 		A: geom.V(0, 0, 0), B: geom.V(1, 0, 0), C: geom.V(0, 1, 0),
 	}}})
@@ -53,11 +53,11 @@ func frameSeeds() [][]byte {
 	add(flagNoRoom)
 	add(summed[:len(summed)-2])
 
-	// Frames the in-place paths care about: several meshes with an empty one
+	// Frames the bulk copies care about: several meshes with an empty one
 	// between them, and payload bits that only survive if moved as bits.
-	add(EncodeBinaryChecksum(-3.25, testMesh(2, 1), &geom.Mesh{}, testMesh(1, 7)))
-	add(EncodeBinary(110, nanMesh()))
-	add(EncodeBinaryChecksum(110, nanMesh(), nanMesh()))
+	add(AppendBinaryChecksum(nil, -3.25, testMesh(2, 1), &geom.Mesh{}, testMesh(1, 7)))
+	add(AppendBinary(nil, 110, nanMesh()))
+	add(AppendBinaryChecksum(nil, 110, nanMesh(), nanMesh()))
 
 	// Version 2: 16- and 32-bit chunks, nodes of several chunks, no chunk at
 	// all (an empty surface, checksummed and not), a frame without the
@@ -92,22 +92,22 @@ func frameSeeds() [][]byte {
 // soup is made); its vertex scratch, at most 1.5×, is
 // TestChunkedDecodeAllocationBound's.
 //
-// Every decoder answers to it: the bulk-copy DecodeBinary, the aliasing
-// DecodeBinaryView (CRC run here or vouched for by the caller) and the
-// per-component oracles must yield the same triangles bit for bit. A version
-// 1 frame's oracle is getTris; a version 2 frame's is the differential
-// against soup — its chunks read back as batches (parseBatches), re-encoded
-// by portableChunked to the input, and their ExpandSoups, concatenated, are
-// what every decoder must return; portableChunked re-encodes each batch in
-// the form the rule gives it, so an accepted chunk of either form is the
-// one encoding of its batch. With both kernels off (withKernels) — the vector
-// grid kernel and geom's streaming-store gather — the portable loops must
-// accept the same frames and decode them to the same bits, so the fuzzer
-// holds each kernel to its loop verdict for verdict, bit for bit;
+// Every decoder answers to it: DecodeBinary, DecodeVerified (the CRC vouched
+// for by the caller) and the per-component oracles must yield the same
+// triangles bit for bit. A version 1 frame's oracle is getTris; a version 2
+// frame's is the differential against soup — its chunks read back as
+// batches (parseBatches), re-encoded by portableChunked to the input, and
+// their ExpandSoups, concatenated, are what every decoder must return;
+// portableChunked re-encodes each batch in the form the rule gives it, so an
+// accepted chunk of either form is the one encoding of its batch. With both
+// kernels off (withKernels) — the vector grid kernel and geom's
+// streaming-store gather — the portable loops must accept the same frames
+// and decode them to the same bits, so the fuzzer holds each kernel to its
+// loop verdict for verdict, bit for bit;
 // TestDecodeSeedsWithPortableLoop runs every seed on the portable loops
-// alone, as a host without the kernels does. The view must fall back to a
-// private copy — not a misaligned pointer — when the same frame sits at byte
-// offsets 1–3 of a larger buffer, and never alias a version 2 frame.
+// alone, as a host without the kernels does. The same frame at byte offsets
+// 1–3 of a larger buffer must decode through the scratch — not a misaligned
+// pointer — and at no offset may the mesh alias the buffer.
 func FuzzDecodeBinary(f *testing.F) {
 	for _, seed := range frameSeeds() {
 		f.Add(seed)
@@ -129,13 +129,14 @@ func TestDecodeSeedsWithPortableLoop(t *testing.T) {
 // checkDecodeBinary is FuzzDecodeBinary's check of one input.
 func checkDecodeBinary(t *testing.T, data []byte) {
 	m, iso, err := DecodeBinary(data)
-	// The view skips only the CRC when told to: structure is checked on
-	// every path, so it errors when the header peek does — and past it
-	// only on a version 2 vertex or index, which the peek does not read.
+	// DecodeVerified skips only the CRC: structure is checked on every
+	// path, so it errors when the header peek does — and past it only on a
+	// version 2 vertex or index, which the peek does not read.
 	_, _, herr := DecodeBinaryHeader(data)
-	_, _, verr := DecodeBinaryView(data, true)
-	if herr != nil && verr == nil || herr == nil && verr != nil && !(IsChunked(data) && errors.Is(verr, ErrBinaryFormat)) {
-		t.Fatalf("pre-verified view: err %v, header peek: err %v", verr, herr)
+	chunked := herr == nil && binary.LittleEndian.Uint16(data[8:]) == ChunkedVersion
+	_, _, verr := DecodeVerified(data)
+	if herr != nil && verr == nil || herr == nil && verr != nil && !(chunked && errors.Is(verr, ErrBinaryFormat)) {
+		t.Fatalf("DecodeVerified: err %v, header peek: err %v", verr, herr)
 	}
 	if err != nil {
 		if !errors.Is(err, ErrBinaryFormat) {
@@ -146,9 +147,6 @@ func checkDecodeBinary(t *testing.T, data []byte) {
 				t.Fatalf("the portable loops accept a frame the kernels reject: %v", err)
 			}
 		})
-		if _, _, verr := DecodeBinaryView(data, false); !errors.Is(verr, ErrBinaryFormat) {
-			t.Fatalf("view accepted a frame DecodeBinary rejects (%v): %v", err, verr)
-		}
 		return
 	}
 	if m == nil {
@@ -168,7 +166,6 @@ func checkDecodeBinary(t *testing.T, data []byte) {
 		t.Fatalf("decoded frame fails VerifyBinary: %v", verr)
 	}
 	h, _ := decodeHeader(data)
-	chunked := IsChunked(data)
 
 	// Round trip: an accepted frame is exactly what the encoder emits
 	// (checksummed frames re-encode through the checksummed variant), and
@@ -181,9 +178,9 @@ func checkDecodeBinary(t *testing.T, data []byte) {
 		}
 		want = putTris(nil, expandAll(batches...).Tris)
 	} else {
-		re := EncodeBinary(iso, m)
+		re := AppendBinary(nil, iso, m)
 		if h.flags&FlagChecksum != 0 {
-			re = EncodeBinaryChecksum(iso, m)
+			re = AppendBinaryChecksum(nil, iso, m)
 		}
 		if !bytes.Equal(re, data) {
 			t.Fatalf("accepted frame is not canonical: %d bytes in, %d bytes re-encoded", len(data), len(re))
@@ -212,31 +209,29 @@ func checkDecodeBinary(t *testing.T, data []byte) {
 			same("DecodeBinary on the portable loops", pm, piso, perr)
 		})
 	}
-	vm, viso, verr := DecodeBinaryView(data, false)
-	same("DecodeBinaryView", vm, viso, verr)
-	vm, viso, verr = DecodeBinaryView(data, true)
-	same("DecodeBinaryView(verified)", vm, viso, verr)
+	vm, viso, verr := DecodeVerified(data)
+	same("DecodeVerified", vm, viso, verr)
 
 	// The frame at offsets 0–3 of a larger buffer. Heap buffers start
 	// 8-byte aligned, so offset 0 puts the payload on a float32 boundary
-	// (viewed in place on a little-endian host) and 1–3 never do: those
-	// must decode through a private copy, which -race's checkptr would
-	// otherwise report as a misaligned conversion.
+	// and 1–3 never do: there bytesAs must refuse a plain chunk's vertices
+	// and the gather read them through the scratch, which -race's checkptr
+	// would otherwise report as a misaligned conversion. At every offset
+	// the mesh is the decoder's own.
 	for off := 0; off <= 3; off++ {
 		buf := make([]byte, off+len(data)+1)
 		at := buf[off : off+len(data)]
 		copy(at, data)
-		vm, viso, verr := DecodeBinaryView(at, false)
-		same(fmt.Sprintf("DecodeBinaryView at offset %d", off), vm, viso, verr)
+		om, oiso, oerr := DecodeBinary(at)
+		same(fmt.Sprintf("DecodeBinary at offset %d", off), om, oiso, oerr)
 		if ptris == 0 {
 			continue
 		}
 		for i := binMinFrame; i < len(at); i++ {
 			at[i] ^= 0xff
 		}
-		aliased := !bytes.Equal(putTris(nil, vm.Tris), want)
-		if want := off == 0 && hostIsWire && !chunked; aliased != want {
-			t.Fatalf("offset %d: mesh aliases the buffer = %v, want %v", off, aliased, want)
+		if !bytes.Equal(putTris(nil, om.Tris), want) {
+			t.Fatalf("offset %d: the mesh aliases the buffer it was decoded from", off)
 		}
 	}
 }
@@ -393,8 +388,8 @@ func FuzzReadFrame(f *testing.F) {
 	for i, seed := range frameSeeds() {
 		f.Add(seed, uint16(0xffff), uint8(i), uint8(16+i))
 	}
-	f.Add(EncodeBinaryChecksum(1, testMesh(40, 3)), uint16(0xffff), uint8(1), uint8(37))
-	f.Add(EncodeBinaryChecksum(1, testMesh(40, 3)), uint16(500), uint8(4), uint8(200)) // over the limit
+	f.Add(AppendBinaryChecksum(nil, 1, testMesh(40, 3)), uint16(0xffff), uint8(1), uint8(37))
+	f.Add(AppendBinaryChecksum(nil, 1, testMesh(40, 3)), uint16(500), uint8(4), uint8(200)) // over the limit
 
 	readers := []func([]byte, int) io.Reader{
 		func(b []byte, _ int) io.Reader { return bytes.NewReader(b) },
@@ -460,7 +455,7 @@ func FuzzReadFrame(f *testing.F) {
 // with one byte flipped at each edge, and cut off on a chunk boundary.
 func TestReadFrameAtRealChunkEdges(t *testing.T) {
 	for _, tris := range []int{14562, 14563, 14564} { // 14563: body = 2·readChunk exactly
-		frame := EncodeBinaryChecksum(3, testMesh(tris, 1))
+		frame := AppendBinaryChecksum(nil, 3, testMesh(tris, 1))
 		got, err := ReadFrame(iotest.HalfReader(bytes.NewReader(frame)), 0, true, nil)
 		if err != nil || !bytes.Equal(got, frame) {
 			t.Fatalf("%d triangles: intact frame: err %v, bytes equal %v", tris, err, bytes.Equal(got, frame))

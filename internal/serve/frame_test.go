@@ -46,7 +46,7 @@ func soupBytes(t *testing.T, res *cluster.Result) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return meshio.EncodeBinary(res.Iso, meshes...)
+	return meshio.AppendBinary(nil, res.Iso, meshes...)
 }
 
 // TestFrameBuiltOncePerSurface pins one extraction in flight, piles

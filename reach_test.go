@@ -33,8 +33,6 @@ var oracles = map[string]string{
 	"march.Grid":                     "whole-grid marching cubes, the reference the metacell path, the cluster and the mesh exporters are tested against",
 	"metacell.DecodeRecord":          "the allocating record decoder DecodeRecordInto is fuzzed and tested against",
 	"geom.(*IndexedMesh).ExpandSoup": "the allocating expansion: welded ≡ soup is checked through it, and ExpandInto against it",
-	"meshio.EncodeBinary":            "the copying v1 encoder the decoders are held byte-identical to, and the bytes the v2 differential compares decoded soups in",
-	"meshio.EncodeBinaryChecksum":    "the same with the CRC trailer: every routed ≡ direct oracle encodes its soup reference with it",
 	"geom.UseGatherKernel":           "switches Gather to its portable loop, the reference meshio's decode differential (withKernels) holds the streaming-store kernel to",
 
 	// Measurements a test of live code reads its verdict from.
