@@ -327,7 +327,7 @@ func (e *Engine) extractNodeStreaming(ctx context.Context, node int, iso float32
 		var chunks []byte
 		if opts.KeepMeshes {
 			triOffs = prefixSums(batches, (*geom.IndexedMesh).Len)
-			tris = make([]geom.Triangle, triOffs[len(batches)])
+			tris = geom.MakeSoup(triOffs[len(batches)]) // the parts cover it, each gathered whole
 		}
 		if opts.KeepChunks {
 			chunkOffs = prefixSums(batches, meshio.ChunkLen)

@@ -70,8 +70,11 @@ func twoPhase(t testing.TB, e *Engine, iso float32) *Result {
 // test: across random isovalues, node counts, thread counts and pipeline
 // shapes, the streaming pipeline must report exactly the two-phase
 // schedule's ActiveMetacells, ActiveCells and Triangles, and (with
-// KeepMeshes) produce byte-identical per-node meshes.
+// KeepMeshes) produce byte-identical per-node meshes. Soups are poisoned
+// (geom.PoisonSoups), so a part of the soup no lane gathered reads as NaN
+// bits, not as what the memory held.
 func TestStreamingMatchesTwoPhaseProperty(t *testing.T) {
+	defer geom.PoisonSoups(geom.PoisonSoups(true))
 	g := rmGrid()
 	rnd := rand.New(rand.NewSource(1234))
 	for trial := 0; trial < 8; trial++ {

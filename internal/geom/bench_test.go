@@ -9,9 +9,9 @@ import (
 // benchmark's sweep runs it: 17 welded batches of 34 k vertices and 52 k
 // triangles whose corners are near one another in the vertex array, gathered
 // into their parts of one 32 MB soup — too large to stay in cache — made
-// afresh each time, as the expand phase and the chunk decoder make theirs.
-// The rate is soup bytes written, the make's clearing included. kernel runs
-// the streaming-store kernel, portable the Go loop.
+// afresh each time by MakeSoup, uncleared, as the expand phase and the chunk
+// decoder make theirs. The rate is soup bytes written, the allocation
+// included. kernel runs the streaming-store kernel, portable the Go loop.
 func BenchmarkGather(b *testing.B) {
 	const batches, verts, tris = 17, 34_000, 52_000
 	rnd := rand.New(rand.NewSource(1))
@@ -35,7 +35,7 @@ func BenchmarkGather(b *testing.B) {
 			defer UseGatherKernel(UseGatherKernel(kernel))
 			b.SetBytes(batches * tris * 36)
 			for i := 0; i < b.N; i++ {
-				soup := make([]Triangle, batches*tris)
+				soup := MakeSoup(batches * tris)
 				for k, im := range ims {
 					im.Gather(soup[k*tris:][:tris])
 				}

@@ -23,9 +23,10 @@ func UseGatherKernel(on bool) (was bool) {
 // into verts, corner by corner, and reports false when an index is not below
 // len(verts): indices may be hostile bytes off the wire. idx holds at least
 // 3·len(out) indices. The caller has sized out and owns it, so many meshes
-// gather into disjoint parts of one soup at once. On amd64 the kernel writes
-// with streaming stores: a soup is written once, right after make cleared
-// it, so a store that first read its line back would fetch it for nothing.
+// gather into disjoint parts of one soup at once. A soup comes from
+// MakeSoup, uncleared, and is written once, here; on amd64 the kernel writes
+// it with streaming stores, since a store that first read its line back would
+// fetch it for nothing.
 func Gather[I uint16 | uint32](out []Triangle, verts []Vec3, idx []I) bool {
 	idx = idx[:3*len(out)]
 	if !useGatherNT {

@@ -280,7 +280,7 @@ func gatherChunks(p []byte, tris, maxVerts int) ([]geom.Triangle, error) {
 	if tris == 0 {
 		return nil, nil
 	}
-	out := make([]geom.Triangle, tris)
+	out := geom.MakeSoup(tris) // every triangle gathered below, or out dropped
 	var scratch []geom.Vec3
 	for at := 0; len(p) > 0; {
 		c, err := parseChunk(p)

@@ -207,12 +207,16 @@ func parseBatches(t *testing.T, payload []byte) []*geom.IndexedMesh {
 	return out
 }
 
-// expandAll is the version 1 soup of the batches: each one's ExpandSoup,
-// concatenated.
+// expandAll is the version 1 soup of the batches: each one's triangles, a
+// Triangle of three looked-up corners apiece, concatenated. It does not go
+// through geom.Gather, the code the decoders are held to it for.
 func expandAll(batches ...*geom.IndexedMesh) *geom.Mesh {
 	out := &geom.Mesh{}
 	for _, im := range batches {
-		out.Append(im.ExpandSoup().Tris...)
+		v, idx := im.Verts, im.Idx
+		for i := 0; i < len(idx); i += 3 {
+			out.Append(geom.Triangle{A: v[idx[i]], B: v[idx[i+1]], C: v[idx[i+2]]})
+		}
 	}
 	return out
 }
@@ -299,8 +303,11 @@ func TestSealedFrameBytesEqualPortableEncoding(t *testing.T) {
 // TestChunkedDecodeMatchesSoup is the differential behind "soup only in the
 // caller's hands": decoding a version 2 frame — DecodeBinary, DecodeVerified,
 // DecodeChunks node by node — yields bit for bit the version 1 soup of the
-// same batches, ExpandSoup'd and concatenated.
+// same batches, expanded corner by corner (expandAll) and concatenated. Soups
+// are poisoned (geom.PoisonSoups), so a triangle a decoder skips reads as NaN
+// bits, not as what the memory held.
 func TestChunkedDecodeMatchesSoup(t *testing.T) {
+	defer geom.PoisonSoups(geom.PoisonSoups(true))
 	for _, tc := range batchCases {
 		frame, _, batches := sealCase(tc.nodes)
 		want := AppendBinary(nil, 110.5, expandAll(batches...))

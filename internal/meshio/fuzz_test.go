@@ -97,7 +97,8 @@ func frameSeeds() [][]byte {
 // triangles bit for bit. A version 1 frame's oracle is getTris; a version 2
 // frame's is the differential against soup — its chunks read back as
 // batches (parseBatches), re-encoded by portableChunked to the input, and
-// their ExpandSoups, concatenated, are what every decoder must return;
+// their triangles expanded corner by corner (expandAll, which does not call
+// geom.Gather), concatenated, are what every decoder must return;
 // portableChunked re-encodes each batch in the form the rule gives it, so an
 // accepted chunk of either form is the one encoding of its batch. With both
 // kernels off (withKernels) — the vector grid kernel and geom's
@@ -107,8 +108,11 @@ func frameSeeds() [][]byte {
 // TestDecodeSeedsWithPortableLoop runs every seed on the portable loops
 // alone, as a host without the kernels does. The same frame at byte offsets
 // 1–3 of a larger buffer must decode through the scratch — not a misaligned
-// pointer — and at no offset may the mesh alias the buffer.
+// pointer — and at no offset may the mesh alias the buffer. Soups are
+// poisoned (geom.PoisonSoups) here and in TestDecodeSeedsWithPortableLoop, so
+// a triangle a decoder skips reads as NaN bits, not as what the memory held.
 func FuzzDecodeBinary(f *testing.F) {
+	defer geom.PoisonSoups(geom.PoisonSoups(true))
 	for _, seed := range frameSeeds() {
 		f.Add(seed)
 	}
@@ -119,6 +123,7 @@ func FuzzDecodeBinary(f *testing.F) {
 // contract with both kernels off, so the portable loops answer for every
 // grid chunk and every gather, on any host.
 func TestDecodeSeedsWithPortableLoop(t *testing.T) {
+	defer geom.PoisonSoups(geom.PoisonSoups(true))
 	withKernels(false, func() {
 		for i, seed := range frameSeeds() {
 			t.Run(fmt.Sprint(i), func(t *testing.T) { checkDecodeBinary(t, seed) })

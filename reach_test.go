@@ -34,6 +34,7 @@ var oracles = map[string]string{
 	"metacell.DecodeRecord":          "the allocating record decoder DecodeRecordInto is fuzzed and tested against",
 	"geom.(*IndexedMesh).ExpandSoup": "the allocating expansion: welded ≡ soup is checked through it, and ExpandInto against it",
 	"geom.UseGatherKernel":           "switches Gather to its portable loop, the reference meshio's decode differential (withKernels) holds the streaming-store kernel to",
+	"geom.PoisonSoups":               "fills MakeSoup's uncleared soups with NaN bits in the byte-identity tests of their writers (meshio's v2 differential, cluster's streaming ≡ two-phase), so a triangle never written shows",
 
 	// Measurements a test of live code reads its verdict from.
 	"intervaltree.(*Tree).Count":     "stabbing count the interval tree and BBIO tests check against brute force",
