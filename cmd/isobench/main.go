@@ -24,10 +24,9 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("isobench: ")
 	var (
-		exp   = flag.String("experiment", "all", harness.ExperimentUsage())
-		size  = flag.String("size", "full", "full (256×256×240, the paper's down-sampled size) or small (96×96×90)")
-		out   = flag.String("out", "figure4.ppm", "output image path for fig4")
-		cache = flag.Int("cache", 0, "LRU cache blocks per node disk (0 = cold-cache paper model); warms isovalue sweeps")
+		exp  = flag.String("experiment", "all", harness.ExperimentUsage())
+		size = flag.String("size", "full", "full (256×256×240, the paper's down-sampled size) or small (96×96×90)")
+		out  = flag.String("out", "figure4.ppm", "output image path for fig4")
 
 		chaosStrict = flag.Bool("chaos-strict", false, "exit non-zero if any resilient chaos row fails a request or serves wrong bytes (CI gate)")
 	)
@@ -42,7 +41,6 @@ func main() {
 	if *size == "small" {
 		cfg = harness.Small()
 	}
-	cfg.CacheBlocks = *cache
 
 	exps := harness.SelectExperiments(harness.Experiments(*out), *exp)
 	if len(exps) == 0 {

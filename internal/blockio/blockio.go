@@ -26,8 +26,6 @@ type Stats struct {
 	BytesRead  int64 // payload bytes returned
 	BlocksRead int64 // distinct device blocks touched
 	Seeks      int64 // requests that did not continue the previous request
-	CacheHits  int64 // blocks served from a Cache wrapper without device I/O
-	CacheMiss  int64 // blocks a Cache wrapper had to fetch from its inner device
 }
 
 // Add returns the element-wise sum of two Stats.
@@ -37,8 +35,6 @@ func (s Stats) Add(o Stats) Stats {
 		BytesRead:  s.BytesRead + o.BytesRead,
 		BlocksRead: s.BlocksRead + o.BlocksRead,
 		Seeks:      s.Seeks + o.Seeks,
-		CacheHits:  s.CacheHits + o.CacheHits,
-		CacheMiss:  s.CacheMiss + o.CacheMiss,
 	}
 }
 
@@ -52,8 +48,6 @@ func (s Stats) Sub(o Stats) Stats {
 		BytesRead:  s.BytesRead - o.BytesRead,
 		BlocksRead: s.BlocksRead - o.BlocksRead,
 		Seeks:      s.Seeks - o.Seeks,
-		CacheHits:  s.CacheHits - o.CacheHits,
-		CacheMiss:  s.CacheMiss - o.CacheMiss,
 	}
 }
 
@@ -84,7 +78,6 @@ func (m DiskModel) Time(st Stats) time.Duration {
 // offset off; short reads are errors.
 type Device interface {
 	ReadAt(p []byte, off int64) error
-	Size() int64
 	Stats() Stats
 	ResetStats()
 }
@@ -109,12 +102,6 @@ func NewStore(data []byte, blockSize int) *Store {
 	}
 	return &Store{data: data, blockSize: blockSize, nextBlock: -1}
 }
-
-// BlockSize returns the device's block size in bytes.
-func (s *Store) BlockSize() int { return s.blockSize }
-
-// Size returns the device size in bytes.
-func (s *Store) Size() int64 { return int64(len(s.data)) }
 
 // ReadAt fills p with the bytes at [off, off+len(p)) and charges the request
 // to the counters: every block overlapping the range counts as read — except

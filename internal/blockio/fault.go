@@ -85,9 +85,6 @@ func (d *FaultDevice) ReadAt(p []byte, off int64) error {
 	return d.Inner.ReadAt(p, off)
 }
 
-// Size returns the inner device's size.
-func (d *FaultDevice) Size() int64 { return d.Inner.Size() }
-
 // Stats returns the inner device's counters.
 func (d *FaultDevice) Stats() Stats { return d.Inner.Stats() }
 

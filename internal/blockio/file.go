@@ -36,12 +36,6 @@ func OpenFile(path string, blockSize int) (*FileStore, error) {
 	return &FileStore{f: f, size: fi.Size(), blockSize: blockSize, nextBlock: -1}, nil
 }
 
-// BlockSize returns the device's block size in bytes.
-func (s *FileStore) BlockSize() int { return s.blockSize }
-
-// Size returns the file size in bytes.
-func (s *FileStore) Size() int64 { return s.size }
-
 // ReadAt implements Device with the same accounting rules as Store.ReadAt.
 func (s *FileStore) ReadAt(p []byte, off int64) error {
 	if off < 0 || off > s.size-int64(len(p)) { // not off+len > size: a hostile offset wraps

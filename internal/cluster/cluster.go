@@ -47,11 +47,6 @@ type Config struct {
 	// triangulate beside its own, which does too: ThreadsPerNode+1 lanes.
 	// The paper's nodes are 2-way SMPs, both CPUs triangulating; 0 means 1.
 	ThreadsPerNode int
-	// CacheBlocks, when > 0, wraps each node's disk (outside WrapDevice) in
-	// an LRU cache of that many 8 KB blocks, so repeated sweeps —
-	// animation, time-varying browsing, isovalue scans — serve hot index and
-	// brick blocks from memory. Stats report the hits and misses.
-	CacheBlocks int
 	// Metrics, when set, instruments the engine into the registry:
 	// extraction/pipeline histograms and counters under cluster_*, device
 	// read latency under blockio_* (see Engine.EnableMetrics). Nil leaves the
@@ -199,9 +194,6 @@ func buildFromCells(l metacell.Layout, cells []metacell.Cell, cfg Config) (*Engi
 		if cfg.WrapDevice != nil {
 			e.devs[i] = cfg.WrapDevice(i, e.devs[i])
 		}
-		if cfg.CacheBlocks > 0 {
-			e.devs[i] = blockio.NewCache(e.devs[i], blockio.DefaultBlockSize, cfg.CacheBlocks)
-		}
 	}
 	e.EnableMetrics(cfg.Metrics)
 	return e, nil
@@ -344,8 +336,10 @@ type Options struct {
 // as a streaming pipeline in which a query producer feeds active metacell
 // record batches through a bounded channel to the node's ThreadsPerNode+1
 // lanes, which weld them as they arrive — disk I/O and triangulation overlap
-// under a fixed record-staging bound — and then, when the meshes are kept,
-// gather the welded batches into one soup of exactly the surface's length.
+// under a fixed record-staging bound — and then, when the surface is kept,
+// fill each kept form at its exact length from the welded batches: gather
+// them into one soup (KeepMeshes), encode them into one buffer of chunks
+// (KeepChunks), or both.
 //
 // Cancelling ctx aborts the extraction mid-pipeline on every node — the
 // producers stop issuing disk reads, the lanes stop welding, and Extract

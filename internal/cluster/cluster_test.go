@@ -341,7 +341,7 @@ func TestTimeVarying(t *testing.T) {
 func TestCloseClosesWrappedFiles(t *testing.T) {
 	dir := t.TempDir()
 	var stores []*blockio.FileStore
-	e, err := Build(rmGrid(), Config{Procs: 2, Dir: dir, Metrics: obs.NewRegistry(), CacheBlocks: 8,
+	e, err := Build(rmGrid(), Config{Procs: 2, Dir: dir, Metrics: obs.NewRegistry(),
 		WrapDevice: func(_ int, dev blockio.Device) blockio.Device {
 			stores = append(stores, dev.(*blockio.FileStore))
 			return dev

@@ -44,7 +44,7 @@ func (e *Engine) EnableMetrics(reg *obs.Registry) {
 		reg:           reg,
 		extract:       reg.Histogram("cluster_extract_seconds", "isosurface extraction wall time"),
 		batchWeld:     reg.Histogram("cluster_batch_weld_seconds", "per-batch weld latency in the streaming pipeline: a lane checking and triangulating one batch of records"),
-		merge:         reg.Histogram("cluster_merge_seconds", "per node-extraction expand-phase wall time: allocating the surface's soup at its exact length and every lane gathering the welded batches into it (extractions that keep their meshes only)"),
+		merge:         reg.Histogram("cluster_merge_seconds", "per node-extraction expand-phase wall time: allocating each kept form at its exact length and every lane filling it from the welded batches, gathering the soup (KeepMeshes) and encoding the chunks (KeepChunks); extractions that keep neither observe nothing"),
 		producerStall: reg.Histogram("cluster_producer_stall_seconds", "per node-extraction producer time blocked on a full pipeline"),
 		consumerStall: reg.Histogram("cluster_consumer_stall_seconds", "per node-extraction lane time blocked on an empty pipeline, summed over the lanes"),
 		readLatency:   reg.Histogram("blockio_read_seconds", "node block device read latency"),
@@ -57,13 +57,6 @@ func (e *Engine) EnableMetrics(reg *obs.Registry) {
 	}
 	reg.GaugeFunc("blockio_blocks_read", "blocks read across all node devices", func() float64 {
 		return float64(e.deviceStats().BlocksRead)
-	})
-	reg.GaugeFunc("blockio_cache_hit_ratio", "block cache hit fraction across all node devices (0 without Config.CacheBlocks)", func() float64 {
-		st := e.deviceStats()
-		if total := st.CacheHits + st.CacheMiss; total > 0 {
-			return float64(st.CacheHits) / float64(total)
-		}
-		return 0
 	})
 	for i, dev := range e.devs {
 		e.devs[i] = blockio.WithReadObserver(dev, func(bytes int, d time.Duration) {

@@ -144,51 +144,6 @@ func TestStreamingPeakBounded(t *testing.T) {
 	}
 }
 
-// TestCacheBlocksWarmSweep checks the Config.CacheBlocks wiring end to end:
-// a repeated extraction at the same isovalue is served from the per-node
-// block caches (hits, no fresh device reads) and still produces identical
-// results.
-func TestCacheBlocksWarmSweep(t *testing.T) {
-	g := rmGrid()
-	plain, err := Build(g, Config{Procs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached, err := Build(g, Config{Procs: 2, CacheBlocks: 1 << 14})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := plain.Extract(context.Background(), 128, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := cached.Extract(context.Background(), 128, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := cached.Extract(context.Background(), 128, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, res := range []*Result{cold, warm} {
-		if res.Active != want.Active || res.Triangles != want.Triangles {
-			t.Errorf("cached engine diverges: %d/%d vs %d/%d", res.Active, res.Triangles, want.Active, want.Triangles)
-		}
-	}
-	for i := range warm.PerNode {
-		coldIO, warmIO := cold.PerNode[i].IOStats, warm.PerNode[i].IOStats
-		if coldIO.CacheMiss == 0 {
-			t.Errorf("node %d: cold sweep reported no cache misses: %+v", i, coldIO)
-		}
-		if warmIO.CacheHits == 0 || warmIO.CacheMiss != 0 || warmIO.Reads != 0 {
-			t.Errorf("node %d: warm sweep should be all hits with no device reads: %+v", i, warmIO)
-		}
-		if warm.PerNode[i].IOModelTime != 0 {
-			t.Errorf("node %d: warm sweep charged modeled disk time %v", i, warm.PerNode[i].IOModelTime)
-		}
-	}
-}
-
 // TestStreamingFaultAbortsWithoutLeaks injects a mid-stream read failure and
 // checks the pipeline shuts down cleanly: the injected error surfaces from
 // Extract and no producer or worker goroutine outlives the call. Run under
@@ -267,7 +222,7 @@ func TestExtractCancellation(t *testing.T) {
 // meshes and ask for different surfaces, so two of them sharing a batch mesh
 // would hand one the other's triangles.
 func TestExtractConcurrentSameEngine(t *testing.T) {
-	cfg := Config{Procs: 2, CacheBlocks: 512}
+	cfg := Config{Procs: 2}
 	e, err := Build(rmGrid(), cfg)
 	if err != nil {
 		t.Fatal(err)

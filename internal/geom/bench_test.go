@@ -12,6 +12,9 @@ import (
 // afresh each time by MakeSoup, uncleared, as the expand phase and the chunk
 // decoder make theirs. The rate is soup bytes written, the allocation
 // included. kernel runs the streaming-store kernel, portable the Go loop.
+// It does not predict the end-to-end result: here the two read within the
+// host's swing of each other, while on the routed benchmark workloads the
+// kernel delivers about a quarter more triangles a second (DESIGN.md §8).
 func BenchmarkGather(b *testing.B) {
 	const batches, verts, tris = 17, 34_000, 52_000
 	rnd := rand.New(rand.NewSource(1))

@@ -30,11 +30,6 @@ type RMConfig struct {
 	Step       int
 	Seed       uint64
 	Span       int // metacell span; 0 = the paper's 9
-	// CacheBlocks enables an LRU block cache of that many blocks on every
-	// node disk (0, the default, keeps the paper's cold-cache I/O model).
-	// With it, repeated sweeps — isovalue scans, balance tables — stop
-	// re-reading hot index and brick blocks.
-	CacheBlocks int
 }
 
 // DefaultRM returns the standard experiment configuration.
@@ -55,7 +50,7 @@ func (c RMConfig) span() int {
 }
 
 func (c RMConfig) key(procs int) string {
-	return fmt.Sprintf("%dx%dx%d/s%d/seed%d/span%d/p%d/c%d", c.NX, c.NY, c.NZ, c.Step, c.Seed, c.span(), procs, c.CacheBlocks)
+	return fmt.Sprintf("%dx%dx%d/s%d/seed%d/span%d/p%d", c.NX, c.NY, c.NZ, c.Step, c.Seed, c.span(), procs)
 }
 
 // Sweep returns the paper's isovalue sweep: 10 through 210 in steps of 20.
@@ -107,7 +102,7 @@ func Engine(cfg RMConfig, procs int) (*cluster.Engine, error) {
 	cache.Unlock()
 
 	g := Volume(cfg)
-	e, err := cluster.Build(g, cluster.Config{Procs: procs, Span: cfg.Span, CacheBlocks: cfg.CacheBlocks})
+	e, err := cluster.Build(g, cluster.Config{Procs: procs, Span: cfg.Span})
 	if err != nil {
 		return nil, err
 	}

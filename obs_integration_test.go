@@ -71,7 +71,7 @@ func TestMetricsEndpointIntegration(t *testing.T) {
 		// Live gauges.
 		"# TYPE serve_inflight gauge",
 		"serve_inflight 0",
-		"blockio_cache_hit_ratio ",
+		"blockio_blocks_read ",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)

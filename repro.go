@@ -14,12 +14,13 @@
 // block-aligned record batches through a bounded channel to the node's
 // ThreadsPerNode+1 marching-cubes lanes, overlapping disk I/O with
 // triangulation while staging at most four batches of DefaultBatchRecords
-// records in memory; a kept surface is then gathered by the same lanes into
-// one soup of exactly its length, byte for byte the mesh of the paper's
-// retrieve-everything-then-triangulate schedule.
-// Config.CacheBlocks adds an LRU block cache over each node's disk for
-// repeated sweeps such as animation or isovalue scans. Extraction takes a
-// context.Context; cancelling it aborts the pipeline mid-stream on every node.
+// records in memory. The same lanes then write a kept surface at its exact
+// length: gathered into one soup (Options.KeepMeshes), byte for byte the mesh
+// of the paper's retrieve-everything-then-triangulate schedule, encoded into
+// the binary wire format's chunks (Options.KeepChunks), or both. Every query is
+// charged for all the blocks it reads, cold, as the paper measures it.
+// Extraction takes a context.Context; cancelling it aborts the pipeline
+// mid-stream on every node.
 //
 // For many concurrent clients, put either engine kind behind a Server
 // (NewServer): concurrent requests for the same (time step,
