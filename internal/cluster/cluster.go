@@ -113,12 +113,13 @@ func Build(g *volume.Grid, cfg Config) (*Engine, error) {
 	return buildFromCells(l, cells, cfg)
 }
 
-// BuildFromVolumeFile preprocesses a volume file by streaming it one z-slab
-// at a time on every core (metacell.ExtractStream), so what resides in memory
-// is GOMAXPROCS × span planes of the raw volume plus the extracted metacell
-// records — about half the volume on RM-like data — and never the volume.
-// This mirrors the paper's single-node preprocessing of 7.5 GB steps on 8 GB
-// nodes.
+// BuildFromVolumeFile preprocesses a volume file by streaming it slab row by
+// slab row on every core (metacell.ExtractStream hands the rows out in groups,
+// by work), so what resides in memory is at most GOMAXPROCS × span planes of
+// the raw volume plus the extracted metacell records — about half the volume
+// on RM-like data — and never the volume. The file is read once, plus the
+// first plane of each group whose predecessor another worker extracted. This
+// mirrors the paper's single-node preprocessing of 7.5 GB steps on 8 GB nodes.
 func BuildFromVolumeFile(path string, cfg Config) (*Engine, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/blockio"
@@ -20,13 +21,25 @@ func benchSetup(b *testing.B) (metacell.Layout, []metacell.Cell, *Tree, blockio.
 	return l, cells, tree, blockio.NewStore(w.Bytes(), blockio.DefaultBlockSize)
 }
 
-// BenchmarkPlan measures compact-interval-tree construction.
-func BenchmarkPlan(b *testing.B) {
-	g := volume.RichtmyerMeshkov(65, 65, 60, 250, 1)
-	_, cells := metacell.Extract(g, 9)
+// benchVolumeCells are the metacells of the repository benchmark's time step
+// (bench/: 256×256×240 RM, step 250, seed 42), extracted once per process.
+var benchVolumeCells = sync.OnceValues(func() (metacell.Layout, []metacell.Cell) {
+	return metacell.Extract(volume.RichtmyerMeshkov(256, 256, 240, 250, 42), metacell.DefaultSpan)
+})
+
+// BenchmarkPlan measures compact-interval-tree construction on the benchmark
+// volume's metacells (core.plan_s's twin); BenchmarkPlanOracle is the
+// comparison-sorting plan it replaced, on the same cells.
+func BenchmarkPlan(b *testing.B) { benchPlan(b, Plan) }
+
+func BenchmarkPlanOracle(b *testing.B) { benchPlan(b, planOracle) }
+
+func benchPlan(b *testing.B, plan func([]metacell.Cell) *BuildPlan) {
+	_, cells := benchVolumeCells()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Plan(cells)
+		plan(cells)
 	}
 	b.ReportMetric(float64(len(cells)), "metacells")
 }

@@ -117,13 +117,56 @@ func TestPlanInvariants(t *testing.T) {
 	}
 }
 
+// TestPlanDeterministic: the plan depends on the set of cells, not on their
+// order. Intervals over ±0, ±Inf and many distinct floats, symmetric about
+// zero so that the root splits at zero, are shuffled 200 times; every shuffle
+// writes the same disk and index bytes, and the root's split value is +0
+// (the comparison-sorting plan took its sign from whichever zero sorted
+// first).
 func TestPlanDeterministic(t *testing.T) {
-	l := testLayout()
-	cells := synthCells(l, 300, 2)
-	a, _ := materialize(t, l, cells)
-	b, _ := materialize(t, l, cells)
-	if len(a.Nodes) != len(b.Nodes) || a.NumEntries() != b.NumEntries() || a.Height() != b.Height() {
-		t.Fatal("plans differ between runs")
+	l := float32Layout()
+	negZero, inf := float32(math.Copysign(0, -1)), float32(math.Inf(1))
+	zeros := [2]float32{0, negZero}
+	var cells []metacell.Cell
+	add := func(vmin, vmax float32) {
+		id := uint32(len(cells))
+		rec := make([]byte, l.RecordSize())
+		binary.LittleEndian.PutUint32(rec, id)
+		binary.LittleEndian.PutUint32(rec[4:], math.Float32bits(vmin))
+		cells = append(cells, metacell.Cell{ID: id, VMin: vmin, VMax: vmax, Record: rec})
+	}
+	r := rng.New(27)
+	for i := 0; i < 60; i++ {
+		x := float32(1+i) + float32(r.Float64())/2 // distinct, and not integers
+		switch i % 3 {
+		case 0:
+			add(-x, zeros[i/3%2])
+		case 1:
+			add(zeros[i/3%2], x)
+		default:
+			add(-x, x)
+		}
+	}
+	add(-inf, negZero)
+	add(0, inf)
+	add(negZero, 0)
+
+	image := func(cells []metacell.Cell) []byte {
+		var all []byte
+		for _, b := range materializedBytes(t, Plan(cells), l, cells, 3) {
+			all = append(all, b...)
+		}
+		return all
+	}
+	want := image(cells)
+	for s := uint64(0); s < 200; s++ {
+		in := shuffled(cells, s)
+		if p := Plan(in); math.Float32bits(p.nodes[p.root].vm) != 0 {
+			t.Fatalf("shuffle %d: root splits at %v (bits %#x), want +0", s, p.nodes[p.root].vm, math.Float32bits(p.nodes[p.root].vm))
+		}
+		if !bytes.Equal(image(in), want) {
+			t.Fatalf("shuffle %d: disk or index bytes differ from the unshuffled plan's", s)
+		}
 	}
 }
 

@@ -62,7 +62,8 @@ func (p *BuildPlan) Materialize(l metacell.Layout, cells []metacell.Cell, w Reco
 // within ±1 per brick — the paper's provable load-balance guarantee. Each
 // returned tree has the same shape as the sequential one, with entries
 // describing the local portion of each brick; empty local bricks get no
-// entry.
+// entry. An entry's smallest vmin is written +0 where it is zero, as every
+// endpoint in the index is (see Plan).
 //
 // One refinement over the paper's description: the paper restarts every
 // brick's stripe at the first processor, which systematically overloads
@@ -111,7 +112,7 @@ func (p *BuildPlan) MaterializeStriped(l metacell.Layout, cells []metacell.Cell,
 				n := &trees[i].Nodes[ni]
 				n.Entries = append(n.Entries, IndexEntry{
 					VMax:    b.vmax,
-					MinVMin: cells[first].VMin,
+					MinVMin: plusZero(cells[first].VMin),
 					Offset:  off,
 					Count:   int32(count),
 				})

@@ -116,13 +116,20 @@ func (pf *PlaneFile) Close() error { return pf.f.Close() }
 // ExtractStream decomposes a streamed volume into metacells and returns the
 // non-constant ones in ID order.
 //
-// The metacell grid's Mz slab rows are split into min(GOMAXPROCS, Mz)
-// contiguous ranges, one goroutine each, and the ranges' cells are joined in
-// range order. A range is extracted exactly as the whole would be and IDs
-// grow with mz, so the cells — IDs, intervals, record bytes, order — do not
-// depend on how many ranges there were. Each range holds span z-planes (a
-// ring of O(nx·ny·span) samples, as stored), so beside the kept records the
-// extractor holds workers × span planes.
+// Slab rows are handed out by work: min(GOMAXPROCS, groups) goroutines claim
+// groups of groupRows consecutive rows of the metacell grid's Mz from one
+// counter until none is left, so a worker whose rows were cheap (constant
+// metacells are dropped unassembled) claims more of them. The groups' cells
+// are joined in group order. A group is extracted exactly as the whole would
+// be and IDs grow with mz, so the cells — IDs, intervals, record bytes, order
+// — do not depend on how many workers there were or which claimed what.
+//
+// Each worker keeps one ring of span z-planes (O(nx·ny·span) samples, as
+// stored) and one record arena across the groups it claims, so beside the
+// kept records the extractor holds workers × span planes. A group's first
+// plane is its predecessor's last: a worker that claims the group after its
+// own last one has it in its ring, and any other claim reads it again, so the
+// source serves Nz plane reads plus at most one per group after the first.
 //
 // A metacell is decided before it is copied: its rows are compared where they
 // lie in the ring, and one whose samples are all the same bits is dropped
@@ -145,16 +152,24 @@ func ExtractStream(src PlaneSource, span int) (Layout, []Cell, error) {
 		return Layout{}, nil, fmt.Errorf("metacell: span %d < 2", span)
 	}
 	l := layoutOf(nx, ny, nz, f, span)
-	workers := min(runtime.GOMAXPROCS(0), l.Mz)
-	parts := make([][]Cell, workers)
+	groups := ceilDiv(l.Mz, groupRows)
+	workers := min(runtime.GOMAXPROCS(0), groups)
+	parts := make([][]Cell, groups)
 	errs := make([]error, workers)
-	var failed atomic.Bool // a range that cannot read a plane stops the others at their next slab row
+	var next atomic.Int64  // the next group to hand out
+	var failed atomic.Bool // a worker that cannot read a plane stops the others at their next slab row
 	var wg sync.WaitGroup
-	for i := range parts {
+	for i := range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			parts[i], errs[i] = extractSlabs(src, l, i*l.Mz/workers, (i+1)*l.Mz/workers, &failed)
+			x := newSlabExtractor(src, l)
+			for g := int(next.Add(1) - 1); g < groups && !failed.Load(); g = int(next.Add(1) - 1) {
+				if parts[g], errs[i] = x.rows(g*groupRows, min((g+1)*groupRows, l.Mz), &failed); errs[i] != nil {
+					failed.Store(true)
+					return
+				}
+			}
 		}()
 	}
 	wg.Wait()
@@ -166,35 +181,55 @@ func ExtractStream(src PlaneSource, span int) (Layout, []Cell, error) {
 	return l, slices.Concat(parts...), nil
 }
 
-// arenaRecords is how many records one allocation of a range's arena holds.
+// groupRows is how many consecutive slab rows a worker claims at a time: few
+// enough that the workers finish within a group of each other, enough that
+// the plane a claim may read twice is one in 2(span-1) of the group's.
+const groupRows = 2
+
+// arenaRecords is how many records one allocation of a worker's arena holds.
 const arenaRecords = 256
 
-// extractSlabs extracts the metacells of slab rows [lo, hi) in ID order.
-func extractSlabs(src PlaneSource, l Layout, lo, hi int, failed *atomic.Bool) ([]Cell, error) {
+// slabExtractor is one worker's state: its ring of planes and its arena.
+type slabExtractor struct {
+	src    PlaneSource
+	l      Layout
+	planes [][]byte // the last span planes read, indexed by z % span
+	slab   [][]byte // the current slab row's view of planes, by dz
+	loaded int      // the highest plane in the ring
+	arena  []byte   // what is left of the allocation records are cut from
+}
+
+func newSlabExtractor(src PlaneSource, l Layout) *slabExtractor {
+	x := &slabExtractor{src: src, l: l, planes: make([][]byte, l.Span), slab: make([][]byte, l.Span), loaded: -1}
+	for i := range x.planes {
+		x.planes[i] = make([]byte, l.Nx*l.Ny*l.Fmt.Bytes())
+	}
+	return x
+}
+
+// rows extracts the metacells of slab rows [lo, hi) in ID order.
+func (x *slabExtractor) rows(lo, hi int, failed *atomic.Bool) ([]Cell, error) {
+	l, planes, slab := x.l, x.planes, x.slab
 	span, f, w := l.Span, l.Fmt, l.Fmt.Bytes()
 	nx, ny, nz := l.Nx, l.Ny, l.Nz
 	recSize := l.RecordSize()
 
-	// Ring buffer of the last `span` planes, indexed by z % span, and the
-	// current slab row's view of it: slab[dz] is the plane a metacell's
-	// samples at dz come from, the volume's last where z0+dz is past it.
-	planes := make([][]byte, span)
-	for i := range planes {
-		planes[i] = make([]byte, nx*ny*w)
+	// The ring holds row lo's first plane only if the last row extracted
+	// here was lo-1 (no row's first plane is the volume's last).
+	if x.loaded != lo*(span-1) {
+		x.loaded = lo*(span-1) - 1
 	}
-	slab := make([][]byte, span)
-	loaded := lo*(span-1) - 1 // highest plane index read so far
 	var cells []Cell
-	var arena []byte // what is left of the allocation records are cut from
 	for mz := lo; mz < hi && !failed.Load(); mz++ {
 		z0 := mz * (span - 1)
-		for top := min(z0+span-1, nz-1); loaded < top; {
-			loaded++
-			if err := src.ReadPlane(loaded, planes[loaded%span]); err != nil {
-				failed.Store(true)
+		for top := min(z0+span-1, nz-1); x.loaded < top; {
+			x.loaded++
+			if err := x.src.ReadPlane(x.loaded, planes[x.loaded%span]); err != nil {
 				return nil, err
 			}
 		}
+		// slab[dz] is the plane a metacell's samples at dz come from, the
+		// volume's last where z0+dz is past it.
 		for dz := range slab {
 			slab[dz] = planes[min(z0+dz, nz-1)%span]
 		}
@@ -214,17 +249,17 @@ func extractSlabs(src PlaneSource, l Layout, lo, hi int, failed *atomic.Bool) ([
 				if same {
 					continue // constant metacell: cannot contain surface
 				}
-				if len(arena) < recSize {
-					arena = make([]byte, arenaRecords*recSize)
+				if len(x.arena) < recSize {
+					x.arena = make([]byte, arenaRecords*recSize)
 				}
-				rec := arena[:recSize:recSize]
+				rec := x.arena[:recSize:recSize]
 				body := rec[4+w:]
 				assemble(body, slab, at0, nx*w, ys, inside, w)
 				vmin, vmax := minMax(body, f)
 				if !(vmin < vmax) {
 					continue // constant by value, or nothing but NaN; the slot is reused
 				}
-				arena = arena[recSize:]
+				x.arena = x.arena[recSize:]
 				id := l.ID(mx, my, mz)
 				binary.LittleEndian.PutUint32(rec, id)
 				putScalar(rec[4:], f, vmin)

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -368,6 +369,63 @@ func TestHostileVolumeHeaders(t *testing.T) {
 			}
 			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 2<<20 {
 				t.Errorf("%s: %s allocated %d bytes for a %d-byte file", name, reader, alloc, len(data))
+			}
+		}
+	}
+}
+
+// countingSource counts the planes read through it, each plane by itself.
+type countingSource struct {
+	PlaneSource
+	reads []atomic.Int32 // per plane
+}
+
+func (s *countingSource) ReadPlane(z int, dst []byte) error {
+	s.reads[z].Add(1)
+	return s.PlaneSource.ReadPlane(z, dst)
+}
+
+// TestExtractStreamPlaneReads pins the hand-out's out-of-core bound: every
+// plane is read, and the source serves Nz reads plus at most one per group
+// handed out after the first (a group's first plane is its predecessor's
+// last, and only a worker that extracted the predecessor has it) — Nz exactly
+// with one worker. Over the grid, as Extract reads it, and over a volume file.
+func TestExtractStreamPlaneReads(t *testing.T) {
+	g := volume.RichtmyerMeshkov(33, 29, 83, 230, 7) // Mz = 11: six groups, the last one row
+	path := filepath.Join(t.TempDir(), "v.vol")
+	if err := g.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	pf, err := OpenPlaneFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pf.Close()
+	_, want := Extract(g, 9)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 3, 8} {
+		runtime.GOMAXPROCS(procs)
+		for name, inner := range map[string]PlaneSource{"grid": SourceFromGrid(g), "file": pf} {
+			for range 5 {
+				src := &countingSource{PlaneSource: inner, reads: make([]atomic.Int32, g.Nz)}
+				l, got, err := ExtractStream(src, 9)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertSameCells(t, want, got)
+				total := 0
+				for z := range src.reads {
+					n := int(src.reads[z].Load())
+					if n == 0 {
+						t.Fatalf("GOMAXPROCS %d, %s: plane %d never read", procs, name, z)
+					}
+					total += n
+				}
+				groups := (l.Mz + groupRows - 1) / groupRows
+				if bound := g.Nz + groups - 1; total > bound || procs == 1 && total != g.Nz {
+					t.Fatalf("GOMAXPROCS %d, %s: %d plane reads of %d planes in %d groups, want at most %d (%d with one worker)",
+						procs, name, total, g.Nz, groups, bound, g.Nz)
+				}
 			}
 		}
 	}
