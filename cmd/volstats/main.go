@@ -41,6 +41,9 @@ func main() {
 		rawFmt  = flag.String("rawfmt", "u8", "raw scalar format: u8|u16|f32")
 	)
 	flag.Parse()
+	if src.Span < 2 || src.Span > metacell.MaxSpan {
+		log.Fatalf("-span %d outside 2..%d", src.Span, metacell.MaxSpan)
+	}
 
 	g, err := loadVolume(src, *raw, *rawDims, *rawFmt)
 	if err != nil {

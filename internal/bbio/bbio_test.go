@@ -19,7 +19,7 @@ func buildRM(t *testing.T) (metacell.Layout, []metacell.Cell, *Tree, blockio.Dev
 	if err != nil {
 		t.Fatal(err)
 	}
-	return l, cells, tree, blockio.NewStore(w.Bytes(), blockio.DefaultBlockSize)
+	return l, cells, tree, blockio.NewStore(w.Bytes())
 }
 
 func TestQueryMatchesBruteForce(t *testing.T) {
@@ -66,14 +66,14 @@ func TestScatteredReadsCostMoreSeeksThanCIT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	devB := blockio.NewStore(wB.Bytes(), blockio.DefaultBlockSize)
+	devB := blockio.NewStore(wB.Bytes())
 
 	wC := blockio.NewWriter()
 	cit, err := core.Plan(cells).Materialize(l, cells, wC)
 	if err != nil {
 		t.Fatal(err)
 	}
-	devC := blockio.NewStore(wC.Bytes(), blockio.DefaultBlockSize)
+	devC := blockio.NewStore(wC.Bytes())
 
 	const iso = 128
 	stB, err := bb.Query(devB, iso, func([]byte) error { return nil })
@@ -112,7 +112,7 @@ func TestIndexAccounting(t *testing.T) {
 	if tree.it.Count(128) == 0 {
 		t.Error("Count returned nothing at a mid isovalue")
 	}
-	st, err := tree.Query(blockio.NewStore(nil, 0), 300, func([]byte) error { return nil })
+	st, err := tree.Query(blockio.NewStore(nil), 300, func([]byte) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}

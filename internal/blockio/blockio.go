@@ -11,7 +11,10 @@
 package blockio
 
 import (
+	"bytes"
 	"fmt"
+	"io"
+	"os"
 	"sync"
 	"time"
 )
@@ -40,8 +43,8 @@ func (s Stats) Add(o Stats) Stats {
 
 // Sub returns the element-wise difference s - o. Snapshotting a device's
 // counters before an operation and subtracting afterwards attributes the
-// interval's I/O without ResetStats, so independent operations on a shared
-// device do not clobber each other's accounting.
+// interval's I/O, so independent operations on a shared device do not
+// clobber each other's accounting.
 func (s Stats) Sub(o Stats) Stats {
 	return Stats{
 		Reads:      s.Reads - o.Reads,
@@ -51,9 +54,9 @@ func (s Stats) Sub(o Stats) Stats {
 	}
 }
 
-// DiskModel converts I/O counters into modeled device time.
+// DiskModel converts I/O counters into modeled device time. Every block is
+// DefaultBlockSize bytes.
 type DiskModel struct {
-	BlockSize int           // bytes per block
 	SeekTime  time.Duration // cost of each discontiguous request
 	Bandwidth float64       // sustained transfer rate, bytes/second
 }
@@ -62,7 +65,6 @@ type DiskModel struct {
 // bandwidth, 8 KB blocks, and a conventional 8 ms average seek.
 func DefaultDiskModel() DiskModel {
 	return DiskModel{
-		BlockSize: DefaultBlockSize,
 		SeekTime:  8 * time.Millisecond,
 		Bandwidth: 50 * 1e6,
 	}
@@ -70,7 +72,7 @@ func DefaultDiskModel() DiskModel {
 
 // Time returns the modeled duration of the accesses summarized by st.
 func (m DiskModel) Time(st Stats) time.Duration {
-	transfer := float64(st.BlocksRead*int64(m.BlockSize)) / m.Bandwidth
+	transfer := float64(st.BlocksRead*DefaultBlockSize) / m.Bandwidth
 	return time.Duration(transfer*float64(time.Second)) + time.Duration(st.Seeks)*m.SeekTime
 }
 
@@ -79,15 +81,14 @@ func (m DiskModel) Time(st Stats) time.Duration {
 type Device interface {
 	ReadAt(p []byte, off int64) error
 	Stats() Stats
-	ResetStats()
 }
 
-// Store is a file- or memory-backed Device with block-level accounting.
-// It is safe for concurrent use.
+// Store is a Device with block-level accounting over a memory image or a
+// file. It is safe for concurrent use.
 type Store struct {
+	r         io.ReaderAt // *bytes.Reader over a memory image, or the *os.File
+	size      int64
 	mu        sync.Mutex
-	data      []byte // entire device image
-	blockSize int
 	stats     Stats
 	nextBlock int64 // block following the previous request, for seek detection
 }
@@ -96,11 +97,23 @@ type Store struct {
 // files memory-resident for speed; all out-of-core accounting happens at
 // this layer, so the experiments still measure exactly the block accesses a
 // real disk would perform.
-func NewStore(data []byte, blockSize int) *Store {
-	if blockSize <= 0 {
-		blockSize = DefaultBlockSize
+func NewStore(data []byte) *Store {
+	return &Store{r: bytes.NewReader(data), size: int64(len(data)), nextBlock: -1}
+}
+
+// OpenFile opens path as a block device, for datasets that exceed main
+// memory. Accounting is identical to a memory image's.
+func OpenFile(path string) (*Store, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
 	}
-	return &Store{data: data, blockSize: blockSize, nextBlock: -1}
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return &Store{r: f, size: fi.Size(), nextBlock: -1}, nil
 }
 
 // ReadAt fills p with the bytes at [off, off+len(p)) and charges the request
@@ -111,15 +124,17 @@ func NewStore(data []byte, blockSize int) *Store {
 // seek unless it begins in the block that immediately follows the previous
 // request's last block (or in that same last block).
 func (s *Store) ReadAt(p []byte, off int64) error {
-	if off < 0 || off > int64(len(s.data))-int64(len(p)) { // not off+len > size: a hostile offset wraps
-		return fmt.Errorf("blockio: read [%d,%d) outside device of size %d", off, off+int64(len(p)), len(s.data))
+	if off < 0 || off > s.size-int64(len(p)) { // not off+len > size: a hostile offset wraps
+		return fmt.Errorf("blockio: read [%d,%d) outside device of size %d", off, off+int64(len(p)), s.size)
 	}
-	copy(p, s.data[off:])
 	if len(p) == 0 {
 		return nil
 	}
-	first := off / int64(s.blockSize)
-	last := (off + int64(len(p)) - 1) / int64(s.blockSize)
+	if _, err := s.r.ReadAt(p, off); err != nil {
+		return fmt.Errorf("blockio: reading [%d,%d): %w", off, off+int64(len(p)), err)
+	}
+	first := off / DefaultBlockSize
+	last := (off + int64(len(p)) - 1) / DefaultBlockSize
 
 	s.mu.Lock()
 	s.stats.Reads++
@@ -143,10 +158,11 @@ func (s *Store) Stats() Stats {
 	return s.stats
 }
 
-// ResetStats zeroes the counters and the sequential-access tracker.
-func (s *Store) ResetStats() {
-	s.mu.Lock()
-	s.stats = Stats{}
-	s.nextBlock = -1
-	s.mu.Unlock()
+// Close releases a file-backed store's file; it is a no-op for a memory
+// image.
+func (s *Store) Close() error {
+	if c, ok := s.r.(io.Closer); ok {
+		return c.Close()
+	}
+	return nil
 }

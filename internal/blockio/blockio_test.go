@@ -3,106 +3,141 @@ package blockio
 import (
 	"bytes"
 	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
 )
+
+// eachBacking runs f on a memory store and on a file store over the same
+// image: the accounting is written once, and holds for both.
+func eachBacking(t *testing.T, image []byte, f func(t *testing.T, s *Store)) {
+	t.Run("memory", func(t *testing.T) { f(t, NewStore(image)) })
+	t.Run("file", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "dev.bin")
+		if err := os.WriteFile(path, image, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := OpenFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		f(t, s)
+	})
+}
+
+const B = DefaultBlockSize
 
 func TestStoreReadAt(t *testing.T) {
 	data := make([]byte, 100)
 	for i := range data {
 		data[i] = byte(i)
 	}
-	s := NewStore(data, 16)
-	p := make([]byte, 10)
-	if err := s.ReadAt(p, 5); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(p, data[5:15]) {
-		t.Error("payload mismatch")
+	eachBacking(t, data, func(t *testing.T, s *Store) {
+		p := make([]byte, 10)
+		if err := s.ReadAt(p, 5); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(p, data[5:15]) {
+			t.Error("payload mismatch")
+		}
+	})
+	if err := NewStore(data).Close(); err != nil {
+		t.Errorf("closing a memory image: %v", err)
 	}
 }
 
 func TestStoreBounds(t *testing.T) {
-	s := NewStore(make([]byte, 10), 4)
-	if err := s.ReadAt(make([]byte, 5), 8); err == nil {
-		t.Error("read past end should fail")
-	}
-	if err := s.ReadAt(make([]byte, 1), -1); err == nil {
-		t.Error("negative offset should fail")
-	}
-	if err := s.ReadAt(nil, 10); err != nil {
-		t.Errorf("empty read at end should succeed: %v", err)
-	}
+	eachBacking(t, make([]byte, 10), func(t *testing.T, s *Store) {
+		if err := s.ReadAt(make([]byte, 5), 8); err == nil {
+			t.Error("read past end should fail")
+		}
+		if err := s.ReadAt(make([]byte, 1), -1); err == nil {
+			t.Error("negative offset should fail")
+		}
+		if err := s.ReadAt(nil, 10); err != nil {
+			t.Errorf("empty read at end should succeed: %v", err)
+		}
+		if err := s.ReadAt(make([]byte, 1), 9); err != nil {
+			t.Errorf("read of the last byte: %v", err)
+		}
+	})
 }
 
 func TestBlockAccounting(t *testing.T) {
-	s := NewStore(make([]byte, 1024), 16)
-	// Read spanning blocks 0..2 (offset 5, length 40 → last byte 44, block 2).
-	if err := s.ReadAt(make([]byte, 40), 5); err != nil {
-		t.Fatal(err)
-	}
-	st := s.Stats()
-	if st.Reads != 1 || st.BytesRead != 40 || st.BlocksRead != 3 {
-		t.Errorf("stats = %+v, want 1 read, 40 bytes, 3 blocks", st)
-	}
-	if st.Seeks != 1 {
-		t.Errorf("first read should count as a seek, got %d", st.Seeks)
-	}
+	eachBacking(t, make([]byte, 4*B), func(t *testing.T, s *Store) {
+		// Read spanning blocks 0..2 (offset B/2, length 2B → last byte in block 2).
+		if err := s.ReadAt(make([]byte, 2*B), B/2); err != nil {
+			t.Fatal(err)
+		}
+		st := s.Stats()
+		if st.Reads != 1 || st.BytesRead != 2*B || st.BlocksRead != 3 {
+			t.Errorf("stats = %+v, want 1 read, %d bytes, 3 blocks", st, 2*B)
+		}
+		if st.Seeks != 1 {
+			t.Errorf("first read should count as a seek, got %d", st.Seeks)
+		}
+	})
 }
 
 func TestSequentialReadsNoExtraSeeks(t *testing.T) {
-	s := NewStore(make([]byte, 4096), 16)
-	// 16 sequential 64-byte reads: only the first is a seek.
-	for i := 0; i < 16; i++ {
-		if err := s.ReadAt(make([]byte, 64), int64(i*64)); err != nil {
-			t.Fatal(err)
+	eachBacking(t, make([]byte, 32*B), func(t *testing.T, s *Store) {
+		// 16 sequential reads of a block and a half: only the first is a seek,
+		// and every other read begins inside the block its predecessor ended in.
+		for i := 0; i < 16; i++ {
+			if err := s.ReadAt(make([]byte, 3*B/2), int64(i*3*B/2)); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	st := s.Stats()
-	if st.Seeks != 1 {
-		t.Errorf("sequential reads produced %d seeks, want 1", st.Seeks)
-	}
-	// 16 reads × 64 bytes = 1024 bytes over 16-byte blocks = 64 blocks.
-	if st.BlocksRead != 64 {
-		t.Errorf("BlocksRead = %d, want 64", st.BlocksRead)
-	}
+		st := s.Stats()
+		if st.Seeks != 1 {
+			t.Errorf("sequential reads produced %d seeks, want 1", st.Seeks)
+		}
+		// 16 reads × 1.5 blocks = 24 blocks, each charged once.
+		if st.BlocksRead != 24 {
+			t.Errorf("BlocksRead = %d, want 24", st.BlocksRead)
+		}
+	})
 }
 
 func TestScatteredReadsSeek(t *testing.T) {
-	s := NewStore(make([]byte, 4096), 16)
-	offsets := []int64{0, 2048, 128, 3000}
-	for _, off := range offsets {
-		if err := s.ReadAt(make([]byte, 8), off); err != nil {
-			t.Fatal(err)
+	eachBacking(t, make([]byte, 64*B), func(t *testing.T, s *Store) {
+		offsets := []int64{0, 32 * B, 2 * B, 47*B + 100}
+		for _, off := range offsets {
+			if err := s.ReadAt(make([]byte, 8), off); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if st := s.Stats(); st.Seeks != int64(len(offsets)) {
-		t.Errorf("scattered reads produced %d seeks, want %d", st.Seeks, len(offsets))
-	}
+		if st := s.Stats(); st.Seeks != int64(len(offsets)) || st.BlocksRead != int64(len(offsets)) {
+			t.Errorf("scattered reads: %+v, want %d seeks and blocks", st, len(offsets))
+		}
+	})
 }
 
 func TestReadContinuingSameBlockNotSeek(t *testing.T) {
-	s := NewStore(make([]byte, 256), 64)
-	if err := s.ReadAt(make([]byte, 10), 0); err != nil {
-		t.Fatal(err)
-	}
-	// Continues inside block 0: next expected block is 1, first block here is
-	// 0 = next-1, so not a seek.
-	if err := s.ReadAt(make([]byte, 10), 10); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.Stats(); st.Seeks != 1 {
-		t.Errorf("continuation within block counted as seek: %+v", st)
-	}
+	eachBacking(t, make([]byte, 4*B), func(t *testing.T, s *Store) {
+		if err := s.ReadAt(make([]byte, 10), 0); err != nil {
+			t.Fatal(err)
+		}
+		// Continues inside block 0: next expected block is 1, first block here
+		// is 0 = next-1, so not a seek, and block 0 is not charged twice.
+		if err := s.ReadAt(make([]byte, 10), 10); err != nil {
+			t.Fatal(err)
+		}
+		if st := s.Stats(); st.Seeks != 1 || st.BlocksRead != 1 {
+			t.Errorf("continuation within block charged as a seek or a block: %+v", st)
+		}
+	})
 }
 
-func TestResetStats(t *testing.T) {
-	s := NewStore(make([]byte, 64), 16)
+func TestStatsSub(t *testing.T) {
+	s := NewStore(make([]byte, 4*B))
 	_ = s.ReadAt(make([]byte, 8), 0)
-	s.ResetStats()
-	if st := s.Stats(); st != (Stats{}) {
-		t.Errorf("stats after reset = %+v", st)
+	before := s.Stats()
+	_ = s.ReadAt(make([]byte, 8), 3*B)
+	if got := s.Stats().Sub(before); got != (Stats{Reads: 1, BytesRead: 8, BlocksRead: 1, Seeks: 1}) {
+		t.Errorf("delta of one read = %+v", got)
 	}
 }
 
@@ -115,8 +150,8 @@ func TestStatsAdd(t *testing.T) {
 }
 
 func TestDiskModelTime(t *testing.T) {
-	m := DiskModel{BlockSize: 1000, SeekTime: 10 * time.Millisecond, Bandwidth: 1e6}
-	// 100 blocks × 1000 B / 1e6 B/s = 100 ms, plus 2 seeks × 10 ms = 120 ms.
+	m := DiskModel{SeekTime: 10 * time.Millisecond, Bandwidth: 1000 * B}
+	// 100 blocks at 1000 blocks/s = 100 ms, plus 2 seeks × 10 ms = 120 ms.
 	got := m.Time(Stats{BlocksRead: 100, Seeks: 2})
 	if got != 120*time.Millisecond {
 		t.Errorf("Time = %v, want 120ms", got)
@@ -126,7 +161,7 @@ func TestDiskModelTime(t *testing.T) {
 func TestDefaultDiskModel(t *testing.T) {
 	m := DefaultDiskModel()
 	// Reading 50 MB of blocks should model ≈1 s.
-	blocks := int64(50*1e6) / int64(m.BlockSize)
+	blocks := int64(50*1e6) / B
 	d := m.Time(Stats{BlocksRead: blocks, Seeks: 1})
 	if d < 900*time.Millisecond || d > 1100*time.Millisecond {
 		t.Errorf("50MB read modeled as %v, want ≈1s", d)
@@ -208,7 +243,7 @@ func TestWriterFileAndFileStore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, err := OpenFile(path, 4096)
+	s, err := OpenFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +283,7 @@ func TestWriterBytesPanicsForFile(t *testing.T) {
 }
 
 func TestFaultDevice(t *testing.T) {
-	s := NewStore(make([]byte, 64), 16)
+	s := NewStore(make([]byte, 64))
 	f := &FaultDevice{Inner: s, FailEvery: 3}
 	var fails int
 	for i := 0; i < 9; i++ {

@@ -87,6 +87,3 @@ func (d *FaultDevice) ReadAt(p []byte, off int64) error {
 
 // Stats returns the inner device's counters.
 func (d *FaultDevice) Stats() Stats { return d.Inner.Stats() }
-
-// ResetStats resets the inner device's counters (injection state is kept).
-func (d *FaultDevice) ResetStats() { d.Inner.ResetStats() }

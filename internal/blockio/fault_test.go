@@ -6,8 +6,8 @@ import (
 	"time"
 )
 
-func faultStore(blocks int) *Store {
-	return NewStore(make([]byte, blocks*8), 8)
+func faultStore(records int) *Store {
+	return NewStore(make([]byte, records*8))
 }
 
 func TestFaultDeviceProbabilistic(t *testing.T) {

@@ -5,82 +5,7 @@ import (
 	"fmt"
 	"os"
 	"slices"
-	"sync"
 )
-
-// FileStore is a Device backed by a real file, for datasets that exceed main
-// memory. Accounting is identical to Store.
-type FileStore struct {
-	mu        sync.Mutex
-	f         *os.File
-	size      int64
-	blockSize int
-	stats     Stats
-	nextBlock int64
-}
-
-// OpenFile opens path as a block device.
-func OpenFile(path string, blockSize int) (*FileStore, error) {
-	if blockSize <= 0 {
-		blockSize = DefaultBlockSize
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &FileStore{f: f, size: fi.Size(), blockSize: blockSize, nextBlock: -1}, nil
-}
-
-// ReadAt implements Device with the same accounting rules as Store.ReadAt.
-func (s *FileStore) ReadAt(p []byte, off int64) error {
-	if off < 0 || off > s.size-int64(len(p)) { // not off+len > size: a hostile offset wraps
-		return fmt.Errorf("blockio: read [%d,%d) outside device of size %d", off, off+int64(len(p)), s.size)
-	}
-	if _, err := s.f.ReadAt(p, off); err != nil {
-		return fmt.Errorf("blockio: reading %s: %w", s.f.Name(), err)
-	}
-	if len(p) == 0 {
-		return nil
-	}
-	first := off / int64(s.blockSize)
-	last := (off + int64(len(p)) - 1) / int64(s.blockSize)
-	s.mu.Lock()
-	s.stats.Reads++
-	s.stats.BytesRead += int64(len(p))
-	blocks := last - first + 1
-	if first == s.nextBlock-1 {
-		blocks-- // continuation within the previously counted block
-	} else if first != s.nextBlock {
-		s.stats.Seeks++
-	}
-	s.stats.BlocksRead += blocks
-	s.nextBlock = last + 1
-	s.mu.Unlock()
-	return nil
-}
-
-// Stats returns a snapshot of the counters.
-func (s *FileStore) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
-}
-
-// ResetStats zeroes the counters and the sequential-access tracker.
-func (s *FileStore) ResetStats() {
-	s.mu.Lock()
-	s.stats = Stats{}
-	s.nextBlock = -1
-	s.mu.Unlock()
-}
-
-// Close releases the underlying file.
-func (s *FileStore) Close() error { return s.f.Close() }
 
 // Writer appends records sequentially to a new device image, the access
 // pattern of the preprocessing phase. It reports the byte offset of every

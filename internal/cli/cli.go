@@ -61,7 +61,7 @@ func Volume(f Flags) *Source {
 		flag.IntVar(&s.Procs, "procs", 4, "cluster nodes / local disks")
 	}
 	if f&Span != 0 {
-		flag.IntVar(&s.Span, "span", 9, "metacell edge length in samples")
+		flag.IntVar(&s.Span, "span", 9, "metacell edge length in samples, 2..64")
 	}
 	return s
 }

@@ -34,7 +34,8 @@ import (
 type Config struct {
 	// Procs is the number of cluster nodes (≥ 1).
 	Procs int
-	// Span is the metacell edge length in samples; 0 means the paper's 9.
+	// Span is the metacell edge length in samples, 2..64 (metacell.MaxSpan);
+	// 0 means the paper's 9.
 	Span int
 	// Dir, when non-empty, stores each node's brick data in a real file
 	// under Dir (node-0.bricks, …; Dir is created if missing) instead of
@@ -61,6 +62,9 @@ func (c *Config) applyDefaults() error {
 	if c.Span == 0 {
 		c.Span = metacell.DefaultSpan
 	}
+	if c.Span < 2 || c.Span > metacell.MaxSpan {
+		return fmt.Errorf("cluster: Span must be 2..%d, got %d", metacell.MaxSpan, c.Span)
+	}
 	return nil
 }
 
@@ -79,9 +83,9 @@ type Engine struct {
 	// and odd depths on an engine of their own.
 	batchRecords, pipelineDepth int
 
-	trees []*core.Tree
-	devs  []blockio.Device
-	files []*blockio.FileStore // the opened file stores, under whatever wraps them in devs: what Close closes
+	trees  []*core.Tree
+	devs   []blockio.Device
+	stores []*blockio.Store // the node disks, under whatever wraps them in devs: what Close closes
 
 	// scratch holds the pipeline scratch (record ring, per-lane welders,
 	// welded batch meshes) of node-extractions not running right now; see
@@ -180,18 +184,18 @@ func buildFromCells(l metacell.Layout, cells []metacell.Cell, cfg Config) (*Engi
 	e.devs = make([]blockio.Device, cfg.Procs)
 	for i, w := range ws {
 		e.DataBytes += w.Offset()
+		var store *blockio.Store
 		if cfg.Dir == "" {
-			e.devs[i] = blockio.NewStore(w.Bytes(), blockio.DefaultBlockSize)
+			store = blockio.NewStore(w.Bytes())
 		} else {
 			if err := w.Close(); err != nil {
 				return nil, err
 			}
-			dev, err := blockio.OpenFile(nodePath(cfg.Dir, i), blockio.DefaultBlockSize)
-			if err != nil {
+			if store, err = blockio.OpenFile(nodePath(cfg.Dir, i)); err != nil {
 				return nil, err
 			}
-			e.devs[i], e.files = dev, append(e.files, dev)
 		}
+		e.devs[i], e.stores = store, append(e.stores, store)
 		if cfg.WrapDevice != nil {
 			e.devs[i] = cfg.WrapDevice(i, e.devs[i])
 		}
@@ -207,8 +211,8 @@ func nodePath(dir string, node int) string {
 // Close releases file-backed node disks (no-op for memory-backed engines).
 func (e *Engine) Close() error {
 	var errs []error
-	for _, f := range e.files {
-		errs = append(errs, f.Close())
+	for _, s := range e.stores {
+		errs = append(errs, s.Close())
 	}
 	return errors.Join(errs...)
 }

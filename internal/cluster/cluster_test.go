@@ -14,6 +14,7 @@ import (
 	"repro/internal/blockio"
 	"repro/internal/march"
 	"repro/internal/meshio"
+	"repro/internal/metacell"
 	"repro/internal/obs"
 	"repro/internal/volume"
 )
@@ -39,6 +40,14 @@ func TestBuildDefaults(t *testing.T) {
 func TestBuildRejectsZeroProcs(t *testing.T) {
 	if _, err := Build(rmGrid(), Config{}); err == nil {
 		t.Error("Procs 0 should fail")
+	}
+}
+
+func TestBuildRejectsSpanOutsideRange(t *testing.T) {
+	for _, span := range []int{-1, 1, metacell.MaxSpan + 1} {
+		if _, err := Build(rmGrid(), Config{Procs: 1, Span: span}); err == nil {
+			t.Errorf("span %d should fail", span)
+		}
 	}
 }
 
@@ -340,10 +349,10 @@ func TestTimeVarying(t *testing.T) {
 // reopened: every store must be closed after Close.
 func TestCloseClosesWrappedFiles(t *testing.T) {
 	dir := t.TempDir()
-	var stores []*blockio.FileStore
+	var stores []*blockio.Store
 	e, err := Build(rmGrid(), Config{Procs: 2, Dir: dir, Metrics: obs.NewRegistry(),
 		WrapDevice: func(_ int, dev blockio.Device) blockio.Device {
-			stores = append(stores, dev.(*blockio.FileStore))
+			stores = append(stores, dev.(*blockio.Store))
 			return dev
 		}})
 	if err != nil {
@@ -357,7 +366,7 @@ func TestCloseClosesWrappedFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range re.Procs {
-		stores = append(stores, re.Device(i).(*blockio.FileStore))
+		stores = append(stores, re.Device(i).(*blockio.Store))
 	}
 	re.EnableMetrics(obs.NewRegistry())
 	for _, c := range []*Engine{e, re} {

@@ -146,11 +146,11 @@ func Open(dir string) (_ *Engine, err error) {
 				return nil, fmt.Errorf("cluster: node %d brick file corrupt (crc %08x, manifest %08x)", i, crc, m.BrickCRC32[i])
 			}
 		}
-		dev, err := blockio.OpenFile(nodePath(dir, i), blockio.DefaultBlockSize)
+		store, err := blockio.OpenFile(nodePath(dir, i))
 		if err != nil {
 			return nil, fmt.Errorf("cluster: opening node %d bricks: %w", i, err)
 		}
-		e.devs, e.files = append(e.devs, dev), append(e.files, dev)
+		e.devs, e.stores = append(e.devs, store), append(e.stores, store)
 	}
 	return e, nil
 }

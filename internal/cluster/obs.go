@@ -88,10 +88,8 @@ func (m *engineMetrics) recordExtract(res *Result) {
 	for i := range res.PerNode {
 		n := &res.PerNode[i]
 		batches += n.Batches
-		if n.PipelineWall > 0 { // streaming mode only
-			m.producerStall.Observe(n.ProducerStall)
-			m.consumerStall.Observe(n.ConsumerStall)
-		}
+		m.producerStall.Observe(n.ProducerStall)
+		m.consumerStall.Observe(n.ConsumerStall)
 	}
 	m.batches.Add(int64(batches))
 	if s := res.Wall.Seconds(); s > 0 {

@@ -58,7 +58,7 @@ func materialize(t *testing.T, l metacell.Layout, cells []metacell.Cell) (*Tree,
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tree, blockio.NewStore(w.Bytes(), blockio.DefaultBlockSize)
+	return tree, blockio.NewStore(w.Bytes())
 }
 
 func queryIDs(t *testing.T, tree *Tree, dev blockio.Device, iso float32) map[uint32]bool {
@@ -190,7 +190,7 @@ func TestEmptyPlan(t *testing.T) {
 	if len(tree.Nodes) != 0 || tree.Height() != -1 {
 		t.Errorf("empty plan: nodes=%d height=%d", len(tree.Nodes), tree.Height())
 	}
-	dev := blockio.NewStore(w.Bytes(), 0)
+	dev := blockio.NewStore(w.Bytes())
 	st, err := tree.Query(dev, 100, func([]byte) error { return nil })
 	if err != nil {
 		t.Fatal(err)
@@ -263,12 +263,12 @@ func TestQueryIOEfficiency(t *testing.T) {
 	tree, dev := materialize(t, l, cells)
 	recSize := l.RecordSize()
 	for _, iso := range []float32{40, 128, 220} {
-		dev.ResetStats()
+		before := dev.Stats()
 		st, err := tree.Query(dev, iso, func([]byte) error { return nil })
 		if err != nil {
 			t.Fatal(err)
 		}
-		io := dev.Stats()
+		io := dev.Stats().Sub(before)
 		activeBytes := int64(st.ActiveMetacells) * int64(recSize)
 		optimal := activeBytes/blockio.DefaultBlockSize + 1
 		// Allow the per-request rounding: each bulk read or brick scan can
@@ -364,7 +364,7 @@ func TestStripedUnionEqualsSequential(t *testing.T) {
 			want := bruteActive(cells, iso)
 			got := map[uint32]bool{}
 			for i, tr := range trees {
-				dev := blockio.NewStore(ws[i].Bytes(), 0)
+				dev := blockio.NewStore(ws[i].Bytes())
 				for id := range queryIDs(t, tr, dev, iso) {
 					if got[id] {
 						t.Fatalf("p=%d iso=%v: metacell %d on two disks", procs, iso, id)
@@ -398,7 +398,7 @@ func TestStripedBalanceBound(t *testing.T) {
 	}
 	devs := make([]blockio.Device, procs)
 	for i := range devs {
-		devs[i] = blockio.NewStore(ws[i].Bytes(), 0)
+		devs[i] = blockio.NewStore(ws[i].Bytes())
 	}
 	for iso := float32(5); iso <= 250; iso += 15 {
 		counts := make([]int, procs)
@@ -536,6 +536,14 @@ func TestReadTreeBadInput(t *testing.T) {
 	if alloc >= 1<<20 {
 		t.Errorf("header without nodes: ReadTree allocated %d B, want < 1 MB", alloc)
 	}
+	// A span past metacell.MaxSpan names records no welder welds.
+	for _, span := range []byte{metacell.MaxSpan + 1, 100} {
+		hdr := hostileHeader(0)
+		hdr[4], hdr[5], hdr[6], hdr[7] = span, 0, 0, 0
+		if _, err := ReadTree(bytes.NewReader(hdr)); !errors.Is(err, ErrCorruptIndex) {
+			t.Errorf("span %d: error = %v, want ErrCorruptIndex", span, err)
+		}
+	}
 }
 
 // TestCorruptIndexLinks gives the tree a root or child link that leaves the
@@ -590,7 +598,7 @@ func TestQueryFaultPropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev := &blockio.FaultDevice{Inner: blockio.NewStore(w.Bytes(), 0), FailEvery: 1}
+	dev := &blockio.FaultDevice{Inner: blockio.NewStore(w.Bytes()), FailEvery: 1}
 	_, err = tree.Query(dev, 128, func([]byte) error { return nil })
 	if !errors.Is(err, blockio.ErrInjected) {
 		t.Errorf("query error = %v, want injected fault", err)
@@ -822,7 +830,7 @@ func TestStripedSameAnswerAsSequentialExactIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqDev := blockio.NewStore(seqW.Bytes(), 0)
+	seqDev := blockio.NewStore(seqW.Bytes())
 
 	ws := []*blockio.Writer{blockio.NewWriter(), blockio.NewWriter(), blockio.NewWriter(), blockio.NewWriter()}
 	trees, err := p.MaterializeStriped(l, cells, asSinks(ws))
@@ -833,7 +841,7 @@ func TestStripedSameAnswerAsSequentialExactIDs(t *testing.T) {
 	seq := queryIDs(t, seqTree, seqDev, iso)
 	par := map[uint32]bool{}
 	for i, tr := range trees {
-		for id := range queryIDs(t, tr, blockio.NewStore(ws[i].Bytes(), 0), iso) {
+		for id := range queryIDs(t, tr, blockio.NewStore(ws[i].Bytes()), iso) {
 			par[id] = true
 		}
 	}

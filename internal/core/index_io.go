@@ -80,10 +80,6 @@ func (t *Tree) WriteTo(w io.Writer) (int64, error) {
 	return n, bw.Flush()
 }
 
-// maxSpan bounds the metacell edge a header may claim: past it span³ samples
-// is not a record size any device holds.
-const maxSpan = 1 << 10
-
 // presize is how many nodes, or entries of one node, ReadTree makes room for
 // on a header's say-so; past it the slices grow as records actually arrive.
 const presize = 1 << 10
@@ -127,7 +123,7 @@ func ReadTree(r io.Reader) (*Tree, error) {
 	if f != volume.U8 && f != volume.U16 && f != volume.F32 {
 		return nil, fmt.Errorf("%w: bad scalar format %d", ErrCorruptIndex, hdr[2])
 	}
-	if hdr[1] < 2 || hdr[1] > maxSpan {
+	if hdr[1] < 2 || hdr[1] > metacell.MaxSpan {
 		return nil, fmt.Errorf("%w: bad metacell span %d", ErrCorruptIndex, hdr[1])
 	}
 	t := &Tree{

@@ -155,19 +155,17 @@ func AblationBulkRead(cfg RMConfig) ([]BulkReadRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	devC := blockio.NewStore(wC.Bytes(), blockio.DefaultBlockSize)
 
 	wB := blockio.NewWriter()
 	bb, err := bbio.Build(l, cells, wB)
 	if err != nil {
 		return nil, err
 	}
-	devB := blockio.NewStore(wB.Bytes(), blockio.DefaultBlockSize)
 
 	var rows []BulkReadRow
 	for _, iso := range Sweep() {
-		devC.ResetStats()
-		devB.ResetStats()
+		// Fresh stores: every isovalue is read cold, its first read a seek.
+		devC, devB := blockio.NewStore(wC.Bytes()), blockio.NewStore(wB.Bytes())
 		stC, err := cit.Query(devC, iso, func([]byte) error { return nil })
 		if err != nil {
 			return nil, err
@@ -217,7 +215,7 @@ func AblationMetacellSize(cfg RMConfig, iso float32, spans []int) ([]MetacellSiz
 		if err != nil {
 			return nil, err
 		}
-		dev := blockio.NewStore(w.Bytes(), blockio.DefaultBlockSize)
+		dev := blockio.NewStore(w.Bytes())
 		var welder march.Welder
 		var mesh geom.IndexedMesh
 		st, err := cit.Query(dev, iso, func(rec []byte) error {
@@ -312,7 +310,7 @@ func AblationQueryStructures(cfg RMConfig, iso float32) ([]QueryStructureRow, er
 	if err != nil {
 		return nil, err
 	}
-	dev := blockio.NewStore(w.Bytes(), blockio.DefaultBlockSize)
+	dev := blockio.NewStore(w.Bytes())
 	t0 := time.Now()
 	stC, err := cit.Query(dev, iso, func([]byte) error { return nil })
 	if err != nil {

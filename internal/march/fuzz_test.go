@@ -220,11 +220,11 @@ func fuzzSamples(span int, fm volume.Format, data []byte) []float32 {
 // range, welded from their encoded u8, u16 or f32 record (Welder.Record) and
 // from the decoded samples (Welder.Metacell) while the soup reads the decoded
 // samples — and every vertex a record of finite crossings welds to on a grid
-// edge; spans 2..70 on both sides of the one-word mask limit, metacells
+// edge; spans 2..64 (metacell.MaxSpan, a sample row to one mask word), metacells
 // anywhere in a 2×2×2 layout whose volume cuts them short on any subset of
 // axes, any isovalue bit pattern — NaN, ±Inf, negative, fractional, equal to
 // a sample, past the format's range. (Whole metacells of the large spans are
-// TestWelderAroundMaskWidth's and TestWelderWideSpanFallback's.) One Welder and one batch mesh serve the
+// TestWelderAroundMaskWidth's.) One Welder and one batch mesh serve the
 // whole body — a dense metacell, then the same block gone sparse, then another
 // isovalue, then a second span in the next format and a third in the one
 // after — because the edge table is never cleared and the sample copy is
@@ -242,9 +242,9 @@ func FuzzWelderMatchesSoup(f *testing.F) {
 	f.Add(ramp[:7], iso(100), uint8(2-2), uint8(3-2), uint8(0), uint8(0), uint8(0))                      // one cell
 	f.Add(ramp, iso(30000), uint8(12-2), uint8(4-2), uint8(1), uint8(5), uint8(0b010))                   // uint16 range
 	f.Add(ramp, iso(128), uint8(63-2), uint8(9-2), uint8(0), uint8(0), uint8(0))                         // one bit short of a mask word
-	f.Add(ramp, iso(128), uint8(64-2), uint8(65-2), uint8(0), uint8(0), uint8(0))                        // exactly a mask word, then one past
-	f.Add(ramp, iso(128), uint8(65-2), uint8(64-2), uint8(0), uint8(6), uint8(0b101))                    // wide and cut short, then narrow
-	f.Add(ramp, iso(128), uint8(70-2), uint8(9-2), uint8(0), uint8(0), uint8(0))                         // widest, then narrow
+	f.Add(ramp, iso(128), uint8(64-2), uint8(64-2), uint8(0), uint8(0), uint8(0))                        // exactly a mask word, twice
+	f.Add(ramp, iso(128), uint8(64-2), uint8(64-2), uint8(0), uint8(6), uint8(0b101))                    // widest and cut short
+	f.Add(ramp, iso(128), uint8(64-2), uint8(9-2), uint8(0), uint8(0), uint8(0))                         // widest, then narrow
 	f.Add(ramp, iso(0), uint8(9-2), uint8(9-2), uint8(0), uint8(0), uint8(0))                            // everything inside
 	f.Add(ramp, nan, uint8(9-2), uint8(6-2), uint8(2), uint8(0), uint8(0))                               // NaN isovalue: nothing inside
 	f.Add(ramp, inf, uint8(9-2), uint8(6-2), uint8(2), uint8(1), uint8(0b100))                           // +Inf isovalue over raw float bits
@@ -274,7 +274,7 @@ func FuzzWelderMatchesSoup(f *testing.F) {
 		formats := []volume.Format{volume.U8, volume.U16, volume.F32}
 		var w Welder
 		var out geom.IndexedMesh
-		for round, span := range []int{2 + int(spanA)%69, 2 + int(spanB)%69, 2 + int(spanA)%69} {
+		for round, span := range []int{2 + int(spanA)%63, 2 + int(spanB)%63, 2 + int(spanA)%63} {
 			// The metacell sits somewhere in a 2×2×2 grid; on the axes cutShort
 			// names, the volume ends inside it (after 1..span of its samples).
 			// Large spans keep their full length on one axis at a time and a
@@ -357,8 +357,8 @@ func TestRecordRejectsWhatDecodeRejects(t *testing.T) {
 }
 
 // TestWelderAroundMaskWidth runs the differential check at the spans where
-// the row masks fill up: 63, 64 (every bit of the word, cx = 63) and 65 (the
-// first span without masks), whole and cut short, with one Welder.
+// the row masks fill up: 63 and 64 (every bit of the word, cx = 63), whole
+// and cut short, with one Welder; 65, a row past the word, is refused.
 func TestWelderAroundMaskWidth(t *testing.T) {
 	noise := make([]byte, 4099)
 	for i := range noise {
@@ -366,7 +366,7 @@ func TestWelderAroundMaskWidth(t *testing.T) {
 	}
 	var w Welder
 	var out geom.IndexedMesh
-	for _, span := range []int{63, 64, 65, 66, 64} {
+	for _, span := range []int{63, 64, 63, 64} {
 		for _, short := range [][3]int{{0, 0, 0}, {1, 0, 0}, {5, 40, 61}} {
 			l := metacell.Layout{Span: span, Fmt: volume.U8, Mx: 2, My: 2, Mz: 2}
 			m := metacell.Meta{ID: 7, Samples: fuzzSamples(span, volume.U8, noise)}
@@ -378,5 +378,11 @@ func TestWelderAroundMaskWidth(t *testing.T) {
 				t.Fatalf("span %d short %v: no triangles; the check is vacuous", span, short)
 			}
 		}
+	}
+	const span = metacell.MaxSpan + 1
+	l := metacell.Layout{Span: span, Fmt: volume.U8, Nx: span, Ny: span, Nz: span, Mx: 1, My: 1, Mz: 1}
+	rec := metacell.EncodeRecord(l, 0, 0, fuzzSamples(span, volume.U8, noise))
+	if _, err := w.Record(l, rec, 128, &out); err == nil {
+		t.Errorf("span %d: Record welded a row past the mask word", span)
 	}
 }

@@ -171,28 +171,28 @@ func TestWelderReuseAcrossSpans(t *testing.T) {
 	}
 }
 
-// TestWelderWideSpanFallback exercises the >64-sample-span path, which
-// cannot use single-word row masks.
-func TestWelderWideSpanFallback(t *testing.T) {
-	g := volume.Sphere(66)
-	l, cells := metacell.Extract(g, 66)
-	if l.Span <= 64 {
-		t.Fatalf("test wants span > 64, got %d", l.Span)
+// TestWelderRefusesWideSpan: a layout wider than metacell.MaxSpan, whose
+// sample rows do not fit one mask word, is an error from Record and a panic
+// from Metacell — never a wrong mesh — and leaves the mesh untouched.
+func TestWelderRefusesWideSpan(t *testing.T) {
+	const span = metacell.MaxSpan + 1
+	l := metacell.Layout{Span: span, Fmt: volume.U8, Nx: span, Ny: span, Nz: span, Mx: 1, My: 1, Mz: 1}
+	rec := make([]byte, l.RecordSize())
+	for i := range rec[5:] {
+		rec[5+i] = byte(i * 37)
 	}
 	var w Welder
-	for _, c := range cells {
-		m, err := metacell.DecodeRecord(l, c.Record)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var soup geom.Mesh
-		Metacell(l, &m, 128, &soup)
-		var im geom.IndexedMesh
-		w.Metacell(l, &m, 128, &im)
-		if !slices.Equal(im.ExpandSoup().Tris, soup.Tris) {
-			t.Fatalf("wide span metacell %d: expanded soup differs", c.ID)
-		}
+	var out geom.IndexedMesh
+	if n, err := w.Record(l, rec, 128, &out); err == nil || n != 0 || out.Len() != 0 || len(out.Verts) != 0 {
+		t.Errorf("span %d: Record = %d cells, error %v, %d triangles; want a refusal", span, n, err, out.Len())
 	}
+	defer func() {
+		if recover() == nil {
+			t.Errorf("span %d: Metacell did not panic", span)
+		}
+	}()
+	m := metacell.Meta{Samples: make([]float32, span*span*span)}
+	w.Metacell(l, &m, 128, &out)
 }
 
 // TestWelderZeroAllocSteadyState is the march-level allocation gate: after

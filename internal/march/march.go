@@ -2,6 +2,7 @@ package march
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/bits"
 	"slices"
@@ -90,7 +91,7 @@ type sample interface{ uint8 | uint16 | float32 }
 // in steady state. A Welder is not safe for concurrent use.
 type Welder struct {
 	span  int
-	masks []uint64 // per (z*span+y) sample row: bit x set = sample >= iso; spans up to maskSpan
+	masks []uint64 // per (z*span+y) sample row: bit x set = sample >= iso; spans up to metacell.MaxSpan
 	// edge[3*i+a] is the index of the vertex on the grid edge that leaves
 	// sample i along axis a (0 = x, 1 = y, 2 = z).
 	edge []uint32
@@ -110,13 +111,13 @@ func (w *Welder) RetainedBytes() int {
 	return 8*cap(w.masks) + 4*cap(w.edge) + 4*len(w.triOff)*len(w.triOff[0]) + 2*cap(w.u16) + 4*cap(w.f32)
 }
 
-// maskSpan is the widest span whose sample rows fit one mask word.
-const maskSpan = 64
-
 // resize prepares the scratch arrays for a metacell span.
 func (w *Welder) resize(span int) {
 	if w.span == span {
 		return
+	}
+	if span > metacell.MaxSpan {
+		panic(fmt.Sprintf("march: span %d past metacell.MaxSpan %d", span, metacell.MaxSpan))
 	}
 	w.span = span
 	w.masks = make([]uint64, span*span)
@@ -139,7 +140,8 @@ type extent struct{ cx, cy, cz int }
 // Metacell triangulates every cell of a decoded metacell, welding vertices
 // into out (an indexed mesh that may already hold earlier metacells'
 // geometry). It returns the number of active cells — the same count, and in
-// ExpandSoup form the same bytes, as the soup baseline.
+// ExpandSoup form the same bytes, as the soup baseline. A layout wider than
+// metacell.MaxSpan panics.
 func (w *Welder) Metacell(l metacell.Layout, m *metacell.Meta, iso float32, out *geom.IndexedMesh) int {
 	return weld(w, l, m.ID, m.Samples, iso, iso, out)
 }
@@ -148,8 +150,12 @@ func (w *Welder) Metacell(l metacell.Layout, m *metacell.Meta, iso float32, out 
 // read a one-byte format's samples from rec itself and a wider format's from
 // a copy in their own type, never from a decoded float32 block. A record
 // that does not belong to the layout is metacell.DecodeRecordInto's error,
-// and out is untouched.
+// a layout wider than metacell.MaxSpan is refused, and either way out is
+// untouched.
 func (w *Welder) Record(l metacell.Layout, rec []byte, iso float32, out *geom.IndexedMesh) (int, error) {
+	if l.Span > metacell.MaxSpan {
+		return 0, fmt.Errorf("march: span %d past metacell.MaxSpan %d", l.Span, metacell.MaxSpan)
+	}
 	id, err := metacell.CheckRecord(l, rec)
 	if err != nil {
 		return 0, err
@@ -210,9 +216,6 @@ func weld[T sample](w *Welder, l metacell.Layout, id uint32, samples []T, thr T,
 	}
 	origin := [3]int{ox, oy, oz}
 	w.resize(l.Span)
-	if l.Span > maskSpan {
-		return weldWide(w, samples, thr, iso, ext, origin, out)
-	}
 	classify(w, samples, thr, ext)
 	vertices(w, samples, iso, ext, origin, out)
 	return w.triangles(ext, out)
@@ -389,51 +392,6 @@ func (w *Welder) emit(dst, slots []uint32, cfg uint8) int {
 		dst[k], dst[k+1], dst[k+2] = slots[off[k]], slots[off[k+1]], slots[off[k+2]]
 	}
 	return n
-}
-
-// weldWide is the passes for spans whose sample rows do not fit one mask
-// word: the same edge table, with every sample and every cell classified by
-// comparing, as the soup baseline does.
-func weldWide[T sample](w *Welder, samples []T, thr T, iso float32, ext extent, origin [3]int, out *geom.IndexedMesh) int {
-	span := w.span
-	step := [3]int{1, span, span * span}
-	last := [3]int{ext.cx, ext.cy, ext.cz}
-	for z := 0; z <= ext.cz; z++ {
-		for y := 0; y <= ext.cy; y++ {
-			for x := 0; x <= ext.cx; x++ {
-				i := (z*span+y)*span + x
-				p := geom.V(float32(origin[0]+x), float32(origin[1]+y), float32(origin[2]+z))
-				for a, at := range [3]int{x, y, z} {
-					if at < last[a] && (samples[i] >= thr) != (samples[i+step[a]] >= thr) {
-						w.edge[3*i+a] = uint32(len(out.Verts))
-						out.Verts = append(out.Verts, crossing(p, a, float32(samples[i]), float32(samples[i+step[a]]), iso))
-					}
-				}
-			}
-		}
-	}
-	active := 0
-	for z := 0; z < ext.cz; z++ {
-		for y := 0; y < ext.cy; y++ {
-			for x := 0; x < ext.cx; x++ {
-				i := (z*span+y)*span + x
-				var cfg uint8
-				for c := 0; c < 8; c++ {
-					if samples[i+sampleOffset(span, c)] >= thr {
-						cfg |= 1 << c
-					}
-				}
-				if triCount[cfg] == 0 {
-					continue
-				}
-				active++
-				ni := len(out.Idx)
-				dst := slices.Grow(out.Idx, maxCellIdx)[:ni+maxCellIdx]
-				out.Idx = dst[:ni+w.emit(dst[ni:], w.edge[3*i:], cfg)]
-			}
-		}
-	}
-	return active
 }
 
 // sampleOffset returns the flat sample-index offset of cube corner c for a

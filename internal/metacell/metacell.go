@@ -22,6 +22,11 @@ import (
 // 8×8×8 cells).
 const DefaultSpan = 9
 
+// MaxSpan is the widest metacell edge: the weld kernel classifies a sample
+// row into one 64-bit mask word. Nothing wants more — at span 65 one
+// 256-record batch is already 70 MB.
+const MaxSpan = 64
+
 // Layout describes the metacell decomposition of one volume and the binary
 // record format of its metacells.
 type Layout struct {
@@ -32,10 +37,10 @@ type Layout struct {
 }
 
 // NewLayout computes the decomposition of a volume into metacells of the
-// given span. span must be at least 2.
+// given span. span must be 2..MaxSpan.
 func NewLayout(g *volume.Grid, span int) Layout {
-	if span < 2 {
-		panic(fmt.Sprintf("metacell: span %d < 2", span))
+	if span < 2 || span > MaxSpan {
+		panic(fmt.Sprintf("metacell: span %d outside 2..%d", span, MaxSpan))
 	}
 	return layoutOf(g.Nx, g.Ny, g.Nz, g.Fmt, span)
 }

@@ -223,10 +223,14 @@ func TestRMDropsAboutHalf(t *testing.T) {
 
 func TestSpanTooSmallPanics(t *testing.T) {
 	g := volume.New(8, 8, 8, volume.U8)
-	defer func() {
-		if recover() == nil {
-			t.Error("span 1 should panic")
-		}
-	}()
-	NewLayout(g, 1)
+	for _, span := range []int{1, MaxSpan + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("span %d should panic", span)
+				}
+			}()
+			NewLayout(g, span)
+		}()
+	}
 }

@@ -148,8 +148,8 @@ func (pf *PlaneFile) Close() error { return pf.f.Close() }
 // produce no triangles.
 func ExtractStream(src PlaneSource, span int) (Layout, []Cell, error) {
 	nx, ny, nz, f := src.Dims()
-	if span < 2 {
-		return Layout{}, nil, fmt.Errorf("metacell: span %d < 2", span)
+	if span < 2 || span > MaxSpan {
+		return Layout{}, nil, fmt.Errorf("metacell: span %d outside 2..%d", span, MaxSpan)
 	}
 	l := layoutOf(nx, ny, nz, f, span)
 	groups := ceilDiv(l.Mz, groupRows)

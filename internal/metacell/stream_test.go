@@ -180,8 +180,10 @@ func waitGoroutines(t *testing.T, before int) {
 
 func TestExtractStreamBadSpan(t *testing.T) {
 	g := volume.Sphere(9)
-	if _, _, err := ExtractStream(SourceFromGrid(g), 1); err == nil {
-		t.Error("span 1 should fail")
+	for _, span := range []int{1, MaxSpan + 1} {
+		if _, _, err := ExtractStream(SourceFromGrid(g), span); err == nil {
+			t.Errorf("span %d should fail", span)
+		}
 	}
 }
 
