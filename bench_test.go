@@ -73,17 +73,27 @@ func BenchmarkExtractStreaming(b *testing.B) {
 	b.ReportMetric(float64(res.PerNode[0].PeakBufferedBytes), "peak-buffered-bytes")
 }
 
+// minorFaults returns the process's minor page faults so far, where the
+// platform counts them (faults_unix_test.go); nil elsewhere.
+var minorFaults func() int64
+
 // BenchmarkPreprocess is the benchmark's setup_s under go test: the volume
 // bench/ generates (256×256×240 RM, step 250, seed 42) preprocessed onto one
 // node disk, memory-backed as the routed workloads set up and file-backed as
 // cold_sweep does. The rate is volume bytes preprocessed: the number that
 // scales to the paper's 7.5 GB steps. Extraction runs on every core, so read
-// it at -cpu 1 and at the host's count.
+// it at -cpu 1 and at the host's count. minflt/op is the minor page faults a
+// set-up takes: every fresh page the process touches, at a few µs each.
 func BenchmarkPreprocess(b *testing.B) {
 	g := GenerateRM(256, 256, 240, 250, 42)
 	for _, backing := range []string{"memory", "file"} {
 		b.Run(backing, func(b *testing.B) {
 			b.SetBytes(g.SizeBytes())
+			if minorFaults != nil {
+				defer func(before int64) {
+					b.ReportMetric(float64(minorFaults()-before)/float64(b.N), "minflt/op")
+				}(minorFaults())
+			}
 			for i := 0; i < b.N; i++ {
 				cfg := Config{Procs: 1, ThreadsPerNode: 1}
 				if backing == "file" {

@@ -19,7 +19,7 @@ func buildRM(t *testing.T) (metacell.Layout, []metacell.Cell, *Tree, blockio.Dev
 	if err != nil {
 		t.Fatal(err)
 	}
-	return l, cells, tree, blockio.NewStore(w.Bytes())
+	return l, cells, tree, w.Store()
 }
 
 func TestQueryMatchesBruteForce(t *testing.T) {
@@ -66,14 +66,14 @@ func TestScatteredReadsCostMoreSeeksThanCIT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	devB := blockio.NewStore(wB.Bytes())
+	devB := wB.Store()
 
 	wC := blockio.NewWriter()
 	cit, err := core.Plan(cells).Materialize(l, cells, wC)
 	if err != nil {
 		t.Fatal(err)
 	}
-	devC := blockio.NewStore(wC.Bytes())
+	devC := wC.Store()
 
 	const iso = 128
 	stB, err := bb.Query(devB, iso, func([]byte) error { return nil })
@@ -112,7 +112,7 @@ func TestIndexAccounting(t *testing.T) {
 	if tree.it.Count(128) == 0 {
 		t.Error("Count returned nothing at a mid isovalue")
 	}
-	st, err := tree.Query(blockio.NewStore(nil), 300, func([]byte) error { return nil })
+	st, err := tree.Query(blockio.NewWriter().Store(), 300, func([]byte) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}

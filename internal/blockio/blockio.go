@@ -1,5 +1,6 @@
-// Package blockio provides the out-of-core storage substrate: a file-backed
-// block device with I/O accounting and a seek+bandwidth disk cost model.
+// Package blockio provides the out-of-core storage substrate: a block device
+// over a file or over the records a memory Writer keeps where they lie, with
+// I/O accounting, and a seek+bandwidth disk cost model.
 //
 // The paper's platform reads from per-node local disks at 50 MB/s in blocks
 // of a few KB; the algorithmic claims are about the *number and contiguity*
@@ -11,7 +12,6 @@
 package blockio
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -83,26 +83,18 @@ type Device interface {
 	Stats() Stats
 }
 
-// Store is a Device with block-level accounting over a memory image or a
-// file. It is safe for concurrent use.
+// Store is a Device with block-level accounting over a memory writer's
+// records (Writer.Store) or a file (OpenFile). It is safe for concurrent use.
 type Store struct {
-	r         io.ReaderAt // *bytes.Reader over a memory image, or the *os.File
+	r         io.ReaderAt // the records of a memory Writer, or the *os.File
 	size      int64
 	mu        sync.Mutex
 	stats     Stats
 	nextBlock int64 // block following the previous request, for seek detection
 }
 
-// NewStore wraps an in-memory device image. The pipeline keeps the brick
-// files memory-resident for speed; all out-of-core accounting happens at
-// this layer, so the experiments still measure exactly the block accesses a
-// real disk would perform.
-func NewStore(data []byte) *Store {
-	return &Store{r: bytes.NewReader(data), size: int64(len(data)), nextBlock: -1}
-}
-
 // OpenFile opens path as a block device, for datasets that exceed main
-// memory. Accounting is identical to a memory image's.
+// memory. Accounting is identical to a memory store's.
 func OpenFile(path string) (*Store, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -159,7 +151,7 @@ func (s *Store) Stats() Stats {
 }
 
 // Close releases a file-backed store's file; it is a no-op for a memory
-// image.
+// store.
 func (s *Store) Close() error {
 	if c, ok := s.r.(io.Closer); ok {
 		return c.Close()

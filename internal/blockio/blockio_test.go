@@ -3,16 +3,34 @@ package blockio
 import (
 	"bytes"
 	"errors"
+	"math/bits"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 )
 
+// memStore returns a memory store holding image, appended as records of
+// uneven lengths (an empty one among them) so that reads cross from record
+// to record.
+func memStore(image []byte) *Store {
+	w := NewWriter()
+	for len(image) > 0 {
+		n := min(len(image), 1000+len(image)%777)
+		w.Append(image[:n])
+		w.Append(nil)
+		image = image[n:]
+	}
+	return w.Store()
+}
+
 // eachBacking runs f on a memory store and on a file store over the same
 // image: the accounting is written once, and holds for both.
 func eachBacking(t *testing.T, image []byte, f func(t *testing.T, s *Store)) {
-	t.Run("memory", func(t *testing.T) { f(t, NewStore(image)) })
+	t.Run("memory", func(t *testing.T) { f(t, memStore(image)) })
 	t.Run("file", func(t *testing.T) {
 		path := filepath.Join(t.TempDir(), "dev.bin")
 		if err := os.WriteFile(path, image, 0o644); err != nil {
@@ -43,8 +61,8 @@ func TestStoreReadAt(t *testing.T) {
 			t.Error("payload mismatch")
 		}
 	})
-	if err := NewStore(data).Close(); err != nil {
-		t.Errorf("closing a memory image: %v", err)
+	if err := memStore(data).Close(); err != nil {
+		t.Errorf("closing a memory store: %v", err)
 	}
 }
 
@@ -132,7 +150,7 @@ func TestReadContinuingSameBlockNotSeek(t *testing.T) {
 }
 
 func TestStatsSub(t *testing.T) {
-	s := NewStore(make([]byte, 4*B))
+	s := memStore(make([]byte, 4*B))
 	_ = s.ReadAt(make([]byte, 8), 0)
 	before := s.Stats()
 	_ = s.ReadAt(make([]byte, 8), 3*B)
@@ -174,6 +192,9 @@ func TestWriterMemory(t *testing.T) {
 	if err != nil || off1 != 0 {
 		t.Fatalf("Append 1: off=%d err=%v", off1, err)
 	}
+	if off, err := w.Append(nil); err != nil || off != 5 {
+		t.Fatalf("empty Append: off=%d err=%v", off, err)
+	}
 	off2, err := w.Append([]byte("world"))
 	if err != nil || off2 != 5 {
 		t.Fatalf("Append 2: off=%d err=%v", off2, err)
@@ -181,51 +202,125 @@ func TestWriterMemory(t *testing.T) {
 	if w.Offset() != 10 {
 		t.Errorf("Offset = %d", w.Offset())
 	}
-	if string(w.Bytes()) != "helloworld" {
-		t.Errorf("Bytes = %q", w.Bytes())
+	p := make([]byte, 10)
+	if err := w.Store().ReadAt(p, 0); err != nil || string(p) != "helloworld" {
+		t.Errorf("store reads %q, %v", p, err)
 	}
 	if err := w.Close(); err != nil {
 		t.Errorf("Close: %v", err)
 	}
 }
 
-// TestWriterReserve: a memory writer told how much is coming builds its image
-// in place — appends up to the reserved size neither allocate nor move what
-// is there — and an append past it still works.
-func TestWriterReserve(t *testing.T) {
+// TestWriterKeepsRecords: a memory writer's store reads the appended slices
+// themselves, so the records are never copied — appending n of them
+// allocates the writer and its offset table, growing by doubling, and nothing
+// near the records' own bytes. (Changing a slice after appending it breaks
+// Append's contract; here it shows that nothing else holds the bytes.)
+func TestWriterKeepsRecords(t *testing.T) {
+	const n = 1000
 	rec := bytes.Repeat([]byte{7}, 734)
-	w := NewWriter()
-	if _, err := w.Append(rec); err != nil {
-		t.Fatal(err)
-	}
-	w.Reserve(1000 * len(rec))
-	first := &w.Bytes()[0]
-	allocs := testing.AllocsPerRun(1, func() {
-		for i := 0; i < 500; i++ { // AllocsPerRun runs it twice
+	var w *Writer
+	appendAll := func() {
+		w = NewWriter()
+		for i := 0; i < n; i++ {
 			if _, err := w.Append(rec); err != nil {
 				t.Error(err)
 			}
 		}
-	})
-	if allocs != 0 || &w.Bytes()[0] != first {
-		t.Errorf("appending into reserved room: %v allocations, image moved: %v", allocs, &w.Bytes()[0] != first)
 	}
-	for i := 0; i < 10; i++ {
-		if _, err := w.Append(rec); err != nil {
-			t.Fatal(err)
+	if allocs, most := testing.AllocsPerRun(5, appendAll), float64(bits.Len(n)+2); allocs > most {
+		t.Errorf("appending %d records: %v allocations, want at most %v (the writer and its table's growth)", n, allocs, most)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	appendAll()
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= n*uint64(len(rec))/4 {
+		t.Errorf("appending %d records of %d B allocated %d B: the records were copied", n, len(rec), got)
+	}
+	rec[0] = 9
+	p := make([]byte, 1)
+	if err := w.Store().ReadAt(p, 500*int64(len(rec))); err != nil || p[0] != 9 {
+		t.Errorf("store read %v, %v: it does not read the appended slice", p, err)
+	}
+}
+
+// TestRecordStoreMatchesConcatenation: a memory store over records of random
+// lengths, empty ones included, serves every range — starting and ending
+// mid-record, a byte either side of a record boundary, across record and
+// block boundaries, up to the last byte — exactly as a reader over their
+// concatenation does, and refuses every range past the end.
+func TestRecordStoreMatchesConcatenation(t *testing.T) {
+	rng := rand.New(rand.NewPCG(44, 1))
+	for trial := 0; trial < 30; trial++ {
+		w := NewWriter()
+		var all []byte
+		bounds := []int64{0}
+		for i, n := 0, rng.IntN(40); i < n; i++ {
+			rec := make([]byte, rng.IntN(3)*rng.IntN(2*B)) // a third of them empty
+			for j := range rec {
+				rec[j] = byte(rng.Uint32())
+			}
+			if off, err := w.Append(rec); err != nil || off != int64(len(all)) {
+				t.Fatalf("Append at %d: off=%d err=%v", len(all), off, err)
+			}
+			all = append(all, rec...)
+			bounds = append(bounds, int64(len(all)))
+		}
+		s, want := w.Store(), bytes.NewReader(all)
+		size := int64(len(all))
+		// at is anywhere in the image, or a byte either side of a boundary.
+		at := func() int64 {
+			if rng.IntN(2) == 0 {
+				return rng.Int64N(size + 1)
+			}
+			return min(max(bounds[rng.IntN(len(bounds))]+rng.Int64N(3)-1, 0), size)
+		}
+		for i := 0; i < 200; i++ {
+			off, end := at(), at()
+			if i%10 == 0 {
+				end = size
+			}
+			off, end = min(off, end), max(off, end)
+			got, exp := make([]byte, end-off), make([]byte, end-off)
+			want.ReadAt(exp, off)
+			if err := s.ReadAt(got, off); err != nil || !bytes.Equal(got, exp) {
+				t.Fatalf("trial %d: [%d,%d) of %d: err %v, bytes equal %v", trial, off, end, size, err, bytes.Equal(got, exp))
+			}
+			if err := s.ReadAt(make([]byte, size-off+1), off); err == nil {
+				t.Fatalf("trial %d: [%d,%d) past the end %d read", trial, off, size+1, size)
+			}
 		}
 	}
-	if want := int64(1011 * len(rec)); w.Offset() != want || int64(len(w.Bytes())) != want {
-		t.Errorf("offset %d, image %d bytes, want %d", w.Offset(), len(w.Bytes()), want)
-	}
+}
 
-	f, err := CreateFile(filepath.Join(t.TempDir(), "dev.bin"))
-	if err != nil {
-		t.Fatal(err)
+// TestRecordStoreConcurrentReads: a memory store is read by every node
+// lane at once; under -race the readers share the records and the counters.
+func TestRecordStoreConcurrentReads(t *testing.T) {
+	image := make([]byte, 16*B+123)
+	for i := range image {
+		image[i] = byte(i * 7)
 	}
-	f.Reserve(1 << 20) // nothing to size: the file grows as it is written
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
+	s := memStore(image)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewPCG(uint64(g), 2))
+			for i := 0; i < 500; i++ {
+				off := rng.IntN(len(image))
+				p := make([]byte, rng.IntN(len(image)-off+1))
+				if err := s.ReadAt(p, int64(off)); err != nil || !bytes.Equal(p, image[off:off+len(p)]) {
+					t.Errorf("reader %d: [%d,%d): %v", g, off, off+len(p), err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if st := s.Stats(); st.Reads != 4*500 {
+		t.Errorf("%d reads counted, want %d", st.Reads, 4*500)
 	}
 }
 
@@ -267,7 +362,7 @@ func TestWriterFileAndFileStore(t *testing.T) {
 	}
 }
 
-func TestWriterBytesPanicsForFile(t *testing.T) {
+func TestWriterStorePanicsForFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "dev.bin")
 	w, err := CreateFile(path)
 	if err != nil {
@@ -276,14 +371,14 @@ func TestWriterBytesPanicsForFile(t *testing.T) {
 	defer w.Close()
 	defer func() {
 		if recover() == nil {
-			t.Error("Bytes on file writer should panic")
+			t.Error("Store on file writer should panic")
 		}
 	}()
-	w.Bytes()
+	w.Store()
 }
 
 func TestFaultDevice(t *testing.T) {
-	s := NewStore(make([]byte, 64))
+	s := memStore(make([]byte, 64))
 	f := &FaultDevice{Inner: s, FailEvery: 3}
 	var fails int
 	for i := 0; i < 9; i++ {

@@ -7,7 +7,7 @@ import (
 )
 
 func faultStore(records int) *Store {
-	return NewStore(make([]byte, records*8))
+	return memStore(make([]byte, records*8))
 }
 
 func TestFaultDeviceProbabilistic(t *testing.T) {

@@ -140,7 +140,7 @@ func BuildFromVolumeFile(path string, cfg Config) (*Engine, error) {
 	return buildFromCells(l, cells, cfg)
 }
 
-func buildFromCells(l metacell.Layout, cells []metacell.Cell, cfg Config) (*Engine, error) {
+func buildFromCells(l metacell.Layout, cells []metacell.Cell, cfg Config) (_ *Engine, err error) {
 	e := &Engine{
 		Procs:            cfg.Procs,
 		Layout:           l,
@@ -156,27 +156,27 @@ func buildFromCells(l metacell.Layout, cells []metacell.Cell, cfg Config) (*Engi
 			return nil, err
 		}
 	}
-	ws := make([]*blockio.Writer, cfg.Procs)
-	for i := range ws {
-		if cfg.Dir == "" {
-			// Striping deals the records out round-robin, so no disk gets more
-			// than its even share rounded up: the image is sized once.
-			ws[i] = blockio.NewWriter()
-			ws[i].Reserve((len(cells) + cfg.Procs - 1) / cfg.Procs * l.RecordSize())
-		} else {
-			w, err := blockio.CreateFile(nodePath(cfg.Dir, i))
-			if err != nil {
+	// A failure closes what was opened before it: the stores made so far and
+	// every writer not yet turned into one.
+	ws, sinks := make([]*blockio.Writer, 0, cfg.Procs), make([]core.RecordWriter, 0, cfg.Procs)
+	defer func() {
+		if err != nil {
+			for _, w := range ws[len(e.stores):] {
+				w.Close()
+			}
+			e.Close()
+		}
+	}()
+	for i := range cfg.Procs {
+		w := blockio.NewWriter() // keeps the records where extraction cut them
+		if cfg.Dir != "" {
+			if w, err = blockio.CreateFile(nodePath(cfg.Dir, i)); err != nil {
 				return nil, err
 			}
-			ws[i] = w
 		}
+		ws, sinks = append(ws, w), append(sinks, w)
 	}
-	plan := core.Plan(cells)
-	sinks := make([]core.RecordWriter, len(ws))
-	for i, w := range ws {
-		sinks[i] = w
-	}
-	trees, err := plan.MaterializeStriped(l, cells, sinks)
+	trees, err := core.Plan(cells).MaterializeStriped(l, cells, sinks)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: indexing and striping %d metacells: %w", len(cells), err)
 	}
@@ -186,7 +186,7 @@ func buildFromCells(l metacell.Layout, cells []metacell.Cell, cfg Config) (*Engi
 		e.DataBytes += w.Offset()
 		var store *blockio.Store
 		if cfg.Dir == "" {
-			store = blockio.NewStore(w.Bytes())
+			store = w.Store()
 		} else {
 			if err := w.Close(); err != nil {
 				return nil, err

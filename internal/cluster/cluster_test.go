@@ -382,6 +382,35 @@ func TestCloseClosesWrappedFiles(t *testing.T) {
 	}
 }
 
+// TestFailedBuildClosesItsFiles: a Build that fails part-way closes every
+// node-disk file it opened before the failure. node-1.bricks is a directory,
+// so node 0's writer is open when node 1's cannot be created.
+func TestFailedBuildClosesItsFiles(t *testing.T) {
+	fds := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("no /proc/self/fd: %v", err)
+		}
+		return len(ents)
+	}
+	dir := t.TempDir()
+	// The runtime opens its poller on the first file; do that outside the count.
+	if f, err := os.Create(filepath.Join(dir, "warm")); err == nil {
+		f.Close()
+	}
+	if err := os.Mkdir(nodePath(dir, 1), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	before := fds()
+	if e, err := Build(rmGrid(), Config{Procs: 2, Dir: dir}); err == nil {
+		e.Close()
+		t.Fatal("Build over a directory named node-1.bricks succeeded")
+	}
+	if after := fds(); after != before {
+		t.Errorf("%d open files before the failed Build, %d after", before, after)
+	}
+}
+
 func TestEngineAccessors(t *testing.T) {
 	e, err := Build(rmGrid(), Config{Procs: 2})
 	if err != nil {

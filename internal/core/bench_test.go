@@ -18,7 +18,7 @@ func benchSetup(b *testing.B) (metacell.Layout, []metacell.Cell, *Tree, blockio.
 	if err != nil {
 		b.Fatal(err)
 	}
-	return l, cells, tree, blockio.NewStore(w.Bytes())
+	return l, cells, tree, w.Store()
 }
 
 // benchVolumeCells are the metacells of the repository benchmark's time step

@@ -58,7 +58,7 @@ func materialize(t *testing.T, l metacell.Layout, cells []metacell.Cell) (*Tree,
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tree, blockio.NewStore(w.Bytes())
+	return tree, w.Store()
 }
 
 func queryIDs(t *testing.T, tree *Tree, dev blockio.Device, iso float32) map[uint32]bool {
@@ -190,7 +190,7 @@ func TestEmptyPlan(t *testing.T) {
 	if len(tree.Nodes) != 0 || tree.Height() != -1 {
 		t.Errorf("empty plan: nodes=%d height=%d", len(tree.Nodes), tree.Height())
 	}
-	dev := blockio.NewStore(w.Bytes())
+	dev := w.Store()
 	st, err := tree.Query(dev, 100, func([]byte) error { return nil })
 	if err != nil {
 		t.Fatal(err)
@@ -364,7 +364,7 @@ func TestStripedUnionEqualsSequential(t *testing.T) {
 			want := bruteActive(cells, iso)
 			got := map[uint32]bool{}
 			for i, tr := range trees {
-				dev := blockio.NewStore(ws[i].Bytes())
+				dev := ws[i].Store()
 				for id := range queryIDs(t, tr, dev, iso) {
 					if got[id] {
 						t.Fatalf("p=%d iso=%v: metacell %d on two disks", procs, iso, id)
@@ -398,7 +398,7 @@ func TestStripedBalanceBound(t *testing.T) {
 	}
 	devs := make([]blockio.Device, procs)
 	for i := range devs {
-		devs[i] = blockio.NewStore(ws[i].Bytes())
+		devs[i] = ws[i].Store()
 	}
 	for iso := float32(5); iso <= 250; iso += 15 {
 		counts := make([]int, procs)
@@ -598,7 +598,7 @@ func TestQueryFaultPropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev := &blockio.FaultDevice{Inner: blockio.NewStore(w.Bytes()), FailEvery: 1}
+	dev := &blockio.FaultDevice{Inner: w.Store(), FailEvery: 1}
 	_, err = tree.Query(dev, 128, func([]byte) error { return nil })
 	if !errors.Is(err, blockio.ErrInjected) {
 		t.Errorf("query error = %v, want injected fault", err)
@@ -735,7 +735,7 @@ func TestStripedDeterministic(t *testing.T) {
 		if _, err := p.MaterializeStriped(l, cells, asSinks(ws)); err != nil {
 			t.Fatal(err)
 		}
-		return append(append([]byte{}, ws[0].Bytes()...), ws[1].Bytes()...)
+		return append(diskBytes(t, ws[0]), diskBytes(t, ws[1])...)
 	}
 	if !bytes.Equal(run(), run()) {
 		t.Error("striped materialization not deterministic")
@@ -787,7 +787,7 @@ func TestBrickOrderOnDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := w.Bytes()
+	data := diskBytes(t, w)
 	byID := map[uint32]metacell.Cell{}
 	for _, c := range cells {
 		byID[c.ID] = c
@@ -830,7 +830,7 @@ func TestStripedSameAnswerAsSequentialExactIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqDev := blockio.NewStore(seqW.Bytes())
+	seqDev := seqW.Store()
 
 	ws := []*blockio.Writer{blockio.NewWriter(), blockio.NewWriter(), blockio.NewWriter(), blockio.NewWriter()}
 	trees, err := p.MaterializeStriped(l, cells, asSinks(ws))
@@ -841,7 +841,7 @@ func TestStripedSameAnswerAsSequentialExactIDs(t *testing.T) {
 	seq := queryIDs(t, seqTree, seqDev, iso)
 	par := map[uint32]bool{}
 	for i, tr := range trees {
-		for id := range queryIDs(t, tr, blockio.NewStore(ws[i].Bytes()), iso) {
+		for id := range queryIDs(t, tr, ws[i].Store(), iso) {
 			par[id] = true
 		}
 	}
@@ -863,4 +863,21 @@ func asSinks(ws []*blockio.Writer) []RecordWriter {
 		s[i] = w
 	}
 	return s
+}
+
+// diskBytes reads a memory writer's whole node disk back through its store.
+func diskBytes(t testing.TB, w *blockio.Writer) []byte {
+	t.Helper()
+	data := make([]byte, w.Offset())
+	if err := w.Store().ReadAt(data, 0); err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// memDisk returns a memory node disk holding data.
+func memDisk(data []byte) *blockio.Store {
+	w := blockio.NewWriter()
+	w.Append(data)
+	return w.Store()
 }

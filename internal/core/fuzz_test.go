@@ -6,8 +6,6 @@ import (
 	"io"
 	"runtime"
 	"testing"
-
-	"repro/internal/blockio"
 )
 
 // hostileHeader is a well-formed 48-byte header (u8, span 9) claiming nodes
@@ -58,7 +56,7 @@ func FuzzReadTree(f *testing.F) {
 		}
 		tree.NumEntries()
 		if tree.Layout.RecordSize() <= 1<<16 { // a query buffers one record at least
-			dev := blockio.NewStore(make([]byte, 1<<14))
+			dev := memDisk(make([]byte, 1<<14))
 			for _, iso := range []float32{-1, 0, 64, 128, 192, 255, 300} {
 				st, err := tree.Query(dev, iso, func([]byte) error { return nil })
 				if st.NodesVisited > len(tree.Nodes) {

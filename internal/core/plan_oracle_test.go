@@ -176,7 +176,7 @@ func materializedBytes(t testing.TB, p *BuildPlan, l metacell.Layout, cells []me
 		if _, err := tr.WriteTo(&idx); err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, ws[i].Bytes(), idx.Bytes())
+		out = append(out, diskBytes(t, ws[i]), idx.Bytes())
 	}
 	return out
 }

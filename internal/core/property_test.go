@@ -57,7 +57,7 @@ func TestPropertyQueryEqualsBruteForce(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		dev := blockio.NewStore(w.Bytes())
+		dev := w.Store()
 		iso := float32(isoRaw) / 16
 		want := 0
 		for _, c := range cells {
@@ -113,7 +113,7 @@ func TestPropertyStripedPartition(t *testing.T) {
 		}
 		got := 0
 		for i, tr := range trees {
-			dev := blockio.NewStore(bw[i].Bytes())
+			dev := bw[i].Store()
 			st, err := tr.Query(dev, iso, func([]byte) error { return nil })
 			if err != nil {
 				return false

@@ -6,9 +6,10 @@ import (
 	"repro/internal/metacell"
 )
 
-// RecordWriter is the sink a plan's bricks are laid out into. It is
-// satisfied by *blockio.Writer; Table-1-style size studies use a discarding
-// implementation since only the resulting index matters.
+// RecordWriter is the sink a plan's bricks are laid out into, satisfied by
+// *blockio.Writer. A writer may keep p rather than copy it (a memory
+// blockio.Writer does), so a caller must not change a record it has appended;
+// a metacell's record is never written after extraction.
 type RecordWriter interface {
 	// Offset reports where the next Append will land.
 	Offset() int64

@@ -34,7 +34,7 @@ func AblationIndexStructures(cfg RMConfig) ([]IndexAblationRow, error) {
 	g := Volume(cfg)
 	l, cells := metacell.Extract(g, cfg.span())
 
-	cit, err := core.Plan(cells).Materialize(l, cells, nullWriter())
+	cit, err := core.Plan(cells).Materialize(l, cells, blockio.NewWriter())
 	if err != nil {
 		return nil, err
 	}
@@ -165,7 +165,7 @@ func AblationBulkRead(cfg RMConfig) ([]BulkReadRow, error) {
 	var rows []BulkReadRow
 	for _, iso := range Sweep() {
 		// Fresh stores: every isovalue is read cold, its first read a seek.
-		devC, devB := blockio.NewStore(wC.Bytes()), blockio.NewStore(wB.Bytes())
+		devC, devB := wC.Store(), wB.Store()
 		stC, err := cit.Query(devC, iso, func([]byte) error { return nil })
 		if err != nil {
 			return nil, err
@@ -215,7 +215,7 @@ func AblationMetacellSize(cfg RMConfig, iso float32, spans []int) ([]MetacellSiz
 		if err != nil {
 			return nil, err
 		}
-		dev := blockio.NewStore(w.Bytes())
+		dev := w.Store()
 		var welder march.Welder
 		var mesh geom.IndexedMesh
 		st, err := cit.Query(dev, iso, func(rec []byte) error {
@@ -304,13 +304,13 @@ func AblationQueryStructures(cfg RMConfig, iso float32) ([]QueryStructureRow, er
 	g := Volume(cfg)
 	l, cells := metacell.Extract(g, cfg.span())
 
-	// Compact interval tree (query against its in-memory data image).
+	// Compact interval tree (query against its memory node disk).
 	w := blockio.NewWriter()
 	cit, err := core.Plan(cells).Materialize(l, cells, w)
 	if err != nil {
 		return nil, err
 	}
-	dev := blockio.NewStore(w.Bytes())
+	dev := w.Store()
 	t0 := time.Now()
 	stC, err := cit.Query(dev, iso, func([]byte) error { return nil })
 	if err != nil {

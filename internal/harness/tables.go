@@ -6,6 +6,7 @@ import (
 	"slices"
 	"time"
 
+	"repro/internal/blockio"
 	"repro/internal/cluster"
 	"repro/internal/composite"
 	"repro/internal/core"
@@ -49,8 +50,7 @@ func Table1(n int, seed uint64) ([]Table1Row, error) {
 	var rows []Table1Row
 	for _, s := range sets {
 		l, cells := metacell.Extract(s.grid, metacell.DefaultSpan)
-		w := nullWriter()
-		cit, err := core.Plan(cells).Materialize(l, cells, w)
+		cit, err := core.Plan(cells).Materialize(l, cells, blockio.NewWriter())
 		if err != nil {
 			return nil, fmt.Errorf("harness: table 1 %s: %w", s.name, err)
 		}
@@ -237,17 +237,4 @@ func Table8(ctx context.Context, cfg RMConfig, steps []int, iso float32, procs i
 		rows = append(rows, row)
 	}
 	return rows, tv.IndexSizeBytes(), nil
-}
-
-// nullWriter returns a Writer whose output is discarded after offsets are
-// assigned (Table 1 only needs index sizes, not the data image).
-func nullWriter() *nullW { return &nullW{} }
-
-type nullW struct{ off int64 }
-
-func (w *nullW) Offset() int64 { return w.off }
-func (w *nullW) Append(p []byte) (int64, error) {
-	off := w.off
-	w.off += int64(len(p))
-	return off, nil
 }

@@ -3,6 +3,7 @@ package repro
 import (
 	"context"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -163,4 +164,32 @@ func mustTV(t *testing.T) *TimeVaryingEngine {
 		t.Fatal(err)
 	}
 	return tv
+}
+
+// TestPreprocessCopiesNoRecord is the allocation gate behind the memory node
+// disk: preprocessing the benchmark volume onto one memory-backed node
+// allocates its records once, in the extractor's arenas, and the node disk
+// reads them there. Beside the records (DataBytes, 13.3 MB) it may allocate
+// a stated slack of 10 MiB: the extractor's plane rings (span planes per
+// core, two cores here) and cell lists, the plan's endpoint ranks and the
+// disk's offset table, about 7 MB together (8.5 MB under -race). Copying the
+// records into an image of the node disk would take it past the slack by
+// about 8 MB.
+func TestPreprocessCopiesNoRecord(t *testing.T) {
+	const slack = 10 << 20
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	g := GenerateRM(256, 256, 240, 250, 42)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	eng, err := Preprocess(g, Config{Procs: 1, ThreadsPerNode: 1})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("preprocessing allocated %.1f MB for %.1f MB of records", float64(got)/1e6, float64(eng.DataBytes)/1e6)
+	if got > uint64(eng.DataBytes)+slack {
+		t.Errorf("preprocessing allocated %d B, more than its %d B of records plus %d B of slack: a record is copied", got, eng.DataBytes, slack)
+	}
 }
