@@ -113,9 +113,10 @@ func BenchmarkPreprocess(b *testing.B) {
 
 // BenchmarkServeQueryHot measures the server's hot path: a cache-resident
 // surface served with no backend work. frame is the lookup a replica serves
-// its wire from (QueryFrame: the sealed frame, no soup); decode is Query, the
-// in-process caller's path: the same lookup plus the decode of every node's
-// chunks into a soup of the caller's own.
+// its wire from (QueryFrame: the sealed frame, nothing decoded); decode is
+// Query, the in-process caller's path: the same lookup plus the decode of
+// every node's chunks into a mesh of the caller's own, vertices expanded and
+// indices rebased.
 func BenchmarkServeQueryHot(b *testing.B) {
 	eng, err := harness.Engine(harness.Small(), 1)
 	if err != nil {

@@ -57,7 +57,7 @@ func main() {
 			}
 			if pass == 2 || i < 3 { // keep the output short
 				fmt.Printf("  pass %d: iso %3.0f → %7d triangles from replica %d (%s)\n",
-					pass, iso, len(resp.Mesh.Tris), resp.Route.Replica, resp.Route.Source)
+					pass, iso, resp.Mesh.Len(), resp.Route.Replica, resp.Route.Source)
 			}
 		}
 	}

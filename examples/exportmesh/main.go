@@ -24,7 +24,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Weld the per-node triangle soups into one indexed mesh and export.
+	// Weld the per-node meshes into one, seams shared, and export.
 	meshes, err := res.Meshes()
 	if err != nil {
 		log.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/geom"
 	"repro/internal/march"
 	"repro/internal/volume"
 )
@@ -177,12 +178,70 @@ func TestPreprocessAllNaNMetacell(t *testing.T) {
 // sortedSoup is a mesh's triangles as bit patterns, in an order that does not
 // depend on the order they were emitted in.
 func sortedSoup(m *Mesh) [][9]uint32 {
-	out := make([][9]uint32, len(m.Tris))
-	for i, tr := range m.Tris {
+	out := make([][9]uint32, m.Len())
+	for i, tr := range m.ExpandSoup() {
 		for j, v := range [9]float32{tr.A.X, tr.A.Y, tr.A.Z, tr.B.X, tr.B.Y, tr.B.Z, tr.C.X, tr.C.Y, tr.C.Z} {
 			out[i][j] = math.Float32bits(v)
 		}
 	}
 	slices.SortFunc(out, func(a, b [9]uint32) int { return slices.Compare(a[:], b[:]) })
+	return out
+}
+
+// TestRoutedMeshIsTheMergedExtraction: the mesh Router.Query decodes from a
+// replica's frame is MergeMeshes of a direct extraction array for array —
+// every vertex bit and every index, not only the soup they expand to — on
+// an engine of one node and of three, and it expands to the same soup.
+func TestRoutedMeshIsTheMergedExtraction(t *testing.T) {
+	ctx := context.Background()
+	const iso = 128
+	for _, procs := range []int{1, 3} {
+		eng, err := Preprocess(GenerateSphere(32), Config{Procs: procs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.Extract(ctx, iso, Options{KeepMeshes: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := MergeMeshes(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tier, err := StartDistCluster(eng, DistConfig{Replicas: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := tier.Router.Query(ctx, 0, iso)
+		tier.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := resp.Mesh
+		if want.Len() == 0 || !slices.Equal(got.Idx, want.Idx) || !slices.Equal(vertBits(got.Verts), vertBits(want.Verts)) {
+			t.Errorf("procs %d: routed mesh of %d vertices and %d triangles is not the merged extraction's %d and %d, array for array",
+				procs, got.NumVerts(), got.Len(), want.NumVerts(), want.Len())
+		}
+		if !slices.Equal(soupBits(got), soupBits(want)) {
+			t.Errorf("procs %d: routed mesh expands to another soup", procs)
+		}
+	}
+}
+
+// vertBits is the vertices' coordinates as their bit patterns.
+func vertBits(vs []geom.Vec3) []uint32 {
+	out := make([]uint32, 0, 3*len(vs))
+	for _, v := range vs {
+		out = append(out, math.Float32bits(v.X), math.Float32bits(v.Y), math.Float32bits(v.Z))
+	}
+	return out
+}
+
+// soupBits is the soup a mesh expands to, as bit patterns in triangle order.
+func soupBits(m *Mesh) []uint32 {
+	var out []uint32
+	for _, tr := range m.ExpandSoup() {
+		out = append(out, vertBits([]geom.Vec3{tr.A, tr.B, tr.C})...)
+	}
 	return out
 }

@@ -17,10 +17,12 @@ import (
 // frameServer serves one checksummed mesh frame, the payload the tier ships.
 func frameServer(t *testing.T) (*httptest.Server, []byte) {
 	t.Helper()
-	frame := meshio.AppendBinaryChecksum(nil, 42, &geom.Mesh{Tris: []geom.Triangle{
-		{A: geom.V(1, 2, 3), B: geom.V(4, 5, 6), C: geom.V(7, 8, 9)},
-		{A: geom.V(9, 8, 7), B: geom.V(6, 5, 4), C: geom.V(3, 2, 1)},
-	}})
+	mesh := &geom.Mesh{}
+	mesh.Append(
+		geom.Triangle{A: geom.V(1, 2, 3), B: geom.V(4, 5, 6), C: geom.V(7, 8, 9)},
+		geom.Triangle{A: geom.V(9, 8, 7), B: geom.V(6, 5, 4), C: geom.V(3, 2, 1)},
+	)
+	frame := meshio.AppendBinaryChecksum(nil, 42, mesh)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Length", itoa(len(frame)))
 		w.Write(frame) //nolint:errcheck

@@ -15,7 +15,7 @@ import (
 // TestMemoryAndFileBackingsAgree builds one RM volume on two nodes twice, in
 // memory and as files under a directory, and extracts every sweep isovalue
 // from both. One Store reads either backing, so node by node the block
-// accounting must be equal and the soups the same bit for bit.
+// accounting must be equal and the meshes the same bit for bit.
 func TestMemoryAndFileBackingsAgree(t *testing.T) {
 	g := volume.RichtmyerMeshkov(33, 33, 30, 230, 7)
 	mem, err := cluster.Build(g, cluster.Config{Procs: 2})
@@ -43,7 +43,7 @@ func TestMemoryAndFileBackingsAgree(t *testing.T) {
 			if na.IOStats != nb.IOStats {
 				t.Errorf("iso %v node %d: memory read %+v, file %+v", iso, i, na.IOStats, nb.IOStats)
 			}
-			if !slices.EqualFunc(na.Mesh.Tris, nb.Mesh.Tris, func(x, y geom.Triangle) bool { return triBits(x) == triBits(y) }) {
+			if !slices.Equal(na.Mesh.Idx, nb.Mesh.Idx) || !slices.EqualFunc(na.Mesh.Verts, nb.Mesh.Verts, func(x, y geom.Vec3) bool { return vecBits(x) == vecBits(y) }) {
 				t.Errorf("iso %v node %d: memory and file soups differ (%d, %d triangles)", iso, i, na.Mesh.Len(), nb.Mesh.Len())
 			}
 		}
@@ -54,9 +54,6 @@ func TestMemoryAndFileBackingsAgree(t *testing.T) {
 	}
 }
 
-func triBits(t geom.Triangle) (b [9]uint32) {
-	for i, v := range [3]geom.Vec3{t.A, t.B, t.C} {
-		b[3*i], b[3*i+1], b[3*i+2] = math.Float32bits(v.X), math.Float32bits(v.Y), math.Float32bits(v.Z)
-	}
-	return b
+func vecBits(v geom.Vec3) [3]uint32 {
+	return [3]uint32{math.Float32bits(v.X), math.Float32bits(v.Y), math.Float32bits(v.Z)}
 }

@@ -252,7 +252,7 @@ type NodeResult struct {
 	TriWall time.Duration
 
 	// Streaming-pipeline statistics.
-	PipelineWall      time.Duration // elapsed time of the pipeline, from the query's start until the kept soup is complete
+	PipelineWall      time.Duration // elapsed time of the pipeline, from the query's start until the kept surface is complete
 	Batches           int           // pipeline hand-offs: batches of up to DefaultBatchRecords records the producer sent the lanes
 	PeakBufferedBytes int64         // max record bytes buffered at once, ≤ DefaultPipelineDepth×DefaultBatchRecords×recSize
 	ProducerStall     time.Duration // producer time blocked on a full pipeline
@@ -262,7 +262,7 @@ type NodeResult struct {
 	// Chunks is the node's surface as meshio version 2 chunks, one per
 	// welded batch in record order, in one buffer of exactly their length
 	// (nil unless Options.KeepChunks): what meshio.Seal frames and
-	// meshio.DecodeChunks expands to the bytes of Mesh.
+	// meshio.DecodeChunks decodes to the arrays of Mesh.
 	Chunks []byte
 
 	// spans holds this node's stage-trace spans when Options.Trace is set;
@@ -321,13 +321,13 @@ const (
 // Options controls an extraction. The two Keep values choose the form a
 // caller gets the surface in; an extraction with neither only counts.
 type Options struct {
-	// KeepMeshes retains each node's triangle soup in NodeResult.Mesh
-	// (36 B a triangle): the form rendering, the exporters and every direct
-	// caller of Extract read.
+	// KeepMeshes retains each node's welded batches as one mesh in
+	// NodeResult.Mesh (≈ 19.6 B a triangle): the form rendering, the
+	// exporters and every direct caller of Extract read.
 	KeepMeshes bool
 	// KeepChunks retains each node's welded batches, encoded, in
 	// NodeResult.Chunks (≈ 11.1 B a triangle): the form the serving tier
-	// caches, frames and ships, building soup only for a caller that asks.
+	// caches, frames and ships, decoded only for a caller that asks.
 	KeepChunks bool
 	// Trace records a per-stage span trace of the extraction (index query +
 	// block read, stalls, march/weld, expand — one lane per pipeline actor)
@@ -342,8 +342,8 @@ type Options struct {
 // record batches through a bounded channel to the node's ThreadsPerNode+1
 // lanes, which weld them as they arrive — disk I/O and triangulation overlap
 // under a fixed record-staging bound — and then, when the surface is kept,
-// fill each kept form at its exact length from the welded batches: gather
-// them into one soup (KeepMeshes), encode them into one buffer of chunks
+// fill each kept form at its exact length from the welded batches: copy
+// them into one mesh (KeepMeshes), encode them into one buffer of chunks
 // (KeepChunks), or both.
 //
 // Cancelling ctx aborts the extraction mid-pipeline on every node — the

@@ -8,7 +8,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"slices"
 	"testing"
 
 	"repro/internal/blockio"
@@ -184,12 +183,12 @@ func TestKeepChunks(t *testing.T) {
 			if err != nil {
 				t.Fatalf("node %d %s: %v", i, name, err)
 			}
-			if want := soup.PerNode[i].Mesh; !slices.Equal(m.Tris, want.Tris) || m.Len() != n.Triangles {
-				t.Errorf("node %d %s: chunks expand to %d triangles, not the kept soup's %d", i, name, m.Len(), want.Len())
+			if want := soup.PerNode[i].Mesh; !sameSurface(m, want) || m.Len() != n.Triangles {
+				t.Errorf("node %d %s: chunks decode to %d triangles, not the kept mesh's %d", i, name, m.Len(), want.Len())
 			}
 		}
-		if !slices.Equal(both.PerNode[i].Mesh.Tris, soup.PerNode[i].Mesh.Tris) {
-			t.Errorf("node %d: the soup kept beside chunks differs from the soup kept alone", i)
+		if !sameSurface(both.PerNode[i].Mesh, soup.PerNode[i].Mesh) {
+			t.Errorf("node %d: the mesh kept beside chunks differs from the mesh kept alone", i)
 		}
 	}
 }
@@ -251,8 +250,8 @@ func TestKeptChunkForms(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s node %d: %v", tc.name, i, err)
 			}
-			if !bytes.Equal(meshio.AppendBinary(nil, 0, m), meshio.AppendBinary(nil, 0, n.Mesh)) {
-				t.Errorf("%s node %d: chunks decode to a soup unlike the kept one", tc.name, i)
+			if !sameSurface(m, n.Mesh) || !bytes.Equal(meshio.AppendBinary(nil, 0, m), meshio.AppendBinary(nil, 0, n.Mesh)) {
+				t.Errorf("%s node %d: chunks decode to a mesh unlike the kept one", tc.name, i)
 			}
 		}
 		if (plain > 0) != tc.plain || !tc.plain && grid == 0 {

@@ -44,7 +44,7 @@ func (e *Engine) EnableMetrics(reg *obs.Registry) {
 		reg:           reg,
 		extract:       reg.Histogram("cluster_extract_seconds", "isosurface extraction wall time"),
 		batchWeld:     reg.Histogram("cluster_batch_weld_seconds", "per-batch weld latency in the streaming pipeline: a lane checking and triangulating one batch of records"),
-		merge:         reg.Histogram("cluster_merge_seconds", "per node-extraction expand-phase wall time: allocating each kept form at its exact length and every lane filling it from the welded batches, gathering the soup (KeepMeshes) and encoding the chunks (KeepChunks); extractions that keep neither observe nothing"),
+		merge:         reg.Histogram("cluster_merge_seconds", "per node-extraction expand-phase wall time: allocating each kept form at its exact length and every lane filling it from the welded batches, copying the mesh (KeepMeshes) and encoding the chunks (KeepChunks); extractions that keep neither observe nothing"),
 		producerStall: reg.Histogram("cluster_producer_stall_seconds", "per node-extraction producer time blocked on a full pipeline"),
 		consumerStall: reg.Histogram("cluster_consumer_stall_seconds", "per node-extraction lane time blocked on an empty pipeline, summed over the lanes"),
 		readLatency:   reg.Histogram("blockio_read_seconds", "node block device read latency"),

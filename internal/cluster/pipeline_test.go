@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -52,7 +51,7 @@ func meshesOf(t *testing.T, g *volume.Grid, cfg Config, iso float32) []*geom.Mes
 
 func sameMeshes(got *Result, want []*geom.Mesh) error {
 	for i := range want {
-		if !slices.Equal(got.PerNode[i].Mesh.Tris, want[i].Tris) {
+		if !sameSurface(got.PerNode[i].Mesh, want[i]) {
 			return fmt.Errorf("node %d: %d triangles, not byte-identical to the reference's %d",
 				i, got.PerNode[i].Mesh.Len(), want[i].Len())
 		}
@@ -317,7 +316,7 @@ func TestAbortedKeepMeshesLeavesEngineClean(t *testing.T) {
 			t.Fatal("a retained scratch has no welder")
 		}
 		for i := range sc.welders {
-			var gone geom.IndexedMesh
+			var gone geom.Mesh
 			gone.Verts = make([]geom.Vec3, 1<<20) // ids far past any batch mesh's
 			for _, iso := range []float32{30, 220} {
 				if n, err := sc.welders[i].Record(e.Layout, noise, iso, &gone); err != nil || n == 0 {

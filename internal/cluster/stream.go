@@ -26,20 +26,20 @@ var errPipelineAborted = errors.New("cluster: pipeline aborted")
 // extraction keeps its surface, the mesh this batch is to be welded into.
 type streamBatch struct {
 	buf  []byte
-	mesh *geom.IndexedMesh
+	mesh *geom.Mesh
 }
 
 // pipeScratch is what one node-extraction borrows from its engine for as long
 // as it runs: the record ring the producer fills, each lane's welder, and the
 // welded meshes — for an extraction that keeps its surface (KeepMeshes,
-// KeepChunks) one per batch, in record order, which the surface is gathered
+// KeepChunks) one per batch, in record order, which the surface is copied
 // or encoded from; without, one per lane, welded into and counted.
 // The engine keeps them between extractions (warmed-up capacity is the
 // point): one pipeScratch per node-extraction that has ever run at once.
 type pipeScratch struct {
 	recs    [][]byte       // record buffers, each of exactly batchRecords×recordSize capacity
 	welders []march.Welder // one per lane
-	meshes  []*geom.IndexedMesh
+	meshes  []*geom.Mesh
 }
 
 // bytes is the heap the scratch holds on to, by capacity.
@@ -86,7 +86,7 @@ func (e *Engine) takeScratch(lanes, depth, bufBytes int, keep bool) *pipeScratch
 		sc.welders = append(sc.welders, march.Welder{})
 	}
 	for !keep && len(sc.meshes) < lanes {
-		sc.meshes = append(sc.meshes, new(geom.IndexedMesh))
+		sc.meshes = append(sc.meshes, new(geom.Mesh))
 	}
 	return sc
 }
@@ -111,7 +111,7 @@ func (e *Engine) putScratch(sc *pipeScratch) {
 // a lane's steady-state weld-phase body: once the caller's scratch (w, out)
 // has warmed up it must not allocate — TestWeldBatchZeroAllocSteadyState is
 // the regression gate.
-func weldBatch(l metacell.Layout, buf []byte, nrec, recSize int, iso float32, w *march.Welder, out *geom.IndexedMesh) (int, error) {
+func weldBatch(l metacell.Layout, buf []byte, nrec, recSize int, iso float32, w *march.Welder, out *geom.Mesh) (int, error) {
 	cells := 0
 	for r := 0; r < nrec; r++ {
 		n, err := w.Record(l, buf[r*recSize:(r+1)*recSize], iso, out)
@@ -158,9 +158,9 @@ type laneStats struct {
 // of the scratch's list), or into the lane's own when the extraction only
 // counts. Expand (KeepMeshes or KeepChunks only, once the ring has drained
 // without error or cancellation): every batch's size is now exact, so each
-// kept form is one allocation of its length — the soup, the chunk buffer —
+// kept form is one allocation of its length — the mesh, the chunk buffer —
 // prefix sums of the per-batch sizes give every batch its part of it, and the
-// lanes claim batches off a counter and gather or encode straight into place:
+// lanes claim batches off a counter and copy or encode straight into place:
 // disjoint writes, nothing to reorder or copy twice.
 //
 // Peak record staging is pipelineDepth×batchRecords×recordSize bytes — a
@@ -213,7 +213,7 @@ func (e *Engine) extractNodeStreaming(ctx context.Context, node int, iso float32
 			sb := streamBatch{buf: cur}
 			if keep {
 				if nr.Batches == len(sc.meshes) {
-					sc.meshes = append(sc.meshes, new(geom.IndexedMesh))
+					sc.meshes = append(sc.meshes, new(geom.Mesh))
 				}
 				sb.mesh = sc.meshes[nr.Batches]
 			}
@@ -318,16 +318,17 @@ func (e *Engine) extractNodeStreaming(ctx context.Context, node int, iso float32
 
 	// Expand phase: the one allocation per kept form that scales with the
 	// surface, made at its exact length and filled by every lane at once —
-	// the soup (KeepMeshes) gathered, the chunks (KeepChunks) encoded.
+	// the mesh (KeepMeshes) copied, the chunks (KeepChunks) encoded.
 	expandStart := time.Since(start)
 	if err == nil && keep {
 		batches := sc.meshes[:nr.Batches]
-		var triOffs, chunkOffs []int
-		var tris []geom.Triangle
+		var vertOffs, triOffs, chunkOffs []int
+		var mesh *geom.Mesh
 		var chunks []byte
 		if opts.KeepMeshes {
-			triOffs = prefixSums(batches, (*geom.IndexedMesh).Len)
-			tris = geom.MakeSoup(triOffs[len(batches)]) // the parts cover it, each gathered whole
+			vertOffs = prefixSums(batches, (*geom.Mesh).NumVerts)
+			triOffs = prefixSums(batches, (*geom.Mesh).Len)
+			mesh = geom.MakeMesh(vertOffs[len(batches)], triOffs[len(batches)]) // the parts cover it, each copied whole
 		}
 		if opts.KeepChunks {
 			chunkOffs = prefixSums(batches, meshio.ChunkLen)
@@ -337,8 +338,10 @@ func (e *Engine) extractNodeStreaming(ctx context.Context, node int, iso float32
 		runLanes(ctx, lanes, "expand", node, func(t int) {
 			te := time.Now()
 			for b := next.Add(1) - 1; b < int64(len(batches)); b = next.Add(1) - 1 {
-				if triOffs != nil {
-					batches[b].Gather(tris[triOffs[b]:triOffs[b+1]])
+				if mesh != nil {
+					im, v := batches[b], vertOffs[b]
+					copy(mesh.Verts[v:vertOffs[b+1]], im.Verts)
+					geom.Rebase(mesh.Idx[3*triOffs[b]:3*triOffs[b+1]], im.Idx, uint32(v))
 				}
 				if chunkOffs != nil {
 					meshio.PutChunk(chunks[chunkOffs[b]:chunkOffs[b+1]], batches[b])
@@ -346,9 +349,7 @@ func (e *Engine) extractNodeStreaming(ctx context.Context, node int, iso float32
 			}
 			ls[t].expand = time.Since(te)
 		})
-		if opts.KeepMeshes {
-			nr.Mesh = &geom.Mesh{Tris: tris}
-		}
+		nr.Mesh = mesh
 		if opts.KeepChunks {
 			nr.Chunks = chunks
 		}
@@ -384,7 +385,7 @@ func (e *Engine) extractNodeStreaming(ctx context.Context, node int, iso float32
 
 // prefixSums returns the offsets of each batch's part of one buffer holding
 // size(batch) of every batch in order; the last is the buffer's length.
-func prefixSums(batches []*geom.IndexedMesh, size func(*geom.IndexedMesh) int) []int {
+func prefixSums(batches []*geom.Mesh, size func(*geom.Mesh) int) []int {
 	offs := make([]int, len(batches)+1)
 	for b, im := range batches {
 		offs[b+1] = offs[b] + size(im)

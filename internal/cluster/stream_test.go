@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -50,7 +51,7 @@ func twoPhase(t testing.TB, e *Engine, iso float32) *Result {
 		nr := &res.PerNode[node]
 		nr.Node, nr.ActiveMetacells = node, st.ActiveMetacells
 		var w march.Welder
-		var im geom.IndexedMesh
+		var im geom.Mesh
 		for off := 0; off < len(records); off += recSize {
 			cells, err := w.Record(e.Layout, records[off:off+recSize], iso, &im)
 			if err != nil {
@@ -58,7 +59,7 @@ func twoPhase(t testing.TB, e *Engine, iso float32) *Result {
 			}
 			nr.ActiveCells += cells
 		}
-		nr.Mesh = im.ExpandSoup()
+		nr.Mesh = &im
 		nr.Triangles = nr.Mesh.Len()
 		res.Active += nr.ActiveMetacells
 		res.Triangles += nr.Triangles
@@ -70,11 +71,12 @@ func twoPhase(t testing.TB, e *Engine, iso float32) *Result {
 // test: across random isovalues, node counts, thread counts and pipeline
 // shapes, the streaming pipeline must report exactly the two-phase
 // schedule's ActiveMetacells, ActiveCells and Triangles, and (with
-// KeepMeshes) produce byte-identical per-node meshes. Soups are poisoned
-// (geom.PoisonSoups), so a part of the soup no lane gathered reads as NaN
-// bits, not as what the memory held.
+// KeepMeshes) produce the same per-node meshes, array for array and soup for
+// soup. Meshes are poisoned (geom.PoisonMeshes), so a vertex or an index no
+// lane copied shows as NaN bits or an index past every vertex, not as what
+// the memory held.
 func TestStreamingMatchesTwoPhaseProperty(t *testing.T) {
-	defer geom.PoisonSoups(geom.PoisonSoups(true))
+	defer geom.PoisonMeshes(geom.PoisonMeshes(true))
 	g := rmGrid()
 	rnd := rand.New(rand.NewSource(1234))
 	for trial := 0; trial < 8; trial++ {
@@ -104,7 +106,7 @@ func TestStreamingMatchesTwoPhaseProperty(t *testing.T) {
 					trial, i, s.ActiveMetacells, s.ActiveCells, s.Triangles,
 					w.ActiveMetacells, w.ActiveCells, w.Triangles)
 			}
-			if !slices.Equal(s.Mesh.Tris, w.Mesh.Tris) {
+			if !sameSurface(s.Mesh, w.Mesh) {
 				t.Errorf("trial %d node %d (iso=%v p=%d t=%d %+v): meshes not byte-identical",
 					trial, i, iso, procs, threads, shape)
 			}
@@ -268,7 +270,7 @@ func TestExtractConcurrentSameEngine(t *testing.T) {
 
 // TestWeldBatchZeroAllocSteadyState is the pipeline allocation gate: once a
 // worker's scratch (the Welder, with its copy of a two- or four-byte record's
-// samples, and the IndexedMesh) has warmed up, processing a batch must not
+// samples, and the mesh) has warmed up, processing a batch must not
 // allocate, in any scalar format. A regression here silently reintroduces
 // per-batch garbage across every extraction.
 func TestWeldBatchZeroAllocSteadyState(t *testing.T) {
@@ -288,7 +290,7 @@ func TestWeldBatchZeroAllocSteadyState(t *testing.T) {
 		}
 
 		var w march.Welder
-		im := &geom.IndexedMesh{}
+		im := &geom.Mesh{}
 		const iso = 110
 		if _, err := weldBatch(l, buf, nrec, recSize, iso, &w, im); err != nil {
 			t.Fatal(err)
@@ -336,9 +338,10 @@ func TestDefaultSizingOnThePublicPath(t *testing.T) {
 }
 
 // TestResultIsOneExactAllocation pins what the expand phase is for: the kept
-// form of the surface — the soup (KeepMeshes) or the chunks (KeepChunks) — is
-// allocated once, at its length, and it is all a warmed extraction allocates:
-// a staging copy, or a result grown by append, would read 2× here.
+// form of the surface — the mesh's two arrays (KeepMeshes) or the chunks
+// (KeepChunks) — is allocated once, at its length, and it is all a warmed
+// extraction allocates: a staging copy, or a result grown by append, would
+// read 2× here.
 func TestResultIsOneExactAllocation(t *testing.T) {
 	// A large surface and 64-record batches, so that what an extraction
 	// allocates whatever its size — the query's read buffer of one batch is
@@ -361,10 +364,11 @@ func TestResultIsOneExactAllocation(t *testing.T) {
 		n := res.PerNode[0]
 		kept := float64(len(n.Chunks))
 		if opts.KeepMeshes {
-			if n.Mesh.Len() != res.Triangles || cap(n.Mesh.Tris) != len(n.Mesh.Tris) {
-				t.Errorf("mesh of %d triangles has len %d cap %d", res.Triangles, len(n.Mesh.Tris), cap(n.Mesh.Tris))
+			m := n.Mesh
+			if m.Len() != res.Triangles || cap(m.Idx) != len(m.Idx) || cap(m.Verts) != len(m.Verts) {
+				t.Errorf("mesh of %d triangles has %d indices of capacity %d, %d vertices of capacity %d", res.Triangles, len(m.Idx), cap(m.Idx), len(m.Verts), cap(m.Verts))
 			}
-			kept = float64(36 * res.Triangles)
+			kept = float64(12*len(m.Verts) + 4*len(m.Idx))
 		} else if cap(n.Chunks) != len(n.Chunks) || kept < 6*float64(res.Triangles) {
 			t.Errorf("%d triangles kept in %d chunk bytes of capacity %d", res.Triangles, len(n.Chunks), cap(n.Chunks))
 		}
@@ -378,8 +382,8 @@ func TestResultIsOneExactAllocation(t *testing.T) {
 
 // TestExpandPhaseDisjoint runs the expand phase with as many claims on the
 // batch counter as there are records, from two, three and five lanes, under
-// the race detector in CI: every lane writes only the part of the soup and
-// of the chunk buffer its batch owns, and the parts tile them.
+// the race detector in CI: every lane writes only the part of the mesh's
+// arrays and of the chunk buffer its batch owns, and the parts tile them.
 func TestExpandPhaseDisjoint(t *testing.T) {
 	g := pipeGrid()
 	cfg := Config{Procs: 1}
@@ -401,8 +405,8 @@ func TestExpandPhaseDisjoint(t *testing.T) {
 			if err := sameMeshes(res, want); err != nil {
 				t.Errorf("threads=%d run %d: %v", threads, run, err)
 			}
-			if m, err := meshio.DecodeChunks(res.PerNode[0].Chunks); err != nil || !slices.Equal(m.Tris, want[0].Tris) {
-				t.Errorf("threads=%d run %d: chunks do not expand to the reference (err %v)", threads, run, err)
+			if m, err := meshio.DecodeChunks(res.PerNode[0].Chunks); err != nil || !sameSurface(m, want[0]) {
+				t.Errorf("threads=%d run %d: chunks do not decode to the reference (err %v)", threads, run, err)
 			}
 		}
 	}
@@ -445,4 +449,33 @@ func TestScratchLedger(t *testing.T) {
 	if bound := int64(1.1*20*float64(largest)) + fixed; retained > bound {
 		t.Errorf("scratch retains %d B, want ≤ 1.1 × 20 B × %d triangles + %d B fixed = %d B", retained, largest, fixed, bound)
 	}
+}
+
+// sameSurface reports whether two meshes hold the same arrays, vertex bits
+// and indices alike, and expand to the same soup bit for bit: the
+// byte-identity tests' comparison. An index past the vertices, such as a
+// poisoned one no lane wrote, makes the meshes differ.
+func sameSurface(a, b *geom.Mesh) bool {
+	if !slices.Equal(a.Idx, b.Idx) || !slices.Equal(vertBits(a.Verts...), vertBits(b.Verts...)) {
+		return false
+	}
+	sa, sb := make([]geom.Triangle, a.Len()), make([]geom.Triangle, b.Len())
+	if !geom.Gather(sa, a.Verts, a.Idx) || !geom.Gather(sb, b.Verts, b.Idx) {
+		return false
+	}
+	for i := range sa {
+		if !slices.Equal(vertBits(sa[i].A, sa[i].B, sa[i].C), vertBits(sb[i].A, sb[i].B, sb[i].C)) {
+			return false
+		}
+	}
+	return true
+}
+
+// vertBits is the vertices' coordinates as their bit patterns.
+func vertBits(vs ...geom.Vec3) []uint32 {
+	b := make([]uint32, 0, 3*len(vs))
+	for _, v := range vs {
+		b = append(b, math.Float32bits(v.X), math.Float32bits(v.Y), math.Float32bits(v.Z))
+	}
+	return b
 }

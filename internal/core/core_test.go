@@ -631,7 +631,7 @@ func TestEndToEndTrianglesMatchReference(t *testing.T) {
 	tree, dev := materialize(t, l, cells)
 	var w march.Welder
 	for _, iso := range []float32{60, 128, 190} {
-		var mesh geom.IndexedMesh
+		var mesh geom.Mesh
 		_, err := tree.Query(dev, iso, func(rec []byte) error {
 			_, err := w.Record(l, rec, iso, &mesh)
 			return err

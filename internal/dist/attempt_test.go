@@ -146,7 +146,7 @@ func TestAttemptSequences(t *testing.T) {
 	)
 	errSaturated := errors.New("a *SaturatedError") // the row's error class, matched with errors.As
 	// A version 2 frame, as replicas send: one chunk of one triangle.
-	batch := &geom.IndexedMesh{Verts: []geom.Vec3{geom.V(1, 2, 3), geom.V(4, 5, 6), geom.V(7, 8, 9)}, Idx: []uint32{0, 1, 2}}
+	batch := &geom.Mesh{Verts: []geom.Vec3{geom.V(1, 2, 3), geom.V(4, 5, 6), geom.V(7, 8, 9)}, Idx: []uint32{0, 1, 2}}
 	chunk := make([]byte, meshio.ChunkLen(batch))
 	meshio.PutChunk(chunk, batch)
 	var sealed bytes.Buffer

@@ -31,8 +31,8 @@ func directFrame(t *testing.T, iso float32) []byte {
 }
 
 // directSoup is the reference every routed mesh is held to: a direct
-// Engine.Extract's per-node soups in node order, encoded by the copying
-// version 1 codec — equal bytes are equal soups, bit for bit.
+// Engine.Extract's per-node meshes in node order, encoded by the version 1
+// codec — equal bytes are equal soups, bit for bit.
 func directSoup(t *testing.T, iso float32) []byte {
 	t.Helper()
 	direct := extractDirect(t, iso)
@@ -156,18 +156,18 @@ func TestReplicaBodyByteIdenticalForEverySource(t *testing.T) {
 	}
 }
 
-// TestRoutedMeshBelongsToTheCaller: Router.Query's mesh is a soup of the
-// caller's own, decoded from a frame that went back to the router before
-// Query returned — scribbling over the mesh, or growing it, changes nothing
-// anyone else will ever see: not the next response for the key, not the
-// replica's cached surface, and the next query reads into the recycled frame,
-// never into a mesh a caller holds.
+// TestRoutedMeshBelongsToTheCaller: Router.Query's mesh is the caller's own,
+// decoded from a frame that went back to the router before Query returned —
+// scribbling over the mesh's vertices and indices, or growing it, changes
+// nothing anyone else will ever see: not the next response for the key, not
+// the replica's cached surface, and the next query reads into the recycled
+// frame, never into a mesh a caller holds.
 func TestRoutedMeshBelongsToTheCaller(t *testing.T) {
 	ctx := context.Background()
 	const iso = 128
 	want, wantSoup := directFrame(t, iso), directSoup(t, iso)
 	c := startCluster(t, 2, ReplicaConfig{}, RouterConfig{})
-	scribble := geom.Triangle{A: geom.V(-1, -2, -3)}
+	scribble, scribbleIdx := geom.V(-1, -2, -3), uint32(7)
 
 	var kept []*Response
 	for round := 0; round < 4; round++ {
@@ -184,8 +184,11 @@ func TestRoutedMeshBelongsToTheCaller(t *testing.T) {
 		if n, _ := c.Router.frames.size(); n != 1 {
 			t.Fatalf("round %d: %d buffers on the free list; Query gives its one frame back at once", round, n)
 		}
-		for i := range resp.Mesh.Tris {
-			resp.Mesh.Tris[i] = scribble
+		for i := range resp.Mesh.Verts {
+			resp.Mesh.Verts[i] = scribble
+		}
+		for i := range resp.Mesh.Idx {
+			resp.Mesh.Idx[i] = scribbleIdx
 		}
 		resp.Mesh.Append(geom.Triangle{})
 		kept = append(kept, resp)
@@ -198,9 +201,15 @@ func TestRoutedMeshBelongsToTheCaller(t *testing.T) {
 		t.Fatalf("after scribbling over four routed meshes the %s frame differs from the reference", route.Source)
 	}
 	for round, resp := range kept {
-		for i, tri := range resp.Mesh.Tris[:len(resp.Mesh.Tris)-1] {
-			if tri != scribble {
-				t.Fatalf("kept response %d, triangle %d: a later query wrote into a mesh its caller holds", round, i)
+		m := resp.Mesh
+		for i, v := range m.Verts[:m.NumVerts()-3] {
+			if v != scribble {
+				t.Fatalf("kept response %d, vertex %d: a later query wrote into a mesh its caller holds", round, i)
+			}
+		}
+		for i, x := range m.Idx[:len(m.Idx)-3] {
+			if x != scribbleIdx {
+				t.Fatalf("kept response %d, index %d: a later query wrote into a mesh its caller holds", round, i)
 			}
 		}
 	}

@@ -28,11 +28,11 @@ import (
 // chunks — and its frames hold as many bytes a triangle as real ones.
 type bigBackend struct{ tris int }
 
-func (b bigBackend) batches(iso float32) []*geom.IndexedMesh {
-	var out []*geom.IndexedMesh
+func (b bigBackend) batches(iso float32) []*geom.Mesh {
+	var out []*geom.Mesh
 	for done := 0; done < b.tris; {
 		n := min(50_000, b.tris-done)
-		im := &geom.IndexedMesh{Verts: make([]geom.Vec3, max(n*16/25, 3)), Idx: make([]uint32, 3*n)}
+		im := &geom.Mesh{Verts: make([]geom.Vec3, max(n*16/25, 3)), Idx: make([]uint32, 3*n)}
 		for i := range im.Verts {
 			k := uint32(done + i)
 			p := [3]float32{float32(k % 128), float32(k / 128 % 128), float32(k / 16384)}
@@ -48,7 +48,7 @@ func (b bigBackend) batches(iso float32) []*geom.IndexedMesh {
 	return out
 }
 
-// mesh is the surface as the client decodes it: the batches, expanded.
+// mesh is the surface as the client decodes it: the batches, concatenated.
 func (b bigBackend) mesh(iso float32) *geom.Mesh {
 	m := &geom.Mesh{}
 	for _, im := range b.batches(iso) {
@@ -343,12 +343,14 @@ func allocPerRequest(t testing.TB, n int, query func() error) float64 {
 // TestRecycleZeroAllocSteadyState is the allocation gate for the give-back:
 // a caller that recycles each frame makes the tier — router, HTTP exchange
 // and replica together — allocate less than 5 % of a frame per warmed hit;
-// Router.Query, whose caller keeps a mesh, pays one soup of its own and no
-// frame (it recycles the frame it decoded from before it returns).
+// Router.Query, whose caller keeps a mesh, pays one mesh of its own — 12 B a
+// vertex and 12 B a triangle, no soup — and no frame (it recycles the frame
+// it decoded from before it returns).
 func TestRecycleZeroAllocSteadyState(t *testing.T) {
 	const iso, tris = 5, 800_000
 	c := startBigCluster(t, 1, tris, RouterConfig{})
-	frame, soup := float64(len(bigBackend{tris}.frame(iso))), float64(36*tris)
+	frame := float64(len(bigBackend{tris}.frame(iso)))
+	mesh := float64(12*bigBackend{tris}.mesh(iso).NumVerts() + 12*tris)
 	if frame < 8<<20 {
 		t.Fatalf("test frame is %.0f bytes, want at least 8 MiB", frame)
 	}
@@ -366,17 +368,17 @@ func TestRecycleZeroAllocSteadyState(t *testing.T) {
 	if got := allocPerRequest(t, 20, recycle); got > 0.05*frame {
 		t.Errorf("recycling caller: %.0f bytes allocated per request, want under 5 %% of the %.0f-byte frame", got, frame)
 	}
-	if got := allocPerRequest(t, 20, query); got < 0.95*soup || got > soup+0.5*frame {
-		t.Errorf("Router.Query: %.0f bytes allocated per request, want one %.0f-byte soup and no %.0f-byte frame", got, soup, frame)
+	if got := allocPerRequest(t, 20, query); got < 0.95*mesh || got > mesh+0.5*frame {
+		t.Errorf("Router.Query: %.0f bytes allocated per request, want one %.0f-byte mesh and no %.0f-byte frame", got, mesh, frame)
 	}
 }
 
 // BenchmarkRoutedHit measures the tier's hot path over real loopback
 // sockets: one replica with the surface cached and sealed, the repository
 // benchmark's mean surface of 890 000 triangles (a 9.9 MB frame of grid
-// vertices, 11.1 B a triangle; a 32 MB soup). query is Router.Query — the
-// frame decoded into a soup of the caller's own and recycled, so B/op is one
-// soup and one vertex scratch of the largest chunk's vertices; bytes is
+// vertices, 11.1 B a triangle; a 17.5 MB mesh). query is Router.Query — the
+// frame decoded into a mesh of the caller's own, vertices expanded and
+// indices rebased, and recycled, so B/op is the mesh's two arrays; bytes is
 // QueryBytes with the frame handed back when done — the relay path, B/op the
 // HTTP exchange alone. MB/s is frame bytes delivered, frame-B/tri their size
 // per triangle.

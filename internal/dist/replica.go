@@ -198,11 +198,11 @@ func (r *Replica) handleMesh(w http.ResponseWriter, req *http.Request) {
 	}
 
 	// One frame per response, the per-node chunks in node order — decoded,
-	// the same soup a direct Extract + merge produces (the E2E byte-identity
+	// the same mesh a direct Extract + merge produces (the E2E byte-identity
 	// test holds the tier to that). The frame is the surface's sealed one:
 	// header and CRC were computed when its extraction finished, and the
-	// payload written below is the cached chunks' own memory. No soup is
-	// built on this side of the wire.
+	// payload written below is the cached chunks' own memory. Nothing is
+	// decoded on this side of the wire.
 	frame := resp.Frame()
 
 	w.Header().Set("Content-Type", MeshContentType)

@@ -241,15 +241,15 @@ func (rt *Router) Stats() RouterStats {
 }
 
 // Response is a routed query result. Mesh is the replica's frame decoded
-// into a soup of the caller's own, which nothing else references; the frame
-// has already gone back to the router.
+// into a mesh of the caller's own (no soup), which nothing else references;
+// the frame has already gone back to the router.
 type Response struct {
 	Mesh  *geom.Mesh
 	Iso   float32 // the quantized isovalue the shard extracted
 	Route Route
 }
 
-// Query routes one query, decodes the returned frame into a fresh soup and
+// Query routes one query, decodes the returned frame into a fresh mesh and
 // recycles the frame at once. fetch has already checksummed the frame as it
 // came off the socket, so the CRC runs exactly once per routed frame: there,
 // not here (meshio.DecodeVerified).

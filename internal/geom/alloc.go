@@ -6,29 +6,35 @@ import (
 	"unsafe"
 )
 
-// MakeSoup returns n triangles whose contents are undefined, for a caller
-// that writes every one of them before the slice is read or returned: the
-// runtime's allocator without the clear that make runs, which on a soup of
-// tens of megabytes costs about as much as the gather that overwrites it. It
-// panics where make would, on a negative n or a byte size past int (which a
-// 32-bit int reaches at 60 M triangles), and returns nil for n = 0. Triangle
-// holds no pointers, so the garbage collector never reads the uncleared bytes.
-func MakeSoup(n int) []Triangle {
-	const size = int(unsafe.Sizeof(Triangle{}))
+// MakeMesh returns a mesh of nv vertices and nt triangles of undefined
+// contents, for a caller that writes every one before the mesh is read: the
+// runtime's allocator without make's clear, a second write of every line. It
+// panics where make would and leaves an array nil for a count of 0. Neither
+// array holds a pointer, so the collector never reads the uncleared bytes.
+func MakeMesh(nv, nt int) *Mesh {
+	if nt < 0 || nt > math.MaxInt/12 {
+		panic("geom: MakeMesh: triangle count out of range")
+	}
+	return &Mesh{Verts: uncleared[Vec3](nv), Idx: uncleared[uint32](3 * nt)}
+}
+
+// uncleared is n values of T from the allocator, 0xFF bytes under the poison.
+func uncleared[T Vec3 | uint32](n int) []T {
+	size := int(unsafe.Sizeof(*new(T)))
 	switch {
 	case n == 0:
 		return nil
 	case n < 0 || n > math.MaxInt/size:
-		panic("geom: MakeSoup: len out of range")
+		panic("geom: MakeMesh: len out of range")
 	}
 	p := mallocgc(uintptr(n*size), nil, false)
-	if poisonSoups.Load() {
+	if poisonMeshes.Load() {
 		b := unsafe.Slice((*byte)(p), n*size)
 		for i := range b {
 			b[i] = 0xFF
 		}
 	}
-	return unsafe.Slice((*Triangle)(p), n)
+	return unsafe.Slice((*T)(p), n)
 }
 
 // mallocgc is the runtime's allocator; the runtime keeps the symbol for
@@ -39,14 +45,14 @@ func MakeSoup(n int) []Triangle {
 //go:linkname mallocgc runtime.mallocgc
 func mallocgc(size uintptr, typ unsafe.Pointer, needzero bool) unsafe.Pointer
 
-// poisonSoups makes MakeSoup fill every soup with 0xFF bytes, NaN bits in
-// every coordinate, so that a test of a caller sees a triangle it failed to
-// write instead of whatever the memory held.
-var poisonSoups atomic.Bool
+// poisonMeshes makes MakeMesh fill both arrays with 0xFF bytes (NaN bits, an
+// index past any vertex), so a test sees a vertex or an index its caller
+// failed to write instead of whatever the memory held.
+var poisonMeshes atomic.Bool
 
-// PoisonSoups turns MakeSoup's poison fill on or off and reports whether it
+// PoisonMeshes turns MakeMesh's poison fill on or off and reports whether it
 // was on. It is a test switch, like UseGatherKernel: the byte-identity tests
-// of the soups' writers run with it on.
-func PoisonSoups(on bool) (was bool) {
-	return poisonSoups.Swap(on)
+// of the meshes' writers run with it on.
+func PoisonMeshes(on bool) (was bool) {
+	return poisonMeshes.Swap(on)
 }

@@ -5,22 +5,20 @@ import (
 	"testing"
 )
 
-// BenchmarkGather is the pipeline's expand phase at the size the repository
-// benchmark's sweep runs it: 17 welded batches of 34 k vertices and 52 k
+// BenchmarkGather is the soup gather at the size of the repository
+// benchmark's mean surface: 17 welded batches of 34 k vertices and 52 k
 // triangles whose corners are near one another in the vertex array, gathered
-// into their parts of one 32 MB soup — too large to stay in cache — made
-// afresh each time by MakeSoup, uncleared, as the expand phase and the chunk
-// decoder make theirs. The rate is soup bytes written, the allocation
-// included. kernel runs the streaming-store kernel, portable the Go loop.
-// It does not predict the end-to-end result: here the two read within the
-// host's swing of each other, while on the routed benchmark workloads the
-// kernel delivers about a quarter more triangles a second (DESIGN.md §8).
+// into their parts of one 32 MB soup — too large to stay in cache — reused
+// from run to run, as the version 1 encoder reuses its caller's buffer. No
+// request runs it: the encoder and the oracles are its callers. The rate is
+// soup bytes written. kernel runs the streaming-store kernel, portable the
+// Go loop.
 func BenchmarkGather(b *testing.B) {
 	const batches, verts, tris = 17, 34_000, 52_000
 	rnd := rand.New(rand.NewSource(1))
-	ims := make([]*IndexedMesh, batches)
+	ims := make([]*Mesh, batches)
 	for k := range ims {
-		im := &IndexedMesh{Verts: make([]Vec3, verts), Idx: make([]uint32, 3*tris)}
+		im := &Mesh{Verts: make([]Vec3, verts), Idx: make([]uint32, 3*tris)}
 		for i := range im.Verts {
 			im.Verts[i] = V(rnd.Float32(), rnd.Float32(), float32(k))
 		}
@@ -37,8 +35,9 @@ func BenchmarkGather(b *testing.B) {
 			}
 			defer UseGatherKernel(UseGatherKernel(kernel))
 			b.SetBytes(batches * tris * 36)
+			soup := make([]Triangle, batches*tris)
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				soup := MakeSoup(batches * tris)
 				for k, im := range ims {
 					im.Gather(soup[k*tris:][:tris])
 				}

@@ -21,12 +21,12 @@ func UseGatherKernel(on bool) (was bool) {
 
 // Gather writes out's triangles, in order, from the index triples of idx
 // into verts, corner by corner, and reports false when an index is not below
-// len(verts): indices may be hostile bytes off the wire. idx holds at least
-// 3·len(out) indices. The caller has sized out and owns it, so many meshes
-// gather into disjoint parts of one soup at once. A soup comes from
-// MakeSoup, uncleared, and is written once, here; on amd64 the kernel writes
-// it with streaming stores, since a store that first read its line back would
-// fetch it for nothing.
+// len(verts): indices may be hostile bytes. idx holds at least 3·len(out)
+// indices. The caller has sized out and owns it, so many meshes gather into
+// disjoint parts of one soup at once. No request builds a soup: the version
+// 1 wire encoder gathers into its frame's bytes, and the oracles into soups
+// of their own. On amd64 the kernel writes with streaming stores, since a
+// store that first read its line back would fetch it for nothing.
 func Gather[I uint16 | uint32](out []Triangle, verts []Vec3, idx []I) bool {
 	idx = idx[:3*len(out)]
 	if !useGatherNT {

@@ -55,10 +55,9 @@ func checkGatherKernel[I uint16 | uint32](t *testing.T) {
 // Triangle of three looked-up corners apiece, for both index widths, on the
 // portable loop and on the kernel where the build has one: on every build,
 // so that the portable loop answers to something other than itself where it
-// is the only gather. Each soup comes from MakeSoup with the poison on, so a
-// triangle the gather skips reads as NaN bits, not as zeros or stale bytes.
+// is the only gather. Each soup starts as NaN bits, so a triangle the gather
+// skips shows instead of reading as zeros.
 func TestGatherMatchesCornerLoop(t *testing.T) {
-	defer PoisonSoups(PoisonSoups(true))
 	t.Run("uint16", func(t *testing.T) { checkGatherCorners[uint16](t) })
 	t.Run("uint32", func(t *testing.T) { checkGatherCorners[uint32](t) })
 }
@@ -80,7 +79,7 @@ func checkGatherCorners[I uint16 | uint32](t *testing.T) {
 				continue
 			}
 			was := UseGatherKernel(kernel)
-			got := MakeSoup(n)
+			got := poisonedSoup(n)
 			ok := Gather(got, verts, idx)
 			UseGatherKernel(was)
 			if !ok || !slices.Equal(bitsOf(got), bitsOf(want)) {
@@ -143,41 +142,52 @@ func checkGatherPaths[I uint16 | uint32](t *testing.T, name string, verts []Vec3
 	}
 }
 
-// TestMakeSoup pins MakeSoup's contract: n triangles of one allocation, nil
-// for none, a panic for a negative length or one whose bytes overflow int,
-// and with the poison on every byte 0xFF.
-func TestMakeSoup(t *testing.T) {
-	if s := MakeSoup(0); s != nil {
-		t.Errorf("MakeSoup(0) = %v, want nil", s)
+// poisonedSoup is n triangles of NaN bits, every byte 0xFF.
+func poisonedSoup(n int) []Triangle {
+	nan := math.Float32frombits(^uint32(0))
+	return slices.Repeat([]Triangle{{V(nan, nan, nan), V(nan, nan, nan), V(nan, nan, nan)}}, n)
+}
+
+// TestMakeMesh pins MakeMesh's contract: the vertices and triangles asked
+// for in two allocations, nil arrays for none, a panic for a negative count
+// or one whose bytes overflow int, and with the poison on every byte of both
+// arrays 0xFF.
+func TestMakeMesh(t *testing.T) {
+	if m := MakeMesh(0, 0); m.Verts != nil || m.Idx != nil {
+		t.Errorf("MakeMesh(0, 0) = %+v, want nil arrays", m)
 	}
 	for _, n := range []int{1, 2, 1000, 1 << 16} {
-		if s := MakeSoup(n); len(s) != n || cap(s) != n {
-			t.Errorf("MakeSoup(%d) has len %d, cap %d", n, len(s), cap(s))
+		m := MakeMesh(n, 2*n)
+		if len(m.Verts) != n || cap(m.Verts) != n || len(m.Idx) != 6*n || cap(m.Idx) != 6*n {
+			t.Errorf("MakeMesh(%d, %d) has %d (cap %d) vertices, %d (cap %d) indices", n, 2*n, len(m.Verts), cap(m.Verts), len(m.Idx), cap(m.Idx))
 		}
-		if allocs := testing.AllocsPerRun(3, func() { MakeSoup(n) }); allocs != 1 {
-			t.Errorf("MakeSoup(%d) allocates %v times, want 1", n, allocs)
+		if allocs := testing.AllocsPerRun(3, func() { MakeMesh(n, 2*n) }); allocs != 3 {
+			t.Errorf("MakeMesh(%d, %d) allocates %v times, want the mesh and its two arrays", n, 2*n, allocs)
 		}
 	}
-	for _, n := range []int{-1, math.MinInt, math.MaxInt/36 + 1, math.MaxInt} {
+	for _, c := range [][2]int{{-1, 0}, {0, -1}, {math.MinInt, 0}, {math.MaxInt/12 + 1, 0}, {0, math.MaxInt/12 + 1}, {math.MaxInt, 0}, {0, math.MaxInt}} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("MakeSoup(%d) did not panic", n)
+					t.Errorf("MakeMesh(%d, %d) did not panic", c[0], c[1])
 				}
 			}()
-			MakeSoup(n)
+			MakeMesh(c[0], c[1])
 		}()
 	}
-	defer PoisonSoups(PoisonSoups(true))
-	nan := math.Float32frombits(^uint32(0))
-	poison := Triangle{V(nan, nan, nan), V(nan, nan, nan), V(nan, nan, nan)}
+	defer PoisonMeshes(PoisonMeshes(true))
 	for _, n := range []int{1, 7, 1 << 16} {
-		s := MakeSoup(n)
-		if !slices.Equal(bitsOf(s), bitsOf(slices.Repeat([]Triangle{poison}, n))) {
-			t.Fatalf("MakeSoup(%d) with the poison on is not all 0xFF bytes", n)
+		m := MakeMesh(n, n)
+		for _, v := range m.Verts {
+			if math.Float32bits(v.X)&math.Float32bits(v.Y)&math.Float32bits(v.Z) != ^uint32(0) {
+				t.Fatalf("MakeMesh(%d, %d) with the poison on: vertices not all 0xFF bytes", n, n)
+			}
+		}
+		if !slices.Equal(m.Idx, slices.Repeat([]uint32{^uint32(0)}, 3*n)) {
+			t.Fatalf("MakeMesh(%d, %d) with the poison on: indices not all 0xFF bytes", n, n)
 		}
 	}
-	if !PoisonSoups(false) {
-		t.Error("PoisonSoups does not report that it was on")
+	if !PoisonMeshes(false) {
+		t.Error("PoisonMeshes does not report that it was on")
 	}
 }

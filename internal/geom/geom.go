@@ -1,5 +1,6 @@
 // Package geom provides the small set of geometric primitives shared by the
-// isosurface pipeline: 3-vectors, triangles, triangle meshes and axis-aligned
+// isosurface pipeline: 3-vectors, triangles, welded triangle meshes (shared
+// vertices plus index triples, from the weld to the client) and axis-aligned
 // bounding boxes.
 //
 // Everything is float32-based: the pipeline produces hundreds of millions of
@@ -90,111 +91,114 @@ func (t Triangle) Centroid() Vec3 {
 // Degenerate reports whether the triangle has (near-)zero area.
 func (t Triangle) Degenerate() bool { return t.Area() < 1e-12 }
 
-// Mesh is a flat triangle soup. Marching cubes emits disconnected triangles;
-// the renderer consumes them directly, so no shared-vertex indexing is kept.
+// Mesh is a surface in the one form it takes from the weld to the client:
+// vertices plus index triples, each edge crossing interpolated once and
+// shared by its triangles (≈ 19.6 B a triangle, where a soup takes 36).
+// ExpandSoup recovers the soup byte for byte; only the oracles and the
+// version 1 wire encoder build one.
 type Mesh struct {
-	Tris []Triangle
-}
-
-// Append adds triangles to the mesh.
-func (m *Mesh) Append(ts ...Triangle) { m.Tris = append(m.Tris, ts...) }
-
-// Grow ensures capacity for at least n more triangles, exactly, so a
-// known-size bulk append pays one allocation of the final size instead of
-// append's growth walk.
-func (m *Mesh) Grow(n int) {
-	if need := len(m.Tris) + n; need > cap(m.Tris) {
-		grown := make([]Triangle, len(m.Tris), need)
-		copy(grown, m.Tris)
-		m.Tris = grown
-	}
-}
-
-// Len returns the number of triangles.
-func (m *Mesh) Len() int { return len(m.Tris) }
-
-// Bounds returns the axis-aligned bounding box of the mesh. An empty mesh
-// yields an empty AABB.
-func (m *Mesh) Bounds() AABB {
-	b := EmptyAABB()
-	for _, t := range m.Tris {
-		b = b.ExtendPoint(t.A)
-		b = b.ExtendPoint(t.B)
-		b = b.ExtendPoint(t.C)
-	}
-	return b
-}
-
-// TotalArea returns the summed area of all triangles.
-func (m *Mesh) TotalArea() float64 {
-	var a float64
-	for _, t := range m.Tris {
-		a += float64(t.Area())
-	}
-	return a
-}
-
-// IndexedMesh is a welded triangle mesh: a vertex array plus index triples.
-// The extraction hot path emits one, interpolating each edge crossing once
-// and referencing it from every incident triangle — roughly 6× less vertex
-// data than the equivalent soup. ExpandSoup recovers the soup exactly
-// (marching cubes interpolates shared edges from identical inputs, so the
-// expansion is byte-identical to a soup built cell by cell).
-type IndexedMesh struct {
 	Verts []Vec3
 	Idx   []uint32 // triples, one per triangle corner
 }
 
-// Len returns the number of triangles.
-func (im *IndexedMesh) Len() int { return len(im.Idx) / 3 }
+// IndexedMesh is another name for Mesh.
+type IndexedMesh = Mesh
 
-// NumVerts returns the number of welded vertices.
-func (im *IndexedMesh) NumVerts() int { return len(im.Verts) }
+// Append adds triangles, three new vertices apiece, as march.Grid does.
+func (m *Mesh) Append(ts ...Triangle) {
+	for _, t := range ts {
+		base := uint32(len(m.Verts))
+		m.Verts = append(m.Verts, t.A, t.B, t.C)
+		m.Idx = append(m.Idx, base, base+1, base+2)
+	}
+}
+
+// Grow ensures index capacity for at least n more triangles, exactly, so a
+// known-size bulk append pays one allocation of the final size instead of
+// append's growth walk.
+func (m *Mesh) Grow(n int) {
+	if need := len(m.Idx) + 3*n; need > cap(m.Idx) {
+		m.Idx = append(make([]uint32, 0, need), m.Idx...)
+	}
+}
+
+// Len returns the number of triangles.
+func (m *Mesh) Len() int { return len(m.Idx) / 3 }
+
+// NumVerts returns the number of vertices.
+func (m *Mesh) NumVerts() int { return len(m.Verts) }
 
 // Reset empties the mesh, keeping both allocations for reuse.
-func (im *IndexedMesh) Reset() {
-	im.Verts = im.Verts[:0]
-	im.Idx = im.Idx[:0]
+func (m *Mesh) Reset() {
+	m.Verts = m.Verts[:0]
+	m.Idx = m.Idx[:0]
 }
 
-// ExpandSoup converts the indexed mesh back to a triangle soup, in triangle
-// order.
-func (im *IndexedMesh) ExpandSoup() *Mesh {
-	out := &Mesh{}
-	im.ExpandInto(out)
-	return out
+// Triangle returns triangle i, its corners looked up through the indices.
+func (m *Mesh) Triangle(i int) Triangle {
+	f := m.Idx[3*i : 3*i+3]
+	return Triangle{A: m.Verts[f[0]], B: m.Verts[f[1]], C: m.Verts[f[2]]}
 }
 
-// ExpandInto appends the indexed mesh's triangles to dst. A dst with room
-// (Grow'n to a known total) is written in place; one without grows the way
-// append does, so expanding batch after batch into an unsized mesh copies a
-// constant factor of the result, not its square.
-func (im *IndexedMesh) ExpandInto(dst *Mesh) {
-	n := im.Len()
-	base := len(dst.Tris)
-	dst.Tris = slices.Grow(dst.Tris, n)[:base+n]
-	im.Gather(dst.Tris[base:])
-}
-
-// Gather writes the indexed mesh's triangles, in order, into out, which must
-// be exactly Len() long: the caller has sized the soup and owns this part of
-// it, so many meshes gather into disjoint parts of one allocation at once.
-func (im *IndexedMesh) Gather(out []Triangle) {
-	if len(out) != im.Len() {
-		panic("geom: Gather into a slice that is not the mesh's length")
-	}
-	if !Gather(out, im.Verts, im.Idx) {
-		panic("geom: Gather of an index past the mesh's vertices")
-	}
-}
-
-// Bounds returns the axis-aligned bounding box of the mesh's vertices.
-func (im *IndexedMesh) Bounds() AABB {
+// Bounds returns the axis-aligned bounding box of the mesh's vertices. An
+// empty mesh yields an empty AABB.
+func (m *Mesh) Bounds() AABB {
 	b := EmptyAABB()
-	for _, v := range im.Verts {
+	for _, v := range m.Verts {
 		b = b.ExtendPoint(v)
 	}
 	return b
+}
+
+// ExpandSoup returns the mesh's triangles in order: the oracles' soup.
+func (m *Mesh) ExpandSoup() []Triangle {
+	out := make([]Triangle, m.Len())
+	m.Gather(out)
+	return out
+}
+
+// ExpandInto appends the mesh to dst, its indices rebased past dst's
+// vertices. A dst with room is written in place; one without grows the way
+// append does, so appending batch after batch into an unsized mesh copies a
+// constant factor of the result, not its square.
+func (m *Mesh) ExpandInto(dst *Mesh) {
+	base, at := uint32(len(dst.Verts)), len(dst.Idx)
+	dst.Verts = append(dst.Verts, m.Verts...)
+	dst.Idx = slices.Grow(dst.Idx, len(m.Idx))[:at+len(m.Idx)]
+	Rebase(dst.Idx[at:], m.Idx, base)
+}
+
+// Rebase writes each index of src plus base into dst (as long, and maybe src
+// itself) and returns src's largest index, 0 for none, so a caller checks
+// them all with one compare: two max chains, four indices a turn.
+func Rebase[I uint16 | uint32](dst []uint32, src []I, base uint32) (top uint32) {
+	dst = dst[:len(src)]
+	var t0, t1 uint32
+	i := 0
+	for ; i+4 <= len(src); i += 4 {
+		s, d := src[i:i+4:i+4], dst[i:i+4:i+4]
+		a, b, c, e := uint32(s[0]), uint32(s[1]), uint32(s[2]), uint32(s[3])
+		d[0], d[1], d[2], d[3] = a+base, b+base, c+base, e+base
+		t0, t1 = max(t0, a, b), max(t1, c, e)
+	}
+	for ; i < len(src); i++ {
+		x := uint32(src[i])
+		dst[i] = x + base
+		t0 = max(t0, x)
+	}
+	return max(t0, t1)
+}
+
+// Gather writes the mesh's triangles, in order, into out, which must be
+// exactly Len() long: the caller has sized the soup and owns this part of
+// it, so many meshes gather into disjoint parts of one soup at once.
+func (m *Mesh) Gather(out []Triangle) {
+	if len(out) != m.Len() {
+		panic("geom: Gather into a slice that is not the mesh's length")
+	}
+	if !Gather(out, m.Verts, m.Idx) {
+		panic("geom: Gather of an index past the mesh's vertices")
+	}
 }
 
 // AABB is an axis-aligned bounding box. Min > Max (component-wise) denotes the

@@ -119,9 +119,6 @@ func TestMesh(t *testing.T) {
 	if b.Min != V(-1, 0, 0) || b.Max != V(1, 2, 3) {
 		t.Errorf("bounds = %+v", b)
 	}
-	if m.TotalArea() <= 0 {
-		t.Error("TotalArea should be positive")
-	}
 }
 
 func TestAABB(t *testing.T) {
@@ -172,21 +169,21 @@ func TestNewellNormal(t *testing.T) {
 	}
 }
 
-// TestExpandIntoAmortized expands many small welded batches into one soup
+// TestExpandIntoAmortized appends many small welded batches into one mesh
 // three ways: into an unsized mesh (growth must be amortized, not one exact
-// reallocation per batch), into a mesh grown to the known total, and in one
-// shot.
+// reallocation per batch), into a mesh grown to the known total, and by hand,
+// every index rebased past the vertices before it.
 func TestExpandIntoAmortized(t *testing.T) {
 	const batches = 1000
-	batch := func(b int) *IndexedMesh {
+	batch := func(b int) *Mesh {
 		f := float32(b)
-		return &IndexedMesh{
+		return &Mesh{
 			Verts: []Vec3{V(f, 0, 0), V(f, 1, 0), V(f, 0, 1), V(f, 1, 1)},
 			Idx:   []uint32{0, 1, 2, 2, 1, 3, 3, 0, 2},
 		}
 	}
-	var all []*IndexedMesh
-	whole := &IndexedMesh{} // every batch welded into one mesh, indices rebased
+	var all []*Mesh
+	whole := &Mesh{} // every batch appended by hand, indices rebased
 	for b := 0; b < batches; b++ {
 		im := batch(b)
 		all = append(all, im)
@@ -196,12 +193,11 @@ func TestExpandIntoAmortized(t *testing.T) {
 			whole.Idx = append(whole.Idx, base+i)
 		}
 	}
-	want := whole.ExpandSoup()
-	if want.Len() != 3*batches {
-		t.Fatalf("one-shot expansion has %d triangles, want %d", want.Len(), 3*batches)
+	if whole.Len() != 3*batches {
+		t.Fatalf("the whole mesh has %d triangles, want %d", whole.Len(), 3*batches)
 	}
-	if got := testing.AllocsPerRun(5, func() { whole.ExpandSoup() }); got > 2 {
-		t.Errorf("ExpandSoup allocates %v times, want the mesh and its triangles", got)
+	if got := testing.AllocsPerRun(5, func() { whole.ExpandSoup() }); got != 1 {
+		t.Errorf("ExpandSoup allocates %v times, want its triangles alone", got)
 	}
 
 	var staged Mesh
@@ -211,27 +207,55 @@ func TestExpandIntoAmortized(t *testing.T) {
 			im.ExpandInto(&staged)
 		}
 	})
-	// append's growth is geometric, at least 1.25× a step: ~40 steps to 3000
-	// triangles, where exact growth pays one reallocation per batch.
-	if allocs > 50 {
-		t.Errorf("expanding %d batches into an unsized mesh allocates %v times, want O(log n)", batches, allocs)
+	// append's growth is geometric, at least 1.25× a step: ~40 steps to
+	// 9000 indices and as many to 4000 vertices, where exact growth pays one
+	// reallocation per batch and array.
+	if allocs > 100 {
+		t.Errorf("appending %d batches into an unsized mesh allocates %v times, want O(log n)", batches, allocs)
 	}
-	if !slices.Equal(staged.Tris, want.Tris) {
-		t.Error("batch-by-batch expansion differs from the one-shot expansion")
+	if !slices.Equal(staged.Verts, whole.Verts) || !slices.Equal(staged.Idx, whole.Idx) {
+		t.Error("batch-by-batch appending differs from the mesh built by hand")
 	}
 
-	var sized Mesh
-	sized.Grow(want.Len())
+	sized := Mesh{Verts: make([]Vec3, 0, whole.NumVerts())}
+	sized.Grow(whole.Len())
 	if got := testing.AllocsPerRun(5, func() {
-		sized.Tris = sized.Tris[:0]
+		sized.Reset()
 		for _, im := range all {
 			im.ExpandInto(&sized)
 		}
 	}); got != 0 {
-		t.Errorf("expanding into a mesh grown to the total allocates %v times, want 0", got)
+		t.Errorf("appending into a mesh grown to the total allocates %v times, want 0", got)
 	}
-	if !slices.Equal(sized.Tris, want.Tris) {
-		t.Error("expansion into a pre-grown mesh differs from the one-shot expansion")
+	if !slices.Equal(sized.Verts, whole.Verts) || !slices.Equal(sized.Idx, whole.Idx) {
+		t.Error("appending into a pre-grown mesh differs from the mesh built by hand")
+	}
+	if !slices.Equal(bitsOf(sized.ExpandSoup()), bitsOf(whole.ExpandSoup())) {
+		t.Error("the appended mesh expands to another soup")
+	}
+}
+
+// TestMeshTriangle holds Triangle and Append to the soup they describe:
+// Append's three vertices a triangle read back through the indices.
+func TestMeshTriangle(t *testing.T) {
+	rnd := rand.New(rand.NewSource(3))
+	var soup []Triangle
+	for range 20 {
+		soup = append(soup, Triangle{V(rnd.Float32(), rnd.Float32(), 0), V(rnd.Float32(), 0, rnd.Float32()), V(0, rnd.Float32(), rnd.Float32())})
+	}
+	var m Mesh
+	m.Append(soup[:5]...)
+	m.Append(soup[5:]...)
+	if m.NumVerts() != 3*len(soup) || m.Len() != len(soup) {
+		t.Fatalf("Append of %d triangles: %d vertices, %d triangles", len(soup), m.NumVerts(), m.Len())
+	}
+	for i, tr := range soup {
+		if m.Triangle(i) != tr {
+			t.Fatalf("Triangle(%d) = %v, want %v", i, m.Triangle(i), tr)
+		}
+	}
+	if !slices.Equal(m.ExpandSoup(), soup) {
+		t.Error("ExpandSoup differs from the appended triangles")
 	}
 }
 
@@ -241,10 +265,10 @@ func TestExpandIntoAmortized(t *testing.T) {
 // length — a prefix sum gone wrong — panics instead of tearing the soup.
 func TestGatherIntoParts(t *testing.T) {
 	rnd := rand.New(rand.NewSource(5))
-	var batches []*IndexedMesh
-	whole, total := &IndexedMesh{}, 0
+	var batches []*Mesh
+	whole, total := &Mesh{}, 0
 	for b := 0; b < 50; b++ {
-		im := &IndexedMesh{}
+		im := &Mesh{}
 		for v := rnd.Intn(40) + 1; v > 0; v-- {
 			im.Verts = append(im.Verts, V(rnd.Float32(), float32(math.NaN()), float32(b)))
 		}
@@ -270,7 +294,7 @@ func TestGatherIntoParts(t *testing.T) {
 		t.Errorf("gathering into a sized soup allocates %v times", allocs)
 	}
 	// Bit for bit: the NaNs compare unequal as floats.
-	if want := whole.ExpandSoup().Tris; !slices.Equal(bitsOf(soup), bitsOf(want)) {
+	if want := whole.ExpandSoup(); !slices.Equal(bitsOf(soup), bitsOf(want)) {
 		t.Error("gathered parts differ from the one-shot expansion")
 	}
 

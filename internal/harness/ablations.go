@@ -217,7 +217,7 @@ func AblationMetacellSize(cfg RMConfig, iso float32, spans []int) ([]MetacellSiz
 		}
 		dev := w.Store()
 		var welder march.Welder
-		var mesh geom.IndexedMesh
+		var mesh geom.Mesh
 		st, err := cit.Query(dev, iso, func(rec []byte) error {
 			_, err := welder.Record(l, rec, iso, &mesh)
 			return err

@@ -26,7 +26,7 @@ func BenchmarkMetacellIndexed(b *testing.B) {
 	}
 	iso := (cells[best].VMin + cells[best].VMax) / 2
 	var w Welder
-	var mesh geom.IndexedMesh
+	var mesh geom.Mesh
 	w.Metacell(l, &m, iso, &mesh) // size the scratch before timing
 	b.ResetTimer()
 	tris := 0
@@ -66,7 +66,7 @@ func BenchmarkNodeWeld(b *testing.B) {
 	g := volume.RichtmyerMeshkov(129, 129, 120, 250, 1)
 	l, cells := metacell.Extract(g, 9)
 	var w Welder
-	var mesh geom.IndexedMesh
+	var mesh geom.Mesh
 	sweep := func() (active, tris, verts int) {
 		for _, iso := range []float32{30, 130, 210} {
 			n := 0

@@ -60,7 +60,7 @@ func Metacell(l metacell.Layout, m *metacell.Meta, iso float32, out *geom.Mesh) 
 // twice — from its record, encoded in the layout's format, through
 // Welder.Record, and from the decoded samples through Welder.Metacell — and
 // holds what each appended to the soup baseline over the decoded samples.
-func checkWeldAgainstSoup(t *testing.T, w *Welder, l metacell.Layout, m *metacell.Meta, iso float32, out *geom.IndexedMesh) {
+func checkWeldAgainstSoup(t *testing.T, w *Welder, l metacell.Layout, m *metacell.Meta, iso float32, out *geom.Mesh) {
 	t.Helper()
 	var soup geom.Mesh
 	wantActive := Metacell(l, m, iso, &soup)
@@ -92,7 +92,7 @@ func checkWeldAgainstSoup(t *testing.T, w *Welder, l metacell.Layout, m *metacel
 // index names a vertex this weld added, every vertex it added is used, and
 // there are exactly as many of them as grid edges of the cell extent whose
 // two samples straddle the isovalue.
-func checkWelded(t *testing.T, name string, out *geom.IndexedMesh, nv0, ni0, gotActive, wantActive, wantVerts int, soup *geom.Mesh) {
+func checkWelded(t *testing.T, name string, out *geom.Mesh, nv0, ni0, gotActive, wantActive, wantVerts int, soup *geom.Mesh) {
 	t.Helper()
 	if gotActive != wantActive {
 		t.Fatalf("%s: %d active cells, soup baseline %d", name, gotActive, wantActive)
@@ -107,7 +107,7 @@ func checkWelded(t *testing.T, name string, out *geom.IndexedMesh, nv0, ni0, got
 			t.Fatalf("%s: index %d names vertex %d, this metacell's are %d..%d", name, k, id, nv0, len(out.Verts)-1)
 		}
 		used[int(id)-nv0] = true
-		tri := soup.Tris[k/3]
+		tri := soup.Triangle(k / 3)
 		want := [3]geom.Vec3{tri.A, tri.B, tri.C}[k%3]
 		if got := out.Verts[id]; bitsOf(got) != bitsOf(want) {
 			t.Fatalf("%s: triangle %d corner %d is %v (%x), soup baseline %v (%x)",
@@ -273,7 +273,7 @@ func FuzzWelderMatchesSoup(f *testing.F) {
 		iso := math.Float32frombits(isoBits)
 		formats := []volume.Format{volume.U8, volume.U16, volume.F32}
 		var w Welder
-		var out geom.IndexedMesh
+		var out geom.Mesh
 		for round, span := range []int{2 + int(spanA)%63, 2 + int(spanB)%63, 2 + int(spanA)%63} {
 			// The metacell sits somewhere in a 2×2×2 grid; on the axes cutShort
 			// names, the volume ends inside it (after 1..span of its samples).
@@ -328,7 +328,7 @@ func TestRecordRejectsWhatDecodeRejects(t *testing.T) {
 			return rec
 		}
 		var w Welder
-		var out geom.IndexedMesh
+		var out geom.Mesh
 		if n, err := w.Record(l, good, iso, &out); err != nil || n == 0 || out.Len() == 0 {
 			t.Fatalf("%v: the good record welds to %d cells, %d triangles, error %v", fm, n, out.Len(), err)
 		}
@@ -365,7 +365,7 @@ func TestWelderAroundMaskWidth(t *testing.T) {
 		noise[i] = byte(i*i*31 + i*7)
 	}
 	var w Welder
-	var out geom.IndexedMesh
+	var out geom.Mesh
 	for _, span := range []int{63, 64, 63, 64} {
 		for _, short := range [][3]int{{0, 0, 0}, {1, 0, 0}, {5, 40, 61}} {
 			l := metacell.Layout{Span: span, Fmt: volume.U8, Mx: 2, My: 2, Mz: 2}

@@ -37,12 +37,12 @@ func TestIndexedMatchesSoupAllConfigs(t *testing.T) {
 		wantActive := Metacell(l, &m, iso, &soup)
 
 		var w Welder
-		var im geom.IndexedMesh
+		var im geom.Mesh
 		gotActive := w.Metacell(l, &m, iso, &im)
 		if gotActive != wantActive {
 			t.Fatalf("config %08b: active %d, soup baseline %d", cfg, gotActive, wantActive)
 		}
-		if !slices.Equal(im.ExpandSoup().Tris, soup.Tris) {
+		if !slices.Equal(im.ExpandSoup(), soup.ExpandSoup()) {
 			t.Fatalf("config %08b: expanded soup not byte-identical", cfg)
 		}
 	}
@@ -53,7 +53,7 @@ func TestIndexedMatchesSoupAllConfigs(t *testing.T) {
 // (via ExpandSoup) the exact bytes of the per-cell soup baseline.
 func TestIndexedMatchesSoupRandomMetacells(t *testing.T) {
 	var w Welder // reused across trials, like a pipeline worker's
-	var im geom.IndexedMesh
+	var im geom.Mesh
 	prop := func(seed uint64, isoRaw uint8) bool {
 		r := rng.New(seed)
 		const span = 9
@@ -68,7 +68,7 @@ func TestIndexedMatchesSoupRandomMetacells(t *testing.T) {
 		wantActive := Metacell(l, &m, iso, &soup)
 		im.Reset()
 		gotActive := w.Metacell(l, &m, iso, &im)
-		return gotActive == wantActive && slices.Equal(im.ExpandSoup().Tris, soup.Tris)
+		return gotActive == wantActive && slices.Equal(im.ExpandSoup(), soup.ExpandSoup())
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -89,12 +89,12 @@ func TestIndexedMatchesSoupTruncatedMetacell(t *testing.T) {
 		for _, iso := range []float32{60, 128, 200} {
 			var soup geom.Mesh
 			wantActive := Metacell(l, &m, iso, &soup)
-			var im geom.IndexedMesh
+			var im geom.Mesh
 			gotActive := w.Metacell(l, &m, iso, &im)
 			if gotActive != wantActive {
 				t.Fatalf("metacell %d iso %v: active %d, want %d", c.ID, iso, gotActive, wantActive)
 			}
-			if !slices.Equal(im.ExpandSoup().Tris, soup.Tris) {
+			if !slices.Equal(im.ExpandSoup(), soup.ExpandSoup()) {
 				t.Fatalf("metacell %d iso %v: expanded soup differs", c.ID, iso)
 			}
 		}
@@ -118,7 +118,7 @@ func TestWeldedSharesVertices(t *testing.T) {
 			t.Fatal(err)
 		}
 		iso := (c.VMin + c.VMax) / 2
-		var im geom.IndexedMesh
+		var im geom.Mesh
 		w.Metacell(l, &m, iso, &im)
 		seen := make(map[geom.Vec3]struct{}, len(im.Verts))
 		for _, v := range im.Verts {
@@ -162,9 +162,9 @@ func TestWelderReuseAcrossSpans(t *testing.T) {
 			}
 			var soup geom.Mesh
 			Metacell(l, &m, 128, &soup)
-			var im geom.IndexedMesh
+			var im geom.Mesh
 			w.Metacell(l, &m, 128, &im)
-			if !slices.Equal(im.ExpandSoup().Tris, soup.Tris) {
+			if !slices.Equal(im.ExpandSoup(), soup.ExpandSoup()) {
 				t.Fatalf("span %d metacell %d: expanded soup differs", span, c.ID)
 			}
 		}
@@ -182,7 +182,7 @@ func TestWelderRefusesWideSpan(t *testing.T) {
 		rec[5+i] = byte(i * 37)
 	}
 	var w Welder
-	var out geom.IndexedMesh
+	var out geom.Mesh
 	if n, err := w.Record(l, rec, 128, &out); err == nil || n != 0 || out.Len() != 0 || len(out.Verts) != 0 {
 		t.Errorf("span %d: Record = %d cells, error %v, %d triangles; want a refusal", span, n, err, out.Len())
 	}
@@ -202,7 +202,7 @@ func TestWelderZeroAllocSteadyState(t *testing.T) {
 	g := volume.RichtmyerMeshkov(33, 33, 30, 250, 1)
 	l, cells := metacell.Extract(g, 9)
 	var w Welder
-	var im geom.IndexedMesh
+	var im geom.Mesh
 	iso := float32(128)
 	for _, c := range cells { // warmup: size welder scratch and mesh buffers
 		m, err := metacell.DecodeRecord(l, c.Record)

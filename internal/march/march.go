@@ -142,7 +142,7 @@ type extent struct{ cx, cy, cz int }
 // geometry). It returns the number of active cells — the same count, and in
 // ExpandSoup form the same bytes, as the soup baseline. A layout wider than
 // metacell.MaxSpan panics.
-func (w *Welder) Metacell(l metacell.Layout, m *metacell.Meta, iso float32, out *geom.IndexedMesh) int {
+func (w *Welder) Metacell(l metacell.Layout, m *metacell.Meta, iso float32, out *geom.Mesh) int {
 	return weld(w, l, m.ID, m.Samples, iso, iso, out)
 }
 
@@ -152,7 +152,7 @@ func (w *Welder) Metacell(l metacell.Layout, m *metacell.Meta, iso float32, out 
 // that does not belong to the layout is metacell.DecodeRecordInto's error,
 // a layout wider than metacell.MaxSpan is refused, and either way out is
 // untouched.
-func (w *Welder) Record(l metacell.Layout, rec []byte, iso float32, out *geom.IndexedMesh) (int, error) {
+func (w *Welder) Record(l metacell.Layout, rec []byte, iso float32, out *geom.Mesh) (int, error) {
 	if l.Span > metacell.MaxSpan {
 		return 0, fmt.Errorf("march: span %d past metacell.MaxSpan %d", l.Span, metacell.MaxSpan)
 	}
@@ -206,7 +206,7 @@ func intThreshold(iso float32, top int) (thr int, cut bool) {
 // weld runs the passes over one metacell's samples. thr is the isovalue in
 // the samples' domain, which classifies them; iso is where crossings are
 // interpolated.
-func weld[T sample](w *Welder, l metacell.Layout, id uint32, samples []T, thr T, iso float32, out *geom.IndexedMesh) int {
+func weld[T sample](w *Welder, l metacell.Layout, id uint32, samples []T, thr T, iso float32, out *geom.Mesh) int {
 	ox, oy, oz := l.Origin(id)
 	// Truncated at the volume boundary exactly as the soup baseline's break
 	// conditions do.
@@ -289,7 +289,7 @@ func crossing(p geom.Vec3, a int, va, vb, iso float32) geom.Vec3 {
 // out and entered in the edge table. Two samples on opposite sides of the
 // isovalue differ in their mask bit, so the cut edges leaving a sample row
 // are the set bits of an xor.
-func vertices[T sample](w *Welder, samples []T, iso float32, ext extent, origin [3]int, out *geom.IndexedMesh) {
+func vertices[T sample](w *Welder, samples []T, iso float32, ext extent, origin [3]int, out *geom.Mesh) {
 	span, masks, edge := w.span, w.masks, w.edge
 	xBits := uint64(1)<<ext.cx - 1 // samples 0..cx-1: an x-edge leaves each
 	sBits := xBits<<1 | 1          // samples 0..cx, all 64 bits at cx = 63
@@ -347,7 +347,7 @@ func vertices[T sample](w *Welder, samples []T, iso float32, ext extent, origin 
 // active when some but not all of its eight corners are inside; or-ing and
 // and-ing its four sample rows, each with itself shifted by one sample,
 // decides that for a whole row of cells at once.
-func (w *Welder) triangles(ext extent, out *geom.IndexedMesh) int {
+func (w *Welder) triangles(ext extent, out *geom.Mesh) int {
 	span, masks, edge := w.span, w.masks, w.edge
 	xBits := uint64(1)<<ext.cx - 1 // cells 0..cx-1
 	idx := out.Idx
@@ -400,10 +400,10 @@ func sampleOffset(span, c int) int {
 	return (c & 1) + span*(c>>1&1) + span*span*(c>>2&1)
 }
 
-// Grid triangulates an entire in-memory volume directly, bypassing the
-// metacell machinery. It is the reference implementation the out-of-core
-// pipeline is validated against in tests, and is also useful for small
-// datasets.
+// Grid triangulates an entire in-memory volume directly, cell by cell (three
+// vertices a triangle), bypassing the metacell machinery. It is the reference
+// implementation the out-of-core pipeline is validated against in tests, and
+// is also useful for small datasets.
 func Grid(g *volume.Grid, iso float32) (*geom.Mesh, int) {
 	var out geom.Mesh
 	active := 0

@@ -168,7 +168,7 @@ func meshEdges(m *geom.Mesh) map[[2]vtx]int {
 		return [2]vtx{ka, kb}
 	}
 	edges := map[[2]vtx]int{}
-	for _, tr := range m.Tris {
+	for _, tr := range m.ExpandSoup() {
 		if tr.Degenerate() {
 			continue
 		}
@@ -193,7 +193,7 @@ func less(a, b vtx) bool {
 func eulerCharacteristic(m *geom.Mesh) int {
 	verts := map[vtx]struct{}{}
 	faces := 0
-	for _, tr := range m.Tris {
+	for _, tr := range m.ExpandSoup() {
 		if tr.Degenerate() {
 			continue
 		}
@@ -244,7 +244,7 @@ func TestSphereNormalsPointOutward(t *testing.T) {
 	mesh, _ := Grid(g, 128)
 	c := geom.V(11.5, 11.5, 11.5)
 	bad := 0
-	for _, tr := range mesh.Tris {
+	for _, tr := range mesh.ExpandSoup() {
 		if tr.Degenerate() {
 			continue
 		}
@@ -265,7 +265,10 @@ func TestSphereAreaApproximatesAnalytic(t *testing.T) {
 	r := float64(rmax * (1 - 128.0/255.0))
 	want := 4 * math.Pi * r * r
 	mesh, _ := Grid(g, 128)
-	got := mesh.TotalArea()
+	var got float64
+	for _, tr := range mesh.ExpandSoup() {
+		got += float64(tr.Area())
+	}
 	if math.Abs(got-want)/want > 0.05 {
 		t.Errorf("sphere area = %.1f, analytic %.1f (>5%% off)", got, want)
 	}
@@ -310,10 +313,10 @@ func sameTriangleSet(a, b *geom.Mesh) bool {
 		return [9]float32{ps[0][0], ps[0][1], ps[0][2], ps[1][0], ps[1][1], ps[1][2], ps[2][0], ps[2][1], ps[2][2]}
 	}
 	count := map[[9]float32]int{}
-	for _, tr := range a.Tris {
+	for _, tr := range a.ExpandSoup() {
 		count[keyOf(tr)]++
 	}
-	for _, tr := range b.Tris {
+	for _, tr := range b.ExpandSoup() {
 		count[keyOf(tr)]--
 	}
 	for _, n := range count {
@@ -389,7 +392,7 @@ func TestVerticesLieOnCutEdges(t *testing.T) {
 		return a + tt*(b-a)
 	}
 	checked := 0
-	for _, tr := range mesh.Tris[:min(500, len(mesh.Tris))] {
+	for _, tr := range mesh.ExpandSoup()[:min(500, mesh.Len())] {
 		for _, p := range []geom.Vec3{tr.A, tr.B, tr.C} {
 			v := interp(p)
 			if v < 0 {

@@ -20,7 +20,7 @@ func TestPropertyVerticesInsideCell(t *testing.T) {
 		iso := float32(isoRaw)
 		var out geom.Mesh
 		cell(&v, geom.V(0, 0, 0), iso, &out)
-		for _, tr := range out.Tris {
+		for _, tr := range out.ExpandSoup() {
 			for _, p := range []geom.Vec3{tr.A, tr.B, tr.C} {
 				if p.X < 0 || p.X > 1 || p.Y < 0 || p.Y > 1 || p.Z < 0 || p.Z > 1 {
 					return false
@@ -82,8 +82,9 @@ func TestPropertyTranslationInvariance(t *testing.T) {
 		if at0.Len() != atO.Len() {
 			return false
 		}
-		for i := range at0.Tris {
-			a, b := at0.Tris[i], atO.Tris[i]
+		s0, sO := at0.ExpandSoup(), atO.ExpandSoup()
+		for i := range s0 {
+			a, b := s0[i], sO[i]
 			if a.A.Add(origin) != b.A || a.B.Add(origin) != b.B || a.C.Add(origin) != b.C {
 				return false
 			}
@@ -122,7 +123,7 @@ func TestPropertyNormalsSingleCornerCases(t *testing.T) {
 		if out.Len() != 1 {
 			return false
 		}
-		tr := out.Tris[0]
+		tr := out.Triangle(0)
 		p := geom.V(float32(cornerOffset[c][0]), float32(cornerOffset[c][1]), float32(cornerOffset[c][2]))
 		d := tr.UnitNormal().Dot(tr.Centroid().Sub(p))
 		if invert {

@@ -5,8 +5,10 @@ package meshio
 // single length-prefixed frame so it can be written straight onto a socket
 // or carried as an HTTP body, and strict enough that a decoder facing
 // untrusted bytes either returns the exact mesh that was encoded or an
-// error — never a panic, and never an allocation of more than 7.5× the input
-// (a soup of at most 6×, a version 2 vertex scratch of at most 1.5×).
+// error — never a panic, and never an allocation of more than 2× the input:
+// a version 2 frame's vertices take at most 1.5× their bytes (a grid vertex
+// expands to 12 bytes from 8) and its indices at most 2× (16-bit indices
+// widen to 32), and a version 1 frame's 36 bytes a triangle decode to 48.
 //
 // Layout (all fields little-endian), shared by both versions:
 //
@@ -24,23 +26,25 @@ package meshio
 //	            retried on another replica instead of decoded.
 //
 // Version 1 payload, 36·T bytes (N = 16 + 36·T, +4 with the trailer): per
-// triangle, vertices A,B,C × components X,Y,Z as float32 bits — the same
-// bytes geom.Mesh holds in memory, so encode(decode(f)) == f and
-// decode(encode(m)) == m bit for bit, and on a little-endian host the codec
-// moves the payload as memory (view.go). The triangle payload is a soup in
-// extraction order: AppendBinary concatenates the per-node meshes it is given
-// in argument order, which for a cluster Result's PerNode meshes reproduces
-// exactly the soup repro.MergeMeshes builds. No replica sends version 1: it
+// triangle, vertices A,B,C × components X,Y,Z as float32 bits — the bytes
+// of the triangle soup a mesh expands to (geom.Mesh.ExpandSoup), so
+// encode(decode(f)) == f bit for bit, and on a little-endian host the codec
+// moves the payload as memory (view.go). A version 1 frame decodes to three
+// vertices a triangle. The triangle payload is a soup in extraction order:
+// AppendBinary concatenates the per-node meshes it is given in argument
+// order, which for a cluster Result's PerNode meshes reproduces exactly the
+// soup of the mesh repro.MergeMeshes builds. No replica sends version 1: it
 // is the encoding a soup oracle compares decoded meshes in, and every reader
 // still accepts it.
 //
 // Version 2 payload: a sequence of chunks, each one welded batch of the
-// extraction (geom.IndexedMesh), in node order and then record order —
-// chunk.go has the chunk layout. Its triangles are T in all, and expanding
-// every chunk in order gives the version 1 payload of the same surface bit
-// for bit, at ≈ 11.1 instead of 36 bytes per triangle. The serving tier
-// caches, sends and verifies version 2 only (Seal); soup is built only by
-// the decoders, for a caller that asks for a geom.Mesh.
+// extraction (a geom.Mesh), in node order and then record order — chunk.go
+// has the chunk layout. Its triangles are T in all, and expanding every
+// chunk in order gives the version 1 payload of the same surface bit for
+// bit, at ≈ 11.1 instead of 36 bytes per triangle. The serving tier caches,
+// sends and verifies version 2 only (Seal), and the decoders turn the chunks
+// into one mesh, vertices expanded and indices rebased: no soup is built on
+// the way. Only the version 1 encoder gathers triangles.
 import (
 	"encoding/binary"
 	"errors"
@@ -101,9 +105,10 @@ func binErr(format string, args ...any) error {
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // AppendBinary appends one encoded frame holding the concatenation of the
-// given meshes (in argument order) to dst and returns the extended slice.
-// Encoding a cluster Result's per-node meshes in node order yields the same
-// soup as merging them first.
+// given meshes (in argument order) to dst and returns the extended slice:
+// each mesh's triangles are gathered through its indices straight into dst's
+// bytes. Encoding a cluster Result's per-node meshes in node order yields the
+// same soup as merging them first.
 func AppendBinary(dst []byte, iso float32, meshes ...*geom.Mesh) []byte {
 	return appendBinary(dst, iso, 0, meshes...)
 }
@@ -119,7 +124,7 @@ func AppendBinaryChecksum(dst []byte, iso float32, meshes ...*geom.Mesh) []byte 
 func appendBinary(dst []byte, iso float32, flags uint16, meshes ...*geom.Mesh) []byte {
 	tris := 0
 	for _, m := range meshes {
-		tris += len(m.Tris)
+		tris += m.Len()
 	}
 	need := frameSize(flags, tris)
 	if cap(dst)-len(dst) < need {
@@ -131,10 +136,12 @@ func appendBinary(dst []byte, iso float32, flags uint16, meshes ...*geom.Mesh) [
 	hdr := frameHeader(BinaryVersion, iso, flags, tris, binTriSize*tris)
 	dst = append(dst, hdr[:]...)
 	for _, m := range meshes {
-		if b, ok := asBytes(m.Tris); ok {
-			dst = append(dst, b...)
+		at := len(dst)
+		dst = dst[:at+binTriSize*m.Len()]
+		if out, ok := bytesAs[geom.Triangle](dst[at:]); ok {
+			m.Gather(out)
 		} else {
-			dst = putTris(dst, m.Tris)
+			putTris(dst[at:], m)
 		}
 	}
 	if flags&FlagChecksum != 0 {
@@ -171,18 +178,15 @@ func frameHeader(version uint16, iso float32, flags uint16, tris, payload int) (
 	return hdr
 }
 
-// putTris appends tris' payload one component at a time: the portable
-// encoder, taken when the host's triangle layout is not the wire layout
-// (see view.go), and the oracle the bulk path is tested against.
-func putTris(dst []byte, tris []geom.Triangle) []byte {
-	var rec [binTriSize]byte
-	for _, t := range tris {
-		putVec(rec[0:], t.A)
-		putVec(rec[12:], t.B)
-		putVec(rec[24:], t.C)
-		dst = append(dst, rec[:]...)
+// putTris writes m's triangles into dst, exactly 36·m.Len() bytes, one
+// component at a time: the portable encoder, taken when the host's triangle
+// layout is not the wire layout or dst is not aligned for it (see view.go),
+// and the oracle the bulk path is tested against. Every index of m must be
+// below len(m.Verts).
+func putTris(dst []byte, m *geom.Mesh) {
+	for i, x := range m.Idx[:3*m.Len()] {
+		putVec(dst[12*i:], m.Verts[x])
 	}
-	return dst
 }
 
 func putVec(b []byte, v geom.Vec3) {
@@ -210,9 +214,7 @@ type header struct {
 	iso     float32
 	tris    int
 	payload []byte // soup (version 1) or chunks (version 2); the trailer excluded
-	// maxVerts is the most vertices a version 2 chunk holds: the size of
-	// the decoders' vertex scratch.
-	maxVerts int
+	verts   int    // the vertices a version 2 frame's chunks hold in all
 }
 
 func decodeHeader(data []byte) (h header, err error) {
@@ -249,14 +251,14 @@ func decodeHeader(data []byte) (h header, err error) {
 				count, len(h.payload), uint64(count)*binTriSize)
 		}
 	} else {
-		tris, maxVerts, err := walkChunks(h.payload)
+		tris, verts, err := walkChunks(h.payload)
 		if err != nil {
 			return h, err
 		}
 		if uint64(tris) != uint64(count) {
 			return h, binErr("%d triangles declared, chunks hold %d", count, tris)
 		}
-		h.maxVerts = maxVerts
+		h.verts = verts
 	}
 	h.iso = math.Float32frombits(binary.LittleEndian.Uint32(data[12:]))
 	h.tris = int(count)
@@ -295,13 +297,12 @@ func checkTrailer(data []byte, got uint32) error {
 }
 
 // DecodeBinary decodes exactly one frame of either version from data into a
-// mesh of its own: a version 1 payload is copied, a version 2 frame's chunks
-// are gathered into one soup of exactly T triangles. Truncated, oversized,
-// or corrupt frames error with ErrBinaryFormat (checksum mismatches also with
-// ErrChecksum); a decode allocates the triangle slice, at most 6× len(data)
-// since no chunk holds a triangle in under 6 bytes, and for a version 2
-// frame one vertex scratch the size of its largest chunk's vertices, at most
-// 1.5× len(data) since a grid vertex expands to 12 bytes from 8.
+// mesh of its own: a version 1 payload is copied as three vertices a
+// triangle, a version 2 frame's chunks fill one mesh, each chunk's vertices
+// expanded after the last one's and its indices rebased past them.
+// Truncated, oversized, or corrupt frames error with ErrBinaryFormat
+// (checksum mismatches also with ErrChecksum); a decode allocates the mesh's
+// two arrays and nothing else, at most 2× len(data).
 func DecodeBinary(data []byte) (*geom.Mesh, float32, error) {
 	return decode(data, false)
 }
@@ -315,49 +316,43 @@ func DecodeVerified(frame []byte) (*geom.Mesh, float32, error) {
 	return decode(frame, true)
 }
 
-// ownTris decodes payload into a fresh triangle slice: one bulk copy where
-// the host layout allows (the destination is always aligned, whatever the
-// source's offset), per triangle otherwise.
-func ownTris(payload []byte) []geom.Triangle {
-	if len(payload) == 0 {
-		return nil
-	}
-	tris := make([]geom.Triangle, len(payload)/binTriSize)
-	if b, ok := asBytes(tris); ok {
-		copy(b, payload)
-	} else {
-		getTris(tris, payload)
-	}
-	return tris
-}
-
-// decode is the decoders' one body: check the frame, then copy or gather
-// its triangles.
+// decode is the decoders' one body: check the frame, then fill its mesh.
 func decode(data []byte, verified bool) (*geom.Mesh, float32, error) {
 	h, err := verifiedHeader(data, verified)
 	if err != nil {
 		return nil, 0, err
 	}
 	if h.version == BinaryVersion {
-		return &geom.Mesh{Tris: ownTris(h.payload)}, h.iso, nil
+		return soupMesh(h.payload), h.iso, nil
 	}
-	tris, err := gatherChunks(h.payload, h.tris, h.maxVerts)
+	m, err := decodeChunks(h.payload, h.verts, h.tris)
 	if err != nil {
 		return nil, 0, err
 	}
-	return &geom.Mesh{Tris: tris}, h.iso, nil
+	return m, h.iso, nil
 }
 
-// getTris fills tris from payload one component at a time: the portable
-// decoder and test oracle, counterpart of putTris.
-func getTris(tris []geom.Triangle, payload []byte) {
-	for i := range tris {
-		rec := payload[i*binTriSize:]
-		tris[i] = geom.Triangle{
-			A: getVec(rec[0:]),
-			B: getVec(rec[12:]),
-			C: getVec(rec[24:]),
-		}
+// soupMesh decodes a version 1 payload into a mesh of three vertices a
+// triangle, the indices counting up.
+func soupMesh(payload []byte) *geom.Mesh {
+	m := geom.MakeMesh(len(payload)/binVertSize, len(payload)/binTriSize)
+	getVerts(m.Verts, payload)
+	for i := range m.Idx {
+		m.Idx[i] = uint32(i)
+	}
+	return m
+}
+
+// getVerts fills verts from plain vertices' bytes b: one bulk copy where the
+// host layout allows (the destination is always aligned, whatever b's
+// offset), one component at a time otherwise.
+func getVerts(verts []geom.Vec3, b []byte) {
+	if dst, ok := asBytes(verts); ok {
+		copy(dst, b)
+		return
+	}
+	for i := range verts {
+		verts[i] = getVec(b[binVertSize*i:])
 	}
 }
 

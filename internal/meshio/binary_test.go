@@ -39,8 +39,8 @@ func TestBinaryRoundTrip(t *testing.T) {
 		if iso != 110.5 {
 			t.Fatalf("n=%d: iso %v, want 110.5", n, iso)
 		}
-		if len(got.Tris) != n {
-			t.Fatalf("n=%d: %d triangles decoded", n, len(got.Tris))
+		if got.Len() != n || got.NumVerts() != 3*n {
+			t.Fatalf("n=%d: %d triangles of %d vertices decoded", n, got.Len(), got.NumVerts())
 		}
 		if n > 0 && !bytes.Equal(AppendBinary(nil, iso, got), frame) {
 			t.Fatalf("n=%d: re-encode is not byte-identical", n)
@@ -51,8 +51,8 @@ func TestBinaryRoundTrip(t *testing.T) {
 func TestBinaryConcatenatesMeshes(t *testing.T) {
 	a, b := testMesh(3, 1), testMesh(5, 100)
 	merged := &geom.Mesh{}
-	merged.Append(a.Tris...)
-	merged.Append(b.Tris...)
+	merged.Append(a.ExpandSoup()...)
+	merged.Append(b.ExpandSoup()...)
 	if !bytes.Equal(AppendBinary(nil, 7, a, b), AppendBinary(nil, 7, merged)) {
 		t.Fatal("per-node encode differs from merged encode")
 	}
@@ -113,8 +113,8 @@ func TestBinaryChecksumRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: decode: %v", n, err)
 		}
-		if iso != 99 || len(got.Tris) != n {
-			t.Fatalf("n=%d: decoded (iso %v, %d tris)", n, iso, len(got.Tris))
+		if iso != 99 || got.Len() != n {
+			t.Fatalf("n=%d: decoded (iso %v, %d tris)", n, iso, got.Len())
 		}
 		if !bytes.Equal(AppendBinaryChecksum(nil, iso, got), frame) {
 			t.Fatalf("n=%d: checksummed re-encode is not byte-identical", n)

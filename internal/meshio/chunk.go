@@ -1,6 +1,6 @@
 package meshio
 
-// Version 2 chunks: one welded batch of an extraction (geom.IndexedMesh) each.
+// Version 2 chunks: one welded batch of an extraction (a geom.Mesh) each.
 // A chunk is
 //
 //	offset size
@@ -35,11 +35,11 @@ package meshio
 // Every chunk of a frame, its vertices and its indices start on a 4-byte
 // boundary of the frame. Indices, and plain vertices on a little-endian
 // host, move as memory (view.go); grid vertices are converted one by one on
-// encode and expanded into a scratch buffer on decode. At the extraction's
-// ≈ 0.63 vertices per triangle and 16-bit indices a grid chunk holds ≈ 11.1
-// bytes per triangle. Every chunk holds at least 6 bytes per triangle, which
-// bounds what a decoder allocates for the soup at 6× its input, and a grid
-// vertex expands to 12 bytes from 8, which bounds the vertex scratch at 1.5×.
+// encode and expanded straight into the decoded mesh's vertices on decode.
+// At the extraction's ≈ 0.63 vertices per triangle and 16-bit indices a grid
+// chunk holds ≈ 11.1 bytes per triangle. A grid vertex expands to 12 bytes
+// from 8 and a 16-bit index to 4 bytes from 2, so what a decoder allocates
+// for the mesh is at most 2× its input.
 
 import (
 	"encoding/binary"
@@ -104,7 +104,7 @@ func isGrid(verts []geom.Vec3) bool {
 
 // ChunkLen is the bytes im takes as a version 2 chunk: 0 for a mesh with no
 // triangle, which is not written. It reads every vertex to decide the form.
-func ChunkLen(im *geom.IndexedMesh) int {
+func ChunkLen(im *geom.Mesh) int {
 	if im.Len() == 0 {
 		return 0
 	}
@@ -117,7 +117,7 @@ func ChunkLen(im *geom.IndexedMesh) int {
 // allocation at once. The two forms' lengths differ, so dst's length tells
 // PutChunk the form ChunkLen chose without a second pass to decide it. Every
 // index of im must be below len(im.Verts).
-func PutChunk(dst []byte, im *geom.IndexedMesh) {
+func PutChunk(dst []byte, im *geom.Mesh) {
 	if im.Len() == 0 {
 		if len(dst) != 0 {
 			panic("meshio: PutChunk into a slice that is not the chunk's length")
@@ -206,7 +206,7 @@ type chunk struct {
 // parseChunk reads the chunk at the start of p, holding it to the layout:
 // at least one triangle, the index width the vertex count calls for, no
 // layout bit but the width and the form's, every byte within p and zero
-// padding. Vertex and index values are the gather's to check.
+// padding. Vertex and index values are the decoder's to check.
 func parseChunk(p []byte) (c chunk, err error) {
 	if len(p) < chunkHeaderSize {
 		return c, binErr("%d bytes left, a chunk header needs %d", len(p), chunkHeaderSize)
@@ -240,82 +240,59 @@ func parseChunk(p []byte) (c chunk, err error) {
 }
 
 // walkChunks holds every chunk of p to the layout and returns the triangles
-// they hold and the most vertices any one of them holds.
-func walkChunks(p []byte) (tris, maxVerts int, err error) {
+// and the vertices they hold in all.
+func walkChunks(p []byte) (tris, verts int, err error) {
 	for len(p) > 0 {
 		c, err := parseChunk(p)
 		if err != nil {
 			return 0, 0, err
 		}
 		tris += c.tris
-		maxVerts = max(maxVerts, c.verts)
+		verts += c.verts
 		p = p[c.size:]
 	}
-	return tris, maxVerts, nil
+	return tris, verts, nil
 }
 
-// DecodeChunks gathers a sequence of chunks — what PutChunk wrote for each
-// batch of one node, back to back — into a soup of its own, the triangles of
-// every chunk in order: the soup the same batches expand to. Malformed chunks,
-// vertices off their form's rule and out-of-range indices error with
-// ErrBinaryFormat.
+// DecodeChunks decodes a sequence of chunks — what PutChunk wrote for each
+// batch of one node, back to back — into one mesh of its own: every chunk's
+// vertices after the last one's, its indices rebased past them, so the mesh
+// expands to the soup the same batches expand to. Malformed chunks, vertices
+// off their form's rule and out-of-range indices error with ErrBinaryFormat.
 func DecodeChunks(p []byte) (*geom.Mesh, error) {
-	tris, maxVerts, err := walkChunks(p)
+	tris, verts, err := walkChunks(p)
 	if err != nil {
 		return nil, err
 	}
-	out, err := gatherChunks(p, tris, maxVerts)
-	if err != nil {
-		return nil, err
-	}
-	return &geom.Mesh{Tris: out}, nil
+	return decodeChunks(p, verts, tris)
 }
 
-// gatherChunks expands p, whose chunks walkChunks has accepted and which
-// hold tris triangles and at most maxVerts vertices a chunk, into one soup.
-// A chunk whose vertices cannot be read in place — every grid chunk, and a
-// plain one where the host layout or the alignment forbids — is expanded
-// into one scratch buffer of maxVerts vertices first, made once per call.
-func gatherChunks(p []byte, tris, maxVerts int) ([]geom.Triangle, error) {
-	if tris == 0 {
-		return nil, nil
-	}
-	out := geom.MakeSoup(tris) // every triangle gathered below, or out dropped
-	var scratch []geom.Vec3
-	for at := 0; len(p) > 0; {
+// decodeChunks decodes p, whose chunks walkChunks has accepted and which
+// hold verts vertices and tris triangles in all, into one mesh of exactly
+// that size, made uncleared: every vertex and index is written below, or
+// the mesh is dropped.
+func decodeChunks(p []byte, verts, tris int) (*geom.Mesh, error) {
+	m := geom.MakeMesh(verts, tris)
+	for vat, iat := 0, 0; len(p) > 0; {
 		c, err := parseChunk(p)
 		if err != nil {
 			return nil, err
 		}
-		verts, ok := []geom.Vec3(nil), false
-		if !c.grid {
-			verts, ok = bytesAs[geom.Vec3](c.vb)
-		}
-		if !ok {
-			if scratch == nil {
-				scratch = make([]geom.Vec3, maxVerts)
+		vs := m.Verts[vat : vat+c.verts]
+		if c.grid {
+			if !expandGrid(vs, c.vb) {
+				return nil, binErr("grid vertex off the grid rule")
 			}
-			verts = scratch[:c.verts]
-			if c.grid {
-				if !expandGrid(verts, c.vb) {
-					return nil, binErr("grid vertex off the grid rule")
-				}
-			} else {
-				for i := range verts {
-					verts[i] = getVec(c.vb[binVertSize*i:])
-				}
-			}
-		}
-		if !c.grid && isGrid(verts) {
+		} else if getVerts(vs, c.vb); isGrid(vs) {
 			return nil, binErr("plain chunk of %d grid vertices", c.verts)
 		}
-		if !gatherChunk(out[at:at+c.tris], verts, c) {
+		if !rebase(m.Idx[iat:iat+3*c.tris], c, uint32(vat)) {
 			return nil, binErr("chunk index out of range of its %d vertices", c.verts)
 		}
-		at += c.tris
+		vat, iat = vat+c.verts, iat+3*c.tris
 		p = p[c.size:]
 	}
-	return out, nil
+	return m, nil
 }
 
 // gridPerm[axis] names, for X, Y and Z, the slot of a grid vertex's parts —
@@ -362,27 +339,26 @@ func b2u(b bool) uint32 {
 	return 0
 }
 
-// gatherChunk expands one chunk's triangles into out from its vertices with
-// geom.Gather, reading the indices straight from the frame's bytes where the
-// host layout and the alignment allow, through a decoded copy otherwise. It
-// reports false for an index outside the chunk's vertices.
-func gatherChunk(out []geom.Triangle, verts []geom.Vec3, c chunk) bool {
+// rebase copies a chunk's indices into idx, each plus base, the chunk's
+// first vertex in the mesh, and reports false for an index outside the
+// chunk's vertices. It reads them straight from the frame's bytes where the
+// host layout and the alignment allow; otherwise it decodes them into idx
+// one by one first and rebases them there.
+func rebase(idx []uint32, c chunk, base uint32) bool {
 	if c.width == 2 {
-		idx, ok := bytesAs[uint16](c.ib)
-		if !ok {
-			idx = make([]uint16, len(c.ib)/2)
-			for i := range idx {
-				idx[i] = binary.LittleEndian.Uint16(c.ib[2*i:])
-			}
+		if src, ok := bytesAs[uint16](c.ib); ok {
+			return uint64(geom.Rebase(idx, src, base)) < uint64(c.verts)
 		}
-		return geom.Gather(out, verts, idx)
-	}
-	idx, ok := bytesAs[uint32](c.ib)
-	if !ok {
-		idx = make([]uint32, len(c.ib)/4)
+		for i := range idx {
+			idx[i] = uint32(binary.LittleEndian.Uint16(c.ib[2*i:]))
+		}
+	} else {
+		if src, ok := bytesAs[uint32](c.ib); ok {
+			return uint64(geom.Rebase(idx, src, base)) < uint64(c.verts)
+		}
 		for i := range idx {
 			idx[i] = binary.LittleEndian.Uint32(c.ib[4*i:])
 		}
 	}
-	return geom.Gather(out, verts, idx)
+	return uint64(geom.Rebase(idx, idx, base)) < uint64(c.verts)
 }

@@ -17,8 +17,8 @@ import (
 // testBatch is a welded batch of tris triangles over verts vertices, every
 // vertex distinct and the indices spread over all of them, deterministic in
 // seed.
-func testBatch(tris, verts int, seed uint32) *geom.IndexedMesh {
-	im := &geom.IndexedMesh{Verts: make([]geom.Vec3, verts), Idx: make([]uint32, 3*tris)}
+func testBatch(tris, verts int, seed uint32) *geom.Mesh {
+	im := &geom.Mesh{Verts: make([]geom.Vec3, verts), Idx: make([]uint32, 3*tris)}
 	for i := range im.Verts {
 		f := float32(seed) + float32(i)*0.25
 		im.Verts[i] = geom.V(f, -f, f*f)
@@ -33,7 +33,7 @@ func testBatch(tris, verts int, seed uint32) *geom.IndexedMesh {
 
 // chunkBuf is what the engine keeps for one node: every batch's chunk, back
 // to back, in one exact-size buffer.
-func chunkBuf(batches ...*geom.IndexedMesh) []byte {
+func chunkBuf(batches ...*geom.Mesh) []byte {
 	n := 0
 	for _, im := range batches {
 		n += ChunkLen(im)
@@ -58,7 +58,7 @@ func sealed(iso float32, nodes ...[]byte) []byte {
 // vertex a fraction along a pseudo-random axis from an integer point of a
 // grid 2¹⁴ samples a side — or, one in eight, the point itself — the
 // indices testBatch's, deterministic in seed.
-func gridBatch(tris, verts int, seed uint32) *geom.IndexedMesh {
+func gridBatch(tris, verts int, seed uint32) *geom.Mesh {
 	im := testBatch(tris, verts, seed)
 	x := seed*2246822519 + 7
 	for i := range im.Verts {
@@ -107,7 +107,7 @@ func oracleGrid(verts []geom.Vec3) bool {
 // portableChunk appends im's chunk to payload component by component,
 // straight from the layout comment in chunk.go, in the form the rule gives
 // unless plain forces 12-byte vertices: a chunk no encoder may write.
-func portableChunk(payload []byte, im *geom.IndexedMesh, plain bool) []byte {
+func portableChunk(payload []byte, im *geom.Mesh, plain bool) []byte {
 	le := binary.LittleEndian
 	width := 2
 	if len(im.Verts) > 65536 {
@@ -151,7 +151,7 @@ func portableChunk(payload []byte, im *geom.IndexedMesh, plain bool) []byte {
 // portableChunked encodes batches as a version 2 frame with portableChunk,
 // with no view and no helper of the codec's but the fixed header: the oracle
 // Seal and PutChunk are held to.
-func portableChunked(iso float32, flags uint16, batches ...*geom.IndexedMesh) []byte {
+func portableChunked(iso float32, flags uint16, batches ...*geom.Mesh) []byte {
 	var payload []byte
 	tris := 0
 	for _, im := range batches {
@@ -171,16 +171,16 @@ func portableChunked(iso float32, flags uint16, batches ...*geom.IndexedMesh) []
 
 // parseBatches is the oracle's reader: the batches a version 2 payload holds,
 // read component by component. It trusts parseChunk for the structure only.
-func parseBatches(t *testing.T, payload []byte) []*geom.IndexedMesh {
+func parseBatches(t *testing.T, payload []byte) []*geom.Mesh {
 	t.Helper()
 	le := binary.LittleEndian
-	var out []*geom.IndexedMesh
+	var out []*geom.Mesh
 	for len(payload) > 0 {
 		c, err := parseChunk(payload)
 		if err != nil {
 			t.Fatalf("accepted payload does not parse: %v", err)
 		}
-		im := &geom.IndexedMesh{Verts: make([]geom.Vec3, c.verts), Idx: make([]uint32, 3*c.tris)}
+		im := &geom.Mesh{Verts: make([]geom.Vec3, c.verts), Idx: make([]uint32, 3*c.tris)}
 		for i := range im.Verts {
 			if !c.grid {
 				im.Verts[i] = getVec(c.vb[12*i:])
@@ -209,13 +209,27 @@ func parseBatches(t *testing.T, payload []byte) []*geom.IndexedMesh {
 
 // expandAll is the version 1 soup of the batches: each one's triangles, a
 // Triangle of three looked-up corners apiece, concatenated. It does not go
-// through geom.Gather, the code the decoders are held to it for.
-func expandAll(batches ...*geom.IndexedMesh) *geom.Mesh {
-	out := &geom.Mesh{}
+// through geom.Gather, the code the encoder is held to it for.
+func expandAll(batches ...*geom.Mesh) []geom.Triangle {
+	var out []geom.Triangle
 	for _, im := range batches {
 		v, idx := im.Verts, im.Idx
 		for i := 0; i < len(idx); i += 3 {
-			out.Append(geom.Triangle{A: v[idx[i]], B: v[idx[i+1]], C: v[idx[i+2]]})
+			out = append(out, geom.Triangle{A: v[idx[i]], B: v[idx[i+1]], C: v[idx[i+2]]})
+		}
+	}
+	return out
+}
+
+// concat is the batches as one mesh, each one's vertices after the last
+// one's and its indices rebased past them: what a decoder of their chunks
+// must return array for array. A batch of no triangle has no chunk, and so
+// no vertex in the decoded mesh.
+func concat(batches ...*geom.Mesh) *geom.Mesh {
+	out := &geom.Mesh{}
+	for _, im := range batches {
+		if im.Len() > 0 {
+			im.ExpandInto(out)
 		}
 	}
 	return out
@@ -225,24 +239,24 @@ func expandAll(batches ...*geom.IndexedMesh) *geom.Mesh {
 // of nodes, each node a list of batches.
 var batchCases = []struct {
 	name  string
-	nodes [][]*geom.IndexedMesh
+	nodes [][]*geom.Mesh
 }{
 	{"no nodes", nil},
-	{"one empty node", [][]*geom.IndexedMesh{{}}},
-	{"empty batches only", [][]*geom.IndexedMesh{{{}, {}}}},
-	{"one batch, odd triangle count", [][]*geom.IndexedMesh{{testBatch(7, 9, 1)}}},
-	{"one batch, even triangle count", [][]*geom.IndexedMesh{{testBatch(8, 5, 2)}}},
-	{"exactly 65536 vertices: 16-bit", [][]*geom.IndexedMesh{{testBatch(5, 65536, 3)}}},
-	{"65537 vertices: 32-bit", [][]*geom.IndexedMesh{{testBatch(3, 65537, 4)}}},
-	{"nodes of several batches, empties between", [][]*geom.IndexedMesh{
+	{"one empty node", [][]*geom.Mesh{{}}},
+	{"empty batches only", [][]*geom.Mesh{{{}, {}}}},
+	{"one batch, odd triangle count", [][]*geom.Mesh{{testBatch(7, 9, 1)}}},
+	{"one batch, even triangle count", [][]*geom.Mesh{{testBatch(8, 5, 2)}}},
+	{"exactly 65536 vertices: 16-bit", [][]*geom.Mesh{{testBatch(5, 65536, 3)}}},
+	{"65537 vertices: 32-bit", [][]*geom.Mesh{{testBatch(3, 65537, 4)}}},
+	{"nodes of several batches, empties between", [][]*geom.Mesh{
 		{testBatch(3, 4, 5), {}, testBatch(11, 20, 6)},
 		{},
 		{{}, testBatch(1, 3, 7), testBatch(4099, 2600, 8)},
 	}},
-	{"grid, one batch", [][]*geom.IndexedMesh{{gridBatch(7, 9, 21)}}},
-	{"grid, exactly 65536 vertices: 16-bit", [][]*geom.IndexedMesh{{gridBatch(5, 65536, 22)}}},
-	{"grid, 65537 vertices: 32-bit", [][]*geom.IndexedMesh{{gridBatch(3, 65537, 23)}}},
-	{"grid and plain batches in every node", [][]*geom.IndexedMesh{
+	{"grid, one batch", [][]*geom.Mesh{{gridBatch(7, 9, 21)}}},
+	{"grid, exactly 65536 vertices: 16-bit", [][]*geom.Mesh{{gridBatch(5, 65536, 22)}}},
+	{"grid, 65537 vertices: 32-bit", [][]*geom.Mesh{{gridBatch(3, 65537, 23)}}},
+	{"grid and plain batches in every node", [][]*geom.Mesh{
 		{gridBatch(3, 4, 24), testBatch(2, 3, 25), gridBatch(4099, 2600, 26)},
 		{},
 		{testBatch(6, 6, 27), {}, gridBatch(11, 20, 28)},
@@ -251,7 +265,7 @@ var batchCases = []struct {
 
 // sealCase seals one case's nodes and returns the frame, the oracle frame
 // and the batches in wire order.
-func sealCase(nodes [][]*geom.IndexedMesh) (frame, oracle []byte, batches []*geom.IndexedMesh) {
+func sealCase(nodes [][]*geom.Mesh) (frame, oracle []byte, batches []*geom.Mesh) {
 	bufs := make([][]byte, len(nodes))
 	for i, node := range nodes {
 		bufs[i] = chunkBuf(node...)
@@ -288,7 +302,7 @@ func TestSealedFrameBytesEqualPortableEncoding(t *testing.T) {
 			t.Errorf("%s: sealed frame fails verification: %v", tc.name, err)
 		}
 		iso, tris, err := DecodeBinaryHeader(got)
-		if err != nil || iso != 110.5 || tris != expandAll(batches...).Len() {
+		if err != nil || iso != 110.5 || tris != len(expandAll(batches...)) {
 			t.Errorf("%s: header (%v, %d, %v)", tc.name, iso, tris, err)
 		}
 		if h, _ := decodeHeader(got); h.version != ChunkedVersion {
@@ -300,26 +314,31 @@ func TestSealedFrameBytesEqualPortableEncoding(t *testing.T) {
 	}
 }
 
-// TestChunkedDecodeMatchesSoup is the differential behind "soup only in the
-// caller's hands": decoding a version 2 frame — DecodeBinary, DecodeVerified,
-// DecodeChunks node by node — yields bit for bit the version 1 soup of the
-// same batches, expanded corner by corner (expandAll) and concatenated. Soups
-// are poisoned (geom.PoisonSoups), so a triangle a decoder skips reads as NaN
-// bits, not as what the memory held.
+// TestChunkedDecodeMatchesSoup is the differential behind "no soup on the
+// way": decoding a version 2 frame — DecodeBinary, DecodeVerified,
+// DecodeChunks node by node — yields the batches' vertices and rebased
+// indices array for array, and so, bit for bit, the version 1 soup of the
+// same batches, expanded corner by corner (expandAll) and concatenated.
+// Meshes are poisoned (geom.PoisonMeshes), so a vertex or an index a decoder
+// skips shows as NaN bits or an index past every vertex, not as what the
+// memory held.
 func TestChunkedDecodeMatchesSoup(t *testing.T) {
-	defer geom.PoisonSoups(geom.PoisonSoups(true))
+	defer geom.PoisonMeshes(geom.PoisonMeshes(true))
 	for _, tc := range batchCases {
 		frame, _, batches := sealCase(tc.nodes)
-		want := AppendBinary(nil, 110.5, expandAll(batches...))
+		want := trisBytes(expandAll(batches...))
 		for name, decode := range map[string]func([]byte) (*geom.Mesh, float32, error){
 			"DecodeBinary":   DecodeBinary,
 			"DecodeVerified": DecodeVerified,
 		} {
-			m, iso, err := decode(frame)
+			m, _, err := decode(frame)
 			if err != nil {
 				t.Fatalf("%s: %s: %v", tc.name, name, err)
 			}
-			if got := AppendBinary(nil, iso, m); !bytes.Equal(got, want) {
+			if !sameMesh(m, concat(batches...)) {
+				t.Errorf("%s: %s's arrays differ from the batches'", tc.name, name)
+			}
+			if !bytes.Equal(soupBytes(m), want) {
 				t.Errorf("%s: %s's soup differs from the expanded batches'", tc.name, name)
 			}
 		}
@@ -329,12 +348,12 @@ func TestChunkedDecodeMatchesSoup(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: DecodeChunks: %v", tc.name, err)
 			}
-			if !bytes.Equal(AppendBinary(nil, 0, m), AppendBinary(nil, 0, expandAll(node...))) {
-				t.Errorf("%s: DecodeChunks differs from the node's expanded batches", tc.name)
+			if !sameMesh(m, concat(node...)) || !bytes.Equal(soupBytes(m), trisBytes(expandAll(node...))) {
+				t.Errorf("%s: DecodeChunks differs from the node's batches", tc.name)
 			}
 			nodes = append(nodes, m)
 		}
-		if !bytes.Equal(AppendBinary(nil, 110.5, nodes...), want) {
+		if !bytes.Equal(AppendBinary(nil, 110.5, nodes...)[binMinFrame:], want) {
 			t.Errorf("%s: the nodes' soups, concatenated, differ from the frame's", tc.name)
 		}
 	}
@@ -343,7 +362,7 @@ func TestChunkedDecodeMatchesSoup(t *testing.T) {
 // TestChunkedDecodeOwnsItsSoup: a version 2 frame's mesh is memory of its
 // own, so the frame can be recycled the moment the decode returns.
 func TestChunkedDecodeOwnsItsSoup(t *testing.T) {
-	frame, _, _ := sealCase([][]*geom.IndexedMesh{{testBatch(40, 30, 9)}})
+	frame, _, _ := sealCase([][]*geom.Mesh{{testBatch(40, 30, 9)}})
 	m, _, err := DecodeVerified(frame)
 	if err != nil {
 		t.Fatal(err)
@@ -360,8 +379,8 @@ func TestChunkedDecodeOwnsItsSoup(t *testing.T) {
 // gridCorners is a grid batch whose vertices take each axis, the last one
 // all integers (axis 0, its crossing a grid integer): the frame the grid
 // mutations break.
-func gridCorners() *geom.IndexedMesh {
-	return &geom.IndexedMesh{
+func gridCorners() *geom.Mesh {
+	return &geom.Mesh{
 		Verts: []geom.Vec3{geom.V(0.5, 3, 4), geom.V(2, 7.25, 9), geom.V(1, 2, 3.5), geom.V(5, 6, 7)},
 		Idx:   []uint32{0, 1, 2, 1, 2, 3},
 	}
@@ -370,9 +389,9 @@ func gridCorners() *geom.IndexedMesh {
 // gridOddities is a grid batch whose crossings are bit patterns a codec
 // that moved values, or read −0 as an integer, would get wrong: NaN on axis
 // 0 and 2, −0 on axes 0 and 1, +Inf. Every vertex is still a grid vertex.
-func gridOddities() *geom.IndexedMesh {
+func gridOddities() *geom.Mesh {
 	f := math.Float32frombits
-	return &geom.IndexedMesh{
+	return &geom.Mesh{
 		Verts: []geom.Vec3{
 			{X: f(0x7fc00001), Y: 3, Z: 4}, // NaN crossing, axis 0
 			{X: 3, Y: f(0x80000000), Z: 4}, // −0 crossing: axis 1, not 0
@@ -465,7 +484,7 @@ func TestGridOdditiesRoundTrip(t *testing.T) {
 	if ChunkLen(im) != chunkHeaderSize+8*len(im.Verts)+20 {
 		t.Fatalf("ChunkLen = %d, want the grid form's %d", ChunkLen(im), chunkHeaderSize+8*len(im.Verts)+20)
 	}
-	frame, want, _ := sealCase([][]*geom.IndexedMesh{{im}})
+	frame, want, _ := sealCase([][]*geom.Mesh{{im}})
 	if !bytes.Equal(frame, want) {
 		t.Fatal("sealed frame differs from the portable encoding")
 	}
@@ -473,30 +492,29 @@ func TestGridOdditiesRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(putTris(nil, m.Tris), putTris(nil, im.ExpandSoup().Tris)) {
+	if !bytes.Equal(soupBytes(m), trisBytes(im.ExpandSoup())) {
 		t.Fatal("decoded soup differs from the batch's ExpandSoup")
 	}
 }
 
-// TestChunkedDecodeAllocationBound: a decode allocates a soup of at most 6×
-// the frame's bytes plus a vertex scratch of at most 1.5× them, accepted or
-// not — both are sized from counts the structure has already held to the
-// bytes. An accepted frame's soup is its triangles, so the rest is the
-// scratch and is measured against its own bound.
+// TestChunkedDecodeAllocationBound: a decode allocates at most 2× the
+// frame's bytes, accepted or not — the mesh's vertices (a grid vertex grows
+// to 12 bytes from 8) and indices (a 16-bit index to 4 bytes from 2), sized
+// from counts the structure has already held to the bytes, and nothing else.
 func TestChunkedDecodeAllocationBound(t *testing.T) {
 	frames := v2Mutations()
 	for _, tc := range batchCases {
 		frames[tc.name], _, _ = sealCase(tc.nodes)
 	}
 	const slack = 1024 // the Mesh and an error
-	// scratch is the vertex scratch's bound for n frame bytes; the allocator
-	// rounds a large object (over 32 KiB) up to whole 8 KiB pages.
-	scratch := func(n uint64) uint64 {
-		b := 3 * n / 2
+	// bound is the arrays' bound for n frame bytes; the allocator rounds
+	// each large object (over 32 KiB) up to whole 8 KiB pages.
+	bound := func(n uint64) uint64 {
+		b := 2 * n
 		if b > 32<<10 {
-			b += 8 << 10
+			b += 2 * 8 << 10
 		}
-		return b
+		return b + slack
 	}
 	var ms runtime.MemStats
 	for name, frame := range frames {
@@ -505,15 +523,11 @@ func TestChunkedDecodeAllocationBound(t *testing.T) {
 		m, _, err := DecodeBinary(frame)
 		runtime.ReadMemStats(&ms)
 		got, n := ms.TotalAlloc-before, uint64(len(frame))
-		if err != nil {
-			if got > 6*n+scratch(n)+slack {
-				t.Errorf("%s: rejecting %d bytes allocated %d", name, n, got)
-			}
-			continue
+		if got > bound(n) {
+			t.Errorf("%s: decoding %d bytes (err %v) allocated %d", name, n, err, got)
 		}
-		soup := uint64(36 * len(m.Tris))
-		if soup > 6*n || got-min(got, soup) > scratch(n)+slack {
-			t.Errorf("%s: decoding %d bytes allocated a %d-byte soup and %d bytes besides", name, n, soup, got-min(got, soup))
+		if err == nil && uint64(12*len(m.Verts)+4*len(m.Idx)) > 2*n {
+			t.Errorf("%s: %d bytes decoded to %d vertices and %d indices", name, n, len(m.Verts), len(m.Idx))
 		}
 	}
 }

@@ -17,11 +17,11 @@ import (
 // values instead of bits would mangle them.
 func nanMesh() *geom.Mesh {
 	f := math.Float32frombits
-	return &geom.Mesh{Tris: []geom.Triangle{{
+	return triMesh(geom.Triangle{
 		A: geom.Vec3{X: f(0x7fc00001), Y: f(0xffc00000), Z: f(0x7f800001)},
 		B: geom.Vec3{X: f(0x80000000), Y: 0, Z: f(0x00000001)},
 		C: geom.Vec3{X: float32(math.Inf(1)), Y: float32(math.Inf(-1)), Z: math.MaxFloat32},
-	}}}
+	})
 }
 
 // portableFrame encodes the way the codec did before it learned to move
@@ -30,12 +30,12 @@ func nanMesh() *geom.Mesh {
 func portableFrame(iso float32, flags uint16, meshes ...*geom.Mesh) []byte {
 	tris := 0
 	for _, m := range meshes {
-		tris += len(m.Tris)
+		tris += m.Len()
 	}
 	hdr := frameHeader(BinaryVersion, iso, flags, tris, binTriSize*tris)
 	out := append([]byte(nil), hdr[:]...)
 	for _, m := range meshes {
-		out = putTris(out, m.Tris)
+		out = append(out, trisBytes(expandAll(m))...)
 	}
 	if flags&FlagChecksum != 0 {
 		out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(out[binPrefixSize:], crcTable))
@@ -138,10 +138,10 @@ func TestSoupDecodeOwnsItsTriangles(t *testing.T) {
 		"DecodeVerified": DecodeVerified,
 	} {
 		m, iso, err := decode(frame)
-		if err != nil || iso != 9 || len(m.Tris) != 6 {
+		if err != nil || iso != 9 || m.Len() != 6 || m.NumVerts() != 18 {
 			t.Fatalf("%s: (%v, iso %v, %v)", name, m, iso, err)
 		}
-		m.Tris[1].C.Z = -1
+		m.Verts[5].Z = -1
 		if !bytes.Equal(frame, pristine) {
 			t.Fatalf("%s's mesh aliases its input", name)
 		}
@@ -180,8 +180,8 @@ func TestDecodeVerifiedSkipsOnlyTheCRC(t *testing.T) {
 
 // TestForeignHostPathsProduceTheSameBytes runs the codec the way a host
 // whose triangle layout is not the wire layout would — every view refused,
-// every path per-component, grid vertices and the gather through the
-// portable loops — and holds it to the same bytes and the same triangles,
+// every path per-component, grid vertices and the encoder's gather through
+// the portable loops — and holds it to the same bytes and the same arrays,
 // version 1 and 2, plain and grid chunks. Not parallel: it flips the
 // package's layout and kernel verdicts.
 func TestForeignHostPathsProduceTheSameBytes(t *testing.T) {
@@ -205,7 +205,7 @@ func TestForeignHostPathsProduceTheSameBytes(t *testing.T) {
 			m, iso, err := decode(want)
 			if err != nil || iso != 42 {
 				t.Errorf("%s: per-triangle %s: iso %v, err %v", tc.name, name, iso, err)
-			} else if !bytes.Equal(putTris(nil, m.Tris), putTris(nil, wantMesh.Tris)) {
+			} else if !sameMesh(m, wantMesh) {
 				t.Errorf("%s: per-triangle %s decodes different triangles", tc.name, name)
 			}
 		}
@@ -225,11 +225,11 @@ func TestForeignHostPathsProduceTheSameBytes(t *testing.T) {
 				t.Errorf("%s: per-component PutChunk writes different bytes", tc.name)
 			}
 			m, _, err := DecodeBinary(want)
-			if err != nil || !bytes.Equal(putTris(nil, m.Tris), putTris(nil, wantMesh.Tris)) {
-				t.Errorf("%s: per-component gather decodes different triangles (err %v)", tc.name, err)
+			if err != nil || !sameMesh(m, wantMesh) {
+				t.Errorf("%s: per-component decode gives different arrays (err %v)", tc.name, err)
 			}
-			if soup := expandAll(batches...); !bytes.Equal(putTris(nil, m.Tris), putTris(nil, soup.Tris)) {
-				t.Errorf("%s: per-component gather differs from the expanded batches", tc.name)
+			if soup := expandAll(batches...); !bytes.Equal(soupBytes(m), trisBytes(soup)) {
+				t.Errorf("%s: per-component decode differs from the expanded batches", tc.name)
 			}
 		})
 	}

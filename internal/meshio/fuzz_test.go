@@ -22,9 +22,8 @@ func frameSeeds() [][]byte {
 	add := func(b []byte) { seeds = append(seeds, b) }
 
 	empty := AppendBinary(nil, 0, &geom.Mesh{})
-	one := AppendBinary(nil, 110, &geom.Mesh{Tris: []geom.Triangle{{
-		A: geom.V(0, 0, 0), B: geom.V(1, 0, 0), C: geom.V(0, 1, 0),
-	}}})
+	unit := triMesh(geom.Triangle{A: geom.V(0, 0, 0), B: geom.V(1, 0, 0), C: geom.V(0, 1, 0)})
+	one := AppendBinary(nil, 110, unit)
 	many := AppendBinary(nil, -3.25, testMesh(9, 2))
 
 	add(empty)
@@ -41,9 +40,7 @@ func frameSeeds() [][]byte {
 	// Checksum-flag frames: valid trailers, a flipped payload byte (CRC must
 	// catch it), a flag with no room for a trailer, and a truncated trailer.
 	add(AppendBinaryChecksum(nil, 0, &geom.Mesh{}))
-	summed := AppendBinaryChecksum(nil, 110, &geom.Mesh{Tris: []geom.Triangle{{
-		A: geom.V(0, 0, 0), B: geom.V(1, 0, 0), C: geom.V(0, 1, 0),
-	}}})
+	summed := AppendBinaryChecksum(nil, 110, unit)
 	add(summed)
 	flipped := append([]byte(nil), summed...)
 	flipped[binMinFrame+5] ^= 0x40
@@ -62,9 +59,9 @@ func frameSeeds() [][]byte {
 	// Version 2: 16- and 32-bit chunks, nodes of several chunks, no chunk at
 	// all (an empty surface, checksummed and not), a frame without the
 	// checksum flag, and frames whose counts or indices lie under a valid CRC.
-	v2, _, _ := sealCase([][]*geom.IndexedMesh{{testBatch(3, 4, 1), testBatch(2, 3, 2)}, {testBatch(5, 7, 3)}})
+	v2, _, _ := sealCase([][]*geom.Mesh{{testBatch(3, 4, 1), testBatch(2, 3, 2)}, {testBatch(5, 7, 3)}})
 	add(v2)
-	wide, _, _ := sealCase([][]*geom.IndexedMesh{{testBatch(2, 65537, 4)}})
+	wide, _, _ := sealCase([][]*geom.Mesh{{testBatch(2, 65537, 4)}})
 	add(wide)
 	add(portableChunked(7, FlagChecksum))
 	add(portableChunked(7, 0))
@@ -73,7 +70,7 @@ func frameSeeds() [][]byte {
 	// Grid form: chunks of every axis, NaN, −0 and +Inf crossings (accepted,
 	// bits kept), grid and plain chunks in one node, and the grid rule's
 	// breaches under a valid CRC (among v2Mutations).
-	grid, _, _ := sealCase([][]*geom.IndexedMesh{{gridCorners(), testBatch(2, 3, 13)}, {gridBatch(9, 12, 14)}})
+	grid, _, _ := sealCase([][]*geom.Mesh{{gridCorners(), testBatch(2, 3, 13)}, {gridBatch(9, 12, 14)}})
 	add(grid)
 	add(portableChunked(2, FlagChecksum, gridOddities()))
 	add(portableChunked(2, 0, gridBatch(4, 5, 15), gridOddities()))
@@ -87,17 +84,20 @@ func frameSeeds() [][]byte {
 // input: it must return ErrBinaryFormat (never panic, never tolerate a
 // malformed frame), and whatever it does accept must re-encode to the exact
 // input bytes — so the fuzzer proves accepted frames are canonical, not
-// merely survivable. The decoder's soup is at most 6× len(input), enforced
-// structurally (triangle counts are validated against the bytes before the
-// soup is made); its vertex scratch, at most 1.5×, is
-// TestChunkedDecodeAllocationBound's.
+// merely survivable. The decoded mesh's arrays take at most 2× len(input)
+// (a grid vertex grows to 12 bytes from 8, a 16-bit index to 4 bytes from 2),
+// enforced structurally (counts are validated against the bytes before the
+// mesh is made) and asserted here on every input;
+// TestChunkedDecodeAllocationBound measures what a decode allocates in all.
 //
-// Every decoder answers to it: DecodeBinary, DecodeVerified (the CRC vouched
-// for by the caller) and the per-component oracles must yield the same
-// triangles bit for bit. A version 1 frame's oracle is getTris; a version 2
-// frame's is the differential against soup — its chunks read back as
-// batches (parseBatches), re-encoded by portableChunked to the input, and
-// their triangles expanded corner by corner (expandAll, which does not call
+// Every decoder answers to two oracles. soupDecode, the decoder as it stood
+// while a decoded mesh was a soup, must refuse exactly the same inputs and
+// accept the others as the same triangles: the soup the mesh expands to, bit
+// for bit. And DecodeBinary, DecodeVerified (the CRC vouched for by the
+// caller) and the per-component oracles must agree: a version 1 frame's
+// oracle is getTris; a version 2 frame's chunks read back as batches
+// (parseBatches), re-encoded by portableChunked to the input, and their
+// triangles expanded corner by corner (expandAll, which does not call
 // geom.Gather), concatenated, are what every decoder must return;
 // portableChunked re-encodes each batch in the form the rule gives it, so an
 // accepted chunk of either form is the one encoding of its batch. With both
@@ -107,12 +107,14 @@ func frameSeeds() [][]byte {
 // loop verdict for verdict, bit for bit;
 // TestDecodeSeedsWithPortableLoop runs every seed on the portable loops
 // alone, as a host without the kernels does. The same frame at byte offsets
-// 1–3 of a larger buffer must decode through the scratch — not a misaligned
-// pointer — and at no offset may the mesh alias the buffer. Soups are
-// poisoned (geom.PoisonSoups) here and in TestDecodeSeedsWithPortableLoop, so
-// a triangle a decoder skips reads as NaN bits, not as what the memory held.
+// 1–3 of a larger buffer must decode through the per-component loops — not a
+// misaligned pointer — and at no offset may the mesh alias the buffer.
+// Meshes are poisoned (geom.PoisonMeshes) here and in
+// TestDecodeSeedsWithPortableLoop, so a vertex or an index a decoder skips
+// shows as NaN bits or an index past every vertex, not as what the memory
+// held.
 func FuzzDecodeBinary(f *testing.F) {
-	defer geom.PoisonSoups(geom.PoisonSoups(true))
+	defer geom.PoisonMeshes(geom.PoisonMeshes(true))
 	for _, seed := range frameSeeds() {
 		f.Add(seed)
 	}
@@ -123,7 +125,7 @@ func FuzzDecodeBinary(f *testing.F) {
 // contract with both kernels off, so the portable loops answer for every
 // grid chunk and every gather, on any host.
 func TestDecodeSeedsWithPortableLoop(t *testing.T) {
-	defer geom.PoisonSoups(geom.PoisonSoups(true))
+	defer geom.PoisonMeshes(geom.PoisonMeshes(true))
 	withKernels(false, func() {
 		for i, seed := range frameSeeds() {
 			t.Run(fmt.Sprint(i), func(t *testing.T) { checkDecodeBinary(t, seed) })
@@ -134,6 +136,12 @@ func TestDecodeSeedsWithPortableLoop(t *testing.T) {
 // checkDecodeBinary is FuzzDecodeBinary's check of one input.
 func checkDecodeBinary(t *testing.T, data []byte) {
 	m, iso, err := DecodeBinary(data)
+	// The soup decoder refuses what the mesh decoder refuses, and nothing
+	// else.
+	soup, siso, serr := soupDecode(data, false)
+	if (err == nil) != (serr == nil) {
+		t.Fatalf("DecodeBinary: err %v; the soup decoder: err %v", err, serr)
+	}
 	// DecodeVerified skips only the CRC: structure is checked on every
 	// path, so it errors when the header peek does — and past it only on a
 	// version 2 vertex or index, which the peek does not read.
@@ -144,8 +152,8 @@ func checkDecodeBinary(t *testing.T, data []byte) {
 		t.Fatalf("DecodeVerified: err %v, header peek: err %v", verr, herr)
 	}
 	if err != nil {
-		if !errors.Is(err, ErrBinaryFormat) {
-			t.Fatalf("non-format error from pure decode: %v", err)
+		if !errors.Is(err, ErrBinaryFormat) || !errors.Is(serr, ErrBinaryFormat) {
+			t.Fatalf("non-format error from pure decode: %v (the soup decoder: %v)", err, serr)
 		}
 		withKernels(false, func() {
 			if _, _, kerr := DecodeBinary(data); kerr == nil {
@@ -157,14 +165,14 @@ func checkDecodeBinary(t *testing.T, data []byte) {
 	if m == nil {
 		t.Fatal("nil mesh with nil error")
 	}
-	if 36*len(m.Tris) > 6*len(data) {
-		t.Fatalf("%d bytes decoded to %d triangles, over the 6× allocation bound", len(data), len(m.Tris))
+	if size := 12*len(m.Verts) + 4*len(m.Idx); size > 2*len(data) {
+		t.Fatalf("%d bytes decoded to %d vertices and %d triangles (%d bytes), over the 2× allocation bound", len(data), len(m.Verts), m.Len(), size)
 	}
 	// The header peek must agree with the full decode.
 	piso, ptris, perr := DecodeBinaryHeader(data)
-	if perr != nil || ptris != len(m.Tris) || math.Float32bits(piso) != math.Float32bits(iso) {
+	if perr != nil || ptris != m.Len() || math.Float32bits(piso) != math.Float32bits(iso) {
 		t.Fatalf("header peek (%v, %d, %v) disagrees with decode (%v, %d)",
-			piso, ptris, perr, iso, len(m.Tris))
+			piso, ptris, perr, iso, m.Len())
 	}
 	// An accepted frame also verifies (decode is strictly stronger).
 	if verr := VerifyBinary(data); verr != nil {
@@ -181,7 +189,7 @@ func checkDecodeBinary(t *testing.T, data []byte) {
 		if re := portableChunked(iso, h.flags, batches...); !bytes.Equal(re, data) {
 			t.Fatalf("accepted v2 frame is not canonical: %d bytes in, %d bytes re-encoded", len(data), len(re))
 		}
-		want = putTris(nil, expandAll(batches...).Tris)
+		want = trisBytes(expandAll(batches...))
 	} else {
 		re := AppendBinary(nil, iso, m)
 		if h.flags&FlagChecksum != 0 {
@@ -190,21 +198,18 @@ func checkDecodeBinary(t *testing.T, data []byte) {
 		if !bytes.Equal(re, data) {
 			t.Fatalf("accepted frame is not canonical: %d bytes in, %d bytes re-encoded", len(data), len(re))
 		}
-		// The oracle's triangles, re-encoded by the oracle, are the payload.
-		oracle := make([]geom.Triangle, ptris)
-		getTris(oracle, h.payload)
-		if !bytes.Equal(putTris(nil, oracle), h.payload) {
-			t.Fatal("per-triangle oracle does not round-trip the payload")
-		}
 		want = h.payload
+	}
+	if math.Float32bits(siso) != math.Float32bits(iso) || !bytes.Equal(trisBytes(soup), want) {
+		t.Fatalf("the soup decoder disagrees with the per-component oracle (%d vs %d triangles)", len(soup), ptris)
 	}
 	same := func(name string, got *geom.Mesh, giso float32, gerr error) {
 		t.Helper()
 		if gerr != nil {
 			t.Fatalf("%s: %v", name, gerr)
 		}
-		if math.Float32bits(giso) != math.Float32bits(iso) || !bytes.Equal(putTris(nil, got.Tris), want) {
-			t.Fatalf("%s disagrees with the per-component oracle (%d vs %d triangles)", name, len(got.Tris), ptris)
+		if math.Float32bits(giso) != math.Float32bits(iso) || !bytes.Equal(soupBytes(got), want) {
+			t.Fatalf("%s disagrees with the soup decoder (%d vs %d triangles)", name, got.Len(), ptris)
 		}
 	}
 	same("DecodeBinary", m, iso, nil)
@@ -220,9 +225,9 @@ func checkDecodeBinary(t *testing.T, data []byte) {
 	// The frame at offsets 0–3 of a larger buffer. Heap buffers start
 	// 8-byte aligned, so offset 0 puts the payload on a float32 boundary
 	// and 1–3 never do: there bytesAs must refuse a plain chunk's vertices
-	// and the gather read them through the scratch, which -race's checkptr
-	// would otherwise report as a misaligned conversion. At every offset
-	// the mesh is the decoder's own.
+	// and indices, and the decoder read them one by one, which -race's
+	// checkptr would otherwise report as a misaligned conversion. At every
+	// offset the mesh is the decoder's own.
 	for off := 0; off <= 3; off++ {
 		buf := make([]byte, off+len(data)+1)
 		at := buf[off : off+len(data)]
@@ -235,7 +240,7 @@ func checkDecodeBinary(t *testing.T, data []byte) {
 		for i := binMinFrame; i < len(at); i++ {
 			at[i] ^= 0xff
 		}
-		if !bytes.Equal(putTris(nil, om.Tris), want) {
+		if !bytes.Equal(soupBytes(om), want) {
 			t.Fatalf("offset %d: the mesh aliases the buffer it was decoded from", off)
 		}
 	}
@@ -296,7 +301,7 @@ func FuzzPutChunk(f *testing.F) {
 		if wide {
 			n = narrowVerts + 1 // 32-bit indices: the n vertices repeat
 		}
-		im := &geom.IndexedMesh{Verts: make([]geom.Vec3, n)}
+		im := &geom.Mesh{Verts: make([]geom.Vec3, n)}
 		for i := range im.Verts {
 			var c [3]float32
 			for k := range c {
@@ -324,13 +329,16 @@ func FuzzPutChunk(f *testing.F) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("PutChunk wrote %d bytes that differ from the rule's encoding (grid %v)", len(got), oracleGrid(im.Verts))
 		}
-		soup := putTris(nil, im.ExpandSoup().Tris)
+		soup := trisBytes(im.ExpandSoup())
 		m, err := DecodeChunks(got)
-		if err != nil || !bytes.Equal(putTris(nil, m.Tris), soup) {
+		if err != nil || !bytes.Equal(soupBytes(m), soup) {
 			t.Fatalf("DecodeChunks: err %v, or a soup unlike ExpandSoup's", err)
 		}
+		if im.Len() > 0 && !sameMesh(m, im) {
+			t.Fatal("DecodeChunks: the mesh's arrays differ from the batch's")
+		}
 		m, _, err = DecodeBinary(sealed(1, got))
-		if err != nil || !bytes.Equal(putTris(nil, m.Tris), soup) {
+		if err != nil || !bytes.Equal(soupBytes(m), soup) {
 			t.Fatalf("sealed frame: err %v, or a soup unlike ExpandSoup's", err)
 		}
 	})

@@ -1,7 +1,7 @@
-// Package meshio welds the extraction pipeline's triangle soups into one
-// geom.IndexedMesh (exact-coordinate vertex welding, per-vertex normals) and
-// writes the standard interchange formats a downstream user of an
-// isosurface library expects: Wavefront OBJ, binary STL and ASCII PLY.
+// Package meshio welds the extraction pipeline's meshes into one geom.Mesh
+// (exact-coordinate vertex welding, per-vertex normals) and writes the
+// standard interchange formats a downstream user of an isosurface library
+// expects: Wavefront OBJ, binary STL and ASCII PLY.
 //
 // Welding by exact coordinates is correct here because marching cubes
 // interpolates shared cell edges from identical inputs, so coincident
@@ -21,15 +21,16 @@ import (
 	"repro/internal/geom"
 )
 
-// Index welds triangle soups, in order, into one indexed mesh, dropping
-// degenerate triangles (including those that collapse under welding). Given
-// an extraction's per-node meshes it welds what their concatenation would.
-func Index(meshes ...*geom.Mesh) *geom.IndexedMesh {
+// Index welds meshes, in order, into one mesh whose coincident vertices are
+// one, dropping degenerate triangles (including those that collapse under
+// welding). Given an extraction's per-node meshes it welds what their
+// concatenation would.
+func Index(meshes ...*geom.Mesh) *geom.Mesh {
 	n := 0
 	for _, m := range meshes {
 		n += m.Len()
 	}
-	im := &geom.IndexedMesh{}
+	im := &geom.Mesh{}
 	lookup := make(map[geom.Vec3]uint32, n)
 	idOf := func(p geom.Vec3) uint32 {
 		if id, ok := lookup[p]; ok {
@@ -41,7 +42,8 @@ func Index(meshes ...*geom.Mesh) *geom.IndexedMesh {
 		return id
 	}
 	for _, m := range meshes {
-		for _, tr := range m.Tris {
+		for i := range m.Len() {
+			tr := m.Triangle(i)
 			if tr.Degenerate() {
 				continue
 			}
@@ -56,7 +58,7 @@ func Index(meshes ...*geom.Mesh) *geom.IndexedMesh {
 }
 
 // Normals computes area-weighted per-vertex normals.
-func Normals(im *geom.IndexedMesh) []geom.Vec3 {
+func Normals(im *geom.Mesh) []geom.Vec3 {
 	ns := make([]geom.Vec3, len(im.Verts))
 	for f := range slices.Chunk(im.Idx, 3) {
 		t := geom.Triangle{A: im.Verts[f[0]], B: im.Verts[f[1]], C: im.Verts[f[2]]}
@@ -72,7 +74,7 @@ func Normals(im *geom.IndexedMesh) []geom.Vec3 {
 }
 
 // edgeUses counts the faces on each undirected edge of im.
-func edgeUses(im *geom.IndexedMesh) map[[2]uint32]int {
+func edgeUses(im *geom.Mesh) map[[2]uint32]int {
 	use := make(map[[2]uint32]int, 3*im.Len()/2)
 	for f := range slices.Chunk(im.Idx, 3) {
 		for i := 0; i < 3; i++ {
@@ -88,13 +90,13 @@ func edgeUses(im *geom.IndexedMesh) map[[2]uint32]int {
 
 // EulerCharacteristic returns V − E + F, with edges counted from the index
 // triples. For a closed orientable surface this is 2 − 2·genus.
-func EulerCharacteristic(im *geom.IndexedMesh) int {
+func EulerCharacteristic(im *geom.Mesh) int {
 	return im.NumVerts() - len(edgeUses(im)) + im.Len()
 }
 
 // IsClosed reports whether every edge is shared by exactly two faces (a
 // watertight surface).
-func IsClosed(im *geom.IndexedMesh) bool {
+func IsClosed(im *geom.Mesh) bool {
 	for _, n := range edgeUses(im) {
 		if n != 2 {
 			return false
@@ -104,7 +106,7 @@ func IsClosed(im *geom.IndexedMesh) bool {
 }
 
 // WriteOBJ writes im as Wavefront OBJ with per-vertex normals.
-func WriteOBJ(w io.Writer, im *geom.IndexedMesh) error {
+func WriteOBJ(w io.Writer, im *geom.Mesh) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	fmt.Fprintf(bw, "# isosurface: %d vertices, %d faces\n", im.NumVerts(), im.Len())
 	for _, v := range im.Verts {
@@ -121,7 +123,7 @@ func WriteOBJ(w io.Writer, im *geom.IndexedMesh) error {
 }
 
 // WriteSTL writes im as binary STL (unindexed; STL has no shared vertices).
-func WriteSTL(w io.Writer, im *geom.IndexedMesh) error {
+func WriteSTL(w io.Writer, im *geom.Mesh) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	var header [80]byte
 	copy(header[:], "isosurface (binary STL)")
@@ -139,8 +141,8 @@ func WriteSTL(w io.Writer, im *geom.IndexedMesh) error {
 		binary.LittleEndian.PutUint32(rec[off+4:], math.Float32bits(v.Y))
 		binary.LittleEndian.PutUint32(rec[off+8:], math.Float32bits(v.Z))
 	}
-	for f := range slices.Chunk(im.Idx, 3) {
-		t := geom.Triangle{A: im.Verts[f[0]], B: im.Verts[f[1]], C: im.Verts[f[2]]}
+	for i := range im.Len() {
+		t := im.Triangle(i)
 		putV(0, t.UnitNormal())
 		putV(12, t.A)
 		putV(24, t.B)
@@ -154,7 +156,7 @@ func WriteSTL(w io.Writer, im *geom.IndexedMesh) error {
 }
 
 // WritePLY writes im as ASCII PLY.
-func WritePLY(w io.Writer, im *geom.IndexedMesh) error {
+func WritePLY(w io.Writer, im *geom.Mesh) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	fmt.Fprintf(bw, "ply\nformat ascii 1.0\nelement vertex %d\n", im.NumVerts())
 	fmt.Fprint(bw, "property float x\nproperty float y\nproperty float z\n")
@@ -169,7 +171,7 @@ func WritePLY(w io.Writer, im *geom.IndexedMesh) error {
 }
 
 // writers are the formats WriteFile knows, by file extension.
-var writers = map[string]func(io.Writer, *geom.IndexedMesh) error{
+var writers = map[string]func(io.Writer, *geom.Mesh) error{
 	".obj": WriteOBJ,
 	".stl": WriteSTL,
 	".ply": WritePLY,
@@ -186,7 +188,7 @@ func CheckPath(path string) error {
 
 // WriteFile writes im to path in the format its extension names. An unknown
 // extension fails before the file is created.
-func WriteFile(path string, im *geom.IndexedMesh) error {
+func WriteFile(path string, im *geom.Mesh) error {
 	if err := CheckPath(path); err != nil {
 		return err
 	}

@@ -51,7 +51,8 @@ func TestIndexWeldsSharedVertices(t *testing.T) {
 	// Welding per-node soups in order is welding their concatenation:
 	// vertices shared across the cut get one index either way.
 	n := mesh.Len()
-	a, b := &geom.Mesh{Tris: mesh.Tris[:n/3]}, &geom.Mesh{Tris: mesh.Tris[n/3:]}
+	soup := mesh.ExpandSoup()
+	a, b := triMesh(soup[:n/3]...), triMesh(soup[n/3:]...)
 	parts := Index(a, &geom.Mesh{}, b)
 	if !slices.Equal(parts.Verts, im.Verts) || !slices.Equal(parts.Idx, im.Idx) {
 		t.Errorf("Index(a, empty, b): %d verts / %d faces, Index(a+b): %d / %d",
@@ -182,7 +183,7 @@ func TestWriteFileByExtension(t *testing.T) {
 }
 
 func TestEmptyMesh(t *testing.T) {
-	for _, im := range []*geom.IndexedMesh{Index(), Index(&geom.Mesh{})} {
+	for _, im := range []*geom.Mesh{Index(), Index(&geom.Mesh{})} {
 		if im.NumVerts() != 0 || im.Len() != 0 {
 			t.Error("empty soup produced geometry")
 		}
@@ -201,7 +202,7 @@ func TestEmptyMesh(t *testing.T) {
 // format's printing shows up here and not first in a downstream tool.
 func TestExportBytes(t *testing.T) {
 	torus, _ := march.Grid(volume.Torus(32), 180)
-	meshes := map[string]*geom.IndexedMesh{"sphere": Index(sphereMesh(t)), "torus": Index(torus)}
+	meshes := map[string]*geom.Mesh{"sphere": Index(sphereMesh(t)), "torus": Index(torus)}
 	for _, c := range []struct {
 		mesh, ext string
 		size      int

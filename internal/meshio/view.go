@@ -6,8 +6,8 @@ package meshio
 // is one bulk copy or a read in place, not a per-component transcode. This
 // file owns that reinterpretation — the package's only use of unsafe — and
 // checks every precondition itself; callers get ok=false and take the
-// portable per-component path (putTris/getTris and the chunk codec's loops)
-// instead.
+// portable per-component path (putTris/getVerts and the chunk codec's
+// loops) instead.
 
 import (
 	"encoding/binary"
@@ -27,10 +27,10 @@ var hostIsWire = binary.NativeEndian.Uint16([]byte{1, 0}) == 1 &&
 	unsafe.Offsetof(geom.Vec3{}.Z) == 8
 
 // asBytes returns s's own memory as wire bytes, sharing its storage:
-// triangles (geom.Triangle), vertices (geom.Vec3) and indices (uint16,
-// uint32) are stored on the wire as they lie in memory on a host whose
-// triangles are. ok is false on any other host.
-func asBytes[T geom.Triangle | geom.Vec3 | uint16 | uint32](s []T) (b []byte, ok bool) {
+// vertices (geom.Vec3) and indices (uint32) are stored on the wire as they
+// lie in memory on a host whose triangles are. ok is false on any other
+// host.
+func asBytes[T geom.Vec3 | uint32](s []T) (b []byte, ok bool) {
 	if !hostIsWire {
 		return nil, false
 	}
@@ -40,10 +40,11 @@ func asBytes[T geom.Triangle | geom.Vec3 | uint16 | uint32](s []T) (b []byte, ok
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*int(unsafe.Sizeof(s[0]))), true
 }
 
-// bytesAs returns b's own memory as values of T, the reverse of asBytes. ok
+// bytesAs returns b's own memory as values of T — triangles, vertices or
+// indices of either width — the reverse of asBytes. ok
 // is false when the host is not the wire, b is not a whole number of values,
 // or it does not start on T's alignment.
-func bytesAs[T geom.Vec3 | uint16 | uint32](b []byte) (s []T, ok bool) {
+func bytesAs[T geom.Triangle | geom.Vec3 | uint16 | uint32](b []byte) (s []T, ok bool) {
 	var zero T
 	size := int(unsafe.Sizeof(zero))
 	if !hostIsWire || len(b)%size != 0 {

@@ -23,8 +23,8 @@ func DefaultShading() Shading {
 func DrawMesh(fb *Framebuffer, cam *Camera, mesh *geom.Mesh, sh Shading) int {
 	light := sh.Light.Normalize()
 	drawn := 0
-	for _, tr := range mesh.Tris {
-		if drawTriangle(fb, cam, tr, light, sh) {
+	for i := range mesh.Len() {
+		if drawTriangle(fb, cam, mesh.Triangle(i), light, sh) {
 			drawn++
 		}
 	}

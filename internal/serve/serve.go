@@ -136,7 +136,7 @@ func (s Source) String() string {
 // between every client whose request mapped to the same Key and with the
 // cache itself — treat it as immutable — and its nodes hold the surface as
 // chunks only (PerNode[i].Chunks; Mesh is nil). From Query, Result is the
-// caller's own copy, each node's Mesh a soup decoded for this call.
+// caller's own copy, each node's Mesh decoded from its chunks for this call.
 type Response struct {
 	Key    Key
 	Iso    float32 // the rounded isovalue actually extracted
@@ -162,7 +162,7 @@ func (r *Response) Frame() *meshio.Frame { return r.frame }
 
 // surface is one servable result as the server holds it — in the cache, in
 // a finished call, in every Response handed out for it: the extraction's
-// Result, whose nodes hold chunks and no soup, the frame sealed over those
+// Result, whose nodes hold chunks and no mesh, the frame sealed over those
 // chunks, and what the cache charges for the pair.
 type surface struct {
 	res   *cluster.Result
@@ -283,10 +283,10 @@ func (k Key) Iso() float32 { return float32(k.Bucket) }
 // Query serves one isosurface request: cache hit, coalesced join, or a fresh
 // extraction under admission control. It blocks until the surface is
 // available, the request is rejected, or ctx is done, and then decodes the
-// surface's chunks into a soup of the caller's own per node
-// (Result.PerNode[i].Mesh) — on every call, hit or not, so the cache never
-// holds soup. An isovalue no Key holds is refused with ErrIsovalue before the
-// cache or admission sees it.
+// surface's chunks into a mesh of the caller's own per node
+// (Result.PerNode[i].Mesh, no soup) — on every call, hit or not, so the
+// cache holds chunks only. An isovalue no Key holds is refused with
+// ErrIsovalue before the cache or admission sees it.
 func (s *Server) Query(ctx context.Context, step int, iso float32) (*Response, error) {
 	resp, err := s.QueryFrame(ctx, step, iso)
 	if err != nil {
@@ -314,7 +314,7 @@ func CheckIsovalue(iso float32) error {
 // QueryFrame is Query without the decode: the lookup a replica serves its
 // wire from. It shares Query's cache, coalescing and admission — decoding is
 // the only difference — and its Response carries the surface as the sealed
-// Frame and the shared Result's chunks, never as soup.
+// Frame and the shared Result's chunks, never as a mesh.
 func (s *Server) QueryFrame(ctx context.Context, step int, iso float32) (*Response, error) {
 	if err := CheckIsovalue(iso); err != nil {
 		return nil, err
@@ -433,7 +433,7 @@ func (s *Server) run(c *call) {
 	s.mu.Unlock()
 
 	t0 := time.Now()
-	// The surface is kept as the chunks it is sent as; no soup is built.
+	// The surface is kept as the chunks it is sent as; no mesh is built.
 	res, err := s.backend.ExtractStep(c.ctx, c.key.Step, c.key.Iso(), cluster.Options{KeepChunks: true, Trace: s.cfg.Trace})
 	c.extractDur = time.Since(t0)
 	s.met.extractLatency.Observe(c.extractDur)

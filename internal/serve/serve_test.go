@@ -56,7 +56,7 @@ func (f *fakeBackend) ExtractStep(ctx context.Context, step int, iso float32, op
 	im := fakeSurface(iso, f.tris)
 	nr := cluster.NodeResult{Triangles: f.tris}
 	if opts.KeepMeshes {
-		nr.Mesh = im.ExpandSoup()
+		nr.Mesh = im
 	}
 	if opts.KeepChunks {
 		nr.Chunks = make([]byte, meshio.ChunkLen(im))
@@ -68,8 +68,8 @@ func (f *fakeBackend) ExtractStep(ctx context.Context, step int, iso float32, op
 // fakeSurface is the one batch a fakeBackend extraction welds: tris
 // triangles of three vertices each, the first vertex's X the isovalue plus
 // the triangle's index.
-func fakeSurface(iso float32, tris int) *geom.IndexedMesh {
-	im := &geom.IndexedMesh{Verts: make([]geom.Vec3, 3*tris), Idx: make([]uint32, 3*tris)}
+func fakeSurface(iso float32, tris int) *geom.Mesh {
+	im := &geom.Mesh{Verts: make([]geom.Vec3, 3*tris), Idx: make([]uint32, 3*tris)}
 	for i := range im.Idx {
 		im.Idx[i] = uint32(i)
 	}
@@ -148,56 +148,59 @@ func TestCoalescingSingleExtraction(t *testing.T) {
 	}
 }
 
-// TestCoalescedMeshesByteIdentical drives a real engine: K concurrent
-// requests for one isovalue cost one extraction, and the served mesh is
-// byte-identical to a direct Engine.Extract of the same surface.
+// TestCoalescedMeshesByteIdentical drives a real engine of one node and of
+// three: K concurrent requests for one isovalue cost one extraction, and the
+// served mesh is a direct Engine.Extract's of the same surface, node by node
+// and array for array.
 func TestCoalescedMeshesByteIdentical(t *testing.T) {
-	eng, err := cluster.Build(volume.Sphere(33), cluster.Config{Procs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New(eng, Config{MaxInFlight: 2})
-
-	const K = 8
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	resps := make([]*Response, K)
-	errs := make([]error, K)
-	for k := 0; k < K; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			<-start
-			resps[k], errs[k] = s.Query(context.Background(), 0, 128)
-		}(k)
-	}
-	close(start)
-	wg.Wait()
-
-	direct, err := eng.Extract(context.Background(), 128, cluster.Options{KeepMeshes: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < K; k++ {
-		if errs[k] != nil {
-			t.Fatalf("request %d: %v", k, errs[k])
+	for _, procs := range []int{1, 3} {
+		eng, err := cluster.Build(volume.Sphere(33), cluster.Config{Procs: procs})
+		if err != nil {
+			t.Fatal(err)
 		}
-		got, want := resps[k].Result, direct
-		if len(got.PerNode) != len(want.PerNode) {
-			t.Fatalf("request %d: %d nodes, want %d", k, len(got.PerNode), len(want.PerNode))
+		s := New(eng, Config{MaxInFlight: 2})
+
+		const K = 8
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		resps := make([]*Response, K)
+		errs := make([]error, K)
+		for k := 0; k < K; k++ {
+			wg.Add(1)
+			go func(k int) {
+				defer wg.Done()
+				<-start
+				resps[k], errs[k] = s.Query(context.Background(), 0, 128)
+			}(k)
 		}
-		for n := range got.PerNode {
-			if !slices.Equal(got.PerNode[n].Mesh.Tris, want.PerNode[n].Mesh.Tris) {
-				t.Fatalf("request %d node %d: mesh not byte-identical to direct extraction", k, n)
+		close(start)
+		wg.Wait()
+
+		direct, err := eng.Extract(context.Background(), 128, cluster.Options{KeepMeshes: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < K; k++ {
+			if errs[k] != nil {
+				t.Fatalf("procs %d request %d: %v", procs, k, errs[k])
+			}
+			got, want := resps[k].Result, direct
+			if len(got.PerNode) != len(want.PerNode) {
+				t.Fatalf("procs %d request %d: %d nodes, want %d", procs, k, len(got.PerNode), len(want.PerNode))
+			}
+			for n := range got.PerNode {
+				if !sameMesh(got.PerNode[n].Mesh, want.PerNode[n].Mesh) {
+					t.Fatalf("procs %d request %d node %d: mesh not identical to direct extraction, array for array", procs, k, n)
+				}
 			}
 		}
-	}
-	st := s.Stats()
-	if st.Extractions != 1 {
-		t.Errorf("%d extractions for %d concurrent identical requests, want 1", st.Extractions, K)
-	}
-	if st.CacheHits+st.Coalesced != K-1 {
-		t.Errorf("hits %d + coalesced %d != %d shared requests", st.CacheHits, st.Coalesced, K-1)
+		st := s.Stats()
+		if st.Extractions != 1 {
+			t.Errorf("procs %d: %d extractions for %d concurrent identical requests, want 1", procs, st.Extractions, K)
+		}
+		if st.CacheHits+st.Coalesced != K-1 {
+			t.Errorf("procs %d: hits %d + coalesced %d != %d shared requests", procs, st.CacheHits, st.Coalesced, K-1)
+		}
 	}
 }
 
@@ -510,20 +513,40 @@ func waitFor(t *testing.T, cond func() bool) {
 	t.Fatal("condition not reached within 2s")
 }
 
-// soupOnlyBackend ignores KeepChunks: it answers every extraction with a
-// soup, the form the server never caches.
-type soupOnlyBackend struct{}
+// meshOnlyBackend ignores KeepChunks: it answers every extraction with a
+// mesh, the form the server never caches.
+type meshOnlyBackend struct{}
 
-func (soupOnlyBackend) ExtractStep(_ context.Context, _ int, iso float32, _ cluster.Options) (*cluster.Result, error) {
+func (meshOnlyBackend) ExtractStep(_ context.Context, _ int, iso float32, _ cluster.Options) (*cluster.Result, error) {
 	return &cluster.Result{Iso: iso, Triangles: 1, PerNode: []cluster.NodeResult{{
-		Triangles: 1, Mesh: &geom.Mesh{Tris: make([]geom.Triangle, 1)},
+		Triangles: 1, Mesh: fakeSurface(iso, 1),
 	}}}, nil
+}
+
+// sameMesh reports whether two meshes hold the same arrays, vertex bits and
+// indices alike, and expand to the same soup bit for bit.
+func sameMesh(a, b *geom.Mesh) bool {
+	bits := func(vs []geom.Vec3) []uint32 {
+		var out []uint32
+		for _, v := range vs {
+			out = append(out, math.Float32bits(v.X), math.Float32bits(v.Y), math.Float32bits(v.Z))
+		}
+		return out
+	}
+	soup := func(m *geom.Mesh) []geom.Vec3 {
+		var out []geom.Vec3
+		for _, t := range m.ExpandSoup() {
+			out = append(out, t.A, t.B, t.C)
+		}
+		return out
+	}
+	return slices.Equal(a.Idx, b.Idx) && slices.Equal(bits(a.Verts), bits(b.Verts)) && slices.Equal(bits(soup(a)), bits(soup(b)))
 }
 
 // TestBackendWithoutChunksIsRefused: a result with triangles and no chunks is
 // an error, not an empty surface served and cached.
 func TestBackendWithoutChunksIsRefused(t *testing.T) {
-	s := New(soupOnlyBackend{}, Config{})
+	s := New(meshOnlyBackend{}, Config{})
 	if _, err := s.QueryFrame(context.Background(), 0, 10); err == nil || !strings.Contains(err.Error(), "no chunks") {
 		t.Fatalf("err = %v, want the refusal of a result without chunks", err)
 	}

@@ -30,11 +30,11 @@ import (
 // whose name (its last identifier) no test file mentions.
 var oracles = map[string]string{
 	// Reference implementations: what a test of live code compares against.
-	"march.Grid":                     "whole-grid marching cubes, the reference the metacell path, the cluster and the mesh exporters are tested against",
-	"metacell.DecodeRecord":          "the allocating record decoder DecodeRecordInto is fuzzed and tested against",
-	"geom.(*IndexedMesh).ExpandSoup": "the allocating expansion: welded ≡ soup is checked through it, and ExpandInto against it",
-	"geom.UseGatherKernel":           "switches Gather to its portable loop, the reference meshio's decode differential (withKernels) holds the streaming-store kernel to",
-	"geom.PoisonSoups":               "fills MakeSoup's uncleared soups with NaN bits in the byte-identity tests of their writers (meshio's v2 differential, cluster's streaming ≡ two-phase), so a triangle never written shows",
+	"march.Grid":              "whole-grid marching cubes, the reference the metacell path, the cluster and the mesh exporters are tested against",
+	"metacell.DecodeRecord":   "the allocating record decoder DecodeRecordInto is fuzzed and tested against",
+	"geom.(*Mesh).ExpandSoup": "the soup a mesh expands to: every byte-identity oracle (welded ≡ soup, streaming ≡ two-phase, routed ≡ direct, chaos ≡ fault-free) compares through it",
+	"geom.UseGatherKernel":    "switches Gather to its portable loop, the reference meshio's decode differential (withKernels) holds the streaming-store kernel to",
+	"geom.PoisonMeshes":       "fills MakeMesh's uncleared arrays with 0xFF bytes in the byte-identity tests of their writers (meshio's v2 differential, cluster's streaming ≡ two-phase), so a vertex or an index never written shows",
 
 	// Measurements a test of live code reads its verdict from.
 	"intervaltree.(*Tree).Count":     "stabbing count the interval tree and BBIO tests check against brute force",
@@ -42,7 +42,6 @@ var oracles = map[string]string{
 	"march.TableTriangles":           "march_test checks every generated case (valid cut edges, manifold fans) through it",
 	"meshio.IsClosed":                "watertightness of what Index welds from an extracted sphere",
 	"meshio.EulerCharacteristic":     "topology (χ = 2 sphere, 0 torus) of what Index welds",
-	"geom.(*Mesh).TotalArea":         "march_test compares an extracted sphere's area with 4πr²",
 	"geom.Triangle.Centroid":         "march tests check triangle normals point away from the inside through it",
 	"spanspace.(*Histogram2D).Total": "spanspace_test checks the span-space histogram conserves its metacells",
 

@@ -15,9 +15,10 @@
 // ThreadsPerNode+1 marching-cubes lanes, overlapping disk I/O with
 // triangulation while staging at most four batches of DefaultBatchRecords
 // records in memory. The same lanes then write a kept surface at its exact
-// length: gathered into one soup (Options.KeepMeshes), byte for byte the mesh
-// of the paper's retrieve-everything-then-triangulate schedule, encoded into
-// the binary wire format's chunks (Options.KeepChunks), or both. Every query is
+// length: copied into one mesh of welded vertices and index triples
+// (Options.KeepMeshes), array for array the mesh of the paper's
+// retrieve-everything-then-triangulate schedule, encoded into the binary wire
+// format's chunks (Options.KeepChunks), or both. Every query is
 // charged for all the blocks it reads, cold, as the paper measures it.
 // Extraction takes a context.Context; cancelling it aborts the pipeline
 // mid-stream on every node.
@@ -26,7 +27,7 @@
 // (NewServer): concurrent requests for the same (time step,
 // quantized isovalue) are coalesced into one extraction, completed meshes are
 // kept in a byte-budgeted cache that evicts by frequency and size — as the
-// extraction's welded batches, encoded (Options.KeepChunks), not as soup —
+// extraction's welded batches, encoded (Options.KeepChunks), not as meshes —
 // and admission control bounds in-flight work, shedding excess load with
 // ErrSaturated.
 //
@@ -80,15 +81,13 @@ type (
 	Options = cluster.Options
 	// Result is the outcome of one parallel extraction.
 	Result = cluster.Result
-	// Mesh is a triangle soup produced by extraction.
+	// Mesh is a triangle mesh produced by extraction: welded vertices plus
+	// index triples.
 	Mesh = geom.Mesh
 	// Framebuffer is a color+depth image.
 	Framebuffer = render.Framebuffer
 	// Tile is one display server's region of the tiled wall.
 	Tile = composite.Tile
-	// IndexedMesh is a welded triangle mesh, shared vertices plus index
-	// triples: what extraction welds into and what WriteMesh exports.
-	IndexedMesh = geom.IndexedMesh
 	// Server is the concurrent query service: request coalescing, mesh
 	// cache, admission control (see NewServer).
 	Server = serve.Server
@@ -216,7 +215,8 @@ func AssembleWall(tiles []Tile, tilesX, tilesY int) (*Framebuffer, error) {
 }
 
 // MergeMeshes concatenates the per-node meshes of an extraction (run with
-// Options.KeepMeshes) into one triangle soup.
+// Options.KeepMeshes) into one mesh, each node's indices rebased past the
+// vertices of the nodes before it.
 func MergeMeshes(res *Result) (*Mesh, error) {
 	meshes, err := res.Meshes()
 	if err != nil {
@@ -224,16 +224,16 @@ func MergeMeshes(res *Result) (*Mesh, error) {
 	}
 	var out Mesh
 	for _, m := range meshes {
-		out.Append(m.Tris...)
+		m.ExpandInto(&out)
 	}
 	return &out, nil
 }
 
-// IndexMesh welds triangle soups, in order, into one indexed mesh with shared
-// vertices: an extraction's per-node meshes (Result.Meshes) weld to the same
-// mesh as their MergeMeshes soup.
-func IndexMesh(meshes ...*Mesh) *IndexedMesh { return meshio.Index(meshes...) }
+// IndexMesh welds meshes, in order, into one mesh whose coincident vertices
+// are one: an extraction's per-node meshes (Result.Meshes) weld to the same
+// mesh as their MergeMeshes concatenation.
+func IndexMesh(meshes ...*Mesh) *Mesh { return meshio.Index(meshes...) }
 
 // WriteMesh writes an indexed mesh to path in the format its extension names
 // (.obj, .stl or .ply). An unknown extension fails before the file is created.
-func WriteMesh(path string, im *IndexedMesh) error { return meshio.WriteFile(path, im) }
+func WriteMesh(path string, im *Mesh) error { return meshio.WriteFile(path, im) }

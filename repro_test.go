@@ -193,3 +193,44 @@ func TestPreprocessCopiesNoRecord(t *testing.T) {
 		t.Errorf("preprocessing allocated %d B, more than its %d B of records plus %d B of slack: a record is copied", got, eng.DataBytes, slack)
 	}
 }
+
+// TestExtractAllocatesItsMeshes is the allocation gate behind a kept surface
+// being its welded vertices and index triples: on the benchmark volume, a
+// warmed Extract with KeepMeshes allocates each node's mesh — 12 B a vertex
+// and 12 B a triangle, about 19.6 B a triangle — and at most a stated slack
+// of 1 MiB besides: the query's batch buffer, the lanes' goroutines and the
+// result (about 0.2 MB here). A 36 B-a-triangle soup, as the expand phase
+// once gathered, would take it past the slack by 9 MB or more at each of
+// these isovalues (16.4 B a triangle more, 661 k to 1.67 M triangles).
+func TestExtractAllocatesItsMeshes(t *testing.T) {
+	const slack = 1 << 20
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	eng, err := Preprocess(GenerateRM(256, 256, 240, 250, 42), Config{Procs: 1, ThreadsPerNode: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	ctx := context.Background()
+	for _, iso := range []float32{70, 110, 150} {
+		var res *Result
+		var before, after runtime.MemStats
+		for run := 0; run < 2; run++ { // the first warms the engine's scratch
+			runtime.ReadMemStats(&before)
+			if res, err = eng.Extract(ctx, iso, Options{KeepMeshes: true}); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+		}
+		meshes := 0
+		for _, n := range res.PerNode {
+			meshes += 12*n.Mesh.NumVerts() + 4*len(n.Mesh.Idx)
+		}
+		got := after.TotalAlloc - before.TotalAlloc
+		t.Logf("iso %v: %.1f MB allocated for %d triangles in %.1f MB of mesh (%.1f B a triangle)",
+			iso, float64(got)/1e6, res.Triangles, float64(meshes)/1e6, float64(meshes)/float64(res.Triangles))
+		if res.Triangles < 500_000 || got > uint64(meshes)+slack {
+			t.Errorf("iso %v: Extract allocated %d B for %d triangles, more than their %d B of mesh plus %d B of slack",
+				iso, got, res.Triangles, meshes, slack)
+		}
+	}
+}

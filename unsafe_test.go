@@ -18,7 +18,7 @@ var unsafeSurface = map[string]struct {
 	linkname bool
 	why      string
 }{
-	"internal/geom/alloc.go":        {true, "MakeSoup: runtime.mallocgc without the clear, and a slice of triangles over what it returns"},
+	"internal/geom/alloc.go":        {true, "MakeMesh: runtime.mallocgc without the clear, and slices of vertices and indices over what it returns"},
 	"internal/geom/gather.go":       {false, "Gather hands the kernel raw pointers to the soup, the vertices and indices of either width"},
 	"internal/geom/gather_amd64.go": {false, "the kernel's declaration takes its indices as an unsafe.Pointer"},
 	"internal/geom/gather_other.go": {false, "the same declaration in builds without the kernel"},
