@@ -85,7 +85,7 @@ var minorFaults func() int64
 // it at -cpu 1 and at the host's count. minflt/op is the minor page faults a
 // set-up takes: every fresh page the process touches, at a few µs each.
 func BenchmarkPreprocess(b *testing.B) {
-	g := GenerateRM(256, 256, 240, 250, 42)
+	g := benchmarkVolume()
 	for _, backing := range []string{"memory", "file"} {
 		b.Run(backing, func(b *testing.B) {
 			b.SetBytes(g.SizeBytes())

@@ -377,8 +377,9 @@ func TestRecycleZeroAllocSteadyState(t *testing.T) {
 // sockets: one replica with the surface cached and sealed, the repository
 // benchmark's mean surface of 890 000 triangles (a 9.9 MB frame of grid
 // vertices, 11.1 B a triangle; a 17.5 MB mesh). query is Router.Query — the
-// frame decoded into a mesh of the caller's own, vertices expanded and
-// indices rebased, and recycled, so B/op is the mesh's two arrays; bytes is
+// frame decoded into a fresh mesh of the caller's own, vertices expanded and
+// indices rebased with streaming stores where the host has AVX2, and
+// recycled, so B/op is the mesh's two arrays; bytes is
 // QueryBytes with the frame handed back when done — the relay path, B/op the
 // HTTP exchange alone. MB/s is frame bytes delivered, frame-B/tri their size
 // per triangle.

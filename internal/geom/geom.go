@@ -170,7 +170,10 @@ func (m *Mesh) ExpandInto(dst *Mesh) {
 
 // Rebase writes each index of src plus base into dst (as long, and maybe src
 // itself) and returns src's largest index, 0 for none, so a caller checks
-// them all with one compare: two max chains, four indices a turn.
+// them all with one compare: two max chains, four indices a turn. It is the
+// portable rebase, with plain stores: the engine's expand phase runs it, and
+// so does the wire decoder off amd64, for the head and tail of each chunk
+// around its streaming-store kernel, and as that kernel's oracle.
 func Rebase[I uint16 | uint32](dst []uint32, src []I, base uint32) (top uint32) {
 	dst = dst[:len(src)]
 	var t0, t1 uint32

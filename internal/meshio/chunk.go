@@ -300,21 +300,39 @@ func decodeChunks(p []byte, verts, tris int) (*geom.Mesh, error) {
 // from. Row 3 answers the axis no vertex has, which expandGrid refuses.
 var gridPerm = [4][3]uint8{{0, 1, 2}, {1, 0, 2}, {1, 2, 0}, {0, 1, 2}}
 
+// kernelBlock is the most vertices or indices one call of a vector kernel
+// writes: the scheduler cannot preempt assembly, so a goroutine decoding a
+// huge chunk returns to Go between blocks. It is a multiple of eight, so
+// every block after a chunk's first starts where the last one's aligned
+// stores ended.
+const kernelBlock = 1 << 16
+
 // expandGrid expands a grid chunk's vertices vb into verts and reports
 // whether every one of them is the rule's: an axis below 3 and the lowest
-// that qualifies, a second integer below gridLimit. Whole blocks of eight go
-// through expandGridAVX2 where the host has it; the rest, and every vertex on
-// any other host, through the loop below. Neither branches on a vertex's
-// bytes — the axis selects a row of gridPerm (or a blend lane) and every check
-// folds into one word — because the axes of an extraction's vertices follow
-// each other in no order a branch predictor could learn.
+// that qualifies, a second integer below gridLimit. Where the host has AVX2,
+// expandGridAVX2 writes every vertex from verts' first 32-byte boundary on,
+// eight at a time, with streaming stores: verts is a mesh MakeMesh has just
+// allocated, none of its lines is in cache, and a plain store would read
+// each one only to overwrite it. The head before that boundary, the tail
+// and every vertex on any other host go through expandGridLoop.
 func expandGrid(verts []geom.Vec3, vb []byte) bool {
 	vb = vb[:gridVertSize*len(verts)]
-	bad, done := uint32(0), 0
-	if blocks := len(verts) / 8; gridAVX2 && blocks > 0 {
-		bad, done = expandGridAVX2(&verts[0], &vb[0], blocks), 8*blocks
+	bad := uint32(0)
+	for gridAVX2 && len(verts) >= 8 {
+		lo, hi, b := expandGridAVX2(&verts[0], &vb[0], min(len(verts), kernelBlock))
+		bad |= b | expandGridLoop(verts[:lo], vb)
+		verts, vb = verts[hi:], vb[gridVertSize*hi:]
 	}
-	for i := done; i < len(verts); i++ {
+	return bad|expandGridLoop(verts, vb) == 0
+}
+
+// expandGridLoop is expandGrid in Go, the portable path and the kernel's
+// oracle: it returns non-zero when a vertex is off the rule. It does not
+// branch on a vertex's bytes — the axis selects a row of gridPerm and every
+// check folds into one word — because the axes of an extraction's vertices
+// follow each other in no order a branch predictor could learn.
+func expandGridLoop(verts []geom.Vec3, vb []byte) (bad uint32) {
+	for i := range verts {
 		ij := binary.LittleEndian.Uint32(vb[gridVertSize*i:])
 		cb := binary.LittleEndian.Uint32(vb[gridVertSize*i+4:])
 		axis := ij >> 14 & 3
@@ -328,7 +346,7 @@ func expandGrid(verts []geom.Vec3, vb []byte) bool {
 		crossInt := b2u(ci < gridLimit) & b2u(math.Float32bits(float32(ci)) == cb)
 		bad |= axis>>1&axis | ij>>30 | b2u(axis != 0)&crossInt
 	}
-	return bad == 0
+	return bad
 }
 
 // b2u is 1 for true and 0 for false, without a branch.
@@ -341,24 +359,41 @@ func b2u(b bool) uint32 {
 
 // rebase copies a chunk's indices into idx, each plus base, the chunk's
 // first vertex in the mesh, and reports false for an index outside the
-// chunk's vertices. It reads them straight from the frame's bytes where the
-// host layout and the alignment allow; otherwise it decodes them into idx
-// one by one first and rebases them there.
+// chunk's vertices: one compare of the largest index read. Where the host
+// has AVX2, rebaseAVX2 writes every index from idx's first 32-byte boundary
+// on with streaming stores, for the reason expandGrid gives, reading the
+// frame's bytes at any alignment; the head before that boundary, the tail
+// and every index on any other host go through rebaseLoop.
 func rebase(idx []uint32, c chunk, base uint32) bool {
-	if c.width == 2 {
-		if src, ok := bytesAs[uint16](c.ib); ok {
-			return uint64(geom.Rebase(idx, src, base)) < uint64(c.verts)
+	ib, top := c.ib[:c.width*len(idx)], uint32(0)
+	for gridAVX2 && len(idx) >= 8 {
+		lo, hi, t := rebaseAVX2(&idx[0], &ib[0], min(len(idx), kernelBlock), c.width, base)
+		top = max(top, t, rebaseLoop(idx[:lo], ib, c.width, base))
+		idx, ib = idx[hi:], ib[c.width*hi:]
+	}
+	return uint64(max(top, rebaseLoop(idx, ib, c.width, base))) < uint64(c.verts)
+}
+
+// rebaseLoop is rebase's portable path through geom.Rebase, returning the
+// largest index. It reads the indices straight from the frame's bytes where
+// the host layout and the alignment allow; otherwise it decodes them into
+// idx one by one first and rebases them there.
+func rebaseLoop(idx []uint32, ib []byte, width int, base uint32) uint32 {
+	ib = ib[:width*len(idx)]
+	if width == 2 {
+		if src, ok := bytesAs[uint16](ib); ok {
+			return geom.Rebase(idx, src, base)
 		}
 		for i := range idx {
-			idx[i] = uint32(binary.LittleEndian.Uint16(c.ib[2*i:]))
+			idx[i] = uint32(binary.LittleEndian.Uint16(ib[2*i:]))
 		}
 	} else {
-		if src, ok := bytesAs[uint32](c.ib); ok {
-			return uint64(geom.Rebase(idx, src, base)) < uint64(c.verts)
+		if src, ok := bytesAs[uint32](ib); ok {
+			return geom.Rebase(idx, src, base)
 		}
 		for i := range idx {
-			idx[i] = binary.LittleEndian.Uint32(c.ib[4*i:])
+			idx[i] = binary.LittleEndian.Uint32(ib[4*i:])
 		}
 	}
-	return uint64(geom.Rebase(idx, idx, base)) < uint64(c.verts)
+	return geom.Rebase(idx, idx, base)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"maps"
 	"math"
@@ -532,12 +533,12 @@ func TestChunkedDecodeAllocationBound(t *testing.T) {
 	}
 }
 
-// hostGridAVX2 is whether this host runs the vector grid kernel.
+// hostGridAVX2 is whether this host runs the vector kernels.
 var hostGridAVX2 = gridAVX2
 
-// withKernels runs f with both of the decoder's kernels — the vector grid
-// kernel and geom's streaming-store gather — on where the host has them, or
-// off, so that the portable loops answer alone. Not for parallel tests: it
+// withKernels runs f with the codec's kernels — the streaming-store grid
+// expansion and rebase (gridAVX2) and geom's streaming-store gather — on
+// where the host has them, or off, so that the portable loops answer alone. Not for parallel tests: it
 // flips package-wide switches.
 func withKernels(on bool, f func()) {
 	defer func(grid, gather bool) {
@@ -548,10 +549,47 @@ func withKernels(on bool, f func()) {
 	f()
 }
 
+// kernelRuns are the run lengths the kernel differentials try: every length
+// from 0 to 80 — no whole block, one, several, each with every head and
+// tail — and runs across one and two block edges.
+var kernelRuns = func() []int {
+	runs := []int{kernelBlock + 11, 2*kernelBlock + 21}
+	for n := 0; n <= 80; n++ {
+		runs = append(runs, n)
+	}
+	return runs
+}()
+
+// offsets are the destination offsets, in elements, the kernel
+// differentials try for a run of n: all eight heads below 81, two past it.
+func offsets(n int) []int {
+	if n > 80 {
+		return []int{0, 5}
+	}
+	return []int{0, 1, 2, 3, 4, 5, 6, 7}
+}
+
+// positions are where the kernel differentials put a bad element in a run
+// of n: everywhere below 81, past it first, middle, last and just after the
+// first block edge.
+func positions(n int) []int {
+	if n > 80 {
+		return []int{0, n / 2, kernelBlock + 3, n - 1}
+	}
+	at := make([]int, n)
+	for i := range at {
+		at[i] = i
+	}
+	return at
+}
+
 // TestGridKernelMatchesPortableLoop holds the vector kernel to the portable
-// loop: vertex for vertex, by bits, on grid chunks of every length around the
-// eight-vertex block, and verdict for verdict with one vertex in each lane
-// off the rule — or on it in a way only bits tell apart.
+// loop: vertex for vertex, by bits, and verdict for verdict, with one vertex
+// in each position — so in each of the eight lanes, and in the head, the
+// body and the tail — off the rule or on it in a way only bits tell apart.
+// Every destination offset 0–7 puts the first 32-byte boundary at each of
+// the eight vertices a head can end on, the source sits at byte offsets 0
+// and 1, and the kernel must write nothing outside its vertices.
 func TestGridKernelMatchesPortableLoop(t *testing.T) {
 	if !gridAVX2 {
 		t.Skip("no vector grid kernel on this host")
@@ -583,30 +621,116 @@ func TestGridKernelMatchesPortableLoop(t *testing.T) {
 		"denormal crossing on axis 1":   {vertex(1<<14, 1, 1), true},
 		"largest integers on each axis": {vertex(16383|2<<14, 16383, f32(0.5)), true},
 	}
-	expand := func(vector bool, vb []byte) (verts []geom.Vec3, ok bool) {
-		verts = make([]geom.Vec3, len(vb)/8)
-		withKernels(vector, func() { ok = expandGrid(verts, vb) })
-		return verts, ok
-	}
-	for n := 1; n <= 33; n++ {
-		vb := chunkBuf(gridBatch(1, n, uint32(n)))[chunkHeaderSize:][:8*n]
-		want, wok := expand(false, vb)
-		got, gok := expand(true, vb)
-		if !wok || !gok || !slices.EqualFunc(got, want, func(a, b geom.Vec3) bool { return bitsOf(a) == bitsOf(b) }) {
-			t.Fatalf("%d vertices: the kernels disagree (ok %v, %v)", n, gok, wok)
+	names := slices.Sorted(maps.Keys(lanes))
+	sentinel := geom.V(-1, -2, -3)
+	want, got := make([]geom.Vec3, 2*kernelBlock+40), make([]geom.Vec3, 2*kernelBlock+40)
+	expand := func(vector bool, out []geom.Vec3, off int, vb []byte) (ok bool) {
+		out = out[:off+len(vb)/8+8]
+		for i := range out {
+			out[i] = sentinel
 		}
-		for _, name := range slices.Sorted(maps.Keys(lanes)) {
-			lane := lanes[name]
-			for i := 0; i < n; i++ {
-				bad := append([]byte(nil), vb...)
-				lane.set(bad[8*i:])
-				want, wok := expand(false, bad)
-				got, gok := expand(true, bad)
-				if wok != lane.ok || gok != lane.ok {
-					t.Fatalf("%d vertices, %s in vertex %d: portable ok %v, vector ok %v, want %v", n, name, i, wok, gok, lane.ok)
+		withKernels(vector, func() { ok = expandGrid(out[off:off+len(vb)/8], vb) })
+		return ok
+	}
+	same := func(n, off int) bool {
+		return slices.EqualFunc(got[:off+n+8], want[:off+n+8], func(a, b geom.Vec3) bool { return bitsOf(a) == bitsOf(b) })
+	}
+	for _, n := range kernelRuns {
+		good := chunkBuf(gridBatch(1, max(n, 3), uint32(n)))[chunkHeaderSize:][:8*n]
+		for _, off := range offsets(n) {
+			for soff := 0; soff < 2; soff++ {
+				vb := make([]byte, soff+len(good))[soff:]
+				copy(vb, good)
+				wok, gok := expand(false, want, off, vb), expand(true, got, off, vb)
+				if !wok || !gok || !same(n, off) {
+					t.Fatalf("%d vertices at offset %d, source at %d: the kernels disagree (ok %v, %v)", n, off, soff, gok, wok)
 				}
-				if lane.ok && !slices.EqualFunc(got, want, func(a, b geom.Vec3) bool { return bitsOf(a) == bitsOf(b) }) {
-					t.Fatalf("%d vertices, %s in vertex %d: the kernels expand different vertices", n, name, i)
+				for _, name := range names {
+					lane := lanes[name]
+					for _, i := range positions(n) {
+						copy(vb, good)
+						lane.set(vb[8*i:])
+						wok, gok := expand(false, want, off, vb), expand(true, got, off, vb)
+						if wok != lane.ok || gok != lane.ok {
+							t.Fatalf("%d vertices at offset %d, %s in vertex %d: portable ok %v, vector ok %v, want %v", n, off, name, i, wok, gok, lane.ok)
+						}
+						if lane.ok && !same(n, off) {
+							t.Fatalf("%d vertices at offset %d, %s in vertex %d: the kernels expand different vertices", n, off, name, i)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRebaseKernelMatchesPortableLoop holds rebaseAVX2 to geom.Rebase
+// through rebase, index for index and verdict for verdict: 16- and 32-bit
+// indices, every run length of kernelRuns, every destination offset 0–7, the
+// source at byte offsets 0 and 1 (a misaligned index run the kernel reads as
+// it lies), base 0 and a base near 2³², and in each position an index equal
+// to the chunk's vertex count minus one (accepted), equal to it, one past it
+// and all ones (refused). The kernel must write nothing outside its indices.
+func TestRebaseKernelMatchesPortableLoop(t *testing.T) {
+	if !gridAVX2 {
+		t.Skip("no vector rebase kernel on this host")
+	}
+	want, got := make([]uint32, 2*kernelBlock+40), make([]uint32, 2*kernelBlock+40)
+	run := func(vector bool, out []uint32, off int, c chunk, base uint32) (ok bool) {
+		n := len(c.ib) / c.width
+		out = out[:off+n+8]
+		for i := range out {
+			out[i] = 0xdeadbeef
+		}
+		withKernels(vector, func() { ok = rebase(out[off:off+n], c, base) })
+		return ok
+	}
+	for _, width := range []int{2, 4} {
+		verts := map[int]int{2: 1000, 4: 70_000}[width]
+		for _, n := range kernelRuns {
+			good := make([]byte, width*n)
+			x := uint32(n)*2654435761 + 1
+			for i := 0; i < n; i++ {
+				x = x*1664525 + 1013904223
+				v := x % uint32(verts)
+				if x>>28 == 0 {
+					v = uint32(verts - 1)
+				}
+				if width == 2 {
+					binary.LittleEndian.PutUint16(good[2*i:], uint16(v))
+				} else {
+					binary.LittleEndian.PutUint32(good[4*i:], v)
+				}
+			}
+			for _, off := range offsets(n) {
+				for soff := 0; soff < 2; soff++ {
+					ib := make([]byte, soff+len(good))[soff:]
+					for _, base := range []uint32{0, math.MaxUint32 - uint32(verts) - 5} {
+						check := func(what string, wantOK bool) {
+							c := chunk{verts: verts, width: width, ib: ib}
+							wok, gok := run(false, want, off, c, base), run(true, got, off, c, base)
+							if wok != wantOK || gok != wantOK || !slices.Equal(got[:off+n+8], want[:off+n+8]) {
+								t.Fatalf("%d-byte indices, %d at offset %d, source at %d, base %#x, %s: portable ok %v, vector ok %v, want %v; same indices %v",
+									width, n, off, soff, base, what, wok, gok, wantOK, slices.Equal(got[:off+n+8], want[:off+n+8]))
+							}
+						}
+						copy(ib, good)
+						check("every index in range", true)
+						for _, i := range positions(n) {
+							for _, bad := range []struct {
+								v  uint32
+								ok bool
+							}{{uint32(verts - 1), true}, {uint32(verts), false}, {uint32(verts + 1), false}, {math.MaxUint32, false}} {
+								copy(ib, good)
+								if width == 2 {
+									binary.LittleEndian.PutUint16(ib[2*i:], uint16(bad.v))
+								} else {
+									binary.LittleEndian.PutUint32(ib[4*i:], bad.v)
+								}
+								check(fmt.Sprintf("index %d is %#x", i, bad.v), bad.ok)
+							}
+						}
+					}
 				}
 			}
 		}

@@ -178,6 +178,42 @@ func TestDecodeVerifiedSkipsOnlyTheCRC(t *testing.T) {
 	}
 }
 
+// BenchmarkDecodeVerified decodes the repository benchmark's mean surface —
+// 890 000 triangles in welded batches of 50 000 over 32 000 grid vertices, a
+// 9.9 MB frame — into a fresh mesh each op, as a routed hit does: kernel on
+// the host's vector kernels, portable on the Go loops alone. The mesh must be
+// fresh: the kernels' streaming stores save reading each of its lines from
+// memory first, which a benchmark decoding into one reused mesh, its lines in
+// cache, would not show.
+func BenchmarkDecodeVerified(b *testing.B) {
+	const tris, batch = 890_000, 50_000
+	var batches []*geom.Mesh
+	for done := 0; done < tris; done += batch {
+		n := min(batch, tris-done)
+		batches = append(batches, gridBatch(n, n*16/25, uint32(done)))
+	}
+	frame := sealed(5, chunkBuf(batches...))
+	for _, path := range []struct {
+		name    string
+		kernels bool
+	}{{"kernel", true}, {"portable", false}} {
+		b.Run(path.name, func(b *testing.B) {
+			if path.kernels && !hostGridAVX2 {
+				b.Skip("no vector kernels on this host")
+			}
+			withKernels(path.kernels, func() {
+				b.SetBytes(int64(len(frame)))
+				b.ReportAllocs()
+				for b.Loop() {
+					if _, _, err := DecodeVerified(frame); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		})
+	}
+}
+
 // TestForeignHostPathsProduceTheSameBytes runs the codec the way a host
 // whose triangle layout is not the wire layout would — every view refused,
 // every path per-component, grid vertices and the encoder's gather through

@@ -100,15 +100,16 @@ func frameSeeds() [][]byte {
 // triangles expanded corner by corner (expandAll, which does not call
 // geom.Gather), concatenated, are what every decoder must return;
 // portableChunked re-encodes each batch in the form the rule gives it, so an
-// accepted chunk of either form is the one encoding of its batch. With both
-// kernels off (withKernels) — the vector grid kernel and geom's
-// streaming-store gather — the portable loops must accept the same frames
-// and decode them to the same bits, so the fuzzer holds each kernel to its
-// loop verdict for verdict, bit for bit;
+// accepted chunk of either form is the one encoding of its batch. With the
+// kernels off (withKernels) — the streaming-store grid expansion and rebase,
+// and geom's streaming-store gather — the portable loops must accept the
+// same frames and decode them to the same bits, so on amd64 the fuzzer holds
+// each kernel to its loop verdict for verdict, bit for bit;
 // TestDecodeSeedsWithPortableLoop runs every seed on the portable loops
 // alone, as a host without the kernels does. The same frame at byte offsets
-// 1–3 of a larger buffer must decode through the per-component loops — not a
-// misaligned pointer — and at no offset may the mesh alias the buffer.
+// 1–3 of a larger buffer must decode through the rebase kernel's unaligned
+// loads or the per-component loops — not a misaligned pointer — and at no
+// offset may the mesh alias the buffer.
 // Meshes are poisoned (geom.PoisonMeshes) here and in
 // TestDecodeSeedsWithPortableLoop, so a vertex or an index a decoder skips
 // shows as NaN bits or an index past every vertex, not as what the memory
@@ -225,9 +226,10 @@ func checkDecodeBinary(t *testing.T, data []byte) {
 	// The frame at offsets 0–3 of a larger buffer. Heap buffers start
 	// 8-byte aligned, so offset 0 puts the payload on a float32 boundary
 	// and 1–3 never do: there bytesAs must refuse a plain chunk's vertices
-	// and indices, and the decoder read them one by one, which -race's
-	// checkptr would otherwise report as a misaligned conversion. At every
-	// offset the mesh is the decoder's own.
+	// and indices, and the decoder read them one by one or through the
+	// rebase kernel's unaligned loads, where -race's checkptr would
+	// otherwise report a misaligned conversion. At every offset the mesh is
+	// the decoder's own.
 	for off := 0; off <= 3; off++ {
 		buf := make([]byte, off+len(data)+1)
 		at := buf[off : off+len(data)]

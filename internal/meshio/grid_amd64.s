@@ -88,7 +88,13 @@ no:
 	MOVB $0, ret+0(FP)
 	RET
 
-// func expandGridAVX2(dst *geom.Vec3, src *byte, blocks int) (bad uint32)
+// func expandGridAVX2(dst *geom.Vec3, src *byte, n int) (lo, hi int, bad uint32)
+//
+// Expands vertices lo..hi of the n at dst: lo is how many lie before dst's
+// first 32-byte boundary, −3·(dst/4) mod 8 as a vertex is 12 bytes, and
+// hi − lo the most whole blocks of eight after it, so every store is an
+// aligned VMOVNTPS: the mesh is fresh, and a plain store would read each
+// line before overwriting it.
 //
 // Per block: deinterleave eight (ij, crossing) pairs into IJ and C, convert
 // the integers, select X, Y and Z by the axis with blends — X = axis 0 ? C : A,
@@ -96,10 +102,25 @@ no:
 // into eight 12-byte vertices. The checks accumulate across blocks: any IJ
 // with its top two bits set, any axis 3, and any crossing on an axis above 0
 // that is itself a grid integer.
-TEXT ·expandGridAVX2(SB), NOSPLIT, $0-28
+TEXT ·expandGridAVX2(SB), NOSPLIT, $0-44
 	MOVQ dst+0(FP), DI
 	MOVQ src+8(FP), SI
-	MOVQ blocks+16(FP), CX
+	MOVQ n+16(FP), CX
+	MOVQ DI, AX
+	SHRQ $2, AX
+	LEAQ (AX)(AX*2), AX
+	NEGQ AX
+	ANDQ $7, AX
+	CMPQ AX, CX
+	CMOVQGT CX, AX
+	SUBQ AX, CX
+	SHRQ $3, CX // blocks
+	MOVQ AX, lo+24(FP)
+	LEAQ (AX)(CX*8), BX
+	MOVQ BX, hi+32(FP)
+	LEAQ (AX)(AX*2), BX
+	LEAQ (DI)(BX*4), DI
+	LEAQ (SI)(AX*8), SI
 	VPXOR Y11, Y11, Y11 // OR of every IJ
 	VPXOR Y12, Y12, Y12 // OR of every lane found off the rule
 	TESTQ CX, CX
@@ -151,19 +172,19 @@ loop:
 	VPERMPS  Y1, Y13, Y5
 	VBLENDPS $0x92, Y4, Y3, Y3
 	VBLENDPS $0x24, Y5, Y3, Y3
-	VMOVUPS  Y3, (DI)
+	VMOVNTPS Y3, (DI)
 	VPERMPS  Y0, Y14, Y3
 	VPERMPS  Y2, Y14, Y4
 	VPERMPS  Y1, Y14, Y5
 	VBLENDPS $0x24, Y4, Y3, Y3
 	VBLENDPS $0x49, Y5, Y3, Y3
-	VMOVUPS  Y3, 32(DI)
+	VMOVNTPS Y3, 32(DI)
 	VPERMPS  Y0, Y15, Y3
 	VPERMPS  Y2, Y15, Y4
 	VPERMPS  Y1, Y15, Y5
 	VBLENDPS $0x49, Y4, Y3, Y3
 	VBLENDPS $0x92, Y5, Y3, Y3
-	VMOVUPS  Y3, 64(DI)
+	VMOVNTPS Y3, 64(DI)
 
 	ADDQ $64, SI
 	ADDQ $96, DI
@@ -171,11 +192,76 @@ loop:
 	JNZ  loop
 
 done:
+	SFENCE
 	VPAND   gridTop2<>(SB), Y11, Y11
 	VPOR    Y11, Y12, Y12
 	XORL    AX, AX
 	VPTEST  Y12, Y12
 	SETNE   AL
 	VZEROUPPER
-	MOVL    AX, bad+24(FP)
+	MOVL    AX, bad+40(FP)
+	RET
+
+// func rebaseAVX2(dst *uint32, src *byte, n, width int, base uint32) (lo, hi int, top uint32)
+//
+// Writes indices lo..hi of the n at dst, each the width-byte (2 or 4)
+// index at src plus base, and returns the largest index read: lo is how
+// many lie before dst's first 32-byte boundary and hi − lo the most whole
+// runs of eight after it, so every store is an aligned VMOVNTDQ, for the
+// reason expandGridAVX2 gives. The loads need no alignment.
+TEXT ·rebaseAVX2(SB), NOSPLIT, $0-60
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	MOVQ width+24(FP), DX
+	MOVQ DI, AX
+	NEGQ AX
+	SHRQ $2, AX
+	ANDQ $7, AX
+	CMPQ AX, CX
+	CMOVQGT CX, AX
+	SUBQ AX, CX
+	SHRQ $3, CX // runs of eight
+	MOVQ AX, lo+40(FP)
+	LEAQ (AX)(CX*8), BX
+	MOVQ BX, hi+48(FP)
+	LEAQ (DI)(AX*4), DI
+	IMULQ DX, AX
+	ADDQ AX, SI
+	MOVL         base+32(FP), BX
+	VMOVD        BX, X2
+	VPBROADCASTD X2, Y2
+	VPXOR Y3, Y3, Y3 // running maximum
+	TESTQ CX, CX
+	JZ   max
+
+loop:
+	CMPQ      DX, $4
+	JEQ       wide
+	VPMOVZXWD (SI), Y0
+	JMP       add
+
+wide:
+	VMOVDQU (SI), Y0
+
+add:
+	VPMAXUD  Y0, Y3, Y3
+	VPADDD   Y2, Y0, Y0
+	VMOVNTDQ Y0, (DI)
+	LEAQ     (SI)(DX*8), SI
+	ADDQ     $32, DI
+	DECQ     CX
+	JNZ      loop
+
+max:
+	SFENCE
+	VEXTRACTI128 $1, Y3, X0
+	VPMAXUD      X0, X3, X3
+	VPSHUFD      $0x4e, X3, X0
+	VPMAXUD      X0, X3, X3
+	VPSHUFD      $0xb1, X3, X0
+	VPMAXUD      X0, X3, X3
+	VMOVD        X3, AX
+	VZEROUPPER
+	MOVL         AX, top+56(FP)
 	RET

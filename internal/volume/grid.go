@@ -9,6 +9,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 )
 
 // Format identifies the storage width of a grid's scalar samples.
@@ -147,15 +150,28 @@ func clamp(v, lo, hi float32) float32 {
 	return v
 }
 
-// Fill evaluates f at every sample coordinate and stores the result.
+// Fill evaluates f at every sample coordinate and stores the result. It
+// hands z-planes to min(GOMAXPROCS, Nz) goroutines from an atomic counter,
+// so f is called from several at once and must be a pure function of its
+// coordinates; each sample is stored by the one call that computes it, so
+// the grid's bytes do not depend on the goroutine count.
 func (g *Grid) Fill(f func(x, y, z int) float32) {
-	for z := 0; z < g.Nz; z++ {
-		for y := 0; y < g.Ny; y++ {
-			for x := 0; x < g.Nx; x++ {
-				g.Set(x, y, z, f(x, y, z))
+	var next atomic.Int64 // the next z-plane to hand out
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), g.Nz) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for z := int(next.Add(1) - 1); z < g.Nz; z = int(next.Add(1) - 1) {
+				for y := 0; y < g.Ny; y++ {
+					for x := 0; x < g.Nx; x++ {
+						g.Set(x, y, z, f(x, y, z))
+					}
+				}
 			}
-		}
+		}()
 	}
+	wg.Wait()
 }
 
 // MinMax returns the smallest and largest sample values.

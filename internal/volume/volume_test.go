@@ -2,8 +2,10 @@ package volume
 
 import (
 	"bytes"
+	"hash/crc32"
 	"math"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -345,5 +347,27 @@ func TestReadRawErrors(t *testing.T) {
 	}
 	if _, err := ReadRaw(filepath.Join(t.TempDir(), "nope"), 8, 8, 8, U8); err == nil {
 		t.Error("missing file should fail")
+	}
+}
+
+// TestRMGridPinned pins the RM grid's bytes, by CRC, at the harness's
+// Small() size at GOMAXPROCS 1, 2 and 4, and at the benchmark's size at 4:
+// Fill hands z-planes to that many goroutines, and no count may move a
+// sample. The CRCs are the serial Fill's. The benchmark size runs once, at
+// the most goroutines, because each run of it costs seconds of tier-1.
+func TestRMGridPinned(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, c := range []struct {
+		nx, ny, nz int
+		procs      []int
+		crc        uint32
+	}{{96, 96, 90, []int{1, 2, 4}, 0xce18a09d}, {256, 256, 240, []int{4}, 0xde7f5913}} {
+		for _, procs := range c.procs {
+			runtime.GOMAXPROCS(procs)
+			g := RichtmyerMeshkov(c.nx, c.ny, c.nz, 250, 42)
+			if got := crc32.ChecksumIEEE(g.data); got != c.crc {
+				t.Errorf("%d×%d×%d at GOMAXPROCS %d: CRC %#08x, want %#08x", c.nx, c.ny, c.nz, procs, got, c.crc)
+			}
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"path/filepath"
 	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -177,8 +178,8 @@ func mustTV(t *testing.T) *TimeVaryingEngine {
 // about 8 MB.
 func TestPreprocessCopiesNoRecord(t *testing.T) {
 	const slack = 10 << 20
+	g := benchmarkVolume()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	g := GenerateRM(256, 256, 240, 250, 42)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	eng, err := Preprocess(g, Config{Procs: 1, ThreadsPerNode: 1})
@@ -204,8 +205,9 @@ func TestPreprocessCopiesNoRecord(t *testing.T) {
 // these isovalues (16.4 B a triangle more, 661 k to 1.67 M triangles).
 func TestExtractAllocatesItsMeshes(t *testing.T) {
 	const slack = 1 << 20
+	g := benchmarkVolume()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	eng, err := Preprocess(GenerateRM(256, 256, 240, 250, 42), Config{Procs: 1, ThreadsPerNode: 1})
+	eng, err := Preprocess(g, Config{Procs: 1, ThreadsPerNode: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,3 +236,9 @@ func TestExtractAllocatesItsMeshes(t *testing.T) {
 		}
 	}
 }
+
+// benchmarkVolume is the volume bench/ generates (256×256×240 RM, step 250,
+// seed 42), made once per test process: the allocation gates and
+// BenchmarkPreprocess share it, and each would otherwise spend seconds
+// generating its own. Its callers read it and never write it.
+var benchmarkVolume = sync.OnceValue(func() *Grid { return GenerateRM(256, 256, 240, 250, 42) })
